@@ -286,7 +286,9 @@ def _build_family(doc, dim: int) -> tuple[MapFamily, tuple, int, int | None]:
 
 def _build_optimizer(doc) -> OptimizeConfig:
     raw_step = _get(doc, "optimizer.initial_step", default="auto")
-    initial_step = None if raw_step == "auto" else float(raw_step)
+    initial_step = (
+        None if raw_step == "auto" else _get_float(doc, "optimizer.initial_step")
+    )
     try:
         return OptimizeConfig(
             coarse_grid=_get_int(doc, "optimizer.coarse_grid", default=33),

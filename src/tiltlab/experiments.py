@@ -476,24 +476,15 @@ class MinimaxGapReport:
     resolution: int
 
 
-class _Counter:
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-    def add(self, k: int) -> None:
-        self.count += int(k)
-
-
 class _InnerSolver:
     """Extremum of J with one argument fixed, warm-started along a walk.
 
-    Scans a candidate pool (vectorized when the bifunctional provides batch
-    evaluators), then polishes by pattern search from the better of the pool
-    winner and the previous witness.  ``outer_step`` scales both the inner
-    termination and the warm initial step, so precision tracks what the
-    outer walk needs; ``outer_step=None`` solves at full precision.
+    Scans a candidate pool with the checked batch evaluators, then polishes
+    by pattern search from the better of the pool winner and the previous
+    witness, on the unchecked batch kernels when the bifunctional has them.
+    ``outer_step`` scales both the inner termination and the warm initial
+    step, so precision tracks what the outer walk needs; ``outer_step=None``
+    solves at full precision.  Every evaluation is charged to ``budget``.
     """
 
     def __init__(
@@ -505,7 +496,7 @@ class _InnerSolver:
         radius: float,
         norm_spec: NormSpec,
         config: OptimizeConfig,
-        counter: _Counter,
+        budget: _Budget,
     ):
         self.J = J
         self.pool = pool
@@ -514,20 +505,22 @@ class _InnerSolver:
         self.radius = radius
         self.norm_spec = norm_spec
         self.config = config
-        self.counter = counter
+        self.budget = budget
         self.dirs = direction_set(J.domain.dimension, config.directions)
         self.pool_step = radius / 10.0
         self.warm: np.ndarray | None = None
 
     def solve(self, fixed: np.ndarray, outer_step: float | None = None) -> tuple[np.ndarray, float]:
-        J, sign = self.J, self.sign
+        J, sign, budget = self.J, self.sign, self.budget
         if self.free_is_y:
             vals = J.row_values(fixed, self.pool)
-            scalar = lambda z: sign * J.fast_value(fixed, z)
+            fast = J.fast_row_eval or J.row_values
+            rows = lambda Z: sign * fast(fixed, Z)
         else:
             vals = J.column_values(self.pool, fixed)
-            scalar = lambda z: sign * J.fast_value(z, fixed)
-        self.counter.add(len(self.pool))
+            fast = J.fast_column_eval or J.column_values
+            rows = lambda Z: sign * fast(Z, fixed)
+        budget.take(len(self.pool))
         k = int(np.argmin(sign * vals))
         start, f0 = self.pool[k], sign * float(vals[k])
         init = self.pool_step
@@ -536,15 +529,14 @@ class _InnerSolver:
         else:
             termination = max(self.config.termination_step, 0.01 * outer_step)
         if self.warm is not None:
-            fw = scalar(self.warm)
-            self.counter.add(1)
+            fw = float(rows(self.warm[None, :])[0])
+            budget.take(1)
             if fw < f0:
                 start, f0 = self.warm, fw
                 if outer_step is not None:
                     init = max(4.0 * outer_step, 256.0 * termination)
-        budget = _Budget(10 ** 9)
         z, fz = pattern_search(
-            scalar,
+            rows,
             J.domain,
             self.radius,
             self.norm_spec,
@@ -556,7 +548,6 @@ class _InnerSolver:
             self.dirs,
             budget,
         )
-        self.counter.add(budget.used)
         self.warm = z
         return z, sign * fz
 
@@ -622,7 +613,7 @@ def minimax_gap(
         config = OptimizeConfig(
             coarse_grid=resolution, multistart=4, termination_step=1e-8, seed=0
         )
-    counter = _Counter()
+    budget = _Budget(10 ** 18)  # counts evaluations; never exhausted
     window = SampleDomain(J.domain, norm_spec, float(radius), resolution)
     G = window.grid_points()
     if len(G) == 0:
@@ -632,7 +623,7 @@ def minimax_gap(
     rough = np.empty((len(G), len(G)))
     for i, x in enumerate(G):
         rough[i] = J.row_values(x, G)
-    counter.add(rough.size)
+    budget.take(rough.size)
 
     step0 = config.initial_step if config.initial_step is not None else radius / 10.0
     dirs = direction_set(n, config.directions)
@@ -642,7 +633,7 @@ def minimax_gap(
     # Upper phase: minimize the row envelope sup_y J(x, .).
     upper_starts = G[np.argsort(rough.max(axis=1), kind="stable")[: config.multistart]]
     for x0 in upper_starts:
-        sup_solver = _InnerSolver(J, G, True, True, radius, norm_spec, config, counter)
+        sup_solver = _InnerSolver(J, G, True, True, radius, norm_spec, config, budget)
         x_end = _envelope_walk(
             lambda z, s: sup_solver.solve(z, s)[1],
             x0,
@@ -665,7 +656,7 @@ def minimax_gap(
     lower_starts = G[np.argsort(-rough.min(axis=0), kind="stable")[: config.multistart]]
     for y0 in lower_starts:
         inf_solver = _InnerSolver(
-            J, x_pool, False, False, radius, norm_spec, config, counter
+            J, x_pool, False, False, radius, norm_spec, config, budget
         )
         y_end = _envelope_walk(
             lambda z, s: -inf_solver.solve(z, s)[1],
@@ -700,7 +691,7 @@ def minimax_gap(
     M = np.empty((len(S_x), len(S_y)))
     for i, x in enumerate(S_x):
         M[i] = J.row_values(x, S_y)
-    counter.add(M.size)
+    budget.take(M.size)
 
     row_max = M.max(axis=1)
     col_min = M.min(axis=0)
@@ -719,7 +710,7 @@ def minimax_gap(
         y_witness=tuple(float(v) for v in y_witness),
         boundary_max_flag=bool(boundary),
         witness_distance=norm(x_witness - y_witness, norm_spec),
-        evaluations=counter.count,
+        evaluations=budget.used,
         radius=float(radius),
         resolution=int(resolution),
     )

@@ -74,9 +74,9 @@ class TiltedFunctional:
         FX = evaluate_rows(self.mapping, X, self.domain)
         return norms_of_rows(X - FX, self.norm)
 
-    # Lean closures for optimizer refinement loops: trial points come from
-    # projections so the per-call membership check is skipped; range checks
-    # still run on every vectorized grid scan.
+    # Lean closures of J(., y) and Phi at one point, and batched kernels of J
+    # with one argument fixed (f(x) once per call), for optimizer loops: no
+    # membership or range checks, so callers must feed feasible points.
     def tilt_objective(self, y):
         y = as_vector(y, self.dimension)
         mapping, domain = self.mapping, self.domain
@@ -98,10 +98,13 @@ class TiltedFunctional:
 
         return objective
 
-    def _unchecked_value(self, x, y) -> float:
-        fx = self.mapping.raw_value(np.asarray(x, dtype=float), self.domain)
-        size = self.norm.scalar_norm
-        return size(x - fx) - size(y - fx)
+    def _fast_values_for_ys(self, x, Y) -> np.ndarray:
+        fx = self.mapping.raw_value(x, self.domain)
+        return self.norm.scalar_norm(x - fx) - norms_of_rows(Y - fx, self.norm)
+
+    def _fast_values_for_xs(self, X, y) -> np.ndarray:
+        FX = self.mapping.raw_rows(X, self.domain)
+        return norms_of_rows(X - FX, self.norm) - norms_of_rows(y - FX, self.norm)
 
     def as_bifunctional(self) -> "Bifunctional":
         return Bifunctional(
@@ -111,7 +114,8 @@ class TiltedFunctional:
             concave_in_y=True,
             row_eval=self.values_for_ys,
             column_eval=self.values_for_xs,
-            scalar_eval=self._unchecked_value,
+            fast_row_eval=self._fast_values_for_ys,
+            fast_column_eval=self._fast_values_for_xs,
         )
 
 
@@ -178,14 +182,14 @@ class Bifunctional:
     concave_in_y: bool = False
     row_eval: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     column_eval: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    # Optional unchecked fast path for inner optimization loops; callers
-    # must feed feasible points.
-    scalar_eval: Callable[[np.ndarray, np.ndarray], float] | None = None
+    # Optional unchecked batched evaluators for inner optimization loops;
+    # callers must feed feasible points.  The checked ones fill in when absent.
+    fast_row_eval: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    fast_column_eval: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def fast_value(self, x, y) -> float:
-        if self.scalar_eval is not None:
-            return float(self.scalar_eval(x, y))
-        return float(self.value(x, y))
+        X = np.asarray(x, dtype=float)[None, :]
+        return float((self.fast_column_eval or self.column_values)(X, y)[0])
 
     def row_values(self, x, Y) -> np.ndarray:
         Y = np.asarray(Y, dtype=float)

@@ -34,8 +34,6 @@ logger = logging.getLogger(__name__)
 MEMBERSHIP_TOL = 1e-9
 
 _SINGULAR_RATIO = 1e-13
-_POWER_ITER_TOL = 1e-10
-_POWER_ITER_CAP = 200_000
 
 # Bounded smooth vector fields, each component in [-1, 1]; they act on the
 # last axis so the same callable serves single vectors and row batches.
@@ -279,26 +277,6 @@ class GrowthEstimate:
             raise ValueError("kappa_hat must be >= 0")
 
 
-def _largest_singular_value(A: np.ndarray) -> float:
-    """Power iteration on A^T A, relative tolerance 1e-10."""
-    n = A.shape[0]
-    B = A.T @ A
-    v = np.ones(n) + 1e-3 * np.arange(n)
-    v /= np.sqrt(np.dot(v, v))
-    lam = 0.0
-    for _ in range(_POWER_ITER_CAP):
-        w = B @ v
-        nw = float(np.sqrt(np.dot(w, w)))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = float(v @ (B @ v))
-        if abs(lam_new - lam) <= _POWER_ITER_TOL * max(abs(lam_new), 1e-300):
-            return float(np.sqrt(max(lam_new, 0.0)))
-        lam = lam_new
-    return float(np.sqrt(max(lam, 0.0)))
-
-
 def induced_operator_norm(matrix, spec: NormSpec) -> float:
     """Operator norm of a matrix for plain lp with p in {1, 2, inf}."""
     A = np.asarray(matrix, dtype=float)
@@ -309,7 +287,7 @@ def induced_operator_norm(matrix, spec: NormSpec) -> float:
     if spec.p == 1.0:
         return float(np.abs(A).sum(axis=0).max())
     if spec.p == 2.0:
-        return _largest_singular_value(A)
+        return float(np.linalg.norm(A, 2))
     raise ValueError("closed forms cover p in {1, 2, inf} only")
 
 

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InfeasibleTruncation
-from .spaces import FeasibleSet, NormSpec, SampleDomain, norm
+from .spaces import FeasibleSet, NormSpec, SampleDomain, norm, norms_of_rows
 
 _STREAM_STARTS = 0x51A7
 
@@ -152,7 +153,7 @@ def direction_set(dimension: int, mode: str = "auto") -> np.ndarray:
 
 
 def pattern_search(
-    objective: Callable[[np.ndarray], float],
+    objective_rows: Callable[[np.ndarray], np.ndarray],
     domain: FeasibleSet,
     radius: float,
     norm_spec: NormSpec,
@@ -166,30 +167,31 @@ def pattern_search(
 ) -> tuple[np.ndarray, float]:
     """Compass-style refinement; monotone, projected, ball-constrained.
 
-    Trial points are projected into the set after every step and rejected
-    when they leave the truncation ball.  Among improving directions the
-    best value wins (first one on ties); with no improvement the step
-    shrinks until it passes ``termination_step`` or the budget runs out.
+    Each iteration projects every trial step into the set, drops the trials
+    that leave the truncation ball, charges the rest to the budget as one
+    batch and evaluates them with one ``objective_rows`` call.  The best
+    value wins (first direction on ties; NaN never wins) and is accepted
+    only on strict improvement; otherwise the step shrinks until it passes
+    ``termination_step``.  When the budget grants only part of a batch the
+    search stops at the current point.
     """
     x, fx = np.asarray(x0, dtype=float), float(f0)
     step = float(initial_step)
     ball_tol = 1e-12 * max(1.0, radius)
-    size = norm_spec.scalar_norm
     while step > termination_step:
-        best_x, best_f = None, fx
-        for d in directions:
-            trial = domain.project(x + step * d)
-            if size(trial) > radius + ball_tol:
+        trials = domain.project_rows(x + step * directions)
+        trials = trials[norms_of_rows(trials, norm_spec) <= radius + ball_tol]
+        if budget.take(len(trials)) < len(trials):
+            return x, fx
+        if len(trials):
+            values = np.asarray(objective_rows(trials), dtype=float)
+            best = values.argmin()
+            if math.isnan(values[best]):  # argmin returns the first NaN
+                best = np.where(np.isnan(values), np.inf, values).argmin()
+            if values[best] < fx:
+                x, fx = trials[best], float(values[best])
                 continue
-            if budget.take() < 1:
-                return x, fx
-            ft = float(objective(trial))
-            if ft < best_f:
-                best_x, best_f = trial, ft
-        if best_x is None:
-            step *= shrink
-        else:
-            x, fx = best_x, best_f
+        step *= shrink
     return x, fx
 
 
@@ -238,8 +240,9 @@ def global_minimize(
     """Global minimization of ``objective`` over X within the ball of the
     ambient norm (Euclidean when ``norm_spec`` is omitted).
 
-    ``objective_rows``, when provided, evaluates a (k, n) batch and is used
-    for the coarse grid scan; each row counts against the budget.
+    ``objective_rows``, when provided, evaluates a (k, n) batch; every
+    evaluation (grid scan, random starts, refinement) then goes through it,
+    and ``objective`` is never called.  Each row counts against the budget.
     """
     if not radius > 0.0:
         raise ValueError("radius must be positive")
@@ -257,10 +260,9 @@ def global_minimize(
     grid = grid[:k]
     if k == 0:
         raise InfeasibleTruncation("budget too small to scan a single grid point")
-    if objective_rows is not None:
-        grid_values = np.asarray(objective_rows(grid), dtype=float)
-    else:
-        grid_values = np.array([float(objective(x)) for x in grid])
+    if objective_rows is None:
+        objective_rows = lambda X: np.array([float(objective(x)) for x in X])
+    grid_values = np.asarray(objective_rows(grid), dtype=float)
 
     order = np.argsort(grid_values, kind="stable")
     starts: list[tuple[np.ndarray, float]] = [
@@ -269,10 +271,11 @@ def global_minimize(
     rng = np.random.default_rng(
         np.random.SeedSequence([config.seed, _STREAM_STARTS])
     )
-    for x in window.random_points(config.multistart, rng):
-        if budget.take() < 1:
-            break
-        starts.append((x, float(objective(x))))
+    randoms = window.random_points(config.multistart, rng)
+    randoms = randoms[: budget.take(len(randoms))]
+    if len(randoms):
+        values = np.asarray(objective_rows(randoms), dtype=float)
+        starts.extend((x, float(v)) for x, v in zip(randoms, values))
 
     step0 = config.initial_step if config.initial_step is not None else radius / 10.0
     dirs = direction_set(n, config.directions)
@@ -283,7 +286,7 @@ def global_minimize(
             x, fx = x0, f0
         else:
             x, fx = pattern_search(
-                objective,
+                objective_rows,
                 domain,
                 radius,
                 norm_spec,
@@ -349,7 +352,6 @@ def brute_force_minima(
     chunk = max(1, min(resolution ** n, 65536 // max(n, 1)))
     shape = (resolution,) * n
     total = resolution ** n
-    from .spaces import norms_of_rows
 
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total))

@@ -135,18 +135,18 @@ def norms_of_rows(X, spec: NormSpec) -> np.ndarray:
         raise DimensionMismatch(
             f"expected a (k, {spec.dimension}) array, got shape {X.shape}"
         )
-    A = np.abs(X)
     w = spec._weight_array
+    if spec.p == 2.0:
+        sq = X * X if w is None else X * X * w
+        return np.sqrt(np.add.reduce(sq, axis=1))
+    A = np.abs(X)
     if spec.p is INF:
         if w is not None:
             A = A * w
-        return A.max(axis=1)
+        return np.maximum.reduce(A, axis=1)
     p = spec.p
     if p == 1.0:
-        return A.sum(axis=1) if w is None else (A * w).sum(axis=1)
-    if p == 2.0:
-        sq = X * X if w is None else A * A * w
-        return np.sqrt(sq.sum(axis=1))
+        return np.add.reduce(A if w is None else A * w, axis=1)
     m = A.max(axis=1)
     safe = np.where(m > 0.0, m, 1.0)
     scaled = (A / safe[:, None]) ** p
@@ -335,8 +335,11 @@ class HalfSpace(FeasibleSet):
         return arr + (gap / self._normal_sq) * self._normal_array
 
     def project_rows(self, Z) -> np.ndarray:
+        # A row-wise sum, unlike a matrix product, rounds each row the same
+        # way whatever the batch size, so a trial projects identically alone
+        # or in a batch.
         Z = np.asarray(Z, dtype=float)
-        gap = self.offset - Z @ self._normal_array
+        gap = self.offset - (Z * self._normal_array).sum(axis=1)
         gap = np.maximum(gap, 0.0)
         return Z + (gap / self._normal_sq)[:, None] * self._normal_array[None, :]
 

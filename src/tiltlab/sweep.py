@@ -218,8 +218,11 @@ def _candidate_metrics(
     return value_gap, float(separation)
 
 
-def _run_cell(ctx: _SweepContext, cell: CellDescriptor):
-    """One sweep cell; returns (summary, candidate-or-None, raw_finding)."""
+def _run_cell(
+    ctx: _SweepContext, cell: CellDescriptor, kappa_info: GrowthEstimate | None
+):
+    """One sweep cell; returns (summary, candidate-or-None, raw_finding).
+    ``kappa_info`` is the pair's growth estimate; the planted cell ignores it."""
     norm_spec = NormSpec(ctx.family.dimension, cell.norm_p)
     map_spec = ctx.family.instantiate(cell.params)
     y = np.array(cell.y, dtype=float)
@@ -231,18 +234,9 @@ def _run_cell(ctx: _SweepContext, cell: CellDescriptor):
         result = global_minimize(
             objective, ctx.domain, radius, ctx.config, norm_spec=norm_spec
         )
-        kappa_info = None
         kappa_hat = None
         kappa_method = "planted"
     else:
-        kappa_info = growth_coefficient(
-            map_spec,
-            norm_spec,
-            ctx.growth_radii,
-            ctx.growth_directions,
-            seed=ctx.seed + 7919 * ctx_param_key(cell),
-            domain=ctx.domain,
-        )
         kappa_hat = kappa_info.kappa_hat
         kappa_method = kappa_info.method.value
         if not kappa_info.satisfied:
@@ -375,11 +369,26 @@ def search_counterexample(
         planted_cell=planted_cell,
         planted_spread=float(planted_spread),
     )
+    # A growth estimate and its seed depend only on the cell's (parameter
+    # point, norm) pair, so one estimate serves every probe y of the pair.
+    growth: dict[int, GrowthEstimate] = {}
+    for c in cells:
+        key = ctx_param_key(c)
+        if c.index != planted_cell and key not in growth:
+            growth[key] = growth_coefficient(
+                family.instantiate(c.params),
+                NormSpec(family.dimension, c.norm_p),
+                ctx.growth_radii,
+                ctx.growth_directions,
+                seed=ctx.seed + 7919 * key,
+                domain=domain,
+            )
+    bundles = [(ctx, c, growth.get(ctx_param_key(c))) for c in cells]
     if jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=int(jobs)) as pool:
-            outcomes = list(pool.map(_cell_worker, [(ctx, c) for c in cells], chunksize=8))
+            outcomes = list(pool.map(_cell_worker, bundles, chunksize=8))
     else:
-        outcomes = [_run_cell(ctx, c) for c in cells]
+        outcomes = [_run_cell(*b) for b in bundles]
 
     summaries = tuple(o[0] for o in outcomes)
     candidates = [o[1] for o in outcomes if o[1] is not None]
@@ -398,5 +407,4 @@ def search_counterexample(
 
 
 def _cell_worker(bundle):
-    ctx, cell = bundle
-    return _run_cell(ctx, cell)
+    return _run_cell(*bundle)

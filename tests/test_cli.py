@@ -149,6 +149,15 @@ def test_validate_verb(tmp_path, capsys):
     assert "line" in err
 
 
+def test_validate_rejects_non_numeric_initial_step(tmp_path, capsys):
+    bad = write(tmp_path, FIND_CONFIG + "optimizer.initial_step = abc\n")
+    assert main(["validate", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "optimizer.initial_step" in err
+    assert "not a number" in err
+    assert "Traceback" not in err
+
+
 def test_run_find_fixed_point(tmp_path):
     path = write(tmp_path, FIND_CONFIG)
     out = tmp_path / "out"

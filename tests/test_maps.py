@@ -91,6 +91,20 @@ def test_power_iteration_matches_svd_oracle():
         assert mine == pytest.approx(oracle, rel=1e-8, abs=1e-12)
 
 
+def test_analytic_l2_kappa_does_not_underestimate_near_tied_singular_values():
+    # Power iteration converges slowly when the top two singular values
+    # nearly tie and stopped near 1 - 2e-8 here; an analytic kappa must be
+    # an upper bound.
+    c, s = np.cos(0.3), np.sin(0.3)
+    R = np.array([[c, -s], [s, c]])
+    A = R @ np.diag([1.0, 1.0 - 1e-7]) @ R.T
+    growth = growth_coefficient(
+        AffineMap(2, matrix=tuple(map(tuple, A)), offset=(0.0, 0.0)), NormSpec(2, 2.0)
+    )
+    assert growth.method is GrowthMethod.ANALYTIC
+    assert growth.kappa_hat >= 1.0 - 1e-12
+
+
 def test_induced_norms_dominate_sampled_ratios():
     rng = np.random.default_rng(23)
     for p in (1.0, 2.0, INF):

@@ -4,8 +4,10 @@ import pytest
 from helpers import affine_instance
 
 from tiltlab import (
+    INF,
     AffineMap,
     FullSpace,
+    HalfSpace,
     InfeasibleTruncation,
     NormSpec,
     OptimizeConfig,
@@ -17,6 +19,7 @@ from tiltlab import (
     contains,
     global_minimize,
     norm,
+    norms_of_rows,
     planted_double_well,
 )
 from tiltlab.optimize import direction_set, pattern_search, _Budget
@@ -108,7 +111,7 @@ def test_monotone_refinement():
         f0 = float((x0 @ x0 - 1.0) ** 2)
         budget = _Budget(10_000)
         x, fx = pattern_search(
-            lambda z: float((z @ z - 1.0) ** 2),
+            lambda Z: ((Z * Z).sum(axis=1) - 1.0) ** 2,
             FullSpace(2),
             4.0,
             NormSpec(2, 2.0),
@@ -121,6 +124,135 @@ def test_monotone_refinement():
             budget,
         )
         assert fx <= f0
+
+
+def reference_pattern_search(
+    objective_rows, domain, radius, norm_spec, x0, f0, step, termination, shrink,
+    directions, budget, events,
+):
+    """One direction at a time, each trial a one-row batch; ``events``
+    counts the tied, out-of-ball and budget-cut cases it meets."""
+    x, fx = np.asarray(x0, dtype=float), float(f0)
+    ball_tol = 1e-12 * max(1.0, radius)
+    while step > termination:
+        best_x, best_f = None, fx
+        for d in directions:
+            trial = domain.project_rows((x + step * d)[None, :])
+            if norms_of_rows(trial, norm_spec)[0] > radius + ball_tol:
+                events["outside"] += 1
+                continue
+            if budget.take() < 1:
+                events["cut"] += 1
+                return x, fx
+            ft = float(objective_rows(trial)[0])
+            events["tie"] += best_x is not None and ft == best_f
+            if ft < best_f:
+                best_x, best_f = trial[0], ft
+        if best_x is None:
+            step *= shrink
+        else:
+            x, fx = best_x, best_f
+    return x, fx
+
+
+def random_rows_objective(rng, n):
+    """A shifted weighted quadratic plus an l1 kink, quantized on half of
+    the draws so that trial values tie often."""
+    center = rng.uniform(-1.5, 1.5, n)
+    weights = rng.uniform(0.5, 2.0, n)
+    kink = float(rng.uniform(0.0, 1.0))
+    quantum = float(rng.choice([0.0, 0.125]))
+
+    def rows(X):
+        v = (weights * (X - center) ** 2).sum(axis=1) + kink * np.abs(X).sum(axis=1)
+        return np.floor(v / quantum) * quantum if quantum else v
+
+    return rows
+
+
+def random_domain(rng, n):
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return FullSpace(n)
+    if kind == 1:
+        return Orthant(n, lower=tuple(rng.uniform(-1.0, 0.0, n)))
+    return HalfSpace(n, normal=tuple(rng.uniform(-1.0, 1.0, n)), offset=float(rng.uniform(-1, 0)))
+
+
+def test_pattern_search_matches_per_direction_loop_bitwise():
+    rng = np.random.default_rng(2024)
+    events = {"tie": 0, "outside": 0, "cut": 0}
+    for case in range(150):
+        n = int(rng.integers(2, 4))
+        domain = random_domain(rng, n)
+        spec = NormSpec(n, (1.0, 2.0, INF)[case % 3])
+        rows = random_rows_objective(rng, n)
+        radius = float(rng.uniform(1.0, 3.0))
+        x0 = domain.project_rows(rng.uniform(-radius, radius, (1, n)))[0]
+        if norm(x0, spec) > radius:
+            continue
+        f0 = float(rows(x0[None, :])[0])
+        dirs = direction_set(n, ("axes", "auto")[case % 2])
+        step = float(rng.uniform(0.2, 1.0))
+        limit = int(rng.integers(1, 120)) if case % 3 == 0 else 10**6
+        args = (rows, domain, radius, spec, x0, f0, step, 1e-6, 0.5, dirs)
+        mine_budget, ref_budget = _Budget(limit), _Budget(limit)
+        x, fx = pattern_search(*args, mine_budget)
+        x_ref, fx_ref = reference_pattern_search(*args, ref_budget, events)
+        assert x.tobytes() == x_ref.tobytes(), case
+        assert np.float64(fx).tobytes() == np.float64(fx_ref).tobytes(), case
+        assert mine_budget.used == ref_budget.used, case
+        assert mine_budget.exhausted == ref_budget.exhausted, case
+        if mine_budget.exhausted:
+            assert mine_budget.used == limit
+    assert min(events.values()) >= 5, events
+
+
+def test_pattern_search_nan_trials_never_win_nor_hide_improvement():
+    dirs = direction_set(2, "full")  # first direction is (-1, -1)
+    center = np.array([1.0, 1.0])
+
+    def rows(X):
+        v = ((X - center) ** 2).sum(axis=1)
+        return np.where(X[:, 1] < 0.0, np.nan, v)
+
+    x0 = np.zeros(2)
+    x, fx = pattern_search(
+        rows, FullSpace(2), 4.0, NormSpec(2, 2.0), x0, 2.0, 1.0, 1e-9, 0.5, dirs,
+        _Budget(10_000),
+    )
+    assert np.array_equal(x, center) and fx == 0.0
+
+    def all_nan(X):
+        return np.full(len(X), np.nan)
+
+    budget = _Budget(10_000)
+    x, fx = pattern_search(
+        all_nan, FullSpace(2), 4.0, NormSpec(2, 2.0), x0, 2.0, 1.0, 1e-3, 0.5, dirs,
+        budget,
+    )
+    assert np.array_equal(x, x0) and fx == 2.0
+    assert budget.used == 8 * 10  # ten shrinks from 1 to below 1e-3
+
+
+def test_global_minimize_with_rows_makes_no_scalar_calls():
+    F = TiltedFunctional(
+        NormSpec(2, 2.0),
+        Orthant(2),
+        AffineMap(2, matrix=((0.3, 0.1), (0.0, 0.2)), offset=(1.0, 0.5)),
+    )
+    calls = []
+
+    def scalar(x):
+        calls.append(x)
+        return F.displacement(x)
+
+    res = global_minimize(
+        scalar, F.domain, 6.0, CFG, norm_spec=F.norm, objective_rows=F.displacements
+    )
+    assert calls == []
+    assert res.evaluations > 0
+    assert np.allclose(res.best_point, analytic_fixed_point(F.mapping), atol=1e-6)
 
 
 def test_determinism_bitwise():
