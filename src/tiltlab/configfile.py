@@ -17,7 +17,6 @@ from .maps import (
     AffineMap,
     BoundedPerturbedMap,
     ConstantMap,
-    FIELD_CATALOG,
     MapSpec,
     ProjectedMap,
 )
@@ -78,7 +77,18 @@ def render_document(doc: dict[str, str]) -> str:
     return "".join(f"{key} = {value}\n" for key, value in doc.items())
 
 
-def _get(doc, key, default=None, required=False) -> str | None:
+class _Document(dict):
+    """A parsed config that records every key the builders look up, so that
+    a key nothing reads (a typo, or one of another kind or variant) can be
+    rejected instead of silently ignored."""
+
+    def __init__(self, doc: dict[str, str]):
+        super().__init__(doc)
+        self.read: set[str] = set()
+
+
+def _get(doc: _Document, key, default=None, required=False) -> str | None:
+    doc.read.add(key)
     if key in doc:
         return doc[key]
     if required:
@@ -327,66 +337,10 @@ def _build_sampling(doc) -> SamplingSpec:
         raise ConfigError(str(exc), field="sampling") from None
 
 
-_KNOWN_STATIC_KEYS = {
-    "kind",
-    "seed",
-    "out",
-    "space.dimension",
-    "space.norm",
-    "space.p",
-    "space.weights",
-    "set.variant",
-    "set.lower",
-    "set.normal",
-    "set.offset",
-    "set.halfspaces",
-    "set.ray",
-    "set.base",
-    "sweep.family",
-    "sweep.p_values",
-    "sweep.y_grid",
-    "sweep.offset",
-    "sweep.planted_cell",
-    "optimizer.coarse_grid",
-    "optimizer.multistart",
-    "optimizer.initial_step",
-    "optimizer.shrink",
-    "optimizer.termination_step",
-    "optimizer.value_tolerance",
-    "optimizer.separation",
-    "optimizer.budget",
-    "optimizer.directions",
-    "sampling.y_count",
-    "sampling.y_radius",
-    "sampling.y_mode",
-    "sampling.check_samples",
-    "sampling.margin",
-    "sampling.radius_override",
-    "sampling.fallback_radius",
-    "sampling.resolution",
-    "sampling.radius",
-    "sampling.growth_radii",
-    "sampling.growth_directions",
-    "saddle.x_star",
-    "saddle.tolerance",
-}
-
-
-def _check_unknown_keys(doc: dict[str, str]) -> None:
-    for key in doc:
-        if key in _KNOWN_STATIC_KEYS:
-            continue
-        if key.startswith("map.") or key.startswith("sweep.param."):
-            continue
-        if key.startswith("set.halfspace."):
-            continue
-        raise ConfigError("unknown key", field=key)
-
-
 def build_experiment(doc: dict[str, str]) -> ExperimentConfig:
     """Typed experiment description; validates dimensions, ranges and
-    set unboundedness."""
-    _check_unknown_keys(doc)
+    set unboundedness; every key must be one the kind and variant read."""
+    doc = _Document(doc)
     kind = _get(doc, "kind", required=True)
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(
@@ -418,6 +372,9 @@ def build_experiment(doc: dict[str, str]) -> ExperimentConfig:
         saddle_point = _get_vector(
             doc, "saddle.x_star", length=norm_spec.dimension, required=True
         )
+    for key in doc:
+        if key not in doc.read:
+            raise ConfigError("unknown key: nothing reads it here", field=key)
 
     return ExperimentConfig(
         kind=kind,

@@ -566,29 +566,24 @@ def _envelope_walk(
     """Compass walk minimizing an envelope whose evaluation precision adapts
     to the current step: ``envelope(z, outer_step)``.
 
-    During the walk the inner solve only needs enough precision to rank
-    nearby trial points; the incumbent is re-anchored after every shrink so
-    comparisons stay consistent.  Callers polish the returned endpoint at
-    full precision afterwards.
+    Each step level is one :func:`pattern_search` that ends at its first
+    shrink.  The inner solve only needs enough precision to rank nearby
+    trial points; the incumbent is re-anchored after every shrink so that
+    comparisons stay consistent and the next inner solve is warm-started.
+    Callers polish the returned endpoint at full precision afterwards.
     """
     x = np.asarray(x0, dtype=float)
     step = float(step0)
-    ball_tol = 1e-12 * max(1.0, radius)
+    walk_budget = _Budget(10 ** 18)  # never exhausted
+    rows = lambda Z: np.array([envelope(z, step) for z in Z])
     fx = envelope(x, step)
     while step > termination:
-        best_x, best_f = None, fx
-        for d in dirs:
-            trial = domain.project(x + step * d)
-            if norm(trial, norm_spec) > radius + ball_tol:
-                continue
-            ft = envelope(trial, step)
-            if ft < best_f:
-                best_x, best_f = trial, ft
-        if best_x is None:
-            step *= shrink
-            fx = envelope(x, step)
-        else:
-            x, fx = best_x, best_f
+        x, _ = pattern_search(
+            rows, domain, radius, norm_spec, x, fx, step, step * shrink, shrink,
+            dirs, walk_budget,
+        )
+        step *= shrink
+        fx = envelope(x, step)
     return x
 
 

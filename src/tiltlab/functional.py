@@ -58,6 +58,8 @@ class TiltedFunctional:
     def values_for_ys(self, x, Y) -> np.ndarray:
         x = as_vector(x, self.dimension)
         fx = evaluate(self.mapping, x, self.domain)
+        # Two calls, not one over x stacked on Y: this kernel scans large
+        # grids, where the stacked (k + 1)-row copy measured slower.
         head = norm(x - fx, self.norm)
         return head - norms_of_rows(np.asarray(Y, dtype=float) - fx[None, :], self.norm)
 
@@ -74,37 +76,28 @@ class TiltedFunctional:
         FX = evaluate_rows(self.mapping, X, self.domain)
         return norms_of_rows(X - FX, self.norm)
 
-    # Lean closures of J(., y) and Phi at one point, and batched kernels of J
-    # with one argument fixed (f(x) once per call), for optimizer loops: no
-    # membership or range checks, so callers must feed feasible points.
-    def tilt_objective(self, y):
-        y = as_vector(y, self.dimension)
-        mapping, domain = self.mapping, self.domain
-        size = self.norm.scalar_norm
+    # Unchecked batch kernels of J with one argument fixed (f(x) once per
+    # call) and of Phi, for optimizer loops, and one-point closures of J(., y)
+    # and Phi over them: no membership or range checks, so callers must feed
+    # feasible points.
+    def _unchecked_values_for_ys(self, x, Y) -> np.ndarray:
+        fx = self.mapping.raw_rows(x[None, :], self.domain)[0]
+        sizes = norms_of_rows(np.concatenate((x[None, :], Y)) - fx, self.norm)
+        return sizes[0] - sizes[1:]
 
-        def objective(x: np.ndarray) -> float:
-            fx = mapping.raw_value(x, domain)
-            return size(x - fx) - size(y - fx)
-
-        return objective
-
-    def displacement_objective(self):
-        mapping, domain = self.mapping, self.domain
-        size = self.norm.scalar_norm
-
-        def objective(x: np.ndarray) -> float:
-            fx = mapping.raw_value(x, domain)
-            return size(x - fx)
-
-        return objective
-
-    def _fast_values_for_ys(self, x, Y) -> np.ndarray:
-        fx = self.mapping.raw_value(x, self.domain)
-        return self.norm.scalar_norm(x - fx) - norms_of_rows(Y - fx, self.norm)
-
-    def _fast_values_for_xs(self, X, y) -> np.ndarray:
+    def _unchecked_values_for_xs(self, X, y) -> np.ndarray:
         FX = self.mapping.raw_rows(X, self.domain)
         return norms_of_rows(X - FX, self.norm) - norms_of_rows(y - FX, self.norm)
+
+    def _unchecked_displacements(self, X) -> np.ndarray:
+        return norms_of_rows(X - self.mapping.raw_rows(X, self.domain), self.norm)
+
+    def tilt_objective(self, y):
+        y = as_vector(y, self.dimension)
+        return lambda x: float(self._unchecked_values_for_xs(x[None, :], y)[0])
+
+    def displacement_objective(self):
+        return lambda x: float(self._unchecked_displacements(x[None, :])[0])
 
     def as_bifunctional(self) -> "Bifunctional":
         return Bifunctional(
@@ -114,8 +107,8 @@ class TiltedFunctional:
             concave_in_y=True,
             row_eval=self.values_for_ys,
             column_eval=self.values_for_xs,
-            fast_row_eval=self._fast_values_for_ys,
-            fast_column_eval=self._fast_values_for_xs,
+            fast_row_eval=self._unchecked_values_for_ys,
+            fast_column_eval=self._unchecked_values_for_xs,
         )
 
 
@@ -186,10 +179,6 @@ class Bifunctional:
     # callers must feed feasible points.  The checked ones fill in when absent.
     fast_row_eval: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     fast_column_eval: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-
-    def fast_value(self, x, y) -> float:
-        X = np.asarray(x, dtype=float)[None, :]
-        return float((self.fast_column_eval or self.column_values)(X, y)[0])
 
     def row_values(self, x, Y) -> np.ndarray:
         Y = np.asarray(Y, dtype=float)

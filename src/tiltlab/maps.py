@@ -35,8 +35,7 @@ MEMBERSHIP_TOL = 1e-9
 
 _SINGULAR_RATIO = 1e-13
 
-# Bounded smooth vector fields, each component in [-1, 1]; they act on the
-# last axis so the same callable serves single vectors and row batches.
+# Bounded smooth vector fields over row batches, each component in [-1, 1].
 FIELD_CATALOG = {
     "sine": lambda x: np.sin(np.roll(x, -1, axis=-1)),
     "tanh": lambda x: np.tanh(x),
@@ -66,12 +65,9 @@ class MapSpec:
     def family(self) -> str:
         raise NotImplementedError
 
-    def raw_value(self, x: np.ndarray, domain: FeasibleSet) -> np.ndarray:
-        """f(x) without membership or range checks."""
-        raise NotImplementedError
-
     def raw_rows(self, X: np.ndarray, domain: FeasibleSet) -> np.ndarray:
-        return np.vstack([self.raw_value(row, domain) for row in X]) if len(X) else X
+        """f at each row of X without membership or range checks."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -103,9 +99,6 @@ class AffineMap(MapSpec):
         arr.flags.writeable = False
         return arr
 
-    def raw_value(self, x, domain):
-        return self.matrix_array @ x + self.offset_array
-
     def raw_rows(self, X, domain):
         return X @ self.matrix_array.T + self.offset_array[None, :]
 
@@ -130,9 +123,6 @@ class ConstantMap(MapSpec):
         arr = np.array(self.value, dtype=float)
         arr.flags.writeable = False
         return arr
-
-    def raw_value(self, x, domain):
-        return self.value_array.copy()
 
     def raw_rows(self, X, domain):
         return np.tile(self.value_array, (len(X), 1))
@@ -178,10 +168,6 @@ class BoundedPerturbedMap(MapSpec):
         arr.flags.writeable = False
         return arr
 
-    def raw_value(self, x, domain):
-        g = FIELD_CATALOG[self.field]
-        return self.matrix_array @ x + self.offset_array + self.amplitude * g(x)
-
     def raw_rows(self, X, domain):
         g = FIELD_CATALOG[self.field]
         return X @ self.matrix_array.T + self.offset_array[None, :] + self.amplitude * g(X)
@@ -205,9 +191,6 @@ class ProjectedMap(MapSpec):
     def family(self) -> str:
         return "projected"
 
-    def raw_value(self, x, domain):
-        return domain.project(self.inner.raw_value(x, domain))
-
     def raw_rows(self, X, domain):
         return domain.project_rows(self.inner.raw_rows(X, domain))
 
@@ -222,7 +205,7 @@ def evaluate(map_spec: MapSpec, x, domain: FeasibleSet) -> np.ndarray:
         raise MembershipViolation(
             f"point is outside the feasible set by {v:.3e} (> {MEMBERSHIP_TOL})"
         )
-    value = map_spec.raw_value(arr, domain)
+    value = map_spec.raw_rows(arr[None, :], domain)[0]
     if not isinstance(map_spec, ProjectedMap):
         rv = domain.violation(value)
         if rv > MEMBERSHIP_TOL:

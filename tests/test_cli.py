@@ -158,6 +158,38 @@ def test_validate_rejects_non_numeric_initial_step(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+CONE_SET = """set.variant = cone
+set.halfspaces = 1
+set.halfspace.0.normal = 1
+set.halfspace.0.offset = 0
+set.ray = 1
+"""
+
+
+@pytest.mark.parametrize(
+    "key, text",
+    [
+        ("map.ofset", FIND_CONFIG.replace("map.offset = 0", "map.ofset = 1")),
+        ("set.lower", FIND_CONFIG + "set.lower = 1\n"),
+        ("saddle.x_star", FIND_CONFIG + "saddle.x_star = 0\n"),
+        (
+            "set.halfspace.5.normal",
+            FIND_CONFIG.replace("set.variant = full_space\n", CONE_SET)
+            + "set.halfspace.5.normal = 1\n",
+        ),
+    ],
+    ids=["misspelt", "other_variant", "other_kind", "beyond_count"],
+)
+def test_validate_rejects_keys_nothing_reads(tmp_path, capsys, key, text):
+    # A misspelt key, or one of another variant or kind, must not pass with
+    # its value silently ignored.
+    path = write(tmp_path, text)
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+
+
 def test_run_find_fixed_point(tmp_path):
     path = write(tmp_path, FIND_CONFIG)
     out = tmp_path / "out"

@@ -182,7 +182,8 @@ def test_bifunctional_wrapper_flags_and_batches():
     for i in range(len(pts)):
         assert rows[i] == pytest.approx(tilted_value(F, x, pts[i]), abs=1e-12)
         assert cols[i] == pytest.approx(tilted_value(F, pts[i], x), abs=1e-12)
-        assert J.fast_value(pts[i], x) == pytest.approx(cols[i], abs=1e-12)
+        fast = J.fast_column_eval(pts[i][None, :], x)[0]
+        assert fast == pytest.approx(cols[i], abs=1e-12)
     diag = [abs(J.value(p, p)) for p in pts[:25]]
     assert max(diag) <= 1e-12
 
@@ -205,5 +206,5 @@ def test_effective_growth_bound_certifies_ratio():
             x = radius * u / size
             if F.domain.violation(x) > 1e-12:
                 continue
-            fx = F.mapping.raw_value(x, F.domain)
+            fx = F.mapping.raw_rows(x[None, :], F.domain)[0]
             assert norm(fx, F.norm) <= kappa_eff * norm(x, F.norm) + 1e-9

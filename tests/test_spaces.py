@@ -17,6 +17,7 @@ from tiltlab import (
     norms_of_rows,
     project,
 )
+from tiltlab.spaces import PROJECTION_CAP, PROJECTION_TOL
 
 SPECS = [
     NormSpec(3, 1.0),
@@ -234,3 +235,117 @@ def test_dimension_checks():
         Orthant(2, lower=(0.0,))
     with pytest.raises(DimensionMismatch):
         SampleDomain(Orthant(2), NormSpec(3, 2.0), 1.0, 3)
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _assert_batch_independent(kernel, X):
+    """Row i of a batch call equals the one-row call, bit for bit."""
+    batch = kernel(X)
+    for i in range(len(X)):
+        assert _bits(batch[i]) == _bits(kernel(X[i : i + 1])[0])
+
+
+@st.composite
+def _row_batches(draw, n):
+    k = draw(st.integers(1, 12))
+    flat = draw(st.lists(st.floats(-1e3, 1e3), min_size=n * k, max_size=n * k))
+    return np.array(flat).reshape(k, n)
+
+
+@st.composite
+def _norms_and_rows(draw):
+    n = draw(st.integers(1, 5))
+    p = draw(st.sampled_from((1.0, 2.0, 3.0, INF)))
+    weights = draw(
+        st.none() | st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)
+    )
+    return NormSpec(n, p, weights=weights), draw(_row_batches(n))
+
+
+@given(_norms_and_rows())
+@settings(max_examples=300, deadline=None)
+def test_norms_of_rows_batch_independent_hypothesis(case):
+    spec, X = case
+    _assert_batch_independent(lambda Y: norms_of_rows(Y, spec), X)
+
+
+@st.composite
+def _sets_and_rows(draw):
+    n = draw(st.integers(1, 3))
+    variant = draw(st.sampled_from(("full_space", "orthant", "half_space", "cone")))
+    offsets = st.floats(-5.0, 5.0)
+    if variant == "full_space":
+        set_ = FullSpace(n)
+    elif variant == "orthant":
+        set_ = Orthant(n, lower=tuple(draw(st.lists(offsets, min_size=n, max_size=n))))
+    elif variant == "half_space":
+        normals = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
+        normal = draw(normals.filter(lambda a: np.dot(a, a) > 1e-6))
+        set_ = HalfSpace(n, normal=tuple(normal), offset=draw(offsets))
+    else:
+        # Scaled sign vectors as normals keep cyclic projection quick, since
+        # distinct ones meet at angles bounded away from zero, and the scale
+        # makes their products round; offsets <= 0 keep the origin inside.
+        signs = st.lists(st.sampled_from((-1.0, 0.0, 1.0)), min_size=n, max_size=n)
+        ray = np.array(draw(signs.filter(any)))
+        constraints = []
+        for _ in range(draw(st.integers(1, 3))):
+            a = draw(st.floats(0.1, 3.0)) * np.array(draw(signs.filter(any)))
+            if a @ ray < 0.0:
+                a = -a
+            offset = draw(st.floats(-5.0, 0.0))
+            constraints.append(HalfSpace(n, normal=tuple(a), offset=offset))
+        set_ = ConeIntersection(n, constraints=tuple(constraints), ray=tuple(ray))
+    return set_, draw(_row_batches(n))
+
+
+@given(_sets_and_rows())
+@settings(max_examples=300, deadline=None)
+def test_set_kernels_batch_independent_hypothesis(case):
+    set_, X = case
+    _assert_batch_independent(set_.violations_of_rows, X)
+    _assert_batch_independent(set_.project_rows, X)
+
+
+def _cyclic_reference(cone: ConeIntersection, z: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per-row cyclic projection on one-row half-space kernels, with the
+    number of cycles it took."""
+    x = z.copy()
+    for cycles in range(PROJECTION_CAP):
+        worst = max(hs.violations_of_rows(x[None, :])[0] for hs in cone.constraints)
+        if worst <= PROJECTION_TOL:
+            return x, cycles
+        for hs in cone.constraints:
+            x = hs.project_rows(x[None, :])[0]
+    raise AssertionError("reference projection hit the cap")
+
+
+def test_cone_project_rows_matches_per_row_cyclic_loop_bitwise():
+    rng = np.random.default_rng(41)
+    cycle_counts = []
+    for _ in range(60):
+        n = int(rng.integers(2, 4))
+        ray = rng.uniform(-1.0, 1.0, n)
+        constraints = []
+        for _ in range(int(rng.integers(2, 5))):
+            a = rng.integers(-2, 3, n).astype(float)
+            if not a.any():
+                a[0] = 1.0
+            if a @ ray < 0.0:
+                a = -a
+            constraints.append(HalfSpace(n, normal=tuple(a), offset=rng.uniform(-2.0, 2.0)))
+        cone = ConeIntersection(n, constraints=tuple(constraints), ray=tuple(ray))
+        Z = rng.uniform(-10.0, 10.0, (12, n))
+        feasible = np.array([_cyclic_reference(cone, z)[0] for z in Z[:4]])
+        for batch in (Z, feasible, np.vstack([Z[4:], feasible])):
+            expect = [_cyclic_reference(cone, z) for z in batch]
+            cycle_counts.extend(c for _, c in expect)
+            got = cone.project_rows(batch)
+            assert _bits(got) == _bits(np.array([x for x, _ in expect]))
+    cycle_counts = np.array(cycle_counts)
+    assert (cycle_counts == 0).sum() >= 100
+    assert (cycle_counts == 1).sum() >= 100
+    assert (cycle_counts >= 3).sum() >= 20
