@@ -163,6 +163,17 @@ class SamplingSpec:
     def __post_init__(self):
         if self.y_mode not in ("halton", "grid"):
             raise ValueError("y_mode must be halton or grid")
+        # Reject at validation what the drivers would reject only at run time.
+        for name in ("y_count", "y_radius", "check_samples", "margin", "radius_override",
+                     "fallback_radius", "resolution", "radius", "growth_directions"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        r = self.growth_radii
+        if not r or not r[0] > 0 or not all(b > a for a, b in zip(r, r[1:])):
+            raise ValueError(
+                f"growth_radii must be positive and strictly increasing, got {r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -231,12 +242,11 @@ def _build_map(doc, dim: int, prefix: str = "map") -> MapSpec:
     family = _get(doc, f"{prefix}.family", required=True)
     try:
         if family == "affine" or family == "affine_bounded":
-            shape = _get_vector(doc, f"{prefix}.matrix.shape", length=2, required=True)
-            rows, cols = int(shape[0]), int(shape[1])
-            if rows != dim or cols != dim:
+            key = f"{prefix}.matrix.shape"
+            if _get_vector(doc, key, length=2, required=True) != (dim, dim):
                 raise ConfigError(
-                    f"matrix shape {rows}x{cols} != {dim}x{dim}",
-                    field=f"{prefix}.matrix.shape",
+                    f"matrix shape must be the integers {dim} {dim}, got '{doc[key]}'",
+                    field=key,
                 )
             data = _get_vector(doc, f"{prefix}.matrix.data", length=dim * dim, required=True)
             matrix = tuple(tuple(data[i * dim : (i + 1) * dim]) for i in range(dim))
@@ -295,43 +305,51 @@ def _build_family(doc, dim: int) -> tuple[MapFamily, tuple, int, int | None]:
 
 
 def _build_optimizer(doc) -> OptimizeConfig:
+    d = OptimizeConfig()
+
+    def get(getter, name):
+        return getter(doc, f"optimizer.{name}", default=getattr(d, name))
+
     raw_step = _get(doc, "optimizer.initial_step", default="auto")
     initial_step = (
         None if raw_step == "auto" else _get_float(doc, "optimizer.initial_step")
     )
     try:
         return OptimizeConfig(
-            coarse_grid=_get_int(doc, "optimizer.coarse_grid", default=33),
-            multistart=_get_int(doc, "optimizer.multistart", default=32),
+            coarse_grid=get(_get_int, "coarse_grid"),
+            multistart=get(_get_int, "multistart"),
             initial_step=initial_step,
-            shrink=_get_float(doc, "optimizer.shrink", default=0.5),
-            termination_step=_get_float(doc, "optimizer.termination_step", default=1e-9),
-            value_tolerance=_get_float(doc, "optimizer.value_tolerance", default=1e-6),
-            separation=_get_float(doc, "optimizer.separation", default=1e-3),
-            budget=_get_int(doc, "optimizer.budget", default=1_000_000),
-            seed=_get_int(doc, "seed", default=0),
-            directions=_get(doc, "optimizer.directions", default="auto"),
+            shrink=get(_get_float, "shrink"),
+            termination_step=get(_get_float, "termination_step"),
+            value_tolerance=get(_get_float, "value_tolerance"),
+            separation=get(_get_float, "separation"),
+            budget=get(_get_int, "budget"),
+            seed=_get_int(doc, "seed", default=d.seed),
+            directions=get(_get, "directions"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc), field="optimizer") from None
 
 
 def _build_sampling(doc) -> SamplingSpec:
+    d = SamplingSpec()
+
+    def get(getter, name):
+        return getter(doc, f"sampling.{name}", default=getattr(d, name))
+
     try:
         return SamplingSpec(
-            y_count=_get_int(doc, "sampling.y_count", default=25),
-            y_radius=_get_float(doc, "sampling.y_radius", default=10.0),
-            y_mode=_get(doc, "sampling.y_mode", default="halton"),
-            check_samples=_get_int(doc, "sampling.check_samples", default=200),
-            margin=_get_float(doc, "sampling.margin", default=1.0),
-            radius_override=_get_float(doc, "sampling.radius_override", default=None),
-            fallback_radius=_get_float(doc, "sampling.fallback_radius", default=10.0),
-            resolution=_get_int(doc, "sampling.resolution", default=17),
-            radius=_get_float(doc, "sampling.radius", default=8.0),
-            growth_radii=_get_vector(
-                doc, "sampling.growth_radii", default=(100.0, 1000.0, 10000.0)
-            ),
-            growth_directions=_get_int(doc, "sampling.growth_directions", default=64),
+            y_count=get(_get_int, "y_count"),
+            y_radius=get(_get_float, "y_radius"),
+            y_mode=get(_get, "y_mode"),
+            check_samples=get(_get_int, "check_samples"),
+            margin=get(_get_float, "margin"),
+            radius_override=get(_get_float, "radius_override"),
+            fallback_radius=get(_get_float, "fallback_radius"),
+            resolution=get(_get_int, "resolution"),
+            radius=get(_get_float, "radius"),
+            growth_radii=get(_get_vector, "growth_radii"),
+            growth_directions=get(_get_int, "growth_directions"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc), field="sampling") from None

@@ -117,6 +117,55 @@ def _prescan_incumbent(
     return float(min(values))
 
 
+def _certify_probe(
+    F: TiltedFunctional,
+    y: np.ndarray,
+    index: int,
+    config: OptimizeConfig,
+    bound: tuple[float, float] | None,
+    margin: float,
+    fixed_radius: float,
+    objective=None,
+) -> YEntry:
+    """Globally minimize J(., y) for one probe and classify the clusters.
+
+    ``bound`` is an :func:`effective_growth_bound` pair; the search runs in
+    the coercive ball it licenses, or inside ``fixed_radius`` when it is
+    None.  ``index`` seeds the prescan incumbent.  ``objective`` replaces
+    J(., y) (the planted-instance hook).
+    """
+    if objective is not None:
+        rows = None
+        incumbent = float(min(objective(y), objective(F.domain.ray_base)))
+    else:
+        objective = F.tilt_objective(y)
+        rows = lambda X: F.values_for_xs(X, y)
+        incumbent = _prescan_incumbent(F, y, config.seed, index)
+    if bound is None:
+        radius = fixed_radius
+    else:
+        kappa_eff, r0 = bound
+        radius = max(coercivity_radius(F, y, kappa_eff, r0, incumbent, margin), 1.0)
+    result = global_minimize(
+        objective, F.domain, radius, config, norm_spec=F.norm, objective_rows=rows
+    )
+    if result.cluster_count >= 2:
+        verdict = EntryVerdict.MULTIPLE
+    elif result.status is SearchStatus.NO_MINIMUM_SUSPECTED:
+        verdict = EntryVerdict.NO_MINIMUM
+    elif result.status is SearchStatus.BUDGET_EXHAUSTED:
+        verdict = EntryVerdict.INCONCLUSIVE
+    else:
+        verdict = EntryVerdict.UNIQUE
+    return YEntry(
+        y=tuple(float(v) for v in y),
+        radius=float(radius),
+        incumbent=incumbent,
+        result=result,
+        verdict=verdict,
+    )
+
+
 def certify_uniqueness(
     F: TiltedFunctional,
     y_samples,
@@ -150,48 +199,14 @@ def certify_uniqueness(
         and kappa_info is not None
         and kappa_info.satisfied
     )
-    if use_growth:
-        kappa_eff, r0 = effective_growth_bound(kappa_info)
-
-    entries: list[YEntry] = []
-    for index, y in enumerate(ys):
-        if planted:
-            obj = objective_override
-            rows = None
-            incumbent = float(min(obj(y), obj(F.domain.ray_base)))
-            radius = radius_override if radius_override is not None else fallback_radius
-        else:
-            obj = F.tilt_objective(y)
-            rows = lambda X, _y=y: F.values_for_xs(X, _y)
-            incumbent = _prescan_incumbent(F, y, config.seed, index)
-            if radius_override is not None:
-                radius = radius_override
-            elif use_growth:
-                radius = max(
-                    coercivity_radius(F, y, kappa_eff, r0, incumbent, margin), 1.0
-                )
-            else:
-                radius = fallback_radius
-        result = global_minimize(
-            obj, F.domain, radius, config, norm_spec=F.norm, objective_rows=rows
+    bound = effective_growth_bound(kappa_info) if use_growth else None
+    fixed_radius = fallback_radius if radius_override is None else radius_override
+    entries = [
+        _certify_probe(
+            F, y, index, config, bound, margin, fixed_radius, objective_override
         )
-        if result.cluster_count >= 2:
-            verdict = EntryVerdict.MULTIPLE
-        elif result.status is SearchStatus.NO_MINIMUM_SUSPECTED:
-            verdict = EntryVerdict.NO_MINIMUM
-        elif result.status is SearchStatus.BUDGET_EXHAUSTED:
-            verdict = EntryVerdict.INCONCLUSIVE
-        else:
-            verdict = EntryVerdict.UNIQUE
-        entries.append(
-            YEntry(
-                y=tuple(float(v) for v in y),
-                radius=float(radius),
-                incumbent=incumbent,
-                result=result,
-                verdict=verdict,
-            )
-        )
+        for index, y in enumerate(ys)
+    ]
 
     if any(e.verdict is EntryVerdict.MULTIPLE for e in entries):
         overall = Verdict.MULTIPLE_FOUND

@@ -17,14 +17,13 @@ import numpy as np
 
 from .configfile import (
     ExperimentConfig,
+    _fmt_p,
     config_to_document,
     fmt_float,
     fmt_vector,
     parse_document,
 )
 from .experiments import (
-    SaddleReport,
-    UniquenessReport,
     Verdict,
     certify_uniqueness,
     find_fixed_point,
@@ -35,13 +34,13 @@ from .functional import TiltedFunctional
 from .maps import growth_coefficient
 from .optimize import MinimizationResult
 from .spaces import SampleDomain
+from .sweep import SweepResult, search_counterexample
+
+_STREAM_Y_SET = 0xB21
 
 
 def _fmt_opt(x) -> str:
     return "none" if x is None else fmt_float(x)
-from .sweep import SweepResult, search_counterexample
-
-_STREAM_Y_SET = 0xB21
 
 
 @dataclass(frozen=True)
@@ -94,14 +93,14 @@ def _build_functional(cfg: ExperimentConfig) -> TiltedFunctional:
     return TiltedFunctional(norm=cfg.norm, domain=cfg.domain, mapping=cfg.map_spec)
 
 
-def _growth(cfg: ExperimentConfig, domain=None):
+def _growth(cfg: ExperimentConfig):
     return growth_coefficient(
         cfg.map_spec,
         cfg.norm,
         cfg.sampling.growth_radii,
         cfg.sampling.growth_directions,
         seed=cfg.seed,
-        domain=cfg.domain if domain is None else domain,
+        domain=cfg.domain,
     )
 
 
@@ -290,12 +289,6 @@ def _run_verify_saddle(cfg: ExperimentConfig) -> RunOutcome:
     return RunOutcome(_finish(doc, cfg), (table,), 0)
 
 
-def _fmt_p_label(p) -> str:
-    from .spaces import INF
-
-    return "inf" if p is INF else fmt_float(p)
-
-
 def _run_sweep(cfg: ExperimentConfig, jobs: int) -> RunOutcome:
     window = SampleDomain(cfg.domain, cfg.norm, cfg.sampling.y_radius, cfg.sweep_y_grid)
     y_points = window.grid_points()
@@ -324,7 +317,7 @@ def _run_sweep(cfg: ExperimentConfig, jobs: int) -> RunOutcome:
         doc[f"{prefix}.cell"] = str(cand.cell_index)
         for name, value in cand.params:
             doc[f"{prefix}.param.{name}"] = fmt_float(value)
-        doc[f"{prefix}.p"] = _fmt_p_label(cand.norm_p)
+        doc[f"{prefix}.p"] = _fmt_p(cand.norm_p)
         doc[f"{prefix}.y"] = fmt_vector(cand.y)
         doc[f"{prefix}.value_gap"] = fmt_float(cand.value_gap)
         doc[f"{prefix}.separation"] = fmt_float(cand.separation)
@@ -344,7 +337,7 @@ def _run_sweep(cfg: ExperimentConfig, jobs: int) -> RunOutcome:
             (str(s.index),)
             + tuple(fmt_float(values[name]) for name in param_names)
             + (
-                _fmt_p_label(s.norm_p),
+                _fmt_p(s.norm_p),
                 fmt_vector(s.y),
                 "1" if s.screened_out else "0",
                 _fmt_opt(s.kappa_hat),

@@ -250,10 +250,13 @@ class HalfSpace(FeasibleSet):
             raise DimensionMismatch(
                 f"normal length {len(a)} != dimension {self.dimension}"
             )
-        if all(x == 0.0 for x in a):
-            raise ValueError("half-space normal must be nonzero")
+        if not np.isfinite(a).all() or not np.isfinite(float(self.offset)):
+            raise ValueError("half-space normal and offset must be finite")
         object.__setattr__(self, "normal", a)
         object.__setattr__(self, "offset", float(self.offset))
+        # Projection divides by normal . normal: it must not underflow to 0 or overflow.
+        if not 0.0 < self._normal_sq < np.inf:
+            raise ValueError("half-space normal . normal must be positive and finite")
 
     @property
     def variant(self) -> str:
@@ -266,7 +269,8 @@ class HalfSpace(FeasibleSet):
     @cached_property
     def _normal_sq(self) -> float:
         a = self._normal_array
-        return float(np.dot(a, a))
+        with np.errstate(over="ignore"):  # an overflow is rejected at construction
+            return float(np.dot(a, a))
 
     @cached_property
     def ray_base(self) -> np.ndarray:
@@ -436,26 +440,20 @@ class SampleDomain:
         tol = 1e-12 * max(1.0, self.radius)
         return norms_of_rows(X, self.norm) <= self.radius + tol
 
-    def _keep_feasible(self, X: np.ndarray, project_first: bool) -> np.ndarray:
+    def _keep_feasible(self, X: np.ndarray) -> np.ndarray:
         if len(X) == 0:
             return X
-        if project_first:
-            X = self.domain.project_rows(X)
-        else:
-            X = X[self.domain.violations_of_rows(X) <= PROJECTION_TOL]
-            if len(X) == 0:
-                return X
+        X = self.domain.project_rows(X)
         return X[self._ball_mask(X)]
 
-    def grid_points(self, project: bool = True) -> np.ndarray:
+    def grid_points(self) -> np.ndarray:
         """Regular box grid snapped into the window.
 
-        Points are projected into X (or membership-filtered when ``project``
-        is false), restricted to the ball, and deduplicated keeping the first
-        occurrence in lexicographic grid-index order.
+        Points are projected into X, restricted to the ball, and deduplicated
+        keeping the first occurrence in lexicographic grid-index order.
         """
         pts = _mesh(_grid_axes(self.radius, self.resolution, self.domain.dimension))
-        pts = self._keep_feasible(pts, project_first=project)
+        pts = self._keep_feasible(pts)
         if len(pts) == 0:
             return pts.reshape(0, self.domain.dimension)
         _, first = np.unique(pts, axis=0, return_index=True)
@@ -467,7 +465,7 @@ class SampleDomain:
         collected: list[np.ndarray] = []
         have = 0
         for _ in range(50):
-            kept = self._keep_feasible(draw(max(count, 8)), project_first=True)
+            kept = self._keep_feasible(draw(max(count, 8)))
             if len(kept):
                 collected.append(kept)
                 have += len(kept)

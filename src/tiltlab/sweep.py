@@ -16,11 +16,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .experiments import _prescan_incumbent, effective_growth_bound
-from .functional import TiltedFunctional, coercivity_radius
+from .experiments import _certify_probe, effective_growth_bound
+from .functional import TiltedFunctional
 from .maps import AffineMap, GrowthEstimate, MapSpec, growth_coefficient
-from .optimize import Cluster, MinimizationResult, OptimizeConfig, global_minimize
-from .spaces import INF, FeasibleSet, MaxNorm, NormSpec, norm
+from .optimize import Cluster, MinimizationResult, OptimizeConfig
+from .spaces import FeasibleSet, MaxNorm, NormSpec, norm
 
 _REVERIFY_FACTOR = 4
 _SCORE_FLOOR = 1e-12
@@ -175,33 +175,8 @@ class _SweepContext:
     config: OptimizeConfig
     margin: float
     fallback_radius: float
-    growth_radii: tuple[float, ...]
-    growth_directions: int
-    seed: int
     planted_cell: int | None
     planted_spread: float
-
-
-def _certify_cell(
-    F: TiltedFunctional,
-    y: np.ndarray,
-    kappa_info: GrowthEstimate,
-    config: OptimizeConfig,
-    margin: float,
-    seed_index: int,
-) -> tuple[float, MinimizationResult]:
-    kappa_eff, r0 = effective_growth_bound(kappa_info)
-    incumbent = _prescan_incumbent(F, y, config.seed, seed_index)
-    radius = max(coercivity_radius(F, y, kappa_eff, r0, incumbent, margin), 1.0)
-    result = global_minimize(
-        F.tilt_objective(y),
-        F.domain,
-        radius,
-        config,
-        norm_spec=F.norm,
-        objective_rows=lambda X: F.values_for_xs(X, y),
-    )
-    return radius, result
 
 
 def _candidate_metrics(
@@ -223,40 +198,41 @@ def _run_cell(
 ):
     """One sweep cell; returns (summary, candidate-or-None, raw_finding).
     ``kappa_info`` is the pair's growth estimate; the planted cell ignores it."""
-    norm_spec = NormSpec(ctx.family.dimension, cell.norm_p)
-    map_spec = ctx.family.instantiate(cell.params)
-    y = np.array(cell.y, dtype=float)
     planted = ctx.planted_cell is not None and ctx.planted_cell == cell.index
+    if not planted and not kappa_info.satisfied:
+        summary = CellSummary(
+            index=cell.index,
+            params=cell.params,
+            norm_p=cell.norm_p,
+            y=cell.y,
+            screened_out=True,
+            kappa_hat=kappa_info.kappa_hat,
+            radius=None,
+            cluster_count=0,
+            best_value=None,
+        )
+        return summary, None, False
 
+    F = TiltedFunctional(
+        norm=NormSpec(ctx.family.dimension, cell.norm_p),
+        domain=ctx.domain,
+        mapping=ctx.family.instantiate(cell.params),
+    )
+    y = np.array(cell.y, dtype=float)
     if planted:
         objective = planted_double_well(ctx.family.dimension, spread=ctx.planted_spread)
-        radius = ctx.fallback_radius
-        result = global_minimize(
-            objective, ctx.domain, radius, ctx.config, norm_spec=norm_spec
-        )
-        kappa_hat = None
-        kappa_method = "planted"
+        bound, kappa_hat, kappa_method = None, None, "planted"
     else:
-        kappa_hat = kappa_info.kappa_hat
-        kappa_method = kappa_info.method.value
-        if not kappa_info.satisfied:
-            summary = CellSummary(
-                index=cell.index,
-                params=cell.params,
-                norm_p=cell.norm_p,
-                y=cell.y,
-                screened_out=True,
-                kappa_hat=kappa_hat,
-                radius=None,
-                cluster_count=0,
-                best_value=None,
-            )
-            return summary, None, False
-        F = TiltedFunctional(norm=norm_spec, domain=ctx.domain, mapping=map_spec)
-        radius, result = _certify_cell(
-            F, y, kappa_info, ctx.config, ctx.margin, cell.index
+        objective = None
+        bound = effective_growth_bound(kappa_info)
+        kappa_hat, kappa_method = kappa_info.kappa_hat, kappa_info.method.value
+
+    def certify(config: OptimizeConfig):
+        return _certify_probe(
+            F, y, cell.index, config, bound, ctx.margin, ctx.fallback_radius, objective
         )
 
+    coarse = certify(ctx.config)
     summary = CellSummary(
         index=cell.index,
         params=cell.params,
@@ -264,32 +240,26 @@ def _run_cell(
         y=cell.y,
         screened_out=False,
         kappa_hat=kappa_hat,
-        radius=radius,
-        cluster_count=result.cluster_count,
-        best_value=result.global_value,
+        radius=coarse.radius,
+        cluster_count=coarse.result.cluster_count,
+        best_value=coarse.result.global_value,
     )
-    if result.cluster_count < 2:
+    if coarse.result.cluster_count < 2:
         return summary, None, False
 
     # Re-verify at finer resolution with the value window halved; most
-    # coarse two-cluster findings are optimizer artifacts.
+    # coarse two-cluster findings are optimizer artifacts.  The finer config
+    # keeps the seed, so the step recomputes the same incumbent and radius.
     finer = replace(
         ctx.config,
         coarse_grid=_REVERIFY_FACTOR * ctx.config.coarse_grid,
         value_tolerance=ctx.config.value_tolerance / 2.0,
     )
-    if planted:
-        objective = planted_double_well(ctx.family.dimension, spread=ctx.planted_spread)
-        fine_result = global_minimize(
-            objective, ctx.domain, radius, finer, norm_spec=norm_spec
-        )
-    else:
-        F = TiltedFunctional(norm=norm_spec, domain=ctx.domain, mapping=map_spec)
-        _, fine_result = _certify_cell(F, y, kappa_info, finer, ctx.margin, cell.index)
+    fine_result = certify(finer).result
     if fine_result.cluster_count < 2:
         return summary, None, True
 
-    value_gap, separation = _candidate_metrics(fine_result, norm_spec)
+    value_gap, separation = _candidate_metrics(fine_result, F.norm)
     candidate = CounterexampleCandidate(
         cell_index=cell.index,
         params=cell.params,
@@ -301,7 +271,7 @@ def _run_cell(
         score=separation / (value_gap + _SCORE_FLOOR),
         status=f"confirmed_at_{_REVERIFY_FACTOR}x",
         kappa_method=kappa_method,
-        radius=radius,
+        radius=coarse.radius,
         seed=ctx.config.seed,
         value_tolerance=finer.value_tolerance,
     )
@@ -363,14 +333,12 @@ def search_counterexample(
         config=config,
         margin=float(margin),
         fallback_radius=float(fallback_radius),
-        growth_radii=tuple(float(r) for r in growth_radii),
-        growth_directions=int(growth_directions),
-        seed=config.seed,
         planted_cell=planted_cell,
         planted_spread=float(planted_spread),
     )
     # A growth estimate and its seed depend only on the cell's (parameter
     # point, norm) pair, so one estimate serves every probe y of the pair.
+    radii = tuple(float(r) for r in growth_radii)
     growth: dict[int, GrowthEstimate] = {}
     for c in cells:
         key = ctx_param_key(c)
@@ -378,17 +346,19 @@ def search_counterexample(
             growth[key] = growth_coefficient(
                 family.instantiate(c.params),
                 NormSpec(family.dimension, c.norm_p),
-                ctx.growth_radii,
-                ctx.growth_directions,
-                seed=ctx.seed + 7919 * key,
+                radii,
+                int(growth_directions),
+                seed=config.seed + 7919 * key,
                 domain=domain,
             )
-    bundles = [(ctx, c, growth.get(ctx_param_key(c))) for c in cells]
+    kappas = [growth.get(ctx_param_key(c)) for c in cells]
     if jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=int(jobs)) as pool:
-            outcomes = list(pool.map(_cell_worker, bundles, chunksize=8))
+            outcomes = list(
+                pool.map(_run_cell, itertools.repeat(ctx), cells, kappas, chunksize=8)
+            )
     else:
-        outcomes = [_run_cell(*b) for b in bundles]
+        outcomes = [_run_cell(ctx, c, k) for c, k in zip(cells, kappas)]
 
     summaries = tuple(o[0] for o in outcomes)
     candidates = [o[1] for o in outcomes if o[1] is not None]
@@ -404,7 +374,3 @@ def search_counterexample(
         value_tolerance=config.value_tolerance,
         separation=config.separation,
     )
-
-
-def _cell_worker(bundle):
-    return _run_cell(*bundle)

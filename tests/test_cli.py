@@ -190,6 +190,38 @@ def test_validate_rejects_keys_nothing_reads(tmp_path, capsys, key, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("sampling.resolution", "0"),
+        ("sampling.check_samples", "0"),
+        ("sampling.y_count", "0"),
+        ("sampling.growth_directions", "0"),
+        ("sampling.radius", "-1"),
+        ("sampling.fallback_radius", "0"),
+        ("sampling.margin", "-1"),
+        ("sampling.growth_radii", "5 3"),
+        ("sampling.radius_override", "0"),
+        ("sampling.y_radius", "0"),
+        ("map.matrix.shape", "1.9 1.2"),
+    ],
+)
+def test_validate_rejects_numbers_run_would_reject(tmp_path, capsys, key, value):
+    path = write(tmp_path, FIND_CONFIG.replace("sampling.check_samples = 64\n", ""))
+    ok = main(["validate", "--config", str(path), "--override", f"{key}={value}"])
+    assert ok == 1
+    err = capsys.readouterr().err
+    assert key.split(".", 1)[1] in err
+    assert "Traceback" not in err
+
+
+def test_halfspace_normal_it_cannot_project_with_is_a_config_error():
+    doc = parse_document(FIND_CONFIG)
+    doc.update({"set.variant": "half_space", "set.normal": "5e-324", "set.offset": "0"})
+    with pytest.raises(ConfigError, match="set.variant"):
+        build_experiment(doc)
+
+
 def test_run_find_fixed_point(tmp_path):
     path = write(tmp_path, FIND_CONFIG)
     out = tmp_path / "out"

@@ -160,6 +160,22 @@ def test_halfspace_projection_formula():
         assert np.allclose(project(hs, z), expect, atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "normal", [(5e-324,), (np.nan,), (np.inf,)], ids=["underflow", "nan", "inf"]
+)
+def test_halfspace_rejects_normals_it_cannot_project_with(normal):
+    # Projection divides by normal . normal: a normal whose square underflows
+    # to 0 would project to inf, and a non-finite one to nan.
+    with pytest.raises(ValueError, match="normal"):
+        HalfSpace(1, normal=normal, offset=0.0)
+
+
+@pytest.mark.parametrize("offset", [np.nan, np.inf])
+def test_halfspace_rejects_non_finite_offset(offset):
+    with pytest.raises(ValueError, match="finite"):
+        HalfSpace(1, normal=(1.0,), offset=offset)
+
+
 def test_cone_cyclic_projection_cap():
     from tiltlab import ProjectionDidNotConverge
 

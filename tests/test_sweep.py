@@ -9,9 +9,12 @@ from tiltlab import (
     OptimizeConfig,
     Orthant,
     SampleDomain,
+    TiltedFunctional,
+    certify_uniqueness,
+    growth_coefficient,
     search_counterexample,
 )
-from tiltlab.sweep import FAMILY_BUILDERS
+from tiltlab.sweep import FAMILY_BUILDERS, planted_double_well
 
 CFG = OptimizeConfig(coarse_grid=21, multistart=6, budget=200_000, seed=4)
 
@@ -89,6 +92,51 @@ def test_planted_cell_yields_exactly_one_candidate():
     assert pts == pytest.approx([-1.0, 1.0], abs=1e-6)
     assert cand.separation >= 10 * CFG.separation
     assert cand.score > 0
+
+
+def test_sweep_cells_run_the_certify_uniqueness_probe_step():
+    # A cell's probe step is certify_uniqueness's: the last entry of a run
+    # over cell.index + 1 copies of y has the same prescan index, so the same
+    # incumbent, radius and minimization.
+    fam = MapFamily(
+        kind="scaled_identity",
+        dimension=2,
+        parameters=(("theta", (0.3, 0.8)),),
+        offset=(0.5, -0.25),
+    )
+    domain = FullSpace(2)
+    ys = y_grid(domain, INF, 2.0, 2)
+    small = OptimizeConfig(coarse_grid=9, multistart=4, budget=100_000, seed=3)
+    planted = 3 * len(ys) + 1
+    result = search_counterexample(
+        fam, [2.0, INF], domain, ys, small, planted_cell=planted, fallback_radius=3.0
+    )
+    checked = 0
+    for cell in result.summaries:
+        if cell.screened_out:
+            continue
+        F = TiltedFunctional(
+            norm=NormSpec(2, cell.norm_p),
+            domain=domain,
+            mapping=fam.instantiate(cell.params),
+        )
+        probes = [cell.y] * (cell.index + 1)
+        if cell.index == planted:
+            report = certify_uniqueness(
+                F, probes, None, small, fallback_radius=3.0,
+                objective_override=planted_double_well(2, spread=2.0),
+            )
+        else:
+            # Affine maps under l2 and l-inf get analytic growth estimates, so
+            # the sweep's growth seed and direction count do not matter here.
+            growth = growth_coefficient(F.mapping, F.norm, domain=domain)
+            report = certify_uniqueness(F, probes, growth, small)
+        entry = report.entries[-1]
+        assert cell.radius == entry.radius
+        assert cell.cluster_count == entry.result.cluster_count
+        assert cell.best_value == entry.result.global_value
+        checked += 1
+    assert checked == 2 * len(ys) + 1
 
 
 def test_sweep_deterministic_and_parallel_equal():
