@@ -300,7 +300,11 @@ def _build_family(doc, dim: int) -> tuple[MapFamily, tuple, int, int | None]:
     raw_ps = _get(doc, "sweep.p_values", default="2")
     sweep_norms = tuple(_parse_p(tok, "sweep.p_values") for tok in raw_ps.split())
     y_grid = _get_int(doc, "sweep.y_grid", default=5)
+    if y_grid < 1:
+        raise ConfigError("must be a positive integer", field="sweep.y_grid")
     planted = _get_int(doc, "sweep.planted_cell", default=None)
+    if planted is not None and planted < 0:
+        raise ConfigError("must be a cell index >= 0", field="sweep.planted_cell")
     return family, sweep_norms, y_grid, planted
 
 

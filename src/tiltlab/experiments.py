@@ -101,20 +101,14 @@ def _prescan_incumbent(
 ) -> float:
     """Cheap incumbent for J(., y): probe y itself (value 0 on the diagonal),
     the set's base witness, and a few seeded feasible points."""
-    values = [0.0]
-    base = F.domain.ray_base
-    probes = [base]
     pilot = max(1.0, 2.0 * norm(y, F.norm))
     window = SampleDomain(F.domain, F.norm, pilot, 3)
     rng = np.random.default_rng(
         np.random.SeedSequence([seed, _STREAM_PRESCAN, index])
     )
-    pts = window.random_points(_PRESCAN_COUNT, rng)
-    probes.extend(pts)
-    for x in probes:
-        if F.domain.violation(x) <= MEMBERSHIP_TOL:
-            values.append(F.value(x, y))
-    return float(min(values))
+    X = np.vstack((F.domain.ray_base, window.random_points(_PRESCAN_COUNT, rng)))
+    X = X[F.domain.violations_of_rows(X) <= MEMBERSHIP_TOL]
+    return float(min([0.0, *F.values_for_xs(X, y)]))
 
 
 def _certify_probe(
@@ -494,9 +488,9 @@ class MinimaxGapReport:
 class _InnerSolver:
     """Extremum of J with one argument fixed, warm-started along a walk.
 
-    Scans a candidate pool with the checked batch evaluators, then polishes
-    by pattern search from the better of the pool winner and the previous
-    witness, on the unchecked batch kernels when the bifunctional has them.
+    Scans a candidate pool, then polishes by pattern search from the better
+    of the pool winner and the previous witness, both through one rows
+    closure over the bifunctional's batched evaluators.
     ``outer_step`` scales both the inner termination and the warm initial
     step, so precision tracks what the outer walk needs; ``outer_step=None``
     solves at full precision.  Every evaluation is charged to ``budget``.
@@ -528,16 +522,13 @@ class _InnerSolver:
     def solve(self, fixed: np.ndarray, outer_step: float | None = None) -> tuple[np.ndarray, float]:
         J, sign, budget = self.J, self.sign, self.budget
         if self.free_is_y:
-            vals = J.row_values(fixed, self.pool)
-            fast = J.fast_row_eval or J.row_values
-            rows = lambda Z: sign * fast(fixed, Z)
+            rows = lambda Z: sign * J.row_values(fixed, Z)
         else:
-            vals = J.column_values(self.pool, fixed)
-            fast = J.fast_column_eval or J.column_values
-            rows = lambda Z: sign * fast(Z, fixed)
+            rows = lambda Z: sign * J.column_values(Z, fixed)
+        vals = rows(self.pool)
         budget.take(len(self.pool))
-        k = int(np.argmin(sign * vals))
-        start, f0 = self.pool[k], sign * float(vals[k])
+        k = int(np.argmin(vals))
+        start, f0 = self.pool[k], float(vals[k])
         init = self.pool_step
         if outer_step is None:
             termination = self.config.termination_step

@@ -54,14 +54,15 @@ class TiltedFunctional:
     def displacement(self, x) -> float:
         return displacement(self, x)
 
-    # Batched variants; callers guarantee membership of every row.
+    # One checked kernel per quantity: f goes through the range-checked
+    # evaluate_rows, and values_for_ys also checks that x is in the set.
+    # Callers guarantee membership of the batch rows.  With x fixed, f(x) is
+    # computed once per call.
     def values_for_ys(self, x, Y) -> np.ndarray:
-        x = as_vector(x, self.dimension)
         fx = evaluate(self.mapping, x, self.domain)
-        # Two calls, not one over x stacked on Y: this kernel scans large
-        # grids, where the stacked (k + 1)-row copy measured slower.
-        head = norm(x - fx, self.norm)
-        return head - norms_of_rows(np.asarray(Y, dtype=float) - fx[None, :], self.norm)
+        x = np.asarray(x, dtype=float)
+        sizes = norms_of_rows(np.concatenate((x[None, :], Y)) - fx, self.norm)
+        return sizes[0] - sizes[1:]
 
     def values_for_xs(self, X, y) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -76,28 +77,13 @@ class TiltedFunctional:
         FX = evaluate_rows(self.mapping, X, self.domain)
         return norms_of_rows(X - FX, self.norm)
 
-    # Unchecked batch kernels of J with one argument fixed (f(x) once per
-    # call) and of Phi, for optimizer loops, and one-point closures of J(., y)
-    # and Phi over them: no membership or range checks, so callers must feed
-    # feasible points.
-    def _unchecked_values_for_ys(self, x, Y) -> np.ndarray:
-        fx = self.mapping.raw_rows(x[None, :], self.domain)[0]
-        sizes = norms_of_rows(np.concatenate((x[None, :], Y)) - fx, self.norm)
-        return sizes[0] - sizes[1:]
-
-    def _unchecked_values_for_xs(self, X, y) -> np.ndarray:
-        FX = self.mapping.raw_rows(X, self.domain)
-        return norms_of_rows(X - FX, self.norm) - norms_of_rows(y - FX, self.norm)
-
-    def _unchecked_displacements(self, X) -> np.ndarray:
-        return norms_of_rows(X - self.mapping.raw_rows(X, self.domain), self.norm)
-
+    # One-point closures of J(., y) and Phi over the kernels.
     def tilt_objective(self, y):
         y = as_vector(y, self.dimension)
-        return lambda x: float(self._unchecked_values_for_xs(x[None, :], y)[0])
+        return lambda x: float(self.values_for_xs(x[None, :], y)[0])
 
     def displacement_objective(self):
-        return lambda x: float(self._unchecked_displacements(x[None, :])[0])
+        return lambda x: float(self.displacements(x[None, :])[0])
 
     def as_bifunctional(self) -> "Bifunctional":
         return Bifunctional(
@@ -107,8 +93,6 @@ class TiltedFunctional:
             concave_in_y=True,
             row_eval=self.values_for_ys,
             column_eval=self.values_for_xs,
-            fast_row_eval=self._unchecked_values_for_ys,
-            fast_column_eval=self._unchecked_values_for_xs,
         )
 
 
@@ -118,16 +102,14 @@ def tilted_value(F: TiltedFunctional, x, y) -> float:
     y = as_vector(y, F.dimension, "y")
     _require_member(F.domain, x, "x")
     _require_member(F.domain, y, "y")
-    fx = evaluate(F.mapping, x, F.domain)
-    return norm(x - fx, F.norm) - norm(y - fx, F.norm)
+    return float(F.values_for_ys(x, y[None, :])[0])
 
 
 def displacement(F: TiltedFunctional, x) -> float:
     """Phi(x) = ||x - f(x)||, the sup over y in X of J(x, y)."""
     x = as_vector(x, F.dimension, "x")
     _require_member(F.domain, x, "x")
-    fx = evaluate(F.mapping, x, F.domain)
-    return norm(x - fx, F.norm)
+    return float(F.displacements(x[None, :])[0])
 
 
 def coercivity_radius(
@@ -175,10 +157,6 @@ class Bifunctional:
     concave_in_y: bool = False
     row_eval: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     column_eval: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    # Optional unchecked batched evaluators for inner optimization loops;
-    # callers must feed feasible points.  The checked ones fill in when absent.
-    fast_row_eval: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    fast_column_eval: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def row_values(self, x, Y) -> np.ndarray:
         Y = np.asarray(Y, dtype=float)

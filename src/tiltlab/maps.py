@@ -71,7 +71,10 @@ class MapSpec:
 
 
 @dataclass(frozen=True)
-class AffineMap(MapSpec):
+class _AffinePart(MapSpec):
+    """A x + b over row batches, with its matrix and offset, shared by the
+    affine and perturbed-affine families; not itself a family."""
+
     matrix: tuple[tuple[float, ...], ...] = ()
     offset: tuple[float, ...] = ()
 
@@ -82,10 +85,6 @@ class AffineMap(MapSpec):
         if len(b) != self.dimension:
             raise DimensionMismatch("offset length mismatch")
         object.__setattr__(self, "offset", b)
-
-    @property
-    def family(self) -> str:
-        return "affine"
 
     @cached_property
     def matrix_array(self) -> np.ndarray:
@@ -99,8 +98,23 @@ class AffineMap(MapSpec):
         arr.flags.writeable = False
         return arr
 
+    @cached_property
+    def _matrix_t(self) -> np.ndarray:
+        # A C-contiguous copy: the product with the transposed view rounds a
+        # row differently depending on the batch it is in.
+        arr = np.ascontiguousarray(self.matrix_array.T)
+        arr.flags.writeable = False
+        return arr
+
     def raw_rows(self, X, domain):
-        return X @ self.matrix_array.T + self.offset_array[None, :]
+        return X @ self._matrix_t + self.offset_array[None, :]
+
+
+@dataclass(frozen=True)
+class AffineMap(_AffinePart):
+    @property
+    def family(self) -> str:
+        return "affine"
 
 
 @dataclass(frozen=True)
@@ -129,21 +143,14 @@ class ConstantMap(MapSpec):
 
 
 @dataclass(frozen=True)
-class BoundedPerturbedMap(MapSpec):
+class BoundedPerturbedMap(_AffinePart):
     """Affine map plus an amplitude-scaled bounded smooth field."""
 
-    matrix: tuple[tuple[float, ...], ...] = ()
-    offset: tuple[float, ...] = ()
     field: str = "sine"
     amplitude: float = 0.0
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "matrix", _as_matrix(self.matrix, self.dimension))
-        b = tuple(float(v) for v in self.offset)
-        if len(b) != self.dimension:
-            raise DimensionMismatch("offset length mismatch")
-        object.__setattr__(self, "offset", b)
         if self.field not in FIELD_CATALOG:
             raise ValueError(
                 f"unknown field '{self.field}'; catalog: {sorted(FIELD_CATALOG)}"
@@ -156,21 +163,9 @@ class BoundedPerturbedMap(MapSpec):
     def family(self) -> str:
         return "affine_bounded"
 
-    @cached_property
-    def matrix_array(self) -> np.ndarray:
-        arr = np.array(self.matrix, dtype=float)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def offset_array(self) -> np.ndarray:
-        arr = np.array(self.offset, dtype=float)
-        arr.flags.writeable = False
-        return arr
-
     def raw_rows(self, X, domain):
-        g = FIELD_CATALOG[self.field]
-        return X @ self.matrix_array.T + self.offset_array[None, :] + self.amplitude * g(X)
+        affine = super().raw_rows(X, domain)
+        return affine + self.amplitude * FIELD_CATALOG[self.field](X)
 
 
 @dataclass(frozen=True)
@@ -196,40 +191,42 @@ class ProjectedMap(MapSpec):
 
 
 def evaluate(map_spec: MapSpec, x, domain: FeasibleSet) -> np.ndarray:
-    """f(x) with the membership precondition and the range check enforced."""
-    arr = as_vector(x, map_spec.dimension)
+    """f(x) with the membership precondition enforced; one-row
+    :func:`evaluate_rows`."""
+    X = as_vector(x, map_spec.dimension)[None, :]
     if domain.dimension != map_spec.dimension:
         raise DimensionMismatch("map and set dimensions disagree")
-    v = domain.violation(arr)
+    v = float(domain.violations_of_rows(X)[0])
     if v > MEMBERSHIP_TOL:
         raise MembershipViolation(
             f"point is outside the feasible set by {v:.3e} (> {MEMBERSHIP_TOL})"
         )
-    value = map_spec.raw_rows(arr[None, :], domain)[0]
-    if not isinstance(map_spec, ProjectedMap):
-        rv = domain.violation(value)
-        if rv > MEMBERSHIP_TOL:
-            raise RangeViolation(
-                f"map value leaves the feasible set by {rv:.3e}; the map is "
-                "ill-posed for this set",
-                point=arr,
-                value=value,
-                violation=rv,
-            )
-    return value
+    return evaluate_rows(map_spec, X, domain)[0]
 
 
-def evaluate_rows(
-    map_spec: MapSpec, X: np.ndarray, domain: FeasibleSet, check_range: bool = True
-) -> np.ndarray:
-    """Row-wise f over feasible points; callers guarantee membership."""
-    values = map_spec.raw_rows(np.asarray(X, dtype=float), domain)
-    if check_range and not isinstance(map_spec, ProjectedMap) and len(values):
-        worst = float(domain.violations_of_rows(values).max())
-        if worst > MEMBERSHIP_TOL:
+def evaluate_rows(map_spec: MapSpec, X: np.ndarray, domain: FeasibleSet) -> np.ndarray:
+    """Row-wise f over feasible points; callers guarantee membership.
+
+    The range check raises :class:`RangeViolation` carrying the worst row's
+    point, value and violation.  It is skipped where it cannot fail: for a
+    projected map, and on the full space.
+    """
+    X = np.asarray(X, dtype=float)
+    values = map_spec.raw_rows(X, domain)
+    if (
+        len(values)
+        and not isinstance(map_spec, ProjectedMap)
+        and not isinstance(domain, FullSpace)
+    ):
+        violations = domain.violations_of_rows(values)
+        worst = int(np.argmax(violations))
+        if violations[worst] > MEMBERSHIP_TOL:
             raise RangeViolation(
-                f"map values leave the feasible set by {worst:.3e}",
-                violation=worst,
+                f"map value leaves the feasible set by {violations[worst]:.3e}; "
+                "the map is ill-posed for this set",
+                point=X[worst],
+                value=values[worst],
+                violation=float(violations[worst]),
             )
     return values
 

@@ -16,9 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import MembershipViolation
 from .experiments import _certify_probe, effective_growth_bound
 from .functional import TiltedFunctional
-from .maps import AffineMap, GrowthEstimate, MapSpec, growth_coefficient
+from .maps import MEMBERSHIP_TOL, AffineMap, GrowthEstimate, MapSpec, growth_coefficient
 from .optimize import Cluster, MinimizationResult, OptimizeConfig
 from .spaces import FeasibleSet, MaxNorm, NormSpec, norm
 
@@ -310,6 +311,9 @@ def search_counterexample(
         raise ValueError("y_points must be a (k, dimension) array")
     if len(y_arr) == 0:
         raise ValueError("y_points must be non-empty")
+    worst = float(domain.violations_of_rows(y_arr).max())
+    if worst > MEMBERSHIP_TOL:
+        raise MembershipViolation(f"a probe y is outside the set by {worst:.3e}")
     points = family.parameter_points()
     cells = [
         CellDescriptor(
@@ -327,6 +331,10 @@ def search_counterexample(
             for y in y_arr
         )
     ]
+    if planted_cell is not None and not 0 <= planted_cell < len(cells):
+        raise ValueError(
+            f"planted_cell {planted_cell} is not one of the sweep's {len(cells)} cells"
+        )
     ctx = _SweepContext(
         family=family,
         domain=domain,

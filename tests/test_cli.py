@@ -204,10 +204,13 @@ def test_validate_rejects_keys_nothing_reads(tmp_path, capsys, key, text):
         ("sampling.radius_override", "0"),
         ("sampling.y_radius", "0"),
         ("map.matrix.shape", "1.9 1.2"),
+        ("sweep.y_grid", "0"),
+        ("sweep.planted_cell", "-1"),
     ],
 )
 def test_validate_rejects_numbers_run_would_reject(tmp_path, capsys, key, value):
-    path = write(tmp_path, FIND_CONFIG.replace("sampling.check_samples = 64\n", ""))
+    base = SWEEP_CONFIG if key.startswith("sweep.") else FIND_CONFIG
+    path = write(tmp_path, base.replace("sampling.check_samples = 64\n", ""))
     ok = main(["validate", "--config", str(path), "--override", f"{key}={value}"])
     assert ok == 1
     err = capsys.readouterr().err
@@ -282,6 +285,17 @@ def test_sweep_exit_code_and_parallel_determinism(tmp_path):
     doc = parse_document((outs[0] / "report.txt").read_text())
     assert doc["report.candidates"] == "1"
     assert doc["report.candidate.0.cell"] == "1"
+
+
+def test_sweep_planted_cell_beyond_the_cells_fails_the_run(tmp_path, capsys):
+    path = write(tmp_path, SWEEP_CONFIG)
+    out = tmp_path / "out"
+    args = ["sweep", "--config", str(path), "--out", str(out)]
+    assert main(args + ["--override", "sweep.planted_cell=999"]) == 1
+    err = capsys.readouterr().err
+    assert "planted_cell 999" in err and "10 cells" in err
+    doc = parse_document((out / "report.txt").read_text())
+    assert doc["report.status"] == "error"
 
 
 def test_sweep_verb_requires_sweep_kind(tmp_path):

@@ -304,3 +304,32 @@ def test_reports_are_deterministic():
     ma = minimax_gap(F.as_bifunctional(), 4.0, 9, norm_spec=F.norm)
     mb = minimax_gap(F.as_bifunctional(), 4.0, 9, norm_spec=F.norm)
     assert ma == mb
+
+
+def _scalar_prescan_reference(F, y, seed, index):
+    """The prescan incumbent as one J(x, y) call per probe point."""
+    from tiltlab import SampleDomain
+    from tiltlab.experiments import _PRESCAN_COUNT, _STREAM_PRESCAN
+    from tiltlab.maps import MEMBERSHIP_TOL
+
+    window = SampleDomain(F.domain, F.norm, max(1.0, 2.0 * norm(y, F.norm)), 3)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_PRESCAN, index]))
+    values = [0.0]
+    for x in [F.domain.ray_base, *window.random_points(_PRESCAN_COUNT, rng)]:
+        if F.domain.violation(x) <= MEMBERSHIP_TOL:
+            values.append(tilted_value(F, x, y))
+    return min(values)
+
+
+def test_prescan_incumbent_matches_scalar_reference_loop():
+    from tiltlab.experiments import _prescan_incumbent
+
+    below_zero = 0
+    for index in range(18):
+        F = affine_instance(index)
+        for k, y in enumerate(feasible_cloud(F, 6.0, 4, seed=40 + index)):
+            got = _prescan_incumbent(F, y, index, k)
+            want = _scalar_prescan_reference(F, y, index, k)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            below_zero += got < 0.0
+    assert below_zero >= 20

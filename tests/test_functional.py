@@ -4,16 +4,23 @@ import pytest
 from helpers import affine_instance, feasible_cloud, instance_growth
 
 from tiltlab import (
+    INF,
     AffineMap,
+    BoundedPerturbedMap,
+    ConeIntersection,
     ConstantMap,
     FullSpace,
     GrowthConditionNotMet,
+    HalfSpace,
     MembershipViolation,
     NormSpec,
     Orthant,
+    ProjectedMap,
+    RangeViolation,
     TiltedFunctional,
     coercivity_radius,
     displacement,
+    evaluate,
     norm,
     norms_of_rows,
     tilted_value,
@@ -182,7 +189,7 @@ def test_bifunctional_wrapper_flags_and_batches():
     for i in range(len(pts)):
         assert rows[i] == pytest.approx(tilted_value(F, x, pts[i]), abs=1e-12)
         assert cols[i] == pytest.approx(tilted_value(F, pts[i], x), abs=1e-12)
-        fast = J.fast_column_eval(pts[i][None, :], x)[0]
+        fast = J.column_values(pts[i][None, :], x)[0]
         assert fast == pytest.approx(cols[i], abs=1e-12)
     diag = [abs(J.value(p, p)) for p in pts[:25]]
     assert max(diag) <= 1e-12
@@ -208,3 +215,83 @@ def test_effective_growth_bound_certifies_ratio():
                 continue
             fx = F.mapping.raw_rows(x[None, :], F.domain)[0]
             assert norm(fx, F.norm) <= kappa_eff * norm(x, F.norm) + 1e-9
+
+
+def _bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
+def _self_map_instances():
+    """One functional per (set variant, map family, norm) whose map sends
+    the set into itself: raw families on the full space, a nonnegative
+    affine map on the orthant, constant and projected maps everywhere."""
+    rng = np.random.default_rng(314)
+    A = rng.uniform(-0.4, 0.4, (2, 2))
+    b = rng.uniform(-1.0, 1.0, 2)
+    affine = AffineMap(2, matrix=tuple(map(tuple, A)), offset=tuple(b))
+    bounded = BoundedPerturbedMap(
+        2, matrix=tuple(map(tuple, A)), offset=tuple(b), field="sine", amplitude=0.3
+    )
+    cone = ConeIntersection(
+        2,
+        constraints=(
+            HalfSpace(2, normal=(1.0, 0.0), offset=-0.5),
+            HalfSpace(2, normal=(1.0, 1.0), offset=0.0),
+        ),
+        ray=(1.0, 0.0),
+    )
+    sets = (FullSpace(2), Orthant(2), HalfSpace(2, normal=(1.0, 2.0), offset=-1.0), cone)
+    for domain in sets:
+        maps = [
+            ConstantMap(2, value=tuple(domain.project(b))),
+            ProjectedMap(2, inner=affine),
+            ProjectedMap(2, inner=bounded),
+        ]
+        if isinstance(domain, FullSpace):
+            maps += [affine, bounded]
+        if isinstance(domain, Orthant):
+            maps.append(AffineMap(2, matrix=tuple(map(tuple, abs(A))), offset=tuple(abs(b))))
+        for mapping in maps:
+            for p in (1.0, 3.0, INF):
+                yield TiltedFunctional(NormSpec(2, p), domain, mapping)
+
+
+def test_scalar_evaluations_are_rows_of_the_kernels():
+    # J and Phi at one point equal the rows of the batched kernels bit for
+    # bit, so a value never depends on how it was asked for.
+    checked = 0
+    for seed, F in enumerate(_self_map_instances()):
+        X = feasible_cloud(F, 4.0, 12, seed=1000 + seed)
+        y = X[0]
+        row = F.values_for_ys(y, X)
+        column = F.values_for_xs(X, y)
+        phi = F.displacements(X)
+        tilt, disp = F.tilt_objective(y), F.displacement_objective()
+        for i, x in enumerate(X):
+            assert _bits(tilted_value(F, y, x)) == _bits(row[i])
+            assert _bits(tilted_value(F, x, y)) == _bits(column[i])
+            assert _bits(displacement(F, x)) == _bits(phi[i])
+            assert _bits(tilt(x)) == _bits(column[i])
+            assert _bits(disp(x)) == _bits(phi[i])
+            checked += 1
+    assert checked >= 400
+
+
+def test_kernels_raise_range_violation_with_the_worst_row():
+    aff = AffineMap(2, matrix=((0.5, 0.0), (0.0, 0.5)), offset=(-1.0, -1.0))
+    F = TiltedFunctional(NormSpec(2, 2.0), Orthant(2), aff)
+    # images (1, 1), (-0.5, 0.5), (-1, -1), (0.5, -0.5): the third is worst
+    X = np.array([[4.0, 4.0], [1.0, 3.0], [0.0, 0.0], [3.0, 1.0]])
+    calls = (
+        lambda: F.values_for_xs(X, X[0]),
+        lambda: F.displacements(X),
+        lambda: F.values_for_ys(X[2], X),
+        lambda: evaluate(aff, X[2], F.domain),
+    )
+    for call in calls:
+        with pytest.raises(RangeViolation) as caught:
+            call()
+        assert list(caught.value.point) == [0.0, 0.0]
+        assert list(caught.value.value) == [-1.0, -1.0]
+        assert caught.value.violation == 1.0
+    assert F.values_for_xs(X[:1], X[0]).tolist() == [0.0]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltlab import (
     INF,
@@ -221,3 +223,38 @@ def test_fixed_point_residual_invariant():
             continue
         fx = evaluate(mapping, x_hat, FullSpace(n))
         assert norm(x_hat - fx, NormSpec(n, 2.0)) <= 1e-10
+
+
+@st.composite
+def _maps_and_rows(draw):
+    n = draw(st.integers(1, 3))
+    entries = st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n)
+    matrix = tuple(map(tuple, np.array(draw(entries)).reshape(n, n)))
+    offset = tuple(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(("affine", "projected", "sine", "tanh", "gauss")))
+    domain = FullSpace(n)
+    if kind == "affine":
+        mapping = AffineMap(n, matrix=matrix, offset=offset)
+    elif kind == "projected":
+        domain = Orthant(n)
+        mapping = ProjectedMap(n, inner=AffineMap(n, matrix=matrix, offset=offset))
+    else:
+        mapping = BoundedPerturbedMap(
+            n, matrix=matrix, offset=offset, field=kind,
+            amplitude=draw(st.floats(0.0, 3.0)),
+        )
+    k = draw(st.integers(1, 12))
+    flat = draw(st.lists(st.floats(-1e3, 1e3), min_size=n * k, max_size=n * k))
+    return mapping, domain, np.array(flat).reshape(k, n)
+
+
+@given(_maps_and_rows())
+@settings(max_examples=300, deadline=None)
+def test_raw_rows_batch_independent_hypothesis(case):
+    # Row i of a batch equals the one-row call bit for bit, so a point's f,
+    # and so its J and Phi, does not depend on the other rows of its batch.
+    mapping, domain, X = case
+    batch = mapping.raw_rows(X, domain)
+    for i in range(len(X)):
+        one = mapping.raw_rows(X[i : i + 1], domain)[0]
+        assert batch[i].tobytes() == one.tobytes()

@@ -5,6 +5,7 @@ from tiltlab import (
     INF,
     FullSpace,
     MapFamily,
+    MembershipViolation,
     NormSpec,
     OptimizeConfig,
     Orthant,
@@ -181,3 +182,18 @@ def test_family_builders_cover_kinds():
     )
     spec = fam.instantiate(fam.parameter_points()[0])
     assert np.allclose(np.array(spec.matrix), np.diag([0.1, 0.2]))
+
+
+def test_planted_cell_outside_the_sweep_is_rejected():
+    fam = MapFamily(kind="scaled_identity", dimension=1, parameters=(("theta", (0.2,)),))
+    domain = FullSpace(1)
+    ys = np.array([[0.0], [1.0]])
+    for planted in (2, 999, -1):
+        with pytest.raises(ValueError, match=f"planted_cell {planted} .* 2 cells"):
+            search_counterexample(fam, [2.0], domain, ys, CFG, planted_cell=planted)
+
+
+def test_probe_outside_the_set_is_rejected():
+    fam = MapFamily(kind="scaled_identity", dimension=1, parameters=(("theta", (0.2,)),))
+    with pytest.raises(MembershipViolation):
+        search_counterexample(fam, [2.0], Orthant(1), np.array([[1.0], [-1.0]]), CFG)
