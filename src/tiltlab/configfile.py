@@ -233,7 +233,7 @@ def _build_domain(doc, dim: int) -> FeasibleSet:
             return ConeIntersection(
                 dim, constraints=tuple(constraints), ray=ray, base=base
             )
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc), field="set.variant") from None
     raise ConfigError(f"unknown set variant '{variant}'", field="set.variant")
 

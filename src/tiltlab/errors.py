@@ -20,14 +20,6 @@ class RangeViolation(RuntimeError):
         self.violation = violation
 
 
-class ProjectionDidNotConverge(RuntimeError):
-    """Cyclic projection hit its iteration cap; carries the last iterate."""
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-
-
 class InfeasibleTruncation(ValueError):
     """No feasible grid point inside the truncation ball."""
 

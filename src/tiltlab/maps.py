@@ -208,8 +208,9 @@ def evaluate_rows(map_spec: MapSpec, X: np.ndarray, domain: FeasibleSet) -> np.n
     """Row-wise f over feasible points; callers guarantee membership.
 
     The range check raises :class:`RangeViolation` carrying the worst row's
-    point, value and violation.  It is skipped where it cannot fail: for a
-    projected map, and on the full space.
+    point, value and violation; a NaN violation fails and counts as the
+    worst.  It is skipped where it cannot fail: for a projected map, and on
+    the full space.
     """
     X = np.asarray(X, dtype=float)
     values = map_spec.raw_rows(X, domain)
@@ -219,8 +220,9 @@ def evaluate_rows(map_spec: MapSpec, X: np.ndarray, domain: FeasibleSet) -> np.n
         and not isinstance(domain, FullSpace)
     ):
         violations = domain.violations_of_rows(values)
+        # argmax takes the first NaN as the worst row, and a NaN fails.
         worst = int(np.argmax(violations))
-        if violations[worst] > MEMBERSHIP_TOL:
+        if not violations[worst] <= MEMBERSHIP_TOL:
             raise RangeViolation(
                 f"map value leaves the feasible set by {violations[worst]:.3e}; "
                 "the map is ill-posed for this set",

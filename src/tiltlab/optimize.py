@@ -217,10 +217,10 @@ def _cluster(
 
 
 def _status(
-    budget: _Budget, best_point: np.ndarray, radius: float, separation: float,
+    exhausted: bool, best_point: np.ndarray, radius: float, separation: float,
     norm_spec: NormSpec,
 ) -> SearchStatus:
-    if budget.exhausted:
+    if exhausted:
         return SearchStatus.BUDGET_EXHAUSTED
     if radius - norm(best_point, norm_spec) <= separation:
         # The incumbent sits on the truncation shell: either the radius is
@@ -308,7 +308,9 @@ def global_minimize(
     return MinimizationResult(
         clusters=clusters,
         global_value=best.value,
-        status=_status(budget, best.point_array, radius, config.separation, norm_spec),
+        status=_status(
+            budget.exhausted, best.point_array, radius, config.separation, norm_spec
+        ),
         evaluations=budget.used,
         radius=float(radius),
         value_tolerance=config.value_tolerance,
@@ -388,14 +390,10 @@ def brute_force_minima(
         )
     clusters = _cluster(cand_pts, cand_vals, value_tolerance, separation, norm_spec)
     best = clusters[0]
-    if radius - norm(best.point_array, norm_spec) <= separation:
-        status = SearchStatus.NO_MINIMUM_SUSPECTED
-    else:
-        status = SearchStatus.OK
     return MinimizationResult(
         clusters=clusters,
         global_value=best.value,
-        status=status,
+        status=_status(False, best.point_array, radius, separation, norm_spec),
         evaluations=evaluations,
         radius=float(radius),
         value_tolerance=float(value_tolerance),

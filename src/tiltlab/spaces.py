@@ -10,15 +10,21 @@ stores a base point and a ray direction witnessing a feasible half-line.
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, ProjectionDidNotConverge
+from .errors import DimensionMismatch
 
+# Tolerance of the cone projection's face test, relative to the row's scale.
 PROJECTION_TOL = 1e-12
-PROJECTION_CAP = 10_000
+# Cap on the candidate faces a cone enumerates, and on the floats per row
+# block of its projection broadcast.
+FACE_CAP = 4096
+_BROADCAST_CAP = 1 << 16
 
 # Soft cap on materialized grids; protects against accidental huge meshes.
 GRID_POINT_CAP = 20_000_000
@@ -310,7 +316,12 @@ class ConeIntersection(FeasibleSet):
 
     The caller must supply a ray direction that every half-space accepts
     (normal . ray >= 0); detecting unboundedness is out of scope, so a ray
-    that escapes some constraint is rejected at construction time.
+    that escapes some constraint is rejected at construction time, and so
+    is an intersection with no point at all.
+
+    Projection is exact: the Euclidean projection of z is z moved onto the
+    affine hull of the face whose KKT conditions hold there, and every
+    candidate face is enumerated once at construction.
     """
 
     constraints: tuple[HalfSpace, ...] = ()
@@ -339,15 +350,18 @@ class ConeIntersection(FeasibleSet):
                     "certified unbounded along it (the set must be unbounded)"
                 )
         object.__setattr__(self, "ray", r)
+        origin = np.zeros((1, self.dimension))
+        step, defect = self._face_steps(origin)
+        if not defect[0] <= 0.0:
+            raise ValueError("the half-spaces have no common point; the set is empty")
         if self.base is None:
-            base_arr = self.project(np.zeros(self.dimension))
-            object.__setattr__(self, "base", tuple(float(x) for x in base_arr))
+            object.__setattr__(self, "base", tuple(float(x) for x in (origin + step)[0]))
         else:
             b = tuple(float(x) for x in self.base)
             if len(b) != self.dimension:
                 raise DimensionMismatch("base length mismatch")
             object.__setattr__(self, "base", b)
-            if self.violation(np.array(b)) > 1e-9:
+            if not self.violation(np.array(b)) <= 1e-9:
                 raise ValueError("base witness is not in the set")
 
     @property
@@ -362,33 +376,83 @@ class ConeIntersection(FeasibleSet):
     def ray_direction(self) -> np.ndarray:
         return _frozen(np.array(self.ray, dtype=float))
 
+    @cached_property
+    def _faces(self) -> tuple[np.ndarray, ...]:
+        """Unit normals U and offsets c (u . x >= c), then per candidate face
+        S, padded to k = min(n, m) constraints: its indices, R^-T and R^-1
+        for the QR factors A_S^T = Q R of its unit normals, Q, and a mask of
+        the constraints on it.  The empty face comes first, then the faces
+        of independent normals by size."""
+        n, m = self.dimension, len(self.constraints)
+        k = min(n, m)
+        count = sum(math.comb(m, j) for j in range(k + 1))
+        if count > FACE_CAP:
+            raise ValueError(
+                f"{m} half-spaces in dimension {n} give {count} candidate faces "
+                f"for projection, above the cap {FACE_CAP}"
+            )
+        scale = np.array([np.sqrt(hs._normal_sq) for hs in self.constraints])
+        U = np.array([hs.normal for hs in self.constraints]) / scale[:, None]
+        c = np.array([hs.offset for hs in self.constraints]) / scale
+        faces = [()] + [
+            S
+            for j in range(1, k + 1)
+            for S in itertools.combinations(range(m), j)
+            if np.linalg.matrix_rank(U[list(S)]) == j
+        ]
+        index = np.zeros((len(faces), k), dtype=int)
+        r_inv = np.zeros((len(faces), k, k))
+        q = np.zeros((len(faces), n, k))
+        on_face = np.zeros((len(faces), m), dtype=bool)
+        for f, S in enumerate(faces[1:], start=1):
+            j = len(S)
+            Q, R = np.linalg.qr(U[list(S)].T)
+            index[f, :j] = S
+            r_inv[f, :j, :j] = np.linalg.inv(R)
+            q[f, :, :j] = Q
+            on_face[f, list(S)] = True
+        return U, c, index, r_inv.transpose(0, 2, 1).copy(), r_inv, q, on_face
+
+    def _face_steps(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's projection step and its KKT defect (<= 0 when a face
+        passes within tolerance).
+
+        In residual space r = c - U x, face S moves a row by Q R^-T r_S with
+        multipliers R^-1 R^-T r_S, leaving residuals r - U step.  A row takes
+        the first face whose multipliers are >= -tol and whose residuals off
+        the face are <= tol, which is its Euclidean projection; with none,
+        it takes the first face of least defect.  Only elementwise products
+        and last-axis sums are used, so a row's result does not depend on
+        the other rows of its batch.
+        """
+        U, c, index, r_inv_t, r_inv, q, on_face = self._faces
+        r = c - (X[:, None, :] * U).sum(axis=2)
+        w = (r_inv_t * r[:, index][:, :, None, :]).sum(axis=3)
+        multipliers = (r_inv * w[:, :, None, :]).sum(axis=3)
+        step = (q * w[:, :, None, :]).sum(axis=3)
+        after = r[:, None, :] - (step[:, :, None, :] * U).sum(axis=3)
+        defect = np.maximum(
+            np.where(on_face, -np.inf, after).max(axis=2), (-multipliers).max(axis=2)
+        )
+        tol = PROJECTION_TOL * (1.0 + np.abs(X).max(axis=1) + np.abs(c).max())
+        best = defect.min(axis=1)
+        pick = (defect <= np.maximum(tol, best)[:, None]).argmax(axis=1)
+        return step[np.arange(len(X)), pick], best - tol
+
     def violations_of_rows(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         stacked = np.stack([hs.violations_of_rows(X) for hs in self.constraints])
         return stacked.max(axis=0)
 
     def project_rows(self, Z) -> np.ndarray:
-        """Cyclic projection through the half-spaces, all rows in lockstep:
-        each cycle moves only the rows not yet within PROJECTION_TOL of
-        every half-space."""
+        """Exact Euclidean projection of each row, in blocks that bound the
+        (rows x faces) broadcast."""
         X = np.array(Z, dtype=float)
-        active = np.arange(len(X))
-        for _ in range(PROJECTION_CAP):
-            active = active[~(self.violations_of_rows(X[active]) <= PROJECTION_TOL)]
-            if len(active) == 0:
-                return X
-            Y = X[active]
-            for hs in self.constraints:
-                Y = hs.project_rows(Y)
-            X[active] = Y
-        active = active[~(self.violations_of_rows(X[active]) <= PROJECTION_TOL)]
-        if len(active) == 0:
-            return X
-        raise ProjectionDidNotConverge(
-            f"cyclic projection did not reach residual {PROJECTION_TOL} within "
-            f"{PROJECTION_CAP} cycles",
-            last_iterate=X[active[0]],
-        )
+        on_face = self._faces[-1]  # the widest broadcast is (rows, faces, m, n)
+        block = max(1, _BROADCAST_CAP // (on_face.size * self.dimension))
+        for s in range(0, len(X), block):
+            X[s : s + block] += self._face_steps(X[s : s + block])[0]
+        return X
 
 
 def contains(set_: FeasibleSet, x, tol: float = 0.0) -> bool:

@@ -225,6 +225,47 @@ def test_halfspace_normal_it_cannot_project_with_is_a_config_error():
         build_experiment(doc)
 
 
+EMPTY_CONE_CONFIG = """
+kind = find_fixed_point
+space.dimension = 2
+set.variant = cone
+set.halfspaces = 2
+set.halfspace.0.normal = 1 1
+set.halfspace.0.offset = 0
+set.halfspace.1.normal = -1 -1
+set.halfspace.1.offset = 1
+set.ray = -1 1
+map.family = constant
+map.value = 0 0
+"""
+
+
+def test_validate_rejects_an_empty_cone(tmp_path, capsys):
+    # The ray passes the witness check, yet x + y >= 0 and x + y <= -1 share
+    # no point.
+    path = write(tmp_path, EMPTY_CONE_CONFIG)
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: field 'set.variant'")
+    assert "empty" in err
+    assert "Traceback" not in err
+
+
+def test_cone_face_count_over_the_cap_is_a_config_error():
+    lines = ["set.halfspaces = 30"]
+    for i, t in enumerate(np.linspace(0.0, np.pi / 2, 30)):
+        normal = f"{fmt_float(np.cos(t))} {fmt_float(np.sin(t))} 0"
+        lines.append(f"set.halfspace.{i}.normal = {normal}")
+        lines.append(f"set.halfspace.{i}.offset = -1")
+    text = (
+        "kind = find_fixed_point\nspace.dimension = 3\nset.variant = cone\n"
+        + "\n".join(lines)
+        + "\nset.ray = 1 1 0\nmap.family = constant\nmap.value = 0 0 0\n"
+    )
+    with pytest.raises(ConfigError, match="set.variant.*4526 candidate faces"):
+        build_experiment(parse_document(text))
+
+
 def test_run_find_fixed_point(tmp_path):
     path = write(tmp_path, FIND_CONFIG)
     out = tmp_path / "out"

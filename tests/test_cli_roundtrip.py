@@ -1,12 +1,25 @@
 """Round-trip and dispatch coverage across set variants and map families."""
 
+import io
 import itertools
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltlab.cli import main
-from tiltlab.configfile import build_experiment, config_to_document, parse_document
+from tiltlab.configfile import (
+    EXPERIMENT_KINDS,
+    build_experiment,
+    config_to_document,
+    fmt_float,
+    parse_document,
+    render_document,
+)
 
 SET_BLOCKS = {
     "full_space": "set.variant = full_space\n",
@@ -154,3 +167,142 @@ def test_cli_weighted_norm_run(tmp_path):
     doc = parse_document((out / "report.txt").read_text())
     assert float(doc["report.residual"]) <= 1e-6
     assert doc["report.kappa_method"] == "sampled"
+
+
+def _numbers(values) -> str:
+    return " ".join(fmt_float(v) for v in values)
+
+
+@st.composite
+def _config_texts(draw):
+    """A valid config over any set variant, map family and kind; a cone is
+    built around a point it contains and a ray every normal accepts."""
+    n = draw(st.integers(1, 3))
+    coord = st.floats(-5.0, 5.0, allow_nan=False)
+    vec = st.lists(coord, min_size=n, max_size=n)
+    normal = vec.filter(lambda a: np.dot(a, a) > 1e-6)
+    lines = [
+        f"kind = {draw(st.sampled_from(EXPERIMENT_KINDS))}",
+        f"seed = {draw(st.integers(0, 2**31))}",
+        f"space.dimension = {n}",
+        f"space.p = {draw(st.sampled_from(['1', '2', '3.5', 'inf']))}",
+    ]
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+        lines += ["space.norm = weighted_lp", f"space.weights = {_numbers(weights)}"]
+    variant = draw(st.sampled_from(["full_space", "orthant", "half_space", "cone"]))
+    lines.append(f"set.variant = {variant}")
+    if variant == "orthant":
+        lines.append(f"set.lower = {_numbers(draw(vec))}")
+    elif variant == "half_space":
+        lines += [
+            f"set.normal = {_numbers(draw(normal))}",
+            f"set.offset = {fmt_float(draw(coord))}",
+        ]
+    elif variant == "cone":
+        ray = np.array(draw(normal))
+        inside = np.array(draw(vec))
+        count = draw(st.integers(1, 4))
+        lines.append(f"set.halfspaces = {count}")
+        for i in range(count):
+            a = np.array(draw(normal))
+            a = -a if a @ ray < 0.0 else a
+            slack = draw(st.floats(0.0, 3.0))
+            lines += [
+                f"set.halfspace.{i}.normal = {_numbers(a)}",
+                f"set.halfspace.{i}.offset = {fmt_float(a @ inside - slack)}",
+            ]
+        lines.append(f"set.ray = {_numbers(ray)}")
+    if lines[0] == "kind = search_counterexample":
+        thetas = draw(st.lists(st.floats(0.0, 0.45), min_size=1, max_size=3))
+        lines += ["sweep.family = scaled_identity", f"sweep.param.theta = {_numbers(thetas)}"]
+    else:
+        family = draw(st.sampled_from(["constant", "affine", "projected"]))
+        if family == "constant":
+            lines += ["map.family = constant", f"map.value = {_numbers(draw(vec))}"]
+        else:
+            prefix = "map"
+            if family == "projected":
+                lines.append("map.family = projected")
+                prefix = "map.inner"
+            data = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n))
+            lines += [
+                f"{prefix}.family = affine",
+                f"{prefix}.matrix.shape = {n} {n}",
+                f"{prefix}.matrix.data = {_numbers(data)}",
+                f"{prefix}.offset = {_numbers(draw(vec))}",
+            ]
+    if lines[0] == "kind = verify_saddle":
+        lines.append(f"saddle.x_star = {_numbers(draw(vec))}")
+    return "\n".join(lines) + "\n"
+
+
+@given(_config_texts())
+@settings(max_examples=150, deadline=None)
+def test_parse_build_render_parse_roundtrip_hypothesis(text):
+    cfg = build_experiment(parse_document(text))
+    rendered = render_document(config_to_document(cfg))
+    cfg2 = build_experiment(parse_document(rendered))
+    assert cfg == cfg2
+    assert render_document(config_to_document(cfg2)) == rendered
+
+
+def _validate(text: str) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text(text)
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main(["validate", "--config", str(path)])
+    return code, err.getvalue()
+
+
+# Printable ASCII without '#', so a garbage value is never cut short.
+_GARBAGE = st.text(
+    st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters="#")
+)
+
+
+@st.composite
+def _malformed_texts(draw):
+    """A valid config broken in one way that no reading can accept."""
+    lines = draw(_config_texts()).splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    key, value = (part.strip() for part in lines[i].split("=", 1))
+    how = draw(st.sampled_from(
+        ["garbage", "extra_number", "drop_required", "unknown_key", "no_equals", "duplicate"]
+    ))
+    if how == "extra_number" and not key.startswith("sweep.param."):
+        # One number too many: a length mismatch, or a list where one is read.
+        lines[i] = f"{key} = {value} 1"
+    elif how == "drop_required":
+        lines = [line for line in lines if not line.startswith(("kind ", "space.dimension "))]
+    elif how == "unknown_key":
+        lines.insert(i, f"zz.{key} = {value}")
+    elif how == "no_equals":
+        lines.insert(i, key)
+    elif how == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        lines[i] = f"{key} = x{draw(_GARBAGE)}"
+    return "\n".join(lines) + "\n"
+
+
+def _assert_diagnosed(code: int, err: str) -> None:
+    assert code == 1
+    assert err.startswith("error: ") and err.endswith("\n")
+    assert "Traceback" not in err
+
+
+@given(_malformed_texts())
+@settings(max_examples=200, deadline=None)
+def test_malformed_config_exits_1_with_a_diagnostic_hypothesis(text):
+    code, err = _validate(text)
+    _assert_diagnosed(code, err)
+
+
+@given(st.lists(_GARBAGE, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_random_text_config_exits_1_with_a_diagnostic_hypothesis(lines):
+    code, err = _validate("\n".join(lines))
+    _assert_diagnosed(code, err)

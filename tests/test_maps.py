@@ -21,6 +21,7 @@ from tiltlab import (
     induced_operator_norm,
     norm,
 )
+from tiltlab.maps import evaluate_rows
 
 
 def test_evaluate_examples():
@@ -40,6 +41,19 @@ def test_evaluate_membership_and_range_errors():
     # feasible input, image leaves the orthant
     with pytest.raises(RangeViolation):
         evaluate(aff, [0.0, 0.0], orthant)
+
+
+def test_nan_row_does_not_hide_a_range_violation():
+    # Row 1 alone leaves the orthant; a NaN image in row 0 used to compare
+    # false against the tolerance and let the batch through.
+    aff = AffineMap(2, matrix=((0.5, 0.0), (0.0, 0.5)), offset=(-1.0, -1.0))
+    X = np.array([[np.nan, 4.0], [0.0, 0.0]])
+    with pytest.raises(RangeViolation) as caught:
+        evaluate_rows(aff, X, Orthant(2))
+    assert np.isnan(caught.value.violation)
+    assert caught.value.point[1] == 4.0
+    with pytest.raises(RangeViolation):
+        evaluate_rows(aff, X[::-1], Orthant(2))
 
 
 def test_projected_map_stays_feasible():

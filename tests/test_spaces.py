@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from tiltlab import (
@@ -17,7 +17,7 @@ from tiltlab import (
     norms_of_rows,
     project,
 )
-from tiltlab.spaces import PROJECTION_CAP, PROJECTION_TOL
+from tiltlab.spaces import FACE_CAP
 
 SPECS = [
     NormSpec(3, 1.0),
@@ -176,11 +176,24 @@ def test_halfspace_rejects_non_finite_offset(offset):
         HalfSpace(1, normal=(1.0,), offset=offset)
 
 
-def test_cone_cyclic_projection_cap():
-    from tiltlab import ProjectionDidNotConverge
+def test_cone_projection_is_euclidean_on_an_obtuse_corner():
+    # From (-1, -3) the nearest point of {x >= 0, x + y >= 0} is (1, -1) on
+    # the second face, at distance sqrt(8); alternating projections through
+    # the two faces stop at (1.5, -1.5) instead.
+    cone = ConeIntersection(
+        2,
+        constraints=(
+            HalfSpace(2, normal=(1.0, 0.0), offset=0.0),
+            HalfSpace(2, normal=(1.0, 1.0), offset=0.0),
+        ),
+        ray=(1.0, 0.0),
+    )
+    assert float(np.abs(cone.project([-1.0, -3.0]) - [1.0, -1.0]).max()) <= 1e-12
 
-    # nearly parallel half-spaces make the cyclic projection crawl; the
-    # iteration cap must fire and hand back the last iterate
+
+def test_cone_thin_wedge_projects_to_its_apex():
+    # Normals 1e-8 apart: the wedge 0 <= y <= 1e-8 x.  The apex is nearest to
+    # (-1e8, 1e8), with multipliers near 1e16.
     thin = ConeIntersection(
         2,
         constraints=(
@@ -190,10 +203,72 @@ def test_cone_cyclic_projection_cap():
         ray=(1.0, 0.0),
         base=(0.0, 0.0),
     )
-    with pytest.raises(ProjectionDidNotConverge) as err:
-        thin.project(np.array([-1e8, 1e8]))
-    assert err.value.last_iterate is not None
-    assert err.value.last_iterate.shape == (2,)
+    z = np.array([-1e8, 1e8])
+    p = thin.project(z)
+    assert float(np.abs(p).max()) <= 1e-8 * float(np.abs(z).max())
+
+
+def test_cone_empty_intersection_rejected_at_construction():
+    # The ray is orthogonal to both opposed normals, so it passes the witness
+    # check; the set {x + y >= 0, x + y <= -1} is still empty.
+    with pytest.raises(ValueError, match="empty"):
+        ConeIntersection(
+            2,
+            constraints=(
+                HalfSpace(2, normal=(1.0, 1.0), offset=0.0),
+                HalfSpace(2, normal=(-1.0, -1.0), offset=1.0),
+            ),
+            ray=(-1.0, 1.0),
+        )
+
+
+def test_cone_face_count_is_capped():
+    # 30 half-spaces in R^3 give 1 + 30 + 435 + 4060 = 4526 candidate faces.
+    angles = np.linspace(0.0, np.pi / 2, 30)
+    constraints = tuple(
+        HalfSpace(3, normal=(np.cos(t), np.sin(t), 0.0), offset=-1.0) for t in angles
+    )
+    with pytest.raises(ValueError, match="4526 candidate faces"):
+        ConeIntersection(3, constraints=constraints, ray=(1.0, 1.0, 0.0))
+    assert FACE_CAP < 4526
+
+
+def _random_cone(rng) -> ConeIntersection:
+    """A nonempty cone, n 1-3, 1-4 half-spaces, offsets of either sign: every
+    normal accepts the ray, and a random point lies inside."""
+    n = int(rng.integers(1, 4))
+    ray = rng.normal(size=n)
+    inside = rng.uniform(-3.0, 3.0, n)
+    constraints = []
+    for _ in range(int(rng.integers(1, 5))):
+        a = rng.normal(size=n)
+        if a @ ray < 0.0:
+            a = -a
+        offset = a @ inside - rng.uniform(0.0, 2.0)
+        constraints.append(HalfSpace(n, normal=tuple(a), offset=offset))
+    return ConeIntersection(n, constraints=tuple(constraints), ray=tuple(ray))
+
+
+def test_cone_projection_is_nearest_feasible_point_on_random_cones():
+    rng = np.random.default_rng(41)
+    for _ in range(150):
+        cone = _random_cone(rng)
+        n = cone.dimension
+        Z = rng.uniform(-10.0, 10.0, (8, n))
+        P = cone.project_rows(Z)
+        assert np.all(cone.violations_of_rows(P) <= 1e-12)
+        # idempotent, and each row the same alone or in another batch
+        assert _bits(cone.project_rows(P)) == _bits(P)
+        order = rng.permutation(len(Z))
+        assert _bits(cone.project_rows(Z[order])) == _bits(P[order])
+        for z, p in zip(Z, P):
+            assert _bits(cone.project(z)) == _bits(p)
+            near = np.vstack(
+                [p + rng.uniform(-s, s, (200, n)) for s in (1e-3, 0.1, 1.0, 10.0)]
+            )
+            near = near[cone.violations_of_rows(near) <= 0.0]
+            gap = np.sqrt(((near - z) ** 2).sum(axis=1)).min() - np.sqrt((p - z) @ (p - z))
+            assert gap >= -1e-9
 
 
 def test_cone_requires_valid_ray():
@@ -205,6 +280,8 @@ def test_cone_requires_valid_ray():
         ConeIntersection(1, constraints=box, ray=(1.0,))
     with pytest.raises(ValueError, match="unbounded"):
         ConeIntersection(1, constraints=box[:1], ray=(0.0,))
+    with pytest.raises(ValueError, match="base witness"):
+        ConeIntersection(1, constraints=box[:1], ray=(1.0,), base=(np.nan,))
 
 
 def test_project_rows_matches_scalar():
@@ -293,28 +370,29 @@ def _sets_and_rows(draw):
     n = draw(st.integers(1, 3))
     variant = draw(st.sampled_from(("full_space", "orthant", "half_space", "cone")))
     offsets = st.floats(-5.0, 5.0)
+    normals = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n).filter(
+        lambda a: np.dot(a, a) > 1e-6
+    )
     if variant == "full_space":
         set_ = FullSpace(n)
     elif variant == "orthant":
         set_ = Orthant(n, lower=tuple(draw(st.lists(offsets, min_size=n, max_size=n))))
     elif variant == "half_space":
-        normals = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
-        normal = draw(normals.filter(lambda a: np.dot(a, a) > 1e-6))
-        set_ = HalfSpace(n, normal=tuple(normal), offset=draw(offsets))
+        set_ = HalfSpace(n, normal=tuple(draw(normals)), offset=draw(offsets))
     else:
-        # Scaled sign vectors as normals keep cyclic projection quick, since
-        # distinct ones meet at angles bounded away from zero, and the scale
-        # makes their products round; offsets <= 0 keep the origin inside.
-        signs = st.lists(st.sampled_from((-1.0, 0.0, 1.0)), min_size=n, max_size=n)
-        ray = np.array(draw(signs.filter(any)))
+        # General normals and offsets; a draw whose cone is empty, or whose
+        # ray escapes a half-space after rounding, is rejected.
+        ray = np.array(draw(normals))
         constraints = []
-        for _ in range(draw(st.integers(1, 3))):
-            a = draw(st.floats(0.1, 3.0)) * np.array(draw(signs.filter(any)))
+        for _ in range(draw(st.integers(1, 4))):
+            a = np.array(draw(normals))
             if a @ ray < 0.0:
                 a = -a
-            offset = draw(st.floats(-5.0, 0.0))
-            constraints.append(HalfSpace(n, normal=tuple(a), offset=offset))
-        set_ = ConeIntersection(n, constraints=tuple(constraints), ray=tuple(ray))
+            constraints.append(HalfSpace(n, normal=tuple(a), offset=draw(offsets)))
+        try:
+            set_ = ConeIntersection(n, constraints=tuple(constraints), ray=tuple(ray))
+        except ValueError:
+            reject()
     return set_, draw(_row_batches(n))
 
 
@@ -324,44 +402,3 @@ def test_set_kernels_batch_independent_hypothesis(case):
     set_, X = case
     _assert_batch_independent(set_.violations_of_rows, X)
     _assert_batch_independent(set_.project_rows, X)
-
-
-def _cyclic_reference(cone: ConeIntersection, z: np.ndarray) -> tuple[np.ndarray, int]:
-    """Per-row cyclic projection on one-row half-space kernels, with the
-    number of cycles it took."""
-    x = z.copy()
-    for cycles in range(PROJECTION_CAP):
-        worst = max(hs.violations_of_rows(x[None, :])[0] for hs in cone.constraints)
-        if worst <= PROJECTION_TOL:
-            return x, cycles
-        for hs in cone.constraints:
-            x = hs.project_rows(x[None, :])[0]
-    raise AssertionError("reference projection hit the cap")
-
-
-def test_cone_project_rows_matches_per_row_cyclic_loop_bitwise():
-    rng = np.random.default_rng(41)
-    cycle_counts = []
-    for _ in range(60):
-        n = int(rng.integers(2, 4))
-        ray = rng.uniform(-1.0, 1.0, n)
-        constraints = []
-        for _ in range(int(rng.integers(2, 5))):
-            a = rng.integers(-2, 3, n).astype(float)
-            if not a.any():
-                a[0] = 1.0
-            if a @ ray < 0.0:
-                a = -a
-            constraints.append(HalfSpace(n, normal=tuple(a), offset=rng.uniform(-2.0, 2.0)))
-        cone = ConeIntersection(n, constraints=tuple(constraints), ray=tuple(ray))
-        Z = rng.uniform(-10.0, 10.0, (12, n))
-        feasible = np.array([_cyclic_reference(cone, z)[0] for z in Z[:4]])
-        for batch in (Z, feasible, np.vstack([Z[4:], feasible])):
-            expect = [_cyclic_reference(cone, z) for z in batch]
-            cycle_counts.extend(c for _, c in expect)
-            got = cone.project_rows(batch)
-            assert _bits(got) == _bits(np.array([x for x, _ in expect]))
-    cycle_counts = np.array(cycle_counts)
-    assert (cycle_counts == 0).sum() >= 100
-    assert (cycle_counts == 1).sum() >= 100
-    assert (cycle_counts >= 3).sum() >= 20
