@@ -21,6 +21,7 @@ from .configfile import (
     apply_overrides,
     build_experiment,
     parse_document,
+    render_document,
 )
 from .errors import ConfigError
 from .reporting import RunOutcome, error_outcome, run_experiment
@@ -49,7 +50,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
-    text = Path(args.config).read_text()
+    text = Path(args.config).read_text(encoding="utf-8")
     doc = parse_document(text)
     doc = apply_overrides(doc, args.override)
     if args.seed is not None:
@@ -63,9 +64,7 @@ def _write_outcome(cfg: ExperimentConfig, outcome: RunOutcome) -> Path:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.txt"
-    report_path.write_text(
-        "".join(f"{k} = {v}\n" for k, v in outcome.report.items())
-    )
+    report_path.write_text(render_document(outcome.report))
     for table in outcome.tables:
         (out_dir / f"{table.name}.tsv").write_text(table.render())
     return report_path
@@ -75,10 +74,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
+    except (OSError, UnicodeDecodeError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,6 +10,7 @@ losslessly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -390,6 +391,8 @@ def build_experiment(doc: dict[str, str]) -> ExperimentConfig:
 
     saddle_point = None
     saddle_tolerance = _get_float(doc, "saddle.tolerance", default=1e-6)
+    if not 0.0 <= saddle_tolerance < math.inf:
+        raise ConfigError("must be a finite number >= 0", field="saddle.tolerance")
     if kind == "verify_saddle":
         saddle_point = _get_vector(
             doc, "saddle.x_star", length=norm_spec.dimension, required=True

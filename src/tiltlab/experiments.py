@@ -37,7 +37,7 @@ from .optimize import (
     global_minimize,
     pattern_search,
 )
-from .spaces import FeasibleSet, NormSpec, SampleDomain, as_vector, norm, norms_of_rows
+from .spaces import NormSpec, SampleDomain, as_vector, norm, norms_of_rows
 
 _STREAM_PRESCAN = 0x9E3
 _STREAM_SADDLE_Y = 0xA11
@@ -421,6 +421,8 @@ def verify_saddle(
     the x grid, with strict positivity beyond ``separation`` of x_star."""
     if not J.zero_diagonal:
         raise ValueError("saddle verification requires a zero-diagonal bifunctional")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     n = J.domain.dimension
     x_star = as_vector(x_star, n, "x_star")
     if J.domain.violation(x_star) > MEMBERSHIP_TOL:
@@ -485,23 +487,32 @@ class MinimaxGapReport:
     resolution: int
 
 
-class _InnerSolver:
-    """Extremum of J with one argument fixed, warm-started along a walk.
+def _transposed(J: Bifunctional) -> Bifunctional:
+    """K(y, x) = -J(x, y): inf_x J(x, y) = -sup_x K(y, x), so the lower
+    envelope of J is the negated upper envelope of K.  Negation is exact."""
+    return Bifunctional(
+        value=lambda y, x: -J.value(x, y),
+        domain=J.domain,
+        zero_diagonal=J.zero_diagonal,
+        row_eval=lambda y, X: -J.column_values(X, y),
+        column_eval=lambda Y, x: -J.row_values(x, Y),
+    )
 
-    Scans a candidate pool, then polishes by pattern search from the better
-    of the pool winner and the previous witness, both through one rows
-    closure over the bifunctional's batched evaluators.
-    ``outer_step`` scales both the inner termination and the warm initial
-    step, so precision tracks what the outer walk needs; ``outer_step=None``
-    solves at full precision.  Every evaluation is charged to ``budget``.
+
+class _SupSolver:
+    """sup_y J(x, y) for one fixed x, warm-started along a walk.
+
+    Scans a candidate pool, then polishes by pattern search on -J(x, .) from
+    the better of the pool winner and the previous witness.  ``outer_step``
+    scales both the inner termination and the warm initial step, so
+    precision tracks what the outer walk needs; ``outer_step=None`` solves
+    at full precision.  Every evaluation is charged to ``budget``.
     """
 
     def __init__(
         self,
         J: Bifunctional,
         pool: np.ndarray,
-        maximize: bool,
-        free_is_y: bool,
         radius: float,
         norm_spec: NormSpec,
         config: OptimizeConfig,
@@ -509,8 +520,6 @@ class _InnerSolver:
     ):
         self.J = J
         self.pool = pool
-        self.sign = -1.0 if maximize else 1.0
-        self.free_is_y = free_is_y
         self.radius = radius
         self.norm_spec = norm_spec
         self.config = config
@@ -519,12 +528,9 @@ class _InnerSolver:
         self.pool_step = radius / 10.0
         self.warm: np.ndarray | None = None
 
-    def solve(self, fixed: np.ndarray, outer_step: float | None = None) -> tuple[np.ndarray, float]:
-        J, sign, budget = self.J, self.sign, self.budget
-        if self.free_is_y:
-            rows = lambda Z: sign * J.row_values(fixed, Z)
-        else:
-            rows = lambda Z: sign * J.column_values(Z, fixed)
+    def solve(self, x: np.ndarray, outer_step: float | None = None) -> tuple[np.ndarray, float]:
+        J, budget = self.J, self.budget
+        rows = lambda Y: -J.row_values(x, Y)
         vals = rows(self.pool)
         budget.take(len(self.pool))
         k = int(np.argmin(vals))
@@ -541,7 +547,7 @@ class _InnerSolver:
                 start, f0 = self.warm, fw
                 if outer_step is not None:
                     init = max(4.0 * outer_step, 256.0 * termination)
-        z, fz = pattern_search(
+        y, fy = pattern_search(
             rows,
             J.domain,
             self.radius,
@@ -554,43 +560,50 @@ class _InnerSolver:
             self.dirs,
             budget,
         )
-        self.warm = z
-        return z, sign * fz
+        self.warm = y
+        return y, -fy
 
 
-def _envelope_walk(
-    envelope,
-    x0: np.ndarray,
-    domain: FeasibleSet,
+def _minimize_sup_envelope(
+    J: Bifunctional,
+    pool: np.ndarray,
+    starts: np.ndarray,
     radius: float,
     norm_spec: NormSpec,
-    dirs: np.ndarray,
-    step0: float,
-    termination: float,
-    shrink: float,
-) -> np.ndarray:
-    """Compass walk minimizing an envelope whose evaluation precision adapts
-    to the current step: ``envelope(z, outer_step)``.
+    config: OptimizeConfig,
+    budget: _Budget,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Minimize x -> sup_y J(x, y) from each start; return the walk
+    endpoints and their full-precision y witnesses.
 
-    Each step level is one :func:`pattern_search` that ends at its first
-    shrink.  The inner solve only needs enough precision to rank nearby
-    trial points; the incumbent is re-anchored after every shrink so that
-    comparisons stay consistent and the next inner solve is warm-started.
-    Callers polish the returned endpoint at full precision afterwards.
+    Each walk is a compass walk whose envelope precision adapts to the
+    current step.  Each step level is one :func:`pattern_search` that ends
+    at its first shrink: the inner solve only needs enough precision to
+    rank nearby trial points, and the incumbent is re-anchored after every
+    shrink so that comparisons stay consistent and the next inner solve is
+    warm-started.
     """
-    x = np.asarray(x0, dtype=float)
-    step = float(step0)
+    step0 = config.initial_step if config.initial_step is not None else radius / 10.0
+    dirs = direction_set(J.domain.dimension, config.directions)
     walk_budget = _Budget(10 ** 18)  # never exhausted
-    rows = lambda Z: np.array([envelope(z, step) for z in Z])
-    fx = envelope(x, step)
-    while step > termination:
-        x, _ = pattern_search(
-            rows, domain, radius, norm_spec, x, fx, step, step * shrink, shrink,
-            dirs, walk_budget,
-        )
-        step *= shrink
-        fx = envelope(x, step)
-    return x
+    ends: list[np.ndarray] = []
+    witnesses: list[np.ndarray] = []
+    for x0 in starts:
+        solver = _SupSolver(J, pool, radius, norm_spec, config, budget)
+        x = np.asarray(x0, dtype=float)
+        step = float(step0)
+        rows = lambda Z: np.array([solver.solve(z, step)[1] for z in Z])
+        fx = solver.solve(x, step)[1]
+        while step > config.termination_step:
+            x, _ = pattern_search(
+                rows, J.domain, radius, norm_spec, x, fx, step, step * config.shrink,
+                config.shrink, dirs, walk_budget,
+            )
+            step *= config.shrink
+            fx = solver.solve(x, step)[1]
+        ends.append(x)
+        witnesses.append(solver.solve(x)[0])
+    return ends, witnesses
 
 
 def minimax_gap(
@@ -626,53 +639,21 @@ def minimax_gap(
         rough[i] = J.row_values(x, G)
     budget.take(rough.size)
 
-    step0 = config.initial_step if config.initial_step is not None else radius / 10.0
-    dirs = direction_set(n, config.directions)
-    x_harvest: list[np.ndarray] = []
-    y_harvest: list[np.ndarray] = []
+    x_order = np.argsort(rough.max(axis=1), kind="stable")
+    y_order = np.argsort(-rough.min(axis=0), kind="stable")
+    m = config.multistart
 
     # Upper phase: minimize the row envelope sup_y J(x, .).
-    upper_starts = G[np.argsort(rough.max(axis=1), kind="stable")[: config.multistart]]
-    for x0 in upper_starts:
-        sup_solver = _InnerSolver(J, G, True, True, radius, norm_spec, config, budget)
-        x_end = _envelope_walk(
-            lambda z, s: sup_solver.solve(z, s)[1],
-            x0,
-            J.domain,
-            radius,
-            norm_spec,
-            dirs,
-            step0,
-            config.termination_step,
-            config.shrink,
-        )
-        x_harvest.append(x_end)
-        y_fin, _ = sup_solver.solve(x_end)
-        y_harvest.append(y_fin)
-
-    # Lower phase: maximize the column envelope inf_x J(., y); the inner
-    # minimizations also scan the upper-phase endpoints so a good x is never
-    # missed on the lower side.
-    x_pool = np.vstack([G] + [x.reshape(1, -1) for x in x_harvest])
-    lower_starts = G[np.argsort(-rough.min(axis=0), kind="stable")[: config.multistart]]
-    for y0 in lower_starts:
-        inf_solver = _InnerSolver(
-            J, x_pool, False, False, radius, norm_spec, config, budget
-        )
-        y_end = _envelope_walk(
-            lambda z, s: -inf_solver.solve(z, s)[1],
-            y0,
-            J.domain,
-            radius,
-            norm_spec,
-            dirs,
-            step0,
-            config.termination_step,
-            config.shrink,
-        )
-        y_harvest.append(y_end)
-        x_fin, _ = inf_solver.solve(y_end)
-        x_harvest.append(x_fin)
+    x_ends, y_fins = _minimize_sup_envelope(
+        J, G, G[x_order[:m]], radius, norm_spec, config, budget
+    )
+    # Lower phase: maximize the column envelope inf_x J(., y), i.e. minimize
+    # sup_x K(y, x) for K = -J transposed; the inner scans also cover the
+    # upper-phase endpoints so a good x is never missed on the lower side.
+    x_pool = np.vstack([G] + [x.reshape(1, -1) for x in x_ends])
+    y_ends, x_fins = _minimize_sup_envelope(
+        _transposed(J), x_pool, G[y_order[:m]], radius, norm_spec, config, budget
+    )
 
     # Matrix phase: one shared value matrix over the harvested sets.
     def _dedupe(rows: list[np.ndarray], cap: int) -> np.ndarray:
@@ -681,14 +662,8 @@ def minimax_gap(
         return arr[np.sort(first)][:cap]
 
     keep_grid = min(len(G), 128)
-    S_x = _dedupe(
-        x_harvest + list(G[np.argsort(rough.max(axis=1), kind="stable")[:keep_grid]]),
-        256,
-    )
-    S_y = _dedupe(
-        y_harvest + list(G[np.argsort(-rough.min(axis=0), kind="stable")[:keep_grid]]),
-        256,
-    )
+    S_x = _dedupe(x_ends + x_fins + list(G[x_order[:keep_grid]]), 256)
+    S_y = _dedupe(y_fins + y_ends + list(G[y_order[:keep_grid]]), 256)
     M = np.empty((len(S_x), len(S_y)))
     for i, x in enumerate(S_x):
         M[i] = J.row_values(x, S_y)

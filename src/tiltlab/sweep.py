@@ -197,7 +197,7 @@ def _candidate_metrics(
 def _run_cell(
     ctx: _SweepContext, cell: CellDescriptor, kappa_info: GrowthEstimate | None
 ):
-    """One sweep cell; returns (summary, candidate-or-None, raw_finding).
+    """One sweep cell; returns (summary, candidate-or-None).
     ``kappa_info`` is the pair's growth estimate; the planted cell ignores it."""
     planted = ctx.planted_cell is not None and ctx.planted_cell == cell.index
     if not planted and not kappa_info.satisfied:
@@ -212,7 +212,7 @@ def _run_cell(
             cluster_count=0,
             best_value=None,
         )
-        return summary, None, False
+        return summary, None
 
     F = TiltedFunctional(
         norm=NormSpec(ctx.family.dimension, cell.norm_p),
@@ -246,7 +246,7 @@ def _run_cell(
         best_value=coarse.result.global_value,
     )
     if coarse.result.cluster_count < 2:
-        return summary, None, False
+        return summary, None
 
     # Re-verify at finer resolution with the value window halved; most
     # coarse two-cluster findings are optimizer artifacts.  The finer config
@@ -258,7 +258,7 @@ def _run_cell(
     )
     fine_result = certify(finer).result
     if fine_result.cluster_count < 2:
-        return summary, None, True
+        return summary, None
 
     value_gap, separation = _candidate_metrics(fine_result, F.norm)
     candidate = CounterexampleCandidate(
@@ -276,7 +276,7 @@ def _run_cell(
         seed=ctx.config.seed,
         value_tolerance=finer.value_tolerance,
     )
-    return summary, candidate, True
+    return summary, candidate
 
 
 def ctx_param_key(cell: CellDescriptor) -> int:
@@ -368,16 +368,17 @@ def search_counterexample(
     else:
         outcomes = [_run_cell(ctx, c, k) for c, k in zip(cells, kappas)]
 
-    summaries = tuple(o[0] for o in outcomes)
-    candidates = [o[1] for o in outcomes if o[1] is not None]
-    findings_raw = sum(1 for o in outcomes if o[2])
+    summaries = tuple(s for s, _ in outcomes)
+    candidates = [c for _, c in outcomes if c is not None]
     candidates.sort(key=lambda c: (-c.score, c.cell_index))
     return SweepResult(
         candidates=tuple(candidates),
         summaries=summaries,
         cells_total=len(cells),
         cells_screened_out=sum(1 for s in summaries if s.screened_out),
-        findings_raw=findings_raw,
+        # Screened cells carry cluster_count 0, so this counts the cells
+        # whose coarse search found two clusters.
+        findings_raw=sum(1 for s in summaries if s.cluster_count >= 2),
         seed=config.seed,
         value_tolerance=config.value_tolerance,
         separation=config.separation,

@@ -206,6 +206,9 @@ def test_validate_rejects_keys_nothing_reads(tmp_path, capsys, key, text):
         ("map.matrix.shape", "1.9 1.2"),
         ("sweep.y_grid", "0"),
         ("sweep.planted_cell", "-1"),
+        ("saddle.tolerance", "nan"),
+        ("saddle.tolerance", "-1"),
+        ("saddle.tolerance", "inf"),
     ],
 )
 def test_validate_rejects_numbers_run_would_reject(tmp_path, capsys, key, value):
@@ -359,3 +362,20 @@ def test_runtime_error_writes_partial_report(tmp_path):
 
 def test_missing_config_file():
     assert main(["run", "--config", "/nonexistent/x.cfg"]) == 1
+
+
+def test_config_path_that_is_a_directory(tmp_path, capsys):
+    assert main(["validate", "--config", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_config_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(FIND_CONFIG.replace("quarter", "quart\xe9r").encode("latin-1"))
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "utf-8" in err
+    assert "Traceback" not in err

@@ -225,6 +225,34 @@ def test_verify_saddle_requires_zero_diagonal_flag():
         verify_saddle(J, [0.0], grid, grid, 1e-9)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_verify_saddle_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    J = quarter().as_bifunctional()
+    grid = np.linspace(-1.0, 1.0, 5)[:, None]
+    with pytest.raises(ValueError, match="tol"):
+        verify_saddle(J, [0.0], grid, grid, tol)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_transposed_bifunctional_swaps_and_negates():
+    from tiltlab.experiments import _transposed
+
+    F = affine_instance(4)
+    batched = F.as_bifunctional()
+    value_only = Bifunctional(value=F.value, domain=F.domain, zero_diagonal=True)
+    pts = feasible_cloud(F, 4.0, 24, seed=71)
+    for J in (batched, value_only):
+        K = _transposed(J)
+        assert K.domain is J.domain and K.zero_diagonal
+        for p in pts[:6]:
+            assert _bits(K.row_values(p, pts)) == _bits(-J.column_values(pts, p))
+            assert _bits(K.column_values(pts, p)) == _bits(-J.row_values(p, pts))
+            assert _bits(K.value(p, pts[0])) == _bits(-J.value(pts[0], p))
+
+
 def test_minimax_quarter():
     F = quarter()
     report = minimax_gap(F.as_bifunctional(), 8.0, 17, norm_spec=F.norm)

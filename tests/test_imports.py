@@ -1,0 +1,38 @@
+"""Source hygiene: every module-level import in the package is used."""
+
+import ast
+from pathlib import Path
+
+import tiltlab
+
+PACKAGE = Path(tiltlab.__file__).parent
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by module-level imports that no expression reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in read]
+
+
+def test_unused_imports_are_detected():
+    source = "import os\nfrom typing import Any, Callable\nx: Callable = os.sep\n"
+    assert unused_imports(source) == ["line 2: Any"]
+
+
+def test_package_modules_have_no_unused_imports():
+    # __init__.py imports in order to re-export.
+    found = {
+        path.name: unused
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        and (unused := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
