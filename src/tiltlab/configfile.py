@@ -11,7 +11,7 @@ losslessly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .maps import (
@@ -102,9 +102,12 @@ def _get_float(doc, key, default=None, required=False) -> float | None:
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"not a number: '{raw}'", field=key) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"must be a finite number, got '{raw}'", field=key)
+    return value
 
 
 def _get_int(doc, key, default=None, required=False) -> int | None:
@@ -125,6 +128,8 @@ def _get_vector(doc, key, length=None, default=None, required=False):
         values = tuple(float(tok) for tok in raw.split())
     except ValueError:
         raise ConfigError(f"not a number list: '{raw}'", field=key) from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"every number must be finite, got '{raw}'", field=key)
     if length is not None and len(values) != length:
         raise ConfigError(
             f"expected {length} numbers, got {len(values)}", field=key
@@ -168,12 +173,16 @@ class SamplingSpec:
         for name in ("y_count", "y_radius", "check_samples", "margin", "radius_override",
                      "fallback_radius", "resolution", "radius", "growth_directions"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         r = self.growth_radii
-        if not r or not r[0] > 0 or not all(b > a for a, b in zip(r, r[1:])):
+        if (
+            not r
+            or not 0 < r[0] <= r[-1] < math.inf
+            or not all(b > a for a, b in zip(r, r[1:]))
+        ):
             raise ValueError(
-                f"growth_radii must be positive and strictly increasing, got {r}"
+                f"growth_radii must be finite, positive and strictly increasing, got {r}"
             )
 
 
@@ -309,55 +318,46 @@ def _build_family(doc, dim: int) -> tuple[MapFamily, tuple, int, int | None]:
     return family, sweep_norms, y_grid, planted
 
 
-def _build_optimizer(doc) -> OptimizeConfig:
-    d = OptimizeConfig()
+# A section knob's parser and formatter follow the type of its default; a
+# None default stands for a number.
+_FIELD_KINDS = {
+    int: (_get_int, str),
+    float: (_get_float, fmt_float),
+    str: (_get, str),
+    tuple: (_get_vector, fmt_vector),
+}
 
-    def get(getter, name):
-        return getter(doc, f"optimizer.{name}", default=getattr(d, name))
 
-    raw_step = _get(doc, "optimizer.initial_step", default="auto")
-    initial_step = (
-        None if raw_step == "auto" else _get_float(doc, "optimizer.initial_step")
-    )
+def _section_fields(section: str, cls) -> list:
+    """(key, field, parse, render) for each knob of a config dataclass; the
+    seed is the top-level key every kind shares."""
+    return [
+        (f.name if f.name == "seed" else f"{section}.{f.name}", f)
+        + _FIELD_KINDS[float if f.default is None else type(f.default)]
+        for f in fields(cls)
+    ]
+
+
+def _build_section(doc, section: str, cls):
+    values = {}
+    for key, f, parse, _ in _section_fields(section, cls):
+        if f.name == "initial_step" and _get(doc, key, default="auto") == "auto":
+            values[f.name] = None
+        else:
+            values[f.name] = parse(doc, key, default=f.default)
     try:
-        return OptimizeConfig(
-            coarse_grid=get(_get_int, "coarse_grid"),
-            multistart=get(_get_int, "multistart"),
-            initial_step=initial_step,
-            shrink=get(_get_float, "shrink"),
-            termination_step=get(_get_float, "termination_step"),
-            value_tolerance=get(_get_float, "value_tolerance"),
-            separation=get(_get_float, "separation"),
-            budget=get(_get_int, "budget"),
-            seed=_get_int(doc, "seed", default=d.seed),
-            directions=get(_get, "directions"),
-        )
+        return cls(**values)
     except ValueError as exc:
-        raise ConfigError(str(exc), field="optimizer") from None
+        raise ConfigError(str(exc), field=section) from None
 
 
-def _build_sampling(doc) -> SamplingSpec:
-    d = SamplingSpec()
-
-    def get(getter, name):
-        return getter(doc, f"sampling.{name}", default=getattr(d, name))
-
-    try:
-        return SamplingSpec(
-            y_count=get(_get_int, "y_count"),
-            y_radius=get(_get_float, "y_radius"),
-            y_mode=get(_get, "y_mode"),
-            check_samples=get(_get_int, "check_samples"),
-            margin=get(_get_float, "margin"),
-            radius_override=get(_get_float, "radius_override"),
-            fallback_radius=get(_get_float, "fallback_radius"),
-            resolution=get(_get_int, "resolution"),
-            radius=get(_get_float, "radius"),
-            growth_radii=get(_get_vector, "growth_radii"),
-            growth_directions=get(_get_int, "growth_directions"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), field="sampling") from None
+def _section_to_doc(doc: dict[str, str], section: str, obj) -> None:
+    for key, f, _, render in _section_fields(section, type(obj)):
+        value = getattr(obj, f.name)
+        if f.name == "initial_step" and value is None:
+            doc[key] = "auto"
+        elif key != "seed" and value is not None:
+            doc[key] = render(value)
 
 
 def build_experiment(doc: dict[str, str]) -> ExperimentConfig:
@@ -372,9 +372,8 @@ def build_experiment(doc: dict[str, str]) -> ExperimentConfig:
         )
     norm_spec = _build_norm(doc)
     domain = _build_domain(doc, norm_spec.dimension)
-    optimizer = _build_optimizer(doc)
-    sampling = _build_sampling(doc)
-    seed = _get_int(doc, "seed", default=0)
+    optimizer = _build_section(doc, "optimizer", OptimizeConfig)
+    sampling = _build_section(doc, "sampling", SamplingSpec)
     out = _get(doc, "out", default="out")
 
     map_spec = None
@@ -403,7 +402,7 @@ def build_experiment(doc: dict[str, str]) -> ExperimentConfig:
 
     return ExperimentConfig(
         kind=kind,
-        seed=seed,
+        seed=optimizer.seed,
         norm=norm_spec,
         domain=domain,
         map_spec=map_spec,
@@ -483,31 +482,8 @@ def config_to_document(cfg: ExperimentConfig) -> dict[str, str]:
         doc["sweep.y_grid"] = str(cfg.sweep_y_grid)
         if cfg.planted_cell is not None:
             doc["sweep.planted_cell"] = str(cfg.planted_cell)
-    opt = cfg.optimizer
-    doc["optimizer.coarse_grid"] = str(opt.coarse_grid)
-    doc["optimizer.multistart"] = str(opt.multistart)
-    doc["optimizer.initial_step"] = (
-        "auto" if opt.initial_step is None else fmt_float(opt.initial_step)
-    )
-    doc["optimizer.shrink"] = fmt_float(opt.shrink)
-    doc["optimizer.termination_step"] = fmt_float(opt.termination_step)
-    doc["optimizer.value_tolerance"] = fmt_float(opt.value_tolerance)
-    doc["optimizer.separation"] = fmt_float(opt.separation)
-    doc["optimizer.budget"] = str(opt.budget)
-    doc["optimizer.directions"] = opt.directions
-    s = cfg.sampling
-    doc["sampling.y_count"] = str(s.y_count)
-    doc["sampling.y_radius"] = fmt_float(s.y_radius)
-    doc["sampling.y_mode"] = s.y_mode
-    doc["sampling.check_samples"] = str(s.check_samples)
-    doc["sampling.margin"] = fmt_float(s.margin)
-    if s.radius_override is not None:
-        doc["sampling.radius_override"] = fmt_float(s.radius_override)
-    doc["sampling.fallback_radius"] = fmt_float(s.fallback_radius)
-    doc["sampling.resolution"] = str(s.resolution)
-    doc["sampling.radius"] = fmt_float(s.radius)
-    doc["sampling.growth_radii"] = fmt_vector(s.growth_radii)
-    doc["sampling.growth_directions"] = str(s.growth_directions)
+    _section_to_doc(doc, "optimizer", cfg.optimizer)
+    _section_to_doc(doc, "sampling", cfg.sampling)
     if cfg.saddle_point is not None:
         doc["saddle.x_star"] = fmt_vector(cfg.saddle_point)
     doc["saddle.tolerance"] = fmt_float(cfg.saddle_tolerance)

@@ -20,14 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    FixedPointNotLocated,
-    GrowthConditionNotMet,
-    InfeasibleTruncation,
-    MembershipViolation,
-)
+from .errors import FixedPointNotLocated, GrowthConditionNotMet, InfeasibleTruncation
 from .functional import Bifunctional, TiltedFunctional, coercivity_radius
-from .maps import MEMBERSHIP_TOL, GrowthEstimate, evaluate_rows
+from .maps import GrowthEstimate, evaluate_rows
 from .optimize import (
     MinimizationResult,
     OptimizeConfig,
@@ -37,7 +32,7 @@ from .optimize import (
     global_minimize,
     pattern_search,
 )
-from .spaces import NormSpec, SampleDomain, as_vector, norm, norms_of_rows
+from .spaces import MEMBERSHIP_TOL, NormSpec, SampleDomain, norm, norms_of_rows
 
 _STREAM_PRESCAN = 0x9E3
 _STREAM_SADDLE_Y = 0xA11
@@ -178,13 +173,9 @@ def certify_uniqueness(
     replaces J(., y) by an arbitrary objective (a planted-instance hook used
     to validate the detector).
     """
-    ys = [as_vector(y, F.dimension, "y sample") for y in y_samples]
+    ys = [F.domain.require(y, "y sample") for y in y_samples]
     if not ys:
         raise ValueError("y_samples must be non-empty")
-    for y in ys:
-        v = F.domain.violation(y)
-        if v > MEMBERSHIP_TOL:
-            raise MembershipViolation(f"y sample outside the set by {v:.3e}")
 
     planted = objective_override is not None
     use_growth = (
@@ -340,18 +331,15 @@ def find_fixed_point(
     residual = result.global_value
 
     Y = _feasible_samples(F, radius, check_samples, seed, _STREAM_SADDLE_Y)
-    row_vals = F.values_for_ys(x_star, Y)
-    iy = int(np.argmax(row_vals))
-    row_max, row_witness = float(row_vals[iy]), Y[iy]
-
     X = _feasible_samples(F, radius, 3 * check_samples, seed, _STREAM_SADDLE_X)
     far = norms_of_rows(X - x_star[None, :], F.norm) >= config.separation
     X = X[far][: check_samples]
     if len(X) == 0:
         raise ValueError("no probe points at the required separation; enlarge radius")
-    col_vals = F.values_for_xs(X, x_star)
-    ix = int(np.argmin(col_vals))
-    strict_min, strict_witness = float(col_vals[ix]), X[ix]
+    # Every x is far, so the strict minimum is the minimum over all of X.
+    check = verify_saddle(
+        F.as_bifunctional(), x_star, Y, X, check_tolerance, config.separation, F.norm
+    )
 
     FX = evaluate_rows(F.mapping, X, F.domain)
     prox = norms_of_rows(X - FX, F.norm) - norms_of_rows(
@@ -371,10 +359,10 @@ def find_fixed_point(
         x_star=tuple(float(v) for v in x_star),
         residual=residual,
         radius=radius,
-        row_max=row_max,
-        row_witness=tuple(float(v) for v in row_witness),
-        strict_min=strict_min,
-        strict_witness=tuple(float(v) for v in strict_witness),
+        row_max=check.row_max,
+        row_witness=check.row_witness,
+        strict_min=check.strict_min,
+        strict_witness=check.strict_witness,
         proximity_min=proximity_min,
         criterion_gap_max=criterion_gap_max,
         samples_used=len(X),
@@ -423,12 +411,9 @@ def verify_saddle(
         raise ValueError("saddle verification requires a zero-diagonal bifunctional")
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
-    n = J.domain.dimension
-    x_star = as_vector(x_star, n, "x_star")
-    if J.domain.violation(x_star) > MEMBERSHIP_TOL:
-        raise MembershipViolation("x_star is outside the domain")
+    x_star = J.domain.require(x_star, "x_star")
     if norm_spec is None:
-        norm_spec = NormSpec(n, 2.0)
+        norm_spec = NormSpec(J.domain.dimension, 2.0)
     y_grid = np.asarray(y_grid, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
 

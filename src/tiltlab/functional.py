@@ -18,17 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, GrowthConditionNotMet, MembershipViolation
-from .maps import MEMBERSHIP_TOL, MapSpec, evaluate, evaluate_rows
+from .errors import DimensionMismatch, GrowthConditionNotMet
+from .maps import MapSpec, evaluate, evaluate_rows
 from .spaces import FeasibleSet, NormSpec, as_vector, norm, norms_of_rows
-
-
-def _require_member(domain: FeasibleSet, x: np.ndarray, name: str) -> None:
-    v = domain.violation(x)
-    if v > MEMBERSHIP_TOL:
-        raise MembershipViolation(
-            f"{name} is outside the feasible set by {v:.3e} (> {MEMBERSHIP_TOL})"
-        )
 
 
 @dataclass(frozen=True)
@@ -98,17 +90,14 @@ class TiltedFunctional:
 
 def tilted_value(F: TiltedFunctional, x, y) -> float:
     """J(x, y) = ||x - f(x)|| - ||y - f(x)||; exactly zero when x == y."""
-    x = as_vector(x, F.dimension, "x")
-    y = as_vector(y, F.dimension, "y")
-    _require_member(F.domain, x, "x")
-    _require_member(F.domain, y, "y")
+    x = F.domain.require(x, "x")
+    y = F.domain.require(y, "y")
     return float(F.values_for_ys(x, y[None, :])[0])
 
 
 def displacement(F: TiltedFunctional, x) -> float:
     """Phi(x) = ||x - f(x)||, the sup over y in X of J(x, y)."""
-    x = as_vector(x, F.dimension, "x")
-    _require_member(F.domain, x, "x")
+    x = F.domain.require(x, "x")
     return float(F.displacements(x[None, :])[0])
 
 

@@ -18,20 +18,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, MembershipViolation, RangeViolation
+from .errors import DimensionMismatch, RangeViolation
 from .spaces import (
     INF,
+    MEMBERSHIP_TOL,
     FeasibleSet,
     FullSpace,
     NormSpec,
-    as_vector,
     norm,
     norms_of_rows,
 )
 
 logger = logging.getLogger(__name__)
-
-MEMBERSHIP_TOL = 1e-9
 
 _SINGULAR_RATIO = 1e-13
 
@@ -193,15 +191,9 @@ class ProjectedMap(MapSpec):
 def evaluate(map_spec: MapSpec, x, domain: FeasibleSet) -> np.ndarray:
     """f(x) with the membership precondition enforced; one-row
     :func:`evaluate_rows`."""
-    X = as_vector(x, map_spec.dimension)[None, :]
     if domain.dimension != map_spec.dimension:
         raise DimensionMismatch("map and set dimensions disagree")
-    v = float(domain.violations_of_rows(X)[0])
-    if v > MEMBERSHIP_TOL:
-        raise MembershipViolation(
-            f"point is outside the feasible set by {v:.3e} (> {MEMBERSHIP_TOL})"
-        )
-    return evaluate_rows(map_spec, X, domain)[0]
+    return evaluate_rows(map_spec, domain.require(x)[None, :], domain)[0]
 
 
 def evaluate_rows(map_spec: MapSpec, X: np.ndarray, domain: FeasibleSet) -> np.ndarray:

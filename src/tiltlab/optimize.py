@@ -57,16 +57,16 @@ class OptimizeConfig:
     def __post_init__(self):
         if self.coarse_grid < 1 or self.multistart < 1 or self.budget < 1:
             raise ValueError("coarse_grid, multistart and budget must be positive")
-        if self.initial_step is not None and not self.initial_step > 0.0:
-            raise ValueError("initial_step must be positive when given")
+        if self.initial_step is not None and not 0.0 < self.initial_step < math.inf:
+            raise ValueError("initial_step must be positive and finite when given")
         if not 0.0 < self.shrink < 1.0:
             raise ValueError("shrink must lie in (0, 1)")
-        if not self.termination_step > 0.0:
-            raise ValueError("termination_step must be positive")
-        if not self.value_tolerance > 0.0:
-            raise ValueError("value_tolerance must be positive")
-        if not self.separation > self.termination_step:
-            raise ValueError("separation must exceed the termination step")
+        if not 0.0 < self.termination_step < math.inf:
+            raise ValueError("termination_step must be positive and finite")
+        if not 0.0 < self.value_tolerance < math.inf:
+            raise ValueError("value_tolerance must be positive and finite")
+        if not self.termination_step < self.separation < math.inf:
+            raise ValueError("separation must be finite and exceed the termination step")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if self.directions not in ("axes", "full", "auto"):
@@ -177,6 +177,8 @@ def pattern_search(
     """
     x, fx = np.asarray(x0, dtype=float), float(f0)
     step = float(initial_step)
+    if not 0.0 < step < math.inf:  # an infinite step never shrinks to the end
+        raise ValueError(f"initial_step must be finite and positive, got {step}")
     ball_tol = 1e-12 * max(1.0, radius)
     while step > termination_step:
         trials = domain.project_rows(x + step * directions)

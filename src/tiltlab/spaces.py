@@ -17,8 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, MembershipViolation
 
+# How far a point may violate a constraint and still count as a member.
+MEMBERSHIP_TOL = 1e-9
 # Tolerance of the cone projection's face test, relative to the row's scale.
 PROJECTION_TOL = 1e-12
 # Cap on the candidate faces a cone enumerates, and on the floats per row
@@ -46,6 +48,11 @@ def as_vector(v, dimension, name="vector") -> np.ndarray:
             f"{name} must be a 1-D vector of length {dimension}, got shape {arr.shape}"
         )
     return arr
+
+
+def _finite(x: np.ndarray) -> bool:
+    # Scalar math over a list: a one-row numpy reduction costs more here.
+    return all(map(math.isfinite, x.tolist()))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -172,7 +179,23 @@ class FeasibleSet:
         return float(self.violations_of_rows(as_vector(x, self.dimension)[None, :])[0])
 
     def contains(self, x, tol: float = 0.0) -> bool:
-        return bool(self.violation(x) <= tol)
+        """True iff x is finite and violates no constraint by more than tol."""
+        x = as_vector(x, self.dimension)
+        return _finite(x) and self.violation(x) <= tol
+
+    def require(self, x, what: str = "point") -> np.ndarray:
+        """``x`` as a vector of the set, or :class:`MembershipViolation` if a
+        constraint fails by more than :data:`MEMBERSHIP_TOL` or an entry is
+        NaN or infinite (such a vector belongs to no set)."""
+        x = as_vector(x, self.dimension, what)
+        if not _finite(x):
+            raise MembershipViolation(f"{what} has a NaN or infinite entry: {x}")
+        v = float(self.violations_of_rows(x[None, :])[0])
+        if not v <= MEMBERSHIP_TOL:
+            raise MembershipViolation(
+                f"{what} is outside the feasible set by {v:.3e} (> {MEMBERSHIP_TOL})"
+            )
+        return x
 
     def project(self, z) -> np.ndarray:
         """One-row :meth:`project_rows`."""
@@ -361,8 +384,7 @@ class ConeIntersection(FeasibleSet):
             if len(b) != self.dimension:
                 raise DimensionMismatch("base length mismatch")
             object.__setattr__(self, "base", b)
-            if not self.violation(np.array(b)) <= 1e-9:
-                raise ValueError("base witness is not in the set")
+            self.require(b, "base witness")
 
     @property
     def variant(self) -> str:
@@ -456,7 +478,8 @@ class ConeIntersection(FeasibleSet):
 
 
 def contains(set_: FeasibleSet, x, tol: float = 0.0) -> bool:
-    """True iff x violates no defining constraint of the set by more than tol."""
+    """True iff x is finite and violates no defining constraint of the set by
+    more than tol."""
     return set_.contains(x, tol)
 
 

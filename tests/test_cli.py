@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from tiltlab.cli import main
 from tiltlab.configfile import (
+    SamplingSpec,
     apply_overrides,
     build_experiment,
     config_to_document,
@@ -209,16 +212,41 @@ def test_validate_rejects_keys_nothing_reads(tmp_path, capsys, key, text):
         ("saddle.tolerance", "nan"),
         ("saddle.tolerance", "-1"),
         ("saddle.tolerance", "inf"),
+        ("optimizer.initial_step", "inf"),
+        ("optimizer.separation", "inf"),
+        ("optimizer.value_tolerance", "inf"),
+        ("sampling.margin", "inf"),
+        ("sampling.y_radius", "inf"),
+        ("sampling.growth_radii", "100 inf"),
+        ("saddle.x_star", "nan"),
     ],
 )
 def test_validate_rejects_numbers_run_would_reject(tmp_path, capsys, key, value):
     base = SWEEP_CONFIG if key.startswith("sweep.") else FIND_CONFIG
+    if key == "saddle.x_star":
+        base = base.replace("find_fixed_point", "verify_saddle") + "saddle.x_star = 0\n"
     path = write(tmp_path, base.replace("sampling.check_samples = 64\n", ""))
     ok = main(["validate", "--config", str(path), "--override", f"{key}={value}"])
     assert ok == 1
     err = capsys.readouterr().err
     assert key.split(".", 1)[1] in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("y_radius", math.inf),
+        ("margin", math.inf),
+        ("radius_override", math.inf),
+        ("fallback_radius", math.inf),
+        ("radius", math.inf),
+        ("growth_radii", (100.0, math.inf)),
+    ],
+)
+def test_sampling_spec_rejects_an_infinite_number(field, value):
+    with pytest.raises(ValueError, match=field):
+        SamplingSpec(**{field: value})
 
 
 def test_halfspace_normal_it_cannot_project_with_is_a_config_error():

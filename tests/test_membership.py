@@ -1,0 +1,83 @@
+"""Every entry point gates its outside points through FeasibleSet.require,
+which refuses a vector with a NaN or infinite entry on every set variant."""
+
+import numpy as np
+import pytest
+
+from tiltlab import (
+    AffineMap,
+    ConeIntersection,
+    FullSpace,
+    HalfSpace,
+    MapFamily,
+    MembershipViolation,
+    NormSpec,
+    OptimizeConfig,
+    Orthant,
+    TiltedFunctional,
+    certify_uniqueness,
+    displacement,
+    evaluate,
+    growth_coefficient,
+    search_counterexample,
+    tilted_value,
+    verify_saddle,
+)
+
+CFG = OptimizeConfig(coarse_grid=9, multistart=2, budget=20_000, seed=1)
+
+# All four are cones with apex 0, so f(x) = x / 4 maps each into itself and
+# the origin is a member of each.
+SETS = {
+    "full_space": FullSpace(2),
+    "orthant": Orthant(2),
+    "half_space": HalfSpace(2, normal=(1.0, 1.0), offset=0.0),
+    "cone": ConeIntersection(
+        2,
+        constraints=(
+            HalfSpace(2, normal=(1.0, 0.0)),
+            HalfSpace(2, normal=(1.0, 1.0)),
+        ),
+        ray=(1.0, 0.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("variant", sorted(SETS))
+def test_every_entry_point_refuses_a_point_that_is_not_finite(variant, bad):
+    domain = SETS[variant]
+    point = np.array([bad, 0.0])
+    zero = np.zeros(2)
+    mapping = AffineMap(2, matrix=((0.25, 0.0), (0.0, 0.25)), offset=(0.0, 0.0))
+    F = TiltedFunctional(NormSpec(2, 2.0), domain, mapping)
+    family = MapFamily(kind="scaled_identity", dimension=2, parameters=(("theta", (0.25,)),))
+    calls = {
+        "tilted_value x": lambda: tilted_value(F, point, zero),
+        "tilted_value y": lambda: tilted_value(F, zero, point),
+        "displacement": lambda: displacement(F, point),
+        "evaluate": lambda: evaluate(mapping, point, domain),
+        "certify_uniqueness": lambda: certify_uniqueness(
+            F, [point], growth_coefficient(mapping, F.norm), CFG
+        ),
+        "verify_saddle": lambda: verify_saddle(
+            F.as_bifunctional(), point, zero[None, :], zero[None, :], 1e-6
+        ),
+        "search_counterexample": lambda: search_counterexample(
+            family, [2.0], domain, np.vstack((zero, point)), CFG
+        ),
+    }
+    assert not domain.contains(point, 1.0)
+    for name, call in calls.items():
+        with pytest.raises(MembershipViolation, match="NaN or infinite"):
+            call()
+            pytest.fail(f"{name} accepted {point}")
+
+
+def test_require_returns_the_vector_and_states_the_violation():
+    orthant = Orthant(2)
+    x = orthant.require([1, 2])
+    assert x.dtype == float and np.array_equal(x, [1.0, 2.0])
+    assert np.array_equal(orthant.require([-1e-10, 0.0]), [-1e-10, 0.0])
+    with pytest.raises(MembershipViolation, match=r"x_star is outside .* by 1\.000e-03"):
+        orthant.require([-1e-3, 0.0], "x_star")

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,26 @@ def test_pattern_search_matches_per_direction_loop_bitwise():
     assert min(events.values()) >= 5, events
 
 
+@pytest.mark.parametrize("step", [np.inf, np.nan, 0.0, -1.0])
+def test_pattern_search_rejects_a_step_that_is_not_finite_and_positive(step):
+    # An infinite step never shrinks below the termination step, so without
+    # the check the search would loop for ever; the alarm ends such a hang.
+    def hang(signum, frame):
+        raise TimeoutError("pattern_search did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="initial_step"):
+            pattern_search(
+                lambda X: (X * X).sum(axis=1), FullSpace(1), 4.0, NormSpec(1, 2.0),
+                np.ones(1), 1.0, step, 1e-9, 0.5, direction_set(1), _Budget(10 ** 18),
+            )
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_pattern_search_nan_trials_never_win_nor_hide_improvement():
     dirs = direction_set(2, "full")  # first direction is (-1, -1)
     center = np.array([1.0, 1.0])
@@ -364,3 +386,11 @@ def test_config_validation():
         OptimizeConfig(seed=-1)
     with pytest.raises(ValueError):
         OptimizeConfig(directions="spiral")
+
+
+@pytest.mark.parametrize(
+    "field", ["initial_step", "termination_step", "value_tolerance", "separation"]
+)
+def test_config_rejects_an_infinite_float(field):
+    with pytest.raises(ValueError, match=field):
+        OptimizeConfig(**{field: np.inf})
