@@ -20,6 +20,7 @@ from .maps import (
     ConstantMap,
     MapSpec,
     ProjectedMap,
+    shell_radii,
 )
 from .optimize import OptimizeConfig
 from .spaces import (
@@ -175,15 +176,7 @@ class SamplingSpec:
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        r = self.growth_radii
-        if (
-            not r
-            or not 0 < r[0] <= r[-1] < math.inf
-            or not all(b > a for a, b in zip(r, r[1:]))
-        ):
-            raise ValueError(
-                f"growth_radii must be finite, positive and strictly increasing, got {r}"
-            )
+        shell_radii(self.growth_radii, "growth_radii")
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .optimize import (
     SearchStatus,
     _Budget,
     direction_set,
+    first_argmin,
     global_minimize,
     pattern_search,
 )
@@ -239,7 +240,8 @@ class SaddleReport:
     best-approximation property of the fixed point); ``criterion_gap_max``
     the largest J(f(x), x) - Phi(x) (should be <= 1e-12, the fixed-point
     criterion from the minimax route).  Pass flags are pure functions of the
-    stored numbers and tolerances.
+    stored numbers and tolerances.  The proximity difference is J(x, x_star),
+    so ``proximity_min`` is ``strict_min`` of the same check, bit for bit.
     """
 
     x_star: tuple[float, ...]
@@ -336,17 +338,12 @@ def find_fixed_point(
     X = X[far][: check_samples]
     if len(X) == 0:
         raise ValueError("no probe points at the required separation; enlarge radius")
-    # Every x is far, so the strict minimum is the minimum over all of X.
+    # Every x is far, so the strict (and proximity) minimum is over all of X.
     check = verify_saddle(
         F.as_bifunctional(), x_star, Y, X, check_tolerance, config.separation, F.norm
     )
 
     FX = evaluate_rows(F.mapping, X, F.domain)
-    prox = norms_of_rows(X - FX, F.norm) - norms_of_rows(
-        x_star[None, :] - FX, F.norm
-    )
-    proximity_min = float(prox.min())
-
     FFX = evaluate_rows(F.mapping, FX, F.domain)
     criterion = (
         norms_of_rows(FX - FFX, F.norm)
@@ -363,7 +360,7 @@ def find_fixed_point(
         row_witness=check.row_witness,
         strict_min=check.strict_min,
         strict_witness=check.strict_witness,
-        proximity_min=proximity_min,
+        proximity_min=check.strict_min,
         criterion_gap_max=criterion_gap_max,
         samples_used=len(X),
         residual_tolerance=residual_tolerance,
@@ -518,7 +515,7 @@ class _SupSolver:
         rows = lambda Y: -J.row_values(x, Y)
         vals = rows(self.pool)
         budget.take(len(self.pool))
-        k = int(np.argmin(vals))
+        k = first_argmin(vals)
         start, f0 = self.pool[k], float(vals[k])
         init = self.pool_step
         if outer_step is None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,8 +26,11 @@ from .spaces import (
     FeasibleSet,
     FullSpace,
     NormSpec,
+    _frozen,
+    finite_tuple,
     norm,
     norms_of_rows,
+    positive_int,
 )
 
 logger = logging.getLogger(__name__)
@@ -42,10 +46,12 @@ FIELD_CATALOG = {
 
 
 def _as_matrix(m, dimension) -> tuple[tuple[float, ...], ...]:
-    rows = tuple(tuple(float(v) for v in row) for row in m)
-    if len(rows) != dimension or any(len(r) != dimension for r in rows):
+    rows = tuple(m)
+    if len(rows) != dimension:
         raise DimensionMismatch(f"matrix must be {dimension}x{dimension}")
-    return rows
+    return tuple(
+        finite_tuple(row, f"matrix row {i}", dimension) for i, row in enumerate(rows)
+    )
 
 
 @dataclass(frozen=True)
@@ -55,9 +61,7 @@ class MapSpec:
     dimension: int
 
     def __post_init__(self):
-        if int(self.dimension) < 1:
-            raise ValueError("dimension must be >= 1")
-        object.__setattr__(self, "dimension", int(self.dimension))
+        object.__setattr__(self, "dimension", positive_int(self.dimension))
 
     @property
     def family(self) -> str:
@@ -79,30 +83,22 @@ class _AffinePart(MapSpec):
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "matrix", _as_matrix(self.matrix, self.dimension))
-        b = tuple(float(v) for v in self.offset)
-        if len(b) != self.dimension:
-            raise DimensionMismatch("offset length mismatch")
-        object.__setattr__(self, "offset", b)
+        offset = finite_tuple(self.offset, "offset", self.dimension)
+        object.__setattr__(self, "offset", offset)
 
     @cached_property
     def matrix_array(self) -> np.ndarray:
-        arr = np.array(self.matrix, dtype=float)
-        arr.flags.writeable = False
-        return arr
+        return _frozen(np.array(self.matrix, dtype=float))
 
     @cached_property
     def offset_array(self) -> np.ndarray:
-        arr = np.array(self.offset, dtype=float)
-        arr.flags.writeable = False
-        return arr
+        return _frozen(np.array(self.offset, dtype=float))
 
     @cached_property
     def _matrix_t(self) -> np.ndarray:
         # A C-contiguous copy: the product with the transposed view rounds a
         # row differently depending on the batch it is in.
-        arr = np.ascontiguousarray(self.matrix_array.T)
-        arr.flags.writeable = False
-        return arr
+        return _frozen(np.ascontiguousarray(self.matrix_array.T))
 
     def raw_rows(self, X, domain):
         return X @ self._matrix_t + self.offset_array[None, :]
@@ -121,10 +117,8 @@ class ConstantMap(MapSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        c = tuple(float(v) for v in self.value)
-        if len(c) != self.dimension:
-            raise DimensionMismatch("constant value length mismatch")
-        object.__setattr__(self, "value", c)
+        value = finite_tuple(self.value, "constant value", self.dimension)
+        object.__setattr__(self, "value", value)
 
     @property
     def family(self) -> str:
@@ -132,9 +126,7 @@ class ConstantMap(MapSpec):
 
     @cached_property
     def value_array(self) -> np.ndarray:
-        arr = np.array(self.value, dtype=float)
-        arr.flags.writeable = False
-        return arr
+        return _frozen(np.array(self.value, dtype=float))
 
     def raw_rows(self, X, domain):
         return np.tile(self.value_array, (len(X), 1))
@@ -153,8 +145,8 @@ class BoundedPerturbedMap(_AffinePart):
             raise ValueError(
                 f"unknown field '{self.field}'; catalog: {sorted(FIELD_CATALOG)}"
             )
-        if float(self.amplitude) < 0.0:
-            raise ValueError("amplitude must be >= 0")
+        if not 0.0 <= float(self.amplitude) < math.inf:
+            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
         object.__setattr__(self, "amplitude", float(self.amplitude))
 
     @property
@@ -278,6 +270,15 @@ def _analytic_growth(map_spec: MapSpec, norm_spec: NormSpec) -> tuple[float, flo
     return None
 
 
+def shell_radii(radii, what: str = "radii") -> tuple[float, ...]:
+    """Growth shell radii as floats, or ``ValueError`` naming ``what`` unless
+    they are non-empty, finite, positive and strictly increasing."""
+    r = finite_tuple(radii, what)
+    if not r or r[0] <= 0.0 or any(b <= a for a, b in zip(r, r[1:])):
+        raise ValueError(f"{what} must be positive and strictly increasing, got {r}")
+    return r
+
+
 def growth_coefficient(
     map_spec: MapSpec,
     norm_spec: NormSpec,
@@ -295,13 +296,7 @@ def growth_coefficient(
     """
     if map_spec.dimension != norm_spec.dimension:
         raise DimensionMismatch("map and norm dimensions disagree")
-    radii = tuple(float(r) for r in radii)
-    if not radii:
-        raise ValueError("radii must be non-empty")
-    if any(r <= 0 for r in radii) or any(
-        b <= a for a, b in zip(radii, radii[1:])
-    ):
-        raise ValueError("radii must be positive and strictly increasing")
+    radii = shell_radii(radii)
 
     analytic = _analytic_growth(map_spec, norm_spec)
     if analytic is not None:

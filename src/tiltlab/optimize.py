@@ -152,6 +152,15 @@ def direction_set(dimension: int, mode: str = "auto") -> np.ndarray:
     return np.vstack([axes, np.array(pairs)])
 
 
+def first_argmin(values: np.ndarray) -> int:
+    """Index of the first least value, where NaN never wins unless every
+    value is NaN (``argmin`` alone returns the first NaN)."""
+    best = int(values.argmin())
+    if math.isnan(values[best]):
+        best = int(np.where(np.isnan(values), np.inf, values).argmin())
+    return best
+
+
 def pattern_search(
     objective_rows: Callable[[np.ndarray], np.ndarray],
     domain: FeasibleSet,
@@ -187,9 +196,7 @@ def pattern_search(
             return x, fx
         if len(trials):
             values = np.asarray(objective_rows(trials), dtype=float)
-            best = values.argmin()
-            if math.isnan(values[best]):  # argmin returns the first NaN
-                best = np.where(np.isnan(values), np.inf, values).argmin()
+            best = first_argmin(values)
             if values[best] < fx:
                 x, fx = trials[best], float(values[best])
                 continue
@@ -204,7 +211,11 @@ def _cluster(
     separation: float,
     norm_spec: NormSpec,
 ) -> tuple[Cluster, ...]:
-    order = sorted(range(len(values)), key=lambda i: (values[i], i))
+    # A NaN value is no minimum: it never forms or joins a cluster.
+    kept = [i for i, v in enumerate(values) if not math.isnan(v)]
+    order = sorted(kept, key=lambda i: (values[i], i))
+    if not order:
+        raise ValueError("every objective value is NaN; there is no minimum to report")
     best = values[order[0]]
     reps: list[tuple[np.ndarray, float]] = []
     for i in order:
@@ -374,7 +385,7 @@ def brute_force_minima(
         else:
             vals = np.array([float(objective(x)) for x in coords])
         evaluations += len(coords)
-        lo = float(vals.min())
+        lo = float(vals[first_argmin(vals)])  # a NaN must not stop the pruning
         if lo < best_value:
             best_value = lo
             keep = [

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,9 +51,29 @@ def as_vector(v, dimension, name="vector") -> np.ndarray:
     return arr
 
 
-def _finite(x: np.ndarray) -> bool:
+def _finite(values) -> bool:
     # Scalar math over a list: a one-row numpy reduction costs more here.
-    return all(map(math.isfinite, x.tolist()))
+    return all(map(math.isfinite, values))
+
+
+def finite_tuple(values, what: str, length: int | None = None) -> tuple[float, ...]:
+    """``values`` as floats, the one gate for the parameter vectors of norms,
+    sets, maps and sweep families: a wrong ``length`` is a
+    :class:`DimensionMismatch`, a NaN or infinite entry a ``ValueError``."""
+    t = tuple(float(v) for v in values)
+    if length is not None and len(t) != length:
+        raise DimensionMismatch(f"{what} has length {len(t)}, expected {length}")
+    if not _finite(t):
+        raise ValueError(f"{what} must be finite, got {t}")
+    return t
+
+
+def positive_int(value, what: str = "dimension") -> int:
+    """``value`` as an int if it is an integer >= 1 (numpy integers included,
+    a bool or float refused, never truncated), else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -74,22 +95,16 @@ class NormSpec:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if int(self.dimension) < 1:
-            raise ValueError("dimension must be >= 1")
-        object.__setattr__(self, "dimension", int(self.dimension))
+        object.__setattr__(self, "dimension", positive_int(self.dimension))
         if self.p is not INF:
             p = float(self.p)
             if not np.isfinite(p) or p < 1.0:
                 raise ValueError(f"p must be >= 1 or INF, got {self.p}")
             object.__setattr__(self, "p", p)
         if self.weights is not None:
-            w = tuple(float(x) for x in self.weights)
-            if len(w) != self.dimension:
-                raise DimensionMismatch(
-                    f"weights length {len(w)} != dimension {self.dimension}"
-                )
-            if any(not np.isfinite(x) or x <= 0.0 for x in w):
-                raise ValueError("all weights must be positive and finite")
+            w = finite_tuple(self.weights, "weights", self.dimension)
+            if any(x <= 0.0 for x in w):
+                raise ValueError(f"all weights must be positive, got {w}")
             object.__setattr__(self, "weights", w)
 
     @property
@@ -149,9 +164,7 @@ class FeasibleSet:
     dimension: int
 
     def __post_init__(self):
-        if int(self.dimension) < 1:
-            raise ValueError("dimension must be >= 1")
-        object.__setattr__(self, "dimension", int(self.dimension))
+        object.__setattr__(self, "dimension", positive_int(self.dimension))
 
     @property
     def variant(self) -> str:
@@ -181,14 +194,14 @@ class FeasibleSet:
     def contains(self, x, tol: float = 0.0) -> bool:
         """True iff x is finite and violates no constraint by more than tol."""
         x = as_vector(x, self.dimension)
-        return _finite(x) and self.violation(x) <= tol
+        return _finite(x.tolist()) and self.violation(x) <= tol
 
     def require(self, x, what: str = "point") -> np.ndarray:
         """``x`` as a vector of the set, or :class:`MembershipViolation` if a
         constraint fails by more than :data:`MEMBERSHIP_TOL` or an entry is
         NaN or infinite (such a vector belongs to no set)."""
         x = as_vector(x, self.dimension, what)
-        if not _finite(x):
+        if not _finite(x.tolist()):
             raise MembershipViolation(f"{what} has a NaN or infinite entry: {x}")
         v = float(self.violations_of_rows(x[None, :])[0])
         if not v <= MEMBERSHIP_TOL:
@@ -233,13 +246,9 @@ class Orthant(FeasibleSet):
 
     def __post_init__(self):
         super().__post_init__()
-        lower = self.lower if self.lower else (0.0,) * self.dimension
-        lo = tuple(float(x) for x in lower)
-        if len(lo) != self.dimension:
-            raise DimensionMismatch(
-                f"lower bounds length {len(lo)} != dimension {self.dimension}"
-            )
-        object.__setattr__(self, "lower", lo)
+        default = (0.0,) * self.dimension
+        lower = finite_tuple(self.lower or default, "lower bounds", self.dimension)
+        object.__setattr__(self, "lower", lower)
 
     @property
     def variant(self) -> str:
@@ -274,14 +283,10 @@ class HalfSpace(FeasibleSet):
 
     def __post_init__(self):
         super().__post_init__()
-        a = tuple(float(x) for x in self.normal)
-        if len(a) != self.dimension:
-            raise DimensionMismatch(
-                f"normal length {len(a)} != dimension {self.dimension}"
-            )
-        if not np.isfinite(a).all() or not np.isfinite(float(self.offset)):
-            raise ValueError("half-space normal and offset must be finite")
-        object.__setattr__(self, "normal", a)
+        normal = finite_tuple(self.normal, "half-space normal", self.dimension)
+        object.__setattr__(self, "normal", normal)
+        if not math.isfinite(float(self.offset)):
+            raise ValueError(f"half-space offset must be finite, got {self.offset}")
         object.__setattr__(self, "offset", float(self.offset))
         # Projection divides by normal . normal: it must not underflow to 0 or overflow.
         if not 0.0 < self._normal_sq < np.inf:
@@ -358,9 +363,7 @@ class ConeIntersection(FeasibleSet):
         for hs in self.constraints:
             if hs.dimension != self.dimension:
                 raise DimensionMismatch("constraint dimension mismatch")
-        r = tuple(float(x) for x in self.ray)
-        if len(r) != self.dimension:
-            raise DimensionMismatch(f"ray length {len(r)} != dimension {self.dimension}")
+        r = finite_tuple(self.ray, "ray witness", self.dimension)
         r_arr = np.array(r, dtype=float)
         if float(np.abs(r_arr).max()) == 0.0:
             raise ValueError(
@@ -377,14 +380,11 @@ class ConeIntersection(FeasibleSet):
         step, defect = self._face_steps(origin)
         if not defect[0] <= 0.0:
             raise ValueError("the half-spaces have no common point; the set is empty")
-        if self.base is None:
-            object.__setattr__(self, "base", tuple(float(x) for x in (origin + step)[0]))
-        else:
-            b = tuple(float(x) for x in self.base)
-            if len(b) != self.dimension:
-                raise DimensionMismatch("base length mismatch")
-            object.__setattr__(self, "base", b)
-            self.require(b, "base witness")
+        given = self.base
+        base = (origin + step)[0] if given is None else given
+        object.__setattr__(self, "base", finite_tuple(base, "base witness", self.dimension))
+        if given is not None:
+            self.require(self.base, "base witness")
 
     @property
     def variant(self) -> str:
@@ -516,12 +516,10 @@ class SampleDomain:
     def __post_init__(self):
         if self.domain.dimension != self.norm.dimension:
             raise DimensionMismatch("set and norm dimensions disagree")
-        if not self.radius > 0.0:
-            raise ValueError("radius must be positive")
-        if int(self.resolution) < 1:
-            raise ValueError("resolution must be a positive integer")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
         object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "resolution", int(self.resolution))
+        object.__setattr__(self, "resolution", positive_int(self.resolution, "resolution"))
 
     def _ball_mask(self, X: np.ndarray) -> np.ndarray:
         tol = 1e-12 * max(1.0, self.radius)

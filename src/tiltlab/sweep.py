@@ -18,9 +18,9 @@ import numpy as np
 
 from .experiments import _certify_probe, effective_growth_bound
 from .functional import TiltedFunctional
-from .maps import AffineMap, GrowthEstimate, MapSpec, growth_coefficient
+from .maps import AffineMap, GrowthEstimate, MapSpec, growth_coefficient, shell_radii
 from .optimize import Cluster, MinimizationResult, OptimizeConfig
-from .spaces import FeasibleSet, MaxNorm, NormSpec, norm
+from .spaces import FeasibleSet, MaxNorm, NormSpec, finite_tuple, norm, positive_int
 
 _REVERIFY_FACTOR = 4
 _SCORE_FLOOR = 1e-12
@@ -41,18 +41,17 @@ class MapFamily:
             raise ValueError(
                 f"unknown family '{self.kind}'; known: {sorted(FAMILY_BUILDERS)}"
             )
+        object.__setattr__(self, "dimension", positive_int(self.dimension))
         params = tuple(
-            (str(name), tuple(float(v) for v in values))
+            (str(name), finite_tuple(values, f"parameter {name}"))
             for name, values in self.parameters
         )
         if not params or any(not values for _, values in params):
             raise ValueError("every swept parameter needs at least one value")
         object.__setattr__(self, "parameters", params)
         if self.offset is not None:
-            b = tuple(float(v) for v in self.offset)
-            if len(b) != self.dimension:
-                raise ValueError("offset length mismatch")
-            object.__setattr__(self, "offset", b)
+            offset = finite_tuple(self.offset, "offset", self.dimension)
+            object.__setattr__(self, "offset", offset)
 
     def parameter_points(self) -> list[tuple[tuple[str, float], ...]]:
         names = [name for name, _ in self.parameters]
@@ -344,7 +343,7 @@ def search_counterexample(
     )
     # A growth estimate and its seed depend only on the cell's (parameter
     # point, norm) pair, so one estimate serves every probe y of the pair.
-    radii = tuple(float(r) for r in growth_radii)
+    radii = shell_radii(growth_radii, "growth_radii")
     growth: dict[int, GrowthEstimate] = {}
     for c in cells:
         key = ctx_param_key(c)

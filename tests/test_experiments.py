@@ -361,3 +361,46 @@ def test_prescan_incumbent_matches_scalar_reference_loop():
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
             below_zero += got < 0.0
     assert below_zero >= 20
+
+
+def test_sup_solver_never_starts_from_a_nan_pool_value():
+    from tiltlab.experiments import _SupSolver
+    from tiltlab.optimize import _Budget
+
+    # sup_y -(y - 1)^2 = 0 at y = 1; J is NaN for y < -0.5, which holds for
+    # the first pool points, so a start taken as the first NaN never moves.
+    J = Bifunctional(
+        value=lambda x, y: 0.0,
+        domain=FullSpace(1),
+        row_eval=lambda x, Y: np.where(Y[:, 0] < -0.5, np.nan, -((Y[:, 0] - 1.0) ** 2)),
+    )
+    pool = np.linspace(-2.0, 2.0, 9)[:, None]
+    solver = _SupSolver(J, pool, 2.0, NormSpec(1), CFG, _Budget(10**6))
+    y, value = solver.solve(np.zeros(1))
+    assert y[0] == pytest.approx(1.0, abs=1e-6)
+    assert value == pytest.approx(0.0, abs=1e-9)
+
+
+def test_certify_uniqueness_does_not_count_nan_endpoints_as_clusters():
+    # A map whose J is NaN off the origin: every refined endpoint but x = 0
+    # has a NaN value, which used to make each one a cluster of its own.
+    from dataclasses import dataclass
+
+    from tiltlab import MapSpec
+
+    @dataclass(frozen=True)
+    class NanOffOrigin(MapSpec):
+        @property
+        def family(self) -> str:
+            return "nan_off_origin"
+
+        def raw_rows(self, X, domain):
+            return np.where(X == 0.0, 0.0, np.nan)
+
+    F = TiltedFunctional(NormSpec(1, 2.0), FullSpace(1), NanOffOrigin(1))
+    report = certify_uniqueness(F, [[1.0], [-2.0]], None, CFG)
+    assert report.verdict is Verdict.INCONCLUSIVE
+    for entry in report.entries:
+        assert entry.result.cluster_count == 1
+        assert entry.result.best_point[0] == 0.0
+        assert np.isfinite(entry.result.global_value)

@@ -394,3 +394,50 @@ def test_config_validation():
 def test_config_rejects_an_infinite_float(field):
     with pytest.raises(ValueError, match=field):
         OptimizeConfig(**{field: np.inf})
+
+
+def test_nan_values_never_form_a_cluster():
+    # NaN away from the double well's right minimum: only x = 1 is a minimum.
+    objective = lambda x: double_well(x) if x[0] > 0.0 else np.nan
+    res = global_minimize(objective, FullSpace(1), 2.0, CFG)
+    assert res.cluster_count == 1
+    assert res.clusters[0].point[0] == pytest.approx(1.0, abs=1e-6)
+    assert all(np.isfinite(c.value) for c in res.clusters)
+    oracle = brute_force_minima(objective, FullSpace(1), 2.0, 401)
+    assert [c.point[0] for c in oracle.clusters] == pytest.approx([1.0], abs=1e-2)
+
+
+def test_an_objective_that_is_nan_everywhere_has_no_minimum():
+    nan_everywhere = lambda x: np.nan
+    with pytest.raises(ValueError, match="every objective value is NaN"):
+        global_minimize(nan_everywhere, FullSpace(1), 1.0, CFG)
+    with pytest.raises(ValueError, match="every objective value is NaN"):
+        brute_force_minima(nan_everywhere, FullSpace(1), 1.0, 11)
+
+
+def test_first_argmin_skips_nan():
+    from tiltlab.optimize import first_argmin
+
+    assert first_argmin(np.array([np.nan, 2.0, 1.0, 1.0])) == 2
+    assert first_argmin(np.array([3.0, -np.inf, np.nan])) == 1
+    assert first_argmin(np.array([np.nan, np.nan])) == 0
+
+
+def test_a_nan_value_does_not_stop_the_oracle_pruning_its_candidates(monkeypatch):
+    import tiltlab.optimize as optimize
+
+    counts = []
+    cluster = optimize._cluster
+
+    def counting_cluster(points, values, *args):
+        counts.append(len(points))
+        return cluster(points, values, *args)
+
+    monkeypatch.setattr(optimize, "_cluster", counting_cluster)
+    bowl = lambda X: (X[:, 0] - 0.3) ** 2
+    holed = lambda X: np.where(np.abs(X[:, 0] + 0.9) < 1e-9, np.nan, bowl(X))
+    for rows in (bowl, holed):
+        res = brute_force_minima(None, FullSpace(1), 1.0, 2001, objective_rows=rows)
+        assert res.cluster_count == 1
+    # Without pruning, the NaN at x = -0.9 kept all 2000 other grid points.
+    assert counts[1] == counts[0] <= 2
