@@ -32,6 +32,7 @@ from .spaces import (
     MaxNorm,
     NormSpec,
     Orthant,
+    positive_int,
 )
 from .sweep import FAMILY_BUILDERS, MapFamily
 
@@ -197,19 +198,27 @@ class ExperimentConfig:
     out: str
 
 
-def _build_norm(doc) -> NormSpec:
-    dim = _get_int(doc, "space.dimension", required=True)
-    kind = _get(doc, "space.norm", default="lp")
-    p = _parse_p(_get(doc, "space.p", default="2"), "space.p")
-    weights = None
-    if kind == "weighted_lp":
-        weights = _get_vector(doc, "space.weights", length=dim, required=True)
-    elif kind != "lp":
-        raise ConfigError(f"unknown norm kind '{kind}'", field="space.norm")
+def _checked(field: str, build, *args):
+    """``build(*args)``, its ``ValueError`` a ``ConfigError`` naming ``field``."""
     try:
-        return NormSpec(dimension=dim, p=p, weights=weights)
+        return build(*args)
     except ValueError as exc:
-        raise ConfigError(str(exc), field="space.p") from None
+        raise ConfigError(str(exc), field=field) from None
+
+
+def _build_norm(doc) -> NormSpec:
+    dim = _checked(
+        "space.dimension", positive_int, _get_int(doc, "space.dimension", required=True)
+    )
+    kind = _get(doc, "space.norm", default="lp")
+    if kind not in ("lp", "weighted_lp"):
+        raise ConfigError(f"unknown norm kind '{kind}'", field="space.norm")
+    p = _parse_p(_get(doc, "space.p", default="2"), "space.p")
+    spec = _checked("space.p", NormSpec, dim, p)
+    if kind == "lp":
+        return spec
+    weights = _get_vector(doc, "space.weights", length=dim, required=True)
+    return _checked("space.weights", NormSpec, dim, p, weights)
 
 
 def _build_domain(doc, dim: int) -> FeasibleSet:

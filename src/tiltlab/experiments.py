@@ -529,21 +529,21 @@ class _SupSolver:
                 start, f0 = self.warm, fw
                 if outer_step is not None:
                     init = max(4.0 * outer_step, 256.0 * termination)
-        y, fy = pattern_search(
+        Y, FY = pattern_search(
             rows,
             J.domain,
             self.radius,
             self.norm_spec,
-            start,
-            f0,
+            start[None, :],
+            [f0],
             init,
             termination,
             self.config.shrink,
             self.dirs,
             budget,
         )
-        self.warm = y
-        return y, -fy
+        self.warm = Y[0]
+        return Y[0], -float(FY[0])
 
 
 def _minimize_sup_envelope(
@@ -577,10 +577,10 @@ def _minimize_sup_envelope(
         rows = lambda Z: np.array([solver.solve(z, step)[1] for z in Z])
         fx = solver.solve(x, step)[1]
         while step > config.termination_step:
-            x, _ = pattern_search(
-                rows, J.domain, radius, norm_spec, x, fx, step, step * config.shrink,
-                config.shrink, dirs, walk_budget,
-            )
+            x = pattern_search(
+                rows, J.domain, radius, norm_spec, x[None, :], [fx], step,
+                step * config.shrink, config.shrink, dirs, walk_budget,
+            )[0][0]
             step *= config.shrink
             fx = solver.solve(x, step)[1]
         ends.append(x)

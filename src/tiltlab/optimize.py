@@ -12,8 +12,8 @@ cluster count is the operational surrogate for the number of global minima,
 and every report carries the pair of tolerances that define it.
 
 Everything is deterministic given (config, seed): grid scans break ties by
-lexicographic grid-index order, refinements run in start order, and the
-random starts come from a seeded generator.
+lexicographic grid-index order, one lockstep pattern search refines every
+start, and the random starts come from a seeded generator.
 """
 
 from __future__ import annotations
@@ -167,41 +167,76 @@ def pattern_search(
     radius: float,
     norm_spec: NormSpec,
     x0: np.ndarray,
-    f0: float,
+    f0: np.ndarray,
     initial_step: float,
     termination_step: float,
     shrink: float,
     directions: np.ndarray,
     budget: _Budget,
-) -> tuple[np.ndarray, float]:
-    """Compass-style refinement; monotone, projected, ball-constrained.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lockstep compass refinement of S starts; monotone, projected,
+    ball-constrained.
 
-    Each iteration projects every trial step into the set, drops the trials
-    that leave the truncation ball, charges the rest to the budget as one
-    batch and evaluates them with one ``objective_rows`` call.  The best
-    value wins (first direction on ties; NaN never wins) and is accepted
-    only on strict improvement; otherwise the step shrinks until it passes
-    ``termination_step``.  When the budget grants only part of a batch the
-    search stops at the current point.
+    ``x0`` holds the starts as an (S, n) array and ``f0`` their (S,)
+    values; the endpoints and their values come back in the same shapes.
+    Each iteration steps every active start along every direction, projects
+    all the trials into the set with one ``project_rows`` call, drops the
+    trials that leave the truncation ball, charges the rest to the budget
+    as one batch and evaluates them with one ``objective_rows`` call.  Each
+    start then takes its own best trial (first direction on ties; NaN never
+    wins) only on strict improvement; otherwise only its own step shrinks,
+    and it leaves the batch once its step passes ``termination_step``.
+    Every kernel gives a row the same value in any batch, so each start
+    ends exactly where a search from it alone would.
+
+    Binding budget: a batch the budget cannot cover in full ends every
+    start at its current point, with ``budget.used == budget.limit``.
     """
-    x, fx = np.asarray(x0, dtype=float), float(f0)
+    x0 = np.asarray(x0, dtype=float)
+    xs, fs = list(x0), [float(v) for v in f0]
     step = float(initial_step)
     if not 0.0 < step < math.inf:  # an infinite step never shrinks to the end
         raise ValueError(f"initial_step must be finite and positive, got {step}")
     ball_tol = 1e-12 * max(1.0, radius)
-    while step > termination_step:
-        trials = domain.project_rows(x + step * directions)
-        trials = trials[norms_of_rows(trials, norm_spec) <= radius + ball_tol]
-        if budget.take(len(trials)) < len(trials):
-            return x, fx
-        if len(trials):
+    d = len(directions)
+    # The active starts and their steps live in lists, compacted only when a
+    # start ends: numpy bookkeeping per iteration costs the single-start
+    # calls of minimax_gap more than it saves.
+    live = list(range(len(xs))) if step > termination_step else []
+    steps = [step] * len(live)
+    while live:
+        if len(live) == 1:  # skips the copy that concatenate makes
+            trials = xs[live[0]] + steps[0] * directions
+        else:
+            trials = np.concatenate([xs[i] + s * directions for i, s in zip(live, steps)])
+        trials = domain.project_rows(trials)
+        inside = norms_of_rows(trials, norm_spec) <= radius + ball_tol
+        k = int(np.count_nonzero(inside))  # budget.used stays a Python int
+        if budget.take(k) < k:
+            break
+        if k == len(trials):
             values = np.asarray(objective_rows(trials), dtype=float)
-            best = first_argmin(values)
-            if values[best] < fx:
-                x, fx = trials[best], float(values[best])
-                continue
-        step *= shrink
-    return x, fx
+        else:  # an out-of-ball trial reads +inf, which never improves
+            values = np.full(len(trials), np.inf)
+            if k:
+                values[inside] = objective_rows(trials[inside])
+        ended = False
+        for j, i in enumerate(live):
+            seg = values[j * d:(j + 1) * d]
+            best = seg.argmin()
+            v = seg[best]
+            if math.isnan(v):
+                best = first_argmin(seg)
+                v = seg[best]
+            if v < fs[i]:
+                xs[i], fs[i] = trials[j * d + best], float(v)
+            else:
+                steps[j] *= shrink
+                ended = ended or steps[j] <= termination_step
+        if ended:
+            keep = [j for j, s in enumerate(steps) if s > termination_step]
+            live, steps = [live[j] for j in keep], [steps[j] for j in keep]
+    return np.array(xs).reshape(x0.shape), np.array(fs)
 
 
 def _cluster(
@@ -277,42 +312,31 @@ def global_minimize(
         objective_rows = lambda X: np.array([float(objective(x)) for x in X])
     grid_values = np.asarray(objective_rows(grid), dtype=float)
 
-    order = np.argsort(grid_values, kind="stable")
-    starts: list[tuple[np.ndarray, float]] = [
-        (grid[i], float(grid_values[i])) for i in order[: config.multistart]
-    ]
+    order = np.argsort(grid_values, kind="stable")[: config.multistart]
+    starts, start_values = [grid[order]], [grid_values[order]]
     rng = np.random.default_rng(
         np.random.SeedSequence([config.seed, _STREAM_STARTS])
     )
     randoms = window.random_points(config.multistart, rng)
     randoms = randoms[: budget.take(len(randoms))]
     if len(randoms):
-        values = np.asarray(objective_rows(randoms), dtype=float)
-        starts.extend((x, float(v)) for x, v in zip(randoms, values))
+        starts.append(randoms)
+        start_values.append(np.asarray(objective_rows(randoms), dtype=float))
 
     step0 = config.initial_step if config.initial_step is not None else radius / 10.0
-    dirs = direction_set(n, config.directions)
-    endpoints: list[np.ndarray] = []
-    endpoint_values: list[float] = []
-    for x0, f0 in starts:
-        if budget.exhausted:
-            x, fx = x0, f0
-        else:
-            x, fx = pattern_search(
-                objective_rows,
-                domain,
-                radius,
-                norm_spec,
-                x0,
-                f0,
-                step0,
-                config.termination_step,
-                config.shrink,
-                dirs,
-                budget,
-            )
-        endpoints.append(x)
-        endpoint_values.append(fx)
+    endpoints, endpoint_values = pattern_search(
+        objective_rows,
+        domain,
+        radius,
+        norm_spec,
+        np.vstack(starts),
+        np.concatenate(start_values),
+        step0,
+        config.termination_step,
+        config.shrink,
+        direction_set(n, config.directions),
+        budget,
+    )
 
     clusters = _cluster(
         endpoints, endpoint_values, config.value_tolerance, config.separation, norm_spec

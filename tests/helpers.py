@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from tiltlab import (
     INF,
@@ -66,3 +67,20 @@ def feasible_cloud(F: TiltedFunctional, radius: float, count: int, seed: int):
     pts = window.random_points(count, rng)
     assert len(pts) > 0
     return pts
+
+
+@st.composite
+def row_batches(draw, n: int) -> np.ndarray:
+    """1-12 drawn rows of width ``n``; on some draws they sit at drawn
+    places in a batch as large as a lockstep refinement's (16 starts x 26
+    directions = 416 rows in 3-D), padded with seeded random rows."""
+    k = draw(st.integers(1, 12))
+    flat = draw(st.lists(st.floats(-1e3, 1e3), min_size=n * k, max_size=n * k))
+    X = np.array(flat).reshape(k, n)
+    size = draw(st.sampled_from((None, None, 64, 416, 1024)))
+    if size is None:
+        return X
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = rng.uniform(-1e3, 1e3, (size, n))
+    batch[rng.choice(size, k, replace=False)] = X
+    return batch

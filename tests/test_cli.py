@@ -234,6 +234,26 @@ def test_validate_rejects_numbers_run_would_reject(tmp_path, capsys, key, value)
 
 
 @pytest.mark.parametrize(
+    "overrides, field",
+    [
+        (["space.dimension=0"], "space.dimension"),
+        (["space.dimension=0", "space.norm=weighted_lp", "space.weights=1"],
+         "space.dimension"),
+        (["space.norm=weighted_lp", "space.weights=-1"], "space.weights"),
+    ],
+)
+def test_validate_blames_the_norm_key_at_fault(tmp_path, capsys, overrides, field):
+    path = write(tmp_path, FIND_CONFIG)
+    args = ["validate", "--config", str(path)]
+    for override in overrides:
+        args += ["--override", override]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: field '{field}'")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "field, value",
     [
         ("y_radius", math.inf),

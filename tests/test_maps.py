@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import row_batches
 from tiltlab import (
     INF,
     AffineMap,
@@ -257,9 +258,7 @@ def _maps_and_rows(draw):
             n, matrix=matrix, offset=offset, field=kind,
             amplitude=draw(st.floats(0.0, 3.0)),
         )
-    k = draw(st.integers(1, 12))
-    flat = draw(st.lists(st.floats(-1e3, 1e3), min_size=n * k, max_size=n * k))
-    return mapping, domain, np.array(flat).reshape(k, n)
+    return mapping, domain, draw(row_batches(n))
 
 
 @given(_maps_and_rows())

@@ -112,20 +112,21 @@ def test_monotone_refinement():
         x0 = rng.uniform(-2, 2, 2)
         f0 = float((x0 @ x0 - 1.0) ** 2)
         budget = _Budget(10_000)
-        x, fx = pattern_search(
+        X, FX = pattern_search(
             lambda Z: ((Z * Z).sum(axis=1) - 1.0) ** 2,
             FullSpace(2),
             4.0,
             NormSpec(2, 2.0),
-            x0,
-            f0,
+            x0[None, :],
+            [f0],
             0.4,
             1e-9,
             0.5,
             dirs,
             budget,
         )
-        assert fx <= f0
+        assert X.shape == (1, 2) and FX.shape == (1,)
+        assert FX[0] <= f0
 
 
 def reference_pattern_search(
@@ -199,15 +200,82 @@ def test_pattern_search_matches_per_direction_loop_bitwise():
         limit = int(rng.integers(1, 120)) if case % 3 == 0 else 10**6
         args = (rows, domain, radius, spec, x0, f0, step, 1e-6, 0.5, dirs)
         mine_budget, ref_budget = _Budget(limit), _Budget(limit)
-        x, fx = pattern_search(*args, mine_budget)
+        X, FX = pattern_search(*args[:4], x0[None, :], [f0], *args[6:], mine_budget)
         x_ref, fx_ref = reference_pattern_search(*args, ref_budget, events)
-        assert x.tobytes() == x_ref.tobytes(), case
-        assert np.float64(fx).tobytes() == np.float64(fx_ref).tobytes(), case
+        assert X[0].tobytes() == x_ref.tobytes(), case
+        assert FX[0].tobytes() == np.float64(fx_ref).tobytes(), case
         assert mine_budget.used == ref_budget.used, case
         assert mine_budget.exhausted == ref_budget.exhausted, case
         if mine_budget.exhausted:
             assert mine_budget.used == limit
     assert min(events.values()) >= 5, events
+
+
+def test_lockstep_pattern_search_matches_separate_searches_bitwise():
+    # S starts in one call end exactly where S searches one start at a time
+    # end, because every kernel gives a row the same value in any batch.
+    rng = np.random.default_rng(7)
+    events = {"tie": 0, "outside": 0, "cut": 0}
+    for case in range(32):
+        n = int(rng.integers(1, 4))
+        domain = random_domain(rng, n)
+        spec = NormSpec(n, (1.0, 2.0, INF)[case % 3])
+        rows = random_rows_objective(rng, n)
+        radius = float(rng.uniform(1.0, 3.0))
+        S = 1 + case % 8
+        X0 = np.empty((0, n))
+        while len(X0) < S:  # S starts inside the ball
+            Z = domain.project_rows(rng.uniform(-radius, radius, (S, n)))
+            X0 = np.vstack([X0, Z[norms_of_rows(Z, spec) <= radius]])[:S]
+        F0 = rows(X0)
+        dirs = direction_set(n, ("axes", "auto", "full")[case % 3])
+        step = float(rng.uniform(0.2, 1.0))
+        budget, ref_budget = _Budget(10**6), _Budget(10**6)
+        X, FX = pattern_search(
+            rows, domain, radius, spec, X0, F0, step, 1e-6, 0.5, dirs, budget
+        )
+        assert X.shape == X0.shape and FX.shape == F0.shape, case
+        for i, (x0, f0) in enumerate(zip(X0, F0)):
+            x_ref, fx_ref = reference_pattern_search(
+                rows, domain, radius, spec, x0, f0, step, 1e-6, 0.5, dirs,
+                ref_budget, events,
+            )
+            assert X[i].tobytes() == x_ref.tobytes(), (case, i)
+            assert FX[i].tobytes() == np.float64(fx_ref).tobytes(), (case, i)
+        assert budget.used == ref_budget.used, case
+        assert not budget.exhausted
+    assert events["tie"] >= 5 and events["outside"] >= 5, events
+
+
+def test_a_binding_budget_ends_every_start_at_its_current_point():
+    rng = np.random.default_rng(11)
+    rows = random_rows_objective(rng, 2)
+    dirs = direction_set(2, "auto")
+    X0 = rng.uniform(-1.0, 1.0, (6, 2))
+    F0 = rows(X0)
+    for limit in (1, 7, 50, 333):
+        budget = _Budget(limit)
+        X, FX = pattern_search(
+            rows, FullSpace(2), 3.0, NormSpec(2, 2.0), X0, F0, 0.5, 1e-9, 0.5,
+            dirs, budget,
+        )
+        assert budget.exhausted and budget.used == limit
+        assert np.all(FX <= F0)
+        assert np.array_equal(rows(X), FX)  # each endpoint carries its value
+    assert np.any(FX < F0)  # the larger budgets moved some start
+
+
+def test_a_budget_that_binds_inside_refinement_is_reported():
+    # 33 grid points and 4 random starts leave 23 evaluations for the
+    # refinement, whose first batch alone is 8 trials (4 starts x 2 axes).
+    cfg = OptimizeConfig(coarse_grid=33, multistart=4, budget=60, seed=0)
+    grid_and_starts = OptimizeConfig(coarse_grid=33, multistart=4, budget=37, seed=0)
+    res = global_minimize(double_well, FullSpace(1), 2.0, cfg)
+    assert res.status is SearchStatus.BUDGET_EXHAUSTED
+    assert res.evaluations == cfg.budget
+    before = global_minimize(double_well, FullSpace(1), 2.0, grid_and_starts)
+    assert before.evaluations == 37 and before.status is SearchStatus.BUDGET_EXHAUSTED
+    assert res.global_value <= before.global_value
 
 
 @pytest.mark.parametrize("step", [np.inf, np.nan, 0.0, -1.0])
@@ -223,7 +291,7 @@ def test_pattern_search_rejects_a_step_that_is_not_finite_and_positive(step):
         with pytest.raises(ValueError, match="initial_step"):
             pattern_search(
                 lambda X: (X * X).sum(axis=1), FullSpace(1), 4.0, NormSpec(1, 2.0),
-                np.ones(1), 1.0, step, 1e-9, 0.5, direction_set(1), _Budget(10 ** 18),
+                np.ones((1, 1)), [1.0], step, 1e-9, 0.5, direction_set(1), _Budget(10 ** 18),
             )
     finally:
         signal.alarm(0)
@@ -238,22 +306,22 @@ def test_pattern_search_nan_trials_never_win_nor_hide_improvement():
         v = ((X - center) ** 2).sum(axis=1)
         return np.where(X[:, 1] < 0.0, np.nan, v)
 
-    x0 = np.zeros(2)
-    x, fx = pattern_search(
-        rows, FullSpace(2), 4.0, NormSpec(2, 2.0), x0, 2.0, 1.0, 1e-9, 0.5, dirs,
+    x0 = np.zeros((1, 2))
+    X, FX = pattern_search(
+        rows, FullSpace(2), 4.0, NormSpec(2, 2.0), x0, [2.0], 1.0, 1e-9, 0.5, dirs,
         _Budget(10_000),
     )
-    assert np.array_equal(x, center) and fx == 0.0
+    assert np.array_equal(X[0], center) and FX[0] == 0.0
 
     def all_nan(X):
         return np.full(len(X), np.nan)
 
     budget = _Budget(10_000)
-    x, fx = pattern_search(
-        all_nan, FullSpace(2), 4.0, NormSpec(2, 2.0), x0, 2.0, 1.0, 1e-3, 0.5, dirs,
+    X, FX = pattern_search(
+        all_nan, FullSpace(2), 4.0, NormSpec(2, 2.0), x0, [2.0], 1.0, 1e-3, 0.5, dirs,
         budget,
     )
-    assert np.array_equal(x, x0) and fx == 2.0
+    assert np.array_equal(X, x0) and FX[0] == 2.0
     assert budget.used == 8 * 10  # ten shrinks from 1 to below 1e-3
 
 

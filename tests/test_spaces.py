@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from helpers import row_batches
 from tiltlab import (
     INF,
     ConeIntersection,
@@ -342,20 +343,13 @@ def _assert_batch_independent(kernel, X):
 
 
 @st.composite
-def _row_batches(draw, n):
-    k = draw(st.integers(1, 12))
-    flat = draw(st.lists(st.floats(-1e3, 1e3), min_size=n * k, max_size=n * k))
-    return np.array(flat).reshape(k, n)
-
-
-@st.composite
 def _norms_and_rows(draw):
     n = draw(st.integers(1, 5))
     p = draw(st.sampled_from((1.0, 2.0, 3.0, INF)))
     weights = draw(
         st.none() | st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)
     )
-    return NormSpec(n, p, weights=weights), draw(_row_batches(n))
+    return NormSpec(n, p, weights=weights), draw(row_batches(n))
 
 
 @given(_norms_and_rows())
@@ -393,7 +387,7 @@ def _sets_and_rows(draw):
             set_ = ConeIntersection(n, constraints=tuple(constraints), ray=tuple(ray))
         except ValueError:
             reject()
-    return set_, draw(_row_batches(n))
+    return set_, draw(row_batches(n))
 
 
 @given(_sets_and_rows())
