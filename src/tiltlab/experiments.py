@@ -104,7 +104,7 @@ def _prescan_incumbent(
     )
     X = np.vstack((F.domain.ray_base, window.random_points(_PRESCAN_COUNT, rng)))
     X = X[F.domain.violations_of_rows(X) <= MEMBERSHIP_TOL]
-    return float(min([0.0, *F.values_for_xs(X, y)]))
+    return float(min([0.0, *F.pairs(X, y[None, :])]))
 
 
 def _certify_probe(
@@ -129,7 +129,7 @@ def _certify_probe(
         incumbent = float(min(objective(y), objective(F.domain.ray_base)))
     else:
         objective = F.tilt_objective(y)
-        rows = lambda X: F.values_for_xs(X, y)
+        rows = lambda X: F.pairs(X, y[None, :])
         incumbent = _prescan_incumbent(F, y, config.seed, index)
     if bound is None:
         radius = fixed_radius
@@ -414,9 +414,9 @@ def verify_saddle(
     y_grid = np.asarray(y_grid, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
 
-    row_vals = J.row_values(x_star, y_grid)
+    row_vals = J.pairs(x_star[None, :], y_grid)
     iy = int(np.argmax(row_vals))
-    col_vals = J.column_values(x_grid, x_star)
+    col_vals = J.pairs(x_grid, x_star[None, :])
     ix = int(np.argmin(col_vals))
 
     dist = norms_of_rows(x_grid - x_star[None, :], norm_spec)
@@ -451,10 +451,12 @@ class MinimaxGapReport:
 
     lower = max over y candidates of the column minimum, upper = min over x
     candidates of the row maximum; computed on one shared value matrix, so
-    lower <= upper holds exactly on every instance.  ``boundary_max_flag``
-    reports a y maximizer on the truncation shell (the sup side has no
-    coercivity license, so hitting the boundary is flagged rather than
-    silently accepted).
+    lower <= upper holds exactly on every instance: a NaN entry reads +inf
+    in its row maximum and -inf in its column minimum, and a matrix that is
+    NaN everywhere is a ValueError.  ``boundary_max_flag`` reports a y
+    maximizer on the truncation shell (the sup side has no coercivity
+    license, so hitting the boundary is flagged rather than silently
+    accepted).
     """
 
     lower: float
@@ -469,16 +471,18 @@ class MinimaxGapReport:
     resolution: int
 
 
+def _envelopes(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row maxima and column minima of M, a NaN read as +inf and -inf."""
+    nan = np.isnan(M)
+    if nan.all():
+        raise ValueError("J is NaN on every pair of the value matrix")
+    return np.where(nan, np.inf, M).max(axis=1), np.where(nan, -np.inf, M).min(axis=0)
+
+
 def _transposed(J: Bifunctional) -> Bifunctional:
     """K(y, x) = -J(x, y): inf_x J(x, y) = -sup_x K(y, x), so the lower
     envelope of J is the negated upper envelope of K.  Negation is exact."""
-    return Bifunctional(
-        value=lambda y, x: -J.value(x, y),
-        domain=J.domain,
-        zero_diagonal=J.zero_diagonal,
-        row_eval=lambda y, X: -J.column_values(X, y),
-        column_eval=lambda Y, x: -J.row_values(x, Y),
-    )
+    return Bifunctional(lambda Y, X: -J.pairs(X, Y), J.domain, J.zero_diagonal)
 
 
 class _SupSolver:
@@ -512,7 +516,7 @@ class _SupSolver:
 
     def solve(self, x: np.ndarray, outer_step: float | None = None) -> tuple[np.ndarray, float]:
         J, budget = self.J, self.budget
-        rows = lambda Y: -J.row_values(x, Y)
+        rows = lambda Y: -J.pairs(x[None, :], Y)
         vals = rows(self.pool)
         budget.take(len(self.pool))
         k = first_argmin(vals)
@@ -616,13 +620,12 @@ def minimax_gap(
         raise InfeasibleTruncation(
             f"no feasible grid point inside the ball of radius {radius}"
         )
-    rough = np.empty((len(G), len(G)))
-    for i, x in enumerate(G):
-        rough[i] = J.row_values(x, G)
+    rough = np.array([J.pairs(x[None, :], G) for x in G], dtype=float)
     budget.take(rough.size)
 
-    x_order = np.argsort(rough.max(axis=1), kind="stable")
-    y_order = np.argsort(-rough.min(axis=0), kind="stable")
+    rough_max, rough_min = _envelopes(rough)
+    x_order = np.argsort(rough_max, kind="stable")
+    y_order = np.argsort(-rough_min, kind="stable")
     m = config.multistart
 
     # Upper phase: minimize the row envelope sup_y J(x, .).
@@ -646,13 +649,10 @@ def minimax_gap(
     keep_grid = min(len(G), 128)
     S_x = _dedupe(x_ends + x_fins + list(G[x_order[:keep_grid]]), 256)
     S_y = _dedupe(y_fins + y_ends + list(G[y_order[:keep_grid]]), 256)
-    M = np.empty((len(S_x), len(S_y)))
-    for i, x in enumerate(S_x):
-        M[i] = J.row_values(x, S_y)
+    M = np.array([J.pairs(x[None, :], S_y) for x in S_x], dtype=float)
     budget.take(M.size)
 
-    row_max = M.max(axis=1)
-    col_min = M.min(axis=0)
+    row_max, col_min = _envelopes(M)
     iu = int(np.argmin(row_max))
     il = int(np.argmax(col_min))
     upper = float(row_max[iu])

@@ -19,13 +19,16 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, GrowthConditionNotMet
-from .maps import MapSpec, evaluate, evaluate_rows
+from .maps import MapSpec, evaluate_rows
 from .spaces import FeasibleSet, NormSpec, as_vector, norm, norms_of_rows
 
 
 @dataclass(frozen=True)
 class TiltedFunctional:
-    """Bundle (norm, feasible set, self-map) defining J and Phi."""
+    """Bundle (norm, feasible set, self-map) defining J and Phi.
+
+    J and Phi each have one kernel, :meth:`pairs` and :meth:`displacements`,
+    and every per-point value is one row of them."""
 
     norm: NormSpec
     domain: FeasibleSet
@@ -40,29 +43,15 @@ class TiltedFunctional:
     def dimension(self) -> int:
         return self.norm.dimension
 
-    def value(self, x, y) -> float:
-        return tilted_value(self, x, y)
-
     def displacement(self, x) -> float:
         return displacement(self, x)
 
-    # One checked kernel per quantity: f goes through the range-checked
-    # evaluate_rows, and values_for_ys also checks that x is in the set.
-    # Callers guarantee membership of the batch rows.  With x fixed, f(x) is
-    # computed once per call.
-    def values_for_ys(self, x, Y) -> np.ndarray:
-        fx = evaluate(self.mapping, x, self.domain)
-        x = np.asarray(x, dtype=float)
-        sizes = norms_of_rows(np.concatenate((x[None, :], Y)) - fx, self.norm)
-        return sizes[0] - sizes[1:]
-
-    def values_for_xs(self, X, y) -> np.ndarray:
+    # J(X[i], Y[i]), with a one-row side broadcast; f goes through the
+    # range-checked evaluate_rows, and callers guarantee membership.
+    def pairs(self, X, Y) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        y = as_vector(y, self.dimension)
         FX = evaluate_rows(self.mapping, X, self.domain)
-        return norms_of_rows(X - FX, self.norm) - norms_of_rows(
-            y[None, :] - FX, self.norm
-        )
+        return norms_of_rows(X - FX, self.norm) - norms_of_rows(Y - FX, self.norm)
 
     def displacements(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -71,28 +60,21 @@ class TiltedFunctional:
 
     # One-point closures of J(., y) and Phi over the kernels.
     def tilt_objective(self, y):
-        y = as_vector(y, self.dimension)
-        return lambda x: float(self.values_for_xs(x[None, :], y)[0])
+        Y = as_vector(y, self.dimension)[None, :]
+        return lambda x: float(self.pairs(x[None, :], Y)[0])
 
     def displacement_objective(self):
         return lambda x: float(self.displacements(x[None, :])[0])
 
     def as_bifunctional(self) -> "Bifunctional":
-        return Bifunctional(
-            value=self.value,
-            domain=self.domain,
-            zero_diagonal=True,
-            concave_in_y=True,
-            row_eval=self.values_for_ys,
-            column_eval=self.values_for_xs,
-        )
+        return Bifunctional(self.pairs, self.domain, zero_diagonal=True)
 
 
 def tilted_value(F: TiltedFunctional, x, y) -> float:
     """J(x, y) = ||x - f(x)|| - ||y - f(x)||; exactly zero when x == y."""
     x = F.domain.require(x, "x")
     y = F.domain.require(y, "y")
-    return float(F.values_for_ys(x, y[None, :])[0])
+    return float(F.pairs(x[None, :], y[None, :])[0])
 
 
 def displacement(F: TiltedFunctional, x) -> float:
@@ -134,27 +116,14 @@ def coercivity_radius(
 
 @dataclass(frozen=True, eq=False)
 class Bifunctional:
-    """A real-valued function of (x, y) on X x X with metadata flags.
+    """A real-valued function of (x, y) on X x X, evaluated over pairs.
 
-    ``row_eval`` / ``column_eval`` are optional batched evaluators (over many
-    y for fixed x, and over many x for fixed y); loops fill in when absent.
+    ``pairs(X, Y)[i] = J(X[i], Y[i])`` for (k, n) arrays, where either side
+    may be one (1, n) row broadcast against the other; a row's value must
+    not depend on the rest of its batch.  ``zero_diagonal`` declares
+    J(x, x) = 0, which :func:`verify_saddle` requires.
     """
 
-    value: Callable[[np.ndarray, np.ndarray], float]
+    pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     domain: FeasibleSet
     zero_diagonal: bool = False
-    concave_in_y: bool = False
-    row_eval: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    column_eval: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-
-    def row_values(self, x, Y) -> np.ndarray:
-        Y = np.asarray(Y, dtype=float)
-        if self.row_eval is not None:
-            return np.asarray(self.row_eval(x, Y), dtype=float)
-        return np.array([self.value(x, y) for y in Y], dtype=float)
-
-    def column_values(self, X, y) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if self.column_eval is not None:
-            return np.asarray(self.column_eval(X, y), dtype=float)
-        return np.array([self.value(x, y) for x in X], dtype=float)

@@ -58,6 +58,17 @@ def instance_growth(F: TiltedFunctional):
     return growth_coefficient(F.mapping, F.norm, domain=F.domain)
 
 
+def scalar_pairs(value):
+    """A ``Bifunctional.pairs`` kernel from a scalar ``value(x, y)``: one
+    call per pair, with a one-row side broadcast against the other."""
+
+    def pairs(X, Y):
+        X, Y = np.broadcast_arrays(X, Y)
+        return np.array([value(x, y) for x, y in zip(X, Y)], dtype=float)
+
+    return pairs
+
+
 def feasible_cloud(F: TiltedFunctional, radius: float, count: int, seed: int):
     """Seeded feasible points inside the ambient ball, for invariant suites."""
     from tiltlab import SampleDomain

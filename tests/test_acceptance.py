@@ -333,7 +333,7 @@ def test_criterion_6_invariant_suites():
         rng = np.random.default_rng(np.random.SeedSequence([607, idx]))
         y = clouds[idx][0]
         best_known = min(
-            0.0, float(F.values_for_xs(clouds[idx][:64], y).min())
+            0.0, float(F.pairs(clouds[idx][:64], y[None, :]).min())
         )
         radius = max(coercivity_radius(F, y, kappa_eff, r0, best_known, 1.0), 1.0)
         done = 0

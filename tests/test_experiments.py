@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import affine_instance, feasible_cloud, instance_growth
+from helpers import affine_instance, feasible_cloud, instance_growth, scalar_pairs
 
 from tiltlab import (
     INF,
@@ -199,7 +199,7 @@ def test_verify_saddle_quarter():
 
 
 def test_verify_saddle_zero_bifunctional_nonstrict():
-    J = Bifunctional(value=lambda x, y: 0.0, domain=FullSpace(1), zero_diagonal=True)
+    J = Bifunctional(pairs=scalar_pairs(lambda x, y: 0.0), domain=FullSpace(1), zero_diagonal=True)
     grid = np.linspace(-1, 1, 101).reshape(-1, 1)
     check = verify_saddle(J, [0.0], grid, grid, 1e-9)
     assert check.row_ok and check.column_nonneg_ok
@@ -208,7 +208,7 @@ def test_verify_saddle_zero_bifunctional_nonstrict():
 
 def test_verify_saddle_planted_quadratic():
     J = Bifunctional(
-        value=lambda x, y: float(x @ x - y @ y),
+        pairs=scalar_pairs(lambda x, y: float(x @ x - y @ y)),
         domain=FullSpace(2),
         zero_diagonal=True,
     )
@@ -219,7 +219,7 @@ def test_verify_saddle_planted_quadratic():
 
 
 def test_verify_saddle_requires_zero_diagonal_flag():
-    J = Bifunctional(value=lambda x, y: 1.0, domain=FullSpace(1), zero_diagonal=False)
+    J = Bifunctional(pairs=scalar_pairs(lambda x, y: 1.0), domain=FullSpace(1), zero_diagonal=False)
     grid = np.zeros((1, 1))
     with pytest.raises(ValueError, match="zero-diagonal"):
         verify_saddle(J, [0.0], grid, grid, 1e-9)
@@ -242,15 +242,18 @@ def test_transposed_bifunctional_swaps_and_negates():
 
     F = affine_instance(4)
     batched = F.as_bifunctional()
-    value_only = Bifunctional(value=F.value, domain=F.domain, zero_diagonal=True)
+    value_only = Bifunctional(
+        pairs=scalar_pairs(lambda x, y: tilted_value(F, x, y)), domain=F.domain, zero_diagonal=True
+    )
     pts = feasible_cloud(F, 4.0, 24, seed=71)
     for J in (batched, value_only):
         K = _transposed(J)
         assert K.domain is J.domain and K.zero_diagonal
         for p in pts[:6]:
-            assert _bits(K.row_values(p, pts)) == _bits(-J.column_values(pts, p))
-            assert _bits(K.column_values(pts, p)) == _bits(-J.row_values(p, pts))
-            assert _bits(K.value(p, pts[0])) == _bits(-J.value(pts[0], p))
+            P = p[None, :]
+            assert _bits(K.pairs(P, pts)) == _bits(-J.pairs(pts, P))
+            assert _bits(K.pairs(pts, P)) == _bits(-J.pairs(P, pts))
+            assert _bits(K.pairs(P, pts[:1])) == _bits(-J.pairs(pts[:1], P))
 
 
 def test_minimax_quarter():
@@ -265,7 +268,9 @@ def test_minimax_quarter():
 
 def test_minimax_bilinear_saddle():
     J = Bifunctional(
-        value=lambda x, y: float(x[0] * y[0]), domain=FullSpace(1), zero_diagonal=True
+        pairs=scalar_pairs(lambda x, y: float(x[0] * y[0])),
+        domain=FullSpace(1),
+        zero_diagonal=True,
     )
     report = minimax_gap(J, 1.0, 9)
     assert report.lower == pytest.approx(0.0, abs=1e-7)
@@ -273,7 +278,7 @@ def test_minimax_bilinear_saddle():
 
 
 def test_minimax_identically_zero():
-    J = Bifunctional(value=lambda x, y: 0.0, domain=FullSpace(1), zero_diagonal=True)
+    J = Bifunctional(pairs=scalar_pairs(lambda x, y: 0.0), domain=FullSpace(1), zero_diagonal=True)
     report = minimax_gap(J, 1.0, 9)
     assert report.lower == 0.0 and report.upper == 0.0 and report.gap == 0.0
 
@@ -282,13 +287,53 @@ def test_minimax_weak_duality_planted_antisymmetric():
     # even on a skew instance with no zero diagonal structure for the grid,
     # the harvested-matrix construction keeps lower <= upper exactly
     J = Bifunctional(
-        value=lambda x, y: float(np.sin(3 * x[0]) - np.sin(3 * y[0]) + 0.3 * x[0] * y[0]),
+        pairs=scalar_pairs(
+            lambda x, y: float(np.sin(3 * x[0]) - np.sin(3 * y[0]) + 0.3 * x[0] * y[0])
+        ),
         domain=FullSpace(1),
         zero_diagonal=False,
     )
     cfg = OptimizeConfig(coarse_grid=9, multistart=2, termination_step=1e-5, seed=1)
     report = minimax_gap(J, 2.0, 9, config=cfg)
     assert report.lower <= report.upper
+
+
+def test_minimax_reads_a_nan_entry_as_inf_in_its_row_and_minus_inf_in_its_column():
+    # J = x^2 - y^2 is NaN only where x > 0.9 and y > 0.9; one NaN in the
+    # value matrix used to make lower, upper and gap NaN.
+    J = Bifunctional(
+        pairs=scalar_pairs(
+            lambda x, y: np.nan if x[0] > 0.9 and y[0] > 0.9 else float(x @ x - y @ y)
+        ),
+        domain=FullSpace(1),
+    )
+    cfg = OptimizeConfig(coarse_grid=9, multistart=2, termination_step=1e-5, seed=1)
+    report = minimax_gap(J, 1.0, 9, config=cfg)
+    assert report.lower == report.upper == report.gap == 0.0
+    assert report.x_witness == (0.0,) and report.y_witness == (0.0,)
+
+
+def test_minimax_refuses_a_bifunctional_that_is_nan_everywhere():
+    J = Bifunctional(pairs=scalar_pairs(lambda x, y: np.nan), domain=FullSpace(1))
+    with pytest.raises(ValueError, match="NaN"):
+        minimax_gap(J, 1.0, 9)
+
+
+def test_minimax_evaluations_are_the_rows_its_kernel_saw():
+    F = affine_instance(4)
+    seen = []
+
+    def counted(X, Y):
+        values = F.pairs(X, Y)
+        seen.append(len(values))
+        return values
+
+    cfg = OptimizeConfig(coarse_grid=7, multistart=2, termination_step=1e-6, seed=3)
+    report = minimax_gap(
+        Bifunctional(counted, F.domain, zero_diagonal=True), 4.0, 7, norm_spec=F.norm, config=cfg
+    )
+    assert report.evaluations == sum(seen) > 0
+    assert report == minimax_gap(F.as_bifunctional(), 4.0, 7, norm_spec=F.norm, config=cfg)
 
 
 def test_criterion_identity_on_samples():
@@ -370,9 +415,8 @@ def test_sup_solver_never_starts_from_a_nan_pool_value():
     # sup_y -(y - 1)^2 = 0 at y = 1; J is NaN for y < -0.5, which holds for
     # the first pool points, so a start taken as the first NaN never moves.
     J = Bifunctional(
-        value=lambda x, y: 0.0,
+        pairs=scalar_pairs(lambda x, y: np.nan if y[0] < -0.5 else -((y[0] - 1.0) ** 2)),
         domain=FullSpace(1),
-        row_eval=lambda x, Y: np.where(Y[:, 0] < -0.5, np.nan, -((Y[:, 0] - 1.0) ** 2)),
     )
     pool = np.linspace(-2.0, 2.0, 9)[:, None]
     solver = _SupSolver(J, pool, 2.0, NormSpec(1), CFG, _Budget(10**6))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import affine_instance, feasible_cloud, instance_growth
+from helpers import affine_instance, feasible_cloud, instance_growth, row_batches
 
 from tiltlab import (
     INF,
@@ -25,7 +27,7 @@ from tiltlab import (
     norms_of_rows,
     tilted_value,
 )
-from tiltlab.experiments import effective_growth_bound
+from tiltlab.experiments import _transposed, effective_growth_bound
 
 
 def quarter_map():
@@ -131,7 +133,7 @@ def test_sup_identity(index):
     ys = feasible_cloud(F, 6.0, 400, seed=301 + index)
     for x in pts[:20]:
         phi = displacement(F, x)
-        assert float(F.values_for_ys(x, ys).max()) <= phi + 1e-12
+        assert float(F.pairs(x[None, :], ys).max()) <= phi + 1e-12
         from tiltlab import evaluate
 
         fx = evaluate(F.mapping, x, F.domain)
@@ -160,7 +162,7 @@ def test_coercivity_certificate_on_sphere(index):
     rng = np.random.default_rng(500 + index)
     y = feasible_cloud(F, 3.0, 1, seed=500 + index)[0]
     best_known = min(
-        0.0, float(F.values_for_xs(feasible_cloud(F, 4.0, 32, seed=501 + index), y).min())
+        0.0, float(F.pairs(feasible_cloud(F, 4.0, 32, seed=501 + index), y[None, :]).min())
     )
     radius = max(coercivity_radius(F, y, kappa_eff, r0, best_known, 1.0), 1.0)
     checked = 0
@@ -181,17 +183,17 @@ def test_coercivity_certificate_on_sphere(index):
 def test_bifunctional_wrapper_flags_and_batches():
     F = INSTANCES[0]
     J = F.as_bifunctional()
-    assert J.zero_diagonal and J.concave_in_y
+    assert J.zero_diagonal
     pts = feasible_cloud(F, 5.0, 50, seed=900)
-    x = pts[0]
-    rows = J.row_values(x, pts)
-    cols = J.column_values(pts, x)
+    x = pts[0][None, :]
+    rows = J.pairs(x, pts)
+    cols = J.pairs(pts, x)
     for i in range(len(pts)):
-        assert rows[i] == pytest.approx(tilted_value(F, x, pts[i]), abs=1e-12)
-        assert cols[i] == pytest.approx(tilted_value(F, pts[i], x), abs=1e-12)
-        fast = J.column_values(pts[i][None, :], x)[0]
+        assert rows[i] == pytest.approx(tilted_value(F, x[0], pts[i]), abs=1e-12)
+        assert cols[i] == pytest.approx(tilted_value(F, pts[i], x[0]), abs=1e-12)
+        fast = J.pairs(pts[i][None, :], x)[0]
         assert fast == pytest.approx(cols[i], abs=1e-12)
-    diag = [abs(J.value(p, p)) for p in pts[:25]]
+    diag = [abs(J.pairs(p[None, :], p[None, :])[0]) for p in pts[:25]]
     assert max(diag) <= 1e-12
 
 
@@ -263,8 +265,8 @@ def test_scalar_evaluations_are_rows_of_the_kernels():
     for seed, F in enumerate(_self_map_instances()):
         X = feasible_cloud(F, 4.0, 12, seed=1000 + seed)
         y = X[0]
-        row = F.values_for_ys(y, X)
-        column = F.values_for_xs(X, y)
+        row = F.pairs(y[None, :], X)
+        column = F.pairs(X, y[None, :])
         phi = F.displacements(X)
         tilt, disp = F.tilt_objective(y), F.displacement_objective()
         for i, x in enumerate(X):
@@ -283,9 +285,9 @@ def test_kernels_raise_range_violation_with_the_worst_row():
     # images (1, 1), (-0.5, 0.5), (-1, -1), (0.5, -0.5): the third is worst
     X = np.array([[4.0, 4.0], [1.0, 3.0], [0.0, 0.0], [3.0, 1.0]])
     calls = (
-        lambda: F.values_for_xs(X, X[0]),
+        lambda: F.pairs(X, X[:1]),
         lambda: F.displacements(X),
-        lambda: F.values_for_ys(X[2], X),
+        lambda: F.pairs(X[2:3], X),
         lambda: evaluate(aff, X[2], F.domain),
     )
     for call in calls:
@@ -294,4 +296,50 @@ def test_kernels_raise_range_violation_with_the_worst_row():
         assert list(caught.value.point) == [0.0, 0.0]
         assert list(caught.value.value) == [-1.0, -1.0]
         assert caught.value.violation == 1.0
-    assert F.values_for_xs(X[:1], X[0]).tolist() == [0.0]
+    assert F.pairs(X[:1], X[:1]).tolist() == [0.0]
+
+
+@st.composite
+def _functionals_and_rows(draw):
+    n = draw(st.integers(1, 3))
+    p = draw(st.sampled_from((1.0, 2.0, 3.0, INF)))
+    entries = st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n)
+    matrix = tuple(map(tuple, np.array(draw(entries)).reshape(n, n)))
+    offset = tuple(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(("affine", "projected", "sine")))
+    if kind == "affine":
+        domain, mapping = FullSpace(n), AffineMap(n, matrix=matrix, offset=offset)
+    elif kind == "projected":
+        inner = AffineMap(n, matrix=matrix, offset=offset)
+        domain, mapping = Orthant(n), ProjectedMap(n, inner=inner)
+    else:
+        domain = FullSpace(n)
+        mapping = BoundedPerturbedMap(
+            n, matrix=matrix, offset=offset, field="sine", amplitude=draw(st.floats(0.0, 3.0))
+        )
+    return TiltedFunctional(NormSpec(n, p), domain, mapping), draw(row_batches(n))
+
+
+@given(_functionals_and_rows())
+@settings(max_examples=100, deadline=None)
+def test_pairs_rows_have_the_same_bits_in_any_batch_hypothesis(case):
+    # A pair's J is the same full-batch, alone, and with either side
+    # broadcast as one row; the transposed kernel negates it exactly twice.
+    F, X = case
+    Y = np.roll(X, 1, axis=0)
+    full = F.pairs(X, Y)
+    twice = _transposed(_transposed(F.as_bifunctional()))
+    assert full.tobytes() == twice.pairs(X, Y).tobytes()
+    for i in range(len(X)):
+        x, y = X[i : i + 1], Y[i : i + 1]
+        want = _bits(full[i])
+        assert _bits(F.pairs(x, y)[0]) == want
+        assert _bits(F.pairs(x, Y)[i]) == want
+        assert _bits(F.pairs(X, y)[i]) == want
+
+
+@given(_functionals_and_rows())
+@settings(max_examples=150, deadline=None)
+def test_pairs_vanish_on_the_diagonal_hypothesis(case):
+    F, X = case
+    assert np.all(F.pairs(X, X) == 0.0)
