@@ -33,7 +33,7 @@ from .optimize import (
     global_minimize,
     pattern_search,
 )
-from .spaces import MEMBERSHIP_TOL, NormSpec, SampleDomain, norm, norms_of_rows
+from .spaces import MEMBERSHIP_TOL, NormSpec, SampleDomain, in_ball, norm, norms_of_rows
 
 _STREAM_PRESCAN = 0x9E3
 _STREAM_SADDLE_Y = 0xA11
@@ -413,6 +413,11 @@ def verify_saddle(
         norm_spec = NormSpec(J.domain.dimension, 2.0)
     y_grid = np.asarray(y_grid, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
+    if len(y_grid) == 0 or len(x_grid) == 0:
+        raise InfeasibleTruncation(
+            f"saddle checks need probe points: the y grid has {len(y_grid)} "
+            f"and the x grid {len(x_grid)}"
+        )
 
     row_vals = J.pairs(x_star[None, :], y_grid)
     iy = int(np.argmax(row_vals))
@@ -447,16 +452,20 @@ def verify_saddle(
 
 @dataclass(frozen=True)
 class MinimaxGapReport:
-    """Envelope values on the harvested candidate sets.
+    """Envelope values on the harvested candidate sets S_x and S_y.
 
-    lower = max over y candidates of the column minimum, upper = min over x
-    candidates of the row maximum; computed on one shared value matrix, so
-    lower <= upper holds exactly on every instance: a NaN entry reads +inf
-    in its row maximum and -inf in its column minimum, and a matrix that is
-    NaN everywhere is a ValueError.  ``boundary_max_flag`` reports a y
-    maximizer on the truncation shell (the sup side has no coercivity
-    license, so hitting the boundary is flagged rather than silently
-    accepted).
+    lower = max over y in S_y of the column minimum of one shared value
+    matrix M[i, j] = J(S_x[i], S_y[j]).  upper = min over x in S_x of the
+    row's upper envelope: when J has an exact row envelope (``row_sup``)
+    that is Phi(x) = sup over all y in X of J(x, y), so ``upper`` is a true
+    upper bound on the truncated inf_x sup_y J, up to the rounding of Phi;
+    otherwise it is the row maximum of M.  lower <= upper holds exactly on
+    every instance: every M[i, j] is at most its row's envelope bit for
+    bit, a NaN entry reads -inf in its column minimum, a NaN envelope reads
+    +inf, and a matrix that is NaN everywhere is a ValueError.
+    ``boundary_max_flag`` reports a y maximizer on the truncation shell
+    (the sup side has no coercivity license, so hitting the boundary is
+    flagged rather than silently accepted).
     """
 
     lower: float
@@ -559,18 +568,31 @@ def _minimize_sup_envelope(
     config: OptimizeConfig,
     budget: _Budget,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Minimize x -> sup_y J(x, y) from each start; return the walk
-    endpoints and their full-precision y witnesses.
+    """Minimize x -> sup_y J(x, y) from each start; return the endpoints
+    and their y witnesses.
 
-    Each walk is a compass walk whose envelope precision adapts to the
-    current step.  Each step level is one :func:`pattern_search` that ends
-    at its first shrink: the inner solve only needs enough precision to
-    rank nearby trial points, and the incumbent is re-anchored after every
-    shrink so that comparisons stay consistent and the next inner solve is
-    warm-started.
+    When J has an exact row envelope, one lockstep :func:`pattern_search`
+    on it refines every start, and the witnesses are the maximisers of the
+    endpoints that lie in the truncation ball.  Otherwise each start runs a
+    compass walk around a nested sup solve, whose precision adapts to the
+    current step, and the witnesses are full-precision maximisers.  Each
+    step level is one :func:`pattern_search` that ends at its first shrink:
+    the inner solve only needs enough precision to rank nearby trial
+    points, and the incumbent is re-anchored after every shrink so that
+    comparisons stay consistent and the next inner solve is warm-started.
     """
     step0 = config.initial_step if config.initial_step is not None else radius / 10.0
     dirs = direction_set(J.domain.dimension, config.directions)
+    if J.row_sup is not None:
+        envelope = lambda X: J.row_sup(X)[0]
+        budget.take(len(starts))
+        X, _ = pattern_search(
+            envelope, J.domain, radius, norm_spec, starts, envelope(starts), step0,
+            config.termination_step, config.shrink, dirs, budget,
+        )
+        budget.take(len(X))
+        Y = J.row_sup(X)[1]
+        return list(X), list(Y[in_ball(Y, radius, norm_spec)])
     walk_budget = _Budget(10 ** 18)  # never exhausted
     ends: list[np.ndarray] = []
     witnesses: list[np.ndarray] = []
@@ -601,10 +623,15 @@ def minimax_gap(
 ) -> MinimaxGapReport:
     """Both minimax envelopes of J over X truncated to the ambient ball.
 
-    Nested grid optimization with pattern-search refinement harvests
-    candidate points for each side; the reported envelopes are then read off
-    one shared value matrix over the harvested sets, which makes the weak
-    duality direction (lower <= upper) exact by construction.
+    Pattern-search refinement from the best grid points harvests candidate
+    points for each side.  The upper phase minimizes x -> sup_y J(x, y):
+    directly, by one lockstep pattern search, when J has an exact row
+    envelope (then the y candidates are its maximisers inside the ball),
+    and otherwise by nesting a sup solve in every outer trial.  The lower
+    phase always nests one.  ``upper`` is then the least row envelope over
+    the x candidates, and ``lower`` is read off one shared value matrix
+    over the harvested sets, which makes the weak duality direction
+    (lower <= upper) exact by construction.
     """
     n = J.domain.dimension
     if norm_spec is None:
@@ -614,12 +641,7 @@ def minimax_gap(
             coarse_grid=resolution, multistart=4, termination_step=1e-8, seed=0
         )
     budget = _Budget(10 ** 18)  # counts evaluations; never exhausted
-    window = SampleDomain(J.domain, norm_spec, float(radius), resolution)
-    G = window.grid_points()
-    if len(G) == 0:
-        raise InfeasibleTruncation(
-            f"no feasible grid point inside the ball of radius {radius}"
-        )
+    G = SampleDomain(J.domain, norm_spec, float(radius), resolution).require_grid()
     rough = np.array([J.pairs(x[None, :], G) for x in G], dtype=float)
     budget.take(rough.size)
 
@@ -628,7 +650,8 @@ def minimax_gap(
     y_order = np.argsort(-rough_min, kind="stable")
     m = config.multistart
 
-    # Upper phase: minimize the row envelope sup_y J(x, .).
+    # Upper phase: minimize the row envelope sup_y J(x, .), directly when J
+    # has it in closed form.
     x_ends, y_fins = _minimize_sup_envelope(
         J, G, G[x_order[:m]], radius, norm_spec, config, budget
     )
@@ -653,6 +676,10 @@ def minimax_gap(
     budget.take(M.size)
 
     row_max, col_min = _envelopes(M)
+    if J.row_sup is not None:  # every M[i, j] <= Phi(S_x[i]), bit for bit
+        budget.take(len(S_x))
+        row_max = J.row_sup(S_x)[0]
+        row_max = np.where(np.isnan(row_max), np.inf, row_max)
     iu = int(np.argmin(row_max))
     il = int(np.argmax(col_min))
     upper = float(row_max[iu])

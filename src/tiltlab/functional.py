@@ -54,9 +54,14 @@ class TiltedFunctional:
         return norms_of_rows(X - FX, self.norm) - norms_of_rows(Y - FX, self.norm)
 
     def displacements(self, X) -> np.ndarray:
+        return self.row_sup(X)[0]
+
+    # sup_y J(X[i], y) = Phi(X[i]), attained at y = f(X[i]): the exact row
+    # envelope, with the same row bits as the first term of pairs.
+    def row_sup(self, X) -> tuple[np.ndarray, np.ndarray]:
         X = np.asarray(X, dtype=float)
         FX = evaluate_rows(self.mapping, X, self.domain)
-        return norms_of_rows(X - FX, self.norm)
+        return norms_of_rows(X - FX, self.norm), FX
 
     # One-point closures of J(., y) and Phi over the kernels.
     def tilt_objective(self, y):
@@ -67,7 +72,7 @@ class TiltedFunctional:
         return lambda x: float(self.displacements(x[None, :])[0])
 
     def as_bifunctional(self) -> "Bifunctional":
-        return Bifunctional(self.pairs, self.domain, zero_diagonal=True)
+        return Bifunctional(self.pairs, self.domain, zero_diagonal=True, row_sup=self.row_sup)
 
 
 def tilted_value(F: TiltedFunctional, x, y) -> float:
@@ -122,8 +127,16 @@ class Bifunctional:
     may be one (1, n) row broadcast against the other; a row's value must
     not depend on the rest of its batch.  ``zero_diagonal`` declares
     J(x, x) = 0, which :func:`verify_saddle` requires.
+
+    ``row_sup``, when given, is J's exact upper envelope over rows:
+    ``row_sup(X) = (values, maximisers)`` with ``values[i]`` the sup of
+    J(X[i], y) over the domain, attained at ``maximisers[i]``, and no
+    entry of ``pairs(X[i:i+1], Y)`` above ``values[i]`` in floating point.
+    :func:`minimax_gap` then minimizes the envelope directly instead of
+    solving each sup by search.
     """
 
     pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     domain: FeasibleSet
     zero_diagonal: bool = False
+    row_sup: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None

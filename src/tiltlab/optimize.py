@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InfeasibleTruncation
-from .spaces import FeasibleSet, NormSpec, SampleDomain, norm, norms_of_rows
+from .spaces import FeasibleSet, NormSpec, SampleDomain, in_ball, norm
 
 _STREAM_STARTS = 0x51A7
 
@@ -197,7 +197,6 @@ def pattern_search(
     step = float(initial_step)
     if not 0.0 < step < math.inf:  # an infinite step never shrinks to the end
         raise ValueError(f"initial_step must be finite and positive, got {step}")
-    ball_tol = 1e-12 * max(1.0, radius)
     d = len(directions)
     # The active starts and their steps live in lists, compacted only when a
     # start ends: numpy bookkeeping per iteration costs the single-start
@@ -210,7 +209,7 @@ def pattern_search(
         else:
             trials = np.concatenate([xs[i] + s * directions for i, s in zip(live, steps)])
         trials = domain.project_rows(trials)
-        inside = norms_of_rows(trials, norm_spec) <= radius + ball_tol
+        inside = in_ball(trials, radius, norm_spec)
         k = int(np.count_nonzero(inside))  # budget.used stays a Python int
         if budget.take(k) < k:
             break
@@ -299,11 +298,7 @@ def global_minimize(
         norm_spec = NormSpec(n, 2.0)
     budget = _Budget(config.budget)
     window = SampleDomain(domain, norm_spec, float(radius), config.coarse_grid)
-    grid = window.grid_points()
-    if len(grid) == 0:
-        raise InfeasibleTruncation(
-            f"no feasible grid point inside the ball of radius {radius}"
-        )
+    grid = window.require_grid()
     k = budget.take(len(grid))
     grid = grid[:k]
     if k == 0:
@@ -382,7 +377,6 @@ def brute_force_minima(
         norm_spec = NormSpec(n, 2.0)
 
     axis = np.linspace(-radius, radius, resolution)
-    ball_tol = 1e-12 * max(1.0, radius)
     evaluations = 0
     best_value = np.inf
     cand_pts: list[np.ndarray] = []
@@ -401,7 +395,7 @@ def brute_force_minima(
         coords = coords[feasible]
         if len(coords) == 0:
             continue
-        coords = coords[norms_of_rows(coords, norm_spec) <= radius + ball_tol]
+        coords = coords[in_ball(coords, radius, norm_spec)]
         if len(coords) == 0:
             continue
         if objective_rows is not None:

@@ -253,7 +253,7 @@ def _run_verify_saddle(cfg: ExperimentConfig) -> RunOutcome:
     F = _build_functional(cfg)
     J = F.as_bifunctional()
     window = SampleDomain(cfg.domain, cfg.norm, cfg.sampling.radius, cfg.sampling.resolution)
-    grid = window.grid_points()
+    grid = window.require_grid()
     check = verify_saddle(
         J,
         np.array(cfg.saddle_point, dtype=float),

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, MembershipViolation
+from .errors import DimensionMismatch, InfeasibleTruncation, MembershipViolation
 
 # How far a point may violate a constraint and still count as a member.
 MEMBERSHIP_TOL = 1e-9
@@ -488,6 +488,12 @@ def project(set_: FeasibleSet, z) -> np.ndarray:
     return set_.project(z)
 
 
+def in_ball(X: np.ndarray, radius: float, norm_spec: NormSpec) -> np.ndarray:
+    """Mask of the rows of X inside the closed ball of ``radius``, with a
+    relative tolerance of 1e-12 for rows snapped onto its shell."""
+    return norms_of_rows(X, norm_spec) <= radius + 1e-12 * max(1.0, radius)
+
+
 def _grid_axes(radius: float, resolution: int, dimension: int) -> list[np.ndarray]:
     if resolution ** dimension > GRID_POINT_CAP:
         raise ValueError(
@@ -521,15 +527,11 @@ class SampleDomain:
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "resolution", positive_int(self.resolution, "resolution"))
 
-    def _ball_mask(self, X: np.ndarray) -> np.ndarray:
-        tol = 1e-12 * max(1.0, self.radius)
-        return norms_of_rows(X, self.norm) <= self.radius + tol
-
     def _keep_feasible(self, X: np.ndarray) -> np.ndarray:
         if len(X) == 0:
             return X
         X = self.domain.project_rows(X)
-        return X[self._ball_mask(X)]
+        return X[in_ball(X, self.radius, self.norm)]
 
     def grid_points(self) -> np.ndarray:
         """Regular box grid snapped into the window.
@@ -543,6 +545,15 @@ class SampleDomain:
             return pts.reshape(0, self.domain.dimension)
         _, first = np.unique(pts, axis=0, return_index=True)
         return pts[np.sort(first)]
+
+    def require_grid(self) -> np.ndarray:
+        """:meth:`grid_points`, refusing an empty grid."""
+        pts = self.grid_points()
+        if len(pts) == 0:
+            raise InfeasibleTruncation(
+                f"no feasible grid point inside the ball of radius {self.radius}"
+            )
+        return pts
 
     def _collect(self, count: int, draw) -> np.ndarray:
         """Up to ``count`` window points from batches ``draw(k)`` of k box

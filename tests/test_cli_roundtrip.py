@@ -122,6 +122,34 @@ def test_cli_verify_saddle(tmp_path):
     assert (out / "extremes.tsv").exists()
 
 
+EMPTY_GRID_SADDLE_CONFIG = """
+kind = verify_saddle
+seed = 1
+space.dimension = 1
+space.p = 2
+set.variant = half_space
+set.normal = 1
+set.offset = 5
+map.family = constant
+map.value = 5
+saddle.x_star = 5
+sampling.radius = 1
+"""
+
+
+def test_cli_verify_saddle_refuses_a_set_outside_the_sampling_ball(tmp_path, capsys):
+    # The half-space x >= 5 misses the ball of radius 1, so no probe is left.
+    path = tmp_path / "vs.cfg"
+    path.write_text(EMPTY_GRID_SADDLE_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "no feasible grid point inside the ball of radius 1.0" in err
+    assert "Traceback" not in err
+    doc = parse_document((out / "report.txt").read_text())
+    assert doc["error.type"] == "InfeasibleTruncation"
+
+
 MINIMAX_CONFIG = """
 kind = minimax_gap
 seed = 2

@@ -319,21 +319,136 @@ def test_minimax_refuses_a_bifunctional_that_is_nan_everywhere():
         minimax_gap(J, 1.0, 9)
 
 
-def test_minimax_evaluations_are_the_rows_its_kernel_saw():
-    F = affine_instance(4)
-    seen = []
+def _recording(F, calls):
+    """F's pair kernel and row envelope, appending (kind, X, Y, values) to
+    ``calls`` for every call; Y is None for an envelope call."""
 
-    def counted(X, Y):
+    def pairs(X, Y):
         values = F.pairs(X, Y)
-        seen.append(len(values))
+        calls.append(("pairs", np.array(X), np.array(Y), values))
         return values
 
+    def row_sup(X):
+        values, maximisers = F.row_sup(X)
+        calls.append(("row_sup", np.array(X), None, values))
+        return values, maximisers
+
+    return pairs, row_sup
+
+
+def test_minimax_evaluations_are_the_rows_its_kernel_saw():
+    F = affine_instance(4)
+    calls = []
+    pairs, row_sup = _recording(F, calls)
     cfg = OptimizeConfig(coarse_grid=7, multistart=2, termination_step=1e-6, seed=3)
     report = minimax_gap(
-        Bifunctional(counted, F.domain, zero_diagonal=True), 4.0, 7, norm_spec=F.norm, config=cfg
+        Bifunctional(pairs, F.domain, zero_diagonal=True, row_sup=row_sup),
+        4.0, 7, norm_spec=F.norm, config=cfg,
     )
-    assert report.evaluations == sum(seen) > 0
+    assert report.evaluations == sum(len(values) for *_, values in calls) > 0
+    assert {kind for kind, *_ in calls} == {"pairs", "row_sup"}
     assert report == minimax_gap(F.as_bifunctional(), 4.0, 7, norm_spec=F.norm, config=cfg)
+
+
+def test_minimax_without_an_envelope_counts_the_pairs_rows():
+    F = affine_instance(4)
+    calls = []
+    pairs, _ = _recording(F, calls)
+    cfg = OptimizeConfig(coarse_grid=7, multistart=2, termination_step=1e-6, seed=3)
+    report = minimax_gap(
+        Bifunctional(pairs, F.domain, zero_diagonal=True), 4.0, 7, norm_spec=F.norm, config=cfg
+    )
+    assert report.evaluations == sum(len(values) for *_, values in calls) > 0
+    assert report == minimax_gap(
+        Bifunctional(F.pairs, F.domain, zero_diagonal=True), 4.0, 7, norm_spec=F.norm, config=cfg
+    )
+
+
+def _matrix_phase(F, radius, resolution, cfg):
+    """minimax_gap on F's recording bifunctional, with the matrix phase read
+    back from the calls: S_x and Phi(S_x) from the last envelope call, and
+    the rows of the shared matrix from the len(S_x) pairs calls before it."""
+    calls = []
+    pairs, row_sup = _recording(F, calls)
+    J = Bifunctional(pairs, F.domain, zero_diagonal=True, row_sup=row_sup)
+    report = minimax_gap(J, radius, resolution, norm_spec=F.norm, config=cfg)
+    last = max(i for i, (kind, *_) in enumerate(calls) if kind == "row_sup")
+    _, S_x, _, phi = calls[last]
+    rows = calls[last - len(S_x):last]
+    assert [kind for kind, *_ in rows] == ["pairs"] * len(S_x)
+    for (_, X, _, _), x in zip(rows, S_x):
+        assert _bits(X) == _bits(x[None, :])
+    S_y = rows[0][2]
+    M = np.array([values for *_, values in rows])
+    return report, S_x, phi, S_y, M
+
+
+def _envelope_cases():
+    from test_acceptance import quarter_functional, seeded_2d_functional
+
+    cases = [pytest.param(quarter_functional(), 8.0, 33, id="criterion-3-quarter")]
+    for k in range(3):
+        F = seeded_2d_functional(k)
+        cases.append(pytest.param(F, _coercive_radius(F), 17, id=f"criterion-3-seeded-2d-{k}"))
+    for index in range(6):
+        F = affine_instance(index)
+        resolution = {1: 33, 2: 17, 3: 7}[F.dimension]
+        variant = "orthant" if index % 2 else "full-space"
+        cases.append(pytest.param(F, _coercive_radius(F), resolution, id=f"affine-{index}-{variant}"))
+    return cases
+
+
+def _coercive_radius(F):
+    from tiltlab import coercivity_radius, effective_growth_bound
+
+    kappa, r0 = effective_growth_bound(instance_growth(F))
+    base = F.domain.ray_base
+    return max(coercivity_radius(F, base, kappa, r0, F.displacement(base), 1.0), 1.0)
+
+
+@pytest.mark.parametrize("F, radius, resolution", _envelope_cases())
+def test_minimax_upper_is_the_displacement_at_its_witness(F, radius, resolution):
+    from tiltlab import displacement
+
+    cfg = OptimizeConfig(coarse_grid=resolution, multistart=2, termination_step=1e-8, seed=5)
+    report, S_x, phi, S_y, M = _matrix_phase(F, radius, resolution, cfg)
+    assert _bits(report.upper) == _bits(displacement(F, report.x_witness))
+    assert _bits(report.upper) == _bits(phi.min())
+    assert (M <= phi[:, None]).all()
+    assert report.lower == M.min(axis=0).max()
+    assert report.lower <= report.upper
+    assert abs(report.upper) <= 1e-4 and abs(report.gap) <= 1e-4
+
+
+def test_minimax_drops_envelope_witnesses_outside_the_ball():
+    # f(x) = x/4 + 1.8 leaves the ball of radius 2 for x > 0.8, and its fixed
+    # point 2.4 lies outside: the truncated inf of Phi is Phi(2) = 0.3.
+    F = TiltedFunctional(
+        NormSpec(1, 2.0), FullSpace(1), AffineMap(1, matrix=((0.25,),), offset=(1.8,))
+    )
+    cfg = OptimizeConfig(coarse_grid=17, multistart=2, termination_step=1e-8, seed=1)
+    report, S_x, phi, S_y, M = _matrix_phase(F, 2.0, 17, cfg)
+    assert (np.abs(S_y) <= 2.0).all()
+    assert (np.abs(S_x) <= 2.0).all()
+    assert (phi >= M.max(axis=1)).all()
+    assert report.upper >= M.max(axis=1).min()
+    assert report.upper == pytest.approx(0.3, abs=1e-6)
+    assert report.lower <= report.upper
+    # upper bounds J(x_witness, y) over a dense grid of the truncated set
+    ys = np.linspace(-2.0, 2.0, 4001)[:, None]
+    assert F.pairs(np.array([report.x_witness]), ys).max() <= report.upper
+
+
+def test_verify_saddle_refuses_an_empty_grid():
+    from tiltlab import InfeasibleTruncation
+
+    J = quarter().as_bifunctional()
+    grid = np.linspace(-1.0, 1.0, 5)[:, None]
+    empty = np.empty((0, 1))
+    with pytest.raises(InfeasibleTruncation, match="y grid has 0"):
+        verify_saddle(J, [0.0], empty, grid, 1e-9)
+    with pytest.raises(InfeasibleTruncation, match="x grid 0"):
+        verify_saddle(J, [0.0], grid, empty, 1e-9)
 
 
 def test_criterion_identity_on_samples():

@@ -19,10 +19,10 @@ def readme_configs() -> list[str]:
 
 def test_readme_has_the_fixed_point_and_sweep_examples():
     kinds = [parse_document(text)["kind"] for text in readme_configs()]
-    assert kinds == ["find_fixed_point", "search_counterexample"]
+    assert kinds == ["find_fixed_point", "minimax_gap", "search_counterexample"]
 
 
-@pytest.mark.parametrize("index", [0, 1], ids=["fixed_point", "sweep"])
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["fixed_point", "minimax", "sweep"])
 def test_readme_config_builds(index):
     text = readme_configs()[index]
     cfg = build_experiment(parse_document(text))
