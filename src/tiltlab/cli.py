@@ -6,8 +6,8 @@ Verbs:
   sweep     run a counterexample sweep config (kind search_counterexample)
 
 Flags: --config <path>, --seed <int>, --out <dir>, --override key=value
-(repeatable), --jobs <int>.  Exit status: 0 clean, 2 when the verdict is
-multiple-found or the sweep emitted candidates, 1 on any error.
+(repeatable), --jobs <int> (at least 1).  Exit status: 0 clean, 2 when the
+verdict is multiple-found or the sweep emitted candidates, 1 on any error.
 """
 
 from __future__ import annotations
@@ -72,6 +72,9 @@ def _write_outcome(cfg: ExperimentConfig, outcome: RunOutcome) -> Path:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 1
     try:
         cfg = _load_config(args)
     except (OSError, UnicodeDecodeError, ConfigError) as exc:

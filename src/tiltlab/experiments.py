@@ -495,13 +495,16 @@ def _transposed(J: Bifunctional) -> Bifunctional:
 
 
 class _SupSolver:
-    """sup_y J(x, y) for one fixed x, warm-started along a walk.
+    """sup_y J(x, y) for each row x of a batch, warm-started along a walk.
 
-    Scans a candidate pool, then polishes by pattern search on -J(x, .) from
-    the better of the pool winner and the previous witness.  ``outer_step``
-    scales both the inner termination and the warm initial step, so
-    precision tracks what the outer walk needs; ``outer_step=None`` solves
-    at full precision.  Every evaluation is charged to ``budget``.
+    Scans a candidate pool for every row in one kernel call, then polishes
+    all rows by one lockstep pattern search on -J(x, .), each row paired
+    with its own x and started from the better of its pool winner and the
+    shared warm witness.  ``outer_step`` scales both the inner termination
+    and the warm initial step, so precision tracks what the outer walk
+    needs; ``outer_step=None`` solves at full precision.  After each call
+    the warm witness is that of the row with the least sup value.  Every
+    evaluation is charged to ``budget``.
     """
 
     def __init__(
@@ -523,40 +526,49 @@ class _SupSolver:
         self.pool_step = radius / 10.0
         self.warm: np.ndarray | None = None
 
-    def solve(self, x: np.ndarray, outer_step: float | None = None) -> tuple[np.ndarray, float]:
-        J, budget = self.J, self.budget
-        rows = lambda Y: -J.pairs(x[None, :], Y)
-        vals = rows(self.pool)
-        budget.take(len(self.pool))
-        k = first_argmin(vals)
-        start, f0 = self.pool[k], float(vals[k])
-        init = self.pool_step
+    def solve(
+        self, X: np.ndarray, outer_step: float | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Witnesses (S, n) and sup values (S,) for the (S, n) rows X."""
+        J, pool, warm = self.J, self.pool, self.warm
+        negated = lambda Y, Xs: -J.pairs(Xs, Y)
+        # One kernel call scans the pool, and the warm witness after it, for
+        # every row.
+        scanned = pool if warm is None else np.vstack((pool, warm))
+        S, P = len(X), len(pool)
+        vals = negated(np.tile(scanned, (S, 1)), np.repeat(X, len(scanned), axis=0))
+        vals = vals.reshape(S, -1)
+        self.budget.take(vals.size)
+        k = [first_argmin(row) for row in vals[:, :P]]
+        starts, f0 = pool[k], vals[np.arange(S), k]
+        init = np.full(S, self.pool_step)
         if outer_step is None:
             termination = self.config.termination_step
         else:
             termination = max(self.config.termination_step, 0.01 * outer_step)
-        if self.warm is not None:
-            fw = float(rows(self.warm[None, :])[0])
-            budget.take(1)
-            if fw < f0:
-                start, f0 = self.warm, fw
-                if outer_step is not None:
-                    init = max(4.0 * outer_step, 256.0 * termination)
+        if warm is not None:
+            fw = vals[:, P]
+            better = fw < f0
+            starts[better], f0 = warm, np.where(better, fw, f0)
+            if outer_step is not None:
+                init[better] = max(4.0 * outer_step, 256.0 * termination)
         Y, FY = pattern_search(
-            rows,
+            negated,
             J.domain,
             self.radius,
             self.norm_spec,
-            start[None, :],
-            [f0],
+            starts,
+            f0,
             init,
             termination,
             self.config.shrink,
             self.dirs,
-            budget,
+            self.budget,
+            partners=X,
         )
-        self.warm = Y[0]
-        return Y[0], -float(FY[0])
+        values = -FY
+        self.warm = Y[first_argmin(values)]
+        return Y, values
 
 
 def _minimize_sup_envelope(
@@ -574,12 +586,14 @@ def _minimize_sup_envelope(
     When J has an exact row envelope, one lockstep :func:`pattern_search`
     on it refines every start, and the witnesses are the maximisers of the
     endpoints that lie in the truncation ball.  Otherwise each start runs a
-    compass walk around a nested sup solve, whose precision adapts to the
+    compass walk around nested sup solves, whose precision adapts to the
     current step, and the witnesses are full-precision maximisers.  Each
-    step level is one :func:`pattern_search` that ends at its first shrink:
-    the inner solve only needs enough precision to rank nearby trial
-    points, and the incumbent is re-anchored after every shrink so that
-    comparisons stay consistent and the next inner solve is warm-started.
+    step level is one :func:`pattern_search` that ends at its first shrink;
+    the sups of all trial points of one of its iterations are solved
+    together, by one :meth:`_SupSolver.solve` call.  The inner solve only
+    needs enough precision to rank nearby trial points, and the incumbent
+    is re-anchored after every shrink so that comparisons stay consistent
+    and the next inner solve is warm-started.
     """
     step0 = config.initial_step if config.initial_step is not None else radius / 10.0
     dirs = direction_set(J.domain.dimension, config.directions)
@@ -598,19 +612,19 @@ def _minimize_sup_envelope(
     witnesses: list[np.ndarray] = []
     for x0 in starts:
         solver = _SupSolver(J, pool, radius, norm_spec, config, budget)
-        x = np.asarray(x0, dtype=float)
+        x = np.asarray(x0, dtype=float)[None, :]
         step = float(step0)
-        rows = lambda Z: np.array([solver.solve(z, step)[1] for z in Z])
-        fx = solver.solve(x, step)[1]
+        sup = lambda Z: solver.solve(Z, step)[1]
+        fx = sup(x)
         while step > config.termination_step:
             x = pattern_search(
-                rows, J.domain, radius, norm_spec, x[None, :], [fx], step,
+                sup, J.domain, radius, norm_spec, x, fx, step,
                 step * config.shrink, config.shrink, dirs, walk_budget,
-            )[0][0]
+            )[0]
             step *= config.shrink
-            fx = solver.solve(x, step)[1]
-        ends.append(x)
-        witnesses.append(solver.solve(x)[0])
+            fx = sup(x)
+        ends.append(x[0])
+        witnesses.append(solver.solve(x)[0][0])
     return ends, witnesses
 
 
@@ -627,8 +641,9 @@ def minimax_gap(
     points for each side.  The upper phase minimizes x -> sup_y J(x, y):
     directly, by one lockstep pattern search, when J has an exact row
     envelope (then the y candidates are its maximisers inside the ball),
-    and otherwise by nesting a sup solve in every outer trial.  The lower
-    phase always nests one.  ``upper`` is then the least row envelope over
+    and otherwise by nesting a sup solve in every outer trial, one lockstep
+    solve for all trials of an outer iteration.  The lower phase always
+    nests them.  ``upper`` is then the least row envelope over
     the x candidates, and ``lower`` is read off one shared value matrix
     over the harvested sets, which makes the weak duality direction
     (lower <= upper) exact by construction.

@@ -173,36 +173,46 @@ def pattern_search(
     shrink: float,
     directions: np.ndarray,
     budget: _Budget,
+    partners: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lockstep compass refinement of S starts; monotone, projected,
     ball-constrained.
 
     ``x0`` holds the starts as an (S, n) array and ``f0`` their (S,)
     values; the endpoints and their values come back in the same shapes.
+    ``initial_step`` is one step for every start or an (S,) array of them.
     Each iteration steps every active start along every direction, projects
     all the trials into the set with one ``project_rows`` call, drops the
     trials that leave the truncation ball, charges the rest to the budget
     as one batch and evaluates them with one ``objective_rows`` call.  Each
     start then takes its own best trial (first direction on ties; NaN never
-    wins) only on strict improvement; otherwise only its own step shrinks,
-    and it leaves the batch once its step passes ``termination_step``.
-    Every kernel gives a row the same value in any batch, so each start
-    ends exactly where a search from it alone would.
+    wins, and a NaN incumbent reads +inf) only on strict improvement;
+    otherwise only its own step shrinks, and it leaves the batch once its
+    step passes ``termination_step``.  Every kernel gives a row the same
+    value in any batch, so each start ends exactly where a search from it
+    alone would.
+
+    ``partners``, an (S, m) array, gives every start its own fixed second
+    argument: the objective is then called as ``objective_rows(trials,
+    partners[owner])``, each trial row paired with the row of the start it
+    came from, so one call refines searches over different objectives.
 
     Binding budget: a batch the budget cannot cover in full ends every
     start at its current point, with ``budget.used == budget.limit``.
     """
     x0 = np.asarray(x0, dtype=float)
     xs, fs = list(x0), [float(v) for v in f0]
-    step = float(initial_step)
-    if not 0.0 < step < math.inf:  # an infinite step never shrinks to the end
-        raise ValueError(f"initial_step must be finite and positive, got {step}")
+    init = np.asarray(initial_step, dtype=float)
+    if not np.all((0.0 < init) & (init < math.inf)):  # an infinite step never ends
+        raise ValueError(f"initial_step must be finite and positive, got {initial_step}")
     d = len(directions)
     # The active starts and their steps live in lists, compacted only when a
     # start ends: numpy bookkeeping per iteration costs the single-start
     # calls of minimax_gap more than it saves.
-    live = list(range(len(xs))) if step > termination_step else []
-    steps = [step] * len(live)
+    init = np.broadcast_to(init, (len(xs),)).tolist()
+    live = [i for i, s in enumerate(init) if s > termination_step]
+    steps = [init[i] for i in live]
+    paired = None if partners is None else partners[live].repeat(d, axis=0)
     while live:
         if len(live) == 1:  # skips the copy that concatenate makes
             trials = xs[live[0]] + steps[0] * directions
@@ -213,12 +223,13 @@ def pattern_search(
         k = int(np.count_nonzero(inside))  # budget.used stays a Python int
         if budget.take(k) < k:
             break
+        args = (trials,) if paired is None else (trials, paired)
         if k == len(trials):
-            values = np.asarray(objective_rows(trials), dtype=float)
+            values = np.asarray(objective_rows(*args), dtype=float)
         else:  # an out-of-ball trial reads +inf, which never improves
             values = np.full(len(trials), np.inf)
             if k:
-                values[inside] = objective_rows(trials[inside])
+                values[inside] = objective_rows(*(a[inside] for a in args))
         ended = False
         for j, i in enumerate(live):
             seg = values[j * d:(j + 1) * d]
@@ -227,7 +238,7 @@ def pattern_search(
             if math.isnan(v):
                 best = first_argmin(seg)
                 v = seg[best]
-            if v < fs[i]:
+            if v < fs[i] or (fs[i] != fs[i] and v < math.inf):
                 xs[i], fs[i] = trials[j * d + best], float(v)
             else:
                 steps[j] *= shrink
@@ -235,6 +246,8 @@ def pattern_search(
         if ended:
             keep = [j for j, s in enumerate(steps) if s > termination_step]
             live, steps = [live[j] for j in keep], [steps[j] for j in keep]
+            if paired is not None:
+                paired = partners[live].repeat(d, axis=0)
     return np.array(xs).reshape(x0.shape), np.array(fs)
 
 

@@ -302,8 +302,10 @@ def search_counterexample(
     and counted.  ``planted_cell`` replaces the objective of one cell by the
     built-in tied double well, which must yield exactly one candidate; this
     validates the detector inside the sweep machinery.  An empty candidate
-    list is a valid outcome.
+    list is a valid outcome.  ``jobs`` (an integer >= 1) caps the worker
+    processes, of which there are never more than cells.
     """
+    jobs = positive_int(jobs, "jobs")
     y_arr = np.asarray(y_points, dtype=float)
     if y_arr.ndim != 2 or y_arr.shape[1] != family.dimension:
         raise ValueError("y_points must be a (k, dimension) array")
@@ -357,8 +359,11 @@ def search_counterexample(
                 domain=domain,
             )
     kappas = [growth.get(ctx_param_key(c)) for c in cells]
-    if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=int(jobs)) as pool:
+    # Under fork the pool starts all its workers at the first submit, so it
+    # never gets more workers than cells.
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(
                 pool.map(_run_cell, itertools.repeat(ctx), cells, kappas, chunksize=8)
             )

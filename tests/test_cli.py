@@ -359,6 +359,17 @@ def test_run_is_bitwise_deterministic(tmp_path):
     assert t1 == t2
 
 
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_refuses_a_worker_count_below_one(tmp_path, capsys, verb, jobs):
+    path = write(tmp_path, SWEEP_CONFIG)
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(path), "--out", str(out), "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert "--jobs" in err and jobs in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_exit_code_and_parallel_determinism(tmp_path):
     path = write(tmp_path, SWEEP_CONFIG)
     outs = [tmp_path / f"s{i}" for i in range(3)]

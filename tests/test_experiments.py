@@ -535,9 +535,57 @@ def test_sup_solver_never_starts_from_a_nan_pool_value():
     )
     pool = np.linspace(-2.0, 2.0, 9)[:, None]
     solver = _SupSolver(J, pool, 2.0, NormSpec(1), CFG, _Budget(10**6))
-    y, value = solver.solve(np.zeros(1))
+    (y,), (value,) = solver.solve(np.zeros((1, 1)))
     assert y[0] == pytest.approx(1.0, abs=1e-6)
     assert value == pytest.approx(0.0, abs=1e-9)
+
+
+def _sup_solver_case(index):
+    """The lower phase's inner solver on affine instance ``index``: the sup
+    over x of K(y, x) = -J(x, y), over the grid pool, for seeded rows y."""
+    from tiltlab import SampleDomain
+    from tiltlab.experiments import _SupSolver, _transposed
+    from tiltlab.optimize import _Budget
+
+    F = affine_instance(index)
+    radius = 4.0
+    pool = SampleDomain(F.domain, F.norm, radius, 7).require_grid()
+    Y = feasible_cloud(F, radius, 5, seed=index)
+    cfg = OptimizeConfig(coarse_grid=7, multistart=2, termination_step=1e-7, seed=0)
+
+    def solver():
+        K = _transposed(F.as_bifunctional())
+        return _SupSolver(K, pool, radius, F.norm, cfg, _Budget(10**18))
+
+    return solver, Y
+
+
+@pytest.mark.parametrize("index", [0, 1, 3, 4, 8])
+@pytest.mark.parametrize("outer_step", [None, 0.05])
+def test_sup_solver_rows_match_one_row_solves_bitwise(index, outer_step):
+    solver, Y = _sup_solver_case(index)
+    together = solver()
+    W, V = together.solve(Y, outer_step)
+    assert W.shape == Y.shape and V.shape == (len(Y),)
+    used = 0
+    for i in range(len(Y)):
+        alone = solver()
+        w, v = alone.solve(Y[i : i + 1], outer_step)
+        assert W[i].tobytes() == w[0].tobytes(), i
+        assert V[i].tobytes() == v[0].tobytes(), i
+        used += alone.budget.used
+    assert together.budget.used == used
+
+
+@pytest.mark.parametrize("index", [0, 4, 8])
+def test_sup_solver_keeps_the_witness_of_the_least_sup_as_warm_point(index):
+    solver, Y = _sup_solver_case(index)
+    s = solver()
+    assert s.warm is None
+    for rows, step in ((Y, 0.05), (Y[::-1] * 0.5, 0.01), (Y[:1], None)):
+        W, V = s.solve(rows, step)
+        least = int(np.argmin(V))
+        assert V[least] == V.min() and np.array_equal(s.warm, W[least])
 
 
 def test_certify_uniqueness_does_not_count_nan_endpoints_as_clusters():

@@ -2,6 +2,8 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import affine_instance
 
@@ -14,6 +16,7 @@ from tiltlab import (
     NormSpec,
     OptimizeConfig,
     Orthant,
+    SampleDomain,
     SearchStatus,
     TiltedFunctional,
     analytic_fixed_point,
@@ -296,6 +299,78 @@ def test_pattern_search_rejects_a_step_that_is_not_finite_and_positive(step):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
+def test_pattern_search_rejects_a_step_array_with_an_entry_that_is_not_finite_and_positive(bad):
+    def hang(signum, frame):
+        raise TimeoutError("pattern_search did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="initial_step"):
+            pattern_search(
+                lambda X: (X * X).sum(axis=1), FullSpace(1), 4.0, NormSpec(1, 2.0),
+                np.ones((3, 1)), [1.0] * 3, np.array([0.5, bad, 0.25]), 1e-9, 0.5,
+                direction_set(1), _Budget(10 ** 18),
+            )
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@given(
+    st.integers(0, 17).filter(lambda index: index % 3 < 2),  # dimensions 1 and 2
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_partnered_lockstep_matches_one_start_calls_bitwise_hypothesis(index, S, seed):
+    # Every start minimizes J(., y) for its own partner y from its own step;
+    # one partnered call ends each start where a call on it alone ends.
+    F = affine_instance(index)
+    radius = 3.0
+    rng = np.random.default_rng(seed)
+    window = SampleDomain(F.domain, F.norm, radius, 3)
+    X0, partners = window.random_points(S, rng), window.random_points(S, rng)
+    S = min(len(X0), len(partners))
+    X0, partners = X0[:S], partners[:S]
+    steps = rng.uniform(0.05, 1.0, S)
+    F0 = F.pairs(X0, partners)
+    dirs = direction_set(F.dimension)
+    args = (F.pairs, F.domain, radius, F.norm)
+    budget = _Budget(10**9)
+    X, FX = pattern_search(
+        *args, X0, F0, steps, 1e-7, 0.5, dirs, budget, partners=partners
+    )
+    used = 0
+    for i in range(S):
+        alone = _Budget(10**9)
+        x, fx = pattern_search(
+            *args, X0[i : i + 1], F0[i : i + 1], float(steps[i]), 1e-7, 0.5, dirs,
+            alone, partners=partners[i : i + 1],
+        )
+        assert X[i].tobytes() == x[0].tobytes(), i
+        assert FX[i].tobytes() == fx[0].tobytes(), i
+        used += alone.used
+    assert budget.used == used
+
+
+def test_a_nan_incumbent_moves_to_a_finite_trial():
+    # f is NaN left of 0; from -0.05 the trial 0.45 is finite, so the start
+    # must move, where comparing against a NaN incumbent kept it in place.
+    def rows(X):
+        x = X[:, 0]
+        return np.where(x < 0.0, np.nan, (x - 1.0) ** 2)
+
+    x0 = np.array([[-0.05]])
+    X, FX = pattern_search(
+        rows, FullSpace(1), 4.0, NormSpec(1, 2.0), x0, rows(x0), 0.5, 1e-9, 0.5,
+        direction_set(1), _Budget(10_000),
+    )
+    assert X[0, 0] == pytest.approx(1.0, abs=1e-8)
+    assert FX[0] == rows(X)[0] and np.isfinite(FX[0])
 
 
 def test_pattern_search_nan_trials_never_win_nor_hide_improvement():

@@ -158,6 +158,46 @@ def test_sweep_deterministic_and_parallel_equal():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("jobs", [0, -3, 1.5, True])
+def test_search_counterexample_refuses_a_worker_count_below_one(jobs):
+    fam = MapFamily(kind="scaled_identity", dimension=1, parameters=(("theta", (0.2,)),))
+    with pytest.raises(ValueError, match="jobs"):
+        search_counterexample(fam, [2.0], FullSpace(1), [[1.0]], CFG, jobs=jobs)
+
+
+def test_sweep_pool_never_has_more_workers_than_cells(monkeypatch):
+    # A stand-in pool records its worker count and maps in this process, so
+    # no worker is started however large the requested count.
+    import tiltlab.sweep as sweep_module
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
+    fam = MapFamily(kind="scaled_identity", dimension=1, parameters=(("theta", (0.2, 0.3)),))
+    small = OptimizeConfig(coarse_grid=9, multistart=2, budget=100_000, seed=1)
+    ys = [[1.0], [-1.0]]
+    serial = search_counterexample(fam, [2.0], FullSpace(1), ys, small)
+    assert search_counterexample(fam, [2.0], FullSpace(1), ys, small, jobs=5000) == serial
+    assert sizes == [4]  # two parameter points times two probes
+    search_counterexample(fam, [2.0], FullSpace(1), ys[:1], small, jobs=5000)
+    fam_one = MapFamily(kind="scaled_identity", dimension=1, parameters=(("theta", (0.2,)),))
+    search_counterexample(fam_one, [2.0], FullSpace(1), ys[:1], small, jobs=5000)
+    assert sizes == [4, 2]  # and a one-cell sweep runs without a pool
+
+
 def test_sweep_orthant_domain():
     fam = MapFamily(
         kind="scaled_identity",
