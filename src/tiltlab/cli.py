@@ -6,8 +6,10 @@ Verbs:
   sweep     run a counterexample sweep config (kind search_counterexample)
 
 Flags: --config <path>, --seed <int>, --out <dir>, --override key=value
-(repeatable), --jobs <int> (at least 1).  Exit status: 0 clean, 2 when the
-verdict is multiple-found or the sweep emitted candidates, 1 on any error.
+(repeatable), --jobs <int> (at least 1; above 1 only for kind
+search_counterexample, the one kind that runs in parallel).  Exit status:
+0 clean, 2 when the verdict is multiple-found or the sweep emitted
+candidates, 1 on any error.
 """
 
 from __future__ import annotations
@@ -79,6 +81,9 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
     except (OSError, UnicodeDecodeError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if args.jobs > 1 and cfg.kind != "search_counterexample":
+        print("error: --jobs applies only to kind = search_counterexample", file=sys.stderr)
         return 1
 
     if args.verb == "validate":

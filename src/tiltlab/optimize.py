@@ -192,6 +192,13 @@ def pattern_search(
     value in any batch, so each start ends exactly where a search from it
     alone would.
 
+    The bookkeeping of one iteration is a fixed number of numpy calls
+    whatever the number of active starts: the points live in one (S, n)
+    array, the trials of all active starts are one broadcast, and every
+    start's best trial comes from one row-wise ``argmin``.  Only the
+    incumbent values, the steps and the active indices are Python lists,
+    so that a search of one or two starts stays cheap.
+
     ``partners``, an (S, m) array, gives every start its own fixed second
     argument: the objective is then called as ``objective_rows(trials,
     partners[owner])``, each trial row paired with the row of the start it
@@ -200,24 +207,23 @@ def pattern_search(
     Binding budget: a batch the budget cannot cover in full ends every
     start at its current point, with ``budget.used == budget.limit``.
     """
-    x0 = np.asarray(x0, dtype=float)
-    xs, fs = list(x0), [float(v) for v in f0]
+    xs = np.array(x0, dtype=float)
+    fs = [float(v) for v in f0]
     init = np.asarray(initial_step, dtype=float)
     if not np.all((0.0 < init) & (init < math.inf)):  # an infinite step never ends
         raise ValueError(f"initial_step must be finite and positive, got {initial_step}")
-    d = len(directions)
-    # The active starts and their steps live in lists, compacted only when a
-    # start ends: numpy bookkeeping per iteration costs the single-start
-    # calls of minimax_gap more than it saves.
-    init = np.broadcast_to(init, (len(xs),)).tolist()
+    d, n = directions.shape
+    init = np.broadcast_to(init, (len(fs),)).tolist()
     live = [i for i, s in enumerate(init) if s > termination_step]
     steps = [init[i] for i in live]
     paired = None if partners is None else partners[live].repeat(d, axis=0)
     while live:
-        if len(live) == 1:  # skips the copy that concatenate makes
+        if len(live) == 1:  # skips the fancy index and the reshape
             trials = xs[live[0]] + steps[0] * directions
-        else:
-            trials = np.concatenate([xs[i] + s * directions for i, s in zip(live, steps)])
+        else:  # the same bits as xs[i] + s * directions, row block by row block
+            trials = (
+                xs[live][:, None, :] + np.array(steps)[:, None, None] * directions
+            ).reshape(len(live) * d, n)
         trials = domain.project_rows(trials)
         inside = in_ball(trials, radius, norm_spec)
         k = int(np.count_nonzero(inside))  # budget.used stays a Python int
@@ -230,16 +236,17 @@ def pattern_search(
             values = np.full(len(trials), np.inf)
             if k:
                 values[inside] = objective_rows(*(a[inside] for a in args))
+        picks = values.reshape(len(live), d).argmin(axis=1).tolist()
+        flat = values.tolist()
         ended = False
-        for j, i in enumerate(live):
-            seg = values[j * d:(j + 1) * d]
-            best = seg.argmin()
-            v = seg[best]
-            if math.isnan(v):
-                best = first_argmin(seg)
-                v = seg[best]
+        for j, (i, best) in enumerate(zip(live, picks)):
+            row = j * d + best
+            v = flat[row]
+            if v != v:  # argmin stops at the first NaN; only then look again
+                row = j * d + first_argmin(values[j * d:(j + 1) * d])
+                v = flat[row]
             if v < fs[i] or (fs[i] != fs[i] and v < math.inf):
-                xs[i], fs[i] = trials[j * d + best], float(v)
+                xs[i], fs[i] = trials[row], v
             else:
                 steps[j] *= shrink
                 ended = ended or steps[j] <= termination_step
@@ -248,7 +255,7 @@ def pattern_search(
             live, steps = [live[j] for j in keep], [steps[j] for j in keep]
             if paired is not None:
                 paired = partners[live].repeat(d, axis=0)
-    return np.array(xs).reshape(x0.shape), np.array(fs)
+    return xs, np.array(fs)
 
 
 def _cluster(

@@ -15,6 +15,8 @@ from tiltlab.configfile import (
 from tiltlab.errors import ConfigError
 from tiltlab.reporting import embedded_config_document
 
+from test_readme import readme_configs
+
 FIND_CONFIG = """
 # quarter-scaling map on the line
 kind = find_fixed_point
@@ -368,6 +370,26 @@ def test_cli_refuses_a_worker_count_below_one(tmp_path, capsys, verb, jobs):
     err = capsys.readouterr().err
     assert "--jobs" in err and jobs in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "validate"])
+def test_cli_refuses_jobs_above_one_for_a_kind_that_does_not_sweep(tmp_path, capsys, verb):
+    # Only a sweep runs in parallel; elsewhere --jobs 4 used to be ignored
+    # without a word.  The refusal comes before anything runs or is written.
+    path = write(tmp_path, readme_configs()[1])  # README's minimax example
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(path), "--out", str(out), "--jobs", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --jobs applies only to kind = search_counterexample\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "validate"])
+def test_cli_accepts_jobs_one_for_every_kind(tmp_path, capsys, verb):
+    path = write(tmp_path, FIND_CONFIG)
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(path), "--out", str(out), "--jobs", "1"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_sweep_exit_code_and_parallel_determinism(tmp_path):

@@ -1,3 +1,5 @@
+import collections
+import math
 import signal
 
 import numpy as np
@@ -137,11 +139,14 @@ def reference_pattern_search(
     directions, budget, events,
 ):
     """One direction at a time, each trial a one-row batch; ``events``
-    counts the tied, out-of-ball and budget-cut cases it meets."""
+    counts the tied, out-of-ball, budget-cut and NaN cases it meets.
+
+    A NaN trial never wins, and a NaN incumbent reads +inf, so that any
+    finite trial improves on it."""
     x, fx = np.asarray(x0, dtype=float), float(f0)
     ball_tol = 1e-12 * max(1.0, radius)
     while step > termination:
-        best_x, best_f = None, fx
+        best_x, best_f = None, math.inf if math.isnan(fx) else fx
         for d in directions:
             trial = domain.project_rows((x + step * d)[None, :])
             if norms_of_rows(trial, norm_spec)[0] > radius + ball_tol:
@@ -151,6 +156,9 @@ def reference_pattern_search(
                 events["cut"] += 1
                 return x, fx
             ft = float(objective_rows(trial)[0])
+            if math.isnan(ft):
+                events["nan"] += 1
+                continue
             events["tie"] += best_x is not None and ft == best_f
             if ft < best_f:
                 best_x, best_f = trial[0], ft
@@ -248,6 +256,73 @@ def test_lockstep_pattern_search_matches_separate_searches_bitwise():
         assert budget.used == ref_budget.used, case
         assert not budget.exhausted
     assert events["tie"] >= 5 and events["outside"] >= 5, events
+
+
+def nan_half_space_objective(rng, n):
+    """``random_rows_objective``, but NaN on a random half-space that cuts
+    the ball."""
+    rows = random_rows_objective(rng, n)
+    normal = rng.normal(size=n)
+    offset = float(rng.uniform(-0.5, 0.5))
+
+    def nan_rows(X):
+        return np.where((X * normal).sum(axis=1) > offset, np.nan, rows(X))
+
+    return nan_rows
+
+
+def test_lockstep_pattern_search_matches_the_reference_with_nan_values_bitwise():
+    # Up to 16 starts in 3-D with all 26 sign directions, where the
+    # objective is NaN on a half-space: NaN trials, NaN incumbents and
+    # out-of-ball trials meet in one batch, and every start still ends
+    # where the one-direction-at-a-time reference ends.  Starts alone also
+    # run under budgets that bind.
+    rng = np.random.default_rng(14)
+    events = collections.Counter()
+    dirs = direction_set(3, "full")
+    for case in range(48):
+        domain = random_domain(rng, 3)
+        spec = NormSpec(3, (1.0, 2.0, INF)[case % 3])
+        rows = nan_half_space_objective(rng, 3)
+        radius = float(rng.uniform(1.0, 3.0))
+        S = 1 if case % 4 == 0 else 1 + case % 16
+        X0 = np.empty((0, 3))
+        while len(X0) < S:  # S starts inside the ball
+            Z = domain.project_rows(rng.uniform(-radius, radius, (S, 3)))
+            X0 = np.vstack([X0, Z[norms_of_rows(Z, spec) <= radius]])[:S]
+        F0 = rows(X0)
+        step = float(rng.uniform(0.2, 1.0))
+        limit = int(rng.integers(1, 1500)) if S == 1 else 10**6
+        budget, ref_budget = _Budget(limit), _Budget(limit)
+        X, FX = pattern_search(
+            rows, domain, radius, spec, X0, F0, step, 1e-4, 0.5, dirs, budget
+        )
+        for i in range(S):
+            x_ref, fx_ref = reference_pattern_search(
+                rows, domain, radius, spec, X0[i], F0[i], step, 1e-4, 0.5, dirs,
+                ref_budget, events,
+            )
+            assert X[i].tobytes() == x_ref.tobytes(), (case, i)
+            assert FX[i].tobytes() == np.float64(fx_ref).tobytes(), (case, i)
+        assert budget.used == ref_budget.used, case
+        assert budget.exhausted == ref_budget.exhausted, case
+        events["nan_start"] += int(np.isnan(F0).sum())
+        events["nan_start_moved"] += int((np.isnan(F0) & ~np.isnan(FX)).sum())
+    assert events["nan"] >= 5 and events["outside"] >= 5 and events["cut"] >= 2, events
+    assert events["nan_start"] >= 5 and events["nan_start_moved"] >= 3, events
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_pattern_search_with_zero_starts_returns_empty_arrays_and_charges_nothing(paired):
+    budget = _Budget(10)
+    extra = {"partners": np.empty((0, 3))} if paired else {}
+    X, FX = pattern_search(
+        lambda X, *partner: (X * X).sum(axis=1), FullSpace(3), 2.0, NormSpec(3, 2.0),
+        np.empty((0, 3)), np.empty(0), 0.5, 1e-6, 0.5, direction_set(3, "full"),
+        budget, **extra,
+    )
+    assert X.shape == (0, 3) and FX.shape == (0,)
+    assert budget.used == 0 and not budget.exhausted
 
 
 def test_a_binding_budget_ends_every_start_at_its_current_point():
