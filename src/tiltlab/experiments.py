@@ -115,30 +115,27 @@ def _certify_probe(
     bound: tuple[float, float] | None,
     margin: float,
     fixed_radius: float,
-    objective=None,
+    objective_rows=None,
 ) -> YEntry:
     """Globally minimize J(., y) for one probe and classify the clusters.
 
     ``bound`` is an :func:`effective_growth_bound` pair; the search runs in
     the coercive ball it licenses, or inside ``fixed_radius`` when it is
-    None.  ``index`` seeds the prescan incumbent.  ``objective`` replaces
-    J(., y) (the planted-instance hook).
+    None.  ``index`` seeds the prescan incumbent.  ``objective_rows``, a
+    rows function, replaces J(., y) (the planted-instance hook); its
+    incumbent is its lesser value at y and at the set's base witness.
     """
-    if objective is not None:
-        rows = None
-        incumbent = float(min(objective(y), objective(F.domain.ray_base)))
-    else:
-        objective = F.tilt_objective(y)
-        rows = lambda X: F.pairs(X, y[None, :])
+    if objective_rows is None:
+        objective_rows = lambda X: F.pairs(X, y[None, :])
         incumbent = _prescan_incumbent(F, y, config.seed, index)
+    else:
+        incumbent = float(min(objective_rows(np.vstack((y, F.domain.ray_base)))))
     if bound is None:
         radius = fixed_radius
     else:
         kappa_eff, r0 = bound
         radius = max(coercivity_radius(F, y, kappa_eff, r0, incumbent, margin), 1.0)
-    result = global_minimize(
-        objective, F.domain, radius, config, norm_spec=F.norm, objective_rows=rows
-    )
+    result = global_minimize(objective_rows, F.domain, radius, config, F.norm)
     if result.cluster_count >= 2:
         verdict = EntryVerdict.MULTIPLE
     elif result.status is SearchStatus.NO_MINIMUM_SUSPECTED:
@@ -170,9 +167,9 @@ def certify_uniqueness(
 
     When the growth estimate does not license a coercive radius and no
     override is supplied, every probe runs inside the fallback radius and
-    the overall verdict is capped at INCONCLUSIVE.  ``objective_override``
-    replaces J(., y) by an arbitrary objective (a planted-instance hook used
-    to validate the detector).
+    the overall verdict is capped at INCONCLUSIVE.  ``objective_override``,
+    a rows function ``(k, n) -> (k,)``, replaces J(., y) (a planted-instance
+    hook used to validate the detector).
     """
     ys = [F.domain.require(y, "y sample") for y in y_samples]
     if not ys:
@@ -321,14 +318,7 @@ def find_fixed_point(
     # bounds the displacement search as well.
     radius = max(coercivity_radius(F, base, kappa_eff, r0, best_known, margin), 1.0)
 
-    result = global_minimize(
-        F.displacement_objective(),
-        F.domain,
-        radius,
-        config,
-        norm_spec=F.norm,
-        objective_rows=F.displacements,
-    )
+    result = global_minimize(F.displacements, F.domain, radius, config, F.norm)
     x_star = result.best_point
     residual = result.global_value
 

@@ -296,20 +296,30 @@ def _status(
     return SearchStatus.OK
 
 
+def _values_of_rows(objective_rows, X: np.ndarray) -> np.ndarray:
+    """``objective_rows(X)`` as floats, refused unless it is one value per row."""
+    values = np.asarray(objective_rows(X), dtype=float)
+    if values.shape != (len(X),):
+        raise ValueError(
+            f"a rows objective must return one value per row, shape ({len(X)},), "
+            f"got shape {values.shape}"
+        )
+    return values
+
+
 def global_minimize(
-    objective: Callable[[np.ndarray], float],
+    objective_rows: Callable[[np.ndarray], np.ndarray],
     domain: FeasibleSet,
     radius: float,
     config: OptimizeConfig,
     norm_spec: NormSpec | None = None,
-    objective_rows: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> MinimizationResult:
-    """Global minimization of ``objective`` over X within the ball of the
-    ambient norm (Euclidean when ``norm_spec`` is omitted).
+    """Global minimization over X within the ball of the ambient norm
+    (Euclidean when ``norm_spec`` is omitted).
 
-    ``objective_rows``, when provided, evaluates a (k, n) batch; every
-    evaluation (grid scan, random starts, refinement) then goes through it,
-    and ``objective`` is never called.  Each row counts against the budget.
+    ``objective_rows`` maps a (k, n) batch to its (k,) values; every
+    evaluation (grid scan, random starts, refinement) goes through it, and
+    each row counts against the budget.
     """
     if not radius > 0.0:
         raise ValueError("radius must be positive")
@@ -323,9 +333,7 @@ def global_minimize(
     grid = grid[:k]
     if k == 0:
         raise InfeasibleTruncation("budget too small to scan a single grid point")
-    if objective_rows is None:
-        objective_rows = lambda X: np.array([float(objective(x)) for x in X])
-    grid_values = np.asarray(objective_rows(grid), dtype=float)
+    grid_values = _values_of_rows(objective_rows, grid)
 
     order = np.argsort(grid_values, kind="stable")[: config.multistart]
     starts, start_values = [grid[order]], [grid_values[order]]
@@ -336,7 +344,7 @@ def global_minimize(
     randoms = randoms[: budget.take(len(randoms))]
     if len(randoms):
         starts.append(randoms)
-        start_values.append(np.asarray(objective_rows(randoms), dtype=float))
+        start_values.append(_values_of_rows(objective_rows, randoms))
 
     step0 = config.initial_step if config.initial_step is not None else radius / 10.0
     endpoints, endpoint_values = pattern_search(
@@ -384,7 +392,8 @@ def brute_force_minima(
 
     No projection and no refinement: grid points are membership-filtered,
     evaluated in lexicographic order, and clustered with the same rule as
-    :func:`global_minimize`.
+    :func:`global_minimize`.  ``objective_rows``, when given, evaluates the
+    grid in row chunks and ``objective`` is never called.
     """
     n = domain.dimension
     if not radius > 0.0:
@@ -419,7 +428,7 @@ def brute_force_minima(
         if len(coords) == 0:
             continue
         if objective_rows is not None:
-            vals = np.asarray(objective_rows(coords), dtype=float)
+            vals = _values_of_rows(objective_rows, coords)
         else:
             vals = np.array([float(objective(x)) for x in coords])
         evaluations += len(coords)

@@ -117,9 +117,6 @@ class NormSpec:
             return None
         return _frozen(np.array(self.weights, dtype=float))
 
-    def __call__(self, v) -> float:
-        return norm(v, self)
-
 
 def norm(v, spec: NormSpec) -> float:
     """The lp (or weighted-lp) norm of ``v`` under ``spec``."""

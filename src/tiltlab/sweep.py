@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .experiments import _certify_probe, effective_growth_bound
 from .functional import TiltedFunctional
 from .maps import AffineMap, GrowthEstimate, MapSpec, growth_coefficient, shell_radii
@@ -24,6 +25,7 @@ from .spaces import FeasibleSet, MaxNorm, NormSpec, finite_tuple, norm, positive
 
 _REVERIFY_FACTOR = 4
 _SCORE_FLOOR = 1e-12
+_PLANTED_SPREAD = 2.0
 
 
 @dataclass(frozen=True)
@@ -98,19 +100,19 @@ FAMILY_BUILDERS = {
 }
 
 
-def planted_double_well(dimension: int, x0=None, spread: float = 1.0):
-    """Objective with exactly two tied global minima ``spread`` apart along
-    the first axis; the standard plant for validating the multiplicity
-    detector."""
-    center = np.zeros(dimension) if x0 is None else np.asarray(x0, dtype=float)
+def planted_double_well(dimension: int, spread: float = 1.0):
+    """Rows objective with exactly two tied global minima ``spread`` apart
+    along the first axis, centred at the origin; the standard plant for
+    validating the multiplicity detector."""
     half = spread / 2.0
 
-    def objective(x: np.ndarray) -> float:
-        d = np.asarray(x, dtype=float) - center
-        rest = float(np.dot(d[1:], d[1:]))
-        return (d[0] * d[0] - half * half) ** 2 + rest
+    def rows(X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        if X.shape[1:] != (dimension,):
+            raise DimensionMismatch(f"expected a (k, {dimension}) array, got {X.shape}")
+        return (X[:, 0] ** 2 - half * half) ** 2 + (X[:, 1:] ** 2).sum(axis=1)
 
-    return objective
+    return rows
 
 
 @dataclass(frozen=True)
@@ -175,7 +177,6 @@ class _SweepContext:
     margin: float
     fallback_radius: float
     planted_cell: int | None
-    planted_spread: float
 
 
 def _candidate_metrics(
@@ -219,7 +220,7 @@ def _run_cell(
     )
     y = np.array(cell.y, dtype=float)
     if planted:
-        objective = planted_double_well(ctx.family.dimension, spread=ctx.planted_spread)
+        objective = planted_double_well(ctx.family.dimension, _PLANTED_SPREAD)
         bound, kappa_hat, kappa_method = None, None, "planted"
     else:
         objective = None
@@ -293,7 +294,6 @@ def search_counterexample(
     growth_directions: int = 32,
     jobs: int = 1,
     planted_cell: int | None = None,
-    planted_spread: float = 2.0,
 ) -> SweepResult:
     """Sweep (parameter point, norm exponent, probe y) cells hunting for
     two-cluster instances of J(., y).
@@ -341,7 +341,6 @@ def search_counterexample(
         margin=float(margin),
         fallback_radius=float(fallback_radius),
         planted_cell=planted_cell,
-        planted_spread=float(planted_spread),
     )
     # A growth estimate and its seed depend only on the cell's (parameter
     # point, norm) pair, so one estimate serves every probe y of the pair.

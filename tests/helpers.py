@@ -69,6 +69,12 @@ def scalar_pairs(value):
     return pairs
 
 
+def rows_of(scalar):
+    """A rows objective ``(k, n) -> (k,)`` from a scalar ``scalar(x)``: one
+    call per row."""
+    return lambda X: np.array([float(scalar(x)) for x in X])
+
+
 def feasible_cloud(F: TiltedFunctional, radius: float, count: int, seed: int):
     """Seeded feasible points inside the ambient ball, for invariant suites."""
     from tiltlab import SampleDomain

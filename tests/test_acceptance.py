@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import affine_instance, instance_growth, suite_config
+from helpers import affine_instance, instance_growth, rows_of, suite_config
 
 import tiltlab as tl
 from tiltlab import (
@@ -178,24 +178,22 @@ def test_criterion_4_oracle_equivalence():
         NormSpec(1, 2.0), FullSpace(1), AffineMap(1, matrix=((0.4,),), offset=(0.7,))
     )
     cases = [
-        ("double well 1-D", planted_double_well(1, spread=2.0), None, FullSpace(1), 2.0, 4001, None),
-        ("quarter tilt y=4", q.tilt_objective([4.0]), None, FullSpace(1), 2.0, 4001, q.norm),
-        ("quarter tilt y=-2", q.tilt_objective([-2.0]), None, FullSpace(1), 3.0, 4001, q.norm),
-        ("affine displacement 1-D", affine1d.displacement_objective(), affine1d.displacements, FullSpace(1), 5.0, 4001, affine1d.norm),
-        ("constant tilt", Fc.tilt_objective([1.0]), None, FullSpace(1), 2.0, 4001, Fc.norm),
-        ("double well 2-D", planted_double_well(2, spread=2.0), None, FullSpace(2), 2.0, 401, None),
-        ("displacement 2-D lp2", F2.displacement_objective(), F2.displacements, FullSpace(2), 4.0, 401, F2.norm),
-        ("displacement 2-D lpinf", Finf.displacement_objective(), Finf.displacements, FullSpace(2), 4.0, 401, Finf.norm),
-        ("l1 norm on orthant", lambda x: float(np.abs(x).sum()), None, Orthant(2), 1.0, 401, NormSpec(2, 2.0)),
-        ("displacement 2-D lp1 orthant", F1o.displacement_objective(), F1o.displacements, Orthant(2), 4.0, 401, F1o.norm),
+        ("double well 1-D", planted_double_well(1, spread=2.0), FullSpace(1), 2.0, 4001, None),
+        ("quarter tilt y=4", lambda X: q.pairs(X, [[4.0]]), FullSpace(1), 2.0, 4001, q.norm),
+        ("quarter tilt y=-2", lambda X: q.pairs(X, [[-2.0]]), FullSpace(1), 3.0, 4001, q.norm),
+        ("affine displacement 1-D", affine1d.displacements, FullSpace(1), 5.0, 4001, affine1d.norm),
+        ("constant tilt", lambda X: Fc.pairs(X, [[1.0]]), FullSpace(1), 2.0, 4001, Fc.norm),
+        ("double well 2-D", planted_double_well(2, spread=2.0), FullSpace(2), 2.0, 401, None),
+        ("displacement 2-D lp2", F2.displacements, FullSpace(2), 4.0, 401, F2.norm),
+        ("displacement 2-D lpinf", Finf.displacements, FullSpace(2), 4.0, 401, Finf.norm),
+        ("l1 norm on orthant", rows_of(lambda x: float(np.abs(x).sum())), Orthant(2), 1.0, 401, NormSpec(2, 2.0)),
+        ("displacement 2-D lp1 orthant", F1o.displacements, Orthant(2), 4.0, 401, F1o.norm),
     ]
     cfg = OptimizeConfig(coarse_grid=33, multistart=8, seed=13)
-    for name, obj, rows, domain, radius, resolution, spec in cases:
-        mine = global_minimize(
-            obj, domain, radius, cfg, norm_spec=spec, objective_rows=rows
-        )
+    for name, rows, domain, radius, resolution, spec in cases:
+        mine = global_minimize(rows, domain, radius, cfg, norm_spec=spec)
         oracle = brute_force_minima(
-            obj, domain, radius, resolution, norm_spec=spec, objective_rows=rows
+            None, domain, radius, resolution, norm_spec=spec, objective_rows=rows
         )
         spacing = 2.0 * radius / (resolution - 1)
         tolerance = max(1e-6, 10.0 * spacing)

@@ -16,6 +16,7 @@ from tiltlab import (
     GrowthMethod,
     NormSpec,
     OptimizeConfig,
+    Orthant,
     TiltedFunctional,
     Verdict,
     analytic_fixed_point,
@@ -28,6 +29,7 @@ from tiltlab import (
     tilted_value,
     verify_saddle,
 )
+from tiltlab.experiments import _certify_probe
 
 CFG = OptimizeConfig(coarse_grid=33, multistart=8, seed=2)
 
@@ -81,6 +83,24 @@ def test_certify_planted_double_well_detected():
     pts = sorted(c.point[0] for c in entry.result.clusters)
     assert pts == pytest.approx([-1.0, 1.0], abs=1e-6)
     assert report.kappa_method == "planted"
+
+
+def test_planted_probe_incumbent_is_the_plant_at_y_or_the_base_witness():
+    # The orthant's base witness is its corner (0.3, 0.2); the map keeps it.
+    F = TiltedFunctional(
+        NormSpec(2, 2.0),
+        Orthant(2, lower=(0.3, 0.2)),
+        AffineMap(2, matrix=((0.25, 0.0), (0.0, 0.25)), offset=(0.3, 0.2)),
+    )
+    plant = planted_double_well(2, spread=2.0)
+    base = F.domain.ray_base
+    assert base.tolist() == [0.3, 0.2]
+    for y in ([2.0, 1.0], [1.0, 0.2], [0.3, 0.2]):
+        y = np.array(y)
+        entry = _certify_probe(F, y, 0, CFG, None, 1.0, 3.0, plant)
+        expected = min(plant(y[None, :])[0], plant(base[None, :])[0])
+        assert entry.incumbent == expected
+        assert entry.radius == 3.0
 
 
 def test_certify_unbounded_objective_reported_vacuous():

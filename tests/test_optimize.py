@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 import signal
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import affine_instance
+from helpers import affine_instance, rows_of
 
 from tiltlab import (
     INF,
     AffineMap,
+    DimensionMismatch,
     FullSpace,
     HalfSpace,
     InfeasibleTruncation,
@@ -32,15 +34,15 @@ from tiltlab import (
 from tiltlab.optimize import direction_set, pattern_search, _Budget
 
 
-def double_well(x):
-    return (x[0] ** 2 - 1.0) ** 2
+def double_well(X):
+    return (X[:, 0] ** 2 - 1.0) ** 2
 
 
 def quarter_tilt(y):
-    F = TiltedFunctional(
+    q = TiltedFunctional(
         NormSpec(1, 2.0), FullSpace(1), AffineMap(1, matrix=((0.25,),), offset=(0.0,))
     )
-    return F.tilt_objective(np.array([y]))
+    return lambda X: q.pairs(X, [[y]])
 
 
 CFG = OptimizeConfig(coarse_grid=33, multistart=8, seed=3)
@@ -60,7 +62,7 @@ def test_tilt_instance_single_cluster():
     # equality only at x = 0
     obj = quarter_tilt(4.0)
     xs = np.linspace(-2, 2, 2001)
-    assert all(obj(np.array([x])) >= 0.5 * abs(x) - 4.0 - 1e-12 for x in xs)
+    assert np.all(obj(xs[:, None]) >= 0.5 * np.abs(xs) - 4.0 - 1e-12)
     res = global_minimize(obj, FullSpace(1), 2.0, CFG)
     assert res.cluster_count == 1
     assert res.clusters[0].point[0] == pytest.approx(0.0, abs=1e-8)
@@ -73,26 +75,21 @@ def test_displacement_matches_analytic_fixed_point():
         FullSpace(2),
         AffineMap(2, matrix=((0.3, 0.0), (0.0, 0.2)), offset=(1.0, 1.0)),
     )
-    res = global_minimize(
-        F.displacement_objective(),
-        FullSpace(2),
-        10.0,
-        CFG,
-        norm_spec=F.norm,
-        objective_rows=F.displacements,
-    )
+    res = global_minimize(F.displacements, FullSpace(2), 10.0, CFG, norm_spec=F.norm)
     assert res.cluster_count == 1
     assert np.allclose(res.best_point, analytic_fixed_point(F.mapping), atol=1e-6)
     assert res.global_value <= 1e-8
 
 
 def test_brute_force_examples():
-    res = brute_force_minima(double_well, FullSpace(1), 2.0, 4001)
+    res = brute_force_minima(None, FullSpace(1), 2.0, 4001, objective_rows=double_well)
     assert res.cluster_count == 2
     points = sorted(c.point[0] for c in res.clusters)
     assert points == pytest.approx([-1.0, 1.0], abs=1e-3)
 
-    res2 = brute_force_minima(quarter_tilt(4.0), FullSpace(1), 2.0, 4001)
+    res2 = brute_force_minima(
+        None, FullSpace(1), 2.0, 4001, objective_rows=quarter_tilt(4.0)
+    )
     assert res2.cluster_count == 1
     assert res2.clusters[0].point[0] == pytest.approx(0.0, abs=1e-3)
     assert res2.global_value == pytest.approx(-4.0, abs=1e-3)
@@ -107,7 +104,7 @@ def test_brute_force_examples():
 
 def test_brute_force_guard():
     with pytest.raises(ValueError, match="guard"):
-        brute_force_minima(double_well, FullSpace(3), 1.0, 100_000)
+        brute_force_minima(None, FullSpace(3), 1.0, 100_000, objective_rows=double_well)
 
 
 def test_monotone_refinement():
@@ -481,17 +478,16 @@ def test_global_minimize_with_rows_makes_no_scalar_calls():
         Orthant(2),
         AffineMap(2, matrix=((0.3, 0.1), (0.0, 0.2)), offset=(1.0, 0.5)),
     )
-    calls = []
+    shapes = []
 
-    def scalar(x):
-        calls.append(x)
-        return F.displacement(x)
+    def rows(X):
+        shapes.append(X.shape)
+        return F.displacements(X)
 
-    res = global_minimize(
-        scalar, F.domain, 6.0, CFG, norm_spec=F.norm, objective_rows=F.displacements
-    )
-    assert calls == []
-    assert res.evaluations > 0
+    res = global_minimize(rows, F.domain, 6.0, CFG, norm_spec=F.norm)
+    # Every call is a (k, 2) batch, and every row it holds is charged.
+    assert shapes and all(len(s) == 2 and s[1] == 2 for s in shapes)
+    assert sum(s[0] for s in shapes) == res.evaluations > 0
     assert np.allclose(res.best_point, analytic_fixed_point(F.mapping), atol=1e-6)
 
 
@@ -514,7 +510,7 @@ def test_feasibility_of_representatives():
     dom = Orthant(2)
     spec = NormSpec(2, 1.0)
     res = global_minimize(
-        lambda x: float((x[0] - 3.0) ** 2 + (x[1] - 3.0) ** 2),
+        rows_of(lambda x: float((x[0] - 3.0) ** 2 + (x[1] - 3.0) ** 2)),
         dom,
         2.0,
         cfg,
@@ -550,14 +546,14 @@ def test_budget_exhaustion_status():
 def test_no_minimum_suspected_on_boundary_drift():
     # objective decreasing outward: the incumbent lands on the shell
     cfg = OptimizeConfig(coarse_grid=17, multistart=4, seed=0)
-    res = global_minimize(lambda x: -abs(float(x[0])), FullSpace(1), 5.0, cfg)
+    res = global_minimize(rows_of(lambda x: -abs(float(x[0]))), FullSpace(1), 5.0, cfg)
     assert res.status is SearchStatus.NO_MINIMUM_SUSPECTED
 
 
 def test_infeasible_truncation():
     far = Orthant(1, lower=(10.0,))
     with pytest.raises(InfeasibleTruncation):
-        global_minimize(lambda x: 0.0, far, 1.0, CFG)
+        global_minimize(rows_of(lambda x: 0.0), far, 1.0, CFG)
     with pytest.raises(InfeasibleTruncation):
         brute_force_minima(lambda x: 0.0, far, 1.0, 101)
 
@@ -572,7 +568,7 @@ def test_oracle_agreement_spot():
     ]
     for obj, dom, radius in cases:
         mine = global_minimize(obj, dom, radius, cfg)
-        oracle = brute_force_minima(obj, dom, radius, 4001)
+        oracle = brute_force_minima(None, dom, radius, 4001, objective_rows=obj)
         spacing = 2 * radius / 4000
         assert mine.cluster_count == oracle.cluster_count
         assert abs(mine.global_value - oracle.global_value) <= max(1e-6, 10 * spacing)
@@ -580,10 +576,31 @@ def test_oracle_agreement_spot():
 
 def test_planted_double_well_shape():
     g = planted_double_well(2, spread=2.0)
-    assert g(np.array([1.0, 0.0])) == 0.0
-    assert g(np.array([-1.0, 0.0])) == 0.0
-    assert g(np.array([0.0, 0.0])) > 0.0
-    assert g(np.array([1.0, 0.5])) > 0.0
+    values = g(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [1.0, 0.5]]))
+    assert values.tolist()[:2] == [0.0, 0.0]
+    assert np.all(values[2:] > 0.0)
+    with pytest.raises(DimensionMismatch):
+        g(np.zeros((4, 3)))
+
+
+def test_rows_plant_matches_the_scalar_formula():
+    # The plant as it was written per point, kept as the reference.
+    def scalar_plant(x, spread):
+        d = np.asarray(x, dtype=float) - np.zeros(len(x))
+        rest = float(np.dot(d[1:], d[1:]))
+        half = spread / 2.0
+        return (d[0] * d[0] - half * half) ** 2 + rest
+
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3, 4):
+        for spread in (1.0, 2.0):
+            X = rng.uniform(-2.0, 2.0, (500, n))
+            rows = planted_double_well(n, spread)(X)
+            reference = np.array([scalar_plant(x, spread) for x in X])
+            assert np.all(np.abs(rows - reference) <= 4 * np.spacing(reference))
+            wells = np.zeros((2, n))
+            wells[:, 0] = (-spread / 2.0, spread / 2.0)
+            assert planted_double_well(n, spread)(wells).tolist() == [0.0, 0.0]
 
 
 def test_direction_sets():
@@ -616,19 +633,19 @@ def test_config_rejects_an_infinite_float(field):
 
 def test_nan_values_never_form_a_cluster():
     # NaN away from the double well's right minimum: only x = 1 is a minimum.
-    objective = lambda x: double_well(x) if x[0] > 0.0 else np.nan
+    objective = lambda X: np.where(X[:, 0] > 0.0, double_well(X), np.nan)
     res = global_minimize(objective, FullSpace(1), 2.0, CFG)
     assert res.cluster_count == 1
     assert res.clusters[0].point[0] == pytest.approx(1.0, abs=1e-6)
     assert all(np.isfinite(c.value) for c in res.clusters)
-    oracle = brute_force_minima(objective, FullSpace(1), 2.0, 401)
+    oracle = brute_force_minima(None, FullSpace(1), 2.0, 401, objective_rows=objective)
     assert [c.point[0] for c in oracle.clusters] == pytest.approx([1.0], abs=1e-2)
 
 
 def test_an_objective_that_is_nan_everywhere_has_no_minimum():
     nan_everywhere = lambda x: np.nan
     with pytest.raises(ValueError, match="every objective value is NaN"):
-        global_minimize(nan_everywhere, FullSpace(1), 1.0, CFG)
+        global_minimize(rows_of(nan_everywhere), FullSpace(1), 1.0, CFG)
     with pytest.raises(ValueError, match="every objective value is NaN"):
         brute_force_minima(nan_everywhere, FullSpace(1), 1.0, 11)
 
@@ -659,3 +676,21 @@ def test_a_nan_value_does_not_stop_the_oracle_pruning_its_candidates(monkeypatch
         assert res.cluster_count == 1
     # Without pruning, the NaN at x = -0.9 kept all 2000 other grid points.
     assert counts[1] == counts[0] <= 2
+
+
+@pytest.mark.parametrize(
+    "bad, shape",
+    [
+        (lambda X: X ** 2, "(7, 1)"),  # a column, not one value per row
+        (lambda x: (x[0] ** 2 - 1.0) ** 2, "(1,)"),  # a scalar objective
+    ],
+    ids=["column", "scalar"],
+)
+def test_a_rows_objective_of_the_wrong_shape_is_refused(bad, shape):
+    # Both searches see 7 grid rows first, and name the shape they got.
+    message = r"one value per row, shape \(7,\), got shape " + re.escape(shape)
+    cfg = OptimizeConfig(coarse_grid=7, multistart=2, seed=0)
+    with pytest.raises(ValueError, match=message):
+        global_minimize(bad, FullSpace(1), 1.0, cfg)
+    with pytest.raises(ValueError, match=message):
+        brute_force_minima(None, FullSpace(1), 1.0, 7, objective_rows=bad)
