@@ -10,6 +10,7 @@ losslessly.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, fields
 
@@ -20,6 +21,7 @@ from .maps import (
     ConstantMap,
     MapSpec,
     ProjectedMap,
+    _AffinePart,
     shell_radii,
 )
 from .optimize import OptimizeConfig
@@ -34,7 +36,7 @@ from .spaces import (
     Orthant,
     positive_int,
 )
-from .sweep import FAMILY_BUILDERS, MapFamily
+from .sweep import MapFamily, sweep_norm_specs
 
 EXPERIMENT_KINDS = (
     "certify_uniqueness",
@@ -51,6 +53,27 @@ def fmt_float(x: float) -> str:
 
 def fmt_vector(v) -> str:
     return " ".join(fmt_float(x) for x in v)
+
+
+def _text(value) -> str:
+    """The one rendering rule for every config, report and table value."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):  # before int: a bool is an int
+        return "true" if value else "false"
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, (str, int)):
+        return str(value)
+    if isinstance(value, tuple):
+        return " ".join(_text(v) for v in value)
+    return fmt_float(value)
+
+
+def _put(doc: dict[str, str], prefix: str, obj, *names: str) -> None:
+    """Write each named field of ``obj`` under ``prefix.name``."""
+    for name in names:
+        doc[f"{prefix}.{name}"] = _text(getattr(obj, name))
 
 
 def parse_document(text: str) -> dict[str, str]:
@@ -146,10 +169,6 @@ def _parse_p(raw: str, key: str) -> float | MaxNorm:
         return float(raw)
     except ValueError:
         raise ConfigError(f"p must be a number or 'inf', got '{raw}'", field=key) from None
-
-
-def _fmt_p(p: float | MaxNorm) -> str:
-    return "inf" if p is INF else fmt_float(p)
 
 
 @dataclass(frozen=True)
@@ -289,28 +308,17 @@ def _build_map(doc, dim: int, prefix: str = "map") -> MapSpec:
 
 def _build_family(doc, dim: int) -> tuple[MapFamily, tuple, int, int | None]:
     kind = _get(doc, "sweep.family", required=True)
-    if kind not in FAMILY_BUILDERS:
-        raise ConfigError(
-            f"unknown family '{kind}'; known: {sorted(FAMILY_BUILDERS)}",
-            field="sweep.family",
-        )
     params = []
     for key in doc:
         if key.startswith("sweep.param."):
             name = key[len("sweep.param.") :]
             params.append((name, _get_vector(doc, key, required=True)))
-    if not params:
-        raise ConfigError("no sweep.param.<name> grids given", field="sweep.family")
     params.sort(key=lambda kv: kv[0])
     offset = _get_vector(doc, "sweep.offset", length=dim)
-    try:
-        family = MapFamily(
-            kind=kind, dimension=dim, parameters=tuple(params), offset=offset
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), field="sweep.family") from None
+    family = _checked("sweep.family", MapFamily, kind, dim, tuple(params), offset)
     raw_ps = _get(doc, "sweep.p_values", default="2")
     sweep_norms = tuple(_parse_p(tok, "sweep.p_values") for tok in raw_ps.split())
+    _checked("sweep.p_values", sweep_norm_specs, dim, sweep_norms)
     y_grid = _get_int(doc, "sweep.y_grid", default=5)
     if y_grid < 1:
         raise ConfigError("must be a positive integer", field="sweep.y_grid")
@@ -320,32 +328,21 @@ def _build_family(doc, dim: int) -> tuple[MapFamily, tuple, int, int | None]:
     return family, sweep_norms, y_grid, planted
 
 
-# A section knob's parser and formatter follow the type of its default; a
-# None default stands for a number.
-_FIELD_KINDS = {
-    int: (_get_int, str),
-    float: (_get_float, fmt_float),
-    str: (_get, str),
-    tuple: (_get_vector, fmt_vector),
-}
-
-
-def _section_fields(section: str, cls) -> list:
-    """(key, field, parse, render) for each knob of a config dataclass; the
-    seed is the top-level key every kind shares."""
-    return [
-        (f.name if f.name == "seed" else f"{section}.{f.name}", f)
-        + _FIELD_KINDS[float if f.default is None else type(f.default)]
-        for f in fields(cls)
-    ]
+# A section knob's parser follows the type of its default; a None default
+# stands for a number.
+_FIELD_KINDS = {int: _get_int, float: _get_float, str: _get, tuple: _get_vector}
 
 
 def _build_section(doc, section: str, cls):
+    """A config dataclass from its ``section.<field>`` keys; the seed is the
+    top-level key every kind shares."""
     values = {}
-    for key, f, parse, _ in _section_fields(section, cls):
+    for f in fields(cls):
+        key = f.name if f.name == "seed" else f"{section}.{f.name}"
         if f.name == "initial_step" and _get(doc, key, default="auto") == "auto":
             values[f.name] = None
         else:
+            parse = _FIELD_KINDS[float if f.default is None else type(f.default)]
             values[f.name] = parse(doc, key, default=f.default)
     try:
         return cls(**values)
@@ -354,12 +351,12 @@ def _build_section(doc, section: str, cls):
 
 
 def _section_to_doc(doc: dict[str, str], section: str, obj) -> None:
-    for key, f, _, render in _section_fields(section, type(obj)):
+    for f in fields(obj):
         value = getattr(obj, f.name)
         if f.name == "initial_step" and value is None:
-            doc[key] = "auto"
-        elif key != "seed" and value is not None:
-            doc[key] = render(value)
+            value = "auto"
+        if f.name != "seed" and value is not None:
+            doc[f"{section}.{f.name}"] = _text(value)
 
 
 def build_experiment(doc: dict[str, str]) -> ExperimentConfig:
@@ -421,27 +418,16 @@ def build_experiment(doc: dict[str, str]) -> ExperimentConfig:
 
 
 def _map_to_doc(m: MapSpec, doc: dict[str, str], prefix: str = "map") -> None:
-    if isinstance(m, AffineMap):
-        doc[f"{prefix}.family"] = "affine"
-        doc[f"{prefix}.matrix.shape"] = f"{m.dimension} {m.dimension}"
-        doc[f"{prefix}.matrix.data"] = fmt_vector(
-            [v for row in m.matrix for v in row]
-        )
-        doc[f"{prefix}.offset"] = fmt_vector(m.offset)
-    elif isinstance(m, BoundedPerturbedMap):
-        doc[f"{prefix}.family"] = "affine_bounded"
-        doc[f"{prefix}.matrix.shape"] = f"{m.dimension} {m.dimension}"
-        doc[f"{prefix}.matrix.data"] = fmt_vector(
-            [v for row in m.matrix for v in row]
-        )
-        doc[f"{prefix}.offset"] = fmt_vector(m.offset)
-        doc[f"{prefix}.field"] = m.field
-        doc[f"{prefix}.amplitude"] = fmt_float(m.amplitude)
+    doc[f"{prefix}.family"] = m.family
+    if isinstance(m, _AffinePart):
+        doc[f"{prefix}.matrix.shape"] = _text((m.dimension, m.dimension))
+        doc[f"{prefix}.matrix.data"] = _text(sum(m.matrix, ()))
+        _put(doc, prefix, m, "offset")
+        if isinstance(m, BoundedPerturbedMap):
+            _put(doc, prefix, m, "field", "amplitude")
     elif isinstance(m, ConstantMap):
-        doc[f"{prefix}.family"] = "constant"
-        doc[f"{prefix}.value"] = fmt_vector(m.value)
+        _put(doc, prefix, m, "value")
     elif isinstance(m, ProjectedMap):
-        doc[f"{prefix}.family"] = "projected"
         _map_to_doc(m.inner, doc, prefix=f"{prefix}.inner")
     else:  # pragma: no cover
         raise TypeError(f"unserializable map {type(m)}")
@@ -450,45 +436,39 @@ def _map_to_doc(m: MapSpec, doc: dict[str, str], prefix: str = "map") -> None:
 def config_to_document(cfg: ExperimentConfig) -> dict[str, str]:
     """Canonical document for a typed config; parsing it back yields an
     equal config."""
-    doc: dict[str, str] = {}
-    doc["kind"] = cfg.kind
-    doc["seed"] = str(cfg.seed)
-    doc["out"] = cfg.out
-    doc["space.dimension"] = str(cfg.norm.dimension)
+    doc = {"kind": cfg.kind, "seed": _text(cfg.seed), "out": cfg.out}
+    _put(doc, "space", cfg.norm, "dimension")
     doc["space.norm"] = cfg.norm.kind
-    doc["space.p"] = _fmt_p(cfg.norm.p)
+    _put(doc, "space", cfg.norm, "p")
     if cfg.norm.weights is not None:
-        doc["space.weights"] = fmt_vector(cfg.norm.weights)
+        _put(doc, "space", cfg.norm, "weights")
     doc["set.variant"] = cfg.domain.variant
     if isinstance(cfg.domain, Orthant):
-        doc["set.lower"] = fmt_vector(cfg.domain.lower)
+        _put(doc, "set", cfg.domain, "lower")
     elif isinstance(cfg.domain, HalfSpace):
-        doc["set.normal"] = fmt_vector(cfg.domain.normal)
-        doc["set.offset"] = fmt_float(cfg.domain.offset)
+        _put(doc, "set", cfg.domain, "normal", "offset")
     elif isinstance(cfg.domain, ConeIntersection):
-        doc["set.halfspaces"] = str(len(cfg.domain.constraints))
+        doc["set.halfspaces"] = _text(len(cfg.domain.constraints))
         for i, hs in enumerate(cfg.domain.constraints):
-            doc[f"set.halfspace.{i}.normal"] = fmt_vector(hs.normal)
-            doc[f"set.halfspace.{i}.offset"] = fmt_float(hs.offset)
-        doc["set.ray"] = fmt_vector(cfg.domain.ray)
-        doc["set.base"] = fmt_vector(cfg.domain.base)
+            _put(doc, f"set.halfspace.{i}", hs, "normal", "offset")
+        _put(doc, "set", cfg.domain, "ray", "base")
     if cfg.map_spec is not None:
         _map_to_doc(cfg.map_spec, doc)
     if cfg.family is not None:
         doc["sweep.family"] = cfg.family.kind
         for name, values in cfg.family.parameters:
-            doc[f"sweep.param.{name}"] = fmt_vector(values)
+            doc[f"sweep.param.{name}"] = _text(values)
         if cfg.family.offset is not None:
-            doc["sweep.offset"] = fmt_vector(cfg.family.offset)
-        doc["sweep.p_values"] = " ".join(_fmt_p(p) for p in cfg.sweep_norms)
-        doc["sweep.y_grid"] = str(cfg.sweep_y_grid)
+            _put(doc, "sweep", cfg.family, "offset")
+        doc["sweep.p_values"] = _text(cfg.sweep_norms)
+        doc["sweep.y_grid"] = _text(cfg.sweep_y_grid)
         if cfg.planted_cell is not None:
-            doc["sweep.planted_cell"] = str(cfg.planted_cell)
+            doc["sweep.planted_cell"] = _text(cfg.planted_cell)
     _section_to_doc(doc, "optimizer", cfg.optimizer)
     _section_to_doc(doc, "sampling", cfg.sampling)
     if cfg.saddle_point is not None:
-        doc["saddle.x_star"] = fmt_vector(cfg.saddle_point)
-    doc["saddle.tolerance"] = fmt_float(cfg.saddle_tolerance)
+        doc["saddle.x_star"] = _text(cfg.saddle_point)
+    doc["saddle.tolerance"] = _text(cfg.saddle_tolerance)
     return doc
 
 

@@ -11,18 +11,11 @@ bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .configfile import (
-    ExperimentConfig,
-    _fmt_p,
-    config_to_document,
-    fmt_float,
-    fmt_vector,
-    parse_document,
-)
+from .configfile import ExperimentConfig, _put, _text, config_to_document, parse_document
 from .experiments import (
     Verdict,
     certify_uniqueness,
@@ -32,15 +25,11 @@ from .experiments import (
 )
 from .functional import TiltedFunctional
 from .maps import growth_coefficient
-from .optimize import MinimizationResult
+from .optimize import Cluster, MinimizationResult
 from .spaces import SampleDomain
 from .sweep import SweepResult, search_counterexample
 
 _STREAM_Y_SET = 0xB21
-
-
-def _fmt_opt(x) -> str:
-    return "none" if x is None else fmt_float(x)
 
 
 @dataclass(frozen=True)
@@ -78,15 +67,19 @@ def embedded_config_document(report_text: str) -> dict[str, str]:
     }
 
 
+def _row(*values) -> tuple[str, ...]:
+    return tuple(_text(v) for v in values)
+
+
+def _clusters_to_doc(doc: dict[str, str], prefix: str, clusters: tuple[Cluster, ...]) -> None:
+    doc[f"{prefix}.clusters"] = _text(len(clusters))
+    for i, cluster in enumerate(clusters):
+        _put(doc, f"{prefix}.cluster.{i}", cluster, "point", "value")
+
+
 def _result_to_doc(doc: dict[str, str], prefix: str, result: MinimizationResult) -> None:
-    doc[f"{prefix}.status"] = result.status.value
-    doc[f"{prefix}.global_value"] = fmt_float(result.global_value)
-    doc[f"{prefix}.evaluations"] = str(result.evaluations)
-    doc[f"{prefix}.radius"] = fmt_float(result.radius)
-    doc[f"{prefix}.clusters"] = str(result.cluster_count)
-    for i, cluster in enumerate(result.clusters):
-        doc[f"{prefix}.cluster.{i}.point"] = fmt_vector(cluster.point)
-        doc[f"{prefix}.cluster.{i}.value"] = fmt_float(cluster.value)
+    _put(doc, prefix, result, "status", "global_value", "evaluations", "radius")
+    _clusters_to_doc(doc, prefix, result.clusters)
 
 
 def _build_functional(cfg: ExperimentConfig) -> TiltedFunctional:
@@ -132,29 +125,18 @@ def _run_find_fixed_point(cfg: ExperimentConfig) -> RunOutcome:
         margin=cfg.sampling.margin,
     )
     doc = {"report.kind": cfg.kind}
-    doc["report.x_star"] = fmt_vector(report.x_star)
-    doc["report.residual"] = fmt_float(report.residual)
-    doc["report.radius"] = fmt_float(report.radius)
-    doc["report.row_max"] = fmt_float(report.row_max)
-    doc["report.row_witness"] = fmt_vector(report.row_witness)
-    doc["report.strict_min"] = fmt_float(report.strict_min)
-    doc["report.strict_witness"] = fmt_vector(report.strict_witness)
-    doc["report.proximity_min"] = fmt_float(report.proximity_min)
-    doc["report.criterion_gap_max"] = fmt_float(report.criterion_gap_max)
-    doc["report.samples_used"] = str(report.samples_used)
-    doc["report.residual_ok"] = str(report.residual_ok).lower()
-    doc["report.row_ok"] = str(report.row_ok).lower()
-    doc["report.strict_ok"] = str(report.strict_ok).lower()
-    doc["report.proximity_ok"] = str(report.proximity_ok).lower()
-    doc["report.criterion_ok"] = str(report.criterion_ok).lower()
-    doc["report.kappa_method"] = report.kappa_method
+    _put(
+        doc, "report", report, "x_star", "residual", "radius", "row_max",
+        "row_witness", "strict_min", "strict_witness", "proximity_min",
+        "criterion_gap_max", "samples_used", "residual_ok", "row_ok",
+        "strict_ok", "proximity_ok", "criterion_ok", "kappa_method",
+    )
     _result_to_doc(doc, "report.minimization", report.result)
     table = Table(
         name="clusters",
         header=("cluster", "value") + _coord_header(cfg.norm.dimension),
         rows=tuple(
-            (str(i), fmt_float(c.value)) + tuple(fmt_float(v) for v in c.point)
-            for i, c in enumerate(report.result.clusters)
+            _row(i, c.value, *c.point) for i, c in enumerate(report.result.clusters)
         ),
     )
     return RunOutcome(_finish(doc, cfg), (table,), 0)
@@ -178,30 +160,19 @@ def _run_certify(cfg: ExperimentConfig) -> RunOutcome:
         fallback_radius=cfg.sampling.fallback_radius,
     )
     doc = {"report.kind": cfg.kind}
-    doc["report.verdict"] = report.verdict.value
-    doc["report.value_tolerance"] = fmt_float(report.value_tolerance)
-    doc["report.separation"] = fmt_float(report.separation)
-    doc["report.kappa_method"] = report.kappa_method
-    doc["report.kappa_hat"] = _fmt_opt(report.kappa_hat)
-    doc["report.margin"] = fmt_float(report.margin)
-    doc["report.entries"] = str(len(report.entries))
+    _put(
+        doc, "report", report, "verdict", "value_tolerance", "separation",
+        "kappa_method", "kappa_hat", "margin",
+    )
+    doc["report.entries"] = _text(len(report.entries))
     rows = []
     for i, entry in enumerate(report.entries):
         prefix = f"report.entry.{i}"
-        doc[f"{prefix}.y"] = fmt_vector(entry.y)
-        doc[f"{prefix}.radius"] = fmt_float(entry.radius)
-        doc[f"{prefix}.incumbent"] = fmt_float(entry.incumbent)
-        doc[f"{prefix}.verdict"] = entry.verdict.value
+        _put(doc, prefix, entry, "y", "radius", "incumbent", "verdict")
         _result_to_doc(doc, f"{prefix}.minimization", entry.result)
         best = entry.result.clusters[0]
         rows.append(
-            tuple(fmt_float(v) for v in entry.y)
-            + tuple(fmt_float(v) for v in best.point)
-            + (
-                fmt_float(best.value),
-                str(entry.result.cluster_count),
-                entry.verdict.value,
-            )
+            _row(*entry.y, *best.point, best.value, entry.result.cluster_count, entry.verdict)
         )
     table = Table(
         name="per_y",
@@ -226,24 +197,13 @@ def _run_minimax(cfg: ExperimentConfig) -> RunOutcome:
         config=mm_config,
     )
     doc = {"report.kind": cfg.kind}
-    doc["report.lower"] = fmt_float(report.lower)
-    doc["report.upper"] = fmt_float(report.upper)
-    doc["report.gap"] = fmt_float(report.gap)
-    doc["report.x_witness"] = fmt_vector(report.x_witness)
-    doc["report.y_witness"] = fmt_vector(report.y_witness)
-    doc["report.boundary_max_flag"] = str(report.boundary_max_flag).lower()
-    doc["report.witness_distance"] = fmt_float(report.witness_distance)
-    doc["report.evaluations"] = str(report.evaluations)
-    doc["report.radius"] = fmt_float(report.radius)
-    doc["report.resolution"] = str(report.resolution)
+    _put(doc, "report", report, *(f.name for f in fields(report)))
     table = Table(
         name="envelopes",
         header=("side", "value") + _coord_header(cfg.norm.dimension),
         rows=(
-            ("upper", fmt_float(report.upper))
-            + tuple(fmt_float(v) for v in report.x_witness),
-            ("lower", fmt_float(report.lower))
-            + tuple(fmt_float(v) for v in report.y_witness),
+            _row("upper", report.upper, *report.x_witness),
+            _row("lower", report.lower, *report.y_witness),
         ),
     )
     return RunOutcome(_finish(doc, cfg), (table,), 0)
@@ -264,26 +224,16 @@ def _run_verify_saddle(cfg: ExperimentConfig) -> RunOutcome:
         norm_spec=cfg.norm,
     )
     doc = {"report.kind": cfg.kind}
-    doc["report.row_max"] = fmt_float(check.row_max)
-    doc["report.row_witness"] = fmt_vector(check.row_witness)
-    doc["report.column_min"] = fmt_float(check.column_min)
-    doc["report.column_witness"] = fmt_vector(check.column_witness)
-    if check.strict_min is not None:
-        doc["report.strict_min"] = fmt_float(check.strict_min)
-        doc["report.strict_witness"] = fmt_vector(check.strict_witness)
-    doc["report.row_ok"] = str(check.row_ok).lower()
-    doc["report.column_nonneg_ok"] = str(check.column_nonneg_ok).lower()
-    doc["report.column_strict_ok"] = str(check.column_strict_ok).lower()
-    doc["report.tolerance"] = fmt_float(check.tolerance)
-    doc["report.separation"] = fmt_float(check.separation)
+    # The strict keys are left out when no probe lies beyond the separation.
+    _put(doc, "report", check, *(
+        f.name for f in fields(check) if getattr(check, f.name) is not None
+    ))
     table = Table(
         name="extremes",
         header=("check", "value") + _coord_header(cfg.norm.dimension),
         rows=(
-            ("row_max", fmt_float(check.row_max))
-            + tuple(fmt_float(v) for v in check.row_witness),
-            ("column_min", fmt_float(check.column_min))
-            + tuple(fmt_float(v) for v in check.column_witness),
+            _row("row_max", check.row_max, *check.row_witness),
+            _row("column_min", check.column_min, *check.column_witness),
         ),
     )
     return RunOutcome(_finish(doc, cfg), (table,), 0)
@@ -306,66 +256,39 @@ def _run_sweep(cfg: ExperimentConfig, jobs: int) -> RunOutcome:
         planted_cell=cfg.planted_cell,
     )
     doc = {"report.kind": cfg.kind}
-    doc["report.cells_total"] = str(result.cells_total)
-    doc["report.cells_screened_out"] = str(result.cells_screened_out)
-    doc["report.findings_raw"] = str(result.findings_raw)
-    doc["report.candidates"] = str(len(result.candidates))
-    doc["report.value_tolerance"] = fmt_float(result.value_tolerance)
-    doc["report.separation"] = fmt_float(result.separation)
+    _put(doc, "report", result, "cells_total", "cells_screened_out", "findings_raw")
+    doc["report.candidates"] = _text(len(result.candidates))
+    _put(doc, "report", result, "value_tolerance", "separation")
     for i, cand in enumerate(result.candidates):
         prefix = f"report.candidate.{i}"
-        doc[f"{prefix}.cell"] = str(cand.cell_index)
+        doc[f"{prefix}.cell"] = _text(cand.cell_index)
         for name, value in cand.params:
-            doc[f"{prefix}.param.{name}"] = fmt_float(value)
-        doc[f"{prefix}.p"] = _fmt_p(cand.norm_p)
-        doc[f"{prefix}.y"] = fmt_vector(cand.y)
-        doc[f"{prefix}.value_gap"] = fmt_float(cand.value_gap)
-        doc[f"{prefix}.separation"] = fmt_float(cand.separation)
-        doc[f"{prefix}.score"] = fmt_float(cand.score)
-        doc[f"{prefix}.status"] = cand.status
-        doc[f"{prefix}.kappa_method"] = cand.kappa_method
-        doc[f"{prefix}.clusters"] = str(len(cand.clusters))
-        for k, cluster in enumerate(cand.clusters):
-            doc[f"{prefix}.cluster.{k}.point"] = fmt_vector(cluster.point)
-            doc[f"{prefix}.cluster.{k}.value"] = fmt_float(cluster.value)
+            doc[f"{prefix}.param.{name}"] = _text(value)
+        doc[f"{prefix}.p"] = _text(cand.norm_p)
+        _put(doc, prefix, cand, "y", "value_gap", "separation", "score", "status", "kappa_method")
+        _clusters_to_doc(doc, prefix, cand.clusters)
 
     param_names = [name for name, _ in cfg.family.parameters]
-    cells_rows = []
-    for s in result.summaries:
-        values = dict(s.params)
-        cells_rows.append(
-            (str(s.index),)
-            + tuple(fmt_float(values[name]) for name in param_names)
-            + (
-                _fmt_p(s.norm_p),
-                fmt_vector(s.y),
-                "1" if s.screened_out else "0",
-                _fmt_opt(s.kappa_hat),
-                str(s.cluster_count),
-                _fmt_opt(s.best_value),
-            )
-        )
     cells = Table(
         name="cells",
         header=("cell",)
         + tuple(param_names)
         + ("p", "y", "screened_out", "kappa_hat", "clusters", "best_value"),
-        rows=tuple(cells_rows),
-    )
-    cand_rows = tuple(
-        (
-            str(c.cell_index),
-            fmt_float(c.score),
-            fmt_float(c.value_gap),
-            fmt_float(c.separation),
-            c.status,
-        )
-        for c in result.candidates
+        rows=tuple(
+            _row(
+                s.index, *(value for _, value in s.params), s.norm_p, s.y,
+                int(s.screened_out), s.kappa_hat, s.cluster_count, s.best_value,
+            )
+            for s in result.summaries
+        ),
     )
     candidates = Table(
         name="candidates",
         header=("cell", "score", "value_gap", "separation", "status"),
-        rows=cand_rows,
+        rows=tuple(
+            _row(c.cell_index, c.score, c.value_gap, c.separation, c.status)
+            for c in result.candidates
+        ),
     )
     code = 2 if result.candidates else 0
     return RunOutcome(_finish(doc, cfg), (cells, candidates), code)

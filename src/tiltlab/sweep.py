@@ -31,7 +31,8 @@ _PLANTED_SPREAD = 2.0
 @dataclass(frozen=True)
 class MapFamily:
     """A parameterized map template; ``parameters`` maps each swept name to
-    its grid of values, in sweep order."""
+    its grid of values, in sweep order.  It must name each parameter its
+    kind takes in its dimension once, and no other."""
 
     kind: str
     dimension: int
@@ -48,12 +49,22 @@ class MapFamily:
             (str(name), finite_tuple(values, f"parameter {name}"))
             for name, values in self.parameters
         )
-        if not params or any(not values for _, values in params):
+        if any(not values for _, values in params):
             raise ValueError("every swept parameter needs at least one value")
         object.__setattr__(self, "parameters", params)
         if self.offset is not None:
             offset = finite_tuple(self.offset, "offset", self.dimension)
             object.__setattr__(self, "offset", offset)
+        takes = sorted(FAMILY_BUILDERS[self.kind][0](self.dimension))
+        given = [name for name, _ in params]
+        if sorted(given) != takes:
+            raise ValueError(
+                f"family '{self.kind}' takes each of the parameters {takes} once, "
+                f"got {given}"
+            )
+        # One instance now, so that what the builder refuses (a dimension)
+        # fails here and not inside the sweep.
+        self.instantiate(tuple((name, values[0]) for name, values in params))
 
     def parameter_points(self) -> list[tuple[tuple[str, float], ...]]:
         names = [name for name, _ in self.parameters]
@@ -65,7 +76,7 @@ class MapFamily:
     def instantiate(self, point: tuple[tuple[str, float], ...]) -> MapSpec:
         values = dict(point)
         offset = self.offset if self.offset is not None else (0.0,) * self.dimension
-        return FAMILY_BUILDERS[self.kind](self.dimension, values, offset)
+        return FAMILY_BUILDERS[self.kind][1](self.dimension, values, offset)
 
 
 def _build_scaled_identity(n: int, params: dict, offset) -> MapSpec:
@@ -93,11 +104,20 @@ def _build_diagonal(n: int, params: dict, offset) -> MapSpec:
     return AffineMap(dimension=n, matrix=matrix, offset=offset)
 
 
+# kind -> (the names of its parameters in dimension n, its builder)
 FAMILY_BUILDERS = {
-    "scaled_identity": _build_scaled_identity,
-    "rotation_scale": _build_rotation_scale,
-    "diagonal": _build_diagonal,
+    "scaled_identity": (lambda n: ("theta",), _build_scaled_identity),
+    "rotation_scale": (lambda n: ("phi", "theta"), _build_rotation_scale),
+    "diagonal": (lambda n: tuple(f"d{i}" for i in range(n)), _build_diagonal),
 }
+
+
+def sweep_norm_specs(dimension: int, norms) -> list[NormSpec]:
+    """One norm per swept exponent; ``ValueError`` for no exponent or an
+    invalid one."""
+    if len(norms) == 0:
+        raise ValueError("a sweep needs at least one p value")
+    return [NormSpec(dimension, p) for p in norms]
 
 
 def planted_double_well(dimension: int, spread: float = 1.0):
@@ -278,10 +298,6 @@ def _run_cell(
     return summary, candidate
 
 
-def ctx_param_key(cell: CellDescriptor) -> int:
-    return cell.param_index * 1009 + cell.norm_index
-
-
 def search_counterexample(
     family: MapFamily,
     norms: list[float | MaxNorm],
@@ -302,10 +318,12 @@ def search_counterexample(
     and counted.  ``planted_cell`` replaces the objective of one cell by the
     built-in tied double well, which must yield exactly one candidate; this
     validates the detector inside the sweep machinery.  An empty candidate
-    list is a valid outcome.  ``jobs`` (an integer >= 1) caps the worker
-    processes, of which there are never more than cells.
+    list is a valid outcome.  ``norms`` must hold at least one valid
+    exponent.  ``jobs`` (an integer >= 1) caps the worker processes, of
+    which there are never more than cells.
     """
     jobs = positive_int(jobs, "jobs")
+    norm_specs = sweep_norm_specs(family.dimension, norms)
     y_arr = np.asarray(y_points, dtype=float)
     if y_arr.ndim != 2 or y_arr.shape[1] != family.dimension:
         raise ValueError("y_points must be a (k, dimension) array")
@@ -344,20 +362,22 @@ def search_counterexample(
     )
     # A growth estimate and its seed depend only on the cell's (parameter
     # point, norm) pair, so one estimate serves every probe y of the pair.
+    # The seed folds the pair into one integer, which repeats once a sweep
+    # has 1010 norms; the estimates are keyed by the pair, so they never mix.
     radii = shell_radii(growth_radii, "growth_radii")
-    growth: dict[int, GrowthEstimate] = {}
+    growth: dict[tuple[int, int], GrowthEstimate] = {}
     for c in cells:
-        key = ctx_param_key(c)
+        key = (c.param_index, c.norm_index)
         if c.index != planted_cell and key not in growth:
             growth[key] = growth_coefficient(
                 family.instantiate(c.params),
-                NormSpec(family.dimension, c.norm_p),
+                norm_specs[c.norm_index],
                 radii,
                 int(growth_directions),
-                seed=config.seed + 7919 * key,
+                seed=config.seed + 7919 * (c.param_index * 1009 + c.norm_index),
                 domain=domain,
             )
-    kappas = [growth.get(ctx_param_key(c)) for c in cells]
+    kappas = [growth.get((c.param_index, c.norm_index)) for c in cells]
     # Under fork the pool starts all its workers at the first submit, so it
     # never gets more workers than cells.
     workers = min(jobs, len(cells))

@@ -221,6 +221,10 @@ def test_validate_rejects_keys_nothing_reads(tmp_path, capsys, key, text):
         ("sampling.y_radius", "inf"),
         ("sampling.growth_radii", "100 inf"),
         ("saddle.x_star", "nan"),
+        ("sweep.p_values", "nan"),
+        ("sweep.p_values", "0.5"),
+        ("sweep.p_values", "2 -inf"),
+        ("sweep.p_values", ""),
     ],
 )
 def test_validate_rejects_numbers_run_would_reject(tmp_path, capsys, key, value):
@@ -232,6 +236,31 @@ def test_validate_rejects_numbers_run_would_reject(tmp_path, capsys, key, value)
     assert ok == 1
     err = capsys.readouterr().err
     assert key.split(".", 1)[1] in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "drop, override, culprit",
+    [
+        ("", "sweep.param.psi=1 2", "psi"),
+        ("sweep.param.theta", None, "theta"),
+        ("", "space.dimension=3", "two-dimensional"),
+    ],
+    ids=["unknown_parameter", "missing_parameter", "dimension"],
+)
+def test_validate_refuses_a_family_it_cannot_build(tmp_path, capsys, drop, override, culprit):
+    # README's rotation_scale sweep, with one parameter too many or too few,
+    # or in a dimension the family does not have.
+    text = readme_configs()[2]
+    if drop:
+        text = "".join(line for line in text.splitlines(True) if not line.startswith(drop))
+    args = ["validate", "--config", str(write(tmp_path, text))]
+    if override:
+        args += ["--override", override]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: field 'sweep.family'")
+    assert culprit in err
     assert "Traceback" not in err
 
 

@@ -1,4 +1,4 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every import in the package is used."""
 
 import ast
 from pathlib import Path
@@ -9,10 +9,11 @@ PACKAGE = Path(tiltlab.__file__).parent
 
 
 def unused_imports(source: str) -> list[str]:
-    """Names bound by module-level imports that no expression reads."""
+    """Names bound by imports, at module level or inside a function, that no
+    expression reads."""
     tree = ast.parse(source)
     bound = {}
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -25,6 +26,7 @@ def unused_imports(source: str) -> list[str]:
 def test_unused_imports_are_detected():
     source = "import os\nfrom typing import Any, Callable\nx: Callable = os.sep\n"
     assert unused_imports(source) == ["line 2: Any"]
+    assert unused_imports("def f():\n    import math\n    return 1\n") == ["line 2: math"]
 
 
 def test_package_modules_have_no_unused_imports():

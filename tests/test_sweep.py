@@ -213,6 +213,50 @@ def test_sweep_orthant_domain():
     assert all(not s.screened_out for s in result.summaries)
 
 
+def test_growth_estimates_of_distinct_pairs_never_mix():
+    # Pairs (0, 1009) and (1, 0) share a growth seed: cell 1010 (theta 0.3,
+    # a contraction) must keep its own estimate, not theta 0.6's.
+    fam = MapFamily("scaled_identity", 1, (("theta", (0.6, 0.3)),))
+    result = search_counterexample(
+        fam, [2.0] * 1010, FullSpace(1), np.array([[0.5]]),
+        OptimizeConfig(coarse_grid=5, multistart=1),
+    )
+    assert result.cells_screened_out == 1010
+    cell = result.summaries[1010]
+    assert dict(cell.params)["theta"] == 0.3
+    assert not cell.screened_out
+    assert cell.kappa_hat == 0.3
+
+
+@pytest.mark.parametrize(
+    "kind, dimension, parameters, match",
+    [
+        ("rotation_scale", 2, (("phi", (0.0,)),), r"\['phi', 'theta'\] once, got \['phi'\]"),
+        ("rotation_scale", 2, (("theta", (0.2,)), ("phi", (0.0,)), ("psi", (1.0, 2.0))),
+         r"got \['theta', 'phi', 'psi'\]"),
+        ("diagonal", 2, (("d0", (0.1,)),), r"\['d0', 'd1'\] once, got \['d0'\]"),
+        ("scaled_identity", 1, (("theta", (0.2,)), ("theta", (0.7, 0.9))),
+         r"got \['theta', 'theta'\]"),
+        ("rotation_scale", 3, (("theta", (0.2,)), ("phi", (0.0,))), "two-dimensional"),
+    ],
+    ids=["missing", "unknown", "missing_diagonal", "twice", "dimension"],
+)
+def test_map_family_refuses_parameters_and_dimensions_it_cannot_build(
+    kind, dimension, parameters, match
+):
+    with pytest.raises(ValueError, match=match):
+        MapFamily(kind, dimension, parameters)
+
+
+@pytest.mark.parametrize(
+    "norms, match", [([], "at least one p"), ([2.0, 0.5], "0.5")], ids=["empty", "below_one"]
+)
+def test_search_counterexample_refuses_empty_or_invalid_norms(norms, match):
+    fam = MapFamily(kind="scaled_identity", dimension=1, parameters=(("theta", (0.2,)),))
+    with pytest.raises(ValueError, match=match):
+        search_counterexample(fam, norms, FullSpace(1), np.array([[0.0]]), CFG)
+
+
 def test_family_builders_cover_kinds():
     assert set(FAMILY_BUILDERS) == {"scaled_identity", "rotation_scale", "diagonal"}
     fam = MapFamily(
