@@ -480,16 +480,15 @@ def _transposed(J: Bifunctional) -> Bifunctional:
 
 
 class _SupSolver:
-    """sup_y J(x, y) for each row x of a batch, warm-started along a walk.
+    """sup_y J(x, y) for each row x of a batch, at full precision.
 
-    Scans a candidate pool for every row in one kernel call, then polishes
-    all rows by one lockstep pattern search on -J(x, .), each row paired
-    with its own x and started from the better of its pool winner and the
-    shared warm witness.  ``outer_step`` scales both the inner termination
-    and the warm initial step, so precision tracks what the outer walk
-    needs; ``outer_step=None`` solves at full precision.  After each call
-    the warm witness is that of the row with the least sup value.  Every
-    evaluation is charged to ``budget``.
+    When J has an exact row envelope the answer is ``J.row_sup``, one
+    evaluation per row.  Otherwise one kernel call scans a candidate pool,
+    and the warm witness, for every row; then one lockstep pattern search
+    on -J(x, .) polishes all rows, each paired with its own x and started
+    from the better of its pool winner and the warm witness.  After such a
+    call the warm witness is that of the row with the least sup value.
+    Every evaluation is charged to ``budget``.
     """
 
     def __init__(
@@ -508,14 +507,15 @@ class _SupSolver:
         self.config = config
         self.budget = budget
         self.dirs = direction_set(J.domain.dimension, config.directions)
-        self.pool_step = radius / 10.0
         self.warm: np.ndarray | None = None
 
-    def solve(
-        self, X: np.ndarray, outer_step: float | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def solve(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Witnesses (S, n) and sup values (S,) for the (S, n) rows X."""
         J, pool, warm = self.J, self.pool, self.warm
+        if J.row_sup is not None:
+            self.budget.take(len(X))
+            values, Y = J.row_sup(X)
+            return Y, values
         negated = lambda Y, Xs: -J.pairs(Xs, Y)
         # One kernel call scans the pool, and the warm witness after it, for
         # every row.
@@ -526,17 +526,10 @@ class _SupSolver:
         self.budget.take(vals.size)
         k = [first_argmin(row) for row in vals[:, :P]]
         starts, f0 = pool[k], vals[np.arange(S), k]
-        init = np.full(S, self.pool_step)
-        if outer_step is None:
-            termination = self.config.termination_step
-        else:
-            termination = max(self.config.termination_step, 0.01 * outer_step)
         if warm is not None:
             fw = vals[:, P]
             better = fw < f0
             starts[better], f0 = warm, np.where(better, fw, f0)
-            if outer_step is not None:
-                init[better] = max(4.0 * outer_step, 256.0 * termination)
         Y, FY = pattern_search(
             negated,
             J.domain,
@@ -544,8 +537,8 @@ class _SupSolver:
             self.norm_spec,
             starts,
             f0,
-            init,
-            termination,
+            self.radius / 10.0,
+            self.config.termination_step,
             self.config.shrink,
             self.dirs,
             self.budget,
@@ -566,51 +559,24 @@ def _minimize_sup_envelope(
     budget: _Budget,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Minimize x -> sup_y J(x, y) from each start; return the endpoints
-    and their y witnesses.
+    and the y witnesses of those that lie in the truncation ball.
 
-    When J has an exact row envelope, one lockstep :func:`pattern_search`
-    on it refines every start, and the witnesses are the maximisers of the
-    endpoints that lie in the truncation ball.  Otherwise each start runs a
-    compass walk around nested sup solves, whose precision adapts to the
-    current step, and the witnesses are full-precision maximisers.  Each
-    step level is one :func:`pattern_search` that ends at its first shrink;
-    the sups of all trial points of one of its iterations are solved
-    together, by one :meth:`_SupSolver.solve` call.  The inner solve only
-    needs enough precision to rank nearby trial points, and the incumbent
-    is re-anchored after every shrink so that comparisons stay consistent
-    and the next inner solve is warm-started.
+    One lockstep :func:`pattern_search` refines every start, and one
+    :meth:`_SupSolver.solve` call gives the sups of all trial points of one
+    of its iterations: Phi itself when J has an exact row envelope, a
+    full-precision search over ``pool`` otherwise.  The solver charges
+    every evaluation to ``budget``, so the search's own counter is never
+    exhausted.
     """
+    solver = _SupSolver(J, pool, radius, norm_spec, config, budget)
+    sup = lambda X: solver.solve(X)[1]
     step0 = config.initial_step if config.initial_step is not None else radius / 10.0
-    dirs = direction_set(J.domain.dimension, config.directions)
-    if J.row_sup is not None:
-        envelope = lambda X: J.row_sup(X)[0]
-        budget.take(len(starts))
-        X, _ = pattern_search(
-            envelope, J.domain, radius, norm_spec, starts, envelope(starts), step0,
-            config.termination_step, config.shrink, dirs, budget,
-        )
-        budget.take(len(X))
-        Y = J.row_sup(X)[1]
-        return list(X), list(Y[in_ball(Y, radius, norm_spec)])
-    walk_budget = _Budget(10 ** 18)  # never exhausted
-    ends: list[np.ndarray] = []
-    witnesses: list[np.ndarray] = []
-    for x0 in starts:
-        solver = _SupSolver(J, pool, radius, norm_spec, config, budget)
-        x = np.asarray(x0, dtype=float)[None, :]
-        step = float(step0)
-        sup = lambda Z: solver.solve(Z, step)[1]
-        fx = sup(x)
-        while step > config.termination_step:
-            x = pattern_search(
-                sup, J.domain, radius, norm_spec, x, fx, step,
-                step * config.shrink, config.shrink, dirs, walk_budget,
-            )[0]
-            step *= config.shrink
-            fx = sup(x)
-        ends.append(x[0])
-        witnesses.append(solver.solve(x)[0][0])
-    return ends, witnesses
+    X, _ = pattern_search(
+        sup, J.domain, radius, norm_spec, starts, sup(starts), step0,
+        config.termination_step, config.shrink, solver.dirs, _Budget(10 ** 18),
+    )
+    Y = solver.solve(X)[0]
+    return list(X), list(Y[in_ball(Y, radius, norm_spec)])
 
 
 def minimax_gap(
@@ -623,15 +589,18 @@ def minimax_gap(
     """Both minimax envelopes of J over X truncated to the ambient ball.
 
     Pattern-search refinement from the best grid points harvests candidate
-    points for each side.  The upper phase minimizes x -> sup_y J(x, y):
-    directly, by one lockstep pattern search, when J has an exact row
-    envelope (then the y candidates are its maximisers inside the ball),
-    and otherwise by nesting a sup solve in every outer trial, one lockstep
-    solve for all trials of an outer iteration.  The lower phase always
-    nests them.  ``upper`` is then the least row envelope over
-    the x candidates, and ``lower`` is read off one shared value matrix
-    over the harvested sets, which makes the weak duality direction
-    (lower <= upper) exact by construction.
+    points for each side.  The upper phase minimizes x -> sup_y J(x, y) by
+    one lockstep pattern search whose sups come from a :class:`_SupSolver`:
+    Phi itself when J has an exact row envelope (then the y candidates are
+    its maximisers inside the ball), a full-precision search otherwise.
+    The lower phase solves y -> sup_x K(y, x) for K = -J transposed once,
+    at the upper witnesses and the best grid ys: when J has a saddle point,
+    as a tilted J has at (x*, x*), the witnesses approximate the y that
+    attains sup_y inf_x J.  Without one, the lower side is not refined past
+    those points.  ``upper`` is then the least row envelope over the x
+    candidates, and ``lower`` is read off one shared value matrix over the
+    harvested sets, which makes the weak duality direction (lower <= upper)
+    exact by construction.
     """
     n = J.domain.dimension
     if norm_spec is None:
@@ -656,12 +625,15 @@ def minimax_gap(
         J, G, G[x_order[:m]], radius, norm_spec, config, budget
     )
     # Lower phase: maximize the column envelope inf_x J(., y), i.e. minimize
-    # sup_x K(y, x) for K = -J transposed; the inner scans also cover the
-    # upper-phase endpoints so a good x is never missed on the lower side.
-    x_pool = np.vstack([G] + [x.reshape(1, -1) for x in x_ends])
-    y_ends, x_fins = _minimize_sup_envelope(
-        _transposed(J), x_pool, G[y_order[:m]], radius, norm_spec, config, budget
-    )
+    # sup_x K(y, x) for K = -J transposed.  At a saddle point (x*, y*) of J,
+    # such as (x*, x*) of a tilted J, sup_y inf_x J is attained at y*, which
+    # the upper witnesses approximate: one solve at them and at the best
+    # grid ys stands in for a walk.  Its scans also cover the upper-phase
+    # endpoints so a good x is never missed on the lower side.
+    Y_c = np.vstack([*y_fins, G[y_order[:m]]])
+    x_pool = np.vstack([G, *x_ends])
+    solver = _SupSolver(_transposed(J), x_pool, radius, norm_spec, config, budget)
+    x_fins = list(solver.solve(Y_c)[0])
 
     # Matrix phase: one shared value matrix over the harvested sets.
     def _dedupe(rows: list[np.ndarray], cap: int) -> np.ndarray:
@@ -671,7 +643,7 @@ def minimax_gap(
 
     keep_grid = min(len(G), 128)
     S_x = _dedupe(x_ends + x_fins + list(G[x_order[:keep_grid]]), 256)
-    S_y = _dedupe(y_fins + y_ends + list(G[y_order[:keep_grid]]), 256)
+    S_y = _dedupe(list(Y_c) + list(G[y_order[:keep_grid]]), 256)
     M = np.array([J.pairs(x[None, :], S_y) for x in S_x], dtype=float)
     budget.take(M.size)
 

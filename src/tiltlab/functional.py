@@ -13,6 +13,7 @@ value outside a computable ball, which licenses truncated global search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -105,11 +106,15 @@ def coercivity_radius(
         raise GrowthConditionNotMet(
             f"kappa must lie in [0, 1/2) for the coercive bound, got {kappa}"
         )
-    if not margin > 0.0:
-        raise ValueError("margin must be positive")
-    if r0 < 0.0:
-        raise ValueError("r0 must be >= 0")
+    if not 0.0 < margin < math.inf:
+        raise ValueError(f"margin must be positive and finite, got {margin}")
+    if not 0.0 <= r0 < math.inf:
+        raise ValueError(f"r0 must be finite and >= 0, got {r0}")
+    if not math.isfinite(best_known_value):
+        raise ValueError(f"best_known_value must be finite, got {best_known_value}")
     y = as_vector(y, F.dimension, "y")
+    if not all(map(math.isfinite, y.tolist())):
+        raise ValueError(f"y must be finite, got {y}")
     need = (norm(y, F.norm) + float(best_known_value) + float(margin)) / (
         1.0 - 2.0 * kappa
     )

@@ -297,6 +297,7 @@ def growth_coefficient(
     if map_spec.dimension != norm_spec.dimension:
         raise DimensionMismatch("map and norm dimensions disagree")
     radii = shell_radii(radii)
+    directions_per_radius = positive_int(directions_per_radius, "directions_per_radius")
 
     analytic = _analytic_growth(map_spec, norm_spec)
     if analytic is not None:
@@ -317,7 +318,7 @@ def growth_coefficient(
     n = map_spec.dimension
     shells: list[tuple[np.ndarray, np.ndarray]] = []
     for radius in radii:
-        dirs = rng.standard_normal((int(directions_per_radius), n))
+        dirs = rng.standard_normal((directions_per_radius, n))
         lengths = norms_of_rows(dirs, norm_spec)
         keep = lengths > 0.0
         pts = domain.project_rows(radius * dirs[keep] / lengths[keep][:, None])

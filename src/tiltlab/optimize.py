@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InfeasibleTruncation
-from .spaces import FeasibleSet, NormSpec, SampleDomain, in_ball, norm
+from .spaces import FeasibleSet, NormSpec, SampleDomain, in_ball, norm, positive_int
 
 _STREAM_STARTS = 0x51A7
 
@@ -396,8 +396,9 @@ def brute_force_minima(
     grid in row chunks and ``objective`` is never called.
     """
     n = domain.dimension
-    if not radius > 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    resolution = positive_int(resolution, "resolution")
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     if resolution ** n > 10 ** 8:

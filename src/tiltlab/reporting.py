@@ -11,7 +11,7 @@ bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -188,13 +188,12 @@ def _run_certify(cfg: ExperimentConfig) -> RunOutcome:
 def _run_minimax(cfg: ExperimentConfig) -> RunOutcome:
     F = _build_functional(cfg)
     J = F.as_bifunctional()
-    mm_config = replace(cfg.optimizer, coarse_grid=cfg.sampling.resolution)
     report = minimax_gap(
         J,
         cfg.sampling.radius,
         cfg.sampling.resolution,
         norm_spec=cfg.norm,
-        config=mm_config,
+        config=cfg.optimizer,
     )
     doc = {"report.kind": cfg.kind}
     _put(doc, "report", report, *(f.name for f in fields(report)))

@@ -323,6 +323,7 @@ def search_counterexample(
     which there are never more than cells.
     """
     jobs = positive_int(jobs, "jobs")
+    growth_directions = positive_int(growth_directions, "growth_directions")
     norm_specs = sweep_norm_specs(family.dimension, norms)
     y_arr = np.asarray(y_points, dtype=float)
     if y_arr.ndim != 2 or y_arr.shape[1] != family.dimension:
@@ -373,7 +374,7 @@ def search_counterexample(
                 family.instantiate(c.params),
                 norm_specs[c.norm_index],
                 radii,
-                int(growth_directions),
+                growth_directions,
                 seed=config.seed + 7919 * (c.param_index * 1009 + c.norm_index),
                 domain=domain,
             )

@@ -581,16 +581,27 @@ def _sup_solver_case(index):
 
 
 @pytest.mark.parametrize("index", [0, 1, 3, 4, 8])
-@pytest.mark.parametrize("outer_step", [None, 0.05])
-def test_sup_solver_rows_match_one_row_solves_bitwise(index, outer_step):
+@pytest.mark.parametrize("warm_rows", [None, 2])
+def test_sup_solver_rows_match_one_row_solves_bitwise(index, warm_rows):
+    """Each row of one solve matches a solve of that row alone, bit for bit,
+    from a fresh solver or from one whose warm witness a solve of the last
+    ``warm_rows`` rows set."""
     solver, Y = _sup_solver_case(index)
-    together = solver()
-    W, V = together.solve(Y, outer_step)
+
+    def warmed():
+        s = solver()
+        if warm_rows is not None:
+            s.solve(Y[-warm_rows:] * 0.5)
+            s.budget.used = 0
+        return s
+
+    together = warmed()
+    W, V = together.solve(Y)
     assert W.shape == Y.shape and V.shape == (len(Y),)
     used = 0
     for i in range(len(Y)):
-        alone = solver()
-        w, v = alone.solve(Y[i : i + 1], outer_step)
+        alone = warmed()
+        w, v = alone.solve(Y[i : i + 1])
         assert W[i].tobytes() == w[0].tobytes(), i
         assert V[i].tobytes() == v[0].tobytes(), i
         used += alone.budget.used
@@ -602,10 +613,41 @@ def test_sup_solver_keeps_the_witness_of_the_least_sup_as_warm_point(index):
     solver, Y = _sup_solver_case(index)
     s = solver()
     assert s.warm is None
-    for rows, step in ((Y, 0.05), (Y[::-1] * 0.5, 0.01), (Y[:1], None)):
-        W, V = s.solve(rows, step)
+    for rows in (Y, Y[::-1] * 0.5, Y[:1]):
+        W, V = s.solve(rows)
         least = int(np.argmin(V))
         assert V[least] == V.min() and np.array_equal(s.warm, W[least])
+
+
+def test_sup_solver_answers_an_envelope_from_row_sup():
+    from tiltlab.experiments import _SupSolver
+    from tiltlab.optimize import _Budget
+
+    F = affine_instance(4)
+    X = feasible_cloud(F, 4.0, 5, seed=4)
+    solver = _SupSolver(F.as_bifunctional(), X[:0], 4.0, F.norm, CFG, _Budget(10**6))
+    W, V = solver.solve(X)
+    phi, FX = F.row_sup(X)
+    assert W.tobytes() == FX.tobytes() and V.tobytes() == phi.tobytes()
+    assert solver.budget.used == len(X) and solver.warm is None
+
+
+@pytest.mark.parametrize("resolution", [9, 17])
+def test_minimax_generic_walk_reaches_a_non_separable_saddle(resolution):
+    # J = (x-a)^2 - (y-b)^2 + c(x-a)(y-b) has its saddle at (a, b) with
+    # value 0 and no row envelope, so the upper phase walks on nested sup
+    # solves and the lower phase solves once at its witnesses.  Ending the
+    # walk at its starts, or coarsening its inner or outer termination to
+    # 1e-3, moves lower or upper past 1e-12.
+    a, b, c = 0.37, 0.11, 1.5
+    J = Bifunctional(
+        pairs=lambda X, Y: (X[:, 0] - a) ** 2 - (Y[:, 0] - b) ** 2
+        + c * (X[:, 0] - a) * (Y[:, 0] - b),
+        domain=FullSpace(1),
+    )
+    report = minimax_gap(J, 1.0, resolution)
+    assert report.lower <= report.upper
+    assert abs(report.lower) <= 1e-12 and abs(report.upper) <= 1e-12
 
 
 def test_certify_uniqueness_does_not_count_nan_endpoints_as_clusters():

@@ -90,6 +90,21 @@ def test_coercivity_radius_validation():
         coercivity_radius(F, [1.0], 0.25, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         coercivity_radius(F, [1.0], 0.25, -1.0, 0.0, 1.0)
+    # A NaN incumbent or probe entry used to give radius 0.0, a NaN r0 a NaN
+    # radius and an infinite margin an infinite one.
+    nan, inf = float("nan"), float("inf")
+    for args, what in (
+        (([1.0], 0.25, 0.0, nan, 1.0), "best_known_value"),
+        (([1.0], 0.25, 0.0, inf, 1.0), "best_known_value"),
+        (([nan], 0.25, 0.0, 0.0, 1.0), "y"),
+        (([-inf], 0.25, 0.0, 0.0, 1.0), "y"),
+        (([1.0], 0.25, nan, 0.0, 1.0), "r0"),
+        (([1.0], 0.25, inf, 0.0, 1.0), "r0"),
+        (([1.0], 0.25, 0.0, 0.0, inf), "margin"),
+        (([1.0], 0.25, 0.0, 0.0, nan), "margin"),
+    ):
+        with pytest.raises(ValueError, match=what):
+            coercivity_radius(F, *args)
 
 
 INSTANCES = [affine_instance(i) for i in range(8)]

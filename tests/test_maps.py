@@ -197,6 +197,16 @@ def test_growth_validation():
         growth_coefficient(bounded, NormSpec(1, 2.0), radii=(1.0, 10.0))
 
 
+@pytest.mark.parametrize("count", [2.5, 0, -4, True])
+def test_growth_refuses_a_direction_count_that_is_not_an_integer(count):
+    # 2.5 used to be truncated to 2, and 0 failed with "the window misses the set".
+    bounded = BoundedPerturbedMap(
+        1, matrix=((0.4,),), offset=(0.0,), field="tanh", amplitude=1.0
+    )
+    with pytest.raises(ValueError, match="directions_per_radius must be an integer >= 1"):
+        growth_coefficient(bounded, NormSpec(1, 2.0), directions_per_radius=count)
+
+
 def test_analytic_fixed_point_examples():
     quarter = AffineMap(1, matrix=((0.25,),), offset=(0.0,))
     assert np.allclose(analytic_fixed_point(quarter), [0.0])

@@ -107,6 +107,20 @@ def test_brute_force_guard():
         brute_force_minima(None, FullSpace(3), 1.0, 100_000, objective_rows=double_well)
 
 
+@pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0, -1.0])
+def test_brute_force_refuses_a_radius_that_is_not_finite_and_positive(radius):
+    # An infinite radius used to fail later as "every objective value is NaN".
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        brute_force_minima(None, FullSpace(1), radius, 9, objective_rows=double_well)
+
+
+@pytest.mark.parametrize("resolution", [5.0, 0, True, "9"])
+def test_brute_force_refuses_a_resolution_that_is_not_an_integer(resolution):
+    # A float used to die in numpy with a TypeError.
+    with pytest.raises(ValueError, match="resolution must be an integer >= 1"):
+        brute_force_minima(None, FullSpace(1), 1.0, resolution, objective_rows=double_well)
+
+
 def test_monotone_refinement():
     rng = np.random.default_rng(9)
     dirs = direction_set(2, "auto")

@@ -165,6 +165,14 @@ def test_search_counterexample_refuses_a_worker_count_below_one(jobs):
         search_counterexample(fam, [2.0], FullSpace(1), [[1.0]], CFG, jobs=jobs)
 
 
+@pytest.mark.parametrize("count", [2.5, 0, -1, True])
+def test_search_counterexample_refuses_a_growth_direction_count_that_is_not_an_integer(count):
+    # 2.5 used to be truncated to 2.
+    fam = MapFamily(kind="scaled_identity", dimension=1, parameters=(("theta", (0.2,)),))
+    with pytest.raises(ValueError, match="growth_directions must be an integer >= 1"):
+        search_counterexample(fam, [1.5], FullSpace(1), [[1.0]], CFG, growth_directions=count)
+
+
 def test_sweep_pool_never_has_more_workers_than_cells(monkeypatch):
     # A stand-in pool records its worker count and maps in this process, so
     # no worker is started however large the requested count.
