@@ -33,7 +33,15 @@ from .optimize import (
     global_minimize,
     pattern_search,
 )
-from .spaces import MEMBERSHIP_TOL, NormSpec, SampleDomain, in_ball, norm, norms_of_rows
+from .spaces import (
+    MEMBERSHIP_TOL,
+    NormSpec,
+    SampleDomain,
+    first_rows,
+    in_ball,
+    norm,
+    norms_of_rows,
+)
 
 _STREAM_PRESCAN = 0x9E3
 _STREAM_SADDLE_Y = 0xA11
@@ -638,8 +646,7 @@ def minimax_gap(
     # Matrix phase: one shared value matrix over the harvested sets.
     def _dedupe(rows: list[np.ndarray], cap: int) -> np.ndarray:
         arr = np.vstack([r.reshape(1, -1) for r in rows])
-        _, first = np.unique(arr, axis=0, return_index=True)
-        return arr[np.sort(first)][:cap]
+        return arr[first_rows(arr)][:cap]
 
     keep_grid = min(len(G), 128)
     S_x = _dedupe(x_ends + x_fins + list(G[x_order[:keep_grid]]), 256)

@@ -392,8 +392,10 @@ def brute_force_minima(
 
     No projection and no refinement: grid points are membership-filtered,
     evaluated in lexicographic order, and clustered with the same rule as
-    :func:`global_minimize`.  ``objective_rows``, when given, evaluates the
-    grid in row chunks and ``objective`` is never called.
+    :func:`global_minimize`.  Each row chunk of the mesh is masked by the
+    set's residual and by the ball, then gathered once.  ``objective_rows``,
+    when given, evaluates the grid in row chunks and ``objective`` is never
+    called.
     """
     n = domain.dimension
     if not 0.0 < radius < math.inf:
@@ -421,11 +423,9 @@ def brute_force_minima(
         coords = np.column_stack(
             [axis[a] for a in np.unravel_index(idx, shape)]
         )
-        feasible = domain.violations_of_rows(coords) <= 1e-12
-        coords = coords[feasible]
-        if len(coords) == 0:
-            continue
-        coords = coords[in_ball(coords, radius, norm_spec)]
+        inside = domain.violations_of_rows(coords) <= 1e-12
+        inside &= in_ball(coords, radius, norm_spec)
+        coords = coords[inside]
         if len(coords) == 0:
             continue
         if objective_rows is not None:

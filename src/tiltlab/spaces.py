@@ -123,8 +123,52 @@ def norm(v, spec: NormSpec) -> float:
     return float(norms_of_rows(as_vector(v, spec.dimension)[None, :], spec)[0])
 
 
+def fold_rows(ufunc, X) -> np.ndarray:
+    """``ufunc.reduce(X, axis=-1)`` as a left-to-right fold over the columns.
+
+    numpy's reduce walks a short last axis row by row; the fold makes one
+    ufunc call per column, the first of which allocates the output.  numpy
+    sums fewer than 8 terms left to right too (its pairwise summation starts
+    at 8), so the fold gives the same values: for ``maximum`` and
+    ``minimum`` the same bytes up to width 8 (beyond it numpy's vectorised
+    reduce may return the other zero of a +0.0/-0.0 tie), and for ``add``
+    up to width 7 the same values under ``np.array_equal``, where a sum of
+    only -0.0 folds to -0.0 but numpy's reduce returns +0.0.  A NaN may
+    carry another payload.  A row's value never depends on the other rows
+    of its batch.
+    """
+    X = np.asarray(X)
+    if X.shape[-1] < 2:
+        return ufunc.reduce(X, axis=-1)
+    out = ufunc(X[..., 0], X[..., 1])
+    for j in range(2, X.shape[-1]):
+        ufunc(out, X[..., j], out=out)
+    return out
+
+
+def first_rows(X) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct row of a
+    2-D array, under float equality (-0.0 equals 0.0, a NaN equals
+    nothing): ``np.sort(np.unique(X, axis=0, return_index=True)[1])``.
+
+    A stable lexsort over the columns puts equal rows next to each other in
+    index order; a row that differs from its sorted predecessor starts a
+    new one.
+    """
+    X = np.asarray(X)
+    order = np.lexsort(X.T)
+    S = X[order]
+    new = np.ones(len(X), dtype=bool)
+    new[1:] = fold_rows(np.logical_or, S[1:] != S[:-1])
+    return np.sort(order[new])
+
+
 def norms_of_rows(X, spec: NormSpec) -> np.ndarray:
-    """Vectorized :func:`norm` over the rows of a (k, dimension) array."""
+    """Vectorized :func:`norm` over the rows of a (k, dimension) array.
+
+    A row with a NaN entry has norm NaN, and otherwise one with an infinite
+    entry has norm inf, under every p.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != spec.dimension:
         raise DimensionMismatch(
@@ -133,21 +177,22 @@ def norms_of_rows(X, spec: NormSpec) -> np.ndarray:
     w = spec._weight_array
     if spec.p == 2.0:
         sq = X * X if w is None else X * X * w
-        return np.sqrt(np.add.reduce(sq, axis=1))
+        return np.sqrt(fold_rows(np.add, sq))
     A = np.abs(X)
     if spec.p is INF:
         if w is not None:
             A = A * w
-        return np.maximum.reduce(A, axis=1)
+        return fold_rows(np.maximum, A)
     p = spec.p
     if p == 1.0:
-        return np.add.reduce(A if w is None else A * w, axis=1)
-    m = A.max(axis=1)
-    safe = np.where(m > 0.0, m, 1.0)
+        return fold_rows(np.add, A if w is None else A * w)
+    m = fold_rows(np.maximum, A)  # NaN if an entry is NaN, else inf if one is inf
+    scalable = (m > 0.0) & (m < np.inf)
+    safe = np.where(scalable, m, 1.0)
     scaled = (A / safe[:, None]) ** p
     if w is not None:
         scaled = scaled * w
-    return np.where(m > 0.0, m * scaled.sum(axis=1) ** (1.0 / p), 0.0)
+    return np.where(scalable, m * fold_rows(np.add, scaled) ** (1.0 / p), m)
 
 
 @dataclass(frozen=True)
@@ -265,7 +310,7 @@ class Orthant(FeasibleSet):
 
     def violations_of_rows(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        return (self._lower_array[None, :] - X).max(axis=1)
+        return fold_rows(np.maximum, self._lower_array[None, :] - X)
 
     def project_rows(self, Z) -> np.ndarray:
         return np.maximum(np.asarray(Z, dtype=float), self._lower_array[None, :])
@@ -316,7 +361,7 @@ class HalfSpace(FeasibleSet):
     # depend on which other rows share its batch.
     def violations_of_rows(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        return self.offset - (X * self._normal_array).sum(axis=1)
+        return self.offset - fold_rows(np.add, X * self._normal_array)
 
     def project(self, z) -> np.ndarray:
         # The closed form, not the one-row wrapper: the benchmark tracer's
@@ -330,8 +375,7 @@ class HalfSpace(FeasibleSet):
 
     def project_rows(self, Z) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)
-        gap = self.offset - (Z * self._normal_array).sum(axis=1)
-        gap = np.maximum(gap, 0.0)
+        gap = np.maximum(self.violations_of_rows(Z), 0.0)
         return Z + (gap / self._normal_sq)[:, None] * self._normal_array[None, :]
 
 
@@ -534,14 +578,14 @@ class SampleDomain:
         """Regular box grid snapped into the window.
 
         Points are projected into X, restricted to the ball, and deduplicated
-        keeping the first occurrence in lexicographic grid-index order.
+        keeping the first occurrence in lexicographic grid-index order
+        (:func:`first_rows`, the rows ``np.unique(axis=0)`` would keep).
         """
         pts = _mesh(_grid_axes(self.radius, self.resolution, self.domain.dimension))
         pts = self._keep_feasible(pts)
         if len(pts) == 0:
             return pts.reshape(0, self.domain.dimension)
-        _, first = np.unique(pts, axis=0, return_index=True)
-        return pts[np.sort(first)]
+        return pts[first_rows(pts)]
 
     def require_grid(self) -> np.ndarray:
         """:meth:`grid_points`, refusing an empty grid."""

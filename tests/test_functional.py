@@ -357,3 +357,16 @@ def test_pairs_rows_have_the_same_bits_in_any_batch_hypothesis(case):
 def test_pairs_vanish_on_the_diagonal_hypothesis(case):
     F, X = case
     assert np.all(F.pairs(X, X) == 0.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
+def test_phi_where_an_affine_map_overflows_is_inf_under_every_p(p):
+    # f(x) overflows to inf in its first coordinate; a general-p norm used to
+    # read the row as inf / inf = NaN, where p in {1, 2, inf} read inf.
+    F = TiltedFunctional(
+        norm=NormSpec(2, p),
+        domain=FullSpace(2),
+        mapping=AffineMap(2, matrix=((1e300, 0.0), (0.0, 0.5)), offset=(0.0, 0.0)),
+    )
+    with np.errstate(over="ignore"):
+        assert F.displacements(np.array([[1e10, 1.0]]))[0] == np.inf

@@ -31,7 +31,7 @@ from tiltlab import (
     norms_of_rows,
     planted_double_well,
 )
-from tiltlab.optimize import direction_set, pattern_search, _Budget
+from tiltlab.optimize import direction_set, pattern_search, _Budget, _cluster
 
 
 def double_well(X):
@@ -708,3 +708,65 @@ def test_a_rows_objective_of_the_wrong_shape_is_refused(bad, shape):
         global_minimize(bad, FullSpace(1), 1.0, cfg)
     with pytest.raises(ValueError, match=message):
         brute_force_minima(None, FullSpace(1), 1.0, 7, objective_rows=bad)
+
+
+def _full_mesh_scan(F: TiltedFunctional, radius, resolution, tolerance, separation):
+    """The oracle written as one pass over the whole mesh: every grid point in
+    index order, the members of the set inside the ball, Phi on them, and
+    the points within ``tolerance`` of the least value clustered."""
+    n = F.norm.dimension
+    axis = np.linspace(-radius, radius, resolution)
+    mesh = np.meshgrid(*[axis] * n, indexing="ij")
+    pts = np.stack([g.ravel() for g in mesh], axis=1)
+    inside = (F.domain.violations_of_rows(pts) <= 1e-12) & (
+        norms_of_rows(pts, F.norm) <= radius + 1e-12 * max(1.0, radius)
+    )
+    pts = pts[inside]
+    vals = F.displacements(pts)
+    near = vals <= np.nanmin(vals) + tolerance
+    clusters = _cluster(list(pts[near]), vals[near].tolist(), tolerance, separation, F.norm)
+    return len(pts), clusters
+
+
+def _oracle_instance(n, p, orthant, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-0.3, 0.3, (n, n)) / n
+    b = rng.uniform(-1.0, 1.0, n)
+    if orthant:
+        A, b = np.abs(A), np.abs(b)
+    mapping = AffineMap(n, matrix=tuple(map(tuple, A)), offset=tuple(b))
+    domain = Orthant(n) if orthant else FullSpace(n)
+    return TiltedFunctional(norm=NormSpec(n, p), domain=domain, mapping=mapping)
+
+
+@given(
+    st.integers(1, 3),
+    st.sampled_from((1.0, 1.5, 2.0, INF)),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 7).map(lambda k: 2 * k + 1),  # odd, so the origin is a grid point
+    st.floats(0.5, 3.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_brute_force_equals_a_full_mesh_scan_hypothesis(
+    n, p, orthant, seed, resolution, radius
+):
+    F = _oracle_instance(n, p, orthant, seed)
+    res = brute_force_minima(None, F.domain, radius, resolution, norm_spec=F.norm,
+                             objective_rows=F.displacements)
+    evaluations, clusters = _full_mesh_scan(F, radius, resolution, 1e-6, 1e-3)
+    assert res.evaluations == evaluations
+    assert res.global_value == clusters[0].value
+    assert res.clusters == clusters
+
+
+@pytest.mark.parametrize("orthant", [False, True])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, INF])
+def test_brute_force_equals_a_full_mesh_scan_over_many_chunks(p, orthant):
+    # 41^3 grid points make four row chunks of the oracle.
+    F = _oracle_instance(3, p, orthant, 11)
+    res = brute_force_minima(None, F.domain, 2.0, 41, value_tolerance=1e-3,
+                             norm_spec=F.norm, objective_rows=F.displacements)
+    evaluations, clusters = _full_mesh_scan(F, 2.0, 41, 1e-3, 1e-3)
+    assert (res.evaluations, res.global_value) == (evaluations, clusters[0].value)
+    assert res.clusters == clusters

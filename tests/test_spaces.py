@@ -18,7 +18,7 @@ from tiltlab import (
     norms_of_rows,
     project,
 )
-from tiltlab.spaces import FACE_CAP
+from tiltlab.spaces import FACE_CAP, first_rows, fold_rows
 
 SPECS = [
     NormSpec(3, 1.0),
@@ -396,3 +396,163 @@ def test_set_kernels_batch_independent_hypothesis(case):
     set_, X = case
     _assert_batch_independent(set_.violations_of_rows, X)
     _assert_batch_independent(set_.project_rows, X)
+
+
+# Entries that stress the fold: NaN, both infinities and both zeros, next
+# to ordinary and extreme finite values.
+_ENTRIES = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    (np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0)
+)
+
+
+@st.composite
+def _special_rows(draw, min_width: int, max_width: int) -> np.ndarray:
+    w = draw(st.integers(min_width, max_width))
+    k = draw(st.integers(1, 12))
+    return np.array(draw(st.lists(_ENTRIES, min_size=w * k, max_size=w * k))).reshape(k, w)
+
+
+def _nan_bits(a) -> bytes:
+    """The bytes of ``a`` with every NaN as numpy's own: a NaN's sign and
+    payload follow the operand order of the machine code, not the values."""
+    return _bits(np.where(np.isnan(a), np.nan, a))
+
+
+@given(_special_rows(1, 20), st.sampled_from((np.maximum, np.minimum)))
+@settings(max_examples=400, deadline=None)
+def test_fold_rows_keeps_maximum_and_minimum_reduce_hypothesis(X, ufunc):
+    folded, reduced = fold_rows(ufunc, X), ufunc.reduce(X, axis=-1)
+    assert np.array_equal(folded, reduced, equal_nan=True)
+    if X.shape[1] <= 8:  # beyond, numpy's vectorised reduce may pick the other zero
+        assert _nan_bits(folded) == _nan_bits(reduced)
+
+
+@given(_special_rows(1, 7))
+@settings(max_examples=400, deadline=None)
+def test_fold_rows_sums_like_add_reduce_below_8_terms_hypothesis(X):
+    with np.errstate(all="ignore"):
+        assert np.array_equal(fold_rows(np.add, X), np.add.reduce(X, axis=-1), equal_nan=True)
+
+
+def test_fold_rows_keeps_the_sign_of_a_sum_of_negative_zeros():
+    X = np.array([[-0.0, -0.0, -0.0], [-0.0, 0.0, -0.0]])
+    assert np.signbit(fold_rows(np.add, X)).tolist() == [True, False]
+    assert np.array_equal(fold_rows(np.add, X), np.add.reduce(X, axis=-1))
+
+
+@given(_special_rows(1, 10), st.sampled_from((np.add, np.maximum, np.minimum)))
+@settings(max_examples=300, deadline=None)
+def test_fold_rows_batch_independent_hypothesis(X, ufunc):
+    with np.errstate(all="ignore"):
+        batch = fold_rows(ufunc, X)
+        for i in range(len(X)):
+            assert _nan_bits(batch[i]) == _nan_bits(fold_rows(ufunc, X[i : i + 1])[0])
+
+
+@st.composite
+def _rows_with_repeats(draw) -> np.ndarray:
+    w = draw(st.integers(1, 4))
+    distinct = draw(st.integers(1, 6))
+    values = st.sampled_from((np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -2.5))
+    pool = np.array(draw(st.lists(values, min_size=w * distinct, max_size=w * distinct)))
+    picks = draw(st.lists(st.integers(0, distinct - 1), min_size=1, max_size=30))
+    return pool.reshape(distinct, w)[picks]
+
+
+@given(_rows_with_repeats())
+@settings(max_examples=400, deadline=None)
+def test_first_rows_matches_unique_first_occurrences_hypothesis(X):
+    expect = np.sort(np.unique(X, axis=0, return_index=True)[1])
+    assert np.array_equal(first_rows(X), expect)
+
+
+def test_first_rows_examples():
+    nan = np.nan
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -0.0], [nan, 0.0], [nan, 0.0], [0.0, 1.0]])
+    assert first_rows(X).tolist() == [0, 1, 3, 4]
+
+
+def _unique_grid(window: SampleDomain) -> np.ndarray:
+    """The grid rule written with ``np.unique``: mesh in index order, project,
+    keep the ball, keep each distinct row's first occurrence."""
+    axis = np.linspace(-window.radius, window.radius, window.resolution)
+    mesh = np.meshgrid(*[axis] * window.domain.dimension, indexing="ij")
+    pts = window.domain.project_rows(np.stack([g.ravel() for g in mesh], axis=1))
+    r = window.radius
+    pts = pts[norms_of_rows(pts, window.norm) <= r + 1e-12 * max(1.0, r)]
+    if len(pts) == 0:
+        return pts
+    return pts[np.sort(np.unique(pts, axis=0, return_index=True)[1])]
+
+
+@st.composite
+def _windows(draw) -> SampleDomain:
+    n = draw(st.integers(1, 3))
+    spec = NormSpec(n, draw(st.sampled_from((1.0, 1.5, 2.0, INF))))
+    lower = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
+    set_ = draw(st.sampled_from(("full_space", "orthant", "half_space")))
+    if set_ == "full_space":
+        domain = FullSpace(n)
+    elif set_ == "orthant":
+        domain = Orthant(n, lower=tuple(draw(lower)))
+    else:
+        normal = draw(lower.filter(lambda a: np.dot(a, a) > 1e-3))
+        domain = HalfSpace(n, normal=tuple(normal), offset=draw(st.floats(-2.0, 2.0)))
+    resolution = draw(st.integers(1, {1: 41, 2: 21, 3: 11}[n]))
+    return SampleDomain(domain, spec, draw(st.floats(0.1, 4.0)), resolution)
+
+
+@given(_windows())
+@settings(max_examples=200, deadline=None)
+def test_grid_points_equal_the_unique_formula_hypothesis(window):
+    assert _bits(window.grid_points()) == _bits(_unique_grid(window))
+
+
+def _reduce_norms(X, spec: NormSpec) -> np.ndarray:
+    """``norms_of_rows`` written with numpy's row reductions, for finite rows."""
+    w = spec._weight_array
+    if spec.p == 2.0:
+        return np.sqrt(np.add.reduce(X * X if w is None else X * X * w, axis=1))
+    A = np.abs(X)
+    if spec.p is INF:
+        return (A if w is None else A * w).max(axis=1)
+    if spec.p == 1.0:
+        return (A if w is None else A * w).sum(axis=1)
+    m = A.max(axis=1)
+    scaled = (A / np.where(m > 0.0, m, 1.0)[:, None]) ** spec.p
+    if w is not None:
+        scaled = scaled * w
+    return np.where(m > 0.0, m * scaled.sum(axis=1) ** (1.0 / spec.p), 0.0)
+
+
+@st.composite
+def _general_norms_and_rows(draw):
+    n = draw(st.integers(1, 7))
+    p = draw(st.sampled_from((1.0, 1.5, 2.0, 3.0, INF)))
+    weights = draw(st.none() | st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    values = st.floats(-1e3, 1e3) | st.sampled_from((0.0, -0.0))
+    k = draw(st.integers(1, 12))
+    X = np.array(draw(st.lists(values, min_size=n * k, max_size=n * k))).reshape(k, n)
+    return NormSpec(n, p, weights=weights), X
+
+
+@given(_general_norms_and_rows())
+@settings(max_examples=300, deadline=None)
+def test_norms_of_finite_rows_keep_the_reduce_bits_hypothesis(case):
+    spec, X = case
+    assert _bits(norms_of_rows(X, spec)) == _bits(_reduce_norms(X, spec))
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 1.0, 2.0, INF])
+@pytest.mark.parametrize("weights", [None, (2.0, 0.5, 1.0)])
+def test_a_nan_entry_gives_nan_else_an_infinite_one_inf(p, weights):
+    spec = NormSpec(3, p, weights=weights)
+    nan, inf = np.nan, np.inf
+    rows = [[nan, 1.0, 0.0], [inf, 1.0, 0.0], [nan, inf, 0.0], [0.0, -inf, 2.0],
+            [0.0, -0.0, 0.0]]
+    got = norms_of_rows(rows, spec)
+    assert np.isnan(got[[0, 2]]).all()
+    assert got[1] == got[3] == inf
+    assert _bits(got[4]) == _bits(0.0)
+    for row, value in zip(rows, got):
+        assert _bits(norm(row, spec)) == _bits(value)
