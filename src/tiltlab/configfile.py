@@ -6,6 +6,10 @@ the word ``inf``, or space-separated number lists; matrices are row-major
 through a ``<name>.shape`` / ``<name>.data`` key pair.  Every floating-point
 number is rendered with 17 significant digits so documents round-trip
 losslessly.
+
+The builders are the only code that names a key: each typed read records the
+text of the value it returns, given or defaulted, and that record, in reading
+order, is the resolved config a report embeds.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .maps import (
     ConstantMap,
     MapSpec,
     ProjectedMap,
-    _AffinePart,
     shell_radii,
 )
 from .optimize import OptimizeConfig
@@ -104,43 +107,51 @@ def render_document(doc: dict[str, str]) -> str:
 
 
 class _Document(dict):
-    """A parsed config that records every key the builders look up, so that
-    a key nothing reads (a typo, or one of another kind or variant) can be
-    rejected instead of silently ignored."""
+    """A parsed config and ``canonical``, the text of every value the
+    builders have returned for a key, given or defaulted, in reading order.
+    ``canonical`` is the resolved config, and a key it lacks (a typo, or one
+    of another kind or variant) is rejected instead of silently ignored.
+    A typed getter's value replaces the raw text ``_get`` records first; a
+    key keeps the place of its first record."""
 
     def __init__(self, doc: dict[str, str]):
         super().__init__(doc)
-        self.read: set[str] = set()
+        self.canonical: dict[str, str] = {}
+
+    def note(self, key: str, value):
+        """``value``, its text recorded under ``key`` unless it is None."""
+        if value is not None:
+            self.canonical[key] = _text(value)
+        return value
 
 
 def _get(doc: _Document, key, default=None, required=False) -> str | None:
-    doc.read.add(key)
     if key in doc:
-        return doc[key]
+        return doc.note(key, doc[key])
     if required:
         raise ConfigError("missing required key", field=key)
-    return default
+    return doc.note(key, default)
 
 
 def _get_float(doc, key, default=None, required=False) -> float | None:
     raw = _get(doc, key, required=required)
     if raw is None:
-        return default
+        return doc.note(key, default)
     try:
         value = float(raw)
     except ValueError:
         raise ConfigError(f"not a number: '{raw}'", field=key) from None
     if not math.isfinite(value):
         raise ConfigError(f"must be a finite number, got '{raw}'", field=key)
-    return value
+    return doc.note(key, value)
 
 
 def _get_int(doc, key, default=None, required=False) -> int | None:
     raw = _get(doc, key, required=required)
     if raw is None:
-        return default
+        return doc.note(key, default)
     try:
-        return int(raw)
+        return doc.note(key, int(raw))
     except ValueError:
         raise ConfigError(f"not an integer: '{raw}'", field=key) from None
 
@@ -148,7 +159,7 @@ def _get_int(doc, key, default=None, required=False) -> int | None:
 def _get_vector(doc, key, length=None, default=None, required=False):
     raw = _get(doc, key, required=required)
     if raw is None:
-        return default
+        return doc.note(key, default)
     try:
         values = tuple(float(tok) for tok in raw.split())
     except ValueError:
@@ -159,7 +170,7 @@ def _get_vector(doc, key, length=None, default=None, required=False):
         raise ConfigError(
             f"expected {length} numbers, got {len(values)}", field=key
         )
-    return values
+    return doc.note(key, values)
 
 
 def _parse_p(raw: str, key: str) -> float | MaxNorm:
@@ -215,6 +226,8 @@ class ExperimentConfig:
     saddle_point: tuple[float, ...] | None
     saddle_tolerance: float
     out: str
+    # The resolved config: each key read or defaulted, as text, in reading order.
+    document: tuple[tuple[str, str], ...]
 
 
 def _checked(field: str, build, *args):
@@ -232,7 +245,7 @@ def _build_norm(doc) -> NormSpec:
     kind = _get(doc, "space.norm", default="lp")
     if kind not in ("lp", "weighted_lp"):
         raise ConfigError(f"unknown norm kind '{kind}'", field="space.norm")
-    p = _parse_p(_get(doc, "space.p", default="2"), "space.p")
+    p = doc.note("space.p", _parse_p(_get(doc, "space.p", default="2"), "space.p"))
     spec = _checked("space.p", NormSpec, dim, p)
     if kind == "lp":
         return spec
@@ -261,9 +274,12 @@ def _build_domain(doc, dim: int) -> FeasibleSet:
                 constraints.append(HalfSpace(dim, normal=normal, offset=offset))
             ray = _get_vector(doc, "set.ray", length=dim, required=True)
             base = _get_vector(doc, "set.base", length=dim)
-            return ConeIntersection(
-                dim, constraints=tuple(constraints), ray=ray, base=base
-            )
+            cone = ConeIntersection(dim, constraints=tuple(constraints), ray=ray, base=base)
+            # A base the config leaves out is computed at construction.
+            doc.note("set.base", cone.base)
+            return cone
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc), field="set.variant") from None
     raise ConfigError(f"unknown set variant '{variant}'", field="set.variant")
@@ -308,16 +324,17 @@ def _build_map(doc, dim: int, prefix: str = "map") -> MapSpec:
 
 def _build_family(doc, dim: int) -> tuple[MapFamily, tuple, int, int | None]:
     kind = _get(doc, "sweep.family", required=True)
-    params = []
-    for key in doc:
-        if key.startswith("sweep.param."):
-            name = key[len("sweep.param.") :]
-            params.append((name, _get_vector(doc, key, required=True)))
-    params.sort(key=lambda kv: kv[0])
+    params = tuple(
+        (key[len("sweep.param.") :], _get_vector(doc, key, required=True))
+        for key in sorted(doc)
+        if key.startswith("sweep.param.")
+    )
     offset = _get_vector(doc, "sweep.offset", length=dim)
-    family = _checked("sweep.family", MapFamily, kind, dim, tuple(params), offset)
+    family = _checked("sweep.family", MapFamily, kind, dim, params, offset)
     raw_ps = _get(doc, "sweep.p_values", default="2")
-    sweep_norms = tuple(_parse_p(tok, "sweep.p_values") for tok in raw_ps.split())
+    sweep_norms = doc.note(
+        "sweep.p_values", tuple(_parse_p(tok, "sweep.p_values") for tok in raw_ps.split())
+    )
     _checked("sweep.p_values", sweep_norm_specs, dim, sweep_norms)
     y_grid = _get_int(doc, "sweep.y_grid", default=5)
     if y_grid < 1:
@@ -333,12 +350,14 @@ def _build_family(doc, dim: int) -> tuple[MapFamily, tuple, int, int | None]:
 _FIELD_KINDS = {int: _get_int, float: _get_float, str: _get, tuple: _get_vector}
 
 
-def _build_section(doc, section: str, cls):
-    """A config dataclass from its ``section.<field>`` keys; the seed is the
-    top-level key every kind shares."""
-    values = {}
+def _build_section(doc, section: str, cls, **given):
+    """A config dataclass from its ``section.<field>`` keys, but for the
+    fields ``given`` as read elsewhere."""
+    values = dict(given)
     for f in fields(cls):
-        key = f.name if f.name == "seed" else f"{section}.{f.name}"
+        key = f"{section}.{f.name}"
+        if f.name in given:
+            continue
         if f.name == "initial_step" and _get(doc, key, default="auto") == "auto":
             values[f.name] = None
         else:
@@ -348,15 +367,6 @@ def _build_section(doc, section: str, cls):
         return cls(**values)
     except ValueError as exc:
         raise ConfigError(str(exc), field=section) from None
-
-
-def _section_to_doc(doc: dict[str, str], section: str, obj) -> None:
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.name == "initial_step" and value is None:
-            value = "auto"
-        if f.name != "seed" and value is not None:
-            doc[f"{section}.{f.name}"] = _text(value)
 
 
 def build_experiment(doc: dict[str, str]) -> ExperimentConfig:
@@ -369,11 +379,11 @@ def build_experiment(doc: dict[str, str]) -> ExperimentConfig:
             f"unknown experiment kind '{kind}'; known: {EXPERIMENT_KINDS}",
             field="kind",
         )
+    # The seed is the top-level key every kind shares.
+    seed = _get_int(doc, "seed", default=OptimizeConfig.seed)
+    out = _get(doc, "out", default="out")
     norm_spec = _build_norm(doc)
     domain = _build_domain(doc, norm_spec.dimension)
-    optimizer = _build_section(doc, "optimizer", OptimizeConfig)
-    sampling = _build_section(doc, "sampling", SamplingSpec)
-    out = _get(doc, "out", default="out")
 
     map_spec = None
     family = None
@@ -386,17 +396,19 @@ def build_experiment(doc: dict[str, str]) -> ExperimentConfig:
         )
     else:
         map_spec = _build_map(doc, norm_spec.dimension)
+    optimizer = _build_section(doc, "optimizer", OptimizeConfig, seed=seed)
+    sampling = _build_section(doc, "sampling", SamplingSpec)
 
     saddle_point = None
-    saddle_tolerance = _get_float(doc, "saddle.tolerance", default=1e-6)
-    if not 0.0 <= saddle_tolerance < math.inf:
-        raise ConfigError("must be a finite number >= 0", field="saddle.tolerance")
     if kind == "verify_saddle":
         saddle_point = _get_vector(
             doc, "saddle.x_star", length=norm_spec.dimension, required=True
         )
+    saddle_tolerance = _get_float(doc, "saddle.tolerance", default=1e-6)
+    if not 0.0 <= saddle_tolerance < math.inf:
+        raise ConfigError("must be a finite number >= 0", field="saddle.tolerance")
     for key in doc:
-        if key not in doc.read:
+        if key not in doc.canonical:
             raise ConfigError("unknown key: nothing reads it here", field=key)
 
     return ExperimentConfig(
@@ -414,62 +426,14 @@ def build_experiment(doc: dict[str, str]) -> ExperimentConfig:
         saddle_point=saddle_point,
         saddle_tolerance=saddle_tolerance,
         out=out,
+        document=tuple(doc.canonical.items()),
     )
-
-
-def _map_to_doc(m: MapSpec, doc: dict[str, str], prefix: str = "map") -> None:
-    doc[f"{prefix}.family"] = m.family
-    if isinstance(m, _AffinePart):
-        doc[f"{prefix}.matrix.shape"] = _text((m.dimension, m.dimension))
-        doc[f"{prefix}.matrix.data"] = _text(sum(m.matrix, ()))
-        _put(doc, prefix, m, "offset")
-        if isinstance(m, BoundedPerturbedMap):
-            _put(doc, prefix, m, "field", "amplitude")
-    elif isinstance(m, ConstantMap):
-        _put(doc, prefix, m, "value")
-    elif isinstance(m, ProjectedMap):
-        _map_to_doc(m.inner, doc, prefix=f"{prefix}.inner")
-    else:  # pragma: no cover
-        raise TypeError(f"unserializable map {type(m)}")
 
 
 def config_to_document(cfg: ExperimentConfig) -> dict[str, str]:
     """Canonical document for a typed config; parsing it back yields an
     equal config."""
-    doc = {"kind": cfg.kind, "seed": _text(cfg.seed), "out": cfg.out}
-    _put(doc, "space", cfg.norm, "dimension")
-    doc["space.norm"] = cfg.norm.kind
-    _put(doc, "space", cfg.norm, "p")
-    if cfg.norm.weights is not None:
-        _put(doc, "space", cfg.norm, "weights")
-    doc["set.variant"] = cfg.domain.variant
-    if isinstance(cfg.domain, Orthant):
-        _put(doc, "set", cfg.domain, "lower")
-    elif isinstance(cfg.domain, HalfSpace):
-        _put(doc, "set", cfg.domain, "normal", "offset")
-    elif isinstance(cfg.domain, ConeIntersection):
-        doc["set.halfspaces"] = _text(len(cfg.domain.constraints))
-        for i, hs in enumerate(cfg.domain.constraints):
-            _put(doc, f"set.halfspace.{i}", hs, "normal", "offset")
-        _put(doc, "set", cfg.domain, "ray", "base")
-    if cfg.map_spec is not None:
-        _map_to_doc(cfg.map_spec, doc)
-    if cfg.family is not None:
-        doc["sweep.family"] = cfg.family.kind
-        for name, values in cfg.family.parameters:
-            doc[f"sweep.param.{name}"] = _text(values)
-        if cfg.family.offset is not None:
-            _put(doc, "sweep", cfg.family, "offset")
-        doc["sweep.p_values"] = _text(cfg.sweep_norms)
-        doc["sweep.y_grid"] = _text(cfg.sweep_y_grid)
-        if cfg.planted_cell is not None:
-            doc["sweep.planted_cell"] = _text(cfg.planted_cell)
-    _section_to_doc(doc, "optimizer", cfg.optimizer)
-    _section_to_doc(doc, "sampling", cfg.sampling)
-    if cfg.saddle_point is not None:
-        doc["saddle.x_star"] = _text(cfg.saddle_point)
-    doc["saddle.tolerance"] = _text(cfg.saddle_tolerance)
-    return doc
+    return dict(cfg.document)
 
 
 def apply_overrides(doc: dict[str, str], overrides: list[str]) -> dict[str, str]:

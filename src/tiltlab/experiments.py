@@ -48,6 +48,12 @@ _STREAM_SADDLE_Y = 0xA11
 _STREAM_SADDLE_X = 0xA12
 _PRESCAN_COUNT = 16
 
+# find_fixed_point's thresholds for residual_ok and row_ok, and the residual
+# above which the fixed point counts as not located.
+RESIDUAL_TOLERANCE = 1e-6
+CHECK_TOLERANCE = 1e-6
+RESIDUAL_CAP = 1e-4
+
 
 class Verdict(enum.Enum):
     UNIQUE_ON_SAMPLES = "unique_on_samples"
@@ -301,15 +307,12 @@ def find_fixed_point(
     check_samples: int = 200,
     seed: int | None = None,
     margin: float = 1.0,
-    residual_tolerance: float = 1e-6,
-    check_tolerance: float = 1e-6,
-    residual_cap: float = 1e-4,
 ) -> SaddleReport:
     """Minimize the displacement Phi over a coercivity-truncated window and
     audit the saddle conclusions at the minimizer.
 
     Raises FixedPointNotLocated (carrying the report) when the residual stays
-    above ``residual_cap``: either a hypothesis fails or the budget fell
+    above ``RESIDUAL_CAP``: either a hypothesis fails or the budget fell
     short.
     """
     if not kappa_info.satisfied:
@@ -338,7 +341,7 @@ def find_fixed_point(
         raise ValueError("no probe points at the required separation; enlarge radius")
     # Every x is far, so the strict (and proximity) minimum is over all of X.
     check = verify_saddle(
-        F.as_bifunctional(), x_star, Y, X, check_tolerance, config.separation, F.norm
+        F.as_bifunctional(), x_star, Y, X, CHECK_TOLERANCE, config.separation, F.norm
     )
 
     # The fixed-point criterion J(f(x), x) - Phi(x) from the minimax route.
@@ -356,16 +359,16 @@ def find_fixed_point(
         proximity_min=check.strict_min,
         criterion_gap_max=criterion_gap_max,
         samples_used=len(X),
-        residual_tolerance=residual_tolerance,
-        check_tolerance=check_tolerance,
+        residual_tolerance=RESIDUAL_TOLERANCE,
+        check_tolerance=CHECK_TOLERANCE,
         separation=config.separation,
         kappa_method=kappa_info.method.value,
         result=result,
     )
-    if residual > residual_cap:
+    if residual > RESIDUAL_CAP:
         raise FixedPointNotLocated(
             f"displacement minimum {residual:.3e} stayed above the cap "
-            f"{residual_cap:.1e}",
+            f"{RESIDUAL_CAP:.1e}",
             report=report,
         )
     return report

@@ -307,6 +307,28 @@ def test_halfspace_normal_it_cannot_project_with_is_a_config_error():
         build_experiment(doc)
 
 
+@pytest.mark.parametrize(
+    "set_keys, field",
+    [
+        ("set.variant = orthant\nset.lower = 0\n", "set.lower"),
+        ("set.variant = half_space\nset.normal = 1 nan\nset.offset = 0\n", "set.normal"),
+        ("set.variant = cone\nset.halfspace.0.normal = 1 0\nset.halfspace.0.offset = 0\n"
+         "set.ray = 1 0\n", "set.halfspaces"),
+        ("set.variant = cone\nset.halfspaces = 1\nset.halfspace.0.normal = 1 0\n"
+         "set.halfspace.0.offset = 0\nset.ray = 1 0\nset.base = 0 x\n", "set.base"),
+        # A value every getter accepts but the set refuses is the variant's fault.
+        ("set.variant = half_space\nset.normal = 0 0\nset.offset = 0\n", "set.variant"),
+    ],
+    ids=["lower_length", "normal_nan", "halfspaces_missing", "base_text", "construction"],
+)
+def test_a_bad_set_value_is_blamed_on_its_key(set_keys, field):
+    text = "kind = find_fixed_point\nspace.dimension = 2\nmap.family = constant\n"
+    with pytest.raises(ConfigError) as info:
+        build_experiment(parse_document(text + "map.value = 0 0\n" + set_keys))
+    assert info.value.field == field
+    assert str(info.value).count("field '") == 1, str(info.value)
+
+
 EMPTY_CONE_CONFIG = """
 kind = find_fixed_point
 space.dimension = 2

@@ -8,6 +8,8 @@ import pytest
 from tiltlab.configfile import build_experiment, parse_document
 from tiltlab.reporting import error_outcome, run_experiment
 
+from test_readme import readme_configs
+
 BASE = """
 seed = 3
 space.dimension = 1
@@ -195,3 +197,119 @@ def test_error_outcome_layout():
     assert outcome.report["config.optimizer.initial_step"] == "auto"
     assert outcome.report["config.sampling.growth_radii"] == "100 1000 10000"
     assert "config.sampling.radius_override" not in outcome.report
+
+
+# The embedded config: each case's ``config.*`` keys in report order.
+HEAD = ["kind", "seed", "out", "space.dimension", "space.norm", "space.p"]
+OPTIMIZER = [f"optimizer.{name}" for name in (
+    "coarse_grid", "multistart", "initial_step", "shrink", "termination_step",
+    "value_tolerance", "separation", "budget", "directions",
+)]
+SAMPLING = [f"sampling.{name}" for name in (
+    "y_count", "y_radius", "y_mode", "check_samples", "margin", "fallback_radius",
+    "resolution", "radius", "growth_radii", "growth_directions",
+)]
+TAIL = OPTIMIZER + SAMPLING + ["saddle.tolerance"]
+AFFINE = ["map.family", "map.matrix.shape", "map.matrix.data", "map.offset"]
+CONE = """
+kind = find_fixed_point
+space.dimension = 2
+set.variant = cone
+set.halfspaces = 2
+set.halfspace.0.normal = 1 0
+set.halfspace.0.offset = 1
+set.halfspace.1.normal = 1 1
+set.halfspace.1.offset = 0
+set.ray = 1 0
+map.family = constant
+map.value = 2 0
+"""
+CONE_KEYS = HEAD + [
+    "set.variant", "set.halfspaces", "set.halfspace.0.normal", "set.halfspace.0.offset",
+    "set.halfspace.1.normal", "set.halfspace.1.offset", "set.ray", "set.base",
+    "map.family", "map.value",
+] + TAIL
+
+CONFIG_CASES = {
+    "readme_fixed_point": (
+        readme_configs()[0],
+        HEAD + ["set.variant", "set.lower"] + AFFINE + TAIL,
+    ),
+    "half_space_affine_bounded": (
+        """
+        kind = certify_uniqueness
+        space.dimension = 2
+        set.variant = half_space
+        set.normal = 0 1
+        set.offset = -1
+        map.family = affine_bounded
+        map.matrix.shape = 2 2
+        map.matrix.data = 0.2 0 0 0.2
+        map.field = tanh
+        map.amplitude = 0.1
+        sampling.radius_override = 5
+        """,
+        HEAD + ["set.variant", "set.normal", "set.offset"] + AFFINE
+        + ["map.field", "map.amplitude"] + OPTIMIZER
+        + SAMPLING[:5] + ["sampling.radius_override"] + SAMPLING[5:] + ["saddle.tolerance"],
+    ),
+    "cone_computed_base": (CONE, CONE_KEYS),
+    "cone_given_base": (CONE + "set.base = 1 0\n", CONE_KEYS),
+    "weighted_constant": (
+        """
+        kind = minimax_gap
+        space.dimension = 2
+        space.norm = weighted_lp
+        space.p = 3
+        space.weights = 1 2
+        map.family = constant
+        map.value = 1 -1
+        """,
+        HEAD + ["space.weights", "set.variant", "map.family", "map.value"] + TAIL,
+    ),
+    "projected_affine": (
+        """
+        kind = find_fixed_point
+        space.dimension = 1
+        set.variant = orthant
+        map.family = projected
+        map.inner.family = affine
+        map.inner.matrix.shape = 1 1
+        map.inner.matrix.data = -0.5
+        """,
+        HEAD + ["set.variant", "set.lower", "map.family"]
+        + [key.replace("map.", "map.inner.") for key in AFFINE] + TAIL,
+    ),
+    "sweep": (
+        """
+        kind = search_counterexample
+        space.dimension = 2
+        sweep.family = rotation_scale
+        sweep.param.theta = 0.2 0.3
+        sweep.param.phi = 0 0.5
+        sweep.offset = 1 0
+        sweep.planted_cell = 1
+        """,
+        HEAD + ["set.variant", "sweep.family", "sweep.param.phi", "sweep.param.theta",
+                "sweep.offset", "sweep.p_values", "sweep.y_grid", "sweep.planted_cell"]
+        + TAIL,
+    ),
+    "verify_saddle": (
+        BASE + "kind = verify_saddle\nsaddle.x_star = 0.5\n",
+        HEAD + ["set.variant"] + AFFINE + OPTIMIZER + SAMPLING
+        + ["saddle.x_star", "saddle.tolerance"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_CASES))
+def test_embedded_config_keys_are_pinned_in_order(name):
+    text, keys = CONFIG_CASES[name]
+    cfg = build_experiment(parse_document(text))
+    report = error_outcome(cfg, RuntimeError("layout only")).report
+    assert [key for key in report if key.startswith("config.")] == [
+        f"config.{key}" for key in keys
+    ]
+    if name.startswith("cone"):
+        # The base the construction computed (or was given) is written.
+        assert report["config.set.base"] == "1 0"
