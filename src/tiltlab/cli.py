@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from .configfile import (
-    ExperimentConfig,
     apply_overrides,
     build_experiment,
     parse_document,
@@ -51,7 +50,7 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> ExperimentConfig:
+def _load_document(args) -> dict[str, str]:
     text = Path(args.config).read_text(encoding="utf-8")
     doc = parse_document(text)
     doc = apply_overrides(doc, args.override)
@@ -59,11 +58,11 @@ def _load_config(args) -> ExperimentConfig:
         doc["seed"] = str(args.seed)
     if args.out is not None:
         doc["out"] = args.out
-    return build_experiment(doc)
+    return doc
 
 
-def _write_outcome(cfg: ExperimentConfig, outcome: RunOutcome) -> Path:
-    out_dir = Path(cfg.out)
+def _write_outcome(out: str, outcome: RunOutcome) -> Path:
+    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.txt"
     report_path.write_text(render_document(outcome.report))
@@ -78,9 +77,16 @@ def main(argv=None) -> int:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 1
     try:
-        cfg = _load_config(args)
+        doc = _load_document(args)
     except (OSError, UnicodeDecodeError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    try:
+        cfg = build_experiment(doc)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if args.verb != "validate":  # a run refused here leaves a partial report too
+            _write_outcome(doc.get("out", "out"), error_outcome(None, exc))
         return 1
     if args.jobs > 1 and cfg.kind != "search_counterexample":
         print("error: --jobs applies only to kind = search_counterexample", file=sys.stderr)
@@ -100,10 +106,10 @@ def main(argv=None) -> int:
         outcome = run_experiment(cfg, jobs=args.jobs)
     except Exception as exc:  # runtime failure: partial report, exit 1
         outcome = error_outcome(cfg, exc)
-        path = _write_outcome(cfg, outcome)
+        path = _write_outcome(cfg.out, outcome)
         print(f"error: {exc} (partial report at {path})", file=sys.stderr)
         return 1
-    path = _write_outcome(cfg, outcome)
+    path = _write_outcome(cfg.out, outcome)
     print(f"report written to {path}")
     return outcome.exit_code
 

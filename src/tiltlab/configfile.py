@@ -39,7 +39,7 @@ from .spaces import (
     Orthant,
     positive_int,
 )
-from .sweep import MapFamily, sweep_norm_specs
+from .sweep import MapFamily, require_planted_cell, sweep_norm_specs, sweep_probe_grid
 
 EXPERIMENT_KINDS = (
     "certify_uniqueness",
@@ -336,12 +336,9 @@ def _build_family(doc, dim: int) -> tuple[MapFamily, tuple, int, int | None]:
         "sweep.p_values", tuple(_parse_p(tok, "sweep.p_values") for tok in raw_ps.split())
     )
     _checked("sweep.p_values", sweep_norm_specs, dim, sweep_norms)
+    # build_experiment checks both against the probe grid.
     y_grid = _get_int(doc, "sweep.y_grid", default=5)
-    if y_grid < 1:
-        raise ConfigError("must be a positive integer", field="sweep.y_grid")
     planted = _get_int(doc, "sweep.planted_cell", default=None)
-    if planted is not None and planted < 0:
-        raise ConfigError("must be a cell index >= 0", field="sweep.planted_cell")
     return family, sweep_norms, y_grid, planted
 
 
@@ -381,6 +378,8 @@ def build_experiment(doc: dict[str, str]) -> ExperimentConfig:
         )
     # The seed is the top-level key every kind shares.
     seed = _get_int(doc, "seed", default=OptimizeConfig.seed)
+    if seed < 0:
+        raise ConfigError("must be a non-negative integer", field="seed")
     out = _get(doc, "out", default="out")
     norm_spec = _build_norm(doc)
     domain = _build_domain(doc, norm_spec.dimension)
@@ -398,6 +397,11 @@ def build_experiment(doc: dict[str, str]) -> ExperimentConfig:
         map_spec = _build_map(doc, norm_spec.dimension)
     optimizer = _build_section(doc, "optimizer", OptimizeConfig, seed=seed)
     sampling = _build_section(doc, "sampling", SamplingSpec)
+    if family is not None:  # refuse here what the sweep would refuse at run time
+        window = (domain, norm_spec, sampling.y_radius, sweep_y_grid)
+        probes = len(_checked("sweep.y_grid", sweep_probe_grid, *window))
+        cell = (planted_cell, family, sweep_norms, probes)
+        _checked("sweep.planted_cell", require_planted_cell, *cell)
 
     saddle_point = None
     if kind == "verify_saddle":

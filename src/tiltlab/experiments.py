@@ -47,6 +47,7 @@ _STREAM_PRESCAN = 0x9E3
 _STREAM_SADDLE_Y = 0xA11
 _STREAM_SADDLE_X = 0xA12
 _PRESCAN_COUNT = 16
+_MATRIX_BLOCK = 4096  # pairs per kernel call of a value matrix
 
 # find_fixed_point's thresholds for residual_ok and row_ok, and the residual
 # above which the fixed point counts as not located.
@@ -476,6 +477,20 @@ class MinimaxGapReport:
     resolution: int
 
 
+def _value_matrix(J: Bifunctional, X, Y, budget: _Budget) -> np.ndarray:
+    """M[i, j] = J(X[i], Y[j]), one kernel call per block of whole rows of
+    at most _MATRIX_BLOCK pairs (or one row); M.size is charged to budget.
+    A row of ``pairs`` does not depend on its batch, so neither does M."""
+    step = max(1, _MATRIX_BLOCK // len(Y))
+    blocks = []
+    for i in range(0, len(X), step):
+        Xb = X[i : i + step]
+        blocks.append(J.pairs(np.repeat(Xb, len(Y), axis=0), np.tile(Y, (len(Xb), 1))))
+    M = np.concatenate(blocks).reshape(len(X), len(Y))
+    budget.take(M.size)
+    return M
+
+
 def _envelopes(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row maxima and column minima of M, a NaN read as +inf and -inf."""
     nan = np.isnan(M)
@@ -528,13 +543,11 @@ class _SupSolver:
             values, Y = J.row_sup(X)
             return Y, values
         negated = lambda Y, Xs: -J.pairs(Xs, Y)
-        # One kernel call scans the pool, and the warm witness after it, for
-        # every row.
+        # One value matrix scans the pool, and the warm witness after it,
+        # for every row.
         scanned = pool if warm is None else np.vstack((pool, warm))
         S, P = len(X), len(pool)
-        vals = negated(np.tile(scanned, (S, 1)), np.repeat(X, len(scanned), axis=0))
-        vals = vals.reshape(S, -1)
-        self.budget.take(vals.size)
+        vals = -_value_matrix(J, X, scanned, self.budget)
         k = [first_argmin(row) for row in vals[:, :P]]
         starts, f0 = pool[k], vals[np.arange(S), k]
         if warm is not None:
@@ -622,8 +635,7 @@ def minimax_gap(
         )
     budget = _Budget(10 ** 18)  # counts evaluations; never exhausted
     G = SampleDomain(J.domain, norm_spec, float(radius), resolution).require_grid()
-    rough = np.array([J.pairs(x[None, :], G) for x in G], dtype=float)
-    budget.take(rough.size)
+    rough = _value_matrix(J, G, G, budget)
 
     rough_max, rough_min = _envelopes(rough)
     x_order = np.argsort(rough_max, kind="stable")
@@ -654,8 +666,7 @@ def minimax_gap(
     keep_grid = min(len(G), 128)
     S_x = _dedupe(x_ends + x_fins + list(G[x_order[:keep_grid]]), 256)
     S_y = _dedupe(list(Y_c) + list(G[y_order[:keep_grid]]), 256)
-    M = np.array([J.pairs(x[None, :], S_y) for x in S_x], dtype=float)
-    budget.take(M.size)
+    M = _value_matrix(J, S_x, S_y, budget)
 
     row_max, col_min = _envelopes(M)
     if J.row_sup is not None:  # every M[i, j] <= Phi(S_x[i]), bit for bit

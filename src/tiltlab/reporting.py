@@ -27,7 +27,7 @@ from .functional import TiltedFunctional
 from .maps import growth_coefficient
 from .optimize import Cluster, MinimizationResult
 from .spaces import SampleDomain
-from .sweep import SweepResult, search_counterexample
+from .sweep import SweepResult, search_counterexample, sweep_probe_grid
 
 _STREAM_Y_SET = 0xB21
 
@@ -239,8 +239,7 @@ def _run_verify_saddle(cfg: ExperimentConfig) -> RunOutcome:
 
 
 def _run_sweep(cfg: ExperimentConfig, jobs: int) -> RunOutcome:
-    window = SampleDomain(cfg.domain, cfg.norm, cfg.sampling.y_radius, cfg.sweep_y_grid)
-    y_points = window.grid_points()
+    y_points = sweep_probe_grid(cfg.domain, cfg.norm, cfg.sampling.y_radius, cfg.sweep_y_grid)
     result: SweepResult = search_counterexample(
         cfg.family,
         list(cfg.sweep_norms),

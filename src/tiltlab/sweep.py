@@ -3,9 +3,10 @@ screen each instance by its growth ratio, run the per-probe uniqueness step,
 and keep only two-cluster findings that survive re-verification at four
 times the grid resolution with the value window halved.
 
-A sweep cell is one (parameter point, norm, probe y) triple.  Cells are
-independent and may run in worker processes; outcomes are merged in cell
-index order, so the result does not depend on the worker count.
+A sweep cell is one (parameter point, norm, probe y) triple, and is its
+summary; each (parameter point, norm) pair has one J and one growth estimate.
+Cells are independent and may run in worker processes; outcomes are merged
+in cell index order, so the result does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from .experiments import _certify_probe, effective_growth_bound
 from .functional import TiltedFunctional
 from .maps import AffineMap, GrowthEstimate, MapSpec, growth_coefficient, shell_radii
 from .optimize import Cluster, MinimizationResult, OptimizeConfig
-from .spaces import FeasibleSet, MaxNorm, NormSpec, finite_tuple, norm, positive_int
+from .spaces import (
+    FeasibleSet, MaxNorm, NormSpec, SampleDomain, finite_tuple, norm, positive_int,
+)
 
 _REVERIFY_FACTOR = 4
 _SCORE_FLOOR = 1e-12
@@ -120,6 +123,18 @@ def sweep_norm_specs(dimension: int, norms) -> list[NormSpec]:
     return [NormSpec(dimension, p) for p in norms]
 
 
+def sweep_probe_grid(domain: FeasibleSet, norm_spec: NormSpec, radius: float, per_axis: int):
+    """A sweep's probe ys; ``InfeasibleTruncation`` when its grid has none."""
+    return SampleDomain(domain, norm_spec, radius, per_axis).require_grid()
+
+
+def require_planted_cell(planted_cell: int | None, family: MapFamily, norms, probes: int):
+    """``ValueError`` unless ``planted_cell`` is None or a cell of the sweep."""
+    count = len(family.parameter_points()) * len(norms) * probes
+    if planted_cell is not None and not 0 <= planted_cell < count:
+        raise ValueError(f"planted_cell {planted_cell} is not one of the sweep's {count} cells")
+
+
 def planted_double_well(dimension: int, spread: float = 1.0):
     """Rows objective with exactly two tied global minima ``spread`` apart
     along the first axis, centred at the origin; the standard plant for
@@ -136,31 +151,24 @@ def planted_double_well(dimension: int, spread: float = 1.0):
 
 
 @dataclass(frozen=True)
-class CellDescriptor:
-    index: int
-    params: tuple[tuple[str, float], ...]
-    norm_p: float | MaxNorm
-    y: tuple[float, ...]
-    param_index: int
-    norm_index: int
-
-
-@dataclass(frozen=True)
 class CellSummary:
+    """Sweep cell ``index``, its (parameter point, norm exponent, probe y)
+    triple, and its outcome; the defaults are those of a screened-out cell."""
+
     index: int
     params: tuple[tuple[str, float], ...]
     norm_p: float | MaxNorm
     y: tuple[float, ...]
-    screened_out: bool
-    kappa_hat: float | None
-    radius: float | None
-    cluster_count: int
-    best_value: float | None
+    screened_out: bool = True
+    kappa_hat: float | None = None
+    radius: float | None = None
+    cluster_count: int = 0
+    best_value: float | None = None
 
 
 @dataclass(frozen=True)
 class CounterexampleCandidate:
-    """A surviving two-cluster finding with full provenance."""
+    """A two-cluster finding that survived re-verification, with its cell."""
 
     cell_index: int
     params: tuple[tuple[str, float], ...]
@@ -172,9 +180,6 @@ class CounterexampleCandidate:
     score: float
     status: str
     kappa_method: str
-    radius: float
-    seed: int
-    value_tolerance: float
 
 
 @dataclass(frozen=True)
@@ -184,15 +189,12 @@ class SweepResult:
     cells_total: int
     cells_screened_out: int
     findings_raw: int
-    seed: int
     value_tolerance: float
     separation: float
 
 
 @dataclass(frozen=True)
 class _SweepContext:
-    family: MapFamily
-    domain: FeasibleSet
     config: OptimizeConfig
     margin: float
     fallback_radius: float
@@ -214,50 +216,33 @@ def _candidate_metrics(
 
 
 def _run_cell(
-    ctx: _SweepContext, cell: CellDescriptor, kappa_info: GrowthEstimate | None
+    ctx: _SweepContext, cell: tuple[CellSummary, TiltedFunctional, GrowthEstimate]
 ):
-    """One sweep cell; returns (summary, candidate-or-None).
-    ``kappa_info`` is the pair's growth estimate; the planted cell ignores it."""
-    planted = ctx.planted_cell is not None and ctx.planted_cell == cell.index
-    if not planted and not kappa_info.satisfied:
-        summary = CellSummary(
-            index=cell.index,
-            params=cell.params,
-            norm_p=cell.norm_p,
-            y=cell.y,
-            screened_out=True,
-            kappa_hat=kappa_info.kappa_hat,
-            radius=None,
-            cluster_count=0,
-            best_value=None,
-        )
-        return summary, None
+    """One sweep cell, given as its screened-out summary, its pair's J and
+    its pair's growth estimate; returns (summary, candidate-or-None).  The
+    planted cell ignores the growth estimate."""
+    summary, F, growth = cell
+    planted = summary.index == ctx.planted_cell
+    if not planted and not growth.satisfied:
+        return replace(summary, kappa_hat=growth.kappa_hat), None
 
-    F = TiltedFunctional(
-        norm=NormSpec(ctx.family.dimension, cell.norm_p),
-        domain=ctx.domain,
-        mapping=ctx.family.instantiate(cell.params),
-    )
-    y = np.array(cell.y, dtype=float)
+    y = np.array(summary.y, dtype=float)
     if planted:
-        objective = planted_double_well(ctx.family.dimension, _PLANTED_SPREAD)
+        objective = planted_double_well(F.dimension, _PLANTED_SPREAD)
         bound, kappa_hat, kappa_method = None, None, "planted"
     else:
         objective = None
-        bound = effective_growth_bound(kappa_info)
-        kappa_hat, kappa_method = kappa_info.kappa_hat, kappa_info.method.value
+        bound = effective_growth_bound(growth)
+        kappa_hat, kappa_method = growth.kappa_hat, growth.method.value
 
     def certify(config: OptimizeConfig):
         return _certify_probe(
-            F, y, cell.index, config, bound, ctx.margin, ctx.fallback_radius, objective
+            F, y, summary.index, config, bound, ctx.margin, ctx.fallback_radius, objective
         )
 
     coarse = certify(ctx.config)
-    summary = CellSummary(
-        index=cell.index,
-        params=cell.params,
-        norm_p=cell.norm_p,
-        y=cell.y,
+    summary = replace(
+        summary,
         screened_out=False,
         kappa_hat=kappa_hat,
         radius=coarse.radius,
@@ -281,19 +266,16 @@ def _run_cell(
 
     value_gap, separation = _candidate_metrics(fine_result, F.norm)
     candidate = CounterexampleCandidate(
-        cell_index=cell.index,
-        params=cell.params,
-        norm_p=cell.norm_p,
-        y=cell.y,
+        cell_index=summary.index,
+        params=summary.params,
+        norm_p=summary.norm_p,
+        y=summary.y,
         clusters=fine_result.clusters,
         value_gap=value_gap,
         separation=separation,
         score=separation / (value_gap + _SCORE_FLOOR),
         status=f"confirmed_at_{_REVERIFY_FACTOR}x",
         kappa_method=kappa_method,
-        radius=coarse.radius,
-        seed=ctx.config.seed,
-        value_tolerance=finer.value_tolerance,
     )
     return summary, candidate
 
@@ -330,65 +312,33 @@ def search_counterexample(
         raise ValueError("y_points must be a (k, dimension) array")
     if len(y_arr) == 0:
         raise ValueError("y_points must be non-empty")
-    for y in y_arr:
-        domain.require(y, "probe y")
-    points = family.parameter_points()
-    cells = [
-        CellDescriptor(
-            index=i,
-            params=params,
-            norm_p=p,
-            y=tuple(float(v) for v in y),
-            param_index=pi,
-            norm_index=ni,
-        )
-        for i, (pi, params, ni, p, y) in enumerate(
-            (pi, params, ni, p, y)
-            for pi, params in enumerate(points)
-            for ni, p in enumerate(norms)
-            for y in y_arr
-        )
-    ]
-    if planted_cell is not None and not 0 <= planted_cell < len(cells):
-        raise ValueError(
-            f"planted_cell {planted_cell} is not one of the sweep's {len(cells)} cells"
-        )
-    ctx = _SweepContext(
-        family=family,
-        domain=domain,
-        config=config,
-        margin=float(margin),
-        fallback_radius=float(fallback_radius),
-        planted_cell=planted_cell,
-    )
-    # A growth estimate and its seed depend only on the cell's (parameter
-    # point, norm) pair, so one estimate serves every probe y of the pair.
-    # The seed folds the pair into one integer, which repeats once a sweep
-    # has 1010 norms; the estimates are keyed by the pair, so they never mix.
+    ys = [tuple(domain.require(y, "probe y").tolist()) for y in y_arr]
+    require_planted_cell(planted_cell, family, norm_specs, len(ys))
+    ctx = _SweepContext(config, float(margin), float(fallback_radius), planted_cell)
     radii = shell_radii(growth_radii, "growth_radii")
-    growth: dict[tuple[int, int], GrowthEstimate] = {}
-    for c in cells:
-        key = (c.param_index, c.norm_index)
-        if c.index != planted_cell and key not in growth:
-            growth[key] = growth_coefficient(
-                family.instantiate(c.params),
-                norm_specs[c.norm_index],
-                radii,
-                growth_directions,
-                seed=config.seed + 7919 * (c.param_index * 1009 + c.norm_index),
-                domain=domain,
+    # J and the growth estimate depend only on the (parameter point, norm)
+    # pair, so one of each serves every probe y of the pair.  The growth
+    # seed folds the pair into one integer, which repeats once a sweep has
+    # 1010 norms; each estimate still stays with its own pair.
+    cells = []
+    for pi, params in enumerate(family.parameter_points()):
+        mapping = family.instantiate(params)
+        for ni, (p, norm_spec) in enumerate(zip(norms, norm_specs)):
+            F = TiltedFunctional(norm=norm_spec, domain=domain, mapping=mapping)
+            growth = growth_coefficient(
+                mapping, norm_spec, radii, growth_directions,
+                seed=config.seed + 7919 * (pi * 1009 + ni), domain=domain,
             )
-    kappas = [growth.get((c.param_index, c.norm_index)) for c in cells]
+            for y in ys:
+                cells.append((CellSummary(len(cells), params, p, y), F, growth))
     # Under fork the pool starts all its workers at the first submit, so it
     # never gets more workers than cells.
     workers = min(jobs, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(_run_cell, itertools.repeat(ctx), cells, kappas, chunksize=8)
-            )
+            outcomes = list(pool.map(_run_cell, itertools.repeat(ctx), cells, chunksize=8))
     else:
-        outcomes = [_run_cell(ctx, c, k) for c, k in zip(cells, kappas)]
+        outcomes = [_run_cell(ctx, c) for c in cells]
 
     summaries = tuple(s for s, _ in outcomes)
     candidates = [c for _, c in outcomes if c is not None]
@@ -401,7 +351,6 @@ def search_counterexample(
         # Screened cells carry cluster_count 0, so this counts the cells
         # whose coarse search found two clusters.
         findings_raw=sum(1 for s in summaries if s.cluster_count >= 2),
-        seed=config.seed,
         value_tolerance=config.value_tolerance,
         separation=config.separation,
     )

@@ -264,6 +264,47 @@ def test_validate_refuses_a_family_it_cannot_build(tmp_path, capsys, drop, overr
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_validate_refuses_a_negative_seed_on_its_key(tmp_path, capsys, how):
+    # It used to be blamed on field 'optimizer'.
+    text = FIND_CONFIG if how == "flag" else FIND_CONFIG.replace("seed = 11", "seed = -1")
+    args = ["validate", "--config", str(write(tmp_path, text))]
+    if how == "flag":
+        args += ["--seed", "-1"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == "error: field 'seed': must be a non-negative integer\n"
+
+
+@pytest.mark.parametrize("planted", ["100", "999"])
+def test_validate_refuses_a_planted_cell_beyond_the_sweep(tmp_path, capsys, planted):
+    # README's sweep has 2 x 2 parameter points, one norm and 25 probes:
+    # 100 cells, so cell 99 is the last one.
+    path = write(tmp_path, readme_configs()[2])
+    args = ["validate", "--config", str(path), "--override"]
+    assert main(args + ["sweep.planted_cell=99"]) == 0
+    capsys.readouterr()
+    assert main(args + [f"sweep.planted_cell={planted}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: field 'sweep.planted_cell'")
+    assert f"planted_cell {planted} is not one of the sweep's 100 cells" in err
+
+
+def test_validate_refuses_a_sweep_with_no_probe(tmp_path, capsys):
+    # The orthant x >= (5, 5) misses the y ball of radius 3.
+    text = readme_configs()[2].replace(
+        "set.variant = full_space\n", "set.variant = orthant\nset.lower = 5 5\n"
+    ) + "sweep.offset = 5 5\n"
+    assert "sampling.y_radius = 3\n" in text
+    path = write(tmp_path, text)
+    assert main(["validate", "--config", str(path), "--override", "sampling.y_radius=20"]) == 0
+    capsys.readouterr()
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: field 'sweep.y_grid'")
+    assert "radius 3.0" in err
+
+
 @pytest.mark.parametrize(
     "overrides, field",
     [

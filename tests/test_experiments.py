@@ -29,6 +29,7 @@ from tiltlab import (
     tilted_value,
     verify_saddle,
 )
+from tiltlab import experiments
 from tiltlab.experiments import _certify_probe
 
 CFG = OptimizeConfig(coarse_grid=33, multistart=8, seed=2)
@@ -387,19 +388,31 @@ def test_minimax_without_an_envelope_counts_the_pairs_rows():
 def _matrix_phase(F, radius, resolution, cfg):
     """minimax_gap on F's recording bifunctional, with the matrix phase read
     back from the calls: S_x and Phi(S_x) from the last envelope call, and
-    the rows of the shared matrix from the len(S_x) pairs calls before it."""
-    calls = []
+    the shared matrix from the last value matrix, whose pairs calls are the
+    ones right before it."""
+    calls, matrices = [], []
     pairs, row_sup = _recording(F, calls)
     J = Bifunctional(pairs, F.domain, zero_diagonal=True, row_sup=row_sup)
-    report = minimax_gap(J, radius, resolution, norm_spec=F.norm, config=cfg)
+    value_matrix = experiments._value_matrix
+
+    def recording_matrix(K, X, Y, budget):
+        start = len(calls)
+        M = value_matrix(K, X, Y, budget)
+        matrices.append((start, len(calls), np.array(X), np.array(Y), M))
+        return M
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "_value_matrix", recording_matrix)
+        report = minimax_gap(J, radius, resolution, norm_spec=F.norm, config=cfg)
     last = max(i for i, (kind, *_) in enumerate(calls) if kind == "row_sup")
     _, S_x, _, phi = calls[last]
-    rows = calls[last - len(S_x):last]
-    assert [kind for kind, *_ in rows] == ["pairs"] * len(S_x)
-    for (_, X, _, _), x in zip(rows, S_x):
-        assert _bits(X) == _bits(x[None, :])
-    S_y = rows[0][2]
-    M = np.array([values for *_, values in rows])
+    start, end, X, S_y, M = [m for m in matrices if m[1] <= last][-1]
+    rows = calls[start:end]
+    assert end == last and [kind for kind, *_ in rows] == ["pairs"] * len(rows)
+    assert _bits(X) == _bits(S_x)
+    seen = np.concatenate([X for _, X, _, _ in rows])
+    assert _bits(seen) == _bits(np.repeat(S_x, len(S_y), axis=0))
+    assert _bits(np.concatenate([values for *_, values in rows])) == _bits(M.ravel())
     return report, S_x, phi, S_y, M
 
 

@@ -289,3 +289,42 @@ def test_probe_outside_the_set_is_rejected():
     fam = MapFamily(kind="scaled_identity", dimension=1, parameters=(("theta", (0.2,)),))
     with pytest.raises(MembershipViolation):
         search_counterexample(fam, [2.0], Orthant(1), np.array([[1.0], [-1.0]]), CFG)
+
+
+def test_each_pair_has_one_growth_estimate_seeded_by_the_pair(monkeypatch):
+    # At p = 1.5 growth is sampled, so kappa_hat depends on the seed: every
+    # cell carries the estimate of its (parameter point, norm) pair, drawn
+    # once per pair with the seed config.seed + 7919 * (pi * 1009 + ni).
+    import tiltlab.sweep as sweep_module
+
+    fam = MapFamily("diagonal", 2, (("d0", (0.2, 0.45)), ("d1", (0.1,))))
+    norms = [1.5, 3.0]
+    ys = np.array([[0.5, 0.0], [0.0, -0.5]])
+    small = OptimizeConfig(coarse_grid=9, multistart=2, budget=100_000, seed=5)
+    radii, directions = (100.0, 1_000.0), 8
+    seeds = []
+
+    def counted(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return growth_coefficient(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "growth_coefficient", counted)
+    for planted in (None, 5):
+        seeds.clear()
+        result = search_counterexample(
+            fam, norms, FullSpace(2), ys, small, growth_radii=radii,
+            growth_directions=directions, planted_cell=planted, fallback_radius=3.0,
+        )
+        pair_seeds = [5 + 7919 * (pi * 1009 + ni) for pi in (0, 1) for ni in (0, 1)]
+        assert sorted(seeds) == pair_seeds
+        for cell in result.summaries:
+            pi, ni = divmod(cell.index // len(ys), len(norms))
+            expected = growth_coefficient(
+                fam.instantiate(fam.parameter_points()[pi]), NormSpec(2, norms[ni]),
+                radii, directions, seed=5 + 7919 * (pi * 1009 + ni), domain=FullSpace(2),
+            )
+            assert expected.method.value == "sampled"
+            if cell.index == planted:
+                assert cell.kappa_hat is None
+            else:
+                assert cell.kappa_hat == expected.kappa_hat
