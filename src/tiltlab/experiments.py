@@ -2,8 +2,9 @@
 
 - certify_uniqueness: for each probe y, globally minimize J(., y) over a
   coercivity-truncated window and report how many separated minimum clusters
-  were found.  Verdicts are sample-relative by design: the laboratory can
-  refute uniqueness by exhibiting two clusters but can never prove it.
+  were found; one lockstep search refines every probe.  Verdicts are
+  sample-relative by design: the laboratory can refute uniqueness by
+  exhibiting two clusters but can never prove it.
 - find_fixed_point: minimize the displacement Phi (the upper envelope of J)
   and cross-check the saddle and strict-proximity conclusions around the
   minimizer.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .optimize import (
     direction_set,
     first_argmin,
     global_minimize,
+    global_minimize_batch,
     pattern_search,
 )
 from .spaces import (
@@ -122,50 +125,101 @@ def _prescan_incumbent(
     return float(min([0.0, *F.pairs(X, y[None, :])]))
 
 
-def _certify_probe(
-    F: TiltedFunctional,
-    y: np.ndarray,
-    index: int,
+class Probe(NamedTuple):
+    """One J(., y) to minimize: ``F`` and the probe ``y``.  ``index`` seeds
+    the prescan incumbent; ``bound``, an :func:`effective_growth_bound`
+    pair, licenses the coercive ball (None: the fixed radius);
+    ``objective``, a rows function, replaces J(., y) (the planted-instance
+    hook), and its incumbent is its lesser value at y and at the set's
+    base witness."""
+
+    F: TiltedFunctional
+    y: np.ndarray
+    index: int
+    bound: tuple[float, float] | None = None
+    objective: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+def _probe_rows(probes: Sequence[Probe]):
+    """The batched objective over ``probes``: row i is J(X[i], y) of probe
+    ``owners[i]``, or its override.  Each run of adjacent rows whose probes
+    share a kernel (one J, or one override) is one call."""
+    Y = np.array([p.y for p in probes])
+    calls, kinds, seen = [], [], {}
+    for p in probes:
+        kernel = p.F if p.objective is None else p.objective
+        if id(kernel) not in seen:
+            seen[id(kernel)] = len(calls)
+            calls.append(
+                (lambda X, o, F=p.F: F.pairs(X, Y[o])) if p.objective is None
+                else (lambda X, o, f=p.objective: f(X))
+            )
+        kinds.append(seen[id(kernel)])
+    kinds = np.array(kinds)
+
+    def rows(X, owners):
+        kind = kinds[owners]
+        edges = [0, *(np.flatnonzero(kind[1:] != kind[:-1]) + 1).tolist(), len(X)]
+        out = np.empty(len(X))
+        for a, b in zip(edges, edges[1:]):
+            out[a:b] = calls[kind[a]](X[a:b], owners[a:b])
+        return out
+
+    return rows
+
+
+def _certify_probes(
+    probes: Sequence[Probe],
     config: OptimizeConfig,
-    bound: tuple[float, float] | None,
     margin: float,
     fixed_radius: float,
-    objective_rows=None,
-) -> YEntry:
-    """Globally minimize J(., y) for one probe and classify the clusters.
+) -> list[YEntry]:
+    """Globally minimize J(., y) for every probe and classify each probe's
+    clusters; one :class:`YEntry` per probe, in order.
 
-    ``bound`` is an :func:`effective_growth_bound` pair; the search runs in
-    the coercive ball it licenses, or inside ``fixed_radius`` when it is
-    None.  ``index`` seeds the prescan incumbent.  ``objective_rows``, a
-    rows function, replaces J(., y) (the planted-instance hook); its
-    incumbent is its lesser value at y and at the set's base witness.
+    Each probe gets its prescan incumbent and its radius: the coercive one
+    its ``bound`` licenses, or ``fixed_radius``.  Then one
+    :func:`global_minimize_batch` searches every probe, so one lockstep
+    pattern search refines them all; the probes must share one norm and
+    one set, and each keeps its own radius and budget.
     """
-    if objective_rows is None:
-        objective_rows = lambda X: F.pairs(X, y[None, :])
-        incumbent = _prescan_incumbent(F, y, config.seed, index)
-    else:
-        incumbent = float(min(objective_rows(np.vstack((y, F.domain.ray_base)))))
-    if bound is None:
-        radius = fixed_radius
-    else:
-        kappa_eff, r0 = bound
-        radius = max(coercivity_radius(F, y, kappa_eff, r0, incumbent, margin), 1.0)
-    result = global_minimize(objective_rows, F.domain, radius, config, F.norm)
-    if result.cluster_count >= 2:
-        verdict = EntryVerdict.MULTIPLE
-    elif result.status is SearchStatus.NO_MINIMUM_SUSPECTED:
-        verdict = EntryVerdict.NO_MINIMUM
-    elif result.status is SearchStatus.BUDGET_EXHAUSTED:
-        verdict = EntryVerdict.INCONCLUSIVE
-    else:
-        verdict = EntryVerdict.UNIQUE
-    return YEntry(
-        y=tuple(float(v) for v in y),
-        radius=float(radius),
-        incumbent=incumbent,
-        result=result,
-        verdict=verdict,
-    )
+    if not probes:
+        return []
+    radii, incumbents = [], []
+    for p in probes:
+        if p.objective is None:
+            incumbent = _prescan_incumbent(p.F, p.y, config.seed, p.index)
+        else:
+            incumbent = float(min(p.objective(np.vstack((p.y, p.F.domain.ray_base)))))
+        if p.bound is None:
+            radius = fixed_radius
+        else:
+            kappa_eff, r0 = p.bound
+            radius = max(coercivity_radius(p.F, p.y, kappa_eff, r0, incumbent, margin), 1.0)
+        radii.append(radius)
+        incumbents.append(incumbent)
+    F = probes[0].F
+    if any(p.F.norm != F.norm or p.F.domain != F.domain for p in probes):
+        raise ValueError("the probes of one batched search must share one norm and one set")
+    results = global_minimize_batch(_probe_rows(probes), F.domain, radii, config, F.norm)
+    entries = []
+    for p, radius, incumbent, result in zip(probes, radii, incumbents, results):
+        if result.cluster_count >= 2:
+            verdict = EntryVerdict.MULTIPLE
+        elif result.status is SearchStatus.NO_MINIMUM_SUSPECTED:
+            verdict = EntryVerdict.NO_MINIMUM
+        elif result.status is SearchStatus.BUDGET_EXHAUSTED:
+            verdict = EntryVerdict.INCONCLUSIVE
+        else:
+            verdict = EntryVerdict.UNIQUE
+        entries.append(YEntry(
+            y=tuple(float(v) for v in p.y),
+            radius=float(radius),
+            incumbent=incumbent,
+            result=result,
+            verdict=verdict,
+        ))
+    return entries
 
 
 def certify_uniqueness(
@@ -180,6 +234,9 @@ def certify_uniqueness(
 ) -> UniquenessReport:
     """Per-probe global minimization of J(., y) with cluster counting.
 
+    Each probe has its own coercive radius and evaluation budget, and one
+    :func:`_certify_probes` step searches them all, so one lockstep pattern
+    search refines every probe.
     When the growth estimate does not license a coercive radius and no
     override is supplied, every probe runs inside the fallback radius and
     the overall verdict is capped at INCONCLUSIVE.  ``objective_override``,
@@ -199,12 +256,8 @@ def certify_uniqueness(
     )
     bound = effective_growth_bound(kappa_info) if use_growth else None
     fixed_radius = fallback_radius if radius_override is None else radius_override
-    entries = [
-        _certify_probe(
-            F, y, index, config, bound, margin, fixed_radius, objective_override
-        )
-        for index, y in enumerate(ys)
-    ]
+    probes = [Probe(F, y, index, bound, objective_override) for index, y in enumerate(ys)]
+    entries = _certify_probes(probes, config, margin, fixed_radius)
 
     if any(e.verdict is EntryVerdict.MULTIPLE for e in entries):
         overall = Verdict.MULTIPLE_FOUND

@@ -13,7 +13,8 @@ and every report carries the pair of tolerances that define it.
 
 Everything is deterministic given (config, seed): grid scans break ties by
 lexicographic grid-index order, one lockstep pattern search refines every
-start, and the random starts come from a seeded generator.
+start of every problem of a batch, each start in its problem's ball and on
+its problem's budget, and the random starts come from a seeded generator.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InfeasibleTruncation
-from .spaces import FeasibleSet, NormSpec, SampleDomain, in_ball, norm, positive_int
+from .spaces import (
+    FeasibleSet, NormSpec, SampleDomain, ball_bound, in_ball, norm, norms_of_rows, positive_int,
+)
 
 _STREAM_STARTS = 0x51A7
 
@@ -162,17 +165,17 @@ def first_argmin(values: np.ndarray) -> int:
 
 
 def pattern_search(
-    objective_rows: Callable[[np.ndarray], np.ndarray],
+    objective_rows: Callable[..., np.ndarray],
     domain: FeasibleSet,
-    radius: float,
+    radius: float | np.ndarray,
     norm_spec: NormSpec,
     x0: np.ndarray,
     f0: np.ndarray,
-    initial_step: float,
+    initial_step: float | np.ndarray,
     termination_step: float,
     shrink: float,
     directions: np.ndarray,
-    budget: _Budget,
+    budget: _Budget | Sequence[_Budget],
     partners: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lockstep compass refinement of S starts; monotone, projected,
@@ -180,44 +183,75 @@ def pattern_search(
 
     ``x0`` holds the starts as an (S, n) array and ``f0`` their (S,)
     values; the endpoints and their values come back in the same shapes.
-    ``initial_step`` is one step for every start or an (S,) array of them.
-    Each iteration steps every active start along every direction, projects
-    all the trials into the set with one ``project_rows`` call, drops the
-    trials that leave the truncation ball, charges the rest to the budget
-    as one batch and evaluates them with one ``objective_rows`` call.  Each
-    start then takes its own best trial (first direction on ties; NaN never
-    wins, and a NaN incumbent reads +inf) only on strict improvement;
-    otherwise only its own step shrinks, and it leaves the batch once its
-    step passes ``termination_step``.  Every kernel gives a row the same
-    value in any batch, so each start ends exactly where a search from it
-    alone would.
+    ``initial_step`` and ``radius``, the truncation radius, are each one
+    value for every start or an (S,) array of them.  Each iteration steps
+    every active start along every direction, projects all the trials into
+    the set with one ``project_rows`` call, drops the trials that leave
+    their start's ball, charges the rest to the budgets and evaluates them
+    with one ``objective_rows`` call.  Each start then takes its own best
+    trial (first direction on ties; NaN never wins, and a NaN incumbent
+    reads +inf) only on strict improvement; otherwise only its own step
+    shrinks, and it leaves the batch once its step passes
+    ``termination_step``.  Every kernel gives a row the same value in any
+    batch, so each start ends exactly where a search from it alone would.
 
     The bookkeeping of one iteration is a fixed number of numpy calls
     whatever the number of active starts: the points live in one (S, n)
     array, the trials of all active starts are one broadcast, and every
     start's best trial comes from one row-wise ``argmin``.  Only the
     incumbent values, the steps and the active indices are Python lists,
-    so that a search of one or two starts stays cheap.
+    so that a search of one or two starts stays cheap.  The per-trial
+    partner, ball-bound and group arrays are rebuilt only when a start
+    ends.
 
-    ``partners``, an (S, m) array, gives every start its own fixed second
-    argument: the objective is then called as ``objective_rows(trials,
-    partners[owner])``, each trial row paired with the row of the start it
-    came from, so one call refines searches over different objectives.
+    ``partners``, an (S,) or (S, m) array, gives every start its own fixed
+    second argument: the objective is then called as
+    ``objective_rows(trials, partners[owner])``, each trial row paired with
+    the row of the start it came from, so one call refines searches over
+    different objectives.
 
-    Binding budget: a batch the budget cannot cover in full ends every
-    start at its current point, with ``budget.used == budget.limit``.
+    ``budget`` is one :class:`_Budget` for every start or a length-S
+    sequence of them; starts that share a budget object form a group, and
+    each iteration charges each group's budget once, with the count of its
+    own in-ball trials.  A group whose budget cannot cover that count ends
+    its own starts at their current points, with ``used == limit``, and
+    the other groups go on, exactly as in searches of their own.
     """
     xs = np.array(x0, dtype=float)
     fs = [float(v) for v in f0]
+    S = len(fs)
     init = np.asarray(initial_step, dtype=float)
     if not np.all((0.0 < init) & (init < math.inf)):  # an infinite step never ends
         raise ValueError(f"initial_step must be finite and positive, got {initial_step}")
     d, n = directions.shape
-    init = np.broadcast_to(init, (len(fs),)).tolist()
+    init = np.broadcast_to(init, (S,)).tolist()
+    bounds = ball_bound(radius)
     live = [i for i, s in enumerate(init) if s > termination_step]
+    group = None  # each start's group, when there is more than one
+    if isinstance(budget, _Budget):
+        budgets = [budget]
+    else:
+        budgets = list(budget)
+        if len(budgets) != S:
+            raise ValueError(f"budget must be one _Budget or one per start, got {len(budgets)}")
+        ids: dict[int, int] = {}  # a budget's id -> its group, in order of appearance
+        group = np.array([ids.setdefault(id(b), len(ids)) for b in budgets], dtype=int)
+        if len(ids) > 1:
+            # A group's starts are adjacent in the batch, so that its trials
+            # are one row block; the order of a batch's rows changes no value.
+            live.sort(key=group.__getitem__)
+        else:
+            group = None
     steps = [init[i] for i in live]
-    paired = None if partners is None else partners[live].repeat(d, axis=0)
+    ended = True
     while live:
+        if ended:  # the per-trial arrays of the active starts
+            paired = None if partners is None else partners[live].repeat(d, axis=0)
+            bound = bounds if np.ndim(bounds) == 0 else bounds[live].repeat(d)
+            if group is not None:  # each group's first row and budget
+                cuts = [0, *(np.flatnonzero(np.diff(group[live])) + 1).tolist()]
+                blocks = [(j * d, budgets[live[j]]) for j in cuts]
+                edges = np.array(cuts) * d
         if len(live) == 1:  # skips the fancy index and the reshape
             trials = xs[live[0]] + steps[0] * directions
         else:  # the same bits as xs[i] + s * directions, row block by row block
@@ -225,10 +259,21 @@ def pattern_search(
                 xs[live][:, None, :] + np.array(steps)[:, None, None] * directions
             ).reshape(len(live) * d, n)
         trials = domain.project_rows(trials)
-        inside = in_ball(trials, radius, norm_spec)
-        k = int(np.count_nonzero(inside))  # budget.used stays a Python int
-        if budget.take(k) < k:
-            break
+        inside = norms_of_rows(trials, norm_spec) <= bound  # in_ball, the bound cached
+        ended = False
+        if group is None:  # one group: a short grant ends every start
+            k = int(np.count_nonzero(inside))  # budget.used stays a Python int
+            if budgets[0].take(k) < k:
+                break
+        else:  # one take per group; a short grant ends that group's starts
+            counts = np.add.reduceat(inside, edges, dtype=np.intp).tolist()
+            for b, ((row, owner), k) in enumerate(zip(blocks, counts)):
+                if owner.take(k) < k:  # its trials are not evaluated
+                    stop = blocks[b + 1][0] if b + 1 < len(blocks) else len(trials)
+                    inside[row:stop] = False
+                    steps[row // d : stop // d] = [0.0] * ((stop - row) // d)
+                    ended = True
+            k = int(np.count_nonzero(inside))
         args = (trials,) if paired is None else (trials, paired)
         if k == len(trials):
             values = np.asarray(objective_rows(*args), dtype=float)
@@ -238,7 +283,6 @@ def pattern_search(
                 values[inside] = objective_rows(*(a[inside] for a in args))
         picks = values.reshape(len(live), d).argmin(axis=1).tolist()
         flat = values.tolist()
-        ended = False
         for j, (i, best) in enumerate(zip(live, picks)):
             row = j * d + best
             v = flat[row]
@@ -253,8 +297,6 @@ def pattern_search(
         if ended:
             keep = [j for j, s in enumerate(steps) if s > termination_step]
             live, steps = [live[j] for j in keep], [steps[j] for j in keep]
-            if paired is not None:
-                paired = partners[live].repeat(d, axis=0)
     return xs, np.array(fs)
 
 
@@ -315,67 +357,102 @@ def global_minimize(
     norm_spec: NormSpec | None = None,
 ) -> MinimizationResult:
     """Global minimization over X within the ball of the ambient norm
-    (Euclidean when ``norm_spec`` is omitted).
+    (Euclidean when ``norm_spec`` is omitted): the one-problem call of
+    :func:`global_minimize_batch`.
 
     ``objective_rows`` maps a (k, n) batch to its (k,) values; every
     evaluation (grid scan, random starts, refinement) goes through it, and
     each row counts against the budget.
     """
-    if not radius > 0.0:
-        raise ValueError("radius must be positive")
+    rows = lambda X, owners: objective_rows(X)
+    return global_minimize_batch(rows, domain, [radius], config, norm_spec)[0]
+
+
+def global_minimize_batch(
+    objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    domain: FeasibleSet,
+    radii: Sequence[float],
+    config: OptimizeConfig,
+    norm_spec: NormSpec | None = None,
+) -> list[MinimizationResult]:
+    """Global minimization of P problems over one set and norm, problem p
+    within the ball of radius ``radii[p]``; one result per problem.
+
+    ``objective(X, owners)`` gives row i the value at ``X[i]`` of problem
+    ``owners[i]``, an integer array.  Each problem has its own grid scan,
+    seeded random starts and budget of ``config.budget`` evaluations.  One
+    lockstep :func:`pattern_search` then refines the starts of every
+    problem, each with its problem's radius, initial step and budget, and
+    each problem's endpoints are clustered on their own.  A result is bit
+    for bit that of the problem searched alone.
+    """
     n = domain.dimension
     if norm_spec is None:
         norm_spec = NormSpec(n, 2.0)
-    budget = _Budget(config.budget)
-    window = SampleDomain(domain, norm_spec, float(radius), config.coarse_grid)
-    grid = window.require_grid()
-    k = budget.take(len(grid))
-    grid = grid[:k]
-    if k == 0:
-        raise InfeasibleTruncation("budget too small to scan a single grid point")
-    grid_values = _values_of_rows(objective_rows, grid)
+    starts, start_values, budgets, counts = [], [], [], []
+    for p, radius in enumerate(radii):  # each problem's scans, on its own budget
+        if not radius > 0.0:
+            raise ValueError("radius must be positive")
+        rows = lambda X: objective(X, np.full(len(X), p))
+        budget = _Budget(config.budget)
+        window = SampleDomain(domain, norm_spec, float(radius), config.coarse_grid)
+        grid = window.require_grid()
+        k = budget.take(len(grid))
+        grid = grid[:k]
+        if k == 0:
+            raise InfeasibleTruncation("budget too small to scan a single grid point")
+        grid_values = _values_of_rows(rows, grid)
+        order = np.argsort(grid_values, kind="stable")[: config.multistart]
+        starts.append(grid[order])
+        start_values.append(grid_values[order])
+        rng = np.random.default_rng(
+            np.random.SeedSequence([config.seed, _STREAM_STARTS])
+        )
+        randoms = window.random_points(config.multistart, rng)
+        randoms = randoms[: budget.take(len(randoms))]
+        if len(randoms):
+            starts.append(randoms)
+            start_values.append(_values_of_rows(rows, randoms))
+        budgets.append(budget)
+        counts.append(len(order) + len(randoms))
 
-    order = np.argsort(grid_values, kind="stable")[: config.multistart]
-    starts, start_values = [grid[order]], [grid_values[order]]
-    rng = np.random.default_rng(
-        np.random.SeedSequence([config.seed, _STREAM_STARTS])
-    )
-    randoms = window.random_points(config.multistart, rng)
-    randoms = randoms[: budget.take(len(randoms))]
-    if len(randoms):
-        starts.append(randoms)
-        start_values.append(_values_of_rows(objective_rows, randoms))
-
-    step0 = config.initial_step if config.initial_step is not None else radius / 10.0
+    owners = np.arange(len(radii)).repeat(counts)
+    # One radius for every start when the problems share it, else one per start.
+    radius = radii[0] if len(set(radii)) == 1 else np.asarray(radii, dtype=float)[owners]
     endpoints, endpoint_values = pattern_search(
-        objective_rows,
+        objective,
         domain,
         radius,
         norm_spec,
         np.vstack(starts),
         np.concatenate(start_values),
-        step0,
+        radius / 10.0 if config.initial_step is None else config.initial_step,
         config.termination_step,
         config.shrink,
         direction_set(n, config.directions),
-        budget,
+        budgets[0] if len(budgets) == 1 else [budgets[p] for p in owners.tolist()],
+        partners=owners,
     )
 
-    clusters = _cluster(
-        endpoints, endpoint_values, config.value_tolerance, config.separation, norm_spec
-    )
-    best = clusters[0]
-    return MinimizationResult(
-        clusters=clusters,
-        global_value=best.value,
-        status=_status(
-            budget.exhausted, best.point_array, radius, config.separation, norm_spec
-        ),
-        evaluations=budget.used,
-        radius=float(radius),
-        value_tolerance=config.value_tolerance,
-        separation=config.separation,
-    )
+    results, ends = [], list(itertools.accumulate(counts))
+    for radius, budget, a, b in zip(radii, budgets, [0, *ends], ends):
+        clusters = _cluster(
+            endpoints[a:b], endpoint_values[a:b], config.value_tolerance,
+            config.separation, norm_spec,
+        )
+        best = clusters[0]
+        results.append(MinimizationResult(
+            clusters=clusters,
+            global_value=best.value,
+            status=_status(
+                budget.exhausted, best.point_array, radius, config.separation, norm_spec
+            ),
+            evaluations=budget.used,
+            radius=float(radius),
+            value_tolerance=config.value_tolerance,
+            separation=config.separation,
+        ))
+    return results
 
 
 def brute_force_minima(

@@ -529,10 +529,18 @@ def project(set_: FeasibleSet, z) -> np.ndarray:
     return set_.project(z)
 
 
-def in_ball(X: np.ndarray, radius: float, norm_spec: NormSpec) -> np.ndarray:
-    """Mask of the rows of X inside the closed ball of ``radius``, with a
-    relative tolerance of 1e-12 for rows snapped onto its shell."""
-    return norms_of_rows(X, norm_spec) <= radius + 1e-12 * max(1.0, radius)
+def ball_bound(radius):
+    """The largest norm :func:`in_ball` admits for ``radius`` (a float or
+    an array): a relative tolerance of 1e-12 for rows snapped onto the
+    shell."""
+    scale = np.maximum(1.0, radius) if isinstance(radius, np.ndarray) else max(1.0, radius)
+    return radius + 1e-12 * scale
+
+
+def in_ball(X: np.ndarray, radius, norm_spec: NormSpec) -> np.ndarray:
+    """Mask of the rows of X inside the closed ball of ``radius``, one
+    radius for every row or a (k,) array of them, up to :func:`ball_bound`."""
+    return norms_of_rows(X, norm_spec) <= ball_bound(radius)
 
 
 def _grid_axes(radius: float, resolution: int, dimension: int) -> list[np.ndarray]:

@@ -1,12 +1,16 @@
 """Counterexample sweeps: instantiate a map family over a parameter grid,
-screen each instance by its growth ratio, run the per-probe uniqueness step,
-and keep only two-cluster findings that survive re-verification at four
-times the grid resolution with the value window halved.
+screen each instance by its growth ratio, run the uniqueness step over the
+unscreened cells, and keep only two-cluster findings that survive
+re-verification at four times the grid resolution with the value window
+halved.
 
 A sweep cell is one (parameter point, norm, probe y) triple, and is its
 summary; each (parameter point, norm) pair has one J and one growth estimate.
-Cells are independent and may run in worker processes; outcomes are merged
-in cell index order, so the result does not depend on the worker count.
+The cells of one norm, across parameter points, are probes of one batched
+search: one pattern search per norm refines them all, each cell with its own
+radius and budget.  Runs of one norm's cells may go to worker processes;
+outcomes are merged in cell index order, so the result does not depend on
+the worker count.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch
-from .experiments import _certify_probe, effective_growth_bound
+from .experiments import Probe, _certify_probes, effective_growth_bound
 from .functional import TiltedFunctional
 from .maps import AffineMap, GrowthEstimate, MapSpec, growth_coefficient, shell_radii
 from .optimize import Cluster, MinimizationResult, OptimizeConfig
@@ -215,69 +219,75 @@ def _candidate_metrics(
     return value_gap, float(separation)
 
 
-def _run_cell(
-    ctx: _SweepContext, cell: tuple[CellSummary, TiltedFunctional, GrowthEstimate]
-):
-    """One sweep cell, given as its screened-out summary, its pair's J and
-    its pair's growth estimate; returns (summary, candidate-or-None).  The
-    planted cell ignores the growth estimate."""
-    summary, F, growth = cell
-    planted = summary.index == ctx.planted_cell
-    if not planted and not growth.satisfied:
-        return replace(summary, kappa_hat=growth.kappa_hat), None
+def _run_cells(
+    ctx: _SweepContext, cells: list[tuple[CellSummary, TiltedFunctional, GrowthEstimate]]
+) -> list[tuple[CellSummary, CounterexampleCandidate | None]]:
+    """Cells of one norm, each given as its screened-out summary, its
+    pair's J and its pair's growth estimate; returns (summary,
+    candidate-or-None) per cell, in order.  The planted cell ignores the
+    growth estimate.
 
-    y = np.array(summary.y, dtype=float)
-    if planted:
-        objective = planted_double_well(F.dimension, _PLANTED_SPREAD)
-        bound, kappa_hat, kappa_method = None, None, "planted"
-    else:
-        objective = None
-        bound = effective_growth_bound(growth)
-        kappa_hat, kappa_method = growth.kappa_hat, growth.method.value
+    One :func:`_certify_probes` call searches every cell that passes the
+    screen, so one lockstep pattern search refines them all, and one more
+    re-verifies every cell whose search found two clusters."""
+    outcomes = []
+    searched = []  # (position, probe, kappa_hat, kappa_method) per unscreened cell
+    for summary, F, growth in cells:
+        y = np.array(summary.y, dtype=float)
+        if summary.index == ctx.planted_cell:
+            objective = planted_double_well(F.dimension, _PLANTED_SPREAD)
+            probe = Probe(F, y, summary.index, None, objective)
+            searched.append((len(outcomes), probe, None, "planted"))
+        elif growth.satisfied:
+            probe = Probe(F, y, summary.index, effective_growth_bound(growth))
+            searched.append((len(outcomes), probe, growth.kappa_hat, growth.method.value))
+        outcomes.append((replace(summary, kappa_hat=growth.kappa_hat), None))
 
-    def certify(config: OptimizeConfig):
-        return _certify_probe(
-            F, y, summary.index, config, bound, ctx.margin, ctx.fallback_radius, objective
-        )
+    def certify(work, config: OptimizeConfig):
+        probes = [probe for _, probe, _, _ in work]
+        return zip(work, _certify_probes(probes, config, ctx.margin, ctx.fallback_radius))
 
-    coarse = certify(ctx.config)
-    summary = replace(
-        summary,
-        screened_out=False,
-        kappa_hat=kappa_hat,
-        radius=coarse.radius,
-        cluster_count=coarse.result.cluster_count,
-        best_value=coarse.result.global_value,
-    )
-    if coarse.result.cluster_count < 2:
-        return summary, None
+    twice = []  # the work items whose coarse search found two clusters
+    for item, coarse in certify(searched, ctx.config):
+        position, _, kappa_hat, _ = item
+        outcomes[position] = (replace(
+            cells[position][0],
+            screened_out=False,
+            kappa_hat=kappa_hat,
+            radius=coarse.radius,
+            cluster_count=coarse.result.cluster_count,
+            best_value=coarse.result.global_value,
+        ), None)
+        if coarse.result.cluster_count >= 2:
+            twice.append(item)
 
     # Re-verify at finer resolution with the value window halved; most
     # coarse two-cluster findings are optimizer artifacts.  The finer config
-    # keeps the seed, so the step recomputes the same incumbent and radius.
+    # keeps the seed, so each probe gets the same incumbent and radius.
     finer = replace(
         ctx.config,
         coarse_grid=_REVERIFY_FACTOR * ctx.config.coarse_grid,
         value_tolerance=ctx.config.value_tolerance / 2.0,
     )
-    fine_result = certify(finer).result
-    if fine_result.cluster_count < 2:
-        return summary, None
-
-    value_gap, separation = _candidate_metrics(fine_result, F.norm)
-    candidate = CounterexampleCandidate(
-        cell_index=summary.index,
-        params=summary.params,
-        norm_p=summary.norm_p,
-        y=summary.y,
-        clusters=fine_result.clusters,
-        value_gap=value_gap,
-        separation=separation,
-        score=separation / (value_gap + _SCORE_FLOOR),
-        status=f"confirmed_at_{_REVERIFY_FACTOR}x",
-        kappa_method=kappa_method,
-    )
-    return summary, candidate
+    for (position, probe, _, kappa_method), entry in certify(twice, finer):
+        fine = entry.result
+        if fine.cluster_count < 2:
+            continue
+        summary = outcomes[position][0]
+        value_gap, separation = _candidate_metrics(fine, probe.F.norm)
+        outcomes[position] = (summary, CounterexampleCandidate(
+            cell_index=summary.index,
+            params=summary.params,
+            norm_p=summary.norm_p,
+            y=summary.y,
+            clusters=fine.clusters,
+            value_gap=value_gap,
+            separation=separation,
+            score=separation / (value_gap + _SCORE_FLOOR),
+            status=f"confirmed_at_{_REVERIFY_FACTOR}x",
+            kappa_method=kappa_method,
+        ))
+    return outcomes
 
 
 def search_counterexample(
@@ -320,7 +330,8 @@ def search_counterexample(
     # pair, so one of each serves every probe y of the pair.  The growth
     # seed folds the pair into one integer, which repeats once a sweep has
     # 1010 norms; each estimate still stays with its own pair.
-    cells = []
+    cells = 0
+    by_norm = [[] for _ in norms]  # each norm's cells, in cell order
     for pi, params in enumerate(family.parameter_points()):
         mapping = family.instantiate(params)
         for ni, (p, norm_spec) in enumerate(zip(norms, norm_specs)):
@@ -330,15 +341,23 @@ def search_counterexample(
                 seed=config.seed + 7919 * (pi * 1009 + ni), domain=domain,
             )
             for y in ys:
-                cells.append((CellSummary(len(cells), params, p, y), F, growth))
-    # Under fork the pool starts all its workers at the first submit, so it
-    # never gets more workers than cells.
-    workers = min(jobs, len(cells))
+                by_norm[ni].append((CellSummary(cells, params, p, y), F, growth))
+                cells += 1
+    # A unit of work is a run of one norm's cells, searched in one lockstep;
+    # each norm is cut into as many units as there are workers.  Under fork
+    # the pool starts all its workers at the first submit, so it never gets
+    # more workers than cells.
+    workers = min(jobs, cells)
+    units = []
+    for run in by_norm:
+        size = -(-len(run) // workers)  # the ceiling of len(run) / workers
+        units += [run[i : i + size] for i in range(0, len(run), size)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_cell, itertools.repeat(ctx), cells, chunksize=8))
+            outcomes = list(pool.map(_run_cells, itertools.repeat(ctx), units))
     else:
-        outcomes = [_run_cell(ctx, c) for c in cells]
+        outcomes = [_run_cells(ctx, unit) for unit in units]
+    outcomes = sorted(itertools.chain(*outcomes), key=lambda o: o[0].index)
 
     summaries = tuple(s for s, _ in outcomes)
     candidates = [c for _, c in outcomes if c is not None]
@@ -346,7 +365,7 @@ def search_counterexample(
     return SweepResult(
         candidates=tuple(candidates),
         summaries=summaries,
-        cells_total=len(cells),
+        cells_total=cells,
         cells_screened_out=sum(1 for s in summaries if s.screened_out),
         # Screened cells carry cluster_count 0, so this counts the cells
         # whose coarse search found two clusters.

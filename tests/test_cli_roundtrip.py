@@ -204,7 +204,12 @@ def _numbers(values) -> str:
 @st.composite
 def _config_texts(draw):
     """A valid config over any set variant, map family and kind; a cone is
-    built around a point it contains and a ray every normal accepts."""
+    built around a point it contains and a ray every normal accepts.  A
+    sweep's probe window reaches the set: ``sampling.y_radius`` exceeds
+    max(1, max weight) * sqrt(n) * |q|_2 for a point q of the set (the
+    orthant's lower corner, the half-space's nearest point, the cone's
+    inside point), which bounds the active norm of the set's projection of
+    the origin, a point of every odd probe grid."""
     n = draw(st.integers(1, 3))
     coord = st.floats(-5.0, 5.0, allow_nan=False)
     vec = st.lists(coord, min_size=n, max_size=n)
@@ -215,21 +220,23 @@ def _config_texts(draw):
         f"space.dimension = {n}",
         f"space.p = {draw(st.sampled_from(['1', '2', '3.5', 'inf']))}",
     ]
+    weights = [1.0]
     if draw(st.booleans()):
         weights = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
         lines += ["space.norm = weighted_lp", f"space.weights = {_numbers(weights)}"]
     variant = draw(st.sampled_from(["full_space", "orthant", "half_space", "cone"]))
     lines.append(f"set.variant = {variant}")
+    member = np.zeros(n)  # a point of the set
     if variant == "orthant":
-        lines.append(f"set.lower = {_numbers(draw(vec))}")
+        member = np.array(draw(vec))
+        lines.append(f"set.lower = {_numbers(member)}")
     elif variant == "half_space":
-        lines += [
-            f"set.normal = {_numbers(draw(normal))}",
-            f"set.offset = {fmt_float(draw(coord))}",
-        ]
+        a, offset = np.array(draw(normal)), draw(coord)
+        member = a * max(offset, 0.0) / (a @ a)
+        lines += [f"set.normal = {_numbers(a)}", f"set.offset = {fmt_float(offset)}"]
     elif variant == "cone":
         ray = np.array(draw(normal))
-        inside = np.array(draw(vec))
+        inside = member = np.array(draw(vec))
         count = draw(st.integers(1, 4))
         lines.append(f"set.halfspaces = {count}")
         for i in range(count):
@@ -244,6 +251,8 @@ def _config_texts(draw):
     if lines[0] == "kind = search_counterexample":
         thetas = draw(st.lists(st.floats(0.0, 0.45), min_size=1, max_size=3))
         lines += ["sweep.family = scaled_identity", f"sweep.param.theta = {_numbers(thetas)}"]
+        reach = max(1.0, *weights) * np.sqrt(n) * np.linalg.norm(member)
+        lines.append(f"sampling.y_radius = {fmt_float(1.0 + reach)}")
     else:
         family = draw(st.sampled_from(["constant", "affine", "projected"]))
         if family == "constant":

@@ -1,3 +1,6 @@
+import collections
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,9 @@ from tiltlab import (
     analytic_fixed_point,
     certify_uniqueness,
     find_fixed_point,
+    global_minimize,
     growth_coefficient,
+    induced_operator_norm,
     minimax_gap,
     norm,
     planted_double_well,
@@ -30,7 +35,7 @@ from tiltlab import (
     verify_saddle,
 )
 from tiltlab import experiments
-from tiltlab.experiments import _certify_probe
+from tiltlab.experiments import Probe, _certify_probes, effective_growth_bound
 
 CFG = OptimizeConfig(coarse_grid=33, multistart=8, seed=2)
 
@@ -98,10 +103,84 @@ def test_planted_probe_incumbent_is_the_plant_at_y_or_the_base_witness():
     assert base.tolist() == [0.3, 0.2]
     for y in ([2.0, 1.0], [1.0, 0.2], [0.3, 0.2]):
         y = np.array(y)
-        entry = _certify_probe(F, y, 0, CFG, None, 1.0, 3.0, plant)
+        (entry,) = _certify_probes([Probe(F, y, 0, None, plant)], CFG, 1.0, 3.0)
         expected = min(plant(y[None, :])[0], plant(base[None, :])[0])
         assert entry.incumbent == expected
         assert entry.radius == 3.0
+
+
+def _two_maps(n, p, orthant, seed):
+    """Two affine Js on one norm and set, with growth 0.2 and 0.35: two
+    parameter points of one sweep norm."""
+    rng = np.random.default_rng(seed)
+    spec = NormSpec(n, p)
+    domain = Orthant(n) if orthant else FullSpace(n)
+    Fs = []
+    for target in (0.2, 0.35):
+        M = rng.uniform(-1.0, 1.0, (n, n))
+        M = np.abs(M) if orthant else M
+        A = M * (target / induced_operator_norm(M, spec))
+        b = rng.uniform(0.2, 1.0, n) if orthant else rng.uniform(-1.0, 1.0, n)
+        mapping = AffineMap(n, matrix=tuple(map(tuple, A)), offset=tuple(b))
+        Fs.append(TiltedFunctional(spec, domain, mapping))
+    return Fs
+
+
+def _assert_same_bits(a, b):
+    assert a == b
+    for field in ("point", "value"):
+        bits = lambda r: np.array([getattr(c, field) for c in r.clusters]).tobytes()
+        assert bits(a) == bits(b)
+
+
+def test_batched_probes_match_one_search_per_probe_bitwise():
+    # Probes of two Js, each with its own coercive radius, plus a planted
+    # probe at the fixed radius, in dimensions 1-4: one batched step gives
+    # every probe the entry of a step of its own and the result of its own
+    # global_minimize call.  Under a budget that binds inside the longer
+    # searches, those probes alone end inconclusive.
+    events = collections.Counter()
+    for n in (1, 2, 3, 4):
+        Fs = _two_maps(n, (2.0, 1.0, INF, 2.0)[n - 1], n % 2 == 0, seed=n)
+        ys = feasible_cloud(Fs[0], 2.5, 3, seed=n)
+        probes = [
+            Probe(F, y, index, effective_growth_bound(instance_growth(F)))
+            for F in Fs for index, y in enumerate(ys)
+        ]
+        probes.append(Probe(Fs[1], ys[0], 7, None, planted_double_well(n, 2.0)))
+        roomy = OptimizeConfig(coarse_grid={1: 33, 2: 9, 3: 5, 4: 3}[n], multistart=4, seed=n)
+        used = sorted(e.result.evaluations for e in _certify_probes(probes, roomy, 1.0, 3.0))
+        tight = replace(roomy, budget=(used[0] + used[-1]) // 2)
+        for cfg in (roomy, tight):
+            for probe, entry in zip(probes, _certify_probes(probes, cfg, 1.0, 3.0)):
+                (alone,) = _certify_probes([probe], cfg, 1.0, 3.0)
+                assert entry == alone
+                _assert_same_bits(entry.result, alone.result)
+                F, y = probe.F, probe.y
+                rows = probe.objective or (lambda X: F.pairs(X, y[None, :]))
+                own = global_minimize(rows, F.domain, entry.radius, cfg, F.norm)
+                _assert_same_bits(entry.result, own)
+                events[(cfg is tight, entry.verdict)] += 1
+        assert len({e.radius for e in _certify_probes(probes, roomy, 1.0, 3.0)}) >= 3
+    assert events[(True, EntryVerdict.INCONCLUSIVE)] >= 4, events
+    assert events[(True, EntryVerdict.UNIQUE)] >= 4, events
+    assert events[(False, EntryVerdict.MULTIPLE)] >= 2, events  # the plant, in 1-D and 2-D
+
+
+def test_certify_uniqueness_refines_every_probe_in_one_search(monkeypatch):
+    import tiltlab.optimize as optimize
+
+    calls = []
+    search = optimize.pattern_search
+    monkeypatch.setattr(
+        optimize, "pattern_search", lambda *a, **k: calls.append(len(a[4])) or search(*a, **k)
+    )
+    F = quarter()
+    report = certify_uniqueness(
+        F, [[-4.0], [0.0], [4.0]], growth_coefficient(F.mapping, F.norm), CFG
+    )
+    assert report.verdict is Verdict.UNIQUE_ON_SAMPLES
+    assert calls == [3 * 2 * CFG.multistart]  # 8 grid and 8 random starts per probe
 
 
 def test_certify_unbounded_objective_reported_vacuous():

@@ -315,7 +315,7 @@ def test_kernels_raise_range_violation_with_the_worst_row():
 
 @st.composite
 def _functionals_and_rows(draw):
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
     p = draw(st.sampled_from((1.0, 2.0, 3.0, INF)))
     entries = st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n)
     matrix = tuple(map(tuple, np.array(draw(entries)).reshape(n, n)))
@@ -337,19 +337,24 @@ def _functionals_and_rows(draw):
 @given(_functionals_and_rows())
 @settings(max_examples=100, deadline=None)
 def test_pairs_rows_have_the_same_bits_in_any_batch_hypothesis(case):
-    # A pair's J is the same full-batch, alone, and with either side
+    # A pair's J, and a row's envelope and maximiser, are the same
+    # full-batch and alone, and J also with either side
     # broadcast as one row; the transposed kernel negates it exactly twice.
     F, X = case
     Y = np.roll(X, 1, axis=0)
     full = F.pairs(X, Y)
     twice = _transposed(_transposed(F.as_bifunctional()))
     assert full.tobytes() == twice.pairs(X, Y).tobytes()
+    phi, FX = F.row_sup(X)
     for i in range(len(X)):
         x, y = X[i : i + 1], Y[i : i + 1]
         want = _bits(full[i])
         assert _bits(F.pairs(x, y)[0]) == want
         assert _bits(F.pairs(x, Y)[i]) == want
         assert _bits(F.pairs(X, y)[i]) == want
+        one_phi, one_fx = F.row_sup(x)
+        assert _bits(one_phi[0]) == _bits(phi[i])
+        assert _bits(one_fx[0]) == _bits(FX[i])
 
 
 @given(_functionals_and_rows())

@@ -252,7 +252,7 @@ def test_fixed_point_residual_invariant():
 
 @st.composite
 def _maps_and_rows(draw):
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
     entries = st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n)
     matrix = tuple(map(tuple, np.array(draw(entries)).reshape(n, n)))
     offset = tuple(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))

@@ -1,5 +1,6 @@
 import collections
 import math
+from dataclasses import replace
 import re
 import signal
 
@@ -31,7 +32,9 @@ from tiltlab import (
     norms_of_rows,
     planted_double_well,
 )
-from tiltlab.optimize import direction_set, pattern_search, _Budget, _cluster
+from tiltlab.optimize import (
+    _Budget, _cluster, direction_set, global_minimize_batch, pattern_search,
+)
 
 
 def double_well(X):
@@ -441,6 +444,127 @@ def test_partnered_lockstep_matches_one_start_calls_bitwise_hypothesis(index, S,
         assert FX[i].tobytes() == fx[0].tobytes(), i
         used += alone.used
     assert budget.used == used
+
+
+def _owned_rows(objectives):
+    """A partnered objective: row i takes the objective ``owners[i]``."""
+
+    def rows(X, owners):
+        out = np.empty(len(X))
+        for g, f in enumerate(objectives):
+            mine = owners == g
+            if mine.any():
+                out[mine] = f(X[mine])
+        return out
+
+    return rows
+
+
+def _starts_in_ball(rng, domain, spec, radius, S):
+    X0 = np.empty((0, domain.dimension))
+    while len(X0) < S:
+        Z = domain.project_rows(rng.uniform(-radius, radius, (S, domain.dimension)))
+        X0 = np.vstack([X0, Z[norms_of_rows(Z, spec) <= radius]])[:S]
+    return X0
+
+
+def test_grouped_pattern_search_matches_one_search_per_group_bitwise():
+    # Starts that share a budget form a group; each group has its own
+    # objective (through its partners), radius per start and steps.  One
+    # call in dimensions 1-4, with the groups' starts interleaved, ends
+    # every start where a search of its group alone ends.  Budgets that bind
+    # mid-refinement end their own group only, with used == limit; a group
+    # whose starts begin below the termination step is charged nothing.
+    rng = np.random.default_rng(21)
+    events = collections.Counter()
+    for case in range(40):
+        n = 1 + case % 4
+        domain = random_domain(rng, n)
+        spec = NormSpec(n, (1.0, 2.0, INF)[case % 3])
+        dirs = direction_set(n, "auto")
+        groups = []
+        for g in range(1 + case % 4):
+            S = int(rng.integers(1, 5))
+            radius = float(rng.uniform(1.0, 3.0))
+            X0 = _starts_in_ball(rng, domain, spec, radius, S)
+            rows = random_rows_objective(rng, n)
+            steps = rng.uniform(0.2, 1.0, S) if g != 3 else np.full(S, 1e-7)
+            limit = int(rng.integers(1, 300)) if rng.uniform() < 0.5 else 10**6
+            radii = np.full(S, radius) if g % 2 else rng.uniform(1.0, 3.0, S) + radius
+            groups.append((X0, rows(X0), rows, steps, radii, limit))
+        owners = np.concatenate([np.full(len(g[0]), k) for k, g in enumerate(groups)])
+        order = rng.permutation(len(owners))  # interleave the groups
+        owners = owners[order]
+        budgets = [_Budget(g[5]) for g in groups]
+        pick = lambda k: np.concatenate([g[k] for g in groups])[order]
+        X, FX = pattern_search(
+            _owned_rows([g[2] for g in groups]), domain, pick(4), spec, pick(0), pick(1),
+            pick(3), 1e-6, 0.5, dirs, [budgets[k] for k in owners], partners=owners,
+        )
+        for k, (X0, F0, rows, steps, radii, limit) in enumerate(groups):
+            alone = _Budget(limit)
+            x, fx = pattern_search(rows, domain, radii, spec, X0, F0, steps, 1e-6, 0.5, dirs, alone)
+            mine = owners == k
+            assert X[mine][np.argsort(order[mine])].tobytes() == x.tobytes(), (case, k)
+            assert FX[mine][np.argsort(order[mine])].tobytes() == fx.tobytes(), (case, k)
+            assert (budgets[k].used, budgets[k].exhausted) == (alone.used, alone.exhausted)
+            if alone.exhausted:
+                assert alone.used == limit
+            events["cut" if alone.exhausted else "whole"] += 1
+            events["idle"] += alone.used == 0
+        events["mixed"] += len({b.exhausted for b in budgets}) == 2
+    assert min(events.values()) >= 5, events
+    X, FX = pattern_search(
+        _owned_rows([]), FullSpace(2), np.empty(0), NormSpec(2, 2.0), np.empty((0, 2)),
+        np.empty(0), np.empty(0), 1e-6, 0.5, direction_set(2), [], partners=np.empty(0, int),
+    )
+    assert X.shape == (0, 2) and FX.shape == (0,)
+
+
+def test_batched_global_minimize_matches_one_call_per_problem_bitwise(monkeypatch):
+    # Problems with their own objective and radius, in dimensions 1-4: one
+    # batched call gives each problem the endpoints, clusters, evaluations
+    # and status of a call of its own.  The budget binds inside the
+    # refinement of the longer searches only, and the others are untouched.
+    import tiltlab.optimize as optimize
+
+    ends = []
+
+    def recording(*args, **kwargs):
+        out = search(*args, **kwargs)
+        ends.append(out)
+        return out
+
+    search = optimize.pattern_search
+    monkeypatch.setattr(optimize, "pattern_search", recording)
+    rng = np.random.default_rng(5)
+    events = collections.Counter()
+    for n in (1, 2, 3, 4):
+        domain = random_domain(rng, n)
+        spec = NormSpec(n, (1.0, 2.0, INF, 1.5)[n - 1])
+        objectives = [random_rows_objective(rng, n) for _ in range(3)] + [double_well]
+        radii = rng.uniform(1.0, 3.0, 4)
+        roomy = OptimizeConfig(coarse_grid={1: 33, 2: 9, 3: 5, 4: 3}[n], multistart=4, seed=n)
+        used = sorted(global_minimize(f, domain, r, roomy, spec).evaluations
+                      for f, r in zip(objectives, radii))
+        tight = replace(roomy, budget=(used[0] + used[-1]) // 2)
+        for cfg in (roomy, tight):
+            ends.clear()
+            solo = [global_minimize(f, domain, r, cfg, spec) for f, r in zip(objectives, radii)]
+            solo_ends = list(ends)
+            ends.clear()
+            batch = global_minimize_batch(_owned_rows(objectives), domain, radii, cfg, spec)
+            (X, FX), = ends
+            owners = np.repeat(np.arange(4), [len(x) for x, _ in solo_ends])
+            for k, (a, b) in enumerate(zip(batch, solo)):
+                assert a == b, (n, k)
+                assert [c.point for c in a.clusters] == [c.point for c in b.clusters]
+                assert np.array([c.value for c in a.clusters]).tobytes() == np.array(
+                    [c.value for c in b.clusters]).tobytes()
+                assert X[owners == k].tobytes() == solo_ends[k][0].tobytes()
+                assert FX[owners == k].tobytes() == solo_ends[k][1].tobytes()
+                events[b.status.value] += cfg is tight
+    assert events["budget_exhausted"] >= 4 and events["ok"] >= 4, events
 
 
 def test_a_nan_incumbent_moves_to_a_finite_trial():

@@ -18,7 +18,7 @@ from tiltlab import (
     norms_of_rows,
     project,
 )
-from tiltlab.spaces import FACE_CAP, first_rows, fold_rows
+from tiltlab.spaces import FACE_CAP, ball_bound, first_rows, fold_rows, in_ball
 
 SPECS = [
     NormSpec(3, 1.0),
@@ -294,6 +294,20 @@ def test_project_rows_matches_scalar():
             assert np.allclose(rows[i], project(set_, Z[i]), atol=1e-12)
 
 
+def test_in_ball_takes_one_radius_per_row_with_the_same_tolerance():
+    # A row on the shell, one just inside the 1e-12 relative tolerance and
+    # one just outside it; radii below 1 get the absolute 1e-12.
+    spec = NormSpec(2, 2.0)
+    radii = np.array([0.5, 1.0, 3.0, 3.0, 3.0, 1e6])
+    scale = np.array([1.0, 1.0, 1.0, 1.0 + 0.9e-12, 1.0 + 1.1e-12, 1.0 + 0.9e-12])
+    X = np.column_stack([radii * scale, np.zeros(6)])
+    mask = in_ball(X, radii, spec)
+    assert mask.tolist() == [True, True, True, True, False, True]
+    for i, r in enumerate(radii.tolist()):
+        assert in_ball(X[i : i + 1], r, spec)[0] == mask[i]
+        assert ball_bound(r) == ball_bound(radii)[i] == r + 1e-12 * max(1.0, r)
+
+
 def test_sample_domain_emissions_feasible_and_in_ball():
     spec = NormSpec(2, INF)
     for set_ in SETS:
@@ -344,7 +358,7 @@ def _assert_batch_independent(kernel, X):
 
 @st.composite
 def _norms_and_rows(draw):
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
     p = draw(st.sampled_from((1.0, 2.0, 3.0, INF)))
     weights = draw(
         st.none() | st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)
@@ -361,7 +375,7 @@ def test_norms_of_rows_batch_independent_hypothesis(case):
 
 @st.composite
 def _sets_and_rows(draw):
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
     variant = draw(st.sampled_from(("full_space", "orthant", "half_space", "cone")))
     offsets = st.floats(-5.0, 5.0)
     normals = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n).filter(

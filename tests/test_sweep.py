@@ -206,6 +206,69 @@ def test_sweep_pool_never_has_more_workers_than_cells(monkeypatch):
     assert sizes == [4, 2]  # and a one-cell sweep runs without a pool
 
 
+def _diagonal_sweep():
+    """A 4-D diagonal family at two parameter points, three probes."""
+    fam = MapFamily(
+        kind="diagonal",
+        dimension=4,
+        parameters=(("d0", (0.1, 0.3)), ("d1", (0.2,)), ("d2", (-0.25,)), ("d3", (0.15,))),
+        offset=(0.5, -0.25, 0.0, 0.125),
+    )
+    ys = [[1.0, 0.0, -0.5, 0.25], [0.0, 0.0, 0.0, 0.0], [-1.0, 0.5, 0.5, -0.75]]
+    small = OptimizeConfig(coarse_grid=3, multistart=2, budget=100_000, seed=5)
+    return fam, ys, small
+
+
+def test_sweep_refines_each_norms_cells_in_one_search(monkeypatch):
+    # One pattern search per norm refines every unscreened cell of that norm,
+    # across parameter points; one more re-verifies the planted cell's norm.
+    import tiltlab.optimize as optimize
+
+    owners = []
+    search = optimize.pattern_search
+    monkeypatch.setattr(optimize, "pattern_search", lambda *a, **k: owners.append(
+        sorted(set(k["partners"].tolist()))) or search(*a, **k))
+    fam, ys, small = _diagonal_sweep()
+    result = search_counterexample(fam, [1.5, INF], FullSpace(4), ys, small, planted_cell=4)
+    assert [s.norm_p for s in result.summaries] == [1.5] * 3 + [INF] * 3 + [1.5] * 3 + [INF] * 3
+    assert not any(s.screened_out for s in result.summaries)
+    assert [c.cell_index for c in result.candidates] == [4]
+    assert owners == [list(range(6)), list(range(6)), [0]]  # 1.5, inf, the plant's re-verify
+
+
+def test_sweep_units_are_runs_of_one_norms_cells(monkeypatch):
+    # Under --jobs, a unit of work is a contiguous run of one norm's cells,
+    # and the merged result is the serial one; a stand-in pool maps in this
+    # process.
+    import tiltlab.sweep as sweep_module
+
+    units = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, ctxs, work):
+            work = list(work)
+            units.extend([s.index for s, _, _ in unit] for unit in work)
+            return map(fn, ctxs, work)
+
+    fam, ys, small = _diagonal_sweep()
+    serial = search_counterexample(fam, [1.5, INF], FullSpace(4), ys, small, planted_cell=9)
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
+    chunked = search_counterexample(
+        fam, [1.5, INF], FullSpace(4), ys, small, planted_cell=9, jobs=3
+    )
+    assert chunked == serial
+    assert units == [[0, 1], [2, 6], [7, 8], [3, 4], [5, 9], [10, 11]]
+
+
 def test_sweep_orthant_domain():
     fam = MapFamily(
         kind="scaled_identity",
