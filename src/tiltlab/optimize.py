@@ -469,14 +469,26 @@ def brute_force_minima(
 
     No projection and no refinement: grid points are membership-filtered,
     evaluated in lexicographic order, and clustered with the same rule as
-    :func:`global_minimize`.  Each row chunk of the mesh is masked by the
-    set's residual and by the ball, then gathered once.  ``objective_rows``,
-    when given, evaluates the grid in row chunks and ``objective`` is never
-    called.
+    :func:`global_minimize`.  The mesh is scanned in blocks of one tail
+    mesh: the k trailing axes, k the most whose mesh has at most
+    ``65536 // n`` rows (at least one), are written once into a block
+    buffer, and each block sets only the leading columns, one tuple of
+    leading grid values per block (a single axis longer than that is cut
+    into slices of ``65536 // n`` rows).  Each block is masked by the set's
+    residual and by the ball, and its members are gathered with one
+    ``np.compress``.  Every row is masked and valued as it would be in any
+    other batch, and the candidates are every member within
+    ``value_tolerance`` of the final minimum, so the block edges change
+    nothing.  ``objective_rows``, when given, evaluates each block's members
+    in one call and ``objective`` is never called.
     """
     n = domain.dimension
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
+    if not 0.0 < value_tolerance < math.inf:
+        raise ValueError(f"value_tolerance must be positive and finite, got {value_tolerance}")
+    if not 0.0 < separation < math.inf:
+        raise ValueError(f"separation must be positive and finite, got {separation}")
     resolution = positive_int(resolution, "resolution")
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
@@ -491,36 +503,40 @@ def brute_force_minima(
     cand_pts: list[np.ndarray] = []
     cand_vals: list[float] = []
 
-    chunk = max(1, min(resolution ** n, 65536 // max(n, 1)))
-    shape = (resolution,) * n
-    total = resolution ** n
+    cap = 65536 // n
+    k = 1  # the tail's axes
+    while k < n and resolution ** (k + 1) <= cap:
+        k += 1
+    block = np.empty((resolution ** k, n))
+    block[:, n - k:] = np.stack(
+        [g.ravel() for g in np.meshgrid(*[axis] * k, indexing="ij")], axis=1
+    )
 
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        coords = np.column_stack(
-            [axis[a] for a in np.unravel_index(idx, shape)]
-        )
-        inside = domain.violations_of_rows(coords) <= 1e-12
-        inside &= in_ball(coords, radius, norm_spec)
-        coords = coords[inside]
-        if len(coords) == 0:
-            continue
-        if objective_rows is not None:
-            vals = _values_of_rows(objective_rows, coords)
-        else:
-            vals = np.array([float(objective(x)) for x in coords])
-        evaluations += len(coords)
-        lo = float(vals[first_argmin(vals)])  # a NaN must not stop the pruning
-        if lo < best_value:
-            best_value = lo
-            keep = [
-                i for i, v in enumerate(cand_vals) if v <= best_value + value_tolerance
-            ]
-            cand_pts = [cand_pts[i] for i in keep]
-            cand_vals = [cand_vals[i] for i in keep]
-        mask = vals <= best_value + value_tolerance
-        cand_pts.extend(coords[mask])
-        cand_vals.extend(float(v) for v in vals[mask])
+    for lead in itertools.product(axis, repeat=n - k):
+        block[:, :n - k] = lead
+        for start in range(0, len(block), cap):
+            rows = block[start:start + cap]
+            inside = domain.violations_of_rows(rows) <= 1e-12
+            inside &= in_ball(rows, radius, norm_spec)
+            coords = np.compress(inside, rows, axis=0)
+            if len(coords) == 0:
+                continue
+            if objective_rows is not None:
+                vals = _values_of_rows(objective_rows, coords)
+            else:
+                vals = np.array([float(objective(x)) for x in coords])
+            evaluations += len(coords)
+            lo = float(vals[first_argmin(vals)])  # a NaN must not stop the pruning
+            if lo < best_value:
+                best_value = lo
+                keep = [
+                    i for i, v in enumerate(cand_vals) if v <= best_value + value_tolerance
+                ]
+                cand_pts = [cand_pts[i] for i in keep]
+                cand_vals = [cand_vals[i] for i in keep]
+            mask = vals <= best_value + value_tolerance
+            cand_pts.extend(coords[mask])
+            cand_vals.extend(float(v) for v in vals[mask])
 
     if evaluations == 0:
         raise InfeasibleTruncation(

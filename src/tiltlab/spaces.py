@@ -588,11 +588,17 @@ class SampleDomain:
         Points are projected into X, restricted to the ball, and deduplicated
         keeping the first occurrence in lexicographic grid-index order
         (:func:`first_rows`, the rows ``np.unique(axis=0)`` would keep).
+        When the axis strictly increases and the projection moved no mesh
+        row (float equality), the kept rows are distinct nodes already in
+        index order, so the dedup is skipped.
         """
-        pts = _mesh(_grid_axes(self.radius, self.resolution, self.domain.dimension))
-        pts = self._keep_feasible(pts)
-        if len(pts) == 0:
-            return pts.reshape(0, self.domain.dimension)
+        axes = _grid_axes(self.radius, self.resolution, self.domain.dimension)
+        mesh = _mesh(axes)
+        pts = self.domain.project_rows(mesh)
+        distinct = np.all(axes[0][1:] > axes[0][:-1]) and np.array_equal(pts, mesh)
+        pts = pts[in_ball(pts, self.radius, self.norm)]
+        if distinct or len(pts) == 0:
+            return pts
         return pts[first_rows(pts)]
 
     def require_grid(self) -> np.ndarray:

@@ -14,6 +14,7 @@ from helpers import affine_instance, rows_of
 from tiltlab import (
     INF,
     AffineMap,
+    ConeIntersection,
     DimensionMismatch,
     FullSpace,
     HalfSpace,
@@ -21,6 +22,7 @@ from tiltlab import (
     NormSpec,
     OptimizeConfig,
     Orthant,
+    ProjectedMap,
     SampleDomain,
     SearchStatus,
     TiltedFunctional,
@@ -115,6 +117,16 @@ def test_brute_force_refuses_a_radius_that_is_not_finite_and_positive(radius):
     # An infinite radius used to fail later as "every objective value is NaN".
     with pytest.raises(ValueError, match="radius must be positive and finite"):
         brute_force_minima(None, FullSpace(1), radius, 9, objective_rows=double_well)
+
+
+@pytest.mark.parametrize("value", [np.nan, -1.0, 0.0, np.inf])
+@pytest.mark.parametrize("argument", ["value_tolerance", "separation"])
+def test_brute_force_refuses_a_tolerance_that_is_not_finite_and_positive(argument, value):
+    # A NaN separation used to merge the double well's two minima into one
+    # cluster, and a NaN or negative tolerance to read as "every value is NaN".
+    with pytest.raises(ValueError, match=f"{argument} must be positive and finite"):
+        brute_force_minima(None, FullSpace(1), 2.0, 401, objective_rows=double_well,
+                           **{argument: value})
 
 
 @pytest.mark.parametrize("resolution", [5.0, 0, True, "9"])
@@ -892,5 +904,80 @@ def test_brute_force_equals_a_full_mesh_scan_over_many_chunks(p, orthant):
     res = brute_force_minima(None, F.domain, 2.0, 41, value_tolerance=1e-3,
                              norm_spec=F.norm, objective_rows=F.displacements)
     evaluations, clusters = _full_mesh_scan(F, 2.0, 41, 1e-3, 1e-3)
+    assert (res.evaluations, res.global_value) == (evaluations, clusters[0].value)
+    assert res.clusters == clusters
+
+
+@pytest.mark.parametrize("value_tolerance", [1e-6, 1e-3])
+def test_brute_force_equals_a_full_mesh_scan_across_slices_of_one_axis(value_tolerance):
+    # 70,001 points on one axis make two slices of 65,536 and 4,465 rows;
+    # Phi = |x - x*| / 2 puts x* on the slice edge, so with the wider
+    # tolerance the candidates straddle it.
+    edge = -1.5 + 65536 * 3.0 / 70000
+    F = TiltedFunctional(NormSpec(1, 2.0), FullSpace(1),
+                         AffineMap(1, matrix=((0.5,),), offset=(0.5 * edge,)))
+    res = brute_force_minima(None, F.domain, 1.5, 70001, value_tolerance=value_tolerance,
+                             norm_spec=F.norm, objective_rows=F.displacements)
+    evaluations, clusters = _full_mesh_scan(F, 1.5, 70001, value_tolerance, 1e-3)
+    assert evaluations == 70001
+    assert (res.evaluations, res.global_value) == (evaluations, clusters[0].value)
+    assert res.clusters == clusters
+    if value_tolerance == 1e-3:
+        assert min(c.point[0] for c in clusters) < edge < max(c.point[0] for c in clusters)
+
+
+def _half_space_and_cone(n):
+    normal = (1.0, -0.5, 0.25, 0.5)[:n]
+    half = HalfSpace(n, normal=normal, offset=-0.3)
+    other = HalfSpace(n, normal=(0.25, 1.0, -0.5, 0.25)[:n], offset=-0.6)
+    cone = ConeIntersection(n, constraints=(half, other), ray=(1.0, 1.0, 1.0, 1.0)[:n])
+    return half, cone
+
+
+def _projected_onto(F: TiltedFunctional, domain) -> TiltedFunctional:
+    """F's map followed by the projection onto ``domain``, J over ``domain``."""
+    return replace(F, domain=domain, mapping=ProjectedMap(F.dimension, inner=F.mapping))
+
+
+@pytest.mark.parametrize("variant", ["half_space", "cone"])
+@pytest.mark.parametrize("p", [1.5, INF])
+def test_brute_force_equals_a_full_mesh_scan_on_half_spaces_and_cones(p, variant):
+    # 41^3 points: a tail mesh of two axes, 41 blocks.
+    half, cone = _half_space_and_cone(3)
+    F = _projected_onto(_oracle_instance(3, p, False, 13),
+                        half if variant == "half_space" else cone)
+    res = brute_force_minima(None, F.domain, 2.0, 41, value_tolerance=1e-3,
+                             norm_spec=F.norm, objective_rows=F.displacements)
+    evaluations, clusters = _full_mesh_scan(F, 2.0, 41, 1e-3, 1e-3)
+    assert 0 < evaluations < 41 ** 3
+    assert (res.evaluations, res.global_value) == (evaluations, clusters[0].value)
+    assert res.clusters == clusters
+
+
+@pytest.mark.parametrize(
+    "domain, resolution",
+    [("full_space", 13), ("orthant", 13), ("cone", 13), ("orthant", 26)],
+)
+def test_brute_force_equals_a_full_mesh_scan_in_four_dimensions(domain, resolution):
+    # 13^3 <= 65536 // 4 < 13^4: a tail mesh of three axes, 13 blocks;
+    # 26^2 <= 65536 // 4 < 26^3: two axes, and two leading columns per block.
+    F = _oracle_instance(4, 2.0, domain == "orthant", 17)
+    if domain == "cone":
+        F = _projected_onto(F, _half_space_and_cone(4)[1])
+    res = brute_force_minima(None, F.domain, 1.5, resolution, value_tolerance=1e-2,
+                             norm_spec=F.norm, objective_rows=F.displacements)
+    evaluations, clusters = _full_mesh_scan(F, 1.5, resolution, 1e-2, 1e-3)
+    assert (res.evaluations, res.global_value) == (evaluations, clusters[0].value)
+    assert res.clusters == clusters
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, INF])
+def test_brute_force_equals_a_full_mesh_scan_under_a_weighted_norm(p):
+    # 301^2 > 65536 // 2: a tail mesh of one axis, 301 blocks.
+    F = _oracle_instance(2, p, True, 19)
+    F = replace(F, norm=NormSpec(2, p, weights=(0.5, 3.0)))
+    res = brute_force_minima(None, F.domain, 2.5, 301, value_tolerance=1e-3,
+                             norm_spec=F.norm, objective_rows=F.displacements)
+    evaluations, clusters = _full_mesh_scan(F, 2.5, 301, 1e-3, 1e-3)
     assert (res.evaluations, res.global_value) == (evaluations, clusters[0].value)
     assert res.clusters == clusters

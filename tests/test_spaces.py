@@ -504,14 +504,27 @@ def _windows(draw) -> SampleDomain:
     n = draw(st.integers(1, 3))
     spec = NormSpec(n, draw(st.sampled_from((1.0, 1.5, 2.0, INF))))
     lower = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
-    set_ = draw(st.sampled_from(("full_space", "orthant", "half_space")))
+    normals = lower.filter(lambda a: np.dot(a, a) > 1e-3)
+    set_ = draw(st.sampled_from(("full_space", "orthant", "half_space", "cone")))
     if set_ == "full_space":
         domain = FullSpace(n)
     elif set_ == "orthant":
         domain = Orthant(n, lower=tuple(draw(lower)))
+    elif set_ == "half_space":
+        domain = HalfSpace(n, normal=tuple(draw(normals)), offset=draw(st.floats(-2.0, 2.0)))
     else:
-        normal = draw(lower.filter(lambda a: np.dot(a, a) > 1e-3))
-        domain = HalfSpace(n, normal=tuple(normal), offset=draw(st.floats(-2.0, 2.0)))
+        # Normals turned to accept the ray; a draw whose cone is empty is rejected.
+        ray = np.array(draw(normals))
+        constraints = []
+        for _ in range(draw(st.integers(1, 3))):
+            a = np.array(draw(normals))
+            if a @ ray < 0.0:
+                a = -a
+            constraints.append(HalfSpace(n, normal=tuple(a), offset=draw(st.floats(-2.0, 2.0))))
+        try:
+            domain = ConeIntersection(n, constraints=tuple(constraints), ray=tuple(ray))
+        except ValueError:
+            reject()
     resolution = draw(st.integers(1, {1: 41, 2: 21, 3: 11}[n]))
     return SampleDomain(domain, spec, draw(st.floats(0.1, 4.0)), resolution)
 
@@ -520,6 +533,49 @@ def _windows(draw) -> SampleDomain:
 @settings(max_examples=200, deadline=None)
 def test_grid_points_equal_the_unique_formula_hypothesis(window):
     assert _bits(window.grid_points()) == _bits(_unique_grid(window))
+
+
+def _grid_with_dedups(window: SampleDomain, monkeypatch) -> tuple[np.ndarray, int]:
+    """``window.grid_points()`` and the number of :func:`first_rows` calls it made."""
+    import tiltlab.spaces as spaces
+
+    calls = []
+    dedup = spaces.first_rows
+    monkeypatch.setattr(spaces, "first_rows", lambda X: calls.append(len(X)) or dedup(X))
+    pts = window.grid_points()
+    monkeypatch.undo()
+    return pts, len(calls)
+
+
+@pytest.mark.parametrize("n, resolution", [(1, 33), (2, 17), (3, 9)])
+def test_grid_points_skip_the_dedup_when_no_mesh_row_moved(n, resolution, monkeypatch):
+    window = SampleDomain(FullSpace(n), NormSpec(n, 2.0), 1.5, resolution)
+    pts, dedups = _grid_with_dedups(window, monkeypatch)
+    assert dedups == 0
+    assert _bits(pts) == _bits(_unique_grid(window))
+
+
+def test_grid_points_dedup_rows_projected_onto_unmoved_nodes(monkeypatch):
+    # Axis -1, -0.5, 0, 0.5, 1 and lower bounds on its nodes: a projected row
+    # lands on a node row that the projection left in place.
+    window = SampleDomain(Orthant(2, lower=(-0.5, 0.0)), NormSpec(2, INF), 1.0, 5)
+    pts, dedups = _grid_with_dedups(window, monkeypatch)
+    assert dedups == 1
+    assert _bits(pts) == _bits(_unique_grid(window))
+    assert len(pts) == 4 * 3
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_grid_points_dedup_an_axis_that_repeats_a_value(n, monkeypatch):
+    # linspace over a subnormal radius repeats values, so rows repeat with no
+    # projection moving any of them.
+    window = SampleDomain(FullSpace(n), NormSpec(n, 2.0), 5e-324, 9)
+    axis = np.linspace(-5e-324, 5e-324, 9)
+    assert len(np.unique(axis)) < 9
+    pts, dedups = _grid_with_dedups(window, monkeypatch)
+    assert dedups == 1
+    assert _bits(pts) == _bits(_unique_grid(window))
+    assert len(pts) == len(np.unique(axis)) ** n
 
 
 def _reduce_norms(X, spec: NormSpec) -> np.ndarray:
