@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from .errors import ConfigError
 from .maps import (
@@ -37,9 +39,10 @@ from .spaces import (
     MaxNorm,
     NormSpec,
     Orthant,
+    SampleDomain,
     positive_int,
 )
-from .sweep import MapFamily, require_planted_cell, sweep_norm_specs, sweep_probe_grid
+from .sweep import MapFamily, require_planted_cell, sweep_norm_specs
 
 EXPERIMENT_KINDS = (
     "certify_uniqueness",
@@ -228,6 +231,8 @@ class ExperimentConfig:
     out: str
     # The resolved config: each key read or defaulted, as text, in reading order.
     document: tuple[tuple[str, str], ...]
+    # The probes a sweep or saddle check reads, built once while validating.
+    probe_grid: np.ndarray | None = field(compare=False, repr=False)
 
 
 def _checked(field: str, build, *args):
@@ -236,6 +241,14 @@ def _checked(field: str, build, *args):
         return build(*args)
     except ValueError as exc:
         raise ConfigError(str(exc), field=field) from None
+
+
+def _probe_grid(field: str, *window) -> np.ndarray:
+    """The read-only grid of ``SampleDomain(*window)``, refused on ``field``
+    when it has no point."""
+    grid = _checked(field, lambda: SampleDomain(*window).require_grid())
+    grid.setflags(write=False)
+    return grid
 
 
 def _build_norm(doc) -> NormSpec:
@@ -397,10 +410,11 @@ def build_experiment(doc: dict[str, str]) -> ExperimentConfig:
         map_spec = _build_map(doc, norm_spec.dimension)
     optimizer = _build_section(doc, "optimizer", OptimizeConfig, seed=seed)
     sampling = _build_section(doc, "sampling", SamplingSpec)
-    if family is not None:  # refuse here what the sweep would refuse at run time
+    probe_grid = None  # refused here when the run would find it empty
+    if family is not None:
         window = (domain, norm_spec, sampling.y_radius, sweep_y_grid)
-        probes = len(_checked("sweep.y_grid", sweep_probe_grid, *window))
-        cell = (planted_cell, family, sweep_norms, probes)
+        probe_grid = _probe_grid("sweep.y_grid", *window)
+        cell = (planted_cell, family, sweep_norms, len(probe_grid))
         _checked("sweep.planted_cell", require_planted_cell, *cell)
 
     saddle_point = None
@@ -408,6 +422,8 @@ def build_experiment(doc: dict[str, str]) -> ExperimentConfig:
         saddle_point = _get_vector(
             doc, "saddle.x_star", length=norm_spec.dimension, required=True
         )
+        window = (domain, norm_spec, sampling.radius, sampling.resolution)
+        probe_grid = _probe_grid("sampling.resolution", *window)
     saddle_tolerance = _get_float(doc, "saddle.tolerance", default=1e-6)
     if not 0.0 <= saddle_tolerance < math.inf:
         raise ConfigError("must be a finite number >= 0", field="saddle.tolerance")
@@ -431,6 +447,7 @@ def build_experiment(doc: dict[str, str]) -> ExperimentConfig:
         saddle_tolerance=saddle_tolerance,
         out=out,
         document=tuple(doc.canonical.items()),
+        probe_grid=probe_grid,
     )
 
 

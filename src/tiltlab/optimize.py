@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import InfeasibleTruncation
 from .spaces import (
-    FeasibleSet, NormSpec, SampleDomain, ball_bound, in_ball, norm, norms_of_rows, positive_int,
+    FeasibleSet, NormSpec, SampleDomain, ball_bound, in_ball, mesh_rows, norm, norms_of_rows,
+    positive_int,
 )
 
 _STREAM_STARTS = 0x51A7
@@ -467,17 +468,22 @@ def brute_force_minima(
 ) -> MinimizationResult:
     """Exhaustive scan of the feasible grid; the independent oracle.
 
-    No projection and no refinement: grid points are membership-filtered,
-    evaluated in lexicographic order, and clustered with the same rule as
-    :func:`global_minimize`.  The mesh is scanned in blocks of one tail
-    mesh: the k trailing axes, k the most whose mesh has at most
-    ``65536 // n`` rows (at least one), are written once into a block
-    buffer, and each block sets only the leading columns, one tuple of
-    leading grid values per block (a single axis longer than that is cut
-    into slices of ``65536 // n`` rows).  Each block is masked by the set's
-    residual and by the ball, and its members are gathered with one
-    ``np.compress``.  Every row is masked and valued as it would be in any
-    other batch, and the candidates are every member within
+    No projection and no refinement: grid points are membership-filtered
+    (residual at most 1e-12, inside the ball), evaluated in lexicographic
+    order, and clustered with the same rule as :func:`global_minimize`.
+    On a coordinatewise set (full space, orthants) a row passes the
+    residual test exactly when each of its coordinates does, so each axis
+    keeps only the values that pass it (tested with the other coordinates
+    at the set's base point) and the scan walks the mesh of the kept axes,
+    which holds the same members in the same order.  The mesh is scanned
+    in blocks of one tail mesh: the k trailing axes, k the most whose mesh
+    has at most ``65536 // n`` rows (at least one), are written once into a
+    block buffer, and each block sets only the leading columns, one tuple
+    of leading axis values per block (a single axis longer than that is cut
+    into slices of ``65536 // n`` rows).  Each block is masked by the ball,
+    and on other sets by the residual, and its members are gathered with
+    one ``np.compress``.  Every row is masked and valued as it would be in
+    any other batch, and the candidates are every member within
     ``value_tolerance`` of the final minimum, so the block edges change
     nothing.  ``objective_rows``, when given, evaluates each block's members
     in one call and ``objective`` is never called.
@@ -498,26 +504,34 @@ def brute_force_minima(
         norm_spec = NormSpec(n, 2.0)
 
     axis = np.linspace(-radius, radius, resolution)
+    axes = [axis] * n
+    box = domain.coordinatewise
+    if box:  # trial[j, i] is the base point with coordinate j set to axis[i]
+        trial = np.tile(domain.ray_base, (n, resolution, 1))
+        for j in range(n):
+            trial[j, :, j] = axis
+        passes = domain.violations_of_rows(trial.reshape(-1, n)) <= 1e-12
+        axes = [axis[m] for m in passes.reshape(n, resolution)]
     evaluations = 0
     best_value = np.inf
     cand_pts: list[np.ndarray] = []
     cand_vals: list[float] = []
 
+    sizes = [len(a) for a in axes]
     cap = 65536 // n
     k = 1  # the tail's axes
-    while k < n and resolution ** (k + 1) <= cap:
+    while k < n and math.prod(sizes[n - k - 1:]) <= cap:
         k += 1
-    block = np.empty((resolution ** k, n))
-    block[:, n - k:] = np.stack(
-        [g.ravel() for g in np.meshgrid(*[axis] * k, indexing="ij")], axis=1
-    )
+    block = np.empty((math.prod(sizes[n - k:]), n))
+    block[:, n - k:] = mesh_rows(axes[n - k:])
 
-    for lead in itertools.product(axis, repeat=n - k):
+    for lead in itertools.product(*axes[:n - k]):
         block[:, :n - k] = lead
         for start in range(0, len(block), cap):
             rows = block[start:start + cap]
-            inside = domain.violations_of_rows(rows) <= 1e-12
-            inside &= in_ball(rows, radius, norm_spec)
+            inside = in_ball(rows, radius, norm_spec)
+            if not box:
+                inside &= domain.violations_of_rows(rows) <= 1e-12
             coords = np.compress(inside, rows, axis=0)
             if len(coords) == 0:
                 continue

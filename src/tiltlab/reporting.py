@@ -27,7 +27,7 @@ from .functional import TiltedFunctional
 from .maps import growth_coefficient
 from .optimize import Cluster, MinimizationResult
 from .spaces import SampleDomain
-from .sweep import SweepResult, search_counterexample, sweep_probe_grid
+from .sweep import SweepResult, search_counterexample
 
 _STREAM_Y_SET = 0xB21
 
@@ -211,13 +211,11 @@ def _run_minimax(cfg: ExperimentConfig) -> RunOutcome:
 def _run_verify_saddle(cfg: ExperimentConfig) -> RunOutcome:
     F = _build_functional(cfg)
     J = F.as_bifunctional()
-    window = SampleDomain(cfg.domain, cfg.norm, cfg.sampling.radius, cfg.sampling.resolution)
-    grid = window.require_grid()
     check = verify_saddle(
         J,
         np.array(cfg.saddle_point, dtype=float),
-        grid,
-        grid,
+        cfg.probe_grid,
+        cfg.probe_grid,
         cfg.saddle_tolerance,
         separation=cfg.optimizer.separation,
         norm_spec=cfg.norm,
@@ -239,12 +237,11 @@ def _run_verify_saddle(cfg: ExperimentConfig) -> RunOutcome:
 
 
 def _run_sweep(cfg: ExperimentConfig, jobs: int) -> RunOutcome:
-    y_points = sweep_probe_grid(cfg.domain, cfg.norm, cfg.sampling.y_radius, cfg.sweep_y_grid)
     result: SweepResult = search_counterexample(
         cfg.family,
         list(cfg.sweep_norms),
         cfg.domain,
-        y_points,
+        cfg.probe_grid,
         cfg.optimizer,
         margin=cfg.sampling.margin,
         fallback_radius=cfg.sampling.fallback_radius,

@@ -15,6 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -201,7 +202,13 @@ class FeasibleSet:
 
     Subclasses store an unboundedness witness: ``ray_base + t * ray_direction``
     stays in the set for every t >= 0.
+
+    ``coordinatewise`` marks a product of intervals (full space, orthants):
+    its projection acts on each coordinate alone, and a row's residual is
+    the largest of its coordinates' residuals.
     """
+
+    coordinatewise: ClassVar[bool] = False
 
     dimension: int
 
@@ -259,6 +266,8 @@ class FeasibleSet:
 
 @dataclass(frozen=True)
 class FullSpace(FeasibleSet):
+    coordinatewise: ClassVar[bool] = True
+
     @property
     def variant(self) -> str:
         return "full_space"
@@ -283,6 +292,8 @@ class FullSpace(FeasibleSet):
 @dataclass(frozen=True)
 class Orthant(FeasibleSet):
     """Coordinate-wise lower bounds, upper bounds all +infinity."""
+
+    coordinatewise: ClassVar[bool] = True
 
     lower: tuple[float, ...] = ()
 
@@ -553,9 +564,14 @@ def _grid_axes(radius: float, resolution: int, dimension: int) -> list[np.ndarra
     return [axis] * dimension
 
 
-def _mesh(axes: list[np.ndarray]) -> np.ndarray:
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+def mesh_rows(axes) -> np.ndarray:
+    """The mesh of ``axes`` as rows in lexicographic index order (the last
+    axis fastest), written into one preallocated (N, n) array."""
+    n = len(axes)
+    out = np.empty([len(a) for a in axes] + [n])
+    for j, a in enumerate(axes):
+        out[..., j] = np.reshape(a, (-1,) + (1,) * (n - 1 - j))
+    return out.reshape(-1, n)
 
 
 @dataclass(frozen=True)
@@ -588,16 +604,25 @@ class SampleDomain:
         Points are projected into X, restricted to the ball, and deduplicated
         keeping the first occurrence in lexicographic grid-index order
         (:func:`first_rows`, the rows ``np.unique(axis=0)`` would keep).
-        When the axis strictly increases and the projection moved no mesh
-        row (float equality), the kept rows are distinct nodes already in
-        index order, so the dedup is skipped.
+        On a coordinatewise set (full space, orthants) the projected mesh is
+        the mesh of the projected axes, and a row's first occurrence is the
+        tuple of its coordinates' first occurrences on their axes.  So the
+        axes are projected as the columns of one array, each keeps the first
+        occurrence of each of its values, and the mesh of what they keep is
+        the deduplicated grid, bit for bit, with no projection or dedup of
+        the whole mesh.  Other sets project and dedup the whole mesh.
         """
         axes = _grid_axes(self.radius, self.resolution, self.domain.dimension)
-        mesh = _mesh(axes)
-        pts = self.domain.project_rows(mesh)
-        distinct = np.all(axes[0][1:] > axes[0][:-1]) and np.array_equal(pts, mesh)
-        pts = pts[in_ball(pts, self.radius, self.norm)]
-        if distinct or len(pts) == 0:
+        box = self.domain.coordinatewise
+        if box:
+            columns = self.domain.project_rows(np.stack(axes, axis=1)).T
+            pts = mesh_rows([c[np.sort(np.unique(c, return_index=True)[1])] for c in columns])
+        else:
+            pts = self.domain.project_rows(mesh_rows(axes))
+        inside = in_ball(pts, self.radius, self.norm)
+        if not inside.all():
+            pts = pts[inside]
+        if box or len(pts) == 0:
             return pts
         return pts[first_rows(pts)]
 

@@ -27,7 +27,7 @@ from .functional import TiltedFunctional
 from .maps import AffineMap, GrowthEstimate, MapSpec, growth_coefficient, shell_radii
 from .optimize import Cluster, MinimizationResult, OptimizeConfig
 from .spaces import (
-    FeasibleSet, MaxNorm, NormSpec, SampleDomain, finite_tuple, norm, positive_int,
+    FeasibleSet, MaxNorm, NormSpec, finite_tuple, norm, positive_int,
 )
 
 _REVERIFY_FACTOR = 4
@@ -125,11 +125,6 @@ def sweep_norm_specs(dimension: int, norms) -> list[NormSpec]:
     if len(norms) == 0:
         raise ValueError("a sweep needs at least one p value")
     return [NormSpec(dimension, p) for p in norms]
-
-
-def sweep_probe_grid(domain: FeasibleSet, norm_spec: NormSpec, radius: float, per_axis: int):
-    """A sweep's probe ys; ``InfeasibleTruncation`` when its grid has none."""
-    return SampleDomain(domain, norm_spec, radius, per_axis).require_grid()
 
 
 def require_planted_cell(planted_cell: int | None, family: MapFamily, norms, probes: int):

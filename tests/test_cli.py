@@ -305,6 +305,48 @@ def test_validate_refuses_a_sweep_with_no_probe(tmp_path, capsys):
     assert "radius 3.0" in err
 
 
+CORNERS_SADDLE_CONFIG = """
+kind = verify_saddle
+space.dimension = 3
+space.p = 1
+set.variant = full_space
+map.family = affine
+map.matrix.shape = 3 3
+map.matrix.data = 0.25 0 0 0 0.25 0 0 0 0.25
+map.offset = 0 0 0
+sampling.radius = 6
+sampling.resolution = 2
+saddle.x_star = 0 0 0
+"""
+
+
+def test_validate_refuses_a_saddle_check_with_no_probe(tmp_path, capsys):
+    # At resolution 2 the grid is the box corners, each at l1 norm 18 > 6.
+    path = write(tmp_path, CORNERS_SADDLE_CONFIG)
+    args = ["validate", "--config", str(path)]
+    assert main(args + ["--override", "sampling.resolution=3"]) == 0
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: field 'sampling.resolution': "
+        "no feasible grid point inside the ball of radius 6.0\n"
+    )
+
+
+def test_run_builds_the_saddle_grid_once(tmp_path, monkeypatch):
+    import tiltlab.spaces as spaces
+
+    calls = []
+    grid = spaces.SampleDomain.grid_points
+    monkeypatch.setattr(spaces.SampleDomain, "grid_points",
+                        lambda self: calls.append(self) or grid(self))
+    path = write(tmp_path, CORNERS_SADDLE_CONFIG)
+    args = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(args + ["--override", "sampling.resolution=5"]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "overrides, field",
     [

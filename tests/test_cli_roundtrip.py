@@ -138,16 +138,18 @@ sampling.radius = 1
 
 
 def test_cli_verify_saddle_refuses_a_set_outside_the_sampling_ball(tmp_path, capsys):
-    # The half-space x >= 5 misses the ball of radius 1, so no probe is left.
+    # The half-space x >= 5 misses the ball of radius 1, so no probe is left;
+    # the build refuses the config on the key that sets the grid.
     path = tmp_path / "vs.cfg"
     path.write_text(EMPTY_GRID_SADDLE_CONFIG)
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
+    assert err.startswith("error: field 'sampling.resolution': ")
     assert "no feasible grid point inside the ball of radius 1.0" in err
     assert "Traceback" not in err
     doc = parse_document((out / "report.txt").read_text())
-    assert doc["error.type"] == "InfeasibleTruncation"
+    assert doc["error.type"] == "ConfigError"
 
 
 MINIMAX_CONFIG = """
@@ -205,7 +207,8 @@ def _numbers(values) -> str:
 def _config_texts(draw):
     """A valid config over any set variant, map family and kind; a cone is
     built around a point it contains and a ray every normal accepts.  A
-    sweep's probe window reaches the set: ``sampling.y_radius`` exceeds
+    sweep's or saddle check's probe window reaches the set: its radius
+    (``sampling.y_radius`` or ``sampling.radius``) exceeds
     max(1, max weight) * sqrt(n) * |q|_2 for a point q of the set (the
     orthant's lower corner, the half-space's nearest point, the cone's
     inside point), which bounds the active norm of the set's projection of
@@ -248,10 +251,10 @@ def _config_texts(draw):
                 f"set.halfspace.{i}.offset = {fmt_float(a @ inside - slack)}",
             ]
         lines.append(f"set.ray = {_numbers(ray)}")
+    reach = max(1.0, *weights) * np.sqrt(n) * np.linalg.norm(member)
     if lines[0] == "kind = search_counterexample":
         thetas = draw(st.lists(st.floats(0.0, 0.45), min_size=1, max_size=3))
         lines += ["sweep.family = scaled_identity", f"sweep.param.theta = {_numbers(thetas)}"]
-        reach = max(1.0, *weights) * np.sqrt(n) * np.linalg.norm(member)
         lines.append(f"sampling.y_radius = {fmt_float(1.0 + reach)}")
     else:
         family = draw(st.sampled_from(["constant", "affine", "projected"]))
@@ -271,6 +274,7 @@ def _config_texts(draw):
             ]
     if lines[0] == "kind = verify_saddle":
         lines.append(f"saddle.x_star = {_numbers(draw(vec))}")
+        lines.append(f"sampling.radius = {fmt_float(1.0 + reach)}")
     return "\n".join(lines) + "\n"
 
 

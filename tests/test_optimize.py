@@ -864,14 +864,18 @@ def _full_mesh_scan(F: TiltedFunctional, radius, resolution, tolerance, separati
     return len(pts), clusters
 
 
-def _oracle_instance(n, p, orthant, seed):
+def _oracle_instance(n, p, orthant, seed, lower=None):
+    """An affine J on full space or on the orthant x >= ``lower`` (0 when
+    omitted), whose map sends the orthant into itself."""
     rng = np.random.default_rng(seed)
     A = rng.uniform(-0.3, 0.3, (n, n)) / n
     b = rng.uniform(-1.0, 1.0, n)
     if orthant:
         A, b = np.abs(A), np.abs(b)
+    if lower is not None:  # f(x) >= A lower + b = lower + |b| for x >= lower
+        b = b + np.array(lower) - A @ np.array(lower)
     mapping = AffineMap(n, matrix=tuple(map(tuple, A)), offset=tuple(b))
-    domain = Orthant(n) if orthant else FullSpace(n)
+    domain = Orthant(n, lower=lower or ()) if orthant else FullSpace(n)
     return TiltedFunctional(norm=NormSpec(n, p), domain=domain, mapping=mapping)
 
 
@@ -956,11 +960,13 @@ def test_brute_force_equals_a_full_mesh_scan_on_half_spaces_and_cones(p, variant
 
 @pytest.mark.parametrize(
     "domain, resolution",
-    [("full_space", 13), ("orthant", 13), ("cone", 13), ("orthant", 26)],
+    [("full_space", 13), ("orthant", 13), ("cone", 13), ("orthant", 26), ("full_space", 26)],
 )
 def test_brute_force_equals_a_full_mesh_scan_in_four_dimensions(domain, resolution):
     # 13^3 <= 65536 // 4 < 13^4: a tail mesh of three axes, 13 blocks;
     # 26^2 <= 65536 // 4 < 26^3: two axes, and two leading columns per block.
+    # The orthant keeps the 7 and 13 nonnegative values of each axis, whose
+    # meshes need a tail of four and of three axes.
     F = _oracle_instance(4, 2.0, domain == "orthant", 17)
     if domain == "cone":
         F = _projected_onto(F, _half_space_and_cone(4)[1])
@@ -981,3 +987,56 @@ def test_brute_force_equals_a_full_mesh_scan_under_a_weighted_norm(p):
     evaluations, clusters = _full_mesh_scan(F, 2.5, 301, 1e-3, 1e-3)
     assert (res.evaluations, res.global_value) == (evaluations, clusters[0].value)
     assert res.clusters == clusters
+
+
+# On the axis of 33 points over [-2, 2] (spacing 1/8), bounds on nodes,
+# between nodes, and negative.
+_LOWER_BOUNDS = {
+    "on_nodes": (0.5, -1.0, 0.0),
+    "between_nodes": (0.3, -0.7, 0.1),
+    "negative": (-1.2, -0.45, -2.0),
+}
+
+
+@pytest.mark.parametrize("lower", list(_LOWER_BOUNDS))
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, INF])
+def test_brute_force_equals_a_full_mesh_scan_on_orthants_with_lower_bounds(p, lower):
+    F = _oracle_instance(3, p, True, 23, lower=_LOWER_BOUNDS[lower])
+    res = brute_force_minima(None, F.domain, 2.0, 33, value_tolerance=1e-3,
+                             norm_spec=F.norm, objective_rows=F.displacements)
+    evaluations, clusters = _full_mesh_scan(F, 2.0, 33, 1e-3, 1e-3)
+    assert 0 < evaluations < 33 ** 3
+    assert (res.evaluations, res.global_value) == (evaluations, clusters[0].value)
+    assert res.clusters == clusters
+
+
+@pytest.mark.parametrize("lower", list(_LOWER_BOUNDS))
+def test_brute_force_equals_a_full_mesh_scan_on_orthants_under_a_weighted_norm(lower):
+    F = _oracle_instance(3, 1.5, True, 29, lower=_LOWER_BOUNDS[lower])
+    F = replace(F, norm=NormSpec(3, 1.5, weights=(0.5, 3.0, 1.25)))
+    res = brute_force_minima(None, F.domain, 2.0, 33, value_tolerance=1e-3,
+                             norm_spec=F.norm, objective_rows=F.displacements)
+    evaluations, clusters = _full_mesh_scan(F, 2.0, 33, 1e-3, 1e-3)
+    assert (res.evaluations, res.global_value) == (evaluations, clusters[0].value)
+    assert res.clusters == clusters
+
+
+def test_brute_force_refuses_an_orthant_with_a_bound_beyond_the_radius():
+    # No grid value of the second axis reaches 2.5: no point is a member.
+    F = _oracle_instance(3, 2.0, True, 31, lower=(0.25, 2.5, 0.0))
+    message = r"^no feasible grid point inside the ball of radius 2\.0$"
+    with pytest.raises(InfeasibleTruncation, match=message):
+        brute_force_minima(None, F.domain, 2.0, 33, norm_spec=F.norm,
+                           objective_rows=F.displacements)
+    with pytest.raises(InfeasibleTruncation, match=message):
+        brute_force_minima(lambda x: 0.0, F.domain, 2.0, 33)
+
+
+def test_brute_force_evaluations_repeat_per_call():
+    F = _oracle_instance(3, 2.0, True, 23, lower=_LOWER_BOUNDS["between_nodes"])
+    first, again = (
+        brute_force_minima(None, F.domain, 2.0, 33, norm_spec=F.norm,
+                           objective_rows=F.displacements)
+        for _ in range(2)
+    )
+    assert first == again

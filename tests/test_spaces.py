@@ -10,6 +10,7 @@ from tiltlab import (
     DimensionMismatch,
     FullSpace,
     HalfSpace,
+    InfeasibleTruncation,
     NormSpec,
     Orthant,
     SampleDomain,
@@ -557,72 +558,49 @@ def test_grid_points_skip_the_dedup_when_no_mesh_row_moved(n, resolution, monkey
 
 def test_grid_points_dedup_rows_projected_onto_unmoved_nodes(monkeypatch):
     # Axis -1, -0.5, 0, 0.5, 1 and lower bounds on its nodes: a projected row
-    # lands on a node row that the projection left in place.
+    # lands on a node row that the projection left in place.  An orthant's
+    # grid is the mesh of its clipped axes, so no dedup of the whole mesh runs.
     window = SampleDomain(Orthant(2, lower=(-0.5, 0.0)), NormSpec(2, INF), 1.0, 5)
+    pts, dedups = _grid_with_dedups(window, monkeypatch)
+    assert dedups == 0
+    assert _bits(pts) == _bits(_unique_grid(window))
+    assert len(pts) == 4 * 3
+
+
+@pytest.mark.parametrize("variant", ["half_space", "cone"])
+def test_grid_points_dedup_the_projected_mesh_of_other_sets(variant, monkeypatch):
+    # The same lower bounds as half-spaces: x >= -0.5 alone, or with y >= 0
+    # as a cone.  These sets project and dedup the whole mesh, once.
+    x = HalfSpace(2, normal=(1.0, 0.0), offset=-0.5)
+    y = HalfSpace(2, normal=(0.0, 1.0), offset=0.0)
+    cone = ConeIntersection(2, constraints=(x, y), ray=(1.0, 1.0))
+    window = SampleDomain(x if variant == "half_space" else cone, NormSpec(2, INF), 1.0, 5)
     pts, dedups = _grid_with_dedups(window, monkeypatch)
     assert dedups == 1
     assert _bits(pts) == _bits(_unique_grid(window))
-    assert len(pts) == 4 * 3
+    assert len(pts) == 4 * (5 if variant == "half_space" else 3)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_grid_points_dedup_an_axis_that_repeats_a_value(n, monkeypatch):
     # linspace over a subnormal radius repeats values, so rows repeat with no
-    # projection moving any of them.
+    # projection moving any of them; each axis keeps its distinct values, and
+    # no dedup of the whole mesh runs.
     window = SampleDomain(FullSpace(n), NormSpec(n, 2.0), 5e-324, 9)
     axis = np.linspace(-5e-324, 5e-324, 9)
     assert len(np.unique(axis)) < 9
     pts, dedups = _grid_with_dedups(window, monkeypatch)
-    assert dedups == 1
+    assert dedups == 0
     assert _bits(pts) == _bits(_unique_grid(window))
     assert len(pts) == len(np.unique(axis)) ** n
 
 
-def _reduce_norms(X, spec: NormSpec) -> np.ndarray:
-    """``norms_of_rows`` written with numpy's row reductions, for finite rows."""
-    w = spec._weight_array
-    if spec.p == 2.0:
-        return np.sqrt(np.add.reduce(X * X if w is None else X * X * w, axis=1))
-    A = np.abs(X)
-    if spec.p is INF:
-        return (A if w is None else A * w).max(axis=1)
-    if spec.p == 1.0:
-        return (A if w is None else A * w).sum(axis=1)
-    m = A.max(axis=1)
-    scaled = (A / np.where(m > 0.0, m, 1.0)[:, None]) ** spec.p
-    if w is not None:
-        scaled = scaled * w
-    return np.where(m > 0.0, m * scaled.sum(axis=1) ** (1.0 / spec.p), 0.0)
-
-
-@st.composite
-def _general_norms_and_rows(draw):
-    n = draw(st.integers(1, 7))
-    p = draw(st.sampled_from((1.0, 1.5, 2.0, 3.0, INF)))
-    weights = draw(st.none() | st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
-    values = st.floats(-1e3, 1e3) | st.sampled_from((0.0, -0.0))
-    k = draw(st.integers(1, 12))
-    X = np.array(draw(st.lists(values, min_size=n * k, max_size=n * k))).reshape(k, n)
-    return NormSpec(n, p, weights=weights), X
-
-
-@given(_general_norms_and_rows())
-@settings(max_examples=300, deadline=None)
-def test_norms_of_finite_rows_keep_the_reduce_bits_hypothesis(case):
-    spec, X = case
-    assert _bits(norms_of_rows(X, spec)) == _bits(_reduce_norms(X, spec))
-
-
-@pytest.mark.parametrize("p", [1.5, 3.0, 1.0, 2.0, INF])
-@pytest.mark.parametrize("weights", [None, (2.0, 0.5, 1.0)])
-def test_a_nan_entry_gives_nan_else_an_infinite_one_inf(p, weights):
-    spec = NormSpec(3, p, weights=weights)
-    nan, inf = np.nan, np.inf
-    rows = [[nan, 1.0, 0.0], [inf, 1.0, 0.0], [nan, inf, 0.0], [0.0, -inf, 2.0],
-            [0.0, -0.0, 0.0]]
-    got = norms_of_rows(rows, spec)
-    assert np.isnan(got[[0, 2]]).all()
-    assert got[1] == got[3] == inf
-    assert _bits(got[4]) == _bits(0.0)
-    for row, value in zip(rows, got):
-        assert _bits(norm(row, spec)) == _bits(value)
+def test_an_orthant_beyond_the_ball_has_no_grid():
+    # The lower bound 2.5 > radius 2 clips the second axis to one value
+    # outside the ball: the grid is empty and require_grid refuses it.
+    window = SampleDomain(Orthant(3, lower=(0.25, 2.5, 0.0)), NormSpec(3, 2.0), 2.0, 9)
+    assert window.grid_points().shape == (0, 3)
+    assert _bits(window.grid_points()) == _bits(_unique_grid(window))
+    with pytest.raises(InfeasibleTruncation, match=r"^no feasible grid point inside the ball "
+                       r"of radius 2\.0$"):
+        window.require_grid()
