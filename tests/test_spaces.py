@@ -604,3 +604,53 @@ def test_an_orthant_beyond_the_ball_has_no_grid():
     with pytest.raises(InfeasibleTruncation, match=r"^no feasible grid point inside the ball "
                        r"of radius 2\.0$"):
         window.require_grid()
+
+
+def _reduce_norms(X, spec: NormSpec) -> np.ndarray:
+    """``norms_of_rows`` written with numpy's row reductions, for finite rows."""
+    w = spec._weight_array
+    if spec.p == 2.0:
+        return np.sqrt(np.add.reduce(X * X if w is None else X * X * w, axis=1))
+    A = np.abs(X)
+    if spec.p is INF:
+        return (A if w is None else A * w).max(axis=1)
+    if spec.p == 1.0:
+        return (A if w is None else A * w).sum(axis=1)
+    m = A.max(axis=1)
+    scaled = (A / np.where(m > 0.0, m, 1.0)[:, None]) ** spec.p
+    if w is not None:
+        scaled = scaled * w
+    return np.where(m > 0.0, m * scaled.sum(axis=1) ** (1.0 / spec.p), 0.0)
+
+
+@st.composite
+def _general_norms_and_rows(draw):
+    n = draw(st.integers(1, 7))
+    p = draw(st.sampled_from((1.0, 1.5, 2.0, 3.0, INF)))
+    weights = draw(st.none() | st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    values = st.floats(-1e3, 1e3) | st.sampled_from((0.0, -0.0))
+    k = draw(st.integers(1, 12))
+    X = np.array(draw(st.lists(values, min_size=n * k, max_size=n * k))).reshape(k, n)
+    return NormSpec(n, p, weights=weights), X
+
+
+@given(_general_norms_and_rows())
+@settings(max_examples=300, deadline=None)
+def test_norms_of_finite_rows_keep_the_reduce_bits_hypothesis(case):
+    spec, X = case
+    assert _bits(norms_of_rows(X, spec)) == _bits(_reduce_norms(X, spec))
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 1.0, 2.0, INF])
+@pytest.mark.parametrize("weights", [None, (2.0, 0.5, 1.0)])
+def test_a_nan_entry_gives_nan_else_an_infinite_one_inf(p, weights):
+    spec = NormSpec(3, p, weights=weights)
+    nan, inf = np.nan, np.inf
+    rows = [[nan, 1.0, 0.0], [inf, 1.0, 0.0], [nan, inf, 0.0], [0.0, -inf, 2.0],
+            [0.0, -0.0, 0.0]]
+    got = norms_of_rows(rows, spec)
+    assert np.isnan(got[[0, 2]]).all()
+    assert got[1] == got[3] == inf
+    assert _bits(got[4]) == _bits(0.0)
+    for row, value in zip(rows, got):
+        assert _bits(norm(row, spec)) == _bits(value)
