@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, FieldError
 from .maps import (
     AffineMap,
     BoundedPerturbedMap,
@@ -203,14 +203,17 @@ class SamplingSpec:
 
     def __post_init__(self):
         if self.y_mode not in ("halton", "grid"):
-            raise ValueError("y_mode must be halton or grid")
+            raise FieldError("y_mode", "y_mode must be halton or grid")
         # Reject at validation what the drivers would reject only at run time.
         for name in ("y_count", "y_radius", "check_samples", "margin", "radius_override",
                      "fallback_radius", "resolution", "radius", "growth_directions"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        shell_radii(self.growth_radii, "growth_radii")
+                raise FieldError(name, f"{name} must be positive and finite, got {value}")
+        try:
+            shell_radii(self.growth_radii, "growth_radii")
+        except ValueError as exc:
+            raise FieldError("growth_radii", str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -362,7 +365,8 @@ _FIELD_KINDS = {int: _get_int, float: _get_float, str: _get, tuple: _get_vector}
 
 def _build_section(doc, section: str, cls, **given):
     """A config dataclass from its ``section.<field>`` keys, but for the
-    fields ``given`` as read elsewhere."""
+    fields ``given`` as read elsewhere; a refused value is blamed on its
+    key."""
     values = dict(given)
     for f in fields(cls):
         key = f"{section}.{f.name}"
@@ -375,8 +379,8 @@ def _build_section(doc, section: str, cls, **given):
             values[f.name] = parse(doc, key, default=f.default)
     try:
         return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc), field=section) from None
+    except FieldError as exc:
+        raise ConfigError(str(exc), field=f"{section}.{exc.field}") from None
 
 
 def build_experiment(doc: dict[str, str]) -> ExperimentConfig:

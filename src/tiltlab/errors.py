@@ -38,6 +38,15 @@ class FixedPointNotLocated(RuntimeError):
         self.report = report
 
 
+class FieldError(ValueError):
+    """A config dataclass refuses the value of its field ``field``; a config
+    file blames that field's key."""
+
+    def __init__(self, field, message):
+        super().__init__(message)
+        self.field = field
+
+
 class ConfigError(ValueError):
     """Config parse or validation failure with a line/field diagnostic."""
 

@@ -23,8 +23,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import FixedPointNotLocated, GrowthConditionNotMet, InfeasibleTruncation
-from .functional import Bifunctional, TiltedFunctional, coercivity_radius
-from .maps import GrowthEstimate
+from .functional import Bifunctional, TiltedFunctional, coercivity_radius, tilted_rows
+from .maps import GrowthEstimate, evaluate_rows
 from .optimize import (
     MinimizationResult,
     OptimizeConfig,
@@ -141,28 +141,39 @@ class Probe(NamedTuple):
 
 
 def _probe_rows(probes: Sequence[Probe]):
-    """The batched objective over ``probes``: row i is J(X[i], y) of probe
-    ``owners[i]``, or its override.  Each run of adjacent rows whose probes
-    share a kernel (one J, or one override) is one call."""
+    """The batched objective over ``probes``, which share one norm and one
+    set: row i is J(X[i], y) of probe ``owners[i]``, or its override.
+
+    A call walks the runs of adjacent rows whose probes share a kernel (one
+    map, or one override).  An override's run is one call of it.  A map's
+    run is one range-checked ``evaluate_rows``, so a :class:`RangeViolation`
+    names the worst row of its run.  Then one :func:`tilted_rows` computes
+    J's two norms over every J row of the call.  A row's value does not
+    depend on its batch, so each row has its own probe's ``F.pairs`` bits."""
     Y = np.array([p.y for p in probes])
-    calls, kinds, seen = [], [], {}
+    norm_spec, domain = probes[0].F.norm, probes[0].F.domain
+    overridden = np.array([p.objective is not None for p in probes])
+    mixed = bool(overridden.any())  # else every row is a J row
+    kernels, kinds, seen = [], [], {}
     for p in probes:
-        kernel = p.F if p.objective is None else p.objective
+        kernel = p.F.mapping if p.objective is None else p.objective
         if id(kernel) not in seen:
-            seen[id(kernel)] = len(calls)
-            calls.append(
-                (lambda X, o, F=p.F: F.pairs(X, Y[o])) if p.objective is None
-                else (lambda X, o, f=p.objective: f(X))
-            )
+            seen[id(kernel)] = len(kernels)
+            kernels.append(kernel)
         kinds.append(seen[id(kernel)])
     kinds = np.array(kinds)
 
     def rows(X, owners):
         kind = kinds[owners]
         edges = [0, *(np.flatnonzero(kind[1:] != kind[:-1]) + 1).tolist(), len(X)]
-        out = np.empty(len(X))
+        out, FX = np.empty(len(X)), np.empty_like(X)
         for a, b in zip(edges, edges[1:]):
-            out[a:b] = calls[kind[a]](X[a:b], owners[a:b])
+            if overridden[owners[a]]:
+                out[a:b] = kernels[kind[a]](X[a:b])
+            else:
+                FX[a:b] = evaluate_rows(kernels[kind[a]], X[a:b], domain)
+        J = ~overridden[owners] if mixed else slice(None)
+        out[J] = tilted_rows(X[J], Y[owners[J]], FX[J], norm_spec)
         return out
 
     return rows

@@ -51,8 +51,7 @@ class TiltedFunctional:
     # range-checked evaluate_rows, and callers guarantee membership.
     def pairs(self, X, Y) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        FX = evaluate_rows(self.mapping, X, self.domain)
-        return norms_of_rows(X - FX, self.norm) - norms_of_rows(Y - FX, self.norm)
+        return tilted_rows(X, Y, evaluate_rows(self.mapping, X, self.domain), self.norm)
 
     def displacements(self, X) -> np.ndarray:
         return self.row_sup(X)[0]
@@ -71,6 +70,13 @@ class TiltedFunctional:
 
     def as_bifunctional(self) -> "Bifunctional":
         return Bifunctional(self.pairs, self.domain, zero_diagonal=True, row_sup=self.row_sup)
+
+
+def tilted_rows(X, Y, FX, norm_spec: NormSpec) -> np.ndarray:
+    """J's formula ||X[i] - FX[i]|| - ||Y[i] - FX[i]|| over rows, given
+    ``FX = f(X)``; each side may be one row broadcast against the others.
+    Every J value, batched or not, is computed here."""
+    return norms_of_rows(X - FX, norm_spec) - norms_of_rows(Y - FX, norm_spec)
 
 
 def tilted_value(F: TiltedFunctional, x, y) -> float:

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleTruncation
+from .errors import FieldError, InfeasibleTruncation
 from .spaces import (
     FeasibleSet, NormSpec, SampleDomain, ball_bound, in_ball, mesh_rows, norm, norms_of_rows,
     positive_int,
@@ -59,22 +59,25 @@ class OptimizeConfig:
     directions: str = "auto"  # "axes" | "full" | "auto"
 
     def __post_init__(self):
-        if self.coarse_grid < 1 or self.multistart < 1 or self.budget < 1:
-            raise ValueError("coarse_grid, multistart and budget must be positive")
+        for name in ("coarse_grid", "multistart", "budget"):
+            if getattr(self, name) < 1:
+                raise FieldError(name, f"{name} must be positive")
         if self.initial_step is not None and not 0.0 < self.initial_step < math.inf:
-            raise ValueError("initial_step must be positive and finite when given")
+            raise FieldError("initial_step", "initial_step must be positive and finite when given")
         if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must lie in (0, 1)")
+            raise FieldError("shrink", "shrink must lie in (0, 1)")
         if not 0.0 < self.termination_step < math.inf:
-            raise ValueError("termination_step must be positive and finite")
+            raise FieldError("termination_step", "termination_step must be positive and finite")
         if not 0.0 < self.value_tolerance < math.inf:
-            raise ValueError("value_tolerance must be positive and finite")
+            raise FieldError("value_tolerance", "value_tolerance must be positive and finite")
         if not self.termination_step < self.separation < math.inf:
-            raise ValueError("separation must be finite and exceed the termination step")
+            raise FieldError(
+                "separation", "separation must be finite and exceed the termination step"
+            )
         if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+            raise FieldError("seed", "seed must be a non-negative integer")
         if self.directions not in ("axes", "full", "auto"):
-            raise ValueError("directions must be one of axes/full/auto")
+            raise FieldError("directions", "directions must be one of axes/full/auto")
 
 
 @dataclass(frozen=True)

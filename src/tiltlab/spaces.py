@@ -189,11 +189,14 @@ def norms_of_rows(X, spec: NormSpec) -> np.ndarray:
         return fold_rows(np.add, A if w is None else A * w)
     m = fold_rows(np.maximum, A)  # NaN if an entry is NaN, else inf if one is inf
     scalable = (m > 0.0) & (m < np.inf)
-    safe = np.where(scalable, m, 1.0)
+    # A row of norm 0, inf or NaN is its m; the masks run only when one exists.
+    every = bool(np.logical_and.reduce(scalable))
+    safe = m if every else np.where(scalable, m, 1.0)
     scaled = (A / safe[:, None]) ** p
     if w is not None:
         scaled = scaled * w
-    return np.where(scalable, m * fold_rows(np.add, scaled) ** (1.0 / p), m)
+    norms = m * fold_rows(np.add, scaled) ** (1.0 / p)
+    return norms if every else np.where(scalable, norms, m)
 
 
 @dataclass(frozen=True)
@@ -452,11 +455,11 @@ class ConeIntersection(FeasibleSet):
 
     @cached_property
     def _faces(self) -> tuple[np.ndarray, ...]:
-        """Unit normals U and offsets c (u . x >= c), then per candidate face
-        S, padded to k = min(n, m) constraints: its indices, R^-T and R^-1
-        for the QR factors A_S^T = Q R of its unit normals, Q, and a mask of
-        the constraints on it.  The empty face comes first, then the faces
-        of independent normals by size."""
+        """Unit normals U, offsets c (u . x >= c) and max |c|, then per
+        candidate face S, padded to k = min(n, m) constraints: its indices,
+        R^-T and R^-1 for the QR factors A_S^T = Q R of its unit normals, Q,
+        and a mask of the constraints on it.  The empty face comes first,
+        then the faces of independent normals by size."""
         n, m = self.dimension, len(self.constraints)
         k = min(n, m)
         count = sum(math.comb(m, j) for j in range(k + 1))
@@ -485,7 +488,8 @@ class ConeIntersection(FeasibleSet):
             r_inv[f, :j, :j] = np.linalg.inv(R)
             q[f, :, :j] = Q
             on_face[f, list(S)] = True
-        return U, c, index, r_inv.transpose(0, 2, 1).copy(), r_inv, q, on_face
+        c_max = np.abs(c).max()
+        return U, c, c_max, index, r_inv.transpose(0, 2, 1).copy(), r_inv, q, on_face
 
     def _face_steps(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each row's projection step and its KKT defect (<= 0 when a face
@@ -497,26 +501,38 @@ class ConeIntersection(FeasibleSet):
         the face are <= tol, which is its Euclidean projection; with none,
         it takes the first face of least defect.  Only elementwise products
         and last-axis sums are used, so a row's result does not depend on
-        the other rows of its batch.
+        the other rows of its batch.  Each reduction is the ufunc's own
+        ``reduce``, the one ``ndarray.sum``/``max``/``min`` wrap.
         """
-        U, c, index, r_inv_t, r_inv, q, on_face = self._faces
-        r = c - (X[:, None, :] * U).sum(axis=2)
-        w = (r_inv_t * r[:, index][:, :, None, :]).sum(axis=3)
-        multipliers = (r_inv * w[:, :, None, :]).sum(axis=3)
-        step = (q * w[:, :, None, :]).sum(axis=3)
-        after = r[:, None, :] - (step[:, :, None, :] * U).sum(axis=3)
+        U, c, c_max, index, r_inv_t, r_inv, q, on_face = self._faces
+        r = c - np.add.reduce(X[:, None, :] * U, axis=2)
+        w = np.add.reduce(r_inv_t * r[:, index][:, :, None, :], axis=3)
+        multipliers = np.add.reduce(r_inv * w[:, :, None, :], axis=3)
+        step = np.add.reduce(q * w[:, :, None, :], axis=3)
+        after = r[:, None, :] - np.add.reduce(step[:, :, None, :] * U, axis=3)
         defect = np.maximum(
-            np.where(on_face, -np.inf, after).max(axis=2), (-multipliers).max(axis=2)
+            np.maximum.reduce(np.where(on_face, -np.inf, after), axis=2),
+            np.maximum.reduce(-multipliers, axis=2),
         )
-        tol = PROJECTION_TOL * (1.0 + np.abs(X).max(axis=1) + np.abs(c).max())
-        best = defect.min(axis=1)
+        tol = PROJECTION_TOL * (1.0 + np.maximum.reduce(np.abs(X), axis=1) + c_max)
+        best = np.minimum.reduce(defect, axis=1)
         pick = (defect <= np.maximum(tol, best)[:, None]).argmax(axis=1)
         return step[np.arange(len(X)), pick], best - tol
 
+    @cached_property
+    def _offsets_and_normals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The constraints' offsets as an (m, 1) column and their raw
+        normals as an (m, 1, n) stack, shaped to broadcast over rows."""
+        offsets = np.array([[hs.offset] for hs in self.constraints])
+        normals = np.array([hs._normal_array for hs in self.constraints])[:, None, :]
+        return _frozen(offsets), _frozen(normals)
+
+    # One broadcast of every constraint's HalfSpace.violations_of_rows, in
+    # the same (m, k) layout and with the same column fold and axis-0 max.
     def violations_of_rows(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        stacked = np.stack([hs.violations_of_rows(X) for hs in self.constraints])
-        return stacked.max(axis=0)
+        offsets, normals = self._offsets_and_normals
+        return np.maximum.reduce(offsets - fold_rows(np.add, X * normals), axis=0)
 
     def project_rows(self, Z) -> np.ndarray:
         """Exact Euclidean projection of each row, in blocks that bound the

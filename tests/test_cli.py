@@ -1,8 +1,10 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from tiltlab import OptimizeConfig
 from tiltlab.cli import main
 from tiltlab.configfile import (
     SamplingSpec,
@@ -274,6 +276,49 @@ def test_validate_refuses_a_negative_seed_on_its_key(tmp_path, capsys, how):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err == "error: field 'seed': must be a non-negative integer\n"
+
+
+# One value per section key that OptimizeConfig or SamplingSpec refuses;
+# optimizer.seed is no key, since the seed is read from the top-level key.
+SECTION_REFUSALS = {
+    "optimizer.coarse_grid": "0",
+    "optimizer.multistart": "0",
+    "optimizer.budget": "0",
+    "optimizer.initial_step": "0",
+    "optimizer.shrink": "2",
+    "optimizer.termination_step": "0",
+    "optimizer.value_tolerance": "0",
+    "optimizer.separation": "1e-10",
+    "optimizer.directions": "diagonal",
+    "sampling.y_count": "0",
+    "sampling.y_radius": "0",
+    "sampling.y_mode": "sobol",
+    "sampling.check_samples": "0",
+    "sampling.margin": "0",
+    "sampling.radius_override": "0",
+    "sampling.fallback_radius": "0",
+    "sampling.resolution": "0",
+    "sampling.radius": "0",
+    "sampling.growth_radii": "5 3",
+    "sampling.growth_directions": "0",
+}
+
+
+def test_section_refusals_cover_every_section_key():
+    keys = {f"optimizer.{f.name}" for f in fields(OptimizeConfig) if f.name != "seed"}
+    keys |= {f"sampling.{f.name}" for f in fields(SamplingSpec)}
+    assert set(SECTION_REFUSALS) == keys
+
+
+@pytest.mark.parametrize("key", sorted(SECTION_REFUSALS))
+def test_validate_blames_a_refused_section_value_on_its_key(tmp_path, capsys, key):
+    # It used to be blamed on the section, field 'optimizer' or 'sampling'.
+    path = write(tmp_path, FIND_CONFIG)
+    override = f"{key}={SECTION_REFUSALS[key]}"
+    assert main(["validate", "--config", str(path), "--override", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: field '{key}': ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("planted", ["100", "999"])

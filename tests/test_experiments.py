@@ -10,6 +10,7 @@ from tiltlab import (
     INF,
     AffineMap,
     Bifunctional,
+    ConeIntersection,
     ConstantMap,
     EntryVerdict,
     FixedPointNotLocated,
@@ -17,9 +18,11 @@ from tiltlab import (
     GrowthConditionNotMet,
     GrowthEstimate,
     GrowthMethod,
+    HalfSpace,
     NormSpec,
     OptimizeConfig,
     Orthant,
+    RangeViolation,
     TiltedFunctional,
     Verdict,
     analytic_fixed_point,
@@ -165,6 +168,68 @@ def test_batched_probes_match_one_search_per_probe_bitwise():
     assert events[(True, EntryVerdict.INCONCLUSIVE)] >= 4, events
     assert events[(True, EntryVerdict.UNIQUE)] >= 4, events
     assert events[(False, EntryVerdict.MULTIPLE)] >= 2, events  # the plant, in 1-D and 2-D
+
+
+def _cone_and_maps(n):
+    """The cone x_0 >= 0, x_0 + ... + x_{n-1} >= 0 in R^n under p = 2.5, two
+    affine maps of it into itself, and the map -x, which leaves it."""
+    e0 = (1.0,) + (0.0,) * (n - 1)
+    domain = ConeIntersection(n, constraints=(
+        HalfSpace(n, normal=e0, offset=0.0), HalfSpace(n, normal=(1.0,) * n, offset=0.0),
+    ), ray=(1.0,) * n)
+    affine = lambda scale, shift: AffineMap(
+        n, matrix=tuple(map(tuple, scale * np.eye(n))), offset=(shift,) * n
+    )
+    spec = NormSpec(n, 2.5)
+    Fs = [TiltedFunctional(spec, domain, affine(*a)) for a in ((0.2, 0.5), (0.35, 0.25))]
+    return Fs, TiltedFunctional(spec, domain, affine(-1.0, 0.0))
+
+
+def test_probe_rows_give_each_row_its_own_probe_bits():
+    # Probes of two maps and a planted override, interleaved in the owners
+    # in runs of varied length: the batched objective evaluates each map once
+    # per run and J's norms once per call, and each row keeps the bits of its
+    # own probe's F.pairs, or of the override.
+    for n in (1, 2, 3, 4):
+        rng = np.random.default_rng(n)
+        Fs, _ = _cone_and_maps(n)
+        domain = Fs[0].domain
+        ys = domain.project_rows(rng.normal(scale=2.0, size=(3, n)))
+        plant = planted_double_well(n, 2.0)
+        probes = [
+            Probe(Fs[0], ys[0], 0), Probe(Fs[1], ys[1], 1), Probe(Fs[0], ys[2], 2),
+            Probe(Fs[1], ys[0], 3, None, plant),
+        ]
+        rows = experiments._probe_rows(probes)
+        owners = rng.integers(0, 4, 60)
+        X = domain.project_rows(rng.normal(scale=3.0, size=(60, n)))
+        got = rows(X, owners)
+        for i, o in enumerate(owners.tolist()):
+            p = probes[o]
+            want = p.objective or (lambda X, F=p.F, y=p.y: F.pairs(X, y[None, :]))
+            assert _bits(got[i]) == _bits(want(X[i : i + 1])[0]), (n, i)
+        J = owners != 3  # a batch with J rows only
+        assert _bits(rows(X[J], owners[J])) == _bits(got[J])
+
+
+def test_probe_rows_raise_the_range_violation_of_a_per_map_call():
+    # The first run of the map that leaves the set raises, as its own
+    # F.pairs call over that run does: the same point, value and violation.
+    for n in (1, 2, 3, 4):
+        rng = np.random.default_rng(10 + n)
+        Fs, leaving = _cone_and_maps(n)
+        domain = leaving.domain
+        ys = domain.project_rows(rng.normal(scale=2.0, size=(3, n)))
+        probes = [Probe(Fs[0], ys[0], 0), Probe(leaving, ys[1], 1), Probe(Fs[1], ys[2], 2)]
+        owners = np.array([0, 0, 2, 1, 1, 1, 1, 0, 1, 1, 2])
+        X = domain.project_rows(rng.normal(scale=3.0, size=(len(owners), n))) + domain.ray
+        with pytest.raises(RangeViolation) as fused:
+            experiments._probe_rows(probes)(X, owners)
+        with pytest.raises(RangeViolation) as alone:
+            leaving.pairs(X[3:7], ys[1][None, :])
+        assert str(fused.value) == str(alone.value)
+        for name in ("point", "value", "violation"):
+            assert _bits(getattr(fused.value, name)) == _bits(getattr(alone.value, name))
 
 
 def test_certify_uniqueness_refines_every_probe_in_one_search(monkeypatch):

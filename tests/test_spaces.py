@@ -19,7 +19,7 @@ from tiltlab import (
     norms_of_rows,
     project,
 )
-from tiltlab.spaces import FACE_CAP, ball_bound, first_rows, fold_rows, in_ball
+from tiltlab.spaces import FACE_CAP, PROJECTION_TOL, ball_bound, first_rows, fold_rows, in_ball
 
 SPECS = [
     NormSpec(3, 1.0),
@@ -654,3 +654,74 @@ def test_a_nan_entry_gives_nan_else_an_infinite_one_inf(p, weights):
     assert _bits(got[4]) == _bits(0.0)
     for row, value in zip(rows, got):
         assert _bits(norm(row, spec)) == _bits(value)
+
+
+def _face_steps_reference(cone: ConeIntersection, X: np.ndarray):
+    """``ConeIntersection._face_steps`` written with the ndarray methods
+    ``sum``/``max``/``min`` and with max |c| taken on every call: the bits
+    the kernel keeps."""
+    U, c, _, index, r_inv_t, r_inv, q, on_face = cone._faces
+    r = c - (X[:, None, :] * U).sum(axis=2)
+    w = (r_inv_t * r[:, index][:, :, None, :]).sum(axis=3)
+    multipliers = (r_inv * w[:, :, None, :]).sum(axis=3)
+    step = (q * w[:, :, None, :]).sum(axis=3)
+    after = r[:, None, :] - (step[:, :, None, :] * U).sum(axis=3)
+    defect = np.maximum(
+        np.where(on_face, -np.inf, after).max(axis=2), (-multipliers).max(axis=2)
+    )
+    tol = PROJECTION_TOL * (1.0 + np.abs(X).max(axis=1) + np.abs(c).max())
+    best = defect.min(axis=1)
+    pick = (defect <= np.maximum(tol, best)[:, None]).argmax(axis=1)
+    return step[np.arange(len(X)), pick], best - tol
+
+
+def _signed_zero_cone(rng, n: int) -> ConeIntersection:
+    """A cone through the origin in R^n of 1-4 half-spaces whose normals
+    hold +0.0 and -0.0 entries and whose offsets are often +0.0 or -0.0,
+    so that residuals tie at the two zeros."""
+    ray = rng.normal(size=n)
+    constraints = []
+    for _ in range(int(rng.integers(1, 5))):
+        a = rng.normal(size=n)
+        a[rng.uniform(size=n) < 0.3] = 0.0
+        if not a.any():
+            a[0] = 1.0
+        if a @ ray < 0.0:
+            a = -a  # its zero entries become -0.0
+        offset = (0.0, -0.0, -float(rng.uniform(0.0, 2.0)))[int(rng.integers(3))]
+        constraints.append(HalfSpace(n, normal=tuple(a), offset=offset))
+    return ConeIntersection(n, constraints=tuple(constraints), ray=tuple(ray))
+
+
+def _rows_with_special_entries(rng, k: int, n: int) -> np.ndarray:
+    """Rows of small integers (zeros of both signs among them) and normal
+    draws, with about one entry in four NaN, +inf or -inf."""
+    X = np.where(rng.uniform(size=(k, n)) < 0.5, rng.integers(-2, 3, (k, n)) * 1.0,
+                 rng.normal(scale=3.0, size=(k, n)))
+    X[rng.uniform(size=(k, n)) < 0.15] = -0.0
+    special = rng.uniform(size=(k, n)) < 0.25
+    X[special] = rng.choice([np.nan, np.inf, -np.inf], size=int(special.sum()))
+    return X
+
+
+def test_cone_kernels_keep_their_bits():
+    # The residual is one broadcast over the stacked constraints, and the
+    # face steps reduce with the ufuncs directly; both keep the bits of the
+    # per-constraint maximum and of the reference steps, on rows with NaN,
+    # infinite and signed-zero entries.
+    rng = np.random.default_rng(24)
+    for trial in range(300):
+        n = int(rng.integers(1, 5))
+        cone = _signed_zero_cone(rng, n)
+        X = _rows_with_special_entries(rng, int(rng.integers(1, 13)), n)
+        if trial % 3 == 0:
+            X = np.vstack((X, np.zeros((1, n)), np.full((1, n), -0.0)))
+        with np.errstate(all="ignore"):  # inf * 0.0 and inf - inf
+            each = np.stack([hs.violations_of_rows(X) for hs in cone.constraints])
+            assert _nan_bits(cone.violations_of_rows(X)) == _nan_bits(each.max(axis=0))
+            step, defect = _face_steps_reference(cone, X)
+            got_step, got_defect = cone._face_steps(X)
+            projected = cone.project_rows(X)
+        assert _nan_bits(got_step) == _nan_bits(step)
+        assert _nan_bits(got_defect) == _nan_bits(defect)
+        assert _nan_bits(projected) == _nan_bits(X + step)
