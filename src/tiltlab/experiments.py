@@ -40,6 +40,7 @@ from .spaces import (
     MEMBERSHIP_TOL,
     NormSpec,
     SampleDomain,
+    as_rows,
     first_rows,
     in_ball,
     norm,
@@ -51,6 +52,7 @@ _STREAM_SADDLE_Y = 0xA11
 _STREAM_SADDLE_X = 0xA12
 _PRESCAN_COUNT = 16
 _MATRIX_BLOCK = 4096  # pairs per kernel call of a value matrix
+_SADDLE_BLOCK = 8192  # probe rows per block of verify_saddle
 
 # find_fixed_point's thresholds for residual_ok and row_ok, and the residual
 # above which the fixed point counts as not located.
@@ -464,34 +466,49 @@ def verify_saddle(
     norm_spec: NormSpec | None = None,
 ) -> SaddleCheck:
     """Check J(x_star, y) <= tol over the y grid and J(x, x_star) > -tol over
-    the x grid, with strict positivity beyond ``separation`` of x_star."""
+    the x grid, with strict positivity beyond ``separation`` of x_star.
+
+    Each grid must be a (k, n) array of members of J's domain.  Both are
+    checked and valued in blocks of ``_SADDLE_BLOCK`` rows, whose
+    temporaries stay in cache; a row's values do not depend on its block,
+    and the extremes are taken over the assembled vectors, so the first
+    witness wins as over whole grids."""
     if not J.zero_diagonal:
         raise ValueError("saddle verification requires a zero-diagonal bifunctional")
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     x_star = J.domain.require(x_star, "x_star")
+    n = J.domain.dimension
     if norm_spec is None:
-        norm_spec = NormSpec(J.domain.dimension, 2.0)
-    y_grid = np.asarray(y_grid, dtype=float)
-    x_grid = np.asarray(x_grid, dtype=float)
+        norm_spec = NormSpec(n, 2.0)
+    y_grid = as_rows(y_grid, n, "y_grid")
+    x_grid = as_rows(x_grid, n, "x_grid")
     if len(y_grid) == 0 or len(x_grid) == 0:
         raise InfeasibleTruncation(
             f"saddle checks need probe points: the y grid has {len(y_grid)} "
             f"and the x grid {len(x_grid)}"
         )
 
-    row_vals = J.pairs(x_star[None, :], y_grid)
+    row_vals = np.empty(len(y_grid))
+    for s in range(0, len(y_grid), _SADDLE_BLOCK):
+        Y = y_grid[s : s + _SADDLE_BLOCK]
+        J.domain.require_rows(Y, "y_grid", s)
+        row_vals[s : s + len(Y)] = J.pairs(x_star[None, :], Y)
+    col_vals = np.empty(len(x_grid))
+    far = np.empty(len(x_grid), dtype=bool)
+    for s in range(0, len(x_grid), _SADDLE_BLOCK):
+        X = x_grid[s : s + _SADDLE_BLOCK]
+        J.domain.require_rows(X, "x_grid", s)
+        col_vals[s : s + len(X)] = J.pairs(X, x_star[None, :])
+        far[s : s + len(X)] = norms_of_rows(X - x_star[None, :], norm_spec) >= separation
     iy = int(np.argmax(row_vals))
-    col_vals = J.pairs(x_grid, x_star[None, :])
     ix = int(np.argmin(col_vals))
 
-    dist = norms_of_rows(x_grid - x_star[None, :], norm_spec)
-    far = dist >= separation
-    if far.any():
-        far_vals = col_vals[far]
-        k = int(np.argmin(far_vals))
-        strict_min = float(far_vals[k])
-        strict_witness = tuple(float(v) for v in x_grid[far][k])
+    far_at = np.flatnonzero(far)
+    if len(far_at):
+        i = int(far_at[np.argmin(col_vals[far_at])])
+        strict_min = float(col_vals[i])
+        strict_witness = tuple(float(v) for v in x_grid[i])
         strict_ok = strict_min > 0.0
     else:
         strict_min, strict_witness, strict_ok = None, None, False

@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import FieldError, InfeasibleTruncation
 from .spaces import (
-    FeasibleSet, NormSpec, SampleDomain, ball_bound, in_ball, mesh_rows, norm, norms_of_rows,
-    positive_int,
+    INF, FeasibleSet, NormSpec, SampleDomain, ball_bound, clip_axes, in_ball, mesh_rows, norm,
+    norms_of_rows, positive_int,
 )
 
 _STREAM_STARTS = 0x51A7
@@ -485,7 +485,12 @@ def brute_force_minima(
     of leading axis values per block (a single axis longer than that is cut
     into slices of ``65536 // n`` rows).  Each block is masked by the ball,
     and on other sets by the residual, and its members are gathered with
-    one ``np.compress``.  Every row is masked and valued as it would be in
+    one ``np.compress``.  On a coordinatewise set no norm of a row is
+    taken under p in {1, 2, inf}: under the max norm each axis also keeps
+    only the values inside the ball (:func:`clip_axes`), so every row is a
+    member and nothing is masked, and under p in {1, 2} a block's mask is
+    :meth:`NormFold.mesh_norms` of the tail axes, continued from the fold
+    of its leading tuple.  Every row is masked and valued as it would be in
     any other batch, and the candidates are every member within
     ``value_tolerance`` of the final minimum, so the block edges change
     nothing.  ``objective_rows``, when given, evaluates each block's members
@@ -509,12 +514,16 @@ def brute_force_minima(
     axis = np.linspace(-radius, radius, resolution)
     axes = [axis] * n
     box = domain.coordinatewise
+    clipped = box and norm_spec.p is INF  # the ball is a box too: all rows are members
+    fold = norm_spec.fold if box and not clipped else None  # None under other p
     if box:  # trial[j, i] is the base point with coordinate j set to axis[i]
         trial = np.tile(domain.ray_base, (n, resolution, 1))
         for j in range(n):
             trial[j, :, j] = axis
         passes = domain.violations_of_rows(trial.reshape(-1, n)) <= 1e-12
         axes = [axis[m] for m in passes.reshape(n, resolution)]
+        if clipped:
+            axes = clip_axes(axes, radius, norm_spec)
     evaluations = 0
     best_value = np.inf
     cand_pts: list[np.ndarray] = []
@@ -525,17 +534,30 @@ def brute_force_minima(
     k = 1  # the tail's axes
     while k < n and math.prod(sizes[n - k - 1:]) <= cap:
         k += 1
+    lead_axes, tail_axes = axes[:n - k], axes[n - k:]
     block = np.empty((math.prod(sizes[n - k:]), n))
-    block[:, n - k:] = mesh_rows(axes[n - k:])
+    block[:, n - k:] = mesh_rows(tail_axes)
+    # The fold of each leading tuple's terms, in the order of the tuples.
+    lead_folds = (fold.mesh(lead_axes).ravel() if fold is not None and lead_axes
+                  else itertools.repeat(None))
+    bound = ball_bound(radius)
 
-    for lead in itertools.product(*axes[:n - k]):
+    for lead, lead_fold in zip(itertools.product(*lead_axes), lead_folds):
         block[:, :n - k] = lead
+        if fold is not None:
+            members = fold.mesh_norms(tail_axes, n - k, lead_fold).ravel() <= bound
         for start in range(0, len(block), cap):
             rows = block[start:start + cap]
-            inside = in_ball(rows, radius, norm_spec)
-            if not box:
-                inside &= domain.violations_of_rows(rows) <= 1e-12
-            coords = np.compress(inside, rows, axis=0)
+            if clipped:
+                coords = rows
+            else:
+                if fold is not None:
+                    inside = members[start:start + cap]
+                else:
+                    inside = in_ball(rows, radius, norm_spec)
+                    if not box:
+                        inside &= domain.violations_of_rows(rows) <= 1e-12
+                coords = np.compress(inside, rows, axis=0)
             if len(coords) == 0:
                 continue
             if objective_rows is not None:

@@ -15,7 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -48,6 +48,15 @@ def as_vector(v, dimension, name="vector") -> np.ndarray:
     if arr.ndim != 1 or arr.shape[0] != dimension:
         raise DimensionMismatch(
             f"{name} must be a 1-D vector of length {dimension}, got shape {arr.shape}"
+        )
+    return arr
+
+
+def as_rows(X, dimension, name="rows") -> np.ndarray:
+    arr = np.asarray(X, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != dimension:
+        raise DimensionMismatch(
+            f"{name} must be a (k, {dimension}) array, got shape {arr.shape}"
         )
     return arr
 
@@ -118,6 +127,61 @@ class NormSpec:
             return None
         return _frozen(np.array(self.weights, dtype=float))
 
+    @cached_property
+    def fold(self) -> NormFold | None:
+        """The norm as a fold of per-coordinate terms, under p in {1, 2, inf}."""
+        w = self._weight_array
+        if self.p == 2.0:
+            return NormFold(np.square, np.add, np.sqrt, w)
+        if self.p == 1.0:
+            return NormFold(np.abs, np.add, None, w)
+        if self.p is INF:
+            return NormFold(np.abs, np.maximum, None, w)
+        return None
+
+
+class NormFold(NamedTuple):
+    """A norm under p in {1, 2, inf} as ``finish(fold(ufunc, terms))``.
+
+    Coordinate j's term is ``term(x_j) * w_j`` (no factor when unweighted):
+    |x_j|, or x_j x_j under p = 2; the fold is a sum, or a maximum under
+    p = inf; the finish is a square root under p = 2 and none otherwise.
+    :func:`norms_of_rows` folds each row's terms; :meth:`mesh` folds the
+    terms of each axis of a mesh by broadcasting, the same operations in
+    the same order.
+    """
+
+    term: np.ufunc
+    ufunc: np.ufunc
+    finish: np.ufunc | None
+    weights: np.ndarray | None
+
+    def axis_terms(self, axes, first: int = 0) -> list[np.ndarray]:
+        """Each axis's terms, axis j taken as column ``first + j``."""
+        w = self.weights
+        if w is None:
+            return [self.term(a) for a in axes]
+        return [self.term(a) * w[first + j] for j, a in enumerate(axes)]
+
+    def mesh(self, axes, first: int = 0, start=None) -> np.ndarray:
+        """The folded terms of the rows of ``mesh_rows(axes)``, unfinished,
+        in the mesh's shape: axis j is column ``first + j``, and ``start``,
+        when given, is the fold of the columns before ``first``.  Each
+        axis's terms lie along its own dimension, and folding them in
+        column order by broadcasting makes, per row, the ufunc calls of
+        :func:`fold_rows` on its terms."""
+        n = len(axes)
+        out = start
+        for j, t in enumerate(self.axis_terms(axes, first)):
+            t = t.reshape((1,) * j + (-1,) + (1,) * (n - 1 - j))
+            out = t if out is None else self.ufunc(out, t)
+        return out
+
+    def mesh_norms(self, axes, first: int = 0, start=None) -> np.ndarray:
+        """:meth:`mesh`, finished: the norms of the mesh rows."""
+        folded = self.mesh(axes, first, start)
+        return folded if self.finish is None else self.finish(folded)
+
 
 def norm(v, spec: NormSpec) -> float:
     """The lp (or weighted-lp) norm of ``v`` under ``spec``."""
@@ -175,18 +239,14 @@ def norms_of_rows(X, spec: NormSpec) -> np.ndarray:
         raise DimensionMismatch(
             f"expected a (k, {spec.dimension}) array, got shape {X.shape}"
         )
+    fold = spec.fold
+    if fold is not None:
+        T = fold.term(X) if fold.weights is None else fold.term(X) * fold.weights
+        folded = fold_rows(fold.ufunc, T)
+        return folded if fold.finish is None else fold.finish(folded)
     w = spec._weight_array
-    if spec.p == 2.0:
-        sq = X * X if w is None else X * X * w
-        return np.sqrt(fold_rows(np.add, sq))
     A = np.abs(X)
-    if spec.p is INF:
-        if w is not None:
-            A = A * w
-        return fold_rows(np.maximum, A)
     p = spec.p
-    if p == 1.0:
-        return fold_rows(np.add, A if w is None else A * w)
     m = fold_rows(np.maximum, A)  # NaN if an entry is NaN, else inf if one is inf
     scalable = (m > 0.0) & (m < np.inf)
     # A row of norm 0, inf or NaN is its m; the masks run only when one exists.
@@ -261,6 +321,15 @@ class FeasibleSet:
                 f"{what} is outside the feasible set by {v:.3e} (> {MEMBERSHIP_TOL})"
             )
         return x
+
+    def require_rows(self, X, what: str, first: int) -> None:
+        """:meth:`require` for every row of a (k, dimension) array: the first
+        row it refuses is named ``what row j``, j its index plus ``first``.
+        Rows that all pass cost two array tests; only a failing batch is
+        gated row by row."""
+        if not (np.isfinite(X).all() and (self.violations_of_rows(X) <= MEMBERSHIP_TOL).all()):
+            for i, x in enumerate(X, start=first):
+                self.require(x, f"{what} row {i}")
 
     def project(self, z) -> np.ndarray:
         """One-row :meth:`project_rows`."""
@@ -590,6 +659,35 @@ def mesh_rows(axes) -> np.ndarray:
     return out.reshape(-1, n)
 
 
+def clip_axes(axes, radius, spec: NormSpec) -> list[np.ndarray]:
+    """Under the max norm, each axis's values whose term is within
+    :func:`ball_bound`: the ball is a box, so their mesh is the rows of the
+    mesh of ``axes`` that :func:`in_ball` keeps."""
+    fold, bound = spec.fold, ball_bound(radius)
+    return [a[t <= bound] for a, t in zip(axes, fold.axis_terms(axes))]
+
+
+def ball_mesh(axes, radius, spec: NormSpec) -> np.ndarray:
+    """The rows of ``mesh_rows(axes)`` that :func:`in_ball` keeps, in order,
+    bit for bit.  Under the max norm it is the mesh of :func:`clip_axes`;
+    under p in {1, 2} the mask is :meth:`NormFold.mesh_norms` of the axes,
+    and the members are gathered from the axes with ``np.nonzero``, which
+    lists them in lexicographic order; under other p the whole mesh is
+    masked."""
+    fold = spec.fold
+    if fold is None:
+        pts = mesh_rows(axes)
+        inside = in_ball(pts, radius, spec)
+        return pts if inside.all() else pts[inside]
+    if spec.p is INF:
+        return mesh_rows(clip_axes(axes, radius, spec))
+    members = np.nonzero(fold.mesh_norms(axes) <= ball_bound(radius))
+    pts = np.empty((len(members[0]), len(axes)))
+    for j, (a, i) in enumerate(zip(axes, members)):
+        pts[:, j] = a[i]
+    return pts
+
+
 @dataclass(frozen=True)
 class SampleDomain:
     """Truncated sampling window X intersected with the active-norm ball
@@ -624,21 +722,21 @@ class SampleDomain:
         the mesh of the projected axes, and a row's first occurrence is the
         tuple of its coordinates' first occurrences on their axes.  So the
         axes are projected as the columns of one array, each keeps the first
-        occurrence of each of its values, and the mesh of what they keep is
-        the deduplicated grid, bit for bit, with no projection or dedup of
-        the whole mesh.  Other sets project and dedup the whole mesh.
+        occurrence of each of its values, and the ball's members of the mesh
+        of what they keep (:func:`ball_mesh`) are the grid, bit for bit, with
+        no projection, norm pass or dedup of the whole mesh under p in
+        {1, 2, inf}.  Other sets project and dedup the whole mesh.
         """
         axes = _grid_axes(self.radius, self.resolution, self.domain.dimension)
-        box = self.domain.coordinatewise
-        if box:
+        if self.domain.coordinatewise:
             columns = self.domain.project_rows(np.stack(axes, axis=1)).T
-            pts = mesh_rows([c[np.sort(np.unique(c, return_index=True)[1])] for c in columns])
-        else:
-            pts = self.domain.project_rows(mesh_rows(axes))
+            axes = [c[np.sort(np.unique(c, return_index=True)[1])] for c in columns]
+            return ball_mesh(axes, self.radius, self.norm)
+        pts = self.domain.project_rows(mesh_rows(axes))
         inside = in_ball(pts, self.radius, self.norm)
         if not inside.all():
             pts = pts[inside]
-        if box or len(pts) == 0:
+        if len(pts) == 0:
             return pts
         return pts[first_rows(pts)]
 

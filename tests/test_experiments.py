@@ -23,6 +23,7 @@ from tiltlab import (
     OptimizeConfig,
     Orthant,
     RangeViolation,
+    SaddleCheck,
     TiltedFunctional,
     Verdict,
     analytic_fixed_point,
@@ -33,6 +34,7 @@ from tiltlab import (
     induced_operator_norm,
     minimax_gap,
     norm,
+    norms_of_rows,
     planted_double_well,
     tilted_value,
     verify_saddle,
@@ -626,6 +628,63 @@ def test_verify_saddle_refuses_an_empty_grid():
         verify_saddle(J, [0.0], empty, grid, 1e-9)
     with pytest.raises(InfeasibleTruncation, match="x grid 0"):
         verify_saddle(J, [0.0], grid, empty, 1e-9)
+
+
+def _whole_grid_saddle_check(J, x_star, y_grid, x_grid, tol, separation, norm_spec):
+    """verify_saddle's fields from one kernel call per side over the whole
+    grids: the first witness of each extreme wins."""
+    row = J.pairs(x_star[None, :], y_grid)
+    col = J.pairs(x_grid, x_star[None, :])
+    far = norms_of_rows(x_grid - x_star[None, :], norm_spec) >= separation
+    iy, ix = int(np.argmax(row)), int(np.argmin(col))
+    k = int(np.argmin(col[far]))
+    return SaddleCheck(
+        row_max=float(row[iy]),
+        row_witness=tuple(y_grid[iy].tolist()),
+        column_min=float(col[ix]),
+        column_witness=tuple(x_grid[ix].tolist()),
+        strict_min=float(col[far][k]),
+        strict_witness=tuple(x_grid[far][k].tolist()),
+        row_ok=bool(row[iy] <= tol),
+        column_nonneg_ok=bool(col[ix] > -tol),
+        column_strict_ok=bool(col[far][k] > 0.0),
+        tolerance=tol,
+        separation=separation,
+    )
+
+
+def test_verify_saddle_ties_across_block_edges_keep_the_first_witness():
+    # J(x, y) = h(x) - h(y) from a table of h on the grid values, h(x*) = 0.
+    # The y grid spans three blocks and the x grid three, of other lengths;
+    # the row maximum ties across the first block edge, the column minimum
+    # (two x near x*) too, and the strict minimum across the second.
+    B = experiments._SADDLE_BLOCK
+    x_star = np.array([-1.0])
+    y_t = 10.0 + 0.5 * np.arange(2 * B + 37)
+    y_h = 1.0 + 0.125 * (np.arange(len(y_t)) % 7)
+    y_h[[B - 1, B]] = -0.75
+    x_t = 100.0 + 0.001 * np.arange(3 * B - 5)
+    x_t[[B - 1, B]] = -1.0 + 1e-4, -1.0 + 2e-4
+    x_h = 1.0 + 0.125 * (np.arange(len(x_t)) % 5)
+    x_h[[B - 1, B]] = -0.5
+    x_h[[2 * B - 1, 2 * B, 3 * B - 6]] = 0.25
+    h = dict(zip(np.concatenate((y_t, x_t, x_star)).tolist(),
+                 np.concatenate((y_h, x_h, [0.0])).tolist()))
+
+    def pairs(X, Y):
+        X, Y = np.broadcast_arrays(X, Y)
+        return np.array([h[x] - h[y] for x, y in zip(X[:, 0].tolist(), Y[:, 0].tolist())])
+
+    J = Bifunctional(pairs, FullSpace(1), zero_diagonal=True)
+    y_grid, x_grid = y_t[:, None], x_t[:, None]
+    assert len(y_grid) > 2 * B and len(x_grid) > 2 * B
+    spec = NormSpec(1, 2.0)
+    check = verify_saddle(J, x_star, y_grid, x_grid, 1e-6, 1e-3, spec)
+    assert check == _whole_grid_saddle_check(J, x_star, y_grid, x_grid, 1e-6, 1e-3, spec)
+    assert (check.row_max, check.row_witness) == (0.75, (y_t[B - 1],))
+    assert (check.column_min, check.column_witness) == (-0.5, (x_t[B - 1],))
+    assert (check.strict_min, check.strict_witness) == (0.25, (x_t[2 * B - 1],))
+    assert not check.row_ok and not check.column_nonneg_ok and check.column_strict_ok
 
 
 def test_criterion_identity_on_samples():

@@ -7,6 +7,7 @@ import pytest
 from tiltlab import (
     AffineMap,
     ConeIntersection,
+    DimensionMismatch,
     FullSpace,
     HalfSpace,
     MapFamily,
@@ -23,6 +24,7 @@ from tiltlab import (
     tilted_value,
     verify_saddle,
 )
+from tiltlab import experiments
 
 CFG = OptimizeConfig(coarse_grid=9, multistart=2, budget=20_000, seed=1)
 
@@ -63,6 +65,12 @@ def test_every_entry_point_refuses_a_point_that_is_not_finite(variant, bad):
         "verify_saddle": lambda: verify_saddle(
             F.as_bifunctional(), point, zero[None, :], zero[None, :], 1e-6
         ),
+        "verify_saddle y_grid": lambda: verify_saddle(
+            F.as_bifunctional(), zero, np.vstack((zero, point)), zero[None, :], 1e-6
+        ),
+        "verify_saddle x_grid": lambda: verify_saddle(
+            F.as_bifunctional(), zero, zero[None, :], np.vstack((zero, point)), 1e-6
+        ),
         "search_counterexample": lambda: search_counterexample(
             family, [2.0], domain, np.vstack((zero, point)), CFG
         ),
@@ -72,6 +80,43 @@ def test_every_entry_point_refuses_a_point_that_is_not_finite(variant, bad):
         with pytest.raises(MembershipViolation, match="NaN or infinite"):
             call()
             pytest.fail(f"{name} accepted {point}")
+
+
+def _quarter_map_on(domain) -> TiltedFunctional:
+    mapping = AffineMap(2, matrix=((0.25, 0.0), (0.0, 0.25)), offset=(0.0, 0.0))
+    return TiltedFunctional(NormSpec(2, 2.0), domain, mapping)
+
+
+def test_verify_saddle_refuses_a_probe_grid_that_is_not_k_by_n():
+    J = _quarter_map_on(FullSpace(2)).as_bifunctional()
+    zero, grid = np.zeros(2), np.zeros((3, 2))
+    for bad in (np.zeros(2), np.zeros((3, 3)), np.zeros((2, 3, 2))):
+        with pytest.raises(DimensionMismatch, match=r"^y_grid must be a \(k, 2\) array"):
+            verify_saddle(J, zero, bad, grid, 1e-6)
+        with pytest.raises(DimensionMismatch, match=r"^x_grid must be a \(k, 2\) array"):
+            verify_saddle(J, zero, grid, bad, 1e-6)
+
+
+def test_verify_saddle_names_the_first_probe_row_outside_the_set():
+    # Rows past the first block are named by their index in the whole grid.
+    J = _quarter_map_on(Orthant(2)).as_bifunctional()
+    zero = np.zeros(2)
+    block = experiments._SADDLE_BLOCK
+    grid = np.ones((block + 8, 2))
+    outside, not_finite = grid.copy(), grid.copy()
+    outside[[block + 3, block + 5]] = -3.0
+    not_finite[block + 1, 1] = np.nan
+    not_finite[block + 2, 0] = -np.inf
+    with pytest.raises(MembershipViolation,
+                       match=rf"^y_grid row {block + 3} is outside the feasible set by 3\.000e\+00"):
+        verify_saddle(J, zero, outside, grid, 1e-6)
+    with pytest.raises(MembershipViolation,
+                       match=rf"^x_grid row {block + 3} is outside the feasible set by 3\.000e\+00"):
+        verify_saddle(J, zero, grid, outside, 1e-6)
+    with pytest.raises(MembershipViolation,
+                       match=rf"^x_grid row {block + 1} has a NaN or infinite entry"):
+        verify_saddle(J, zero, grid, not_finite, 1e-6)
+    assert verify_saddle(J, zero, grid, grid, 1e-6).row_ok
 
 
 def test_require_returns_the_vector_and_states_the_violation():

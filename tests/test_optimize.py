@@ -903,7 +903,9 @@ def test_brute_force_equals_a_full_mesh_scan_hypothesis(
 @pytest.mark.parametrize("orthant", [False, True])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, INF])
 def test_brute_force_equals_a_full_mesh_scan_over_many_chunks(p, orthant):
-    # 41^3 grid points make four row chunks of the oracle.
+    # 41^3 grid points: a tail mesh of two axes, 41 blocks.  On full space
+    # and orthants each block's ball mask under l1 and l2 is the mesh form,
+    # continued from its leading value's term; the max norm clips the axes.
     F = _oracle_instance(3, p, orthant, 11)
     res = brute_force_minima(None, F.domain, 2.0, 41, value_tolerance=1e-3,
                              norm_spec=F.norm, objective_rows=F.displacements)
@@ -977,16 +979,24 @@ def test_brute_force_equals_a_full_mesh_scan_in_four_dimensions(domain, resoluti
     assert res.clusters == clusters
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0, INF])
-def test_brute_force_equals_a_full_mesh_scan_under_a_weighted_norm(p):
-    # 301^2 > 65536 // 2: a tail mesh of one axis, 301 blocks.
-    F = _oracle_instance(2, p, True, 19)
+@pytest.mark.parametrize(
+    "p, orthant",
+    [(1.0, True), (2.0, True), (INF, True), (1.0, False), (2.0, False), (INF, False)],
+    ids=["1.0", "2.0", "MaxNorm.INF", "1.0-full_space", "2.0-full_space", "inf-full_space"],
+)
+def test_brute_force_equals_a_full_mesh_scan_under_a_weighted_norm(p, orthant):
+    # 301^2 > 65536 // 2: a tail mesh of one axis, 301 blocks.  Under the
+    # max norm the weight 3 cuts the second axis to |y| <= 2.5 / 3, so the
+    # clipped mesh holds fewer rows than the members of the set.
+    F = _oracle_instance(2, p, orthant, 19)
     F = replace(F, norm=NormSpec(2, p, weights=(0.5, 3.0)))
     res = brute_force_minima(None, F.domain, 2.5, 301, value_tolerance=1e-3,
                              norm_spec=F.norm, objective_rows=F.displacements)
     evaluations, clusters = _full_mesh_scan(F, 2.5, 301, 1e-3, 1e-3)
     assert (res.evaluations, res.global_value) == (evaluations, clusters[0].value)
     assert res.clusters == clusters
+    if p is INF and not orthant:
+        assert evaluations == 301 * 101
 
 
 # On the axis of 33 points over [-2, 2] (spacing 1/8), bounds on nodes,

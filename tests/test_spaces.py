@@ -19,7 +19,17 @@ from tiltlab import (
     norms_of_rows,
     project,
 )
-from tiltlab.spaces import FACE_CAP, PROJECTION_TOL, ball_bound, first_rows, fold_rows, in_ball
+from tiltlab.spaces import (
+    FACE_CAP,
+    PROJECTION_TOL,
+    ball_bound,
+    ball_mesh,
+    clip_axes,
+    first_rows,
+    fold_rows,
+    in_ball,
+    mesh_rows,
+)
 
 SPECS = [
     NormSpec(3, 1.0),
@@ -604,6 +614,51 @@ def test_an_orthant_beyond_the_ball_has_no_grid():
     with pytest.raises(InfeasibleTruncation, match=r"^no feasible grid point inside the ball "
                        r"of radius 2\.0$"):
         window.require_grid()
+
+
+# Axis values that stress the per-axis terms: both zeros, subnormals, values
+# whose squares underflow or overflow, and ordinary ones.
+_AXIS_VALUES = st.floats(-1e3, 1e3) | st.sampled_from(
+    (0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1e-160, -1e-170, 1e155, -1e160, 1.7e308, -1.7e308)
+)
+
+
+@st.composite
+def _fold_norms_and_axes(draw):
+    n = draw(st.integers(1, 5))
+    p = draw(st.sampled_from((1.0, 2.0, INF)))
+    weights = draw(st.none() | st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    length = {1: 9, 2: 7, 3: 5, 4: 4, 5: 3}[n]
+    axes = [np.array(draw(st.lists(_AXIS_VALUES, min_size=0, max_size=length)))
+            for _ in range(n)]
+    radius = draw(st.floats(1e-300, 1e300) | st.sampled_from((1.0, 1e154, 1.7e308)))
+    return NormSpec(n, p, weights=weights), axes, radius
+
+
+@given(_fold_norms_and_axes())
+@settings(max_examples=400, deadline=None)
+def test_the_mesh_form_of_a_norm_keeps_the_row_bits_hypothesis(case):
+    # The per-axis fold makes the ufunc calls of norms_of_rows on the mesh
+    # rows, also continued from the fold of each tuple of leading columns,
+    # and the max-norm clip keeps the rows in_ball keeps.
+    spec, axes, radius = case
+    n = len(axes)
+    with np.errstate(over="ignore", under="ignore"):
+        rows = mesh_rows(axes)
+        norms = norms_of_rows(rows, spec)
+        fold = spec.fold
+        mesh = fold.mesh_norms(axes)
+        assert mesh.shape == tuple(len(a) for a in axes)
+        assert _nan_bits(mesh.ravel()) == _nan_bits(norms)
+        lead = n // 2
+        if lead:
+            tails = [fold.mesh_norms(axes[lead:], lead, start).ravel()
+                     for start in fold.mesh(axes[:lead]).ravel()]
+            assert _nan_bits(np.concatenate([[]] + tails)) == _nan_bits(norms)
+        members = rows[in_ball(rows, radius, spec)]
+        assert _bits(ball_mesh(axes, radius, spec)) == _bits(members)
+        if spec.p is INF:
+            assert _bits(mesh_rows(clip_axes(axes, radius, spec))) == _bits(members)
 
 
 def _reduce_norms(X, spec: NormSpec) -> np.ndarray:
