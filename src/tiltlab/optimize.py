@@ -27,10 +27,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FieldError, InfeasibleTruncation
+from .errors import DimensionMismatch, FieldError, InfeasibleTruncation
 from .spaces import (
-    INF, FeasibleSet, NormSpec, SampleDomain, ball_bound, clip_axes, in_ball, mesh_rows, norm,
-    norms_of_rows, positive_int,
+    FeasibleSet, NormSpec, SampleDomain, ball_bound, mesh_blocks, norm, norms_of_rows,
+    positive_int,
 )
 
 _STREAM_STARTS = 0x51A7
@@ -477,24 +477,15 @@ def brute_force_minima(
     On a coordinatewise set (full space, orthants) a row passes the
     residual test exactly when each of its coordinates does, so each axis
     keeps only the values that pass it (tested with the other coordinates
-    at the set's base point) and the scan walks the mesh of the kept axes,
-    which holds the same members in the same order.  The mesh is scanned
-    in blocks of one tail mesh: the k trailing axes, k the most whose mesh
-    has at most ``65536 // n`` rows (at least one), are written once into a
-    block buffer, and each block sets only the leading columns, one tuple
-    of leading axis values per block (a single axis longer than that is cut
-    into slices of ``65536 // n`` rows).  Each block is masked by the ball,
-    and on other sets by the residual, and its members are gathered with
-    one ``np.compress``.  On a coordinatewise set no norm of a row is
-    taken under p in {1, 2, inf}: under the max norm each axis also keeps
-    only the values inside the ball (:func:`clip_axes`), so every row is a
-    member and nothing is masked, and under p in {1, 2} a block's mask is
-    :meth:`NormFold.mesh_norms` of the tail axes, continued from the fold
-    of its leading tuple.  Every row is masked and valued as it would be in
-    any other batch, and the candidates are every member within
-    ``value_tolerance`` of the final minimum, so the block edges change
-    nothing.  ``objective_rows``, when given, evaluates each block's members
-    in one call and ``objective`` is never called.
+    at the set's base point), and the ball's members of the mesh of the
+    kept axes are the members, in the same order.  The scan takes the
+    ball's members in :func:`mesh_blocks` of at most ``65536 // n`` rows,
+    and on other sets masks each block by the residual.  Every row is
+    masked and valued as it would be in any other batch, and the
+    candidates are every member within ``value_tolerance`` of the final
+    minimum, so the block edges change nothing.  ``objective_rows``, when
+    given, evaluates each block's members in one call and ``objective`` is
+    never called.
     """
     n = domain.dimension
     if not 0.0 < radius < math.inf:
@@ -510,72 +501,44 @@ def brute_force_minima(
         raise ValueError("resolution**dimension exceeds the 1e8 guard")
     if norm_spec is None:
         norm_spec = NormSpec(n, 2.0)
+    if norm_spec.dimension != n:
+        raise DimensionMismatch("set and norm dimensions disagree")
 
     axis = np.linspace(-radius, radius, resolution)
     axes = [axis] * n
     box = domain.coordinatewise
-    clipped = box and norm_spec.p is INF  # the ball is a box too: all rows are members
-    fold = norm_spec.fold if box and not clipped else None  # None under other p
     if box:  # trial[j, i] is the base point with coordinate j set to axis[i]
         trial = np.tile(domain.ray_base, (n, resolution, 1))
         for j in range(n):
             trial[j, :, j] = axis
         passes = domain.violations_of_rows(trial.reshape(-1, n)) <= 1e-12
         axes = [axis[m] for m in passes.reshape(n, resolution)]
-        if clipped:
-            axes = clip_axes(axes, radius, norm_spec)
     evaluations = 0
     best_value = np.inf
     cand_pts: list[np.ndarray] = []
     cand_vals: list[float] = []
 
-    sizes = [len(a) for a in axes]
-    cap = 65536 // n
-    k = 1  # the tail's axes
-    while k < n and math.prod(sizes[n - k - 1:]) <= cap:
-        k += 1
-    lead_axes, tail_axes = axes[:n - k], axes[n - k:]
-    block = np.empty((math.prod(sizes[n - k:]), n))
-    block[:, n - k:] = mesh_rows(tail_axes)
-    # The fold of each leading tuple's terms, in the order of the tuples.
-    lead_folds = (fold.mesh(lead_axes).ravel() if fold is not None and lead_axes
-                  else itertools.repeat(None))
-    bound = ball_bound(radius)
-
-    for lead, lead_fold in zip(itertools.product(*lead_axes), lead_folds):
-        block[:, :n - k] = lead
-        if fold is not None:
-            members = fold.mesh_norms(tail_axes, n - k, lead_fold).ravel() <= bound
-        for start in range(0, len(block), cap):
-            rows = block[start:start + cap]
-            if clipped:
-                coords = rows
-            else:
-                if fold is not None:
-                    inside = members[start:start + cap]
-                else:
-                    inside = in_ball(rows, radius, norm_spec)
-                    if not box:
-                        inside &= domain.violations_of_rows(rows) <= 1e-12
-                coords = np.compress(inside, rows, axis=0)
-            if len(coords) == 0:
-                continue
-            if objective_rows is not None:
-                vals = _values_of_rows(objective_rows, coords)
-            else:
-                vals = np.array([float(objective(x)) for x in coords])
-            evaluations += len(coords)
-            lo = float(vals[first_argmin(vals)])  # a NaN must not stop the pruning
-            if lo < best_value:
-                best_value = lo
-                keep = [
-                    i for i, v in enumerate(cand_vals) if v <= best_value + value_tolerance
-                ]
-                cand_pts = [cand_pts[i] for i in keep]
-                cand_vals = [cand_vals[i] for i in keep]
-            mask = vals <= best_value + value_tolerance
-            cand_pts.extend(coords[mask])
-            cand_vals.extend(float(v) for v in vals[mask])
+    for coords in mesh_blocks(axes, radius, norm_spec, 65536 // n):
+        if not box:
+            coords = np.compress(domain.violations_of_rows(coords) <= 1e-12, coords, axis=0)
+        if len(coords) == 0:
+            continue
+        if objective_rows is not None:
+            vals = _values_of_rows(objective_rows, coords)
+        else:
+            vals = np.array([float(objective(x)) for x in coords])
+        evaluations += len(coords)
+        lo = float(vals[first_argmin(vals)])  # a NaN must not stop the pruning
+        if lo < best_value:
+            best_value = lo
+            keep = [
+                i for i, v in enumerate(cand_vals) if v <= best_value + value_tolerance
+            ]
+            cand_pts = [cand_pts[i] for i in keep]
+            cand_vals = [cand_vals[i] for i in keep]
+        mask = vals <= best_value + value_tolerance
+        cand_pts.extend(coords[mask])
+        cand_vals.extend(float(v) for v in vals[mask])
 
     if evaluations == 0:
         raise InfeasibleTruncation(

@@ -649,43 +649,66 @@ def _grid_axes(radius: float, resolution: int, dimension: int) -> list[np.ndarra
     return [axis] * dimension
 
 
-def mesh_rows(axes) -> np.ndarray:
+def mesh_rows(axes, width: int | None = None) -> np.ndarray:
     """The mesh of ``axes`` as rows in lexicographic index order (the last
-    axis fastest), written into one preallocated (N, n) array."""
+    axis fastest), written into the last columns of one preallocated
+    (N, width) array; ``width`` defaults to ``len(axes)``."""
     n = len(axes)
-    out = np.empty([len(a) for a in axes] + [n])
+    width = width or n
+    out = np.empty([len(a) for a in axes] + [width])
     for j, a in enumerate(axes):
-        out[..., j] = np.reshape(a, (-1,) + (1,) * (n - 1 - j))
-    return out.reshape(-1, n)
+        out[..., width - n + j] = np.reshape(a, (-1,) + (1,) * (n - 1 - j))
+    return out.reshape(-1, width)
 
 
-def clip_axes(axes, radius, spec: NormSpec) -> list[np.ndarray]:
-    """Under the max norm, each axis's values whose term is within
-    :func:`ball_bound`: the ball is a box, so their mesh is the rows of the
-    mesh of ``axes`` that :func:`in_ball` keeps."""
-    fold, bound = spec.fold, ball_bound(radius)
-    return [a[t <= bound] for a, t in zip(axes, fold.axis_terms(axes))]
+def mesh_blocks(axes, radius, spec: NormSpec, cap: int | None = None):
+    """The rows of ``mesh_rows(axes)`` that :func:`in_ball` keeps, in order
+    and bit for bit: one block, or blocks of at most ``cap`` rows.
 
-
-def ball_mesh(axes, radius, spec: NormSpec) -> np.ndarray:
-    """The rows of ``mesh_rows(axes)`` that :func:`in_ball` keeps, in order,
-    bit for bit.  Under the max norm it is the mesh of :func:`clip_axes`;
-    under p in {1, 2} the mask is :meth:`NormFold.mesh_norms` of the axes,
-    and the members are gathered from the axes with ``np.nonzero``, which
-    lists them in lexicographic order; under other p the whole mesh is
-    masked."""
-    fold = spec.fold
-    if fold is None:
-        pts = mesh_rows(axes)
-        inside = in_ball(pts, radius, spec)
-        return pts if inside.all() else pts[inside]
-    if spec.p is INF:
-        return mesh_rows(clip_axes(axes, radius, spec))
-    members = np.nonzero(fold.mesh_norms(axes) <= ball_bound(radius))
-    pts = np.empty((len(members[0]), len(axes)))
-    for j, (a, i) in enumerate(zip(axes, members)):
-        pts[:, j] = a[i]
-    return pts
+    Under the max norm the ball is a box: each axis keeps its values whose
+    term is within :func:`ball_bound`, and nothing is masked.  Under p in
+    {1, 2} the mask is :meth:`NormFold.mesh_norms` of the axes, and under
+    other p :func:`in_ball` of the rows.  One l1 or l2 block gathers its
+    members from the axes with ``np.nonzero``.  Bounded blocks reuse one
+    buffer, the mesh of the k trailing axes, k the most whose mesh has at
+    most ``cap`` rows (at least one; a longer single axis is cut into
+    slices): each tuple of leading values sets the leading columns, and
+    the l1 or l2 mask continues its fold.  Members are gathered with
+    ``np.compress``; a max-norm block is a view of the buffer, which the
+    next block overwrites.
+    """
+    n, fold, bound = len(axes), spec.fold, ball_bound(radius)
+    boxed = spec.p is INF
+    if boxed:
+        axes = [a[t <= bound] for a, t in zip(axes, fold.axis_terms(axes))]
+    folded = fold is not None and not boxed
+    if cap is None and folded:
+        members = np.nonzero(fold.mesh_norms(axes) <= bound)
+        pts = np.empty((len(members[0]), n))
+        for j, (a, i) in enumerate(zip(axes, members)):
+            pts[:, j] = a[i]
+        yield pts
+        return
+    sizes = [len(a) for a in axes]
+    k = n if cap is None else 1  # the tail's axes
+    while k < n and math.prod(sizes[n - k - 1:]) <= cap:
+        k += 1
+    lead_axes, tail_axes = axes[:n - k], axes[n - k:]
+    block = mesh_rows(tail_axes, n)
+    cap = cap or max(len(block), 1)
+    lead_folds = (fold.mesh(lead_axes).ravel() if folded and lead_axes
+                  else itertools.repeat(None))
+    for lead, lead_fold in zip(itertools.product(*lead_axes), lead_folds):
+        block[:, :n - k] = lead
+        if folded:
+            inside = fold.mesh_norms(tail_axes, n - k, lead_fold).ravel() <= bound
+        for start in range(0, max(len(block), 1), cap):
+            rows = block[start:start + cap]
+            if boxed:
+                yield rows
+            else:
+                mask = inside[start:start + cap] if folded else in_ball(rows, radius, spec)
+                yield np.compress(mask, rows, axis=0)
 
 
 @dataclass(frozen=True)
@@ -721,17 +744,19 @@ class SampleDomain:
         On a coordinatewise set (full space, orthants) the projected mesh is
         the mesh of the projected axes, and a row's first occurrence is the
         tuple of its coordinates' first occurrences on their axes.  So the
-        axes are projected as the columns of one array, each keeps the first
-        occurrence of each of its values, and the ball's members of the mesh
-        of what they keep (:func:`ball_mesh`) are the grid, bit for bit, with
-        no projection, norm pass or dedup of the whole mesh under p in
-        {1, 2, inf}.  Other sets project and dedup the whole mesh.
+        axes are projected as the columns of one array; a projected axis
+        never decreases, so it keeps the values that differ from their
+        predecessor; and the grid is :func:`mesh_blocks` of the kept axes as
+        one block, with no projection, norm pass or dedup of the whole mesh
+        under p in {1, 2, inf}.  Other sets project and dedup the whole mesh.
         """
         axes = _grid_axes(self.radius, self.resolution, self.domain.dimension)
         if self.domain.coordinatewise:
             columns = self.domain.project_rows(np.stack(axes, axis=1)).T
-            axes = [c[np.sort(np.unique(c, return_index=True)[1])] for c in columns]
-            return ball_mesh(axes, self.radius, self.norm)
+            first = np.ones(columns.shape, dtype=bool)
+            first[:, 1:] = columns[:, 1:] != columns[:, :-1]
+            axes = [c[m] for c, m in zip(columns, first)]
+            return next(mesh_blocks(axes, self.radius, self.norm))
         pts = self.domain.project_rows(mesh_rows(axes))
         inside = in_ball(pts, self.radius, self.norm)
         if not inside.all():

@@ -1042,6 +1042,20 @@ def test_brute_force_refuses_an_orthant_with_a_bound_beyond_the_radius():
         brute_force_minima(lambda x: 0.0, F.domain, 2.0, 33)
 
 
+@pytest.mark.parametrize("weights", [None, (1.0, 2.0)])
+@pytest.mark.parametrize("variant", ["full_space", "orthant", "half_space", "cone"])
+def test_brute_force_refuses_a_norm_of_another_dimension(variant, weights):
+    # A 2-D norm on a 3-D set is refused before any row is scanned.
+    half, cone = _half_space_and_cone(3)
+    domain = {"full_space": FullSpace(3), "orthant": Orthant(3),
+              "half_space": half, "cone": cone}[variant]
+    calls = []
+    with pytest.raises(DimensionMismatch, match=r"^set and norm dimensions disagree$"):
+        brute_force_minima(None, domain, 2.0, 9, norm_spec=NormSpec(2, 2.0, weights=weights),
+                           objective_rows=lambda X: calls.append(len(X)) or np.zeros(len(X)))
+    assert calls == []
+
+
 def test_brute_force_evaluations_repeat_per_call():
     F = _oracle_instance(3, 2.0, True, 23, lower=_LOWER_BOUNDS["between_nodes"])
     first, again = (

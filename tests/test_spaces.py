@@ -23,11 +23,10 @@ from tiltlab.spaces import (
     FACE_CAP,
     PROJECTION_TOL,
     ball_bound,
-    ball_mesh,
-    clip_axes,
     first_rows,
     fold_rows,
     in_ball,
+    mesh_blocks,
     mesh_rows,
 )
 
@@ -605,6 +604,23 @@ def test_grid_points_dedup_an_axis_that_repeats_a_value(n, monkeypatch):
     assert len(pts) == len(np.unique(axis)) ** n
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, INF])
+@pytest.mark.parametrize("set_", ["full_space", "weighted", "orthant"])
+def test_grid_points_of_large_box_windows_equal_the_unique_formula(set_, p):
+    # 41^3 windows, above the resolutions the hypothesis test draws in 3-D.
+    # The orthant's first bound is -0.0: every axis value below 0 projects
+    # onto it, and the first zero of that run, -0.0, is the one kept (the
+    # node 0.0 projects onto either zero, as np.maximum breaks the tie).
+    weights = (1.0, 1.5, 1.25) if set_ == "weighted" else None
+    domain = Orthant(3, lower=(-0.0, 0.3, -0.7)) if set_ == "orthant" else FullSpace(3)
+    window = SampleDomain(domain, NormSpec(3, p, weights=weights), 2.0, 41)
+    pts, expect = window.grid_points(), _unique_grid(window)
+    assert pts.shape == expect.shape
+    assert _bits(pts) == _bits(expect)
+    if set_ == "orthant":
+        assert pts[0, 0] == 0.0 and np.signbit(pts[0, 0])
+
+
 def test_an_orthant_beyond_the_ball_has_no_grid():
     # The lower bound 2.5 > radius 2 clips the second axis to one value
     # outside the ball: the grid is empty and require_grid refuses it.
@@ -638,9 +654,12 @@ def _fold_norms_and_axes(draw):
 @given(_fold_norms_and_axes())
 @settings(max_examples=400, deadline=None)
 def test_the_mesh_form_of_a_norm_keeps_the_row_bits_hypothesis(case):
-    # The per-axis fold makes the ufunc calls of norms_of_rows on the mesh
-    # rows, also continued from the fold of each tuple of leading columns,
-    # and the max-norm clip keeps the rows in_ball keeps.
+    """The per-axis fold makes the ufunc calls of norms_of_rows on the mesh
+    rows, also continued from the fold of each tuple of leading columns,
+    and mesh_blocks yields the rows in_ball keeps, as one block and in
+    blocks of at most 1, 2 and 7 rows.  A bounded max-norm block is a view
+    of a buffer that the next block overwrites, so each is copied as it is
+    drawn."""
     spec, axes, radius = case
     n = len(axes)
     with np.errstate(over="ignore", under="ignore"):
@@ -656,9 +675,11 @@ def test_the_mesh_form_of_a_norm_keeps_the_row_bits_hypothesis(case):
                      for start in fold.mesh(axes[:lead]).ravel()]
             assert _nan_bits(np.concatenate([[]] + tails)) == _nan_bits(norms)
         members = rows[in_ball(rows, radius, spec)]
-        assert _bits(ball_mesh(axes, radius, spec)) == _bits(members)
-        if spec.p is INF:
-            assert _bits(mesh_rows(clip_axes(axes, radius, spec))) == _bits(members)
+        for cap in (1, 2, 7, None):
+            blocks = [b.copy() for b in mesh_blocks(axes, radius, spec, cap)]
+            assert cap is not None or len(blocks) == 1
+            assert all(len(b) <= (cap or len(rows)) for b in blocks)
+            assert _bits(np.concatenate([np.empty((0, n))] + blocks)) == _bits(members)
 
 
 def _reduce_norms(X, spec: NormSpec) -> np.ndarray:
