@@ -20,8 +20,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, GrowthConditionNotMet
-from .maps import MapSpec, evaluate_rows
-from .spaces import FeasibleSet, NormSpec, as_vector, norm, norms_of_rows
+from .maps import MapSpec, affine_parts, evaluate_rows
+from .spaces import (
+    MEMBERSHIP_TOL, FeasibleSet, FullSpace, NormSpec, as_vector, norm, norms_of_rows,
+    spread_axes,
+)
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,60 @@ def tilted_rows(X, Y, FX, norm_spec: NormSpec) -> np.ndarray:
     ``FX = f(X)``; each side may be one row broadcast against the others.
     Every J value, batched or not, is computed here."""
     return norms_of_rows(X - FX, norm_spec) - norms_of_rows(Y - FX, norm_spec)
+
+
+def mesh_displacements(F: TiltedFunctional, blocks):
+    """Phi in mesh form over each block of a :func:`spaces.mesh_blocks`
+    walk, for an affine or constant map (:func:`maps.affine_parts`) under p
+    in {1, 2, inf}: yields ``(block, phi)``, phi over the block's tail mesh.
+
+    f is folded in column order, as ``raw_rows`` folds it from n = 4 on:
+    the leading values' terms, then each trailing axis's terms, spread once
+    per walk over the flat tail mesh and sliced to the block's run of rows,
+    then the offset.  So a point's value depends on no block edge; up to
+    n = 3 ``raw_rows`` multiplies with BLAS, and the last bits may differ.
+    Phi is the norm's fold of ``x - f``, every coordinate in one (n, rows)
+    array.  f's range check reads each coordinate's least f over the run,
+    as ``fl(lower - v)`` falls as v grows; a block that fails it has its
+    member rows checked by :func:`evaluate_rows`, which raises as the row
+    path does.
+    """
+    At, b = affine_parts(F.mapping)
+    fold, n = F.norm.fold, F.dimension
+    checked = not isinstance(F.domain, FullSpace)
+    offset = b[:, None]
+    weights = None if fold.weights is None else fold.weights[:, None]
+    coords = None
+    for block in blocks:
+        lead, m = block.lead, len(block.axes)
+        d = n - m  # the leading columns
+        if coords is None:  # once per walk: terms[j][k] = x_j * At[d + j, k]
+            coords = np.stack(spread_axes(block.axes))
+            terms = [np.multiply.outer(At[d + j], x) for j, x in enumerate(coords)]
+        run = block.span
+        heads = None  # the leading columns' fold, one value per k
+        for j, v in enumerate(lead):
+            heads = v * At[j] if heads is None else heads + v * At[j]
+        f = terms[0][:, run]
+        f = f.copy() if heads is None else heads[:, None] + f
+        for t in terms[1:]:
+            f += t[:, run]
+        f += offset  # f[k] is f_k over the run
+        if checked and not F.domain.violations_of_rows(
+                f.min(axis=1)[None, :])[0] <= MEMBERSHIP_TOL:
+            evaluate_rows(F.mapping, block.rows(), F.domain)  # raises if a member's f left
+        for j, v in enumerate(lead):
+            np.subtract(v, f[j], out=f[j])
+        np.subtract(coords[:, run], f[d:], out=f[d:])
+        fold.term(f, out=f)
+        if weights is not None:
+            f *= weights
+        phi = f[0] if n == 1 else fold.ufunc(f[0], f[1], out=f[0])
+        for k in range(2, n):
+            fold.ufunc(phi, f[k], out=phi)
+        if fold.finish is not None:
+            fold.finish(phi, out=phi)
+        yield block, phi.reshape([len(a) for a in block.tail])
 
 
 def tilted_value(F: TiltedFunctional, x, y) -> float:

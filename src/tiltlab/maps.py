@@ -226,6 +226,18 @@ def evaluate_rows(map_spec: MapSpec, X: np.ndarray, domain: FeasibleSet) -> np.n
     return values
 
 
+def affine_parts(map_spec: MapSpec) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(At, b)`` with f(x) = x @ At + b, for the affine and constant
+    families: over a box mesh, f is the fold of the per-axis terms
+    ``x_j * At[j]`` and b.  None for every other family."""
+    if isinstance(map_spec, AffineMap):
+        return map_spec._matrix_t, map_spec.offset_array
+    if isinstance(map_spec, ConstantMap):
+        n = map_spec.dimension
+        return np.zeros((n, n)), map_spec.value_array
+    return None
+
+
 class GrowthMethod(enum.Enum):
     ANALYTIC = "analytic"
     SAMPLED = "sampled"

@@ -28,9 +28,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, FieldError, InfeasibleTruncation
+from .functional import TiltedFunctional, mesh_displacements
+from .maps import affine_parts
 from .spaces import (
-    FeasibleSet, NormSpec, SampleDomain, ball_bound, mesh_blocks, norm, norms_of_rows,
-    positive_int,
+    MESH_BLOCK_FLOATS, FeasibleSet, NormSpec, SampleDomain, ball_bound, mesh_blocks, norm,
+    norms_of_rows, positive_int,
 )
 
 _STREAM_STARTS = 0x51A7
@@ -479,13 +481,20 @@ def brute_force_minima(
     keeps only the values that pass it (tested with the other coordinates
     at the set's base point), and the ball's members of the mesh of the
     kept axes are the members, in the same order.  The scan takes the
-    ball's members in :func:`mesh_blocks` of at most ``65536 // n`` rows,
-    and on other sets masks each block by the residual.  Every row is
-    masked and valued as it would be in any other batch, and the
-    candidates are every member within ``value_tolerance`` of the final
-    minimum, so the block edges change nothing.  ``objective_rows``, when
-    given, evaluates each block's members in one call and ``objective`` is
-    never called.
+    ball's members in :func:`mesh_blocks` of at most
+    ``MESH_BLOCK_FLOATS // n`` rows, and on other sets masks each block by
+    the residual.  Every row is masked and valued as it would be in any
+    other batch, and the candidates are every member within
+    ``value_tolerance`` of the final minimum, so the block edges change
+    nothing.  ``objective_rows``, when given, evaluates each block's
+    members in one call and ``objective`` is never called.
+
+    When ``objective_rows`` is a :class:`TiltedFunctional`'s own
+    ``displacements``, with an affine or constant map and p in {1, 2, inf},
+    on box sets, no rows are built: Phi comes in mesh form
+    (:func:`~tiltlab.functional.mesh_displacements`, whose values may differ
+    from the rows' in the last bits), and the candidates from the blocks'
+    member masks and axes.
     """
     n = domain.dimension
     if not 0.0 < radius < math.inf:
@@ -513,22 +522,34 @@ def brute_force_minima(
             trial[j, :, j] = axis
         passes = domain.violations_of_rows(trial.reshape(-1, n)) <= 1e-12
         axes = [axis[m] for m in passes.reshape(n, resolution)]
+    blocks = mesh_blocks(axes, radius, norm_spec, MESH_BLOCK_FLOATS // n)
+    F = getattr(objective_rows, "__self__", None)
+    if (box and isinstance(F, TiltedFunctional) and F.dimension == n
+            and objective_rows.__func__ is TiltedFunctional.displacements
+            and F.domain.coordinatewise and F.norm.fold is not None
+            and affine_parts(F.mapping) is not None):
+        # (values, member mask or None for all, rows at a mask of the values);
+        # a candidate mask is sparse, so its flat indices are found first.
+        scans = ((phi, block.inside, lambda mask, block=block: block.gather(
+                      np.unravel_index(np.flatnonzero(mask), mask.shape)))
+                 for block, phi in mesh_displacements(F, blocks))
+    else:
+        scans = _row_scans(blocks, None if box else domain, objective, objective_rows)
     evaluations = 0
     best_value = np.inf
     cand_pts: list[np.ndarray] = []
     cand_vals: list[float] = []
 
-    for coords in mesh_blocks(axes, radius, norm_spec, 65536 // n):
-        if not box:
-            coords = np.compress(domain.violations_of_rows(coords) <= 1e-12, coords, axis=0)
-        if len(coords) == 0:
+    for vals, inside, rows_at in scans:
+        count = vals.size if inside is None else int(np.count_nonzero(inside))
+        if count == 0:
             continue
-        if objective_rows is not None:
-            vals = _values_of_rows(objective_rows, coords)
-        else:
-            vals = np.array([float(objective(x)) for x in coords])
-        evaluations += len(coords)
-        lo = float(vals[first_argmin(vals)])  # a NaN must not stop the pruning
+        evaluations += count
+        # The least member value (a NaN must not stop the pruning), read
+        # only where the least of all values leaves room for a candidate.
+        lo = float(np.fmin.reduce(vals, axis=None))
+        if inside is not None and lo <= best_value + value_tolerance:
+            lo = float(np.fmin.reduce(vals[inside]))
         if lo < best_value:
             best_value = lo
             keep = [
@@ -536,9 +557,12 @@ def brute_force_minima(
             ]
             cand_pts = [cand_pts[i] for i in keep]
             cand_vals = [cand_vals[i] for i in keep]
-        mask = vals <= best_value + value_tolerance
-        cand_pts.extend(coords[mask])
-        cand_vals.extend(float(v) for v in vals[mask])
+        if lo <= best_value + value_tolerance:
+            mask = vals <= best_value + value_tolerance
+            if inside is not None:
+                mask &= inside
+            cand_pts.extend(rows_at(mask))
+            cand_vals.extend(vals[mask].tolist())
 
     if evaluations == 0:
         raise InfeasibleTruncation(
@@ -555,3 +579,21 @@ def brute_force_minima(
         value_tolerance=float(value_tolerance),
         separation=float(separation),
     )
+
+
+def _row_scans(blocks, residual_set, objective, objective_rows):
+    """Each block's members as rows and their values: ``(values, None,
+    rows at a mask of the values)``, after masking by ``residual_set``'s
+    residual when one is given."""
+    for block in blocks:
+        coords = block.rows()
+        if residual_set is not None:
+            coords = np.compress(
+                residual_set.violations_of_rows(coords) <= 1e-12, coords, axis=0)
+        if len(coords) == 0:
+            continue
+        if objective_rows is not None:
+            vals = _values_of_rows(objective_rows, coords)
+        else:
+            vals = np.array([float(objective(x)) for x in coords])
+        yield vals, None, coords.__getitem__

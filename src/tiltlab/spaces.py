@@ -14,8 +14,8 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
-from typing import ClassVar, NamedTuple
+from functools import cache, cached_property
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -32,6 +32,8 @@ _BROADCAST_CAP = 1 << 16
 
 # Soft cap on materialized grids; protects against accidental huge meshes.
 GRID_POINT_CAP = 20_000_000
+# Floats per bounded block of a box-mesh walk (:func:`mesh_blocks`).
+MESH_BLOCK_FLOATS = 1 << 16
 
 
 class MaxNorm(enum.Enum):
@@ -163,24 +165,24 @@ class NormFold(NamedTuple):
             return [self.term(a) for a in axes]
         return [self.term(a) * w[first + j] for j, a in enumerate(axes)]
 
-    def mesh(self, axes, first: int = 0, start=None) -> np.ndarray:
+    def mesh(self, axes) -> np.ndarray:
         """The folded terms of the rows of ``mesh_rows(axes)``, unfinished,
-        in the mesh's shape: axis j is column ``first + j``, and ``start``,
-        when given, is the fold of the columns before ``first``.  Each
-        axis's terms lie along its own dimension, and folding them in
-        column order by broadcasting makes, per row, the ufunc calls of
-        :func:`fold_rows` on its terms."""
+        in the mesh's shape.  Each axis's terms lie along its own
+        dimension, and folding them in column order by broadcasting makes,
+        per row, the ufunc calls of :func:`fold_rows` on its terms."""
         n = len(axes)
-        out = start
-        for j, t in enumerate(self.axis_terms(axes, first)):
+        out = None
+        for j, t in enumerate(self.axis_terms(axes)):
             t = t.reshape((1,) * j + (-1,) + (1,) * (n - 1 - j))
             out = t if out is None else self.ufunc(out, t)
         return out
 
-    def mesh_norms(self, axes, first: int = 0, start=None) -> np.ndarray:
-        """:meth:`mesh`, finished: the norms of the mesh rows."""
-        folded = self.mesh(axes, first, start)
+    def finished(self, folded) -> np.ndarray:
         return folded if self.finish is None else self.finish(folded)
+
+    def mesh_norms(self, axes) -> np.ndarray:
+        """:meth:`mesh`, finished: the norms of the mesh rows."""
+        return self.finished(self.mesh(axes))
 
 
 def norm(v, spec: NormSpec) -> float:
@@ -325,11 +327,17 @@ class FeasibleSet:
     def require_rows(self, X, what: str, first: int) -> None:
         """:meth:`require` for every row of a (k, dimension) array: the first
         row it refuses is named ``what row j``, j its index plus ``first``.
-        Rows that all pass cost two array tests; only a failing batch is
-        gated row by row."""
-        if not (np.isfinite(X).all() and (self.violations_of_rows(X) <= MEMBERSHIP_TOL).all()):
+        Rows that all pass cost two array tests, their entries' finiteness
+        and :meth:`_residuals_pass`; only a failing batch is gated row by
+        row."""
+        if not (np.isfinite(X).all() and self._residuals_pass(X)):
             for i, x in enumerate(X, start=first):
                 self.require(x, f"{what} row {i}")
+
+    def _residuals_pass(self, X) -> bool:
+        """Whether no row of X violates a constraint by more than
+        :data:`MEMBERSHIP_TOL`; a NaN residual fails."""
+        return bool((self.violations_of_rows(X) <= MEMBERSHIP_TOL).all())
 
     def project(self, z) -> np.ndarray:
         """One-row :meth:`project_rows`."""
@@ -394,6 +402,14 @@ class Orthant(FeasibleSet):
     def violations_of_rows(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         return fold_rows(np.maximum, self._lower_array[None, :] - X)
+
+    def _residuals_pass(self, X) -> bool:
+        # fl(lower_j - x) falls as x grows, so the block's largest residual
+        # is max_j fl(lower_j - min_i X[i, j]), from its column minima.
+        if len(X) == 0:
+            return True
+        least = np.ascontiguousarray(X.T).min(axis=1)
+        return bool((self._lower_array - least).max() <= MEMBERSHIP_TOL)
 
     def project_rows(self, Z) -> np.ndarray:
         return np.maximum(np.asarray(Z, dtype=float), self._lower_array[None, :])
@@ -661,54 +677,139 @@ def mesh_rows(axes, width: int | None = None) -> np.ndarray:
     return out.reshape(-1, width)
 
 
+class MeshBlock(NamedTuple):
+    """One block of :func:`mesh_blocks`: the rows ``(*lead, *t)``, t over
+    the mesh of ``tail``, that the mask ``inside`` keeps (all when None).
+    ``tail`` is the walk's trailing ``axes`` with the first cut to
+    ``first``, so the block is one run, ``span``, of their mesh's rows;
+    ``buffer``, when given, returns those rows, built once per walk."""
+
+    lead: tuple
+    axes: list
+    first: slice
+    inside: np.ndarray | None
+    buffer: Callable[[], np.ndarray] | None
+
+    @property
+    def tail(self) -> list[np.ndarray]:
+        return [self.axes[0][self.first], *self.axes[1:]]
+
+    @property
+    def span(self) -> slice:
+        stride = math.prod(len(a) for a in self.axes[1:])
+        return slice(self.first.start * stride, self.first.stop * stride)
+
+    def gather(self, at) -> np.ndarray:
+        """The rows at tail-mesh indices ``at``, one index array per
+        trailing axis (as ``np.nonzero`` gives them), taken from the axes."""
+        lead = len(self.lead)
+        out = np.empty((len(at[0]), lead + len(at)))
+        if lead:
+            out[:, :lead] = self.lead
+        for j, (a, i) in enumerate(zip(self.tail, at), start=lead):
+            out[:, j] = a[i]
+        return out
+
+    def rows(self) -> np.ndarray:
+        """The members as rows: with a buffer, compressed from its span
+        (maybe a view, which the next block overwrites)."""
+        if self.buffer is None:
+            if self.inside is None:
+                return mesh_rows(self.tail)
+            return self.gather(np.nonzero(self.inside))
+        buffer = self.buffer()
+        buffer[:, :len(self.lead)] = self.lead
+        rows = buffer[self.span]
+        return rows if self.inside is None else np.compress(self.inside.ravel(), rows, axis=0)
+
+
+def spread_axes(axes) -> list[np.ndarray]:
+    """Each axis's values at the rows of ``mesh_rows(axes)``, in order: the
+    columns of the mesh, each a contiguous array."""
+    shape = [len(a) for a in axes]
+    return [np.broadcast_to(np.reshape(a, (-1,) + (1,) * (len(axes) - 1 - j)), shape).ravel()
+            for j, a in enumerate(axes)]
+
+
 def mesh_blocks(axes, radius, spec: NormSpec, cap: int | None = None):
     """The rows of ``mesh_rows(axes)`` that :func:`in_ball` keeps, in order
-    and bit for bit: one block, or blocks of at most ``cap`` rows.
+    and bit for bit, as :class:`MeshBlock` s: one block, or blocks of at
+    most ``cap`` rows.
 
     Under the max norm the ball is a box: each axis keeps its values whose
     term is within :func:`ball_bound`, and nothing is masked.  Under p in
     {1, 2} the mask is :meth:`NormFold.mesh_norms` of the axes, and under
-    other p :func:`in_ball` of the rows.  One l1 or l2 block gathers its
-    members from the axes with ``np.nonzero``.  Bounded blocks reuse one
-    buffer, the mesh of the k trailing axes, k the most whose mesh has at
-    most ``cap`` rows (at least one; a longer single axis is cut into
-    slices): each tuple of leading values sets the leading columns, and
-    the l1 or l2 mask continues its fold.  Members are gathered with
-    ``np.compress``; a max-norm block is a view of the buffer, which the
-    next block overwrites.
+    other p :func:`in_ball` of the rows.  Bounded blocks walk the mesh of
+    the k trailing axes, k the most whose mesh has at most ``cap`` rows (at
+    least one; a longer single axis is cut into slices), once per tuple of
+    leading values.  Under l1 and l2 a block first cuts its first trailing
+    axis to the values some member takes: those whose row with every later
+    term at its axis's least is inside, as each fold step and the finish
+    are monotone.  Its mask continues the leading values' fold over the
+    run left, each term spread over the mesh; a block without members is
+    skipped.
     """
     n, fold, bound = len(axes), spec.fold, ball_bound(radius)
     boxed = spec.p is INF
     if boxed:
         axes = [a[t <= bound] for a, t in zip(axes, fold.axis_terms(axes))]
     folded = fold is not None and not boxed
-    if cap is None and folded:
-        members = np.nonzero(fold.mesh_norms(axes) <= bound)
-        pts = np.empty((len(members[0]), n))
-        for j, (a, i) in enumerate(zip(axes, members)):
-            pts[:, j] = a[i]
-        yield pts
-        return
     sizes = [len(a) for a in axes]
-    k = n if cap is None else 1  # the tail's axes
+    if cap is None:
+        whole = slice(0, sizes[0])
+        if folded:
+            yield MeshBlock((), axes, whole, fold.mesh_norms(axes) <= bound, None)
+        elif boxed:
+            yield MeshBlock((), axes, whole, None, None)
+        else:
+            rows = mesh_rows(axes)
+            inside = in_ball(rows, radius, spec).reshape(sizes)
+            yield MeshBlock((), axes, whole, inside, lambda: rows)
+        return
+    if not all(sizes):
+        return
+    k = 1  # the tail's axes
     while k < n and math.prod(sizes[n - k - 1:]) <= cap:
         k += 1
     lead_axes, tail_axes = axes[:n - k], axes[n - k:]
-    block = mesh_rows(tail_axes, n)
-    cap = cap or max(len(block), 1)
+    buffer = cache(lambda: mesh_rows(tail_axes, n))
+    length, stride = sizes[n - k], math.prod(sizes[n - k + 1:])
+    # A single tail axis is cut into slices of cap rows; a longer tail fits.
+    cuts = range(0, length, cap) if k == 1 else [0]
+    if folded:
+        terms = fold.axis_terms(tail_axes, n - k)
+        least = [t.min() for t in terms[1:]]
+        spread = spread_axes(terms)
     lead_folds = (fold.mesh(lead_axes).ravel() if folded and lead_axes
                   else itertools.repeat(None))
     for lead, lead_fold in zip(itertools.product(*lead_axes), lead_folds):
-        block[:, :n - k] = lead
+        lo, hi = 0, length
         if folded:
-            inside = fold.mesh_norms(tail_axes, n - k, lead_fold).ravel() <= bound
-        for start in range(0, max(len(block), 1), cap):
-            rows = block[start:start + cap]
-            if boxed:
-                yield rows
+            acc = terms[0] if lead_fold is None else fold.ufunc(lead_fold, terms[0])
+            for low in least:
+                acc = fold.ufunc(acc, low)
+            taken = np.nonzero(fold.finished(acc) <= bound)[0]
+            if not len(taken):
+                continue
+            lo, hi = int(taken[0]), int(taken[-1]) + 1
+        for start in cuts:
+            first = slice(max(lo, start), min(hi, start + cap) if k == 1 else hi)
+            if first.start >= first.stop:
+                continue
+            shape = [first.stop - first.start] + sizes[n - k + 1:]
+            run = slice(first.start * stride, first.stop * stride)
+            if folded:
+                acc = lead_fold
+                for t in spread:
+                    acc = t[run] if acc is None else fold.ufunc(acc, t[run])
+                inside = (fold.finished(acc) <= bound).reshape(shape)
+            elif boxed:
+                inside = None
             else:
-                mask = inside[start:start + cap] if folded else in_ball(rows, radius, spec)
-                yield np.compress(mask, rows, axis=0)
+                rows = buffer()
+                rows[:, :n - k] = lead
+                inside = in_ball(rows[run], radius, spec).reshape(shape)
+            yield MeshBlock(lead, tail_axes, first, inside, buffer)
 
 
 @dataclass(frozen=True)
@@ -746,17 +847,24 @@ class SampleDomain:
         tuple of its coordinates' first occurrences on their axes.  So the
         axes are projected as the columns of one array; a projected axis
         never decreases, so it keeps the values that differ from their
-        predecessor; and the grid is :func:`mesh_blocks` of the kept axes as
-        one block, with no projection, norm pass or dedup of the whole mesh
-        under p in {1, 2, inf}.  Other sets project and dedup the whole mesh.
+        predecessor; and the grid is :func:`mesh_blocks` of the kept axes,
+        with no projection or dedup of the whole mesh: one block under p in
+        {1, 2, inf}, with no norm pass, and bounded blocks joined under
+        other p, so that no norm pass spans the whole mesh.  Other sets
+        project and dedup the whole mesh.
         """
-        axes = _grid_axes(self.radius, self.resolution, self.domain.dimension)
+        n = self.domain.dimension
+        axes = _grid_axes(self.radius, self.resolution, n)
         if self.domain.coordinatewise:
             columns = self.domain.project_rows(np.stack(axes, axis=1)).T
             first = np.ones(columns.shape, dtype=bool)
             first[:, 1:] = columns[:, 1:] != columns[:, :-1]
             axes = [c[m] for c, m in zip(columns, first)]
-            return next(mesh_blocks(axes, self.radius, self.norm))
+            if self.norm.fold is not None:
+                return next(mesh_blocks(axes, self.radius, self.norm)).rows()
+            # Other p mask rows: bounded blocks, each gathered as it is drawn.
+            blocks = mesh_blocks(axes, self.radius, self.norm, MESH_BLOCK_FLOATS // n)
+            return np.concatenate([np.empty((0, n))] + [b.rows() for b in blocks])
         pts = self.domain.project_rows(mesh_rows(axes))
         inside = in_ball(pts, self.radius, self.norm)
         if not inside.all():

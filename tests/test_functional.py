@@ -28,6 +28,9 @@ from tiltlab import (
     tilted_value,
 )
 from tiltlab.experiments import _transposed, effective_growth_bound
+from tiltlab.functional import mesh_displacements
+from tiltlab.maps import affine_parts
+from tiltlab.spaces import mesh_blocks
 
 
 def quarter_map():
@@ -375,3 +378,69 @@ def test_phi_where_an_affine_map_overflows_is_inf_under_every_p(p):
     )
     with np.errstate(over="ignore"):
         assert F.displacements(np.array([[1e10, 1.0]]))[0] == np.inf
+
+
+@st.composite
+def _mesh_phi_cases(draw):
+    """An affine or constant J on full space or on an orthant with a nonzero
+    lower bound, under p in {1, 2, inf}, weighted or not, and the axes of a
+    small oracle grid: each keeps the values of the set, as the oracle's do."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.sampled_from((1.0, 2.0, INF)))
+    weights = draw(st.none() | st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n))
+    orthant = draw(st.booleans())
+    lower = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    entries = st.floats(0.0, 0.5) if orthant else st.floats(-2.0, 2.0)
+    A = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    lift = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)))
+    if draw(st.booleans()):  # A >= 0 sends x >= lower to A lower + b = lower + lift
+        mapping = AffineMap(n, matrix=tuple(map(tuple, A)), offset=tuple(lower + lift - A @ lower))
+    else:
+        mapping = ConstantMap(n, value=tuple(lower + lift))
+    domain = Orthant(n, lower=tuple(lower)) if orthant else FullSpace(n)
+    F = TiltedFunctional(NormSpec(n, p, weights=weights), domain, mapping)
+    radius = draw(st.floats(0.5, 4.0))
+    axis = np.linspace(-radius, radius, draw(st.integers(2, {1: 40, 2: 12, 3: 7, 4: 5}[n])))
+    floor = lower if orthant else np.full(n, -np.inf)
+    axes = [axis[axis >= lo - 1e-12] for lo in floor]
+    return F, axes, radius, draw(st.sampled_from((1, 5, 64, 65536)))
+
+
+@given(_mesh_phi_cases())
+@settings(max_examples=200, deadline=None)
+def test_mesh_phi_is_within_a_few_ulps_of_the_rows_hypothesis(case):
+    """Phi in mesh form over each block of the walk, against
+    ``F.displacements`` of the block's rows.  Both fold f's products in
+    some order, then the norm; each step is within an ulp of its operands,
+    so the two values differ by at most 4 (n + 1) ulps of the row's scale
+    ``||x|| + || |A| |x| || + ||b||``.  From n = 4 on the rows fold f in
+    column order too, and a constant map needs no product: there the bits
+    are equal."""
+    F, axes, radius, cap = case
+    n = F.dimension
+    At, b = affine_parts(F.mapping)
+    count = 0
+    for block, phi in mesh_displacements(F, mesh_blocks(axes, radius, F.norm, cap)):
+        X = block.rows().copy()
+        mesh = phi.ravel() if block.inside is None else phi[block.inside]
+        rows = F.displacements(X)
+        scale = (norms_of_rows(X, F.norm) + norms_of_rows(np.abs(X) @ np.abs(At), F.norm)
+                 + norm(b, F.norm))
+        assert np.all(np.abs(mesh - rows) <= 4 * (n + 1) * np.finfo(float).eps * scale)
+        if n >= 4 or isinstance(F.mapping, ConstantMap):
+            assert _bits(mesh) == _bits(rows)
+        count += len(X)
+    assert count == len(next(mesh_blocks(axes, radius, F.norm)).rows())
+
+
+def test_mesh_phi_keeps_the_range_check_on_orthants():
+    # f(0, 0) = (-1, -1) leaves the orthant: the mesh form raises what the
+    # rows raise, with the worst member of the first failing block.
+    aff = AffineMap(2, matrix=((0.5, 0.0), (0.0, 0.5)), offset=(-1.0, -1.0))
+    F = TiltedFunctional(NormSpec(2, 2.0), Orthant(2), aff)
+    axis = np.array([0.0, 1.0, 3.0, 4.0])
+    with pytest.raises(RangeViolation) as caught:
+        list(mesh_displacements(F, mesh_blocks([axis, axis], 6.0, F.norm, 4)))
+    assert list(caught.value.point) == [0.0, 0.0]
+    assert list(caught.value.value) == [-1.0, -1.0]
+    assert caught.value.violation == 1.0

@@ -14,7 +14,9 @@ from helpers import affine_instance, rows_of
 from tiltlab import (
     INF,
     AffineMap,
+    BoundedPerturbedMap,
     ConeIntersection,
+    ConstantMap,
     DimensionMismatch,
     FullSpace,
     HalfSpace,
@@ -23,6 +25,7 @@ from tiltlab import (
     OptimizeConfig,
     Orthant,
     ProjectedMap,
+    RangeViolation,
     SampleDomain,
     SearchStatus,
     TiltedFunctional,
@@ -34,9 +37,12 @@ from tiltlab import (
     norms_of_rows,
     planted_double_well,
 )
+from tiltlab.functional import mesh_displacements
+from tiltlab.maps import affine_parts
 from tiltlab.optimize import (
     _Budget, _cluster, direction_set, global_minimize_batch, pattern_search,
 )
+from tiltlab.spaces import MEMBERSHIP_TOL, MESH_BLOCK_FLOATS, MeshBlock, mesh_blocks
 
 
 def double_well(X):
@@ -846,10 +852,14 @@ def test_a_rows_objective_of_the_wrong_shape_is_refused(bad, shape):
         brute_force_minima(None, FullSpace(1), 1.0, 7, objective_rows=bad)
 
 
-def _full_mesh_scan(F: TiltedFunctional, radius, resolution, tolerance, separation):
+def _full_mesh_scan(F: TiltedFunctional, radius, resolution, tolerance, separation,
+                    path="rows"):
     """The oracle written as one pass over the whole mesh: every grid point in
     index order, the members of the set inside the ball, Phi on them, and
-    the points within ``tolerance`` of the least value clustered."""
+    the points within ``tolerance`` of the least value clustered.  Phi is
+    ``F.displacements`` of the rows, or under ``path="mesh"``, where the
+    oracle's mesh form applies, the mesh kernel's over the whole mesh as
+    one block."""
     n = F.norm.dimension
     axis = np.linspace(-radius, radius, resolution)
     mesh = np.meshgrid(*[axis] * n, indexing="ij")
@@ -857,11 +867,32 @@ def _full_mesh_scan(F: TiltedFunctional, radius, resolution, tolerance, separati
     inside = (F.domain.violations_of_rows(pts) <= 1e-12) & (
         norms_of_rows(pts, F.norm) <= radius + 1e-12 * max(1.0, radius)
     )
+    if path == "mesh" and _mesh_form_applies(F):
+        block = MeshBlock((), [axis] * n, slice(0, resolution),
+                          inside.reshape((resolution,) * n), None)
+        [(_, phi)] = mesh_displacements(F, [block])
+        vals = phi.ravel()[inside]
+    else:
+        vals = F.displacements(pts[inside])
     pts = pts[inside]
-    vals = F.displacements(pts)
     near = vals <= np.nanmin(vals) + tolerance
     clusters = _cluster(list(pts[near]), vals[near].tolist(), tolerance, separation, F.norm)
     return len(pts), clusters
+
+
+def _mesh_form_applies(F: TiltedFunctional) -> bool:
+    return (F.domain.coordinatewise and F.norm.fold is not None
+            and affine_parts(F.mapping) is not None)
+
+
+# The oracle's two paths for Phi: rows, taken for any callable but F's own
+# displacements, and the mesh form, taken for F.displacements where it applies.
+_PATHS = {"rows": lambda F: (lambda X: F.displacements(X)), "mesh": lambda F: F.displacements}
+
+
+def _oracle(F: TiltedFunctional, radius, resolution, path, **kwargs):
+    return brute_force_minima(None, F.domain, radius, resolution, norm_spec=F.norm,
+                              objective_rows=_PATHS[path](F), **kwargs)
 
 
 def _oracle_instance(n, p, orthant, seed, lower=None):
@@ -888,13 +919,13 @@ def _oracle_instance(n, p, orthant, seed, lower=None):
     st.floats(0.5, 3.0),
 )
 @settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("path", list(_PATHS))
 def test_brute_force_equals_a_full_mesh_scan_hypothesis(
-    n, p, orthant, seed, resolution, radius
+    path, n, p, orthant, seed, resolution, radius
 ):
     F = _oracle_instance(n, p, orthant, seed)
-    res = brute_force_minima(None, F.domain, radius, resolution, norm_spec=F.norm,
-                             objective_rows=F.displacements)
-    evaluations, clusters = _full_mesh_scan(F, radius, resolution, 1e-6, 1e-3)
+    res = _oracle(F, radius, resolution, path)
+    evaluations, clusters = _full_mesh_scan(F, radius, resolution, 1e-6, 1e-3, path)
     assert res.evaluations == evaluations
     assert res.global_value == clusters[0].value
     assert res.clusters == clusters
@@ -902,29 +933,29 @@ def test_brute_force_equals_a_full_mesh_scan_hypothesis(
 
 @pytest.mark.parametrize("orthant", [False, True])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, INF])
-def test_brute_force_equals_a_full_mesh_scan_over_many_chunks(p, orthant):
+@pytest.mark.parametrize("path", list(_PATHS))
+def test_brute_force_equals_a_full_mesh_scan_over_many_chunks(path, p, orthant):
     # 41^3 grid points: a tail mesh of two axes, 41 blocks.  On full space
     # and orthants each block's ball mask under l1 and l2 is the mesh form,
     # continued from its leading value's term; the max norm clips the axes.
     F = _oracle_instance(3, p, orthant, 11)
-    res = brute_force_minima(None, F.domain, 2.0, 41, value_tolerance=1e-3,
-                             norm_spec=F.norm, objective_rows=F.displacements)
-    evaluations, clusters = _full_mesh_scan(F, 2.0, 41, 1e-3, 1e-3)
+    res = _oracle(F, 2.0, 41, path, value_tolerance=1e-3)
+    evaluations, clusters = _full_mesh_scan(F, 2.0, 41, 1e-3, 1e-3, path)
     assert (res.evaluations, res.global_value) == (evaluations, clusters[0].value)
     assert res.clusters == clusters
 
 
 @pytest.mark.parametrize("value_tolerance", [1e-6, 1e-3])
-def test_brute_force_equals_a_full_mesh_scan_across_slices_of_one_axis(value_tolerance):
+@pytest.mark.parametrize("path", list(_PATHS))
+def test_brute_force_equals_a_full_mesh_scan_across_slices_of_one_axis(path, value_tolerance):
     # 70,001 points on one axis make two slices of 65,536 and 4,465 rows;
     # Phi = |x - x*| / 2 puts x* on the slice edge, so with the wider
     # tolerance the candidates straddle it.
     edge = -1.5 + 65536 * 3.0 / 70000
     F = TiltedFunctional(NormSpec(1, 2.0), FullSpace(1),
                          AffineMap(1, matrix=((0.5,),), offset=(0.5 * edge,)))
-    res = brute_force_minima(None, F.domain, 1.5, 70001, value_tolerance=value_tolerance,
-                             norm_spec=F.norm, objective_rows=F.displacements)
-    evaluations, clusters = _full_mesh_scan(F, 1.5, 70001, value_tolerance, 1e-3)
+    res = _oracle(F, 1.5, 70001, path, value_tolerance=value_tolerance)
+    evaluations, clusters = _full_mesh_scan(F, 1.5, 70001, value_tolerance, 1e-3, path)
     assert evaluations == 70001
     assert (res.evaluations, res.global_value) == (evaluations, clusters[0].value)
     assert res.clusters == clusters
@@ -947,14 +978,14 @@ def _projected_onto(F: TiltedFunctional, domain) -> TiltedFunctional:
 
 @pytest.mark.parametrize("variant", ["half_space", "cone"])
 @pytest.mark.parametrize("p", [1.5, INF])
-def test_brute_force_equals_a_full_mesh_scan_on_half_spaces_and_cones(p, variant):
+@pytest.mark.parametrize("path", list(_PATHS))
+def test_brute_force_equals_a_full_mesh_scan_on_half_spaces_and_cones(path, p, variant):
     # 41^3 points: a tail mesh of two axes, 41 blocks.
     half, cone = _half_space_and_cone(3)
     F = _projected_onto(_oracle_instance(3, p, False, 13),
                         half if variant == "half_space" else cone)
-    res = brute_force_minima(None, F.domain, 2.0, 41, value_tolerance=1e-3,
-                             norm_spec=F.norm, objective_rows=F.displacements)
-    evaluations, clusters = _full_mesh_scan(F, 2.0, 41, 1e-3, 1e-3)
+    res = _oracle(F, 2.0, 41, path, value_tolerance=1e-3)
+    evaluations, clusters = _full_mesh_scan(F, 2.0, 41, 1e-3, 1e-3, path)
     assert 0 < evaluations < 41 ** 3
     assert (res.evaluations, res.global_value) == (evaluations, clusters[0].value)
     assert res.clusters == clusters
@@ -964,7 +995,8 @@ def test_brute_force_equals_a_full_mesh_scan_on_half_spaces_and_cones(p, variant
     "domain, resolution",
     [("full_space", 13), ("orthant", 13), ("cone", 13), ("orthant", 26), ("full_space", 26)],
 )
-def test_brute_force_equals_a_full_mesh_scan_in_four_dimensions(domain, resolution):
+@pytest.mark.parametrize("path", list(_PATHS))
+def test_brute_force_equals_a_full_mesh_scan_in_four_dimensions(path, domain, resolution):
     # 13^3 <= 65536 // 4 < 13^4: a tail mesh of three axes, 13 blocks;
     # 26^2 <= 65536 // 4 < 26^3: two axes, and two leading columns per block.
     # The orthant keeps the 7 and 13 nonnegative values of each axis, whose
@@ -972,9 +1004,8 @@ def test_brute_force_equals_a_full_mesh_scan_in_four_dimensions(domain, resoluti
     F = _oracle_instance(4, 2.0, domain == "orthant", 17)
     if domain == "cone":
         F = _projected_onto(F, _half_space_and_cone(4)[1])
-    res = brute_force_minima(None, F.domain, 1.5, resolution, value_tolerance=1e-2,
-                             norm_spec=F.norm, objective_rows=F.displacements)
-    evaluations, clusters = _full_mesh_scan(F, 1.5, resolution, 1e-2, 1e-3)
+    res = _oracle(F, 1.5, resolution, path, value_tolerance=1e-2)
+    evaluations, clusters = _full_mesh_scan(F, 1.5, resolution, 1e-2, 1e-3, path)
     assert (res.evaluations, res.global_value) == (evaluations, clusters[0].value)
     assert res.clusters == clusters
 
@@ -984,15 +1015,15 @@ def test_brute_force_equals_a_full_mesh_scan_in_four_dimensions(domain, resoluti
     [(1.0, True), (2.0, True), (INF, True), (1.0, False), (2.0, False), (INF, False)],
     ids=["1.0", "2.0", "MaxNorm.INF", "1.0-full_space", "2.0-full_space", "inf-full_space"],
 )
-def test_brute_force_equals_a_full_mesh_scan_under_a_weighted_norm(p, orthant):
+@pytest.mark.parametrize("path", list(_PATHS))
+def test_brute_force_equals_a_full_mesh_scan_under_a_weighted_norm(path, p, orthant):
     # 301^2 > 65536 // 2: a tail mesh of one axis, 301 blocks.  Under the
     # max norm the weight 3 cuts the second axis to |y| <= 2.5 / 3, so the
     # clipped mesh holds fewer rows than the members of the set.
     F = _oracle_instance(2, p, orthant, 19)
     F = replace(F, norm=NormSpec(2, p, weights=(0.5, 3.0)))
-    res = brute_force_minima(None, F.domain, 2.5, 301, value_tolerance=1e-3,
-                             norm_spec=F.norm, objective_rows=F.displacements)
-    evaluations, clusters = _full_mesh_scan(F, 2.5, 301, 1e-3, 1e-3)
+    res = _oracle(F, 2.5, 301, path, value_tolerance=1e-3)
+    evaluations, clusters = _full_mesh_scan(F, 2.5, 301, 1e-3, 1e-3, path)
     assert (res.evaluations, res.global_value) == (evaluations, clusters[0].value)
     assert res.clusters == clusters
     if p is INF and not orthant:
@@ -1010,23 +1041,23 @@ _LOWER_BOUNDS = {
 
 @pytest.mark.parametrize("lower", list(_LOWER_BOUNDS))
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, INF])
-def test_brute_force_equals_a_full_mesh_scan_on_orthants_with_lower_bounds(p, lower):
+@pytest.mark.parametrize("path", list(_PATHS))
+def test_brute_force_equals_a_full_mesh_scan_on_orthants_with_lower_bounds(path, p, lower):
     F = _oracle_instance(3, p, True, 23, lower=_LOWER_BOUNDS[lower])
-    res = brute_force_minima(None, F.domain, 2.0, 33, value_tolerance=1e-3,
-                             norm_spec=F.norm, objective_rows=F.displacements)
-    evaluations, clusters = _full_mesh_scan(F, 2.0, 33, 1e-3, 1e-3)
+    res = _oracle(F, 2.0, 33, path, value_tolerance=1e-3)
+    evaluations, clusters = _full_mesh_scan(F, 2.0, 33, 1e-3, 1e-3, path)
     assert 0 < evaluations < 33 ** 3
     assert (res.evaluations, res.global_value) == (evaluations, clusters[0].value)
     assert res.clusters == clusters
 
 
 @pytest.mark.parametrize("lower", list(_LOWER_BOUNDS))
-def test_brute_force_equals_a_full_mesh_scan_on_orthants_under_a_weighted_norm(lower):
+@pytest.mark.parametrize("path", list(_PATHS))
+def test_brute_force_equals_a_full_mesh_scan_on_orthants_under_a_weighted_norm(path, lower):
     F = _oracle_instance(3, 1.5, True, 29, lower=_LOWER_BOUNDS[lower])
     F = replace(F, norm=NormSpec(3, 1.5, weights=(0.5, 3.0, 1.25)))
-    res = brute_force_minima(None, F.domain, 2.0, 33, value_tolerance=1e-3,
-                             norm_spec=F.norm, objective_rows=F.displacements)
-    evaluations, clusters = _full_mesh_scan(F, 2.0, 33, 1e-3, 1e-3)
+    res = _oracle(F, 2.0, 33, path, value_tolerance=1e-3)
+    evaluations, clusters = _full_mesh_scan(F, 2.0, 33, 1e-3, 1e-3, path)
     assert (res.evaluations, res.global_value) == (evaluations, clusters[0].value)
     assert res.clusters == clusters
 
@@ -1064,3 +1095,92 @@ def test_brute_force_evaluations_repeat_per_call():
         for _ in range(2)
     )
     assert first == again
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this path must not run")
+
+
+@pytest.mark.parametrize("case", ["lambda", "bounded", "projected", "p=1.5", "cone"])
+def test_the_oracle_keeps_the_row_path_outside_the_mesh_form(case, monkeypatch):
+    # Any callable but F's own displacements, a map of another family, a
+    # norm outside p in {1, 2, inf} and a set that is not a box are scanned
+    # by rows, as before: the mesh kernel is never called, and counts and
+    # bits equal the row reference.
+    import tiltlab.optimize as optimize
+
+    F = _oracle_instance(3, 2.0, False, 37)
+    if case == "bounded":
+        F = replace(F, mapping=BoundedPerturbedMap(
+            3, matrix=F.mapping.matrix, offset=F.mapping.offset, amplitude=0.05))
+    elif case == "projected":
+        F = replace(F, mapping=ProjectedMap(3, inner=F.mapping))
+    elif case == "p=1.5":
+        F = replace(F, norm=NormSpec(3, 1.5))
+    elif case == "cone":
+        F = _projected_onto(F, _half_space_and_cone(3)[1])
+    evaluations, clusters = _full_mesh_scan(F, 2.0, 25, 1e-3, 1e-3)
+    monkeypatch.setattr(optimize, "mesh_displacements", _refuse)
+    res = _oracle(F, 2.0, 25, "rows" if case == "lambda" else "mesh", value_tolerance=1e-3)
+    assert (res.evaluations, res.global_value) == (evaluations, clusters[0].value)
+    assert res.clusters == clusters
+
+
+@pytest.mark.parametrize("orthant", [False, True])
+@pytest.mark.parametrize("family", ["affine", "constant"])
+def test_the_mesh_path_builds_no_rows(family, orthant, monkeypatch):
+    # F's own displacements with an affine or constant map on a box set are
+    # scanned in mesh form: neither the map's rows nor a block's rows are
+    # built, and the result is the one-block mesh reference's, bit for bit.
+    F = _oracle_instance(3, 1.0, orthant, 41, lower=[0.25, -0.5, 0.0] if orthant else None)
+    if family == "constant":
+        F = replace(F, mapping=ConstantMap(3, value=(0.5, 0.25, 1.0)))
+    evaluations, clusters = _full_mesh_scan(F, 2.0, 33, 1e-3, 1e-3, "mesh")
+    for cls in (AffineMap, ConstantMap, MeshBlock):
+        monkeypatch.setattr(cls, "rows" if cls is MeshBlock else "raw_rows", _refuse)
+    res = _oracle(F, 2.0, 33, "mesh", value_tolerance=1e-3)
+    assert (res.evaluations, res.global_value) == (evaluations, clusters[0].value)
+    assert res.clusters == clusters
+
+
+def _first_range_violation(F, radius, resolution):
+    """The worst member of the first block of the oracle's walk whose map
+    value leaves the set, as ``(point, value, violation)`` from rows."""
+    n = F.dimension
+    axis = np.linspace(-radius, radius, resolution)
+    axes = [axis[axis >= lo - 1e-12] for lo in F.domain.ray_base]
+    for block in mesh_blocks(axes, radius, F.norm, MESH_BLOCK_FLOATS // n):
+        X = block.rows()
+        FX = F.mapping.raw_rows(X, F.domain)
+        violations = F.domain.violations_of_rows(FX)
+        if len(X) and violations.max() > MEMBERSHIP_TOL:
+            worst = int(np.argmax(violations))
+            return X[worst].copy(), FX[worst], float(violations[worst])
+    raise AssertionError("the map never leaves the set")
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, INF])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_oracle_paths_raise_the_same_range_violation(n, p):
+    # f_1(x) = 0.9 x_0 + 0.3 x_1 - 1 falls below the bound -0.5 where x_0
+    # and x_1 are small: both paths raise the rows' RangeViolation for the
+    # worst member of the first failing block, bit for bit.
+    lower = np.array((0.25, -0.5, 0.0, 0.1)[:n])
+    A = 0.3 * np.eye(n)
+    A[1, 0] = 0.9
+    b = lower - A @ lower + 0.1
+    b[1] = -1.0
+    F = TiltedFunctional(NormSpec(n, p), Orthant(n, lower=tuple(lower)),
+                         AffineMap(n, matrix=tuple(map(tuple, A)), offset=tuple(b)))
+    resolution = {2: 301, 3: 41, 4: 13}[n]
+    point, value, violation = _first_range_violation(F, 2.0, resolution)
+    for path in _PATHS:
+        with pytest.raises(RangeViolation) as caught:
+            _oracle(F, 2.0, resolution, path)
+        got = caught.value
+        assert _bits(got.point) == _bits(point)
+        assert (_bits(got.value), got.violation) == (_bits(value), violation)
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()

@@ -11,6 +11,7 @@ from tiltlab import (
     FullSpace,
     HalfSpace,
     InfeasibleTruncation,
+    MembershipViolation,
     NormSpec,
     Orthant,
     SampleDomain,
@@ -21,6 +22,7 @@ from tiltlab import (
 )
 from tiltlab.spaces import (
     FACE_CAP,
+    MEMBERSHIP_TOL,
     PROJECTION_TOL,
     ball_bound,
     first_rows,
@@ -28,6 +30,7 @@ from tiltlab.spaces import (
     in_ball,
     mesh_blocks,
     mesh_rows,
+    spread_axes,
 )
 
 SPECS = [
@@ -655,11 +658,12 @@ def _fold_norms_and_axes(draw):
 @settings(max_examples=400, deadline=None)
 def test_the_mesh_form_of_a_norm_keeps_the_row_bits_hypothesis(case):
     """The per-axis fold makes the ufunc calls of norms_of_rows on the mesh
-    rows, also continued from the fold of each tuple of leading columns,
-    and mesh_blocks yields the rows in_ball keeps, as one block and in
-    blocks of at most 1, 2 and 7 rows.  A bounded max-norm block is a view
-    of a buffer that the next block overwrites, so each is copied as it is
-    drawn."""
+    rows, also continued from the fold of each tuple of leading columns
+    over the trailing terms spread over their mesh (as mesh_blocks' l1 and
+    l2 masks do), and mesh_blocks yields the rows in_ball keeps, as one
+    block and in blocks of at most 1, 2 and 7 rows.  A bounded max-norm
+    block is a view of a buffer that the next block overwrites, so each is
+    copied as it is drawn."""
     spec, axes, radius = case
     n = len(axes)
     with np.errstate(over="ignore", under="ignore"):
@@ -671,12 +675,16 @@ def test_the_mesh_form_of_a_norm_keeps_the_row_bits_hypothesis(case):
         assert _nan_bits(mesh.ravel()) == _nan_bits(norms)
         lead = n // 2
         if lead:
-            tails = [fold.mesh_norms(axes[lead:], lead, start).ravel()
-                     for start in fold.mesh(axes[:lead]).ravel()]
+            spread = spread_axes(fold.axis_terms(axes[lead:], lead))
+            tails = []
+            for acc in fold.mesh(axes[:lead]).ravel():
+                for t in spread:
+                    acc = fold.ufunc(acc, t)
+                tails.append(fold.finished(acc))
             assert _nan_bits(np.concatenate([[]] + tails)) == _nan_bits(norms)
         members = rows[in_ball(rows, radius, spec)]
         for cap in (1, 2, 7, None):
-            blocks = [b.copy() for b in mesh_blocks(axes, radius, spec, cap)]
+            blocks = [b.rows().copy() for b in mesh_blocks(axes, radius, spec, cap)]
             assert cap is not None or len(blocks) == 1
             assert all(len(b) <= (cap or len(rows)) for b in blocks)
             assert _bits(np.concatenate([np.empty((0, n))] + blocks)) == _bits(members)
@@ -801,3 +809,59 @@ def test_cone_kernels_keep_their_bits():
         assert _nan_bits(got_step) == _nan_bits(step)
         assert _nan_bits(got_defect) == _nan_bits(defect)
         assert _nan_bits(projected) == _nan_bits(X + step)
+
+
+_GATE_LOWER = st.sampled_from((0.0, -0.0, 0.25, -1.5, 1e-300))
+_GATE_STEP = st.sampled_from(
+    (0.0, -0.0, 1.0, -1.0, MEMBERSHIP_TOL, -MEMBERSHIP_TOL, np.nextafter(-MEMBERSHIP_TOL, -1.0),
+     -2 * MEMBERSHIP_TOL, np.nan, np.inf, -np.inf)
+) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _orthant_blocks(draw):
+    n = draw(st.integers(1, 4))
+    lower = draw(st.lists(_GATE_LOWER, min_size=n, max_size=n))
+    k = draw(st.integers(0, 6))
+    steps = np.array(draw(st.lists(_GATE_STEP, min_size=k * n, max_size=k * n)))
+    return Orthant(n, lower=tuple(lower)), (np.array(lower) + steps.reshape(k, n))
+
+
+def _refusal(call):
+    try:
+        call()
+    except MembershipViolation as error:
+        return str(error)
+    return None
+
+
+@given(_orthant_blocks())
+@settings(max_examples=200, deadline=None)
+def test_the_column_minimum_gate_decides_as_the_rows_do_hypothesis(case):
+    """On an orthant ``require_rows`` tests a block by its column minima,
+    since fl(lower_j - x) falls as x grows.  Its outcome and message equal
+    those of ``require`` on each row in turn, for bounds of -0.0 and rows
+    with NaN, inf, and residuals at, just above and far above
+    ``MEMBERSHIP_TOL``; the residual test alone equals the row-wise one."""
+    O, X = case
+    with np.errstate(invalid="ignore"):
+        rows_pass = bool((O.violations_of_rows(X) <= MEMBERSHIP_TOL).all())
+        assert O._residuals_pass(X) == rows_pass
+
+    def row_by_row():
+        for i, x in enumerate(X, start=3):
+            O.require(x, f"grid row {i}")
+
+    assert _refusal(lambda: O.require_rows(X, "grid", 3)) == _refusal(row_by_row)
+
+
+def test_the_column_minimum_gate_names_the_first_failing_row():
+    # Residuals -0.0 - x_0: exactly MEMBERSHIP_TOL passes, one ulp more fails.
+    O = Orthant(2, lower=(-0.0, 0.5))
+    just_out = np.nextafter(-MEMBERSHIP_TOL, -1.0)
+    X = np.array([[0.0, 0.5], [-MEMBERSHIP_TOL, 0.5], [just_out, 1.0], [np.nan, 1.0]])
+    O.require_rows(X[:2], "y_grid", 0)
+    with pytest.raises(MembershipViolation, match=r"^y_grid row 7 is outside"):
+        O.require_rows(X, "y_grid", 5)
+    with pytest.raises(MembershipViolation, match=r"^x_grid row 0 has a NaN"):
+        O.require_rows(X[3:], "x_grid", 0)
