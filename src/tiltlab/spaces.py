@@ -405,11 +405,11 @@ class Orthant(FeasibleSet):
 
     def _residuals_pass(self, X) -> bool:
         # fl(lower_j - x) falls as x grows, so the block's largest residual
-        # is max_j fl(lower_j - min_i X[i, j]), from its column minima.
+        # is max_j fl(lower_j - min_i X[i, j]), from its column minima, each
+        # reduced where it lies: a copy of a large block costs its memory.
         if len(X) == 0:
             return True
-        least = np.ascontiguousarray(X.T).min(axis=1)
-        return bool((self._lower_array - least).max() <= MEMBERSHIP_TOL)
+        return all(lo - X[:, j].min() <= MEMBERSHIP_TOL for j, lo in enumerate(self.lower))
 
     def project_rows(self, Z) -> np.ndarray:
         return np.maximum(np.asarray(Z, dtype=float), self._lower_array[None, :])
@@ -733,8 +733,10 @@ def spread_axes(axes) -> list[np.ndarray]:
 
 def mesh_blocks(axes, radius, spec: NormSpec, cap: int | None = None):
     """The rows of ``mesh_rows(axes)`` that :func:`in_ball` keeps, in order
-    and bit for bit, as :class:`MeshBlock` s: one block, or blocks of at
-    most ``cap`` rows.
+    and bit for bit, as :class:`MeshBlock` s: blocks of at most ``cap``
+    rows, or without a cap one block under p in {1, 2, inf} and blocks of
+    at most ``MESH_BLOCK_FLOATS // n`` rows under other p; none for an
+    empty mesh.
 
     Under the max norm the ball is a box: each axis keeps its values whose
     term is within :func:`ball_bound`, and nothing is masked.  Under p in
@@ -755,18 +757,13 @@ def mesh_blocks(axes, radius, spec: NormSpec, cap: int | None = None):
         axes = [a[t <= bound] for a, t in zip(axes, fold.axis_terms(axes))]
     folded = fold is not None and not boxed
     sizes = [len(a) for a in axes]
-    if cap is None:
-        whole = slice(0, sizes[0])
-        if folded:
-            yield MeshBlock((), axes, whole, fold.mesh_norms(axes) <= bound, None)
-        elif boxed:
-            yield MeshBlock((), axes, whole, None, None)
-        else:
-            rows = mesh_rows(axes)
-            inside = in_ball(rows, radius, spec).reshape(sizes)
-            yield MeshBlock((), axes, whole, inside, lambda: rows)
-        return
     if not all(sizes):
+        return
+    if cap is None and fold is None:
+        cap = MESH_BLOCK_FLOATS // n
+    if cap is None:
+        inside = fold.mesh_norms(axes) <= bound if folded else None
+        yield MeshBlock((), axes, slice(0, sizes[0]), inside, None)
         return
     k = 1  # the tail's axes
     while k < n and math.prod(sizes[n - k - 1:]) <= cap:
@@ -860,11 +857,8 @@ class SampleDomain:
             first = np.ones(columns.shape, dtype=bool)
             first[:, 1:] = columns[:, 1:] != columns[:, :-1]
             axes = [c[m] for c, m in zip(columns, first)]
-            if self.norm.fold is not None:
-                return next(mesh_blocks(axes, self.radius, self.norm)).rows()
-            # Other p mask rows: bounded blocks, each gathered as it is drawn.
-            blocks = mesh_blocks(axes, self.radius, self.norm, MESH_BLOCK_FLOATS // n)
-            return np.concatenate([np.empty((0, n))] + [b.rows() for b in blocks])
+            parts = [b.rows() for b in mesh_blocks(axes, self.radius, self.norm)]
+            return parts[0] if len(parts) == 1 else np.concatenate([np.empty((0, n)), *parts])
         pts = self.domain.project_rows(mesh_rows(axes))
         inside = in_ball(pts, self.radius, self.norm)
         if not inside.all():

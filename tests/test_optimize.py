@@ -1182,5 +1182,41 @@ def test_the_oracle_paths_raise_the_same_range_violation(n, p):
         assert (_bits(got.value), got.violation) == (_bits(value), violation)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_oracle_paths_agree_at_the_edge_of_the_range_check(n):
+    # lower_0 is the least bound at which the rows' least f_0 over the grid
+    # fails the range check, or the float below it, where it passes.  The
+    # mesh form sums f in another order than the rows' BLAS product, so its
+    # least f_0 may differ in the last bits; the paths must still raise on
+    # the same instances, with the same payload, bit for bit.
+    radius, resolution = 1.0, 9
+    axis = np.linspace(-radius, radius, resolution)
+    X = np.stack([g.ravel() for g in np.meshgrid(*[axis] * n, indexing="ij")], axis=1)
+    raised = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        A, b = rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(-1.0, 1.0, n)
+        b[0] -= 5.0  # f_0 < -1, so lower_0 cuts no grid value
+        aff = AffineMap(n, matrix=tuple(map(tuple, A)), offset=tuple(b))
+        least = float(aff.raw_rows(X, FullSpace(n))[:, 0].min())
+        edge = least + MEMBERSHIP_TOL
+        while not edge - least > MEMBERSHIP_TOL:
+            edge = np.nextafter(edge, np.inf)
+        while np.nextafter(edge, -np.inf) - least > MEMBERSHIP_TOL:
+            edge = np.nextafter(edge, -np.inf)
+        for lower_0 in (edge, np.nextafter(edge, -np.inf)):
+            lower = (float(lower_0),) + (-100.0,) * (n - 1)
+            F = TiltedFunctional(NormSpec(n, INF), Orthant(n, lower=lower), aff)
+            outcomes = []
+            for path in _PATHS:
+                try:
+                    outcomes.append(_oracle(F, radius, resolution, path).evaluations)
+                except RangeViolation as got:
+                    outcomes.append((_bits(got.point), _bits(got.value), got.violation))
+            assert outcomes[0] == outcomes[1]
+            raised += isinstance(outcomes[0], tuple)
+    assert raised == 40
+
+
 def _bits(a) -> bytes:
     return np.ascontiguousarray(a, dtype=float).tobytes()
