@@ -11,7 +11,8 @@
 - verify_saddle: grid checks of the saddle inequalities for an arbitrary
   zero-diagonal bifunctional around a proposed point.
 - minimax_gap: both minimax envelopes on harvested candidate sets, computed
-  so the weak-duality direction holds exactly.
+  so the weak-duality direction holds exactly, for a J with an exact row
+  envelope (Phi for a tilted J).
 """
 
 from __future__ import annotations
@@ -533,11 +534,10 @@ class MinimaxGapReport:
     """Envelope values on the harvested candidate sets S_x and S_y.
 
     lower = max over y in S_y of the column minimum of one shared value
-    matrix M[i, j] = J(S_x[i], S_y[j]).  upper = min over x in S_x of the
-    row's upper envelope: when J has an exact row envelope (``row_sup``)
-    that is Phi(x) = sup over all y in X of J(x, y), so ``upper`` is a true
-    upper bound on the truncated inf_x sup_y J, up to the rounding of Phi;
-    otherwise it is the row maximum of M.  lower <= upper holds exactly on
+    matrix M[i, j] = J(S_x[i], S_y[j]).  upper = min over x in S_x of J's
+    exact row envelope ``row_sup``, sup over all y in X of J(x, y) (Phi(x)
+    for a tilted J), so ``upper`` is a true upper bound on the truncated
+    inf_x sup_y J, up to the rounding of Phi.  lower <= upper holds exactly on
     every instance: every M[i, j] is at most its row's envelope bit for
     bit, a NaN entry reads -inf in its column minimum, a NaN envelope reads
     +inf, and a matrix that is NaN everywhere is a ValueError.
@@ -580,108 +580,57 @@ def _envelopes(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(nan, np.inf, M).max(axis=1), np.where(nan, -np.inf, M).min(axis=0)
 
 
-def _transposed(J: Bifunctional) -> Bifunctional:
-    """K(y, x) = -J(x, y): inf_x J(x, y) = -sup_x K(y, x), so the lower
-    envelope of J is the negated upper envelope of K.  Negation is exact."""
-    return Bifunctional(lambda Y, X: -J.pairs(X, Y), J.domain, J.zero_diagonal)
-
-
-class _SupSolver:
-    """sup_y J(x, y) for each row x of a batch, at full precision.
-
-    When J has an exact row envelope the answer is ``J.row_sup``, one
-    evaluation per row.  Otherwise one kernel call scans a candidate pool,
-    and the warm witness, for every row; then one lockstep pattern search
-    on -J(x, .) polishes all rows, each paired with its own x and started
-    from the better of its pool winner and the warm witness.  After such a
-    call the warm witness is that of the row with the least sup value.
-    Every evaluation is charged to ``budget``.
-    """
-
-    def __init__(
-        self,
-        J: Bifunctional,
-        pool: np.ndarray,
-        radius: float,
-        norm_spec: NormSpec,
-        config: OptimizeConfig,
-        budget: _Budget,
-    ):
-        self.J = J
-        self.pool = pool
-        self.radius = radius
-        self.norm_spec = norm_spec
-        self.config = config
-        self.budget = budget
-        self.dirs = direction_set(J.domain.dimension, config.directions)
-        self.warm: np.ndarray | None = None
-
-    def solve(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Witnesses (S, n) and sup values (S,) for the (S, n) rows X."""
-        J, pool, warm = self.J, self.pool, self.warm
-        if J.row_sup is not None:
-            self.budget.take(len(X))
-            values, Y = J.row_sup(X)
-            return Y, values
-        negated = lambda Y, Xs: -J.pairs(Xs, Y)
-        # One value matrix scans the pool, and the warm witness after it,
-        # for every row.
-        scanned = pool if warm is None else np.vstack((pool, warm))
-        S, P = len(X), len(pool)
-        vals = -_value_matrix(J, X, scanned, self.budget)
-        k = [first_argmin(row) for row in vals[:, :P]]
-        starts, f0 = pool[k], vals[np.arange(S), k]
-        if warm is not None:
-            fw = vals[:, P]
-            better = fw < f0
-            starts[better], f0 = warm, np.where(better, fw, f0)
-        Y, FY = pattern_search(
-            negated,
-            J.domain,
-            self.radius,
-            self.norm_spec,
-            starts,
-            f0,
-            self.radius / 10.0,
-            self.config.termination_step,
-            self.config.shrink,
-            self.dirs,
-            self.budget,
-            partners=X,
-        )
-        values = -FY
-        self.warm = Y[first_argmin(values)]
-        return Y, values
-
-
-def _minimize_sup_envelope(
+def _minimize_row_sup(
     J: Bifunctional,
-    pool: np.ndarray,
     starts: np.ndarray,
     radius: float,
     norm_spec: NormSpec,
     config: OptimizeConfig,
     budget: _Budget,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Minimize x -> sup_y J(x, y) from each start; return the endpoints
-    and the y witnesses of those that lie in the truncation ball.
+    """Minimize J's row envelope x -> sup_y J(x, y) from each start by one
+    lockstep :func:`pattern_search` on ``J.row_sup``; return the endpoints
+    and those of their maximisers that lie in the truncation ball.  Every
+    envelope row is charged to ``budget``, so the search's own counter is
+    never exhausted."""
 
-    One lockstep :func:`pattern_search` refines every start, and one
-    :meth:`_SupSolver.solve` call gives the sups of all trial points of one
-    of its iterations: Phi itself when J has an exact row envelope, a
-    full-precision search over ``pool`` otherwise.  The solver charges
-    every evaluation to ``budget``, so the search's own counter is never
-    exhausted.
-    """
-    solver = _SupSolver(J, pool, radius, norm_spec, config, budget)
-    sup = lambda X: solver.solve(X)[1]
+    def sup(X):
+        budget.take(len(X))
+        return J.row_sup(X)[0]
+
     step0 = config.initial_step if config.initial_step is not None else radius / 10.0
+    dirs = direction_set(J.domain.dimension, config.directions)
     X, _ = pattern_search(
         sup, J.domain, radius, norm_spec, starts, sup(starts), step0,
-        config.termination_step, config.shrink, solver.dirs, _Budget(10 ** 18),
+        config.termination_step, config.shrink, dirs, _Budget(10 ** 18),
     )
-    Y = solver.solve(X)[0]
+    budget.take(len(X))
+    Y = J.row_sup(X)[1]
     return list(X), list(Y[in_ball(Y, radius, norm_spec)])
+
+
+def _minimize_columns(
+    J: Bifunctional,
+    pool: np.ndarray,
+    Y: np.ndarray,
+    radius: float,
+    norm_spec: NormSpec,
+    config: OptimizeConfig,
+    budget: _Budget,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize J(., y) for each row y of Y: endpoints (S, n) and values
+    (S,).  One value matrix over ``pool`` x Y gives each y its start, the
+    first argmin of its column (NaN never wins); then one lockstep
+    :func:`pattern_search`, each start partnered with its own y, refines
+    them all from step radius / 10.  Every evaluation is charged to
+    ``budget``."""
+    M = _value_matrix(J, pool, Y, budget)
+    k = [first_argmin(column) for column in M.T]
+    dirs = direction_set(J.domain.dimension, config.directions)
+    return pattern_search(
+        J.pairs, J.domain, radius, norm_spec, pool[k], M[k, np.arange(len(Y))],
+        radius / 10.0, config.termination_step, config.shrink, dirs, budget, partners=Y,
+    )
 
 
 def minimax_gap(
@@ -693,20 +642,22 @@ def minimax_gap(
 ) -> MinimaxGapReport:
     """Both minimax envelopes of J over X truncated to the ambient ball.
 
+    J must carry its exact row envelope ``row_sup`` (Phi for a tilted J);
+    without one this is a ValueError, raised before any evaluation.
     Pattern-search refinement from the best grid points harvests candidate
-    points for each side.  The upper phase minimizes x -> sup_y J(x, y) by
-    one lockstep pattern search whose sups come from a :class:`_SupSolver`:
-    Phi itself when J has an exact row envelope (then the y candidates are
-    its maximisers inside the ball), a full-precision search otherwise.
-    The lower phase solves y -> sup_x K(y, x) for K = -J transposed once,
-    at the upper witnesses and the best grid ys: when J has a saddle point,
-    as a tilted J has at (x*, x*), the witnesses approximate the y that
-    attains sup_y inf_x J.  Without one, the lower side is not refined past
-    those points.  ``upper`` is then the least row envelope over the x
-    candidates, and ``lower`` is read off one shared value matrix over the
-    harvested sets, which makes the weak duality direction (lower <= upper)
-    exact by construction.
+    points for each side.  The upper phase minimizes the envelope
+    x -> sup_y J(x, y) by one lockstep pattern search; its y candidates are
+    the envelope's maximisers at the endpoints inside the ball.  The lower
+    phase minimizes J(., y) once, at those candidates and the best grid
+    ys: at a saddle point (x*, y*) of J, such as (x*, x*) of a tilted J,
+    the candidates approximate the y that attains sup_y inf_x J.
+    ``upper`` is then the least row envelope over the x candidates, and
+    ``lower`` is read off one shared value matrix over the harvested sets,
+    which makes the weak duality direction (lower <= upper) exact by
+    construction.
     """
+    if J.row_sup is None:
+        raise ValueError("minimax_gap needs J's exact row envelope row_sup; it has none")
     n = J.domain.dimension
     if norm_spec is None:
         norm_spec = NormSpec(n, 2.0)
@@ -723,21 +674,16 @@ def minimax_gap(
     y_order = np.argsort(-rough_min, kind="stable")
     m = config.multistart
 
-    # Upper phase: minimize the row envelope sup_y J(x, .), directly when J
-    # has it in closed form.
-    x_ends, y_fins = _minimize_sup_envelope(
-        J, G, G[x_order[:m]], radius, norm_spec, config, budget
-    )
-    # Lower phase: maximize the column envelope inf_x J(., y), i.e. minimize
-    # sup_x K(y, x) for K = -J transposed.  At a saddle point (x*, y*) of J,
-    # such as (x*, x*) of a tilted J, sup_y inf_x J is attained at y*, which
-    # the upper witnesses approximate: one solve at them and at the best
-    # grid ys stands in for a walk.  Its scans also cover the upper-phase
-    # endpoints so a good x is never missed on the lower side.
+    # Upper phase: minimize the row envelope sup_y J(x, .).
+    x_ends, y_fins = _minimize_row_sup(J, G[x_order[:m]], radius, norm_spec, config, budget)
+    # Lower phase: at a saddle point (x*, y*) of J, such as (x*, x*) of a
+    # tilted J, sup_y inf_x J is attained at y*, which the upper witnesses
+    # approximate: one inf_x J(x, y) solve at them and at the best grid ys
+    # stands in for a walk.  Its scan also covers the upper-phase endpoints
+    # so a good x is never missed on the lower side.
     Y_c = np.vstack([*y_fins, G[y_order[:m]]])
     x_pool = np.vstack([G, *x_ends])
-    solver = _SupSolver(_transposed(J), x_pool, radius, norm_spec, config, budget)
-    x_fins = list(solver.solve(Y_c)[0])
+    x_fins = list(_minimize_columns(J, x_pool, Y_c, radius, norm_spec, config, budget)[0])
 
     # Matrix phase: one shared value matrix over the harvested sets.
     def _dedupe(rows: list[np.ndarray], cap: int) -> np.ndarray:
@@ -749,11 +695,10 @@ def minimax_gap(
     S_y = _dedupe(list(Y_c) + list(G[y_order[:keep_grid]]), 256)
     M = _value_matrix(J, S_x, S_y, budget)
 
-    row_max, col_min = _envelopes(M)
-    if J.row_sup is not None:  # every M[i, j] <= Phi(S_x[i]), bit for bit
-        budget.take(len(S_x))
-        row_max = J.row_sup(S_x)[0]
-        row_max = np.where(np.isnan(row_max), np.inf, row_max)
+    col_min = _envelopes(M)[1]
+    budget.take(len(S_x))  # every M[i, j] <= row_sup(S_x)[0][i], bit for bit
+    row_max = J.row_sup(S_x)[0]
+    row_max = np.where(np.isnan(row_max), np.inf, row_max)
     iu = int(np.argmin(row_max))
     il = int(np.argmax(col_min))
     upper = float(row_max[iu])

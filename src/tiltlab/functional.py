@@ -207,8 +207,7 @@ class Bifunctional:
     ``row_sup(X) = (values, maximisers)`` with ``values[i]`` the sup of
     J(X[i], y) over the domain, attained at ``maximisers[i]``, and no
     entry of ``pairs(X[i:i+1], Y)`` above ``values[i]`` in floating point.
-    :func:`minimax_gap` then minimizes the envelope directly instead of
-    solving each sup by search.
+    :func:`minimax_gap` requires it; :func:`verify_saddle` does not.
     """
 
     pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]

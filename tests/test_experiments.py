@@ -404,25 +404,6 @@ def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
-def test_transposed_bifunctional_swaps_and_negates():
-    from tiltlab.experiments import _transposed
-
-    F = affine_instance(4)
-    batched = F.as_bifunctional()
-    value_only = Bifunctional(
-        pairs=scalar_pairs(lambda x, y: tilted_value(F, x, y)), domain=F.domain, zero_diagonal=True
-    )
-    pts = feasible_cloud(F, 4.0, 24, seed=71)
-    for J in (batched, value_only):
-        K = _transposed(J)
-        assert K.domain is J.domain and K.zero_diagonal
-        for p in pts[:6]:
-            P = p[None, :]
-            assert _bits(K.pairs(P, pts)) == _bits(-J.pairs(pts, P))
-            assert _bits(K.pairs(pts, P)) == _bits(-J.pairs(P, pts))
-            assert _bits(K.pairs(P, pts[:1])) == _bits(-J.pairs(pts[:1], P))
-
-
 def test_minimax_quarter():
     F = quarter()
     report = minimax_gap(F.as_bifunctional(), 8.0, 17, norm_spec=F.norm)
@@ -433,46 +414,61 @@ def test_minimax_quarter():
     assert report.witness_distance <= 1e-3
 
 
-def test_minimax_bilinear_saddle():
+def test_minimax_identically_zero():
     J = Bifunctional(
-        pairs=scalar_pairs(lambda x, y: float(x[0] * y[0])),
+        pairs=scalar_pairs(lambda x, y: 0.0),
         domain=FullSpace(1),
         zero_diagonal=True,
+        row_sup=lambda X: (np.zeros(len(X)), X),
     )
-    report = minimax_gap(J, 1.0, 9)
-    assert report.lower == pytest.approx(0.0, abs=1e-7)
-    assert report.upper == pytest.approx(0.0, abs=1e-7)
-
-
-def test_minimax_identically_zero():
-    J = Bifunctional(pairs=scalar_pairs(lambda x, y: 0.0), domain=FullSpace(1), zero_diagonal=True)
     report = minimax_gap(J, 1.0, 9)
     assert report.lower == 0.0 and report.upper == 0.0 and report.gap == 0.0
 
 
-def test_minimax_weak_duality_planted_antisymmetric():
-    # even on a skew instance with no zero diagonal structure for the grid,
-    # the harvested-matrix construction keeps lower <= upper exactly
-    J = Bifunctional(
-        pairs=scalar_pairs(
-            lambda x, y: float(np.sin(3 * x[0]) - np.sin(3 * y[0]) + 0.3 * x[0] * y[0])
-        ),
-        domain=FullSpace(1),
-        zero_diagonal=False,
-    )
-    cfg = OptimizeConfig(coarse_grid=9, multistart=2, termination_step=1e-5, seed=1)
-    report = minimax_gap(J, 2.0, 9, config=cfg)
+def _weak_duality_instances():
+    """Tilted instances whose truncation ball misses the fixed point or
+    whose map is not affine, under p in {1, 1.5, 2, 3, inf}."""
+    from tiltlab import BoundedPerturbedMap
+
+    cases = []
+    for index in range(6):
+        F = affine_instance(index)
+        cases.append(pytest.param(F, 0.25, id=f"affine-{index}-small-ball"))
+    for k, (n, p) in enumerate([(1, 1.5), (2, 3.0), (2, 1.0)]):
+        rng = np.random.default_rng(np.random.SeedSequence([0x3D, k]))
+        mapping = BoundedPerturbedMap(
+            n, matrix=tuple(map(tuple, rng.uniform(-0.4, 0.4, (n, n)))),
+            offset=tuple(rng.uniform(-2.0, 2.0, n)), field="sine", amplitude=1.5,
+        )
+        F = TiltedFunctional(NormSpec(n, p), FullSpace(n), mapping)
+        cases.append(pytest.param(F, 1.0, id=f"sine-{n}d-p{p}"))
+    return cases
+
+
+@pytest.mark.parametrize("F, radius", _weak_duality_instances())
+def test_minimax_weak_duality_is_exact_on_tilted_instances(F, radius):
+    # A coarse search in a ball that need not hold a saddle point leaves
+    # lower and upper apart; the shared-matrix construction still keeps
+    # lower <= upper exactly, with upper the envelope at its witness.
+    from tiltlab import displacement
+
+    cfg = OptimizeConfig(coarse_grid=5, multistart=2, termination_step=1e-4, seed=1)
+    report = minimax_gap(F.as_bifunctional(), radius, 5, norm_spec=F.norm, config=cfg)
     assert report.lower <= report.upper
+    assert report.gap == report.upper - report.lower
+    assert _bits(report.upper) == _bits(displacement(F, report.x_witness))
 
 
 def test_minimax_reads_a_nan_entry_as_inf_in_its_row_and_minus_inf_in_its_column():
-    # J = x^2 - y^2 is NaN only where x > 0.9 and y > 0.9; one NaN in the
-    # value matrix used to make lower, upper and gap NaN.
+    # J = x^2 - y^2 is NaN only where x > 0.9 and y > 0.9, and its row
+    # envelope is x^2 at y = 0; one NaN in the value matrix used to make
+    # lower, upper and gap NaN.
     J = Bifunctional(
         pairs=scalar_pairs(
             lambda x, y: np.nan if x[0] > 0.9 and y[0] > 0.9 else float(x @ x - y @ y)
         ),
         domain=FullSpace(1),
+        row_sup=lambda X: ((X * X).sum(axis=1), np.zeros_like(X)),
     )
     cfg = OptimizeConfig(coarse_grid=9, multistart=2, termination_step=1e-5, seed=1)
     report = minimax_gap(J, 1.0, 9, config=cfg)
@@ -481,7 +477,11 @@ def test_minimax_reads_a_nan_entry_as_inf_in_its_row_and_minus_inf_in_its_column
 
 
 def test_minimax_refuses_a_bifunctional_that_is_nan_everywhere():
-    J = Bifunctional(pairs=scalar_pairs(lambda x, y: np.nan), domain=FullSpace(1))
+    J = Bifunctional(
+        pairs=scalar_pairs(lambda x, y: np.nan),
+        domain=FullSpace(1),
+        row_sup=lambda X: (np.full(len(X), np.nan), X),
+    )
     with pytest.raises(ValueError, match="NaN"):
         minimax_gap(J, 1.0, 9)
 
@@ -517,18 +517,13 @@ def test_minimax_evaluations_are_the_rows_its_kernel_saw():
     assert report == minimax_gap(F.as_bifunctional(), 4.0, 7, norm_spec=F.norm, config=cfg)
 
 
-def test_minimax_without_an_envelope_counts_the_pairs_rows():
+def test_minimax_refuses_a_bifunctional_without_row_sup_before_evaluating():
     F = affine_instance(4)
     calls = []
     pairs, _ = _recording(F, calls)
-    cfg = OptimizeConfig(coarse_grid=7, multistart=2, termination_step=1e-6, seed=3)
-    report = minimax_gap(
-        Bifunctional(pairs, F.domain, zero_diagonal=True), 4.0, 7, norm_spec=F.norm, config=cfg
-    )
-    assert report.evaluations == sum(len(values) for *_, values in calls) > 0
-    assert report == minimax_gap(
-        Bifunctional(F.pairs, F.domain, zero_diagonal=True), 4.0, 7, norm_spec=F.norm, config=cfg
-    )
+    with pytest.raises(ValueError, match="row_sup"):
+        minimax_gap(Bifunctional(pairs, F.domain, zero_diagonal=True), 4.0, 7, norm_spec=F.norm)
+    assert calls == []
 
 
 def _matrix_phase(F, radius, resolution, cfg):
@@ -759,28 +754,31 @@ def test_prescan_incumbent_matches_scalar_reference_loop():
     assert below_zero >= 20
 
 
-def test_sup_solver_never_starts_from_a_nan_pool_value():
-    from tiltlab.experiments import _SupSolver
+def test_column_search_never_starts_from_a_nan_pool_value():
+    from tiltlab.experiments import _minimize_columns
     from tiltlab.optimize import _Budget
 
-    # sup_y -(y - 1)^2 = 0 at y = 1; J is NaN for y < -0.5, which holds for
+    # inf_x (x - 1)^2 = 0 at x = 1; J is NaN for x < -0.5, which holds for
     # the first pool points, so a start taken as the first NaN never moves.
     J = Bifunctional(
-        pairs=scalar_pairs(lambda x, y: np.nan if y[0] < -0.5 else -((y[0] - 1.0) ** 2)),
+        pairs=scalar_pairs(lambda x, y: np.nan if x[0] < -0.5 else (x[0] - 1.0) ** 2),
         domain=FullSpace(1),
     )
     pool = np.linspace(-2.0, 2.0, 9)[:, None]
-    solver = _SupSolver(J, pool, 2.0, NormSpec(1), CFG, _Budget(10**6))
-    (y,), (value,) = solver.solve(np.zeros((1, 1)))
-    assert y[0] == pytest.approx(1.0, abs=1e-6)
+    (x,), (value,) = _minimize_columns(
+        J, pool, np.zeros((1, 1)), 2.0, NormSpec(1), CFG, _Budget(10**6)
+    )
+    assert x[0] == pytest.approx(1.0, abs=1e-6)
     assert value == pytest.approx(0.0, abs=1e-9)
 
 
-def _sup_solver_case(index):
-    """The lower phase's inner solver on affine instance ``index``: the sup
-    over x of K(y, x) = -J(x, y), over the grid pool, for seeded rows y."""
+@pytest.mark.parametrize("index", [0, 1, 3, 4, 8])
+def test_column_search_rows_match_one_row_searches_bitwise(index):
+    """The lower phase's column search on affine instance ``index``, from
+    the grid pool: each y of one call ends where a call with that y alone
+    does, bit for bit, and the budgets add up."""
     from tiltlab import SampleDomain
-    from tiltlab.experiments import _SupSolver, _transposed
+    from tiltlab.experiments import _minimize_columns
     from tiltlab.optimize import _Budget
 
     F = affine_instance(index)
@@ -789,81 +787,20 @@ def _sup_solver_case(index):
     Y = feasible_cloud(F, radius, 5, seed=index)
     cfg = OptimizeConfig(coarse_grid=7, multistart=2, termination_step=1e-7, seed=0)
 
-    def solver():
-        K = _transposed(F.as_bifunctional())
-        return _SupSolver(K, pool, radius, F.norm, cfg, _Budget(10**18))
+    def search(rows, budget):
+        return _minimize_columns(F.as_bifunctional(), pool, rows, radius, F.norm, cfg, budget)
 
-    return solver, Y
-
-
-@pytest.mark.parametrize("index", [0, 1, 3, 4, 8])
-@pytest.mark.parametrize("warm_rows", [None, 2])
-def test_sup_solver_rows_match_one_row_solves_bitwise(index, warm_rows):
-    """Each row of one solve matches a solve of that row alone, bit for bit,
-    from a fresh solver or from one whose warm witness a solve of the last
-    ``warm_rows`` rows set."""
-    solver, Y = _sup_solver_case(index)
-
-    def warmed():
-        s = solver()
-        if warm_rows is not None:
-            s.solve(Y[-warm_rows:] * 0.5)
-            s.budget.used = 0
-        return s
-
-    together = warmed()
-    W, V = together.solve(Y)
-    assert W.shape == Y.shape and V.shape == (len(Y),)
+    together = _Budget(10**18)
+    X, V = search(Y, together)
+    assert X.shape == Y.shape and V.shape == (len(Y),)
     used = 0
     for i in range(len(Y)):
-        alone = warmed()
-        w, v = alone.solve(Y[i : i + 1])
-        assert W[i].tobytes() == w[0].tobytes(), i
+        alone = _Budget(10**18)
+        x, v = search(Y[i : i + 1], alone)
+        assert X[i].tobytes() == x[0].tobytes(), i
         assert V[i].tobytes() == v[0].tobytes(), i
-        used += alone.budget.used
-    assert together.budget.used == used
-
-
-@pytest.mark.parametrize("index", [0, 4, 8])
-def test_sup_solver_keeps_the_witness_of_the_least_sup_as_warm_point(index):
-    solver, Y = _sup_solver_case(index)
-    s = solver()
-    assert s.warm is None
-    for rows in (Y, Y[::-1] * 0.5, Y[:1]):
-        W, V = s.solve(rows)
-        least = int(np.argmin(V))
-        assert V[least] == V.min() and np.array_equal(s.warm, W[least])
-
-
-def test_sup_solver_answers_an_envelope_from_row_sup():
-    from tiltlab.experiments import _SupSolver
-    from tiltlab.optimize import _Budget
-
-    F = affine_instance(4)
-    X = feasible_cloud(F, 4.0, 5, seed=4)
-    solver = _SupSolver(F.as_bifunctional(), X[:0], 4.0, F.norm, CFG, _Budget(10**6))
-    W, V = solver.solve(X)
-    phi, FX = F.row_sup(X)
-    assert W.tobytes() == FX.tobytes() and V.tobytes() == phi.tobytes()
-    assert solver.budget.used == len(X) and solver.warm is None
-
-
-@pytest.mark.parametrize("resolution", [9, 17])
-def test_minimax_generic_walk_reaches_a_non_separable_saddle(resolution):
-    # J = (x-a)^2 - (y-b)^2 + c(x-a)(y-b) has its saddle at (a, b) with
-    # value 0 and no row envelope, so the upper phase walks on nested sup
-    # solves and the lower phase solves once at its witnesses.  Ending the
-    # walk at its starts, or coarsening its inner or outer termination to
-    # 1e-3, moves lower or upper past 1e-12.
-    a, b, c = 0.37, 0.11, 1.5
-    J = Bifunctional(
-        pairs=lambda X, Y: (X[:, 0] - a) ** 2 - (Y[:, 0] - b) ** 2
-        + c * (X[:, 0] - a) * (Y[:, 0] - b),
-        domain=FullSpace(1),
-    )
-    report = minimax_gap(J, 1.0, resolution)
-    assert report.lower <= report.upper
-    assert abs(report.lower) <= 1e-12 and abs(report.upper) <= 1e-12
+        used += alone.used
+    assert together.used == used
 
 
 def test_certify_uniqueness_does_not_count_nan_endpoints_as_clusters():
