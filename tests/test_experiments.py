@@ -803,6 +803,62 @@ def test_column_search_rows_match_one_row_searches_bitwise(index):
     assert together.used == used
 
 
+@pytest.mark.parametrize("index", [0, 1, 3, 4, 8])
+def test_row_sup_search_rows_match_one_row_searches_bitwise(index):
+    """The upper phase's envelope search on affine instance ``index``: each
+    start of one call ends where a call with that start alone does, bit for
+    bit, its maximiser too, and the budgets add up."""
+    from tiltlab.experiments import _minimize_row_sup
+    from tiltlab.optimize import _Budget
+
+    F = affine_instance(index)
+    radius = 4.0
+    starts = feasible_cloud(F, radius, 5, seed=index)
+    cfg = OptimizeConfig(coarse_grid=7, multistart=2, termination_step=1e-7, seed=0)
+
+    def search(rows, budget):
+        return _minimize_row_sup(F.as_bifunctional(), rows, radius, F.norm, cfg, budget)
+
+    together = _Budget(10**18)
+    X, _ = search(starts, together)
+    assert len(X) == len(starts)
+    used = 0
+    for i in range(len(starts)):
+        alone = _Budget(10**18)
+        (x,), _ = search(starts[i : i + 1], alone)
+        assert X[i].tobytes() == x.tobytes(), i
+        used += alone.used
+    assert together.used == used
+
+
+def test_row_sup_search_answers_from_the_envelope_and_charges_each_row():
+    # The endpoints' maximisers are row_sup's own at the endpoints, those
+    # outside the ball dropped, and the budget holds every envelope row.
+    from tiltlab.experiments import _minimize_row_sup
+    from tiltlab.optimize import _Budget
+
+    F = TiltedFunctional(
+        NormSpec(1, 2.0), FullSpace(1), AffineMap(1, matrix=((0.25,),), offset=(1.8,))
+    )
+    calls = []
+    pairs, row_sup = _recording(F, calls)
+    J = Bifunctional(pairs, F.domain, zero_diagonal=True, row_sup=row_sup)
+    starts = np.array([[-2.0], [-0.5], [1.0], [2.0]])
+    # A termination step above the first step of 0.2 keeps the starts, whose
+    # maximisers f(x) = x/4 + 1.8 leave the ball for x > 0.8.
+    cfg = OptimizeConfig(coarse_grid=17, multistart=2, termination_step=0.5, separation=1.0, seed=1)
+    budget = _Budget(10**6)
+    X, Y = _minimize_row_sup(J, starts, 2.0, F.norm, cfg, budget)
+    assert {kind for kind, *_ in calls} == {"row_sup"}
+    assert budget.used == sum(len(values) for *_, values in calls)
+    assert np.array_equal(calls[-1][1], np.array(X))
+    maximisers = F.row_sup(np.array(X))[1]
+    inside = np.abs(maximisers[:, 0]) <= 2.0
+    assert np.array_equal(np.array(X), starts)
+    assert inside.tolist() == [True, True, False, False]
+    assert np.array(Y).tobytes() == maximisers[inside].tobytes()
+
+
 def test_certify_uniqueness_does_not_count_nan_endpoints_as_clusters():
     # A map whose J is NaN off the origin: every refined endpoint but x = 0
     # has a NaN value, which used to make each one a cluster of its own.
