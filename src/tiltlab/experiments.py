@@ -572,14 +572,6 @@ def _value_matrix(J: Bifunctional, X, Y, budget: _Budget) -> np.ndarray:
     return M
 
 
-def _envelopes(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row maxima and column minima of M, a NaN read as +inf and -inf."""
-    nan = np.isnan(M)
-    if nan.all():
-        raise ValueError("J is NaN on every pair of the value matrix")
-    return np.where(nan, np.inf, M).max(axis=1), np.where(nan, -np.inf, M).min(axis=0)
-
-
 def _minimize_row_sup(
     J: Bifunctional,
     starts: np.ndarray,
@@ -591,18 +583,14 @@ def _minimize_row_sup(
     """Minimize J's row envelope x -> sup_y J(x, y) from each start by one
     lockstep :func:`pattern_search` on ``J.row_sup``; return the endpoints
     and those of their maximisers that lie in the truncation ball.  Every
-    envelope row is charged to ``budget``, so the search's own counter is
-    never exhausted."""
-
-    def sup(X):
-        budget.take(len(X))
-        return J.row_sup(X)[0]
-
+    envelope row is charged to ``budget``: the search charges its in-ball
+    trials, the rows it evaluates."""
+    budget.take(len(starts))
     step0 = config.initial_step if config.initial_step is not None else radius / 10.0
     dirs = direction_set(J.domain.dimension, config.directions)
     X, _ = pattern_search(
-        sup, J.domain, radius, norm_spec, starts, sup(starts), step0,
-        config.termination_step, config.shrink, dirs, _Budget(10 ** 18),
+        lambda X: J.row_sup(X)[0], J.domain, radius, norm_spec, starts, J.row_sup(starts)[0],
+        step0, config.termination_step, config.shrink, dirs, budget,
     )
     budget.take(len(X))
     Y = J.row_sup(X)[1]
@@ -643,14 +631,15 @@ def minimax_gap(
     """Both minimax envelopes of J over X truncated to the ambient ball.
 
     J must carry its exact row envelope ``row_sup`` (Phi for a tilted J);
-    without one this is a ValueError, raised before any evaluation.
-    Pattern-search refinement from the best grid points harvests candidate
-    points for each side.  The upper phase minimizes the envelope
-    x -> sup_y J(x, y) by one lockstep pattern search; its y candidates are
-    the envelope's maximisers at the endpoints inside the ball.  The lower
-    phase minimizes J(., y) once, at those candidates and the best grid
-    ys: at a saddle point (x*, y*) of J, such as (x*, x*) of a tilted J,
-    the candidates approximate the y that attains sup_y inf_x J.
+    without one this is a ValueError, raised before any evaluation.  One
+    order of the rough grid by J's envelope (NaN last) gives every grid
+    start and candidate.  The upper phase minimizes the envelope
+    x -> sup_y J(x, y) by one lockstep pattern search from the m grid
+    points of least envelope; its y candidates are the envelope's
+    maximisers at the endpoints inside the ball.  The lower phase
+    minimizes J(., y) once, at those candidates and the same m grid
+    points: at a saddle point (x*, y*) of J, such as (x*, x*) of a tilted
+    J, both approximate the y that attains sup_y inf_x J.
     ``upper`` is then the least row envelope over the x candidates, and
     ``lower`` is read off one shared value matrix over the harvested sets,
     which makes the weak duality direction (lower <= upper) exact by
@@ -667,21 +656,18 @@ def minimax_gap(
         )
     budget = _Budget(10 ** 18)  # counts evaluations; never exhausted
     G = SampleDomain(J.domain, norm_spec, float(radius), resolution).require_grid()
-    rough = _value_matrix(J, G, G, budget)
-
-    rough_max, rough_min = _envelopes(rough)
-    x_order = np.argsort(rough_max, kind="stable")
-    y_order = np.argsort(-rough_min, kind="stable")
+    budget.take(len(G))
+    best = np.argsort(J.row_sup(G)[0], kind="stable")  # NaN sorts last
     m = config.multistart
 
     # Upper phase: minimize the row envelope sup_y J(x, .).
-    x_ends, y_fins = _minimize_row_sup(J, G[x_order[:m]], radius, norm_spec, config, budget)
+    x_ends, y_fins = _minimize_row_sup(J, G[best[:m]], radius, norm_spec, config, budget)
     # Lower phase: at a saddle point (x*, y*) of J, such as (x*, x*) of a
     # tilted J, sup_y inf_x J is attained at y*, which the upper witnesses
-    # approximate: one inf_x J(x, y) solve at them and at the best grid ys
-    # stands in for a walk.  Its scan also covers the upper-phase endpoints
-    # so a good x is never missed on the lower side.
-    Y_c = np.vstack([*y_fins, G[y_order[:m]]])
+    # approximate, and so do the grid points of least Phi: one inf_x J(x, y)
+    # solve at both stands in for a walk.  Its scan also covers the
+    # upper-phase endpoints so a good x is never missed on the lower side.
+    Y_c = np.vstack([*y_fins, G[best[:m]]])
     x_pool = np.vstack([G, *x_ends])
     x_fins = list(_minimize_columns(J, x_pool, Y_c, radius, norm_spec, config, budget)[0])
 
@@ -690,12 +676,13 @@ def minimax_gap(
         arr = np.vstack([r.reshape(1, -1) for r in rows])
         return arr[first_rows(arr)][:cap]
 
-    keep_grid = min(len(G), 128)
-    S_x = _dedupe(x_ends + x_fins + list(G[x_order[:keep_grid]]), 256)
-    S_y = _dedupe(list(Y_c) + list(G[y_order[:keep_grid]]), 256)
+    S_x = _dedupe(x_ends + x_fins + list(G[best[:128]]), 256)
+    S_y = _dedupe(list(Y_c) + list(G[best[:128]]), 256)
     M = _value_matrix(J, S_x, S_y, budget)
-
-    col_min = _envelopes(M)[1]
+    nan = np.isnan(M)
+    if nan.all():
+        raise ValueError("J is NaN on every pair of the value matrix")
+    col_min = np.where(nan, -np.inf, M).min(axis=0)
     budget.take(len(S_x))  # every M[i, j] <= row_sup(S_x)[0][i], bit for bit
     row_max = J.row_sup(S_x)[0]
     row_max = np.where(np.isnan(row_max), np.inf, row_max)

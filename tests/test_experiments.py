@@ -459,21 +459,35 @@ def test_minimax_weak_duality_is_exact_on_tilted_instances(F, radius):
     assert _bits(report.upper) == _bits(displacement(F, report.x_witness))
 
 
-def test_minimax_reads_a_nan_entry_as_inf_in_its_row_and_minus_inf_in_its_column():
-    # J = x^2 - y^2 is NaN only where x > 0.9 and y > 0.9, and its row
-    # envelope is x^2 at y = 0; one NaN in the value matrix used to make
-    # lower, upper and gap NaN.
-    J = Bifunctional(
-        pairs=scalar_pairs(
-            lambda x, y: np.nan if x[0] > 0.9 and y[0] > 0.9 else float(x @ x - y @ y)
-        ),
-        domain=FullSpace(1),
-        row_sup=lambda X: ((X * X).sum(axis=1), np.zeros_like(X)),
-    )
-    cfg = OptimizeConfig(coarse_grid=9, multistart=2, termination_step=1e-5, seed=1)
+def test_minimax_orders_a_nan_envelope_last_and_reads_a_nan_entry_as_minus_inf_in_its_column():
+    # J = x^2 - y^2 is NaN where |x| < 0.3 and |y - 0.25| < 0.05, and its
+    # row envelope, x^2 at y = 0, is NaN on the rows |x| < 0.3 that hold a
+    # NaN.  With one start per grid point, every NaN envelope row starts
+    # after the finite ones, and upper reads it as +inf although S_x holds
+    # it.  The column y = 0.25 is NaN at x = 0 and would read
+    # 0.3^2 - 0.25^2 > 0 if its NaNs were skipped; it reads -inf, so lower
+    # stays at the column y = 0.
+    calls = []
+
+    def pairs(X, Y):
+        values = (X * X).sum(axis=1) - (Y * Y).sum(axis=1)
+        return np.where((np.abs(X[:, 0]) < 0.3) & (np.abs(Y[:, 0] - 0.25) < 0.05), np.nan, values)
+
+    def row_sup(X):
+        calls.append(np.array(X))
+        return np.where(np.abs(X[:, 0]) < 0.3, np.nan, (X * X).sum(axis=1)), np.zeros_like(X)
+
+    J = Bifunctional(pairs=pairs, domain=FullSpace(1), row_sup=row_sup)
+    cfg = OptimizeConfig(coarse_grid=9, multistart=9, termination_step=1e-5, seed=1)
     report = minimax_gap(J, 1.0, 9, config=cfg)
-    assert report.lower == report.upper == report.gap == 0.0
-    assert report.x_witness == (0.0,) and report.y_witness == (0.0,)
+    grid, starts, S_x = calls[0], calls[1], calls[-1]
+    assert len(grid) == len(starts) == 9
+    nan = np.isnan(row_sup(starts)[0])
+    assert nan.any() and not (nan[:-1] & ~nan[1:]).any()
+    assert np.isnan(row_sup(S_x)[0]).any()
+    assert abs(report.x_witness[0]) >= 0.3
+    assert _bits(report.upper) == _bits(report.x_witness[0] ** 2)
+    assert report.lower == 0.0 and report.y_witness == (0.0,)
 
 
 def test_minimax_refuses_a_bifunctional_that_is_nan_everywhere():
@@ -524,6 +538,45 @@ def test_minimax_refuses_a_bifunctional_without_row_sup_before_evaluating():
     with pytest.raises(ValueError, match="row_sup"):
         minimax_gap(Bifunctional(pairs, F.domain, zero_diagonal=True), 4.0, 7, norm_spec=F.norm)
     assert calls == []
+
+
+@pytest.mark.parametrize("index", [2, 3, 4])
+def test_minimax_s_x_holds_the_lower_phase_endpoints_at_its_y_candidates(index):
+    # The lower phase's partnered search runs at Y_c, the upper phase's y
+    # candidates then the m grid points of least envelope, and S_x holds
+    # every endpoint it reaches, so its refined xs enter ``lower``.  On
+    # these instances some endpoints are neither grid points nor upper
+    # endpoints, so S_x would miss them without the lower phase.
+    from tiltlab import SampleDomain
+
+    F = affine_instance(index)
+    radius, resolution, m = 4.0, 9, 2
+    cfg = OptimizeConfig(coarse_grid=resolution, multistart=m, termination_step=1e-8, seed=3)
+    calls, searches = [], []
+    pairs, row_sup = _recording(F, calls)
+    J = Bifunctional(pairs, F.domain, zero_diagonal=True, row_sup=row_sup)
+    upper_phase, lower_phase = experiments._minimize_row_sup, experiments._minimize_columns
+
+    def recording_upper(*args):
+        searches.append(upper_phase(*args))
+        return searches[-1]
+
+    def recording_lower(K, pool, Y, *rest):
+        X, values = lower_phase(K, pool, Y, *rest)
+        searches.append((np.array(Y), X))
+        return X, values
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "_minimize_row_sup", recording_upper)
+        mp.setattr(experiments, "_minimize_columns", recording_lower)
+        minimax_gap(J, radius, resolution, norm_spec=F.norm, config=cfg)
+    (x_ends, y_fins), (Y_c, x_fins) = searches
+    G = SampleDomain(F.domain, F.norm, radius, resolution).require_grid()
+    best = np.argsort(F.row_sup(G)[0], kind="stable")
+    assert _bits(Y_c) == _bits(np.vstack([*y_fins, G[best[:m]]]))
+    S_x = [X for kind, X, *_ in calls if kind == "row_sup"][-1]
+    assert {x.tobytes() for x in x_fins} <= {x.tobytes() for x in S_x}
+    assert {x.tobytes() for x in x_fins} - {x.tobytes() for x in [*G, *x_ends]}
 
 
 def _matrix_phase(F, radius, resolution, cfg):
