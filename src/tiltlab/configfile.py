@@ -234,8 +234,10 @@ class ExperimentConfig:
     out: str
     # The resolved config: each key read or defaulted, as text, in reading order.
     document: tuple[tuple[str, str], ...]
-    # The probes a sweep or saddle check reads, built once while validating.
-    probe_grid: np.ndarray | None = field(compare=False, repr=False)
+    # The probes a sweep reads, built once while validating; a saddle check
+    # reads its window (its grid rows on a set other than full space and
+    # orthants), whose blocks it walks.
+    probe_grid: np.ndarray | SampleDomain | None = field(compare=False, repr=False)
 
 
 def _checked(field: str, build, *args):
@@ -252,6 +254,15 @@ def _probe_grid(field: str, *window) -> np.ndarray:
     grid = _checked(field, lambda: SampleDomain(*window).require_grid())
     grid.setflags(write=False)
     return grid
+
+
+def _saddle_probes(field: str, *window) -> np.ndarray | SampleDomain:
+    """A saddle check's probes, refused on ``field`` when there is none: on
+    full space and orthants the window itself, whose blocks the run walks,
+    with no row built here; on other sets its read-only grid."""
+    if not window[0].coordinatewise:
+        return _probe_grid(field, *window)
+    return _checked(field, lambda: SampleDomain(*window).require_points())
 
 
 def _build_norm(doc) -> NormSpec:
@@ -427,7 +438,7 @@ def build_experiment(doc: dict[str, str]) -> ExperimentConfig:
             doc, "saddle.x_star", length=norm_spec.dimension, required=True
         )
         window = (domain, norm_spec, sampling.radius, sampling.resolution)
-        probe_grid = _probe_grid("sampling.resolution", *window)
+        probe_grid = _saddle_probes("sampling.resolution", *window)
     saddle_tolerance = _get_float(doc, "saddle.tolerance", default=1e-6)
     if not 0.0 <= saddle_tolerance < math.inf:
         raise ConfigError("must be a finite number >= 0", field="saddle.tolerance")

@@ -19,12 +19,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import FixedPointNotLocated, GrowthConditionNotMet, InfeasibleTruncation
-from .functional import Bifunctional, TiltedFunctional, coercivity_radius, tilted_rows
+from .functional import (
+    Bifunctional, TiltedFunctional, coercivity_radius, mesh_displace, mesh_functional,
+    mesh_images, mesh_norms, tilted_rows,
+)
 from .maps import GrowthEstimate, evaluate_rows
 from .optimize import (
     MinimizationResult,
@@ -39,6 +43,7 @@ from .optimize import (
 )
 from .spaces import (
     MEMBERSHIP_TOL,
+    MESH_BLOCK_FLOATS,
     NormSpec,
     SampleDomain,
     as_rows,
@@ -46,6 +51,7 @@ from .spaces import (
     in_ball,
     norm,
     norms_of_rows,
+    scratch,
 )
 
 _STREAM_PRESCAN = 0x9E3
@@ -53,7 +59,6 @@ _STREAM_SADDLE_Y = 0xA11
 _STREAM_SADDLE_X = 0xA12
 _PRESCAN_COUNT = 16
 _MATRIX_BLOCK = 4096  # pairs per kernel call of a value matrix
-_SADDLE_BLOCK = 8192  # probe rows per block of verify_saddle
 
 # find_fixed_point's thresholds for residual_ok and row_ok, and the residual
 # above which the fixed point counts as not located.
@@ -469,64 +474,203 @@ def verify_saddle(
     """Check J(x_star, y) <= tol over the y grid and J(x, x_star) > -tol over
     the x grid, with strict positivity beyond ``separation`` of x_star.
 
-    Each grid must be a (k, n) array of members of J's domain.  Both are
-    checked and valued in blocks of ``_SADDLE_BLOCK`` rows, whose
-    temporaries stay in cache; a row's values do not depend on its block,
-    and the extremes are taken over the assembled vectors, so the first
-    witness wins as over whole grids."""
+    Each grid is a (k, n) array of members of J's domain, or a
+    :class:`SampleDomain` window whose grid points are the probes.  When
+    both are one window on J's set, J's ``pairs`` is a
+    :class:`TiltedFunctional`'s own with a mesh form
+    (:func:`~tiltlab.functional.mesh_functional`), and the window's norm
+    and ``norm_spec`` are under p in {1, 2, inf}, no grid is built: the
+    window's ``hull`` blocks (:meth:`SampleDomain.blocks`) of at most
+    ``MESH_BLOCK_FLOATS // n`` points are valued in mesh form.  There
+    J(x_star, y) = Phi(x_star) - ||y - f(x_star)|| and ||x - x_star|| are
+    folds of per-axis terms, bit for bit the rows' values, and
+    J(x, x_star) = ||x - f(x)|| - ||x_star - f(x)|| takes f from
+    :func:`~tiltlab.functional.mesh_images`, whose last bits may differ
+    from the rows'.  A block whose members fill less than a third of it is
+    valued as their rows instead.  Otherwise the grids are checked and
+    valued through ``J.pairs`` in blocks of as many rows.  A value does not
+    depend on the rest of its block, and each extreme keeps its first
+    witness in the grid's order, as over whole grids."""
     if not J.zero_diagonal:
         raise ValueError("saddle verification requires a zero-diagonal bifunctional")
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    if not 0.0 < separation < np.inf:
+        raise ValueError(f"separation must be positive and finite, got {separation}")
     x_star = J.domain.require(x_star, "x_star")
     n = J.domain.dimension
     if norm_spec is None:
         norm_spec = NormSpec(n, 2.0)
-    y_grid = as_rows(y_grid, n, "y_grid")
-    x_grid = as_rows(x_grid, n, "x_grid")
-    if len(y_grid) == 0 or len(x_grid) == 0:
-        raise InfeasibleTruncation(
-            f"saddle checks need probe points: the y grid has {len(y_grid)} "
-            f"and the x grid {len(x_grid)}"
-        )
-
-    row_vals = np.empty(len(y_grid))
-    for s in range(0, len(y_grid), _SADDLE_BLOCK):
-        Y = y_grid[s : s + _SADDLE_BLOCK]
-        J.domain.require_rows(Y, "y_grid", s)
-        row_vals[s : s + len(Y)] = J.pairs(x_star[None, :], Y)
-    col_vals = np.empty(len(x_grid))
-    far = np.empty(len(x_grid), dtype=bool)
-    for s in range(0, len(x_grid), _SADDLE_BLOCK):
-        X = x_grid[s : s + _SADDLE_BLOCK]
-        J.domain.require_rows(X, "x_grid", s)
-        col_vals[s : s + len(X)] = J.pairs(X, x_star[None, :])
-        far[s : s + len(X)] = norms_of_rows(X - x_star[None, :], norm_spec) >= separation
-    iy = int(np.argmax(row_vals))
-    ix = int(np.argmin(col_vals))
-
-    far_at = np.flatnonzero(far)
-    if len(far_at):
-        i = int(far_at[np.argmin(col_vals[far_at])])
-        strict_min = float(col_vals[i])
-        strict_witness = tuple(float(v) for v in x_grid[i])
-        strict_ok = strict_min > 0.0
+    cap = MESH_BLOCK_FLOATS // n
+    walk = _SaddleWalk(J, x_star, norm_spec, separation)
+    window = y_grid if isinstance(y_grid, SampleDomain) and y_grid is x_grid else None
+    F = None if window is None else mesh_functional(J.pairs, "pairs")
+    if (F is not None and window.domain == F.domain
+            and window.norm.fold is not None and norm_spec.fold is not None):
+        walk.mesh(F, window.blocks(cap, hull=True), cap)
+        if walk.row.best is None:
+            _no_probes(0, 0)
     else:
-        strict_min, strict_witness, strict_ok = None, None, False
-
+        if window is not None:
+            y_grid = x_grid = window.grid_points()
+        y_grid, x_grid = (as_rows(g.grid_points() if isinstance(g, SampleDomain) else g, n, name)
+                          for g, name in ((y_grid, "y_grid"), (x_grid, "x_grid")))
+        if len(y_grid) == 0 or len(x_grid) == 0:
+            _no_probes(len(y_grid), len(x_grid))
+        for s in range(0, len(y_grid), cap):
+            Y = y_grid[s : s + cap]
+            J.domain.require_rows(Y, "y_grid", s)
+            walk.ys(Y)
+        for s in range(0, len(x_grid), cap):
+            X = x_grid[s : s + cap]
+            J.domain.require_rows(X, "x_grid", s)
+            walk.xs(X)
+    row_max, row_witness = walk.row.result()
+    column_min, column_witness = walk.col.result()
+    strict_min, strict_witness = walk.strict.result()
     return SaddleCheck(
-        row_max=float(row_vals[iy]),
-        row_witness=tuple(float(v) for v in y_grid[iy]),
-        column_min=float(col_vals[ix]),
-        column_witness=tuple(float(v) for v in x_grid[ix]),
+        row_max=row_max,
+        row_witness=row_witness,
+        column_min=column_min,
+        column_witness=column_witness,
         strict_min=strict_min,
         strict_witness=strict_witness,
-        row_ok=bool(row_vals[iy] <= tol),
-        column_nonneg_ok=bool(col_vals[ix] > -tol),
-        column_strict_ok=bool(strict_ok),
+        row_ok=bool(row_max <= tol),
+        column_nonneg_ok=bool(column_min > -tol),
+        column_strict_ok=strict_min is not None and strict_min > 0.0,
         tolerance=float(tol),
         separation=float(separation),
     )
+
+
+def _no_probes(ys: int, xs: int):
+    raise InfeasibleTruncation(
+        f"saddle checks need probe points: the y grid has {ys} and the x grid {xs}"
+    )
+
+
+class _SaddleWalk:
+    """verify_saddle's three extremes, fed block by block in grid order:
+    J(x_star, y) over the ys, J(x, x_star) over the xs, and the latter over
+    the xs at least ``separation`` from x_star."""
+
+    def __init__(self, J, x_star, norm_spec, separation):
+        self.J, self.x_star, self.norm_spec, self.separation = J, x_star, norm_spec, separation
+        self.row = _FirstExtreme("argmax", -np.inf)
+        self.col = _FirstExtreme("argmin", np.inf)
+        self.strict = _FirstExtreme("argmin", np.inf)
+
+    def ys(self, Y):
+        self.row.add(self.J.pairs(self.x_star[None, :], Y), None, Y.__getitem__)
+
+    def xs(self, X):
+        values = self.J.pairs(X, self.x_star[None, :])
+        self.col.add(values, None, X.__getitem__)
+        far = norms_of_rows(X - self.x_star[None, :], self.norm_spec) >= self.separation
+        self.strict.add(values, far, X.__getitem__)
+
+    def mesh(self, F: TiltedFunctional, blocks, cap: int):
+        """The members of a window's hull blocks as ys and xs, in mesh form;
+        in a block they fill less than a third of, where the mesh form would
+        value three times the members, as their rows through ``J.pairs``,
+        which wait, in order, to be valued together up to ``cap`` at a
+        time."""
+        x_star, n, separation = self.x_star, F.dimension, self.separation
+        fold, near = F.norm.fold, self.norm_spec.fold
+        waiting: list[np.ndarray] = []
+
+        def sparse(block):
+            inside = block.inside
+            return inside is not None and 3 * np.count_nonzero(inside) < inside.size
+
+        def flush():
+            if waiting:
+                X = waiting[0] if len(waiting) == 1 else np.concatenate(waiting)
+                waiting.clear()
+                self.ys(X)
+                self.xs(X)
+
+        phi = None
+        with scratch() as room:
+            for block, f in mesh_images(F, blocks, rows=sparse):
+                if f is None:
+                    waiting.append(block.rows())
+                    if sum(map(len, waiting)) >= cap:
+                        flush()
+                    continue
+                flush()
+                if phi is None:  # f(x_star) and Phi(x_star), as pairs forms them
+                    fx = evaluate_rows(F.mapping, x_star[None, :], F.domain)
+                    phi, fx = norms_of_rows(x_star[None, :] - fx, F.norm), fx[0]
+                lead, tail, inside = block.lead, block.tail, block.inside
+                axes = [np.array([v]) for v in lead] + tail
+                shape, size = [len(a) for a in axes], f.shape[1]
+                at = lambda i, block=block: block.gather(
+                    np.unravel_index([i], [len(a) for a in block.tail]))[0]
+                # J(x, x_star) = ||x - f|| - ||x_star - f||, each formed in
+                # place; the work rows then hold J(x_star, y) and the
+                # distances to x_star, folds of the axes' terms.
+                work = room(0, (max(n, 2), size))
+                star = mesh_norms(fold, np.subtract(x_star[:, None], f, out=work[:n]))
+                xs = mesh_norms(fold, mesh_displace(lead, tail, f))
+                xs = np.subtract(xs, star, out=xs).reshape(shape)
+                ys = fold.mesh([a - v for a, v in zip(axes, fx)], out=work[0].reshape(shape))
+                self.row.add(np.subtract(phi, fold.finished(ys, out=ys), out=ys), inside, at)
+                # When the fold of each axis's least distance term reaches
+                # the separation, every probe's does: the strict minimum is
+                # the column minimum.
+                gaps = [a - v for a, v in zip(axes, x_star)]
+                least = reduce(near.ufunc, [t.min() for t in near.axis_terms(gaps)])
+                entry = self.col.add(xs, inside, at)
+                if entry is not None and near.finished(least) >= separation:
+                    self.strict.offer(entry)
+                    continue
+                far = near.mesh(gaps, out=work[1].reshape(shape))
+                far = near.finished(far, out=far) >= separation
+                if inside is not None:
+                    far &= inside
+                self.strict.add(xs, far, at)
+        flush()
+
+
+class _FirstExtreme:
+    """The first extreme, as ``argmax`` or ``argmin`` (``arg``) finds it, of
+    values given block by block in grid order, each block's over a mask of
+    its members (all when None): each block's own first extreme, kept when
+    it beats the best so far, a NaN beating every number as in ``arg``.  A
+    block's values outside its mask are overwritten by ``fill``, which only
+    a member's fill ties, so a second extreme over a smaller mask may
+    follow on the same values."""
+
+    def __init__(self, arg: str, fill: float):
+        self.arg, self.fill, self.best = arg, fill, None
+        self.beats = (lambda a, b: a > b) if arg == "argmax" else (lambda a, b: a < b)
+
+    def add(self, values, mask, point) -> tuple | None:
+        """A block's values, its mask and ``point(i)``, the probe at flat
+        index i: the block's entry, or None when the mask keeps nothing."""
+        if mask is not None:
+            np.copyto(values, self.fill, where=~mask)
+        i = int(getattr(values, self.arg)())
+        if mask is not None and not mask.flat[i]:  # no member, or each reads the fill
+            if not mask.any():
+                return None
+            i = int(mask.argmax())
+        entry = (float(values.flat[i]), point, i)
+        self.offer(entry)
+        return entry
+
+    def offer(self, entry: tuple):
+        best = self.best
+        value = entry[0]  # a NaN beats every number, and is beaten by none
+        if best is None or (best[0] == best[0] and (value != value or self.beats(value, best[0]))):
+            self.best = entry
+
+    def result(self) -> tuple[float | None, tuple[float, ...] | None]:
+        if self.best is None:
+            return None, None
+        value, point, i = self.best
+        return value, tuple(point(i).tolist())
 
 
 @dataclass(frozen=True)

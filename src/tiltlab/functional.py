@@ -22,8 +22,7 @@ import numpy as np
 from .errors import DimensionMismatch, GrowthConditionNotMet
 from .maps import MapSpec, affine_parts, evaluate_rows
 from .spaces import (
-    MEMBERSHIP_TOL, FeasibleSet, FullSpace, NormSpec, as_vector, fold_rows, norm,
-    norms_of_rows,
+    MEMBERSHIP_TOL, FeasibleSet, FullSpace, NormSpec, as_vector, norm, norms_of_rows, scratch,
 )
 
 
@@ -82,68 +81,148 @@ def tilted_rows(X, Y, FX, norm_spec: NormSpec) -> np.ndarray:
     return norms_of_rows(X - FX, norm_spec) - norms_of_rows(Y - FX, norm_spec)
 
 
-def mesh_displacements(F: TiltedFunctional, blocks):
-    """Phi in mesh form over each block of a :func:`spaces.mesh_blocks`
-    walk, for an affine or constant map (:func:`maps.affine_parts`) under p
-    in {1, 2, inf}: yields ``(block, phi)``, phi over the block's tail mesh.
+def mesh_functional(method, name: str) -> TiltedFunctional | None:
+    """The :class:`TiltedFunctional` whose own bound method ``name`` is
+    ``method``, when it has a mesh form: an affine or constant map under p
+    in {1, 2, inf}, weighted or not, on full space or an orthant; else
+    None, as for any other callable."""
+    F = getattr(method, "__self__", None)
+    if (isinstance(F, TiltedFunctional) and method.__func__ is getattr(TiltedFunctional, name)
+            and F.domain.coordinatewise and F.norm.fold is not None
+            and affine_parts(F.mapping) is not None):
+        return F
+    return None
+
+
+def mesh_images(F: TiltedFunctional, blocks, rows=None):
+    """f over each block of a :func:`spaces.mesh_blocks` walk, for an
+    affine or constant map (:func:`maps.affine_parts`): yields ``(block,
+    f)``, f an (n, rows) array over the block's tail mesh that the caller
+    may overwrite, and that the next block overwrites; f is None for a
+    block that ``rows(block)`` leaves to the caller to value as rows.
 
     f folds the offset b and then the terms ``x_j * At[j]`` from the last
     column to the first: b and the trailing axes' terms, broadcast over the
-    tail mesh, into T once per walk, then each leading value's term once
+    tail mesh, into T once for each new ``block.axes`` (once per walk, or
+    once per block of a ``hull`` walk), then each leading value's term once
     per block.  So a point's value depends on neither the block edges nor
     where the leading columns end; the rows fold f in another order (with
     BLAS up to n = 3), and the last bits may differ.  f's range check
-    reads each coordinate's least f over the run, lowered by a bound on
-    that difference, as ``fl(lower - v)`` falls as v grows; a block that
-    fails it has its member rows checked by :func:`evaluate_rows`, which
-    raises where and as the row path does.  Phi is the norm of ``x - f``,
-    every coordinate in one (n, rows) array: its terms in place, then
-    :func:`fold_rows` and the finish, the calls :func:`norms_of_rows`
-    makes.
+    reads a lower bound on each coordinate's f over the block's box, the
+    fold of b and each axis's least product (each step of the fold is
+    monotone), lowered by a bound on that difference, as ``fl(lower - v)``
+    falls as v grows; a block that fails it has its member rows checked by
+    :func:`evaluate_rows`, which raises where and as the row path does.  T
+    and f live in :func:`spaces.scratch` buffers.
     """
     At, b = affine_parts(F.mapping)
-    fold, n = F.norm.fold, F.dimension
+    n = F.dimension
     checked = not isinstance(F.domain, FullSpace)
     # Any order of f's products and sums is within (n + 1) eps of the sum of
     # their magnitudes, |x| . |At[:, k]| + |b_k|; twice that bounds two
     # orders' difference and the rounding of the lowered minimum.
     grow = 2 * (n + 1) * np.finfo(float).eps
     slope, floor = float(np.abs(At).max()), float(np.abs(b).max())
-    T = None
-    for block in blocks:
-        lead = block.lead
-        d = n - len(block.axes)  # the leading columns
-        if T is None:  # once per walk: T[k] folds b_k and the tail's terms
-            m = n - d
-            along = [(1,) * j + (-1,) + (1,) * (m - 1 - j) for j in range(m)]
-            T = b.reshape((n,) + (1,) * m)
-            for j in range(m - 1, -1, -1):
-                T = T + At[d + j].reshape((n,) + (1,) * m) * block.axes[j].reshape(along[j])
-            T = T.reshape(n, -1)
-            reach = sum(float(np.abs(a).max()) for a in block.axes)
-        run = block.span
-        f = T[:, run] + (lead[-1] * At[d - 1])[:, None] if lead else T[:, run].copy()
-        for j in range(d - 2, -1, -1):
-            f += (lead[j] * At[j])[:, None]  # f[k] is f_k over the run
-        if checked:
-            margin = grow * ((reach + sum(abs(v) for v in lead)) * slope + floor)
-            least = f.min(axis=1) - margin
-            if not F.domain.violations_of_rows(least[None, :])[0] <= MEMBERSHIP_TOL:
-                evaluate_rows(F.mapping, block.rows(), F.domain)  # raises if a member's f left
-        for j, v in enumerate(lead):
-            np.subtract(v, f[j], out=f[j])
-        # x - f in the tail's mesh shape, each axis broadcast along its own
-        # dimension, so that no flat copy of the tail's coordinates lives
-        # through the walk: one raised audit's peak memory by 0.3 MB.
+    axes = None
+    with scratch() as room:
+        for block in blocks:
+            if rows is not None and rows(block):
+                yield block, None
+                continue
+            lead, first = block.lead, block.first
+            d = n - len(block.axes)  # the leading columns
+            # A block with no leading value that spans its axes takes T as f.
+            whole = not lead and first == slice(0, len(block.axes[0]))
+            if block.axes is not axes:  # T[k] folds b_k and the tail's terms
+                axes, m = block.axes, n - d
+                T = b.reshape((n,) + (1,) * m)
+                for j in range(m - 1, 0, -1):
+                    T = T + At[d + j].reshape((n,) + (1,) * m) * axes[j].reshape(_along(j, m))
+                # The first axis's terms last, over the rest of the tail as
+                # one dimension, so that numpy's inner loop runs along it.
+                stride = T[0].size
+                T = np.add(T.reshape(n, 1, -1), (At[d][:, None] * axes[0])[:, :, None],
+                           out=room(0, (n, len(axes[0]), stride))).reshape(n, -1)
+                if not whole:
+                    flat = room(1, (T.size,))  # f's room: a run of T's columns
+                if checked:  # T's least: b and each axis's least product, folded as T
+                    low = b
+                    for j in range(m - 1, -1, -1):
+                        low = low + (At[d + j][:, None] * axes[j]).min(axis=1)
+                    reach = sum(float(np.abs(a).max()) for a in axes)
+            terms = [v * At[j] for j, v in enumerate(lead)]  # f folds them last to first
+            if whole:
+                f, axes = T, None  # the caller overwrites T: the next block rebuilds it
+            else:
+                run = slice(first.start * stride, first.stop * stride)
+                f = flat[:n * (run.stop - run.start)].reshape(n, -1)
+                if lead:
+                    np.add(T[:, run], terms[-1][:, None], out=f)
+                else:
+                    np.copyto(f, T[:, run])
+            for t in terms[-2::-1]:
+                f += t[:, None]  # f[k] is f_k over the run
+            if checked:
+                # Each step of f's fold is monotone, so its least over the
+                # block is at least T's least folded with the leading terms.
+                least = low
+                for t in terms[::-1]:
+                    least = least + t
+                margin = grow * ((reach + sum(abs(v) for v in lead)) * slope + floor)
+                if not F.domain.violations_of_rows((least - margin)[None, :])[0] <= MEMBERSHIP_TOL:
+                    evaluate_rows(F.mapping, block.rows(), F.domain)  # raises if a member's f left
+            yield block, f
+
+
+def _along(j: int, m: int) -> tuple:
+    """The shape that lays an axis along dimension j of an m-axis mesh."""
+    return (1,) * j + (-1,) + (1,) * (m - 1 - j)
+
+
+def mesh_displace(lead, tail, f) -> np.ndarray:
+    """``x - f`` over a block of :func:`mesh_images` (its leading values and
+    tail axes), in place in f: each axis broadcast along its own dimension
+    of the tail's mesh, so that no flat copy of the tail's coordinates is
+    made (one raised an audit's peak memory by 0.3 MB)."""
+    d, m = len(lead), len(tail)
+    for j, v in enumerate(lead):
+        np.subtract(v, f[j], out=f[j])
+    x_f = f[d:].reshape([m] + [len(a) for a in tail])
+    first = x_f[0].reshape(len(tail[0]), -1)  # the rest of the tail as one dimension
+    np.subtract(tail[0][:, None], first, out=first)
+    for j, a in enumerate(tail[1:], start=1):
+        np.subtract(a.reshape((-1,) + (1,) * (m - 1 - j)), x_f[j], out=x_f[j])
+    return f
+
+
+def mesh_norms(fold, D) -> np.ndarray:
+    """The norms of the columns of an (n, rows) array D, formed in D: the
+    terms in place, folded into ``D[0]`` and finished there, the calls
+    :func:`fold_rows` and :func:`norms_of_rows` make on ``D.T``."""
+    fold.term(D, out=D)
+    if fold.weights is not None:
+        D *= fold.weights[:, None]
+    if len(D) < 2:
+        folded = fold.ufunc.reduce(D, axis=0)
+    else:
+        folded = fold.ufunc(D[0], D[1], out=D[0])
+        for j in range(2, len(D)):
+            fold.ufunc(folded, D[j], out=folded)
+    return fold.finished(folded, out=folded)
+
+
+def mesh_displacements(F: TiltedFunctional, blocks):
+    """Phi in mesh form over each block of a :func:`spaces.mesh_blocks`
+    walk, for an affine or constant map under p in {1, 2, inf}: yields
+    ``(block, phi)``, phi over the block's tail mesh, which the next block
+    overwrites.  f comes from :func:`mesh_images`; Phi is the norm of
+    ``x - f``, formed in f's array (:func:`mesh_displace`,
+    :func:`mesh_norms`)."""
+    fold = F.norm.fold
+    for block, f in mesh_images(F, blocks):
         tail = block.tail
-        shape = [len(a) for a in tail]
-        x_f = f[d:].reshape([m] + shape)
-        for j, a in enumerate(tail):
-            np.subtract(a.reshape(along[j]), x_f[j], out=x_f[j])
-        fold.term(f, out=f)
-        if fold.weights is not None:
-            f *= fold.weights[:, None]
-        yield block, fold.finished(fold_rows(fold.ufunc, f.T)).reshape(shape)
+        phi = mesh_norms(fold, mesh_displace(block.lead, tail, f))
+        yield block, phi.reshape([len(a) for a in tail])
 
 
 def tilted_value(F: TiltedFunctional, x, y) -> float:

@@ -28,8 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, FieldError, InfeasibleTruncation
-from .functional import TiltedFunctional, mesh_displacements
-from .maps import affine_parts
+from .functional import mesh_displacements, mesh_functional
 from .spaces import (
     MESH_BLOCK_FLOATS, FeasibleSet, NormSpec, SampleDomain, ball_bound, mesh_blocks, norm,
     norms_of_rows, positive_int,
@@ -523,11 +522,8 @@ def brute_force_minima(
         passes = domain.violations_of_rows(trial.reshape(-1, n)) <= 1e-12
         axes = [axis[m] for m in passes.reshape(n, resolution)]
     blocks = mesh_blocks(axes, radius, norm_spec, MESH_BLOCK_FLOATS // n)
-    F = getattr(objective_rows, "__self__", None)
-    if (box and isinstance(F, TiltedFunctional) and F.dimension == n
-            and objective_rows.__func__ is TiltedFunctional.displacements
-            and F.domain.coordinatewise and F.norm.fold is not None
-            and affine_parts(F.mapping) is not None):
+    F = mesh_functional(objective_rows, "displacements")
+    if box and F is not None and F.dimension == n:
         # (values, member mask or None for all, rows at a mask of the values);
         # a candidate mask is sparse, so its flat indices are found first.
         scans = ((phi, block.inside, lambda mask, block=block: block.gather(

@@ -13,8 +13,9 @@ import enum
 import itertools
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
@@ -34,6 +35,10 @@ _BROADCAST_CAP = 1 << 16
 GRID_POINT_CAP = 20_000_000
 # Floats per bounded block of a box-mesh walk (:func:`mesh_blocks`).
 MESH_BLOCK_FLOATS = 1 << 16
+# The flat buffers that finished walks gave back (:func:`scratch`), at most
+# _SPARES of them, the largest kept.
+_SPARE: list[np.ndarray] = []
+_SPARES = 6
 
 
 class MaxNorm(enum.Enum):
@@ -165,20 +170,22 @@ class NormFold(NamedTuple):
             return [self.term(a) for a in axes]
         return [self.term(a) * w[first + j] for j, a in enumerate(axes)]
 
-    def mesh(self, axes) -> np.ndarray:
+    def mesh(self, axes, out=None) -> np.ndarray:
         """The folded terms of the rows of ``mesh_rows(axes)``, unfinished,
         in the mesh's shape.  Each axis's terms lie along its own
         dimension, and folding them in column order by broadcasting makes,
-        per row, the ufunc calls of :func:`fold_rows` on its terms."""
+        per row, the ufunc calls of :func:`fold_rows` on its terms.  The
+        last fold step writes into ``out`` when given (of the mesh's
+        shape); a single axis's terms are returned as they are."""
         n = len(axes)
-        out = None
+        acc = None
         for j, t in enumerate(self.axis_terms(axes)):
             t = t.reshape((1,) * j + (-1,) + (1,) * (n - 1 - j))
-            out = t if out is None else self.ufunc(out, t)
-        return out
+            acc = t if acc is None else self.ufunc(acc, t, out=out if j == n - 1 else None)
+        return acc
 
-    def finished(self, folded) -> np.ndarray:
-        return folded if self.finish is None else self.finish(folded)
+    def finished(self, folded, out=None) -> np.ndarray:
+        return folded if self.finish is None else self.finish(folded, out=out)
 
     def mesh_norms(self, axes) -> np.ndarray:
         """:meth:`mesh`, finished: the norms of the mesh rows."""
@@ -665,6 +672,35 @@ def _grid_axes(radius: float, resolution: int, dimension: int) -> list[np.ndarra
     return [axis] * dimension
 
 
+@contextmanager
+def scratch():
+    """Lend a mesh walk flat float buffers: yields ``room(slot, shape)``, a
+    C-contiguous array of ``shape`` at the start of the walk's buffer
+    ``slot``, which the slot's next call overwrites.  A buffer too small is
+    swapped for the least spare that fits, or a new one, and the walk's
+    buffers become spares when it ends: a new large array pays a page
+    fault per page on its first write, a fifth of a small audit scan."""
+    held: dict[int, np.ndarray] = {}
+
+    def room(slot: int, shape) -> np.ndarray:
+        size = math.prod(shape)
+        buffer = held.get(slot)
+        if buffer is None or len(buffer) < size:
+            if buffer is not None:
+                _SPARE.append(buffer)
+            fits = [i for i, b in enumerate(_SPARE) if len(b) >= size]
+            i = min(fits, key=lambda i: len(_SPARE[i]), default=None)
+            buffer = held[slot] = np.empty(size) if i is None else _SPARE.pop(i)
+        return buffer[:size].reshape(shape)
+
+    try:
+        yield room
+    finally:
+        _SPARE.extend(held.values())
+        _SPARE.sort(key=len)
+        del _SPARE[:-_SPARES]
+
+
 def mesh_rows(axes, width: int | None = None) -> np.ndarray:
     """The mesh of ``axes`` as rows in lexicographic index order (the last
     axis fastest), written into the last columns of one preallocated
@@ -714,9 +750,12 @@ class MeshBlock(NamedTuple):
         """The members as rows: with a buffer, compressed from its span
         (maybe a view, which the next block overwrites)."""
         if self.buffer is None:
-            if self.inside is None:
-                return mesh_rows(self.tail)
-            return self.gather(np.nonzero(self.inside))
+            if self.inside is not None:
+                return self.gather(np.nonzero(self.inside))
+            lead = len(self.lead)
+            rows = mesh_rows(self.tail, lead + len(self.axes))
+            rows[:, :lead] = self.lead
+            return rows
         buffer = self.buffer()
         buffer[:, :len(self.lead)] = self.lead
         rows = buffer[self.span]
@@ -731,7 +770,7 @@ def spread_axes(axes) -> list[np.ndarray]:
             for j, a in enumerate(axes)]
 
 
-def mesh_blocks(axes, radius, spec: NormSpec, cap: int | None = None):
+def mesh_blocks(axes, radius, spec: NormSpec, cap: int | None = None, hull: bool = False):
     """The rows of ``mesh_rows(axes)`` that :func:`in_ball` keeps, in order
     and bit for bit, as :class:`MeshBlock` s: blocks of at most ``cap``
     rows, or without a cap one block under p in {1, 2, inf} and blocks of
@@ -750,6 +789,15 @@ def mesh_blocks(axes, radius, spec: NormSpec, cap: int | None = None):
     are monotone.  Its mask continues the leading values' fold over the
     run left, each term spread over the mesh; a block without members is
     skipped.
+
+    With ``hull`` (p in {1, 2, inf} and a cap) a block may take several
+    values of one axis: the first axis whose later axes' mesh has at most
+    ``cap`` rows is cut into runs of as many values as fit the cap, each
+    run with one tuple of the earlier axes' values.  Each block is then
+    cut to its hull, on every axis the range of values some member takes
+    (the same exact fold test, each other term at its least over the
+    block), so its ``axes`` are its own and ``first`` spans all of the
+    first; its mask folds its own terms.
     """
     n, fold, bound = len(axes), spec.fold, ball_bound(radius)
     boxed = spec.p is INF
@@ -758,6 +806,11 @@ def mesh_blocks(axes, radius, spec: NormSpec, cap: int | None = None):
     folded = fold is not None and not boxed
     sizes = [len(a) for a in axes]
     if not all(sizes):
+        return
+    if hull:
+        if fold is None or cap is None:
+            raise ValueError("hull blocks need p in {1, 2, inf} and a cap")
+        yield from _hull_blocks(axes, fold if folded else None, bound, cap)
         return
     if cap is None and fold is None:
         cap = MESH_BLOCK_FLOATS // n
@@ -809,6 +862,50 @@ def mesh_blocks(axes, radius, spec: NormSpec, cap: int | None = None):
             yield MeshBlock(lead, tail_axes, first, inside, buffer)
 
 
+def _hull_blocks(axes, fold, bound, cap):
+    """:func:`mesh_blocks` with ``hull``, on axes clipped to the box under
+    the max norm, where ``fold`` is None and nothing is masked.  The tests
+    that find each run's hull are shared by the runs of a tuple of leading
+    values: the cut axis's over the whole axis, and each later axis's
+    against every run's least cut-axis term at once."""
+    n, sizes = len(axes), [len(a) for a in axes]
+    j = n - 1  # the cut axis
+    while j and math.prod(sizes[j:]) <= cap:
+        j -= 1
+    step, m = max(cap // math.prod(sizes[j + 1:]), 1), n - j
+    starts = range(0, sizes[j], step)
+    if fold is not None:
+        terms = fold.axis_terms(axes)[j:]
+        least = [t.min() for t in terms]
+        along = [(1,) * q + (-1,) + (1,) * (m - 1 - q) for q in range(m)]
+    heads = ([[v] for v in fold.mesh(axes[:j]).ravel()] if fold is not None and j
+             else itertools.repeat([]))
+    for lead, head in zip(itertools.product(*axes[:j]), heads):
+        if fold is not None:  # taken[i][r]: axis i's values some member of run r takes
+            lows = np.minimum.reduceat(terms[0], starts)[:, None]
+            taken = []
+            for i, t in enumerate(terms):
+                column = [t if q == i else lows if q == 0 else low for q, low in enumerate(least)]
+                taken.append(fold.finished(reduce(fold.ufunc, head + column)) <= bound)
+        for r, start in enumerate(starts):
+            cut = [slice(start, start + step)] + [slice(None)] * (m - 1)
+            inside = None
+            if fold is not None:
+                for i, ok in enumerate(taken):
+                    at = np.flatnonzero(ok[cut[0]] if i == 0 else ok[r])
+                    if not len(at):
+                        break  # no member: only the cut axis's test can fail
+                    base = start if i == 0 else 0
+                    cut[i] = slice(base + at[0], base + at[-1] + 1)
+                else:
+                    ts = [t[c].reshape(s) for t, c, s in zip(terms, cut, along)]
+                    inside = fold.finished(reduce(fold.ufunc, head + ts)) <= bound
+                if inside is None:
+                    continue
+            block = [a[c] for a, c in zip(axes[j:], cut)]
+            yield MeshBlock(lead, block, slice(0, len(block[0])), inside, None)
+
+
 @dataclass(frozen=True)
 class SampleDomain:
     """Truncated sampling window X intersected with the active-norm ball
@@ -844,22 +941,17 @@ class SampleDomain:
         tuple of its coordinates' first occurrences on their axes.  So the
         axes are projected as the columns of one array; a projected axis
         never decreases, so it keeps the values that differ from their
-        predecessor; and the grid is :func:`mesh_blocks` of the kept axes,
-        with no projection or dedup of the whole mesh: one block under p in
+        predecessor; and the grid is :func:`mesh_blocks` of the kept axes, with
+        no projection or dedup of the whole mesh: one block under p in
         {1, 2, inf}, with no norm pass, and bounded blocks joined under
         other p, so that no norm pass spans the whole mesh.  Other sets
         project and dedup the whole mesh.
         """
         n = self.domain.dimension
-        axes = _grid_axes(self.radius, self.resolution, n)
         if self.domain.coordinatewise:
-            columns = self.domain.project_rows(np.stack(axes, axis=1)).T
-            first = np.ones(columns.shape, dtype=bool)
-            first[:, 1:] = columns[:, 1:] != columns[:, :-1]
-            axes = [c[m] for c, m in zip(columns, first)]
-            parts = [b.rows() for b in mesh_blocks(axes, self.radius, self.norm)]
+            parts = [b.rows() for b in mesh_blocks(self._axes, self.radius, self.norm)]
             return parts[0] if len(parts) == 1 else np.concatenate([np.empty((0, n)), *parts])
-        pts = self.domain.project_rows(mesh_rows(axes))
+        pts = self.domain.project_rows(mesh_rows(_grid_axes(self.radius, self.resolution, n)))
         inside = in_ball(pts, self.radius, self.norm)
         if not inside.all():
             pts = pts[inside]
@@ -867,14 +959,50 @@ class SampleDomain:
             return pts
         return pts[first_rows(pts)]
 
+    @cached_property
+    def _axes(self) -> list[np.ndarray]:
+        """On full space and orthants, the projected axes, each keeping its
+        values that differ from their predecessor."""
+        axes = _grid_axes(self.radius, self.resolution, self.domain.dimension)
+        columns = self.domain.project_rows(np.stack(axes, axis=1)).T
+        first = np.ones(columns.shape, dtype=bool)
+        first[:, 1:] = columns[:, 1:] != columns[:, :-1]
+        return [c[m] for c, m in zip(columns, first)]
+
+    def blocks(self, cap: int | None = None, hull: bool = False):
+        """On full space and orthants, the grid as :func:`mesh_blocks` of
+        the projected axes."""
+        return mesh_blocks(self._axes, self.radius, self.norm, cap, hull)
+
     def require_grid(self) -> np.ndarray:
         """:meth:`grid_points`, refusing an empty grid."""
         pts = self.grid_points()
         if len(pts) == 0:
-            raise InfeasibleTruncation(
-                f"no feasible grid point inside the ball of radius {self.radius}"
-            )
+            self._refuse()
         return pts
+
+    def require_points(self) -> "SampleDomain":
+        """The window, refused as :meth:`require_grid` refuses an empty
+        grid.  On full space and orthants no row is built: under p in
+        {1, 2, inf} the mesh has a member when the row of each axis's least
+        term has (each fold step and the finish are monotone), and under
+        other p the bounded blocks are walked up to the first member."""
+        fold = self.norm.fold
+        if not self.domain.coordinatewise:
+            self.require_grid()
+        elif fold is not None:
+            least = reduce(fold.ufunc, [t.min() for t in fold.axis_terms(self._axes)])
+            if not fold.finished(least) <= ball_bound(self.radius):
+                self._refuse()
+        elif not any(b.inside.any()
+                     for b in self.blocks(MESH_BLOCK_FLOATS // self.domain.dimension)):
+            self._refuse()
+        return self
+
+    def _refuse(self):
+        raise InfeasibleTruncation(
+            f"no feasible grid point inside the ball of radius {self.radius}"
+        )
 
     def _collect(self, count: int, draw) -> np.ndarray:
         """Up to ``count`` window points from batches ``draw(k)`` of k box

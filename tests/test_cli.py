@@ -379,7 +379,12 @@ def test_validate_refuses_a_saddle_check_with_no_probe(tmp_path, capsys):
     )
 
 
-def test_run_builds_the_saddle_grid_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("overrides, builds", [
+    ([], 0),  # the mesh form walks the window's blocks
+    (["space.p=1.5"], 1),  # the rows: built by the run, not by validation
+    (["set.variant=half_space", "set.normal=1 0 0", "set.offset=0"], 1),  # by validation
+], ids=["mesh", "rows", "half_space"])
+def test_run_builds_the_saddle_grid_at_most_once(tmp_path, monkeypatch, overrides, builds):
     import tiltlab.spaces as spaces
 
     calls = []
@@ -388,8 +393,10 @@ def test_run_builds_the_saddle_grid_once(tmp_path, monkeypatch):
                         lambda self: calls.append(self) or grid(self))
     path = write(tmp_path, CORNERS_SADDLE_CONFIG)
     args = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
-    assert main(args + ["--override", "sampling.resolution=5"]) == 0
-    assert len(calls) == 1
+    for override in ["sampling.resolution=5", *overrides]:
+        args += ["--override", override]
+    assert main(args) == 0
+    assert len(calls) == builds
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import affine_instance, feasible_cloud, instance_growth, scalar_pairs
 
@@ -24,6 +26,7 @@ from tiltlab import (
     Orthant,
     RangeViolation,
     SaddleCheck,
+    SampleDomain,
     TiltedFunctional,
     Verdict,
     analytic_fixed_point,
@@ -41,6 +44,8 @@ from tiltlab import (
 )
 from tiltlab import experiments
 from tiltlab.experiments import Probe, _certify_probes, effective_growth_bound
+from tiltlab.maps import affine_parts
+from tiltlab.spaces import MESH_BLOCK_FLOATS
 
 CFG = OptimizeConfig(coarse_grid=33, multistart=8, seed=2)
 
@@ -400,6 +405,19 @@ def test_verify_saddle_rejects_a_tolerance_that_is_not_finite_and_nonnegative(to
         verify_saddle(J, [0.0], grid, grid, tol)
 
 
+@pytest.mark.parametrize("separation", [float("nan"), -1.0, 0.0, float("inf")])
+def test_verify_saddle_refuses_a_separation_outside_zero_to_inf(separation):
+    # A NaN or +inf would drop the strict check, and 0 or less would count
+    # x_star itself as far; refused before any evaluation.
+    def pairs(X, Y):
+        raise AssertionError("evaluated")
+
+    J = Bifunctional(pairs, FullSpace(1), zero_diagonal=True)
+    grid = np.linspace(-1.0, 1.0, 5)[:, None]
+    with pytest.raises(ValueError, match=r"^separation must be positive and finite"):
+        verify_saddle(J, [0.0], grid, grid, 1e-6, separation)
+
+
 def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
@@ -706,7 +724,7 @@ def test_verify_saddle_ties_across_block_edges_keep_the_first_witness():
     # The y grid spans three blocks and the x grid three, of other lengths;
     # the row maximum ties across the first block edge, the column minimum
     # (two x near x*) too, and the strict minimum across the second.
-    B = experiments._SADDLE_BLOCK
+    B = MESH_BLOCK_FLOATS  # rows per block of a 1-D grid
     x_star = np.array([-1.0])
     y_t = 10.0 + 0.5 * np.arange(2 * B + 37)
     y_h = 1.0 + 0.125 * (np.arange(len(y_t)) % 7)
@@ -733,6 +751,166 @@ def test_verify_saddle_ties_across_block_edges_keep_the_first_witness():
     assert (check.column_min, check.column_witness) == (-0.5, (x_t[B - 1],))
     assert (check.strict_min, check.strict_witness) == (0.25, (x_t[2 * B - 1],))
     assert not check.row_ok and not check.column_nonneg_ok and check.column_strict_ok
+
+
+def test_verify_saddle_blocks_read_a_nan_as_the_whole_grid_does(monkeypatch):
+    # In blocks of four rows, a NaN is the extreme that argmax and argmin
+    # take over the whole grid: the first NaN, before a larger number in a
+    # later block and after a smaller one in an earlier block.
+    y_h = np.array([0.0, 1.0, 2.0, 3.0, np.nan, 5.0, 6.0, 7.0, 8.0, np.nan])
+    x_h = np.array([5.0, 4.0, 3.0, 2.0, 1.0, 0.5, np.nan, 0.25, -1.0, np.nan])
+    h = dict(zip(range(1, 11), y_h.tolist())) | dict(zip(range(11, 21), x_h.tolist())) | {0: 0.0}
+
+    def pairs(X, Y):
+        X, Y = np.broadcast_arrays(X, Y)
+        return np.array([h[int(x)] - h[int(y)] for x, y in zip(X[:, 0], Y[:, 0])])
+
+    J = Bifunctional(pairs, FullSpace(1), zero_diagonal=True)
+    y_grid, x_grid = np.arange(1.0, 11.0)[:, None], np.arange(11.0, 21.0)[:, None]
+    monkeypatch.setattr(experiments, "MESH_BLOCK_FLOATS", 4)
+    check = verify_saddle(J, [0.0], y_grid, x_grid, 1e-6)
+    whole = _whole_grid_saddle_check(J, np.zeros(1), y_grid, x_grid, 1e-6, 1e-3, NormSpec(1))
+    assert _bits([check.row_max, check.column_min, check.strict_min]) == _bits(
+        [whole.row_max, whole.column_min, whole.strict_min])
+    assert (check.row_witness, check.column_witness) == ((5.0,), (17.0,))
+    assert (check.row_witness, check.column_witness, check.strict_witness) == (
+        whole.row_witness, whole.column_witness, whole.strict_witness)
+
+
+def _rows_path(F: TiltedFunctional) -> Bifunctional:
+    """F's J behind a wrapper, which verify_saddle values by rows."""
+    return Bifunctional(lambda X, Y: F.pairs(X, Y), F.domain, zero_diagonal=True)
+
+
+@st.composite
+def _saddle_windows(draw):
+    """An affine or constant J on full space or an orthant (its lower bound
+    on the grid nodes or off them), under p in {1, 2, inf}, weighted or
+    not; a window on its set and a member x_star; the separation's norm;
+    and a cap of floats per block that gives one block or several."""
+    n = draw(st.integers(1, 3))
+    p = draw(st.sampled_from((1.0, 2.0, INF)))
+    weights = draw(st.none() | st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n))
+    variant = draw(st.sampled_from(("full_space", "orthant", "off_node")))
+    lower = np.zeros(n)
+    if variant == "off_node":
+        lower = np.array(draw(st.lists(st.floats(-1.0, 0.5), min_size=n, max_size=n)))
+    entries = st.floats(-0.4, 0.4) if variant == "full_space" else st.floats(0.0, 0.4)
+    A = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    lift = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
+    if draw(st.booleans()):  # A >= 0 sends x >= lower to A lower + b = lower + lift
+        mapping = AffineMap(n, matrix=tuple(map(tuple, A)), offset=tuple(lower + lift - A @ lower))
+    else:
+        mapping = ConstantMap(n, value=tuple(lower + lift))
+    domain = FullSpace(n) if variant == "full_space" else Orthant(n, lower=tuple(lower))
+    F = TiltedFunctional(NormSpec(n, p, weights=weights), domain, mapping)
+    window = SampleDomain(domain, F.norm, draw(st.floats(1.0, 4.0)),
+                          draw(st.integers(2, {1: 60, 2: 24, 3: 13}[n])))
+    x_star = lower + np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
+    near = draw(st.sampled_from((F.norm, NormSpec(n, INF), NormSpec(n, 1.0))))
+    return F, window, x_star, near, draw(st.sampled_from((1e-3, 0.5, 50.0))), \
+        draw(st.sampled_from((8, 64, 512, MESH_BLOCK_FLOATS)))
+
+
+def _assert_the_window_matches_the_rows(F, window, x_star, near, separation, cap):
+    """The mesh path against verify_saddle on the window's grid rows with F
+    behind a wrapper: the row side and the distances are folds of the same
+    terms, so the row maximum, its witness and every flag are the rows'
+    bits; the column side's f is summed in another order, so its minima
+    are within 8 (n + 1) ulps of the rows' scale ``||x|| + || |x| |A| || +
+    ||b|| + ||x_star||``.  The blocks hold at most ``cap // n`` points."""
+    n = F.dimension
+    grid = window.grid_points()
+    if len(grid) == 0:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "MESH_BLOCK_FLOATS", cap)
+        mp.setattr(SampleDomain, "grid_points", None)  # the mesh path builds no grid
+        mesh = verify_saddle(F.as_bifunctional(), x_star, window, window, 1e-9, separation, near)
+        rows = verify_saddle(_rows_path(F), x_star, grid, grid, 1e-9, separation, near)
+    assert _bits(mesh.row_max) == _bits(rows.row_max)
+    assert mesh.row_witness == rows.row_witness
+    flags = ("row_ok", "column_nonneg_ok", "column_strict_ok")
+    assert [getattr(mesh, k) for k in flags] == [getattr(rows, k) for k in flags]
+    At, b = affine_parts(F.mapping)
+    scale = (norms_of_rows(grid, F.norm) + norms_of_rows(np.abs(grid) @ np.abs(At), F.norm)
+             + norm(b, F.norm) + norm(x_star, F.norm)).max()
+    slack = 8 * (n + 1) * np.finfo(float).eps * scale
+    assert abs(mesh.column_min - rows.column_min) <= slack
+    assert (mesh.strict_min is None) == (rows.strict_min is None)
+    if rows.strict_min is not None:
+        assert abs(mesh.strict_min - rows.strict_min) <= slack
+
+
+@given(_saddle_windows())
+@settings(max_examples=200, deadline=None)
+def test_verify_saddle_on_a_window_matches_the_rows_hypothesis(case):
+    _assert_the_window_matches_the_rows(*case)
+
+
+@pytest.mark.parametrize("resolution, cap", [(25, MESH_BLOCK_FLOATS), (49, 9000)])
+def test_verify_saddle_on_a_sparse_window_matches_the_rows(resolution, cap):
+    # The l1 ball fills less than a third of the octant's one block at
+    # resolution 25, which is valued as rows; at 49, in blocks of 3,000
+    # points, it fills more of each but the last, which are valued in mesh
+    # form.
+    lower = np.array([0.0, -0.5, 0.25])
+    A = np.array([[0.25, 0.125, 0.0], [0.0, 0.25, 0.125], [0.125, 0.0, 0.25]])
+    F = TiltedFunctional(NormSpec(3, 1.0), Orthant(3, lower=tuple(lower)), AffineMap(
+        3, matrix=tuple(map(tuple, A)), offset=tuple(lower + 0.5 - A @ lower)))
+    window = SampleDomain(F.domain, F.norm, 6.0, resolution)
+    blocks = list(window.blocks(cap // 3, hull=True))
+    sparse = [3 * np.count_nonzero(b.inside) < b.inside.size for b in blocks]
+    assert sparse == ([True] if resolution == 25 else [False] * 5 + [True])
+    for separation in (1e-3, 0.5, 50.0):
+        _assert_the_window_matches_the_rows(F, window, np.array([1.0, 2.0, 0.5]), F.norm,
+                                            separation, cap)
+    # Only the sparse block's members go through pairs, once per side.
+    valued, pairs = [], TiltedFunctional.pairs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "MESH_BLOCK_FLOATS", cap)
+        mp.setattr(TiltedFunctional, "pairs",
+                   lambda self, X, Y: valued.append(max(len(X), len(Y))) or pairs(self, X, Y))
+        verify_saddle(F.as_bifunctional(), [1.0, 2.0, 0.5], window, window, 1e-9)
+    assert valued == [np.count_nonzero(blocks[-1].inside)] * 2
+
+
+def test_verify_saddle_on_a_window_keeps_the_first_witness_across_a_block_edge(monkeypatch):
+    # f = 1/2 on the grid -4, -3, ..., 4, in blocks of five points: 0 and 1
+    # tie as the y nearest f (the row maximum) and as the x of least
+    # J(x, x_star) = |x - 1/2| - 9/2, on either side of the first block edge.
+    F = TiltedFunctional(NormSpec(1, 2.0), FullSpace(1), ConstantMap(1, value=(0.5,)))
+    window = SampleDomain(F.domain, F.norm, 4.0, 9)
+    grid = window.grid_points()
+    monkeypatch.setattr(experiments, "MESH_BLOCK_FLOATS", 5)
+    assert [len(b.axes[0]) for b in window.blocks(5, hull=True)] == [5, 4]
+    monkeypatch.setattr(SampleDomain, "grid_points", None)
+    check = verify_saddle(F.as_bifunctional(), [-4.0], window, window, 1e-6, 0.5, F.norm)
+    assert check == verify_saddle(_rows_path(F), [-4.0], grid, grid, 1e-6, 0.5, F.norm)
+    assert (check.row_max, check.row_witness) == (4.0, (0.0,))
+    assert (check.column_min, check.column_witness) == (-4.0, (0.0,))
+    assert (check.strict_min, check.strict_witness) == (-4.0, (0.0,))
+
+
+@pytest.mark.parametrize("n, p", [(2, 2.0), (3, 1.0)])
+def test_verify_saddle_on_a_window_raises_the_rows_range_violation(n, p):
+    # f(x) = x / 2 - 1 leaves the orthant near 0 while f(x_star) stays in
+    # it: both paths raise for the worst grid point, the origin.  Under l2
+    # the quarter disc fills its block, which the mesh form values; under
+    # l1 the octant of the octahedron fills less than a third of its box,
+    # which is valued as rows.
+    F = TiltedFunctional(NormSpec(n, p), Orthant(n), AffineMap(
+        n, matrix=tuple(map(tuple, 0.5 * np.eye(n))), offset=(-1.0,) * n))
+    window = SampleDomain(F.domain, F.norm, 6.0, 13)
+    [block] = window.blocks(MESH_BLOCK_FLOATS // n, hull=True)
+    assert (3 * np.count_nonzero(block.inside) < block.inside.size) == (p == 1.0)
+    x_star, grid = np.full(n, 4.0), window.grid_points()
+    for J, probes in ((F.as_bifunctional(), window), (_rows_path(F), grid)):
+        with pytest.raises(RangeViolation) as caught:
+            verify_saddle(J, x_star, probes, probes, 1e-6)
+        assert list(caught.value.point) == [0.0] * n
+        assert list(caught.value.value) == [-1.0] * n
+        assert caught.value.violation == 1.0
 
 
 def test_criterion_identity_on_samples():

@@ -413,14 +413,15 @@ def test_mesh_phi_is_within_a_few_ulps_of_the_rows_hypothesis(case):
     so the two values differ by at most 4 (n + 1) ulps of the row's scale
     ``||x|| + || |A| |x| || + ||b||``.  A constant map needs no product:
     there the bits are equal.  A point's value does not depend on the walk:
-    the blocks' values, joined, are the one-block walk's, bit for bit."""
+    the blocks' values, joined, are the one-block walk's, bit for bit.
+    Each block's phi is copied as it is drawn: the next block overwrites it."""
     F, axes, radius, cap = case
     n = F.dimension
     At, b = affine_parts(F.mapping)
     walked = [np.empty(0)]
     for block, phi in mesh_displacements(F, mesh_blocks(axes, radius, F.norm, cap)):
         X = block.rows().copy()
-        mesh = phi.ravel() if block.inside is None else phi[block.inside]
+        mesh = phi.ravel().copy() if block.inside is None else phi[block.inside]
         rows = F.displacements(X)
         scale = (norms_of_rows(X, F.norm) + norms_of_rows(np.abs(X) @ np.abs(At), F.norm)
                  + norm(b, F.norm))
@@ -430,9 +431,30 @@ def test_mesh_phi_is_within_a_few_ulps_of_the_rows_hypothesis(case):
         walked.append(mesh)
     whole = [np.empty(0)]  # an empty mesh has no block
     for block, phi in mesh_displacements(F, mesh_blocks(axes, radius, F.norm)):
-        whole.append(phi.ravel() if block.inside is None else phi[block.inside])
+        whole.append(phi.ravel().copy() if block.inside is None else phi[block.inside])
     assert len(whole) <= 2
     assert _bits(np.concatenate(walked)) == _bits(np.concatenate(whole))
+
+
+def test_interleaved_mesh_walks_keep_their_own_buffers():
+    # Walks drawn in turn each borrow their own scratch buffers: every
+    # block's phi is the one the walk gives alone.  Finished walks leave
+    # their buffers as spares.
+    import tiltlab.spaces as spaces
+
+    axis = np.linspace(-2.0, 2.0, 9)
+    walks = []
+    for p, offset in ((2.0, 0.5), (1.0, -0.25)):
+        F = TiltedFunctional(NormSpec(2, p), FullSpace(2), AffineMap(
+            2, matrix=((0.25, 0.125), (0.0, 0.25)), offset=(offset, 1.0)))
+        walks.append((F, list(mesh_blocks([axis, axis], 2.0, F.norm, 9))))
+    alone = [[phi.copy() for _, phi in mesh_displacements(F, blocks)]
+             for F, blocks in walks]
+    assert spaces._SPARE
+    turns = zip(*(mesh_displacements(F, blocks) for F, blocks in walks))
+    drawn = [[phi.copy() for _, phi in turn] for turn in turns]
+    for k in range(2):
+        assert [_bits(d[k]) for d in drawn] == [_bits(a) for a in alone[k]]
 
 
 def test_mesh_phi_keeps_the_range_check_on_orthants():

@@ -24,7 +24,7 @@ from tiltlab import (
     tilted_value,
     verify_saddle,
 )
-from tiltlab import experiments
+from tiltlab.spaces import MESH_BLOCK_FLOATS
 
 CFG = OptimizeConfig(coarse_grid=9, multistart=2, budget=20_000, seed=1)
 
@@ -101,7 +101,7 @@ def test_verify_saddle_names_the_first_probe_row_outside_the_set():
     # Rows past the first block are named by their index in the whole grid.
     J = _quarter_map_on(Orthant(2)).as_bifunctional()
     zero = np.zeros(2)
-    block = experiments._SADDLE_BLOCK
+    block = MESH_BLOCK_FLOATS // 2  # rows per block of a 2-D grid
     grid = np.ones((block + 8, 2))
     outside, not_finite = grid.copy(), grid.copy()
     outside[[block + 3, block + 5]] = -3.0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -548,6 +550,42 @@ def test_grid_points_equal_the_unique_formula_hypothesis(window):
     assert _bits(window.grid_points()) == _bits(_unique_grid(window))
 
 
+def _assert_hull_blocks(blocks, cap: int) -> list[np.ndarray]:
+    """Each block's rows, after checking that it has at most ``cap`` and is
+    its members' hull: each axis's first and last values are some
+    member's."""
+    rows = []
+    for block in blocks:
+        tail = block.tail
+        assert math.prod(len(a) for a in tail) <= cap
+        if block.inside is not None:
+            for j in range(len(tail)):
+                taken = block.inside.any(axis=tuple(k for k in range(len(tail)) if k != j))
+                assert taken[0] and taken[-1]
+        rows.append(block.rows().copy())
+        assert len(rows[-1])
+    return rows
+
+
+@given(_windows(), st.sampled_from((1, 2, 7, 64)))
+@settings(max_examples=200, deadline=None)
+def test_a_window_without_points_is_refused_and_hull_blocks_join_to_its_grid_hypothesis(
+        window, cap):
+    """require_points refuses exactly the windows whose grid is empty, and
+    on full space and orthants under p in {1, 2, inf} the window's hull
+    blocks, joined, are its grid, bit for bit."""
+    pts = window.grid_points()
+    if len(pts):
+        assert window.require_points() is window
+    else:
+        with pytest.raises(InfeasibleTruncation, match=r"^no feasible grid point"):
+            window.require_points()
+    if window.domain.coordinatewise and window.norm.fold is not None:
+        rows = _assert_hull_blocks(window.blocks(cap, hull=True), cap)
+        n = window.domain.dimension
+        assert _bits(np.concatenate([np.empty((0, n))] + rows)) == _bits(pts)
+
+
 def _grid_with_dedups(window: SampleDomain, monkeypatch) -> tuple[np.ndarray, int]:
     """``window.grid_points()`` and the number of :func:`first_rows` calls it made."""
     import tiltlab.spaces as spaces
@@ -688,6 +726,29 @@ def test_the_mesh_form_of_a_norm_keeps_the_row_bits_hypothesis(case):
             assert cap is not None or len(blocks) <= 1
             assert all(len(b) <= (cap or len(rows)) for b in blocks)
             assert _bits(np.concatenate([np.empty((0, n))] + blocks)) == _bits(members)
+
+
+@given(_fold_norms_and_axes())
+@settings(max_examples=300, deadline=None)
+def test_hull_blocks_yield_the_rows_in_ball_keeps_hypothesis(case):
+    """With ``hull``, mesh_blocks yields the rows in_ball keeps, in order
+    and bit for bit, in blocks of at most ``cap`` rows, each cut to its
+    members' hull."""
+    spec, axes, radius = case
+    n = len(axes)
+    with np.errstate(over="ignore", under="ignore"):
+        rows = mesh_rows(axes)
+        members = rows[in_ball(rows, radius, spec)]
+        for cap in (1, 2, 7, 64):
+            blocks = _assert_hull_blocks(mesh_blocks(axes, radius, spec, cap, hull=True), cap)
+            assert _bits(np.concatenate([np.empty((0, n))] + blocks)) == _bits(members)
+
+
+@pytest.mark.parametrize("p, cap", [(1.5, 4), (2.0, None)])
+def test_hull_blocks_refuse_a_norm_without_a_fold_or_a_walk_without_a_cap(p, cap):
+    axis = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(ValueError, match="hull blocks need"):
+        list(mesh_blocks([axis, axis], 1.0, NormSpec(2, p), cap, hull=True))
 
 
 def _reduce_norms(X, spec: NormSpec) -> np.ndarray:
