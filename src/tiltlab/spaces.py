@@ -494,9 +494,9 @@ class ConeIntersection(FeasibleSet):
     that escapes some constraint is rejected at construction time, and so
     is an intersection with no point at all.
 
-    Projection is exact: the Euclidean projection of z is z moved onto the
-    affine hull of the face whose KKT conditions hold there, and every
-    candidate face is enumerated once at construction.
+    Projection is exact: z moves onto the first candidate face whose KKT
+    conditions hold there.  The faces' KKT algebra is composed once, at
+    construction, into one table over the constraints' residuals.
     """
 
     constraints: tuple[HalfSpace, ...] = ()
@@ -523,12 +523,11 @@ class ConeIntersection(FeasibleSet):
                     "certified unbounded along it (the set must be unbounded)"
                 )
         object.__setattr__(self, "ray", r)
-        origin = np.zeros((1, self.dimension))
-        step, defect = self._face_steps(origin)
-        if not defect[0] <= 0.0:
+        nearest, excess = self._nearest(np.zeros((1, self.dimension)))
+        if not excess[0] <= 0.0:
             raise ValueError("the half-spaces have no common point; the set is empty")
         given = self.base
-        base = (origin + step)[0] if given is None else given
+        base = nearest[0] if given is None else given
         object.__setattr__(self, "base", finite_tuple(base, "base witness", self.dimension))
         if given is not None:
             self.require(self.base, "base witness")
@@ -546,12 +545,17 @@ class ConeIntersection(FeasibleSet):
         return _frozen(np.array(self.ray, dtype=float))
 
     @cached_property
-    def _faces(self) -> tuple[np.ndarray, ...]:
-        """Unit normals U, offsets c (u . x >= c) and max |c|, then per
-        candidate face S, padded to k = min(n, m) constraints: its indices,
-        R^-T and R^-1 for the QR factors A_S^T = Q R of its unit normals, Q,
-        and a mask of the constraints on it.  The empty face comes first,
-        then the faces of independent normals by size."""
+    def _faces(self) -> tuple[np.ndarray, int, float, np.ndarray, np.ndarray]:
+        """The table over the raw residuals g = offset - a . x, the count F
+        of faces (the empty one, then those of at most min(n, m) independent
+        normals by size), max |c| over the unit offsets, and the faces of n
+        constraints with their vertices (n, count).  For r = g / |a| and
+        U_S^T = Q R, face S has k = min(n, m) negated multipliers
+        -R^-1 R^-T r_S (padded with its first, or the empty face's first
+        residual), m residuals r - U step after it (one on S takes its first
+        negated multiplier) and n step entries Q R^-T r_S, or (g / a.a) a on
+        one raw normal a, as :meth:`HalfSpace.project_rows` steps.
+        ``table[i, q * F + f, 0]`` weighs g_i in quantity q of face f."""
         n, m = self.dimension, len(self.constraints)
         k = min(n, m)
         count = sum(math.comb(m, j) for j in range(k + 1))
@@ -560,56 +564,60 @@ class ConeIntersection(FeasibleSet):
                 f"{m} half-spaces in dimension {n} give {count} candidate faces "
                 f"for projection, above the cap {FACE_CAP}"
             )
-        scale = np.array([np.sqrt(hs._normal_sq) for hs in self.constraints])
-        U = np.array([hs.normal for hs in self.constraints]) / scale[:, None]
-        c = np.array([hs.offset for hs in self.constraints]) / scale
+        offsets, A = (v[:, 0] for v in self._offsets_and_normals)
+        square = np.array([hs._normal_sq for hs in self.constraints])
+        scale = np.sqrt(square)
+        U = A / scale[:, None]
         faces = [()] + [
             S
             for j in range(1, k + 1)
             for S in itertools.combinations(range(m), j)
             if np.linalg.matrix_rank(U[list(S)]) == j
         ]
-        index = np.zeros((len(faces), k), dtype=int)
-        r_inv = np.zeros((len(faces), k, k))
-        q = np.zeros((len(faces), n, k))
-        on_face = np.zeros((len(faces), m), dtype=bool)
-        for f, S in enumerate(faces[1:], start=1):
-            j = len(S)
-            Q, R = np.linalg.qr(U[list(S)].T)
-            index[f, :j] = S
-            r_inv[f, :j, :j] = np.linalg.inv(R)
-            q[f, :, :j] = Q
-            on_face[f, list(S)] = True
-        c_max = np.abs(c).max()
-        return U, c, c_max, index, r_inv.transpose(0, 2, 1).copy(), r_inv, q, on_face
+        table = np.zeros((m, k + m + n, len(faces)))
+        unit, corners, vertices = np.diag(1.0 / scale), [], []
+        for f, S in enumerate(map(list, faces)):
+            step, negated = np.zeros((n, m)), unit[:1]
+            if S:
+                Q, R = np.linalg.qr(U[S].T)
+                r_inv = np.linalg.inv(R)
+                negated = np.zeros((len(S), m))
+                negated[:, S] = -(r_inv @ r_inv.T) / scale[S]
+                step[:, S] = (Q @ r_inv.T) / scale[S] if S[1:] else A[S].T / square[S]
+            after = unit - U @ step
+            after[S] = negated[0]
+            pad = np.repeat(negated[:1], k - len(negated), axis=0)
+            table[:, :, f] = np.vstack((negated, pad, after, step)).T
+            if len(S) == n:
+                corners.append(f)
+                vertices.append(np.linalg.solve(A[S], offsets[S]))
+        c_max = float(np.abs(offsets / scale).max())
+        vertices = np.array(vertices).reshape(-1, n).T
+        return table.reshape(m, -1, 1), len(faces), c_max, np.array(corners, dtype=int), vertices
 
-    def _face_steps(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's projection step and its KKT defect (<= 0 when a face
-        passes within tolerance).
-
-        In residual space r = c - U x, face S moves a row by Q R^-T r_S with
-        multipliers R^-1 R^-T r_S, leaving residuals r - U step.  A row takes
-        the first face whose multipliers are >= -tol and whose residuals off
-        the face are <= tol, which is its Euclidean projection; with none,
-        it takes the first face of least defect.  Only elementwise products
-        and last-axis sums are used, so a row's result does not depend on
-        the other rows of its batch.  Each reduction is the ufunc's own
-        ``reduce``, the one ``ndarray.sum``/``max``/``min`` wrap.
-        """
-        U, c, c_max, index, r_inv_t, r_inv, q, on_face = self._faces
-        r = c - np.add.reduce(X[:, None, :] * U, axis=2)
-        w = np.add.reduce(r_inv_t * r[:, index][:, :, None, :], axis=3)
-        multipliers = np.add.reduce(r_inv * w[:, :, None, :], axis=3)
-        step = np.add.reduce(q * w[:, :, None, :], axis=3)
-        after = r[:, None, :] - np.add.reduce(step[:, :, None, :] * U, axis=3)
-        defect = np.maximum(
-            np.maximum.reduce(np.where(on_face, -np.inf, after), axis=2),
-            np.maximum.reduce(-multipliers, axis=2),
-        )
+    def _nearest(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's projection and KKT excess (<= 0 when a face passes).
+        V = table . g, m folds of (K, rows) blocks, holds each quantity of
+        every face as a contiguous (F, rows) block; a face's defect is the
+        largest of its negated multipliers and residuals after its step.  A
+        row takes the first face of defect <= tol, its Euclidean projection,
+        else the first of least defect, and moves by its step, or onto its
+        vertex.  Every operation is elementwise or a fold along the blocks,
+        so a row's result does not depend on the rest of its batch."""
+        table, faces, c_max, corners, vertices = self._faces
+        g = self._gaps(X)
+        V = table[0] * g[0]
+        for g_i, table_i in zip(g[1:], table[1:]):
+            V += table_i * g_i
+        V = V.reshape(len(table[0]) // faces, faces, len(X))
+        defect = np.maximum.reduce(V[: -self.dimension], axis=0)
         tol = PROJECTION_TOL * (1.0 + np.maximum.reduce(np.abs(X), axis=1) + c_max)
-        best = np.minimum.reduce(defect, axis=1)
-        pick = (defect <= np.maximum(tol, best)[:, None]).argmax(axis=1)
-        return step[np.arange(len(X)), pick], best - tol
+        best = np.minimum.reduce(defect, axis=0)
+        pick = (defect <= np.maximum(tol, best)).argmax(axis=0)
+        moves = V[-self.dimension :]
+        moves += X.T[:, None, :]
+        moves[:, corners] = vertices[:, :, None]
+        return moves[:, pick, np.arange(len(X))].T, best - tol
 
     @cached_property
     def _offsets_and_normals(self) -> tuple[np.ndarray, np.ndarray]:
@@ -619,21 +627,22 @@ class ConeIntersection(FeasibleSet):
         normals = np.array([hs._normal_array for hs in self.constraints])[:, None, :]
         return _frozen(offsets), _frozen(normals)
 
-    # One broadcast of every constraint's HalfSpace.violations_of_rows, in
-    # the same (m, k) layout and with the same column fold and axis-0 max.
-    def violations_of_rows(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+    def _gaps(self, X: np.ndarray) -> np.ndarray:
+        """Each constraint's :meth:`HalfSpace.violations_of_rows`, (m, rows),
+        in one broadcast with the same column fold."""
         offsets, normals = self._offsets_and_normals
-        return np.maximum.reduce(offsets - fold_rows(np.add, X * normals), axis=0)
+        return offsets - fold_rows(np.add, X * normals)
+
+    def violations_of_rows(self, X) -> np.ndarray:
+        return np.maximum.reduce(self._gaps(np.asarray(X, dtype=float)), axis=0)
 
     def project_rows(self, Z) -> np.ndarray:
         """Exact Euclidean projection of each row, in blocks that bound the
-        (rows x faces) broadcast."""
+        (quantities, faces, rows) array of the table's values."""
         X = np.array(Z, dtype=float)
-        on_face = self._faces[-1]  # the widest broadcast is (rows, faces, m, n)
-        block = max(1, _BROADCAST_CAP // (on_face.size * self.dimension))
+        block = max(1, _BROADCAST_CAP // len(self._faces[0][0]))
         for s in range(0, len(X), block):
-            X[s : s + block] += self._face_steps(X[s : s + block])[0]
+            X[s : s + block] = self._nearest(X[s : s + block])[0]
         return X
 
 

@@ -16,7 +16,6 @@ the worker count.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -348,6 +347,7 @@ def search_counterexample(
         size = -(-len(run) // workers)  # the ceiling of len(run) / workers
         units += [run[i : i + size] for i in range(0, len(run), size)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 loads it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cells, itertools.repeat(ctx), units))
     else:

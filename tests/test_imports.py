@@ -1,6 +1,9 @@
 """Source hygiene: every import in the package is used."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tiltlab
@@ -38,3 +41,16 @@ def test_package_modules_have_no_unused_imports():
         and (unused := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def test_importing_tiltlab_loads_no_process_pool():
+    # Only a sweep under --jobs > 1 starts a pool, and it imports the pool
+    # there: every other command is spared loading multiprocessing.
+    code = (
+        "import sys, tiltlab, tiltlab.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert run.stdout.strip() == "[]"

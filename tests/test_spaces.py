@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from tiltlab import (
     project,
 )
 from tiltlab.spaces import (
+    _BROADCAST_CAP,
     FACE_CAP,
     MEMBERSHIP_TOL,
     PROJECTION_TOL,
@@ -801,11 +803,41 @@ def test_a_nan_entry_gives_nan_else_an_infinite_one_inf(p, weights):
         assert _bits(norm(row, spec)) == _bits(value)
 
 
+def _qr_faces(cone: ConeIntersection):
+    """The QR factors the projection kept before its table: unit normals U,
+    offsets c, then per candidate face S, padded to k = min(n, m)
+    constraints, its indices, R^-T and R^-1 for A_S^T = Q R, Q, and a mask
+    of the constraints on it, in the table's face order."""
+    n, m = cone.dimension, len(cone.constraints)
+    k = min(n, m)
+    scale = np.array([np.sqrt(hs._normal_sq) for hs in cone.constraints])
+    U = np.array([hs.normal for hs in cone.constraints]) / scale[:, None]
+    c = np.array([hs.offset for hs in cone.constraints]) / scale
+    faces = [()] + [
+        S
+        for j in range(1, k + 1)
+        for S in itertools.combinations(range(m), j)
+        if np.linalg.matrix_rank(U[list(S)]) == j
+    ]
+    index = np.zeros((len(faces), k), dtype=int)
+    r_inv = np.zeros((len(faces), k, k))
+    q = np.zeros((len(faces), n, k))
+    on_face = np.zeros((len(faces), m), dtype=bool)
+    for f, S in enumerate(faces[1:], start=1):
+        j = len(S)
+        Q, R = np.linalg.qr(U[list(S)].T)
+        index[f, :j] = S
+        r_inv[f, :j, :j] = np.linalg.inv(R)
+        q[f, :, :j] = Q
+        on_face[f, list(S)] = True
+    return U, c, index, r_inv.transpose(0, 2, 1), r_inv, q, on_face
+
+
 def _face_steps_reference(cone: ConeIntersection, X: np.ndarray):
-    """``ConeIntersection._face_steps`` written with the ndarray methods
-    ``sum``/``max``/``min`` and with max |c| taken on every call: the bits
-    the kernel keeps."""
-    U, c, _, index, r_inv_t, r_inv, q, on_face = cone._faces
+    """The projection before its table, from :func:`_qr_faces`: each row's
+    step onto its face, every face's KKT defect, and the bound a face's
+    defect must meet, max(tol, least defect)."""
+    U, c, index, r_inv_t, r_inv, q, on_face = _qr_faces(cone)
     r = c - (X[:, None, :] * U).sum(axis=2)
     w = (r_inv_t * r[:, index][:, :, None, :]).sum(axis=3)
     multipliers = (r_inv * w[:, :, None, :]).sum(axis=3)
@@ -815,9 +847,32 @@ def _face_steps_reference(cone: ConeIntersection, X: np.ndarray):
         np.where(on_face, -np.inf, after).max(axis=2), (-multipliers).max(axis=2)
     )
     tol = PROJECTION_TOL * (1.0 + np.abs(X).max(axis=1) + np.abs(c).max())
+    bound = np.maximum(tol, defect.min(axis=1))
+    pick = (defect <= bound[:, None]).argmax(axis=1)
+    return step[np.arange(len(X)), pick], defect, bound
+
+
+def _table_reference(cone: ConeIntersection, X: np.ndarray):
+    """``ConeIntersection._nearest`` on the same table from each half-space's
+    own residuals, written with the ndarray methods ``sum``/``max``/``min``
+    and with max |c| taken on every call: the bits the kernel keeps.  The
+    sum runs over the leading axis from -0.0, so that it adds the terms in
+    the kernel's order, and a sum of -0.0 terms stays -0.0 as in the
+    kernel's fold (numpy's own sum starts at +0.0).  Also returns each
+    row's face."""
+    table, faces, _, corners, vertices = cone._faces
+    n = cone.dimension
+    c = [hs.offset / np.sqrt(hs._normal_sq) for hs in cone.constraints]
+    g = np.stack([hs.violations_of_rows(X) for hs in cone.constraints])
+    V = (g[:, None, :] * table).sum(axis=0, initial=-0.0)
+    V = V.reshape(len(table[0]) // faces, faces, len(X)).transpose(2, 0, 1)
+    defect = V[:, :-n].max(axis=1)
+    tol = PROJECTION_TOL * (1.0 + np.abs(X).max(axis=1) + np.abs(c).max())
     best = defect.min(axis=1)
     pick = (defect <= np.maximum(tol, best)[:, None]).argmax(axis=1)
-    return step[np.arange(len(X)), pick], best - tol
+    points = X[:, :, None] + V[:, -n:]
+    points[:, :, corners] = vertices
+    return points[np.arange(len(X)), :, pick], best - tol, pick
 
 
 def _signed_zero_cone(rng, n: int) -> ConeIntersection:
@@ -851,9 +906,10 @@ def _rows_with_special_entries(rng, k: int, n: int) -> np.ndarray:
 
 def test_cone_kernels_keep_their_bits():
     # The residual is one broadcast over the stacked constraints, and the
-    # face steps reduce with the ufuncs directly; both keep the bits of the
-    # per-constraint maximum and of the reference steps, on rows with NaN,
-    # infinite and signed-zero entries.
+    # projection folds the columns of its table; both keep the bits of the
+    # per-constraint maximum and of the reference, on rows with NaN,
+    # infinite and signed-zero entries.  A NaN row stays NaN and moves no
+    # other row of its batch.
     rng = np.random.default_rng(24)
     for trial in range(300):
         n = int(rng.integers(1, 5))
@@ -861,15 +917,88 @@ def test_cone_kernels_keep_their_bits():
         X = _rows_with_special_entries(rng, int(rng.integers(1, 13)), n)
         if trial % 3 == 0:
             X = np.vstack((X, np.zeros((1, n)), np.full((1, n), -0.0)))
+        nan = np.isnan(X).any(axis=1)
         with np.errstate(all="ignore"):  # inf * 0.0 and inf - inf
             each = np.stack([hs.violations_of_rows(X) for hs in cone.constraints])
             assert _nan_bits(cone.violations_of_rows(X)) == _nan_bits(each.max(axis=0))
-            step, defect = _face_steps_reference(cone, X)
-            got_step, got_defect = cone._face_steps(X)
+            points, excess, _ = _table_reference(cone, X)
+            got_points, got_excess = cone._nearest(X)
             projected = cone.project_rows(X)
-        assert _nan_bits(got_step) == _nan_bits(step)
-        assert _nan_bits(got_defect) == _nan_bits(defect)
-        assert _nan_bits(projected) == _nan_bits(X + step)
+            without_nan = cone.project_rows(X[~nan])
+        assert _nan_bits(got_points) == _nan_bits(points)
+        assert _nan_bits(got_excess) == _nan_bits(excess)
+        assert _nan_bits(projected) == _nan_bits(points)
+        assert np.isnan(projected[nan]).all()
+        assert _nan_bits(without_nan) == _nan_bits(projected[~nan])
+
+
+def test_cone_table_keeps_the_qr_steps_within_8_ulps():
+    # On finite rows the table picks the QR kernel's face, but where a
+    # face's defect lies within a few ulps of the bound, and lands within
+    # 8 ulps of 1 + max|x| + max|c| of the QR kernel's point.
+    rng = np.random.default_rng(31)
+    eps = np.finfo(float).eps
+    for trial in range(300):
+        n = int(rng.integers(1, 5))
+        cone = _signed_zero_cone(rng, n)
+        X = _rows_with_special_entries(rng, int(rng.integers(1, 13)), n)
+        X = X[np.isfinite(X).all(axis=1)]
+        step, defect, bound = _face_steps_reference(cone, X)
+        points, _, pick = _table_reference(cone, X)
+        c = [hs.offset / np.sqrt(hs._normal_sq) for hs in cone.constraints]
+        scale = 1.0 + np.abs(X).max(axis=1, initial=0.0) + np.abs(c).max()
+        old = (defect <= bound[:, None]).argmax(axis=1)
+        rows = np.arange(len(X))
+        tie = np.abs(defect[rows, np.minimum(old, pick)] - bound) <= 8 * eps * scale
+        assert np.all((pick == old) | tie)
+        same = pick == old
+        err = np.abs(points - (X + step)).max(axis=1, initial=0.0)
+        assert np.all(err[same] <= 8 * eps * scale[same])
+
+
+def test_cone_projection_keeps_each_row_across_block_edges():
+    # Three full blocks and part of a fourth of the (quantities, faces,
+    # rows) layout, on 4 half-spaces in R^3: every row equals its one-row
+    # projection.
+    n, m = 3, 4
+    rng = np.random.default_rng(7)
+    constraints = tuple(
+        HalfSpace(n, normal=tuple(a), offset=float(o))
+        for a, o in zip(np.abs(rng.normal(size=(m, n))) + 0.1, rng.uniform(-1.0, 0.0, m))
+    )
+    cone = ConeIntersection(n, constraints=constraints, ray=(1.0,) * n)
+    block = _BROADCAST_CAP // len(cone._faces[0][0])
+    Z = rng.uniform(-5.0, 5.0, (3 * block + 7, n))
+    P = cone.project_rows(Z)
+    assert len(P) == len(Z) and block < len(Z) // 3
+    for z, p in zip(Z, P):
+        assert _bits(cone.project(z)) == _bits(p)
+
+
+def test_a_vertex_is_its_own_projection():
+    # The half-space step on the raw normal (1, 1) takes (-2, -2) onto the
+    # apex exactly, and a face of n constraints returns its vertex.
+    cone = ConeIntersection(
+        2,
+        constraints=(
+            HalfSpace(2, normal=(1.0, 0.0), offset=0.0),
+            HalfSpace(2, normal=(1.0, 1.0), offset=0.0),
+        ),
+        ray=(1.0, 0.0),
+    )
+    for z in ([-2.0, -2.0], [-0.5, -0.5], [-2.0, 0.0], [-3.0, -1.0]):
+        assert cone.project(z).tolist() == [0.0, 0.0]
+    corner = ConeIntersection(
+        2,
+        constraints=(
+            HalfSpace(2, normal=(3.0, 1.0), offset=2.0),
+            HalfSpace(2, normal=(-1.0, 2.0), offset=0.5),
+        ),
+        ray=(1.0, 1.0),
+    )
+    vertex = np.linalg.solve([[3.0, 1.0], [-1.0, 2.0]], [2.0, 0.5])
+    assert _bits(corner.project([-5.0, -5.0])) == _bits(vertex)
+    assert _bits(corner.project(vertex)) == _bits(vertex)
 
 
 _GATE_LOWER = st.sampled_from((0.0, -0.0, 0.25, -1.5, 1e-300))

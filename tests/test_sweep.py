@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -175,9 +177,9 @@ def test_search_counterexample_refuses_a_growth_direction_count_that_is_not_an_i
 
 def test_sweep_pool_never_has_more_workers_than_cells(monkeypatch):
     # A stand-in pool records its worker count and maps in this process, so
-    # no worker is started however large the requested count.
-    import tiltlab.sweep as sweep_module
-
+    # no worker is started however large the requested count.  The sweep
+    # imports the pool where it starts one, so the stand-in replaces it in
+    # concurrent.futures.
     sizes = []
 
     class RecordingPool:
@@ -193,7 +195,7 @@ def test_sweep_pool_never_has_more_workers_than_cells(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     fam = MapFamily(kind="scaled_identity", dimension=1, parameters=(("theta", (0.2, 0.3)),))
     small = OptimizeConfig(coarse_grid=9, multistart=2, budget=100_000, seed=1)
     ys = [[1.0], [-1.0]]
@@ -240,8 +242,6 @@ def test_sweep_units_are_runs_of_one_norms_cells(monkeypatch):
     # Under --jobs, a unit of work is a contiguous run of one norm's cells,
     # and the merged result is the serial one; a stand-in pool maps in this
     # process.
-    import tiltlab.sweep as sweep_module
-
     units = []
 
     class RecordingPool:
@@ -261,7 +261,7 @@ def test_sweep_units_are_runs_of_one_norms_cells(monkeypatch):
 
     fam, ys, small = _diagonal_sweep()
     serial = search_counterexample(fam, [1.5, INF], FullSpace(4), ys, small, planted_cell=9)
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     chunked = search_counterexample(
         fam, [1.5, INF], FullSpace(4), ys, small, planted_cell=9, jobs=3
     )
