@@ -687,7 +687,10 @@ class MinimaxGapReport:
     +inf, and a matrix that is NaN everywhere is a ValueError.
     ``boundary_max_flag`` reports a y maximizer on the truncation shell
     (the sup side has no coercivity license, so hitting the boundary is
-    flagged rather than silently accepted).
+    flagged rather than silently accepted).  ``evaluations`` counts every
+    row J's kernels evaluated: the rough grid's envelope rows, every row
+    the two searches evaluated (the unused rows of their step ladders
+    too), the value matrices and the x candidates' envelope rows.
     """
 
     lower: float
@@ -719,21 +722,21 @@ def _value_matrix(J: Bifunctional, X, Y, budget: _Budget) -> np.ndarray:
 def _minimize_row_sup(
     J: Bifunctional,
     starts: np.ndarray,
+    start_values: np.ndarray,
     radius: float,
     norm_spec: NormSpec,
     config: OptimizeConfig,
     budget: _Budget,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Minimize J's row envelope x -> sup_y J(x, y) from each start by one
-    lockstep :func:`pattern_search` on ``J.row_sup``; return the endpoints
-    and those of their maximisers that lie in the truncation ball.  Every
-    envelope row is charged to ``budget``: the search charges its in-ball
-    trials, the rows it evaluates."""
-    budget.take(len(starts))
+    """Minimize J's row envelope x -> sup_y J(x, y) from each start, whose
+    envelope value is ``start_values``, by one lockstep
+    :func:`pattern_search` on ``J.row_sup``; return the endpoints and those
+    of their maximisers that lie in the truncation ball.  Every envelope
+    row it evaluates is charged to ``budget``."""
     step0 = config.initial_step if config.initial_step is not None else radius / 10.0
     dirs = direction_set(J.domain.dimension, config.directions)
     X, _ = pattern_search(
-        lambda X: J.row_sup(X)[0], J.domain, radius, norm_spec, starts, J.row_sup(starts)[0],
+        lambda X: J.row_sup(X)[0], J.domain, radius, norm_spec, starts, start_values,
         step0, config.termination_step, config.shrink, dirs, budget,
     )
     budget.take(len(X))
@@ -798,14 +801,16 @@ def minimax_gap(
         config = OptimizeConfig(
             coarse_grid=resolution, multistart=4, termination_step=1e-8, seed=0
         )
-    budget = _Budget(10 ** 18)  # counts evaluations; never exhausted
+    budget = _Budget()  # counts evaluations; it has no limit, so searches ladder
     G = SampleDomain(J.domain, norm_spec, float(radius), resolution).require_grid()
     budget.take(len(G))
-    best = np.argsort(J.row_sup(G)[0], kind="stable")  # NaN sorts last
+    phi = J.row_sup(G)[0]
+    best = np.argsort(phi, kind="stable")  # NaN sorts last
     m = config.multistart
 
     # Upper phase: minimize the row envelope sup_y J(x, .).
-    x_ends, y_fins = _minimize_row_sup(J, G[best[:m]], radius, norm_spec, config, budget)
+    x_ends, y_fins = _minimize_row_sup(
+        J, G[best[:m]], phi[best[:m]], radius, norm_spec, config, budget)
     # Lower phase: at a saddle point (x*, y*) of J, such as (x*, x*) of a
     # tilted J, sup_y inf_x J is attained at y*, which the upper witnesses
     # approximate, and so do the grid points of least Phi: one inf_x J(x, y)

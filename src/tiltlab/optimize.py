@@ -35,6 +35,10 @@ from .spaces import (
 )
 
 _STREAM_STARTS = 0x51A7
+# A search's ladders hold at most _LADDER_LEVELS levels per start and
+# _LADDER_ROWS trials per call; see pattern_search.
+_LADDER_LEVELS = 16
+_LADDER_ROWS = 64
 
 
 class SearchStatus(enum.Enum):
@@ -111,15 +115,18 @@ class MinimizationResult:
 
 
 class _Budget:
+    """Evaluations charged against ``limit``; ``_Budget()`` has no limit and
+    only counts, which lets :func:`pattern_search` value step ladders."""
+
     __slots__ = ("limit", "used", "exhausted")
 
-    def __init__(self, limit: int):
-        self.limit = int(limit)
+    def __init__(self, limit: int | None = None):
+        self.limit = None if limit is None else int(limit)
         self.used = 0
         self.exhausted = False
 
     def take(self, k: int = 1) -> int:
-        grant = min(k, self.limit - self.used)
+        grant = k if self.limit is None else min(k, self.limit - self.used)
         if grant < k:
             self.exhausted = True
         self.used += max(grant, 0)
@@ -221,6 +228,23 @@ def pattern_search(
     own in-ball trials.  A group whose budget cannot cover that count ends
     its own starts at their current points, with ``used == limit``, and
     the other groups go on, exactly as in searches of their own.
+
+    A search whose budgets have no limit (``_Budget()``, which only counts)
+    values a ladder for each start in the iteration's one call: the trials
+    at its next K steps s, s * shrink, s * shrink**2, ..., formed by
+    repeated multiplication, so bit for bit the steps it would reach.  K is
+    ``min(_LADDER_LEVELS, _LADDER_ROWS // (S d))`` for S active starts and d
+    directions, at least 1, so that a call stays small enough that its cost
+    is its overhead, not its rows; it is set again when a start ends.  Each
+    start walks its levels up to the first that improves, and a level at or
+    below ``termination_step`` is not evaluated.  So every trial, value,
+    move and endpoint is bitwise that of a search without ladders; the
+    budget counts every row evaluated, the unused levels' rows too.  When a
+    ladder call raises, the search goes on from that iteration with one
+    level per start, the batch of a search without ladders, and so raises
+    or returns as that one does; the rows of the call that raised stay
+    counted.  A budget with a limit never ladders, since charging rows the
+    search never reaches would move where it stops.
     """
     xs = np.array(x0, dtype=float)
     fs = [float(v) for v in f0]
@@ -247,17 +271,29 @@ def pattern_search(
             live.sort(key=group.__getitem__)
         else:
             group = None
+    ladders = all(b.limit is None for b in budgets)  # no budget can cut the search
     steps = [init[i] for i in live]
     ended = True
     while live:
         if ended:  # the per-trial arrays of the active starts
-            paired = None if partners is None else partners[live].repeat(d, axis=0)
-            bound = bounds if np.ndim(bounds) == 0 else bounds[live].repeat(d)
+            K = max(1, min(_LADDER_LEVELS, _LADDER_ROWS // (len(live) * d))) if ladders else 1
+            w = K * d  # the trial rows of one start
+            paired = None if partners is None else partners[live].repeat(w, axis=0)
+            bound = bounds if np.ndim(bounds) == 0 else bounds[live].repeat(w)
+            if K > 1:  # a start's step, then a factor per level
+                factors = np.full((len(live), K + 1), shrink)
             if group is not None:  # each group's first row and budget
                 cuts = [0, *(np.flatnonzero(np.diff(group[live])) + 1).tolist()]
-                blocks = [(j * d, budgets[live[j]]) for j in cuts]
-                edges = np.array(cuts) * d
-        if len(live) == 1:  # skips the fancy index and the reshape
+                blocks = [(j * w, budgets[live[j]]) for j in cuts]
+                edges = np.array(cuts) * w
+        if K > 1:  # each start's next K steps, bit for bit those of K shrinks
+            factors[:, 0] = steps
+            ladder = np.multiply.accumulate(factors, axis=1)
+            levels = ladder.tolist()
+            trials = (
+                xs[live][:, None, None, :] + ladder[:, :K, None, None] * directions
+            ).reshape(len(live) * w, n)
+        elif len(live) == 1:  # skips the fancy index and the reshape
             trials = xs[live[0]] + steps[0] * directions
         else:  # the same bits as xs[i] + s * directions, row block by row block
             trials = (
@@ -265,6 +301,9 @@ def pattern_search(
             ).reshape(len(live) * d, n)
         trials = domain.project_rows(trials)
         inside = norms_of_rows(trials, norm_spec) <= bound  # in_ball, the bound cached
+        if K > 1 and min(row[K - 1] for row in levels) <= termination_step:
+            # A level at or below the termination step is never reached.
+            inside.reshape(len(live), K, d)[ladder[:, :K] <= termination_step] = False
         ended = False
         if group is None:  # one group: a short grant ends every start
             k = int(np.count_nonzero(inside))  # budget.used stays a Python int
@@ -276,29 +315,52 @@ def pattern_search(
                 if owner.take(k) < k:  # its trials are not evaluated
                     stop = blocks[b + 1][0] if b + 1 < len(blocks) else len(trials)
                     inside[row:stop] = False
-                    steps[row // d : stop // d] = [0.0] * ((stop - row) // d)
+                    steps[row // w : stop // w] = [0.0] * ((stop - row) // w)
                     ended = True
             k = int(np.count_nonzero(inside))
         args = (trials,) if paired is None else (trials, paired)
-        if k == len(trials):
-            values = np.asarray(objective_rows(*args), dtype=float)
-        else:  # an out-of-ball trial reads +inf, which never improves
-            values = np.full(len(trials), np.inf)
-            if k:
-                values[inside] = objective_rows(*(a[inside] for a in args))
-        picks = values.reshape(len(live), d).argmin(axis=1).tolist()
+        try:
+            if k == len(trials):
+                values = np.asarray(objective_rows(*args), dtype=float)
+            else:  # an out-of-ball trial reads +inf, which never improves
+                values = np.full(len(trials), np.inf)
+                if k:
+                    values[inside] = objective_rows(*(a[inside] for a in args))
+        except Exception:
+            if K == 1:
+                raise
+            # Again from this iteration without ladders: the exact batch of
+            # a search without them, which raises or not as that one does.
+            ladders, ended = False, True
+            continue
+        picks = values.reshape(len(live) * K, d).argmin(axis=1).tolist()
         flat = values.tolist()
-        for j, (i, best) in enumerate(zip(live, picks)):
-            row = j * d + best
-            v = flat[row]
-            if v != v:  # argmin stops at the first NaN; only then look again
-                row = j * d + first_argmin(values[j * d:(j + 1) * d])
+        if K == 1:  # the hot loop of every budgeted search, kept free of levels
+            for j, (i, best) in enumerate(zip(live, picks)):
+                row = j * d + best
                 v = flat[row]
-            if v < fs[i] or (fs[i] != fs[i] and v < math.inf):
-                xs[i], fs[i] = trials[row], v
-            else:
-                steps[j] *= shrink
-                ended = ended or steps[j] <= termination_step
+                if v != v:  # argmin stops at the first NaN; only then look again
+                    row = j * d + first_argmin(values[j * d:(j + 1) * d])
+                    v = flat[row]
+                if v < fs[i] or (fs[i] != fs[i] and v < math.inf):
+                    xs[i], fs[i] = trials[row], v
+                else:
+                    steps[j] *= shrink
+                    ended = ended or steps[j] <= termination_step
+        else:  # each start walks its levels up to the first that improves
+            for j, i in enumerate(live):
+                for level in range(j * K, j * K + K):
+                    row = level * d + picks[level]
+                    v = flat[row]
+                    if v != v:
+                        row = level * d + first_argmin(values[level * d:(level + 1) * d])
+                        v = flat[row]
+                    if v < fs[i] or (fs[i] != fs[i] and v < math.inf):
+                        xs[i], fs[i], steps[j] = trials[row], v, levels[j][level - j * K]
+                        break
+                else:  # every level failed: the step after K shrinks
+                    steps[j] = levels[j][K]
+                    ended = ended or steps[j] <= termination_step
         if ended:
             keep = [j for j, s in enumerate(steps) if s > termination_step]
             live, steps = [live[j] for j in keep], [steps[j] for j in keep]

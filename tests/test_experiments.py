@@ -477,15 +477,24 @@ def test_minimax_weak_duality_is_exact_on_tilted_instances(F, radius):
     assert _bits(report.upper) == _bits(displacement(F, report.x_witness))
 
 
-def test_minimax_orders_a_nan_envelope_last_and_reads_a_nan_entry_as_minus_inf_in_its_column():
+def test_minimax_orders_a_nan_envelope_last_and_reads_a_nan_entry_as_minus_inf_in_its_column(
+    monkeypatch,
+):
     # J = x^2 - y^2 is NaN where |x| < 0.3 and |y - 0.25| < 0.05, and its
     # row envelope, x^2 at y = 0, is NaN on the rows |x| < 0.3 that hold a
     # NaN.  With one start per grid point, every NaN envelope row starts
-    # after the finite ones, and upper reads it as +inf although S_x holds
-    # it.  The column y = 0.25 is NaN at x = 0 and would read
-    # 0.3^2 - 0.25^2 > 0 if its NaNs were skipped; it reads -inf, so lower
-    # stays at the column y = 0.
-    calls = []
+    # after the finite ones, with the grid's own envelope values, and upper
+    # reads it as +inf although S_x holds it.  The column y = 0.25 is NaN
+    # at x = 0 and would read 0.3^2 - 0.25^2 > 0 if its NaNs were skipped;
+    # it reads -inf, so lower stays at the column y = 0.
+    calls, upper_starts = [], []
+    upper_phase = experiments._minimize_row_sup
+
+    def recording_upper(J, starts, start_values, *rest):
+        upper_starts.append((np.array(starts), np.array(start_values)))
+        return upper_phase(J, starts, start_values, *rest)
+
+    monkeypatch.setattr(experiments, "_minimize_row_sup", recording_upper)
 
     def pairs(X, Y):
         values = (X * X).sum(axis=1) - (Y * Y).sum(axis=1)
@@ -498,9 +507,10 @@ def test_minimax_orders_a_nan_envelope_last_and_reads_a_nan_entry_as_minus_inf_i
     J = Bifunctional(pairs=pairs, domain=FullSpace(1), row_sup=row_sup)
     cfg = OptimizeConfig(coarse_grid=9, multistart=9, termination_step=1e-5, seed=1)
     report = minimax_gap(J, 1.0, 9, config=cfg)
-    grid, starts, S_x = calls[0], calls[1], calls[-1]
+    (grid, S_x), ((starts, start_values),) = (calls[0], calls[-1]), upper_starts
     assert len(grid) == len(starts) == 9
-    nan = np.isnan(row_sup(starts)[0])
+    assert _bits(start_values) == _bits(row_sup(starts)[0])
+    nan = np.isnan(start_values)
     assert nan.any() and not (nan[:-1] & ~nan[1:]).any()
     assert np.isnan(row_sup(S_x)[0]).any()
     assert abs(report.x_witness[0]) >= 0.3
@@ -1048,7 +1058,8 @@ def test_row_sup_search_rows_match_one_row_searches_bitwise(index):
     cfg = OptimizeConfig(coarse_grid=7, multistart=2, termination_step=1e-7, seed=0)
 
     def search(rows, budget):
-        return _minimize_row_sup(F.as_bifunctional(), rows, radius, F.norm, cfg, budget)
+        return _minimize_row_sup(
+            F.as_bifunctional(), rows, F.row_sup(rows)[0], radius, F.norm, cfg, budget)
 
     together = _Budget(10**18)
     X, _ = search(starts, together)
@@ -1079,7 +1090,7 @@ def test_row_sup_search_answers_from_the_envelope_and_charges_each_row():
     # maximisers f(x) = x/4 + 1.8 leave the ball for x > 0.8.
     cfg = OptimizeConfig(coarse_grid=17, multistart=2, termination_step=0.5, separation=1.0, seed=1)
     budget = _Budget(10**6)
-    X, Y = _minimize_row_sup(J, starts, 2.0, F.norm, cfg, budget)
+    X, Y = _minimize_row_sup(J, starts, F.row_sup(starts)[0], 2.0, F.norm, cfg, budget)
     assert {kind for kind, *_ in calls} == {"row_sup"}
     assert budget.used == sum(len(values) for *_, values in calls)
     assert np.array_equal(calls[-1][1], np.array(X))

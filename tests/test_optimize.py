@@ -539,6 +539,123 @@ def test_grouped_pattern_search_matches_one_search_per_group_bitwise():
     assert X.shape == (0, 2) and FX.shape == (0,)
 
 
+@given(
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.sampled_from(["axes", "auto"]),
+    st.sampled_from([0.5, 0.3, 0.7]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_search_on_a_counting_budget_ends_where_the_reference_ends_hypothesis(
+    n, S, directions, shrink, paired, seed,
+):
+    # A budget without a limit lets each start value its next steps in one
+    # call, a ladder; every endpoint and value is still bitwise that of the
+    # one-direction-at-a-time reference, on objectives with ties and a NaN
+    # half-space, also where shrink is no power of two, so that only the
+    # reference's own products give the same steps, and where each start
+    # has its own objective through its partner.  The budget counts every
+    # row the objective saw, the unused ladder rows too, so never fewer
+    # than the reference's.
+    rng = np.random.default_rng(seed)
+    domain = random_domain(rng, n)
+    spec = NormSpec(n, (1.0, 2.0, INF)[seed % 3])
+    objectives = [nan_half_space_objective(rng, n) for _ in range(S if paired else 1)]
+    radius = float(rng.uniform(1.0, 3.0))
+    X0 = _starts_in_ball(rng, domain, spec, radius, S)
+    owners = np.arange(S) if paired else np.zeros(S, int)
+    F0 = _owned_rows(objectives)(X0, owners)
+    dirs = direction_set(n, directions)
+    step = float(rng.uniform(0.2, 1.0))
+    seen = []
+
+    def counted(X, *partner):
+        seen.append(len(X))
+        return _owned_rows(objectives)(X, *partner) if paired else objectives[0](X)
+
+    budget, ref_budget = _Budget(), _Budget()
+    X, FX = pattern_search(
+        counted, domain, radius, spec, X0, F0, step, 1e-6, shrink, dirs, budget,
+        partners=owners if paired else None,
+    )
+    for i in range(S):
+        x_ref, fx_ref = reference_pattern_search(
+            objectives[owners[i]], domain, radius, spec, X0[i], F0[i], step, 1e-6, shrink,
+            dirs, ref_budget, collections.Counter(),
+        )
+        assert X[i].tobytes() == x_ref.tobytes(), i
+        assert FX[i].tobytes() == np.float64(fx_ref).tobytes(), i
+    assert budget.used == sum(seen) >= ref_budget.used
+    assert not budget.exhausted
+
+
+def test_a_ladder_that_raises_goes_on_without_ladders():
+    # Two starts in 2-D with the 8 sign directions ladder 4 levels of 16
+    # rows each.  The objective raises on the first row the lockstep never
+    # evaluates, a deeper ladder level, once three calls have returned: the
+    # search goes on from that iteration one level at a time, and ends
+    # where the lockstep ends.  The rows of the call that raised stay counted.
+    rng = np.random.default_rng(3)
+    rows = random_rows_objective(rng, 2)
+    X0 = _starts_in_ball(rng, FullSpace(2), NormSpec(2, 2.0), 3.0, 2)
+    args = (FullSpace(2), 3.0, NormSpec(2, 2.0), X0, rows(X0), 0.5, 1e-6, 0.5, direction_set(2))
+    lockstep_rows = []
+
+    def recording(X):
+        lockstep_rows.extend(x.tobytes() for x in X)
+        return rows(X)
+
+    lockstep = _Budget(10**18)  # a limit: one level per iteration
+    X_ref, F_ref = pattern_search(recording, *args, lockstep)
+    known, seen, raised = set(lockstep_rows), [], []
+
+    def fussy(X):
+        seen.append(len(X))
+        unseen = [x for x in X if x.tobytes() not in known]
+        if len(seen) > 3 and unseen:
+            raised.append(len(seen))
+            raise RangeViolation("a row the lockstep never evaluates", point=unseen[0])
+        return rows(X)
+
+    budget = _Budget()
+    X, FX = pattern_search(fussy, *args, budget)
+    assert X.tobytes() == X_ref.tobytes() and FX.tobytes() == F_ref.tobytes()
+    assert raised == [4] and min(seen[:4]) > 16  # three ladder calls, then the raise
+    assert budget.used == sum(seen) and lockstep.used == len(lockstep_rows)
+
+
+def test_a_ladder_that_raises_at_its_first_level_raises_the_lockstep_error():
+    # The objective raises on the first row of its batch in a band.  The
+    # lockstep's first batch, 0.5 +- 1 and 3 +- 1, meets it at 4; the
+    # ladder's first batch meets it earlier, at 0.5 - 0.25 in the first
+    # start's third level.  Without ladders the search values the lockstep's batch again
+    # and raises its error, with the same point, value and violation.
+    raised = []
+
+    def banded(X):
+        for x in X:
+            if 0.2 <= x[0] <= 0.3 or 3.9 <= x[0] <= 4.1:
+                raised.append(float(x[0]))
+                raise RangeViolation("in the band", point=x, value=2 * x, violation=x[0] - 0.2)
+        return (X[:, 0] - 2.0) ** 2
+
+    args = (banded, FullSpace(1), 10.0, NormSpec(1, 2.0), np.array([[0.5], [3.0]]),
+            np.array([2.25, 1.0]), 1.0, 1e-6, 0.5, direction_set(1))
+    errors = []
+    for budget in (_Budget(10**18), _Budget()):
+        with pytest.raises(RangeViolation) as info:
+            pattern_search(*args, budget)
+        errors.append(info.value)
+    assert raised == [4.0, 0.25, 4.0]
+    (lockstep, ladder) = errors
+    assert str(ladder) == str(lockstep)
+    for name in ("point", "value", "violation"):
+        assert np.array(getattr(ladder, name)).tobytes() == np.array(
+            getattr(lockstep, name)).tobytes(), name
+
+
 def test_batched_global_minimize_matches_one_call_per_problem_bitwise(monkeypatch):
     # Problems with their own objective and radius, in dimensions 1-4: one
     # batched call gives each problem the endpoints, clusters, evaluations
