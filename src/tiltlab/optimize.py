@@ -280,30 +280,28 @@ def pattern_search(
             w = K * d  # the trial rows of one start
             paired = None if partners is None else partners[live].repeat(w, axis=0)
             bound = bounds if np.ndim(bounds) == 0 else bounds[live].repeat(w)
-            if K > 1:  # a start's step, then a factor per level
-                factors = np.full((len(live), K + 1), shrink)
+            if K > 1:  # a start's step, then a factor per deeper level
+                factors = np.full((len(live), K), shrink)
             if group is not None:  # each group's first row and budget
                 cuts = [0, *(np.flatnonzero(np.diff(group[live])) + 1).tolist()]
                 blocks = [(j * w, budgets[live[j]]) for j in cuts]
                 edges = np.array(cuts) * w
-        if K > 1:  # each start's next K steps, bit for bit those of K shrinks
-            factors[:, 0] = steps
-            ladder = np.multiply.accumulate(factors, axis=1)
-            levels = ladder.tolist()
-            trials = (
-                xs[live][:, None, None, :] + ladder[:, :K, None, None] * directions
-            ).reshape(len(live) * w, n)
-        elif len(live) == 1:  # skips the fancy index and the reshape
+        if K == 1 and len(live) == 1:  # skips the fancy index and the reshape
             trials = xs[live[0]] + steps[0] * directions
         else:  # the same bits as xs[i] + s * directions, row block by row block
+            if K > 1:  # each start's next K steps, bit for bit those of K shrinks
+                factors[:, 0] = steps
+                scale = np.multiply.accumulate(factors, axis=1)
+            else:
+                scale = np.array(steps)[:, None]
             trials = (
-                xs[live][:, None, :] + np.array(steps)[:, None, None] * directions
-            ).reshape(len(live) * d, n)
+                xs[live][:, None, None, :] + scale[:, :, None, None] * directions
+            ).reshape(len(live) * w, n)
         trials = domain.project_rows(trials)
         inside = norms_of_rows(trials, norm_spec) <= bound  # in_ball, the bound cached
-        if K > 1 and min(row[K - 1] for row in levels) <= termination_step:
+        if K > 1 and scale[:, -1].min() <= termination_step:
             # A level at or below the termination step is never reached.
-            inside.reshape(len(live), K, d)[ladder[:, :K] <= termination_step] = False
+            inside.reshape(len(live), K, d)[scale <= termination_step] = False
         ended = False
         if group is None:  # one group: a short grant ends every start
             k = int(np.count_nonzero(inside))  # budget.used stays a Python int
@@ -335,32 +333,23 @@ def pattern_search(
             continue
         picks = values.reshape(len(live) * K, d).argmin(axis=1).tolist()
         flat = values.tolist()
-        if K == 1:  # the hot loop of every budgeted search, kept free of levels
-            for j, (i, best) in enumerate(zip(live, picks)):
-                row = j * d + best
+        for j, i in enumerate(live):  # each start walks its levels to the first that improves
+            s, level = steps[j], j * K
+            while True:
+                row = level * d + picks[level]
                 v = flat[row]
                 if v != v:  # argmin stops at the first NaN; only then look again
-                    row = j * d + first_argmin(values[j * d:(j + 1) * d])
+                    row = level * d + first_argmin(values[level * d:(level + 1) * d])
                     v = flat[row]
                 if v < fs[i] or (fs[i] != fs[i] and v < math.inf):
                     xs[i], fs[i] = trials[row], v
-                else:
-                    steps[j] *= shrink
-                    ended = ended or steps[j] <= termination_step
-        else:  # each start walks its levels up to the first that improves
-            for j, i in enumerate(live):
-                for level in range(j * K, j * K + K):
-                    row = level * d + picks[level]
-                    v = flat[row]
-                    if v != v:
-                        row = level * d + first_argmin(values[level * d:(level + 1) * d])
-                        v = flat[row]
-                    if v < fs[i] or (fs[i] != fs[i] and v < math.inf):
-                        xs[i], fs[i], steps[j] = trials[row], v, levels[j][level - j * K]
-                        break
-                else:  # every level failed: the step after K shrinks
-                    steps[j] = levels[j][K]
-                    ended = ended or steps[j] <= termination_step
+                    break
+                s *= shrink  # the products np.multiply.accumulate formed
+                level += 1
+                if level % K == 0:  # every level failed
+                    ended = ended or s <= termination_step
+                    break
+            steps[j] = s
         if ended:
             keep = [j for j, s in enumerate(steps) if s > termination_step]
             live, steps = [live[j] for j in keep], [steps[j] for j in keep]

@@ -545,11 +545,12 @@ def test_grouped_pattern_search_matches_one_search_per_group_bitwise():
     st.sampled_from(["axes", "auto"]),
     st.sampled_from([0.5, 0.3, 0.7]),
     st.booleans(),
+    st.booleans(),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
 def test_a_search_on_a_counting_budget_ends_where_the_reference_ends_hypothesis(
-    n, S, directions, shrink, paired, seed,
+    n, S, directions, shrink, paired, per_start, seed,
 ):
     # A budget without a limit lets each start value its next steps in one
     # call, a ladder; every endpoint and value is still bitwise that of the
@@ -558,7 +559,7 @@ def test_a_search_on_a_counting_budget_ends_where_the_reference_ends_hypothesis(
     # reference's own products give the same steps, and where each start
     # has its own objective through its partner.  The budget counts every
     # row the objective saw, the unused ladder rows too, so never fewer
-    # than the reference's.
+    # than the reference's; so does each start's own counting budget.
     rng = np.random.default_rng(seed)
     domain = random_domain(rng, n)
     spec = NormSpec(n, (1.0, 2.0, INF)[seed % 3])
@@ -575,20 +576,22 @@ def test_a_search_on_a_counting_budget_ends_where_the_reference_ends_hypothesis(
         seen.append(len(X))
         return _owned_rows(objectives)(X, *partner) if paired else objectives[0](X)
 
-    budget, ref_budget = _Budget(), _Budget()
+    budgets = [_Budget() for _ in range(S if per_start else 1)]
+    ref_budgets = [_Budget() for _ in budgets]
     X, FX = pattern_search(
-        counted, domain, radius, spec, X0, F0, step, 1e-6, shrink, dirs, budget,
-        partners=owners if paired else None,
+        counted, domain, radius, spec, X0, F0, step, 1e-6, shrink, dirs,
+        budgets if per_start else budgets[0], partners=owners if paired else None,
     )
     for i in range(S):
         x_ref, fx_ref = reference_pattern_search(
             objectives[owners[i]], domain, radius, spec, X0[i], F0[i], step, 1e-6, shrink,
-            dirs, ref_budget, collections.Counter(),
+            dirs, ref_budgets[i if per_start else 0], collections.Counter(),
         )
         assert X[i].tobytes() == x_ref.tobytes(), i
         assert FX[i].tobytes() == np.float64(fx_ref).tobytes(), i
-    assert budget.used == sum(seen) >= ref_budget.used
-    assert not budget.exhausted
+    assert sum(b.used for b in budgets) == sum(seen)
+    for budget, ref_budget in zip(budgets, ref_budgets):
+        assert budget.used >= ref_budget.used and not budget.exhausted
 
 
 def test_a_ladder_that_raises_goes_on_without_ladders():
