@@ -47,7 +47,6 @@ from .maps import (
     induced_operator_norm,
 )
 from .functional import (
-    Bifunctional,
     TiltedFunctional,
     coercivity_radius,
     displacement,
@@ -88,7 +87,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineMap",
-    "Bifunctional",
     "BoundedPerturbedMap",
     "Cluster",
     "ConeIntersection",

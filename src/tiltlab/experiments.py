@@ -8,11 +8,11 @@
 - find_fixed_point: minimize the displacement Phi (the upper envelope of J)
   and cross-check the saddle and strict-proximity conclusions around the
   minimizer.
-- verify_saddle: grid checks of the saddle inequalities for an arbitrary
-  zero-diagonal bifunctional around a proposed point.
+- verify_saddle: grid checks of the saddle inequalities of J around a
+  proposed point.
 - minimax_gap: both minimax envelopes on harvested candidate sets, computed
-  so the weak-duality direction holds exactly, for a J with an exact row
-  envelope (Phi for a tilted J).
+  so the weak-duality direction holds exactly, J's upper one from its exact
+  row envelope Phi.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import FixedPointNotLocated, GrowthConditionNotMet, InfeasibleTruncation
+from .errors import (
+    DimensionMismatch, FixedPointNotLocated, GrowthConditionNotMet, InfeasibleTruncation,
+)
 from .functional import (
-    Bifunctional, TiltedFunctional, coercivity_radius, mesh_displace, mesh_functional,
-    mesh_images, mesh_norms, tilted_rows,
+    TiltedFunctional, coercivity_radius, mesh_displace, mesh_images, mesh_norms, tilted_rows,
 )
 from .maps import GrowthEstimate, evaluate_rows
 from .optimize import (
@@ -413,9 +414,7 @@ def find_fixed_point(
     if len(X) == 0:
         raise ValueError("no probe points at the required separation; enlarge radius")
     # Every x is far, so the strict (and proximity) minimum is over all of X.
-    check = verify_saddle(
-        F.as_bifunctional(), x_star, Y, X, CHECK_TOLERANCE, config.separation, F.norm
-    )
+    check = verify_saddle(F, x_star, Y, X, CHECK_TOLERANCE, config.separation, F.norm)
 
     # The fixed-point criterion J(f(x), x) - Phi(x) from the minimax route.
     phi, FX = F.row_sup(X)
@@ -463,7 +462,7 @@ class SaddleCheck:
 
 
 def verify_saddle(
-    J: Bifunctional,
+    F: TiltedFunctional,
     x_star,
     y_grid,
     x_grid,
@@ -472,42 +471,41 @@ def verify_saddle(
     norm_spec: NormSpec | None = None,
 ) -> SaddleCheck:
     """Check J(x_star, y) <= tol over the y grid and J(x, x_star) > -tol over
-    the x grid, with strict positivity beyond ``separation`` of x_star.
+    the x grid, with strict positivity beyond ``separation`` of x_star, in
+    ``norm_spec`` (l2 when None), which must have F's dimension.
 
-    Each grid is a (k, n) array of members of J's domain, or a
+    Each grid is a (k, n) array of members of F's set, or a
     :class:`SampleDomain` window whose grid points are the probes.  When
-    both are one window on J's set, J's ``pairs`` is a
-    :class:`TiltedFunctional`'s own with a mesh form
-    (:func:`~tiltlab.functional.mesh_functional`), and the window's norm
-    and ``norm_spec`` are under p in {1, 2, inf}, no grid is built: the
-    window's ``hull`` blocks (:meth:`SampleDomain.blocks`) of at most
-    ``MESH_BLOCK_FLOATS // n`` points are valued in mesh form.  There
+    both are one window on F's set, F has a mesh form
+    (:attr:`~tiltlab.functional.TiltedFunctional.mesh_form`), and the
+    window's norm and ``norm_spec`` are under p in {1, 2, inf}, no grid is
+    built: the window's ``hull`` blocks (:meth:`SampleDomain.blocks`) of at
+    most ``MESH_BLOCK_FLOATS // n`` points are valued in mesh form.  There
     J(x_star, y) = Phi(x_star) - ||y - f(x_star)|| and ||x - x_star|| are
     folds of per-axis terms, bit for bit the rows' values, and
     J(x, x_star) = ||x - f(x)|| - ||x_star - f(x)|| takes f from
     :func:`~tiltlab.functional.mesh_images`, whose last bits may differ
     from the rows'.  A block whose members fill less than a third of it is
     valued as their rows instead.  Otherwise the grids are checked and
-    valued through ``J.pairs`` in blocks of as many rows.  A value does not
+    valued through ``F.pairs`` in blocks of as many rows.  A value does not
     depend on the rest of its block, and each extreme keeps its first
     witness in the grid's order, as over whole grids."""
-    if not J.zero_diagonal:
-        raise ValueError("saddle verification requires a zero-diagonal bifunctional")
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     if not 0.0 < separation < np.inf:
         raise ValueError(f"separation must be positive and finite, got {separation}")
-    x_star = J.domain.require(x_star, "x_star")
-    n = J.domain.dimension
+    x_star = F.domain.require(x_star, "x_star")
+    n = F.dimension
     if norm_spec is None:
         norm_spec = NormSpec(n, 2.0)
+    if norm_spec.dimension != n:
+        raise DimensionMismatch("set and norm dimensions disagree")
     cap = MESH_BLOCK_FLOATS // n
-    walk = _SaddleWalk(J, x_star, norm_spec, separation)
+    walk = _SaddleWalk(F, x_star, norm_spec, separation)
     window = y_grid if isinstance(y_grid, SampleDomain) and y_grid is x_grid else None
-    F = None if window is None else mesh_functional(J.pairs, "pairs")
-    if (F is not None and window.domain == F.domain
+    if (window is not None and F.mesh_form and window.domain == F.domain
             and window.norm.fold is not None and norm_spec.fold is not None):
-        walk.mesh(F, window.blocks(cap, hull=True), cap)
+        walk.mesh(window.blocks(cap, hull=True), cap)
         if walk.row.best is None:
             _no_probes(0, 0)
     else:
@@ -519,11 +517,11 @@ def verify_saddle(
             _no_probes(len(y_grid), len(x_grid))
         for s in range(0, len(y_grid), cap):
             Y = y_grid[s : s + cap]
-            J.domain.require_rows(Y, "y_grid", s)
+            F.domain.require_rows(Y, "y_grid", s)
             walk.ys(Y)
         for s in range(0, len(x_grid), cap):
             X = x_grid[s : s + cap]
-            J.domain.require_rows(X, "x_grid", s)
+            F.domain.require_rows(X, "x_grid", s)
             walk.xs(X)
     row_max, row_witness = walk.row.result()
     column_min, column_witness = walk.col.result()
@@ -554,28 +552,28 @@ class _SaddleWalk:
     J(x_star, y) over the ys, J(x, x_star) over the xs, and the latter over
     the xs at least ``separation`` from x_star."""
 
-    def __init__(self, J, x_star, norm_spec, separation):
-        self.J, self.x_star, self.norm_spec, self.separation = J, x_star, norm_spec, separation
+    def __init__(self, F, x_star, norm_spec, separation):
+        self.F, self.x_star, self.norm_spec, self.separation = F, x_star, norm_spec, separation
         self.row = _FirstExtreme("argmax", -np.inf)
         self.col = _FirstExtreme("argmin", np.inf)
         self.strict = _FirstExtreme("argmin", np.inf)
 
     def ys(self, Y):
-        self.row.add(self.J.pairs(self.x_star[None, :], Y), None, Y.__getitem__)
+        self.row.add(self.F.pairs(self.x_star[None, :], Y), None, Y.__getitem__)
 
     def xs(self, X):
-        values = self.J.pairs(X, self.x_star[None, :])
+        values = self.F.pairs(X, self.x_star[None, :])
         self.col.add(values, None, X.__getitem__)
         far = norms_of_rows(X - self.x_star[None, :], self.norm_spec) >= self.separation
         self.strict.add(values, far, X.__getitem__)
 
-    def mesh(self, F: TiltedFunctional, blocks, cap: int):
+    def mesh(self, blocks, cap: int):
         """The members of a window's hull blocks as ys and xs, in mesh form;
         in a block they fill less than a third of, where the mesh form would
-        value three times the members, as their rows through ``J.pairs``,
+        value three times the members, as their rows through ``F.pairs``,
         which wait, in order, to be valued together up to ``cap`` at a
         time."""
-        x_star, n, separation = self.x_star, F.dimension, self.separation
+        F, x_star, n, separation = self.F, self.x_star, self.F.dimension, self.separation
         fold, near = F.norm.fold, self.norm_spec.fold
         waiting: list[np.ndarray] = []
 
@@ -599,9 +597,8 @@ class _SaddleWalk:
                         flush()
                     continue
                 flush()
-                if phi is None:  # f(x_star) and Phi(x_star), as pairs forms them
-                    fx = evaluate_rows(F.mapping, x_star[None, :], F.domain)
-                    phi, fx = norms_of_rows(x_star[None, :] - fx, F.norm), fx[0]
+                if phi is None:  # Phi(x_star) and f(x_star), as pairs forms them
+                    phi, (fx,) = F.row_sup(x_star[None, :])
                 lead, tail, inside = block.lead, block.tail, block.inside
                 axes = [np.array([v]) for v in lead] + tail
                 shape, size = [len(a) for a in axes], f.shape[1]
@@ -679,16 +676,16 @@ class MinimaxGapReport:
 
     lower = max over y in S_y of the column minimum of one shared value
     matrix M[i, j] = J(S_x[i], S_y[j]).  upper = min over x in S_x of J's
-    exact row envelope ``row_sup``, sup over all y in X of J(x, y) (Phi(x)
-    for a tilted J), so ``upper`` is a true upper bound on the truncated
-    inf_x sup_y J, up to the rounding of Phi.  lower <= upper holds exactly on
-    every instance: every M[i, j] is at most its row's envelope bit for
-    bit, a NaN entry reads -inf in its column minimum, a NaN envelope reads
-    +inf, and a matrix that is NaN everywhere is a ValueError.
+    exact row envelope Phi(x) = sup over all y in X of J(x, y), so
+    ``upper`` is a true upper bound on the truncated inf_x sup_y J, up to
+    the rounding of Phi.  lower <= upper holds exactly on every instance:
+    every M[i, j] is at most its row's envelope bit for bit, a NaN entry
+    reads -inf in its column minimum, a NaN envelope reads +inf, and a
+    matrix that is NaN everywhere is a ValueError.
     ``boundary_max_flag`` reports a y maximizer on the truncation shell
     (the sup side has no coercivity license, so hitting the boundary is
     flagged rather than silently accepted).  ``evaluations`` counts every
-    row J's kernels evaluated: the rough grid's envelope rows, every row
+    row F's kernels evaluated: the rough grid's envelope rows, every row
     the two searches evaluated (the unused rows of their step ladders
     too), the value matrices and the x candidates' envelope rows.
     """
@@ -705,7 +702,7 @@ class MinimaxGapReport:
     resolution: int
 
 
-def _value_matrix(J: Bifunctional, X, Y, budget: _Budget) -> np.ndarray:
+def _value_matrix(F: TiltedFunctional, X, Y, budget: _Budget) -> np.ndarray:
     """M[i, j] = J(X[i], Y[j]), one kernel call per block of whole rows of
     at most _MATRIX_BLOCK pairs (or one row); M.size is charged to budget.
     A row of ``pairs`` does not depend on its batch, so neither does M."""
@@ -713,14 +710,14 @@ def _value_matrix(J: Bifunctional, X, Y, budget: _Budget) -> np.ndarray:
     blocks = []
     for i in range(0, len(X), step):
         Xb = X[i : i + step]
-        blocks.append(J.pairs(np.repeat(Xb, len(Y), axis=0), np.tile(Y, (len(Xb), 1))))
+        blocks.append(F.pairs(np.repeat(Xb, len(Y), axis=0), np.tile(Y, (len(Xb), 1))))
     M = np.concatenate(blocks).reshape(len(X), len(Y))
     budget.take(M.size)
     return M
 
 
 def _minimize_row_sup(
-    J: Bifunctional,
+    F: TiltedFunctional,
     starts: np.ndarray,
     start_values: np.ndarray,
     radius: float,
@@ -728,24 +725,24 @@ def _minimize_row_sup(
     config: OptimizeConfig,
     budget: _Budget,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Minimize J's row envelope x -> sup_y J(x, y) from each start, whose
-    envelope value is ``start_values``, by one lockstep
-    :func:`pattern_search` on ``J.row_sup``; return the endpoints and those
-    of their maximisers that lie in the truncation ball.  Every envelope
-    row it evaluates is charged to ``budget``."""
+    """Minimize J's row envelope Phi from each start, whose envelope value
+    is ``start_values``, by one lockstep :func:`pattern_search` on
+    ``F.row_sup``; return the endpoints and those of their maximisers that
+    lie in the truncation ball.  Every envelope row it evaluates is charged
+    to ``budget``."""
     step0 = config.initial_step if config.initial_step is not None else radius / 10.0
-    dirs = direction_set(J.domain.dimension, config.directions)
+    dirs = direction_set(F.dimension, config.directions)
     X, _ = pattern_search(
-        lambda X: J.row_sup(X)[0], J.domain, radius, norm_spec, starts, start_values,
+        lambda X: F.row_sup(X)[0], F.domain, radius, norm_spec, starts, start_values,
         step0, config.termination_step, config.shrink, dirs, budget,
     )
     budget.take(len(X))
-    Y = J.row_sup(X)[1]
+    Y = F.row_sup(X)[1]
     return list(X), list(Y[in_ball(Y, radius, norm_spec)])
 
 
 def _minimize_columns(
-    J: Bifunctional,
+    F: TiltedFunctional,
     pool: np.ndarray,
     Y: np.ndarray,
     radius: float,
@@ -759,42 +756,39 @@ def _minimize_columns(
     :func:`pattern_search`, each start partnered with its own y, refines
     them all from step radius / 10.  Every evaluation is charged to
     ``budget``."""
-    M = _value_matrix(J, pool, Y, budget)
+    M = _value_matrix(F, pool, Y, budget)
     k = [first_argmin(column) for column in M.T]
-    dirs = direction_set(J.domain.dimension, config.directions)
+    dirs = direction_set(F.dimension, config.directions)
     return pattern_search(
-        J.pairs, J.domain, radius, norm_spec, pool[k], M[k, np.arange(len(Y))],
+        F.pairs, F.domain, radius, norm_spec, pool[k], M[k, np.arange(len(Y))],
         radius / 10.0, config.termination_step, config.shrink, dirs, budget, partners=Y,
     )
 
 
 def minimax_gap(
-    J: Bifunctional,
+    F: TiltedFunctional,
     radius: float,
     resolution: int,
     norm_spec: NormSpec | None = None,
     config: OptimizeConfig | None = None,
 ) -> MinimaxGapReport:
-    """Both minimax envelopes of J over X truncated to the ambient ball.
+    """Both minimax envelopes of J over X truncated to the ambient ball, in
+    ``norm_spec`` (l2 when None), which must have F's dimension.
 
-    J must carry its exact row envelope ``row_sup`` (Phi for a tilted J);
-    without one this is a ValueError, raised before any evaluation.  One
-    order of the rough grid by J's envelope (NaN last) gives every grid
-    start and candidate.  The upper phase minimizes the envelope
-    x -> sup_y J(x, y) by one lockstep pattern search from the m grid
-    points of least envelope; its y candidates are the envelope's
-    maximisers at the endpoints inside the ball.  The lower phase
+    One order of the rough grid by J's exact row envelope ``F.row_sup``
+    (Phi, NaN last) gives every grid start and candidate.  The upper phase
+    minimizes Phi = sup_y J(., y) by one lockstep pattern search from the m
+    grid points of least Phi; its y candidates are the envelope's
+    maximisers f(x) at the endpoints inside the ball.  The lower phase
     minimizes J(., y) once, at those candidates and the same m grid
-    points: at a saddle point (x*, y*) of J, such as (x*, x*) of a tilted
-    J, both approximate the y that attains sup_y inf_x J.
+    points: at a saddle point (x*, x*) of J, both approximate the y that
+    attains sup_y inf_x J.
     ``upper`` is then the least row envelope over the x candidates, and
     ``lower`` is read off one shared value matrix over the harvested sets,
     which makes the weak duality direction (lower <= upper) exact by
     construction.
     """
-    if J.row_sup is None:
-        raise ValueError("minimax_gap needs J's exact row envelope row_sup; it has none")
-    n = J.domain.dimension
+    n = F.dimension
     if norm_spec is None:
         norm_spec = NormSpec(n, 2.0)
     if config is None:
@@ -802,23 +796,23 @@ def minimax_gap(
             coarse_grid=resolution, multistart=4, termination_step=1e-8, seed=0
         )
     budget = _Budget()  # counts evaluations; it has no limit, so searches ladder
-    G = SampleDomain(J.domain, norm_spec, float(radius), resolution).require_grid()
+    G = SampleDomain(F.domain, norm_spec, float(radius), resolution).require_grid()
     budget.take(len(G))
-    phi = J.row_sup(G)[0]
+    phi = F.row_sup(G)[0]
     best = np.argsort(phi, kind="stable")  # NaN sorts last
     m = config.multistart
 
     # Upper phase: minimize the row envelope sup_y J(x, .).
     x_ends, y_fins = _minimize_row_sup(
-        J, G[best[:m]], phi[best[:m]], radius, norm_spec, config, budget)
-    # Lower phase: at a saddle point (x*, y*) of J, such as (x*, x*) of a
-    # tilted J, sup_y inf_x J is attained at y*, which the upper witnesses
-    # approximate, and so do the grid points of least Phi: one inf_x J(x, y)
-    # solve at both stands in for a walk.  Its scan also covers the
-    # upper-phase endpoints so a good x is never missed on the lower side.
+        F, G[best[:m]], phi[best[:m]], radius, norm_spec, config, budget)
+    # Lower phase: at a saddle point (x*, x*) of J, sup_y inf_x J is
+    # attained at x*, which the upper witnesses approximate, and so do the
+    # grid points of least Phi: one inf_x J(x, y) solve at both stands in
+    # for a walk.  Its scan also covers the upper-phase endpoints so a good
+    # x is never missed on the lower side.
     Y_c = np.vstack([*y_fins, G[best[:m]]])
     x_pool = np.vstack([G, *x_ends])
-    x_fins = list(_minimize_columns(J, x_pool, Y_c, radius, norm_spec, config, budget)[0])
+    x_fins = list(_minimize_columns(F, x_pool, Y_c, radius, norm_spec, config, budget)[0])
 
     # Matrix phase: one shared value matrix over the harvested sets.
     def _dedupe(rows: list[np.ndarray], cap: int) -> np.ndarray:
@@ -827,13 +821,13 @@ def minimax_gap(
 
     S_x = _dedupe(x_ends + x_fins + list(G[best[:128]]), 256)
     S_y = _dedupe(list(Y_c) + list(G[best[:128]]), 256)
-    M = _value_matrix(J, S_x, S_y, budget)
+    M = _value_matrix(F, S_x, S_y, budget)
     nan = np.isnan(M)
     if nan.all():
         raise ValueError("J is NaN on every pair of the value matrix")
     col_min = np.where(nan, -np.inf, M).min(axis=0)
     budget.take(len(S_x))  # every M[i, j] <= row_sup(S_x)[0][i], bit for bit
-    row_max = J.row_sup(S_x)[0]
+    row_max = F.row_sup(S_x)[0]
     row_max = np.where(np.isnan(row_max), np.inf, row_max)
     iu = int(np.argmin(row_max))
     il = int(np.argmax(col_min))

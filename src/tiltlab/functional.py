@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -30,8 +29,12 @@ from .spaces import (
 class TiltedFunctional:
     """Bundle (norm, feasible set, self-map) defining J and Phi.
 
-    J and Phi each have one kernel, :meth:`pairs` and :meth:`displacements`,
-    and every per-point value is one row of them."""
+    J has one kernel, ``pairs(X, Y)[i] = J(X[i], Y[i])`` for (k, n) arrays,
+    either side possibly one row broadcast against the other, and its exact
+    row envelope ``row_sup(X) = (Phi(X), f(X))``: no entry of
+    ``pairs(X[i:i+1], Y)`` lies above ``Phi(X[i])`` in floating point.
+    Every per-point value is one row of them, and a row's value does not
+    depend on the rest of its batch."""
 
     norm: NormSpec
     domain: FeasibleSet
@@ -70,8 +73,24 @@ class TiltedFunctional:
     def displacement_objective(self):
         return lambda x: float(self.displacements(x[None, :])[0])
 
-    def as_bifunctional(self) -> "Bifunctional":
-        return Bifunctional(self.pairs, self.domain, zero_diagonal=True, row_sup=self.row_sup)
+    # The benchmark's minimax workload passes F.as_bifunctional() to minimax_gap.
+    def as_bifunctional(self) -> "TiltedFunctional":
+        return self
+
+    @property
+    def mesh_form(self) -> bool:
+        """Whether J and Phi have mesh forms (:func:`mesh_images`): an affine
+        or constant map under p in {1, 2, inf}, weighted or not, on full
+        space or an orthant, valued by this class's own kernels (a subclass
+        that overrides ``pairs`` or ``row_sup`` is valued by its rows)."""
+        cls = type(self)
+        return (cls.pairs is TiltedFunctional.pairs and cls.row_sup is TiltedFunctional.row_sup
+                and self.domain.coordinatewise and self.norm.fold is not None
+                and affine_parts(self.mapping) is not None)
+
+
+# Only the benchmark's tracer (perfbench/layers.py) reads this name.
+Bifunctional = TiltedFunctional
 
 
 def tilted_rows(X, Y, FX, norm_spec: NormSpec) -> np.ndarray:
@@ -79,19 +98,6 @@ def tilted_rows(X, Y, FX, norm_spec: NormSpec) -> np.ndarray:
     ``FX = f(X)``; each side may be one row broadcast against the others.
     Every J value, batched or not, is computed here."""
     return norms_of_rows(X - FX, norm_spec) - norms_of_rows(Y - FX, norm_spec)
-
-
-def mesh_functional(method, name: str) -> TiltedFunctional | None:
-    """The :class:`TiltedFunctional` whose own bound method ``name`` is
-    ``method``, when it has a mesh form: an affine or constant map under p
-    in {1, 2, inf}, weighted or not, on full space or an orthant; else
-    None, as for any other callable."""
-    F = getattr(method, "__self__", None)
-    if (isinstance(F, TiltedFunctional) and method.__func__ is getattr(TiltedFunctional, name)
-            and F.domain.coordinatewise and F.norm.fold is not None
-            and affine_parts(F.mapping) is not None):
-        return F
-    return None
 
 
 def mesh_images(F: TiltedFunctional, blocks, rows=None):
@@ -271,25 +277,3 @@ def coercivity_radius(
         1.0 - 2.0 * kappa
     )
     return float(max(float(r0), need, 0.0))
-
-
-@dataclass(frozen=True, eq=False)
-class Bifunctional:
-    """A real-valued function of (x, y) on X x X, evaluated over pairs.
-
-    ``pairs(X, Y)[i] = J(X[i], Y[i])`` for (k, n) arrays, where either side
-    may be one (1, n) row broadcast against the other; a row's value must
-    not depend on the rest of its batch.  ``zero_diagonal`` declares
-    J(x, x) = 0, which :func:`verify_saddle` requires.
-
-    ``row_sup``, when given, is J's exact upper envelope over rows:
-    ``row_sup(X) = (values, maximisers)`` with ``values[i]`` the sup of
-    J(X[i], y) over the domain, attained at ``maximisers[i]``, and no
-    entry of ``pairs(X[i:i+1], Y)`` above ``values[i]`` in floating point.
-    :func:`minimax_gap` requires it; :func:`verify_saddle` does not.
-    """
-
-    pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    domain: FeasibleSet
-    zero_diagonal: bool = False
-    row_sup: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, FieldError, InfeasibleTruncation
-from .functional import mesh_displacements, mesh_functional
+from .functional import TiltedFunctional, mesh_displacements
 from .spaces import (
     MESH_BLOCK_FLOATS, FeasibleSet, NormSpec, SampleDomain, ball_bound, mesh_blocks, norm,
     norms_of_rows, positive_int,
@@ -540,8 +540,9 @@ def brute_force_minima(
     members in one call and ``objective`` is never called.
 
     When ``objective_rows`` is a :class:`TiltedFunctional`'s own
-    ``displacements``, with an affine or constant map and p in {1, 2, inf},
-    on box sets, no rows are built: Phi comes in mesh form
+    ``displacements`` and F has a mesh form
+    (:attr:`~tiltlab.functional.TiltedFunctional.mesh_form`), on box sets,
+    no rows are built: Phi comes in mesh form
     (:func:`~tiltlab.functional.mesh_displacements`, whose values may differ
     from the rows' in the last bits), and the candidates from the blocks'
     member masks and axes.
@@ -573,8 +574,9 @@ def brute_force_minima(
         passes = domain.violations_of_rows(trial.reshape(-1, n)) <= 1e-12
         axes = [axis[m] for m in passes.reshape(n, resolution)]
     blocks = mesh_blocks(axes, radius, norm_spec, MESH_BLOCK_FLOATS // n)
-    F = mesh_functional(objective_rows, "displacements")
-    if box and F is not None and F.dimension == n:
+    F = getattr(objective_rows, "__self__", None)
+    if (box and isinstance(F, TiltedFunctional) and F.mesh_form and F.dimension == n
+            and objective_rows.__func__ is TiltedFunctional.displacements):
         # (values, member mask or None for all, rows at a mask of the values);
         # a candidate mask is sparse, so its flat indices are found first.
         scans = ((phi, block.inside, lambda mask, block=block: block.gather(

@@ -187,9 +187,8 @@ def _run_certify(cfg: ExperimentConfig) -> RunOutcome:
 
 def _run_minimax(cfg: ExperimentConfig) -> RunOutcome:
     F = _build_functional(cfg)
-    J = F.as_bifunctional()
     report = minimax_gap(
-        J,
+        F,
         cfg.sampling.radius,
         cfg.sampling.resolution,
         norm_spec=cfg.norm,
@@ -210,9 +209,8 @@ def _run_minimax(cfg: ExperimentConfig) -> RunOutcome:
 
 def _run_verify_saddle(cfg: ExperimentConfig) -> RunOutcome:
     F = _build_functional(cfg)
-    J = F.as_bifunctional()
     check = verify_saddle(
-        J,
+        F,
         np.array(cfg.saddle_point, dtype=float),
         cfg.probe_grid,
         cfg.probe_grid,

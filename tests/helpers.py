@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 from hypothesis import strategies as st
 
 from tiltlab import (
     INF,
     AffineMap,
+    ConstantMap,
     FullSpace,
     NormSpec,
     OptimizeConfig,
@@ -58,15 +62,31 @@ def instance_growth(F: TiltedFunctional):
     return growth_coefficient(F.mapping, F.norm, domain=F.domain)
 
 
-def scalar_pairs(value):
-    """A ``Bifunctional.pairs`` kernel from a scalar ``value(x, y)``: one
-    call per pair, with a one-row side broadcast against the other."""
+@dataclass(frozen=True)
+class KernelFunctional(TiltedFunctional):
+    """A J given by its kernels, for tests of the drivers on a J that is not
+    the tilted formula: ``kernel(X, Y)`` stands in for
+    :meth:`TiltedFunctional.pairs` (its rows J(X[i], Y[i]), one side
+    possibly a broadcast row) and ``envelope(X)`` for the exact row envelope
+    :meth:`TiltedFunctional.row_sup`.  Overriding them leaves it no mesh
+    form, so the drivers value it by rows."""
 
-    def pairs(X, Y):
-        X, Y = np.broadcast_arrays(X, Y)
-        return np.array([value(x, y) for x, y in zip(X, Y)], dtype=float)
+    kernel: Callable = None
+    envelope: Callable = None
 
-    return pairs
+    def pairs(self, X, Y):
+        return self.kernel(np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
+
+    def row_sup(self, X):
+        return self.envelope(np.asarray(X, dtype=float))
+
+
+def kernel_functional(pairs, row_sup=None, like: TiltedFunctional | None = None):
+    """A :class:`KernelFunctional` on the norm, set and map of ``like``, by
+    default the 1-D l2 norm on the line with f = 0."""
+    if like is None:
+        like = TiltedFunctional(NormSpec(1), FullSpace(1), ConstantMap(1, value=(0.0,)))
+    return KernelFunctional(like.norm, like.domain, like.mapping, pairs, row_sup)
 
 
 def rows_of(scalar):

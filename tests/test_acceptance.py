@@ -100,7 +100,6 @@ def test_criterion_2_saddle_inequality_suite(affine_suite):
     items, _ = affine_suite
     failures = []
     for i, F, report in items:
-        J = F.as_bifunctional()
         window = SampleDomain(F.domain, F.norm, report.radius, 3)
         y_set = window.low_discrepancy_points(1000, seed=1000 + i)
         x_set = window.low_discrepancy_points(1000, seed=2000 + i)
@@ -108,7 +107,7 @@ def test_criterion_2_saddle_inequality_suite(affine_suite):
             failures.append(f"[{i}] could not draw 1000 probes")
             continue
         check = verify_saddle(
-            J,
+            F,
             np.array(report.x_star),
             y_set,
             x_set,
@@ -142,9 +141,7 @@ def test_criterion_3_minimax_equality():
         cfg = OptimizeConfig(
             coarse_grid=resolution, multistart=2, termination_step=1e-8, seed=5
         )
-        mm = minimax_gap(
-            F.as_bifunctional(), radius, resolution, norm_spec=F.norm, config=cfg
-        )
+        mm = minimax_gap(F, radius, resolution, norm_spec=F.norm, config=cfg)
         if abs(mm.gap) > 1e-4:
             failures.append(f"{name}: |gap| = {abs(mm.gap):.2e}")
         if abs(mm.upper) > 1e-4:
@@ -364,7 +361,7 @@ def test_criterion_6_invariant_suites():
         F = TiltedFunctional(
             NormSpec(1, p), FullSpace(1), AffineMap(1, matrix=((a,),), offset=(b,))
         )
-        mm = minimax_gap(F.as_bifunctional(), 6.0, 5, norm_spec=F.norm, config=cheap)
+        mm = minimax_gap(F, 6.0, 5, norm_spec=F.norm, config=cheap)
         if mm.lower > mm.upper + 2e-6:
             failures.append(f"weak duality broken: {mm.lower} > {mm.upper}")
         checked += 1

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import affine_instance, feasible_cloud, instance_growth, scalar_pairs
+from helpers import affine_instance, feasible_cloud, instance_growth, kernel_functional
 
 from tiltlab import (
     INF,
     AffineMap,
-    Bifunctional,
     ConeIntersection,
     ConstantMap,
+    DimensionMismatch,
     EntryVerdict,
     FixedPointNotLocated,
     FullSpace,
@@ -360,9 +360,8 @@ def test_find_fixed_point_residual_cap():
 
 def test_verify_saddle_quarter():
     F = quarter()
-    J = F.as_bifunctional()
     grid = np.linspace(-4, 4, 801).reshape(-1, 1)
-    check = verify_saddle(J, [0.0], grid, grid, 1e-9, separation=1e-3, norm_spec=F.norm)
+    check = verify_saddle(F, [0.0], grid, grid, 1e-9, separation=1e-3, norm_spec=F.norm)
     assert check.row_ok            # J(0, y) = -|y| <= 0
     assert check.column_nonneg_ok  # J(x, 0) = 0.5|x| >= 0
     assert check.column_strict_ok
@@ -370,8 +369,12 @@ def test_verify_saddle_quarter():
     assert check.strict_min > 0.0
 
 
+def _zeros(X, Y):
+    return np.zeros(max(len(X), len(Y)))
+
+
 def test_verify_saddle_zero_bifunctional_nonstrict():
-    J = Bifunctional(pairs=scalar_pairs(lambda x, y: 0.0), domain=FullSpace(1), zero_diagonal=True)
+    J = kernel_functional(_zeros)
     grid = np.linspace(-1, 1, 101).reshape(-1, 1)
     check = verify_saddle(J, [0.0], grid, grid, 1e-9)
     assert check.row_ok and check.column_nonneg_ok
@@ -379,30 +382,19 @@ def test_verify_saddle_zero_bifunctional_nonstrict():
 
 
 def test_verify_saddle_planted_quadratic():
-    J = Bifunctional(
-        pairs=scalar_pairs(lambda x, y: float(x @ x - y @ y)),
-        domain=FullSpace(2),
-        zero_diagonal=True,
-    )
+    plane = TiltedFunctional(NormSpec(2), FullSpace(2), ConstantMap(2, value=(0.0, 0.0)))
+    J = kernel_functional(lambda X, Y: (X * X).sum(axis=1) - (Y * Y).sum(axis=1), like=plane)
     rng = np.random.default_rng(3)
     grid = rng.uniform(-2, 2, (500, 2))
     check = verify_saddle(J, [0.0, 0.0], grid, grid, 1e-12)
     assert check.row_ok and check.column_nonneg_ok and check.column_strict_ok
 
 
-def test_verify_saddle_requires_zero_diagonal_flag():
-    J = Bifunctional(pairs=scalar_pairs(lambda x, y: 1.0), domain=FullSpace(1), zero_diagonal=False)
-    grid = np.zeros((1, 1))
-    with pytest.raises(ValueError, match="zero-diagonal"):
-        verify_saddle(J, [0.0], grid, grid, 1e-9)
-
-
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
 def test_verify_saddle_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
-    J = quarter().as_bifunctional()
     grid = np.linspace(-1.0, 1.0, 5)[:, None]
     with pytest.raises(ValueError, match="tol"):
-        verify_saddle(J, [0.0], grid, grid, tol)
+        verify_saddle(quarter(), [0.0], grid, grid, tol)
 
 
 @pytest.mark.parametrize("separation", [float("nan"), -1.0, 0.0, float("inf")])
@@ -412,10 +404,26 @@ def test_verify_saddle_refuses_a_separation_outside_zero_to_inf(separation):
     def pairs(X, Y):
         raise AssertionError("evaluated")
 
-    J = Bifunctional(pairs, FullSpace(1), zero_diagonal=True)
     grid = np.linspace(-1.0, 1.0, 5)[:, None]
     with pytest.raises(ValueError, match=r"^separation must be positive and finite"):
-        verify_saddle(J, [0.0], grid, grid, 1e-6, separation)
+        verify_saddle(kernel_functional(pairs), [0.0], grid, grid, 1e-6, separation)
+
+
+def test_verify_saddle_refuses_a_norm_of_another_dimension_before_evaluating():
+    # A 2-D J with a 3-D norm is refused before its kernels are called, on
+    # grids, and before a window is walked or its grid built.
+    F = TiltedFunctional(NormSpec(2), FullSpace(2), AffineMap(
+        2, matrix=((0.25, 0.0), (0.0, 0.25)), offset=(0.5, -0.5)))
+    calls, grid = [], np.zeros((3, 2))
+    with pytest.raises(DimensionMismatch, match="^set and norm dimensions disagree$"):
+        verify_saddle(_recording(F, calls), [0.0, 0.0], grid, grid, 1e-6, 1e-3, NormSpec(3))
+    assert calls == []
+    window = SampleDomain(F.domain, F.norm, 2.0, 5)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("blocks", "grid_points"):
+            mp.setattr(SampleDomain, name, None)
+        with pytest.raises(DimensionMismatch, match="^set and norm dimensions disagree$"):
+            verify_saddle(F, [0.0, 0.0], window, window, 1e-6, 1e-3, NormSpec(3))
 
 
 def _bits(values):
@@ -424,7 +432,7 @@ def _bits(values):
 
 def test_minimax_quarter():
     F = quarter()
-    report = minimax_gap(F.as_bifunctional(), 8.0, 17, norm_spec=F.norm)
+    report = minimax_gap(F, 8.0, 17, norm_spec=F.norm)
     assert abs(report.upper) <= 1e-4
     assert abs(report.gap) <= 1e-4
     assert report.lower <= report.upper
@@ -433,12 +441,7 @@ def test_minimax_quarter():
 
 
 def test_minimax_identically_zero():
-    J = Bifunctional(
-        pairs=scalar_pairs(lambda x, y: 0.0),
-        domain=FullSpace(1),
-        zero_diagonal=True,
-        row_sup=lambda X: (np.zeros(len(X)), X),
-    )
+    J = kernel_functional(_zeros, lambda X: (np.zeros(len(X)), X))
     report = minimax_gap(J, 1.0, 9)
     assert report.lower == 0.0 and report.upper == 0.0 and report.gap == 0.0
 
@@ -471,7 +474,7 @@ def test_minimax_weak_duality_is_exact_on_tilted_instances(F, radius):
     from tiltlab import displacement
 
     cfg = OptimizeConfig(coarse_grid=5, multistart=2, termination_step=1e-4, seed=1)
-    report = minimax_gap(F.as_bifunctional(), radius, 5, norm_spec=F.norm, config=cfg)
+    report = minimax_gap(F, radius, 5, norm_spec=F.norm, config=cfg)
     assert report.lower <= report.upper
     assert report.gap == report.upper - report.lower
     assert _bits(report.upper) == _bits(displacement(F, report.x_witness))
@@ -504,7 +507,7 @@ def test_minimax_orders_a_nan_envelope_last_and_reads_a_nan_entry_as_minus_inf_i
         calls.append(np.array(X))
         return np.where(np.abs(X[:, 0]) < 0.3, np.nan, (X * X).sum(axis=1)), np.zeros_like(X)
 
-    J = Bifunctional(pairs=pairs, domain=FullSpace(1), row_sup=row_sup)
+    J = kernel_functional(pairs, row_sup)
     cfg = OptimizeConfig(coarse_grid=9, multistart=9, termination_step=1e-5, seed=1)
     report = minimax_gap(J, 1.0, 9, config=cfg)
     (grid, S_x), ((starts, start_values),) = (calls[0], calls[-1]), upper_starts
@@ -519,18 +522,16 @@ def test_minimax_orders_a_nan_envelope_last_and_reads_a_nan_entry_as_minus_inf_i
 
 
 def test_minimax_refuses_a_bifunctional_that_is_nan_everywhere():
-    J = Bifunctional(
-        pairs=scalar_pairs(lambda x, y: np.nan),
-        domain=FullSpace(1),
-        row_sup=lambda X: (np.full(len(X), np.nan), X),
-    )
+    J = kernel_functional(lambda X, Y: _zeros(X, Y) + np.nan,
+                          lambda X: (np.full(len(X), np.nan), X))
     with pytest.raises(ValueError, match="NaN"):
         minimax_gap(J, 1.0, 9)
 
 
 def _recording(F, calls):
-    """F's pair kernel and row envelope, appending (kind, X, Y, values) to
-    ``calls`` for every call; Y is None for an envelope call."""
+    """F behind kernels that append (kind, X, Y, values) to ``calls`` for
+    every call of its pair kernel and row envelope; Y is None for an
+    envelope call."""
 
     def pairs(X, Y):
         values = F.pairs(X, Y)
@@ -542,30 +543,17 @@ def _recording(F, calls):
         calls.append(("row_sup", np.array(X), None, values))
         return values, maximisers
 
-    return pairs, row_sup
+    return kernel_functional(pairs, row_sup, like=F)
 
 
 def test_minimax_evaluations_are_the_rows_its_kernel_saw():
     F = affine_instance(4)
     calls = []
-    pairs, row_sup = _recording(F, calls)
     cfg = OptimizeConfig(coarse_grid=7, multistart=2, termination_step=1e-6, seed=3)
-    report = minimax_gap(
-        Bifunctional(pairs, F.domain, zero_diagonal=True, row_sup=row_sup),
-        4.0, 7, norm_spec=F.norm, config=cfg,
-    )
+    report = minimax_gap(_recording(F, calls), 4.0, 7, norm_spec=F.norm, config=cfg)
     assert report.evaluations == sum(len(values) for *_, values in calls) > 0
     assert {kind for kind, *_ in calls} == {"pairs", "row_sup"}
-    assert report == minimax_gap(F.as_bifunctional(), 4.0, 7, norm_spec=F.norm, config=cfg)
-
-
-def test_minimax_refuses_a_bifunctional_without_row_sup_before_evaluating():
-    F = affine_instance(4)
-    calls = []
-    pairs, _ = _recording(F, calls)
-    with pytest.raises(ValueError, match="row_sup"):
-        minimax_gap(Bifunctional(pairs, F.domain, zero_diagonal=True), 4.0, 7, norm_spec=F.norm)
-    assert calls == []
+    assert report == minimax_gap(F, 4.0, 7, norm_spec=F.norm, config=cfg)
 
 
 @pytest.mark.parametrize("index", [2, 3, 4])
@@ -581,8 +569,7 @@ def test_minimax_s_x_holds_the_lower_phase_endpoints_at_its_y_candidates(index):
     radius, resolution, m = 4.0, 9, 2
     cfg = OptimizeConfig(coarse_grid=resolution, multistart=m, termination_step=1e-8, seed=3)
     calls, searches = [], []
-    pairs, row_sup = _recording(F, calls)
-    J = Bifunctional(pairs, F.domain, zero_diagonal=True, row_sup=row_sup)
+    J = _recording(F, calls)
     upper_phase, lower_phase = experiments._minimize_row_sup, experiments._minimize_columns
 
     def recording_upper(*args):
@@ -608,13 +595,12 @@ def test_minimax_s_x_holds_the_lower_phase_endpoints_at_its_y_candidates(index):
 
 
 def _matrix_phase(F, radius, resolution, cfg):
-    """minimax_gap on F's recording bifunctional, with the matrix phase read
+    """minimax_gap on F behind recording kernels, with the matrix phase read
     back from the calls: S_x and Phi(S_x) from the last envelope call, and
     the shared matrix from the last value matrix, whose pairs calls are the
     ones right before it."""
     calls, matrices = [], []
-    pairs, row_sup = _recording(F, calls)
-    J = Bifunctional(pairs, F.domain, zero_diagonal=True, row_sup=row_sup)
+    J = _recording(F, calls)
     value_matrix = experiments._value_matrix
 
     def recording_matrix(K, X, Y, budget):
@@ -697,7 +683,7 @@ def test_minimax_drops_envelope_witnesses_outside_the_ball():
 def test_verify_saddle_refuses_an_empty_grid():
     from tiltlab import InfeasibleTruncation
 
-    J = quarter().as_bifunctional()
+    J = quarter()
     grid = np.linspace(-1.0, 1.0, 5)[:, None]
     empty = np.empty((0, 1))
     with pytest.raises(InfeasibleTruncation, match="y grid has 0"):
@@ -751,7 +737,7 @@ def test_verify_saddle_ties_across_block_edges_keep_the_first_witness():
         X, Y = np.broadcast_arrays(X, Y)
         return np.array([h[x] - h[y] for x, y in zip(X[:, 0].tolist(), Y[:, 0].tolist())])
 
-    J = Bifunctional(pairs, FullSpace(1), zero_diagonal=True)
+    J = kernel_functional(pairs)
     y_grid, x_grid = y_t[:, None], x_t[:, None]
     assert len(y_grid) > 2 * B and len(x_grid) > 2 * B
     spec = NormSpec(1, 2.0)
@@ -775,7 +761,7 @@ def test_verify_saddle_blocks_read_a_nan_as_the_whole_grid_does(monkeypatch):
         X, Y = np.broadcast_arrays(X, Y)
         return np.array([h[int(x)] - h[int(y)] for x, y in zip(X[:, 0], Y[:, 0])])
 
-    J = Bifunctional(pairs, FullSpace(1), zero_diagonal=True)
+    J = kernel_functional(pairs)
     y_grid, x_grid = np.arange(1.0, 11.0)[:, None], np.arange(11.0, 21.0)[:, None]
     monkeypatch.setattr(experiments, "MESH_BLOCK_FLOATS", 4)
     check = verify_saddle(J, [0.0], y_grid, x_grid, 1e-6)
@@ -787,9 +773,10 @@ def test_verify_saddle_blocks_read_a_nan_as_the_whole_grid_does(monkeypatch):
         whole.row_witness, whole.column_witness, whole.strict_witness)
 
 
-def _rows_path(F: TiltedFunctional) -> Bifunctional:
-    """F's J behind a wrapper, which verify_saddle values by rows."""
-    return Bifunctional(lambda X, Y: F.pairs(X, Y), F.domain, zero_diagonal=True)
+def _rows_path(F: TiltedFunctional) -> TiltedFunctional:
+    """F's J behind a kernel of its own, which has no mesh form, so
+    verify_saddle values it by rows."""
+    return kernel_functional(F.pairs, like=F)
 
 
 @st.composite
@@ -836,7 +823,7 @@ def _assert_the_window_matches_the_rows(F, window, x_star, near, separation, cap
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "MESH_BLOCK_FLOATS", cap)
         mp.setattr(SampleDomain, "grid_points", None)  # the mesh path builds no grid
-        mesh = verify_saddle(F.as_bifunctional(), x_star, window, window, 1e-9, separation, near)
+        mesh = verify_saddle(F, x_star, window, window, 1e-9, separation, near)
         rows = verify_saddle(_rows_path(F), x_star, grid, grid, 1e-9, separation, near)
     assert _bits(mesh.row_max) == _bits(rows.row_max)
     assert mesh.row_witness == rows.row_witness
@@ -856,6 +843,24 @@ def _assert_the_window_matches_the_rows(F, window, x_star, near, separation, cap
 @settings(max_examples=200, deadline=None)
 def test_verify_saddle_on_a_window_matches_the_rows_hypothesis(case):
     _assert_the_window_matches_the_rows(*case)
+
+
+def test_verify_saddle_values_a_kernel_of_its_own_on_a_window_by_rows():
+    # An affine J under l2 on full space has a mesh form; behind a kernel of
+    # its own it has none, so verify_saddle values the window's grid through
+    # that kernel, never in mesh form, bit for bit as on the grid's array.
+    F = TiltedFunctional(NormSpec(2), FullSpace(2), AffineMap(
+        2, matrix=((0.25, 0.125), (0.0, 0.25)), offset=(0.5, -0.5)))
+    calls = []
+    J = kernel_functional(lambda X, Y: calls.append(max(len(X), len(Y))) or F.pairs(X, Y), like=F)
+    assert F.mesh_form and not J.mesh_form
+    window = SampleDomain(F.domain, F.norm, 3.0, 15)
+    grid, x_star = window.grid_points(), np.array([0.5, -0.75])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "mesh_images", None)
+        check = verify_saddle(J, x_star, window, window, 1e-9, 0.5, F.norm)
+    assert calls == [len(grid)] * 2
+    assert check == verify_saddle(J, x_star, grid, grid, 1e-9, 0.5, F.norm)
 
 
 @pytest.mark.parametrize("resolution, cap", [(25, MESH_BLOCK_FLOATS), (49, 9000)])
@@ -881,7 +886,7 @@ def test_verify_saddle_on_a_sparse_window_matches_the_rows(resolution, cap):
         mp.setattr(experiments, "MESH_BLOCK_FLOATS", cap)
         mp.setattr(TiltedFunctional, "pairs",
                    lambda self, X, Y: valued.append(max(len(X), len(Y))) or pairs(self, X, Y))
-        verify_saddle(F.as_bifunctional(), [1.0, 2.0, 0.5], window, window, 1e-9)
+        verify_saddle(F, [1.0, 2.0, 0.5], window, window, 1e-9)
     assert valued == [np.count_nonzero(blocks[-1].inside)] * 2
 
 
@@ -895,7 +900,7 @@ def test_verify_saddle_on_a_window_keeps_the_first_witness_across_a_block_edge(m
     monkeypatch.setattr(experiments, "MESH_BLOCK_FLOATS", 5)
     assert [len(b.axes[0]) for b in window.blocks(5, hull=True)] == [5, 4]
     monkeypatch.setattr(SampleDomain, "grid_points", None)
-    check = verify_saddle(F.as_bifunctional(), [-4.0], window, window, 1e-6, 0.5, F.norm)
+    check = verify_saddle(F, [-4.0], window, window, 1e-6, 0.5, F.norm)
     assert check == verify_saddle(_rows_path(F), [-4.0], grid, grid, 1e-6, 0.5, F.norm)
     assert (check.row_max, check.row_witness) == (4.0, (0.0,))
     assert (check.column_min, check.column_witness) == (-4.0, (0.0,))
@@ -915,7 +920,7 @@ def test_verify_saddle_on_a_window_raises_the_rows_range_violation(n, p):
     [block] = window.blocks(MESH_BLOCK_FLOATS // n, hull=True)
     assert (3 * np.count_nonzero(block.inside) < block.inside.size) == (p == 1.0)
     x_star, grid = np.full(n, 4.0), window.grid_points()
-    for J, probes in ((F.as_bifunctional(), window), (_rows_path(F), grid)):
+    for J, probes in ((F, window), (_rows_path(F), grid)):
         with pytest.raises(RangeViolation) as caught:
             verify_saddle(J, x_star, probes, probes, 1e-6)
         assert list(caught.value.point) == [0.0] * n
@@ -961,8 +966,8 @@ def test_reports_are_deterministic():
     ra = certify_uniqueness(F, [[1.0], [-2.0]], growth, CFG)
     rb = certify_uniqueness(F, [[1.0], [-2.0]], growth, CFG)
     assert ra == rb
-    ma = minimax_gap(F.as_bifunctional(), 4.0, 9, norm_spec=F.norm)
-    mb = minimax_gap(F.as_bifunctional(), 4.0, 9, norm_spec=F.norm)
+    ma = minimax_gap(F, 4.0, 9, norm_spec=F.norm)
+    mb = minimax_gap(F, 4.0, 9, norm_spec=F.norm)
     assert ma == mb
 
 
@@ -1001,10 +1006,7 @@ def test_column_search_never_starts_from_a_nan_pool_value():
 
     # inf_x (x - 1)^2 = 0 at x = 1; J is NaN for x < -0.5, which holds for
     # the first pool points, so a start taken as the first NaN never moves.
-    J = Bifunctional(
-        pairs=scalar_pairs(lambda x, y: np.nan if x[0] < -0.5 else (x[0] - 1.0) ** 2),
-        domain=FullSpace(1),
-    )
+    J = kernel_functional(lambda X, Y: np.where(X[:, 0] < -0.5, np.nan, (X[:, 0] - 1.0) ** 2))
     pool = np.linspace(-2.0, 2.0, 9)[:, None]
     (x,), (value,) = _minimize_columns(
         J, pool, np.zeros((1, 1)), 2.0, NormSpec(1), CFG, _Budget(10**6)
@@ -1029,7 +1031,7 @@ def test_column_search_rows_match_one_row_searches_bitwise(index):
     cfg = OptimizeConfig(coarse_grid=7, multistart=2, termination_step=1e-7, seed=0)
 
     def search(rows, budget):
-        return _minimize_columns(F.as_bifunctional(), pool, rows, radius, F.norm, cfg, budget)
+        return _minimize_columns(F, pool, rows, radius, F.norm, cfg, budget)
 
     together = _Budget(10**18)
     X, V = search(Y, together)
@@ -1058,8 +1060,7 @@ def test_row_sup_search_rows_match_one_row_searches_bitwise(index):
     cfg = OptimizeConfig(coarse_grid=7, multistart=2, termination_step=1e-7, seed=0)
 
     def search(rows, budget):
-        return _minimize_row_sup(
-            F.as_bifunctional(), rows, F.row_sup(rows)[0], radius, F.norm, cfg, budget)
+        return _minimize_row_sup(F, rows, F.row_sup(rows)[0], radius, F.norm, cfg, budget)
 
     together = _Budget(10**18)
     X, _ = search(starts, together)
@@ -1089,8 +1090,7 @@ def test_row_sup_search_answers_from_the_envelope_and_charges_each_row():
         NormSpec(1, 2.0), FullSpace(1), AffineMap(1, matrix=((0.25,),), offset=(1.8,))
     )
     calls = []
-    pairs, row_sup = _recording(F, calls)
-    J = Bifunctional(pairs, F.domain, zero_diagonal=True, row_sup=row_sup)
+    J = _recording(F, calls)
     starts = np.array([[-2.0], [-0.5], [1.0], [2.0]])
     # A termination step above the first step of 0.2 keeps the starts, whose
     # maximisers f(x) = x/4 + 1.8 leave the ball for x > 0.8.

@@ -198,20 +198,18 @@ def test_coercivity_certificate_on_sphere(index):
     assert checked >= 30
 
 
-def test_bifunctional_wrapper_flags_and_batches():
+def test_pairs_batches_match_one_point_values():
     F = INSTANCES[0]
-    J = F.as_bifunctional()
-    assert J.zero_diagonal
     pts = feasible_cloud(F, 5.0, 50, seed=900)
     x = pts[0][None, :]
-    rows = J.pairs(x, pts)
-    cols = J.pairs(pts, x)
+    rows = F.pairs(x, pts)
+    cols = F.pairs(pts, x)
     for i in range(len(pts)):
         assert rows[i] == pytest.approx(tilted_value(F, x[0], pts[i]), abs=1e-12)
         assert cols[i] == pytest.approx(tilted_value(F, pts[i], x[0]), abs=1e-12)
-        fast = J.pairs(pts[i][None, :], x)[0]
+        fast = F.pairs(pts[i][None, :], x)[0]
         assert fast == pytest.approx(cols[i], abs=1e-12)
-    diag = [abs(J.pairs(p[None, :], p[None, :])[0]) for p in pts[:25]]
+    diag = [abs(F.pairs(p[None, :], p[None, :])[0]) for p in pts[:25]]
     assert max(diag) <= 1e-12
 
 

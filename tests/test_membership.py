@@ -63,13 +63,13 @@ def test_every_entry_point_refuses_a_point_that_is_not_finite(variant, bad):
             F, [point], growth_coefficient(mapping, F.norm), CFG
         ),
         "verify_saddle": lambda: verify_saddle(
-            F.as_bifunctional(), point, zero[None, :], zero[None, :], 1e-6
+            F, point, zero[None, :], zero[None, :], 1e-6
         ),
         "verify_saddle y_grid": lambda: verify_saddle(
-            F.as_bifunctional(), zero, np.vstack((zero, point)), zero[None, :], 1e-6
+            F, zero, np.vstack((zero, point)), zero[None, :], 1e-6
         ),
         "verify_saddle x_grid": lambda: verify_saddle(
-            F.as_bifunctional(), zero, zero[None, :], np.vstack((zero, point)), 1e-6
+            F, zero, zero[None, :], np.vstack((zero, point)), 1e-6
         ),
         "search_counterexample": lambda: search_counterexample(
             family, [2.0], domain, np.vstack((zero, point)), CFG
@@ -88,7 +88,7 @@ def _quarter_map_on(domain) -> TiltedFunctional:
 
 
 def test_verify_saddle_refuses_a_probe_grid_that_is_not_k_by_n():
-    J = _quarter_map_on(FullSpace(2)).as_bifunctional()
+    J = _quarter_map_on(FullSpace(2))
     zero, grid = np.zeros(2), np.zeros((3, 2))
     for bad in (np.zeros(2), np.zeros((3, 3)), np.zeros((2, 3, 2))):
         with pytest.raises(DimensionMismatch, match=r"^y_grid must be a \(k, 2\) array"):
@@ -99,7 +99,7 @@ def test_verify_saddle_refuses_a_probe_grid_that_is_not_k_by_n():
 
 def test_verify_saddle_names_the_first_probe_row_outside_the_set():
     # Rows past the first block are named by their index in the whole grid.
-    J = _quarter_map_on(Orthant(2)).as_bifunctional()
+    J = _quarter_map_on(Orthant(2))
     zero = np.zeros(2)
     block = MESH_BLOCK_FLOATS // 2  # rows per block of a 2-D grid
     grid = np.ones((block + 8, 2))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import affine_instance, rows_of
+from helpers import affine_instance, kernel_functional, rows_of
 
 from tiltlab import (
     INF,
@@ -38,7 +38,6 @@ from tiltlab import (
     planted_double_well,
 )
 from tiltlab.functional import mesh_displacements
-from tiltlab.maps import affine_parts
 from tiltlab.optimize import (
     _Budget, _cluster, direction_set, global_minimize_batch, pattern_search,
 )
@@ -987,7 +986,7 @@ def _full_mesh_scan(F: TiltedFunctional, radius, resolution, tolerance, separati
     inside = (F.domain.violations_of_rows(pts) <= 1e-12) & (
         norms_of_rows(pts, F.norm) <= radius + 1e-12 * max(1.0, radius)
     )
-    if path == "mesh" and _mesh_form_applies(F):
+    if path == "mesh" and F.mesh_form:
         block = MeshBlock((), [axis] * n, slice(0, resolution),
                           inside.reshape((resolution,) * n), None)
         [(_, phi)] = mesh_displacements(F, [block])
@@ -998,11 +997,6 @@ def _full_mesh_scan(F: TiltedFunctional, radius, resolution, tolerance, separati
     near = vals <= np.nanmin(vals) + tolerance
     clusters = _cluster(list(pts[near]), vals[near].tolist(), tolerance, separation, F.norm)
     return len(pts), clusters
-
-
-def _mesh_form_applies(F: TiltedFunctional) -> bool:
-    return (F.domain.coordinatewise and F.norm.fold is not None
-            and affine_parts(F.mapping) is not None)
 
 
 # The oracle's two paths for Phi: rows, taken for any callable but F's own
@@ -1221,12 +1215,12 @@ def _refuse(*args, **kwargs):
     raise AssertionError("this path must not run")
 
 
-@pytest.mark.parametrize("case", ["lambda", "bounded", "projected", "p=1.5", "cone"])
+@pytest.mark.parametrize("case", ["lambda", "bounded", "projected", "p=1.5", "cone", "kernels"])
 def test_the_oracle_keeps_the_row_path_outside_the_mesh_form(case, monkeypatch):
     # Any callable but F's own displacements, a map of another family, a
-    # norm outside p in {1, 2, inf} and a set that is not a box are scanned
-    # by rows, as before: the mesh kernel is never called, and counts and
-    # bits equal the row reference.
+    # norm outside p in {1, 2, inf}, a set that is not a box and an F whose
+    # kernels are its own are scanned by rows, as before: the mesh kernel is
+    # never called, and counts and bits equal the row reference.
     import tiltlab.optimize as optimize
 
     F = _oracle_instance(3, 2.0, False, 37)
@@ -1239,6 +1233,8 @@ def test_the_oracle_keeps_the_row_path_outside_the_mesh_form(case, monkeypatch):
         F = replace(F, norm=NormSpec(3, 1.5))
     elif case == "cone":
         F = _projected_onto(F, _half_space_and_cone(3)[1])
+    elif case == "kernels":
+        F = kernel_functional(F.pairs, F.row_sup, like=F)
     evaluations, clusters = _full_mesh_scan(F, 2.0, 25, 1e-3, 1e-3)
     monkeypatch.setattr(optimize, "mesh_displacements", _refuse)
     res = _oracle(F, 2.0, 25, "rows" if case == "lambda" else "mesh", value_tolerance=1e-3)
