@@ -17,6 +17,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import enum
 from dataclasses import dataclass
 from functools import reduce
@@ -36,6 +37,7 @@ from .optimize import (
     OptimizeConfig,
     SearchStatus,
     _Budget,
+    _values_by_problem,
     direction_set,
     first_argmin,
     global_minimize,
@@ -119,21 +121,6 @@ class UniquenessReport:
     margin: float
 
 
-def _prescan_incumbent(
-    F: TiltedFunctional, y: np.ndarray, seed: int, index: int
-) -> float:
-    """Cheap incumbent for J(., y): probe y itself (value 0 on the diagonal),
-    the set's base witness, and a few seeded feasible points."""
-    pilot = max(1.0, 2.0 * norm(y, F.norm))
-    window = SampleDomain(F.domain, F.norm, pilot, 3)
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed, _STREAM_PRESCAN, index])
-    )
-    X = np.vstack((F.domain.ray_base, window.random_points(_PRESCAN_COUNT, rng)))
-    X = X[F.domain.violations_of_rows(X) <= MEMBERSHIP_TOL]
-    return float(min([0.0, *F.pairs(X, y[None, :])]))
-
-
 class Probe(NamedTuple):
     """One J(., y) to minimize: ``F`` and the probe ``y``.  ``index`` seeds
     the prescan incumbent; ``bound``, an :func:`effective_growth_bound`
@@ -147,6 +134,31 @@ class Probe(NamedTuple):
     index: int
     bound: tuple[float, float] | None = None
     objective: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+def _prescan_rows(probe: Probe, seed: int) -> np.ndarray:
+    """The points of a probe's cheap incumbent: for J(., y) the set's base
+    witness and a few seeded feasible points, for an override y too."""
+    F, y = probe.F, probe.y
+    if probe.objective is not None:
+        return np.vstack((y, F.domain.ray_base))
+    pilot = max(1.0, 2.0 * norm(y, F.norm))
+    window = SampleDomain(F.domain, F.norm, pilot, 3)
+    rng = np.random.default_rng(
+        np.random.SeedSequence([seed, _STREAM_PRESCAN, probe.index])
+    )
+    X = np.vstack((F.domain.ray_base, window.random_points(_PRESCAN_COUNT, rng)))
+    return X[F.domain.violations_of_rows(X) <= MEMBERSHIP_TOL]
+
+
+def _incumbent(probe: Probe, seed: int, values=None) -> float:
+    """A probe's incumbent: the least of its prescan ``values`` (one call
+    of its own objective when None), and of J(y, y) = 0 for J(., y)."""
+    plant = probe.objective
+    if values is None:
+        X = _prescan_rows(probe, seed)
+        values = probe.F.pairs(X, probe.y[None, :]) if plant is None else plant(X)
+    return float(min([0.0, *values])) if plant is None else float(min(values))
 
 
 def _probe_rows(probes: Sequence[Probe]):
@@ -198,19 +210,27 @@ def _certify_probes(
     clusters; one :class:`YEntry` per probe, in order.
 
     Each probe gets its prescan incumbent and its radius: the coercive one
-    its ``bound`` licenses, or ``fixed_radius``.  Then one
-    :func:`global_minimize_batch` searches every probe, so one lockstep
-    pattern search refines them all; the probes must share one norm and
-    one set, and each keeps its own radius and budget.
+    its ``bound`` licenses, or ``fixed_radius``.  Every probe's prescan
+    rows are valued in one :func:`_probe_rows` call; when it raises, each
+    probe's are valued alone, in probe order, so that the step raises what
+    such calls raise.  Then one :func:`global_minimize_batch` searches
+    every probe, so one lockstep pattern search refines them all; the
+    probes must share one norm and one set, and each keeps its own radius
+    and budget.
     """
     if not probes:
         return []
+    F = probes[0].F
+    shared = all(p.F.norm == F.norm and p.F.domain == F.domain for p in probes)
+    values = [None] * len(probes)  # else valued one probe at a time below
+    with contextlib.suppress(Exception):
+        # _probe_rows values J by the formula, not by a subclass's own pairs.
+        if shared and all(type(p.F).pairs is TiltedFunctional.pairs for p in probes):
+            rows = [_prescan_rows(p, config.seed) for p in probes]
+            values = _values_by_problem(_probe_rows(probes), rows)
     radii, incumbents = [], []
-    for p in probes:
-        if p.objective is None:
-            incumbent = _prescan_incumbent(p.F, p.y, config.seed, p.index)
-        else:
-            incumbent = float(min(p.objective(np.vstack((p.y, p.F.domain.ray_base)))))
+    for p, prescan in zip(probes, values):
+        incumbent = _incumbent(p, config.seed, prescan)
         if p.bound is None:
             radius = fixed_radius
         else:
@@ -218,8 +238,7 @@ def _certify_probes(
             radius = max(coercivity_radius(p.F, p.y, kappa_eff, r0, incumbent, margin), 1.0)
         radii.append(radius)
         incumbents.append(incumbent)
-    F = probes[0].F
-    if any(p.F.norm != F.norm or p.F.domain != F.domain for p in probes):
+    if not shared:
         raise ValueError("the probes of one batched search must share one norm and one set")
     results = global_minimize_batch(_probe_rows(probes), F.domain, radii, config, F.norm)
     entries = []

@@ -96,8 +96,18 @@ Bifunctional = TiltedFunctional
 def tilted_rows(X, Y, FX, norm_spec: NormSpec) -> np.ndarray:
     """J's formula ||X[i] - FX[i]|| - ||Y[i] - FX[i]|| over rows, given
     ``FX = f(X)``; each side may be one row broadcast against the others.
-    Every J value, batched or not, is computed here."""
-    return norms_of_rows(X - FX, norm_spec) - norms_of_rows(Y - FX, norm_spec)
+    Every J value, batched or not, is computed here.  When both
+    differences have the k rows of FX, they are written into one (2k, n)
+    array and normed in one :func:`norms_of_rows` call: a row's norm does
+    not depend on its batch, so the values are those of two calls."""
+    k = len(FX)
+    if len(Y) > k:  # one row of X against the rows of Y
+        return norms_of_rows(X - FX, norm_spec) - norms_of_rows(Y - FX, norm_spec)
+    D = np.empty((2 * k,) + FX.shape[1:])
+    np.subtract(X, FX, D[:k])
+    np.subtract(Y, FX, D[k:])
+    norms = norms_of_rows(D, norm_spec)
+    return norms[:k] - norms[k:]
 
 
 def mesh_images(F: TiltedFunctional, blocks, rows=None):

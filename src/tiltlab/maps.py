@@ -314,6 +314,11 @@ def growth_coefficient(
     exact analytic value; every other combination is sampled on the largest
     shell with seeded directions, points projected into X.  A sampled
     estimate is evidence, not proof, and reports must carry the method tag.
+
+    The sampled path draws every shell's directions in one call (the
+    stream of one draw per shell), then normalises, projects, measures and
+    maps the rows of all shells in one pass and reads each shell's maximum
+    from its run of rows; a row's values do not depend on its batch.
     """
     if map_spec.dimension != norm_spec.dimension:
         raise DimensionMismatch("map and norm dimensions disagree")
@@ -336,27 +341,24 @@ def growth_coefficient(
     if domain is None:
         domain = FullSpace(map_spec.dimension)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x6702]))
-    n = map_spec.dimension
-    shells: list[tuple[np.ndarray, np.ndarray]] = []
-    for radius in radii:
-        dirs = rng.standard_normal((directions_per_radius, n))
-        lengths = norms_of_rows(dirs, norm_spec)
-        keep = lengths > 0.0
-        pts = domain.project_rows(radius * dirs[keep] / lengths[keep][:, None])
-        sizes = norms_of_rows(pts, norm_spec)
-        live = sizes > 1e-9 * radius
-        if not live.any():
-            continue
-        pts, sizes = pts[live], sizes[live]
-        values = norms_of_rows(map_spec.raw_rows(pts, domain), norm_spec)
-        shells.append((sizes, values))
-    if not shells:
+    dirs = rng.standard_normal((len(radii) * directions_per_radius, map_spec.dimension))
+    radius = np.repeat(radii, directions_per_radius)
+    lengths = norms_of_rows(dirs, norm_spec)
+    keep = lengths > 0.0
+    radius = radius[keep]
+    pts = domain.project_rows(radius[:, None] * dirs[keep] / lengths[keep][:, None])
+    sizes = norms_of_rows(pts, norm_spec)
+    live = sizes > 1e-9 * radius
+    if not live.any():
         raise ValueError("no feasible shell samples; the window misses the set")
-    last_sizes, last_values = shells[-1]
-    kappa_hat = float((last_values / last_sizes).max())
-    offset_bound = max(
-        float((values - kappa_hat * sizes).max()) for sizes, values in shells
-    )
+    pts, sizes, radius = pts[live], sizes[live], radius[live]
+    values = norms_of_rows(map_spec.raw_rows(pts, domain), norm_spec)
+    # Each shell's run of rows; a shell with no live sample has none.
+    edges = [0, *(np.flatnonzero(radius[1:] != radius[:-1]) + 1).tolist(), len(radius)]
+    shells = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    kappa_hat = float((values[shells[-1]] / sizes[shells[-1]]).max())
+    excess = values - kappa_hat * sizes
+    offset_bound = max(float(excess[shell].max()) for shell in shells)
     return GrowthEstimate(
         kappa_hat=kappa_hat,
         method=GrowthMethod.SAMPLED,

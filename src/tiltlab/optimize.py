@@ -370,12 +370,15 @@ def _cluster(
         raise ValueError("every objective value is NaN; there is no minimum to report")
     best = values[order[0]]
     reps: list[tuple[np.ndarray, float]] = []
+    held = np.empty((0, norm_spec.dimension))  # the representatives' points
     for i in order:
         if values[i] > best + value_tolerance:
             break
         x = points[i]
-        if all(norm(x - r, norm_spec) >= separation for r, _ in reps):
+        # One norm pass per endpoint: a row's norm does not depend on its batch.
+        if not reps or (norms_of_rows(x - held, norm_spec) >= separation).all():
             reps.append((x, values[i]))
+            held = np.vstack((held, x))
     return tuple(
         Cluster(point=tuple(float(v) for v in x), value=float(fv)) for x, fv in reps
     )
@@ -403,6 +406,34 @@ def _values_of_rows(objective_rows, X: np.ndarray) -> np.ndarray:
             f"got shape {values.shape}"
         )
     return values
+
+
+def _scan(domain: FeasibleSet, radius: float, config: OptimizeConfig, norm_spec: NormSpec):
+    """A problem's budget, grid rows and seeded random starts, each cut to
+    what the budget grants, grid first."""
+    if not radius > 0.0:
+        raise ValueError("radius must be positive")
+    budget = _Budget(config.budget)
+    window = SampleDomain(domain, norm_spec, float(radius), config.coarse_grid)
+    grid = window.require_grid()
+    k = budget.take(len(grid))
+    if k == 0:
+        raise InfeasibleTruncation("budget too small to scan a single grid point")
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_STARTS]))
+    randoms = window.random_points(config.multistart, rng)
+    return budget, grid[:k], randoms[: budget.take(len(randoms))]
+
+
+def _values_by_problem(objective, blocks, first: int = 0) -> list[np.ndarray]:
+    """The values of problem ``first + i`` at the rows ``blocks[i]``, from
+    one ``objective`` call, or none when there are no rows."""
+    sizes = [len(X) for X in blocks]
+    if not sum(sizes):
+        return [np.empty(0)] * len(blocks)
+    owners = np.arange(first, first + len(blocks)).repeat(sizes)
+    values = _values_of_rows(lambda X: objective(X, owners), np.vstack(blocks))
+    edges = list(itertools.accumulate(sizes, initial=0))
+    return [values[a:b] for a, b in zip(edges, edges[1:])]
 
 
 def global_minimize(
@@ -436,39 +467,34 @@ def global_minimize_batch(
 
     ``objective(X, owners)`` gives row i the value at ``X[i]`` of problem
     ``owners[i]``, an integer array.  Each problem has its own grid scan,
-    seeded random starts and budget of ``config.budget`` evaluations.  One
-    lockstep :func:`pattern_search` then refines the starts of every
-    problem, each with its problem's radius, initial step and budget, and
-    each problem's endpoints are clustered on their own.  A result is bit
-    for bit that of the problem searched alone.
+    seeded random starts and budget of ``config.budget`` evaluations,
+    charged grid first, then random starts.  Every problem's grid rows are
+    valued in one objective call and every problem's random starts in one
+    more; when either call raises, each problem is valued alone, grid then
+    random starts, in problem order, so that the search raises what such
+    calls raise.  One lockstep :func:`pattern_search` then refines the
+    starts of every problem, each with its problem's radius, initial step
+    and budget, and each problem's endpoints are clustered on their own.
+    A result is bit for bit that of the problem searched alone.
     """
     n = domain.dimension
     if norm_spec is None:
         norm_spec = NormSpec(n, 2.0)
+    scan = lambda radius: _scan(domain, radius, config, norm_spec)
+    try:
+        scans = [scan(radius) for radius in radii]
+        values = [_values_by_problem(objective, [s[i] for s in scans]) for i in (1, 2)]
+    except Exception:
+        scans, values = [], [[], []]
+        for p, radius in enumerate(radii):
+            scans.append(scan(radius))
+            for i in (1, 2):
+                values[i - 1] += _values_by_problem(objective, [scans[p][i]], p)
     starts, start_values, budgets, counts = [], [], [], []
-    for p, radius in enumerate(radii):  # each problem's scans, on its own budget
-        if not radius > 0.0:
-            raise ValueError("radius must be positive")
-        rows = lambda X: objective(X, np.full(len(X), p))
-        budget = _Budget(config.budget)
-        window = SampleDomain(domain, norm_spec, float(radius), config.coarse_grid)
-        grid = window.require_grid()
-        k = budget.take(len(grid))
-        grid = grid[:k]
-        if k == 0:
-            raise InfeasibleTruncation("budget too small to scan a single grid point")
-        grid_values = _values_of_rows(rows, grid)
+    for (budget, grid, randoms), grid_values, random_values in zip(scans, *values):
         order = np.argsort(grid_values, kind="stable")[: config.multistart]
-        starts.append(grid[order])
-        start_values.append(grid_values[order])
-        rng = np.random.default_rng(
-            np.random.SeedSequence([config.seed, _STREAM_STARTS])
-        )
-        randoms = window.random_points(config.multistart, rng)
-        randoms = randoms[: budget.take(len(randoms))]
-        if len(randoms):
-            starts.append(randoms)
-            start_values.append(_values_of_rows(rows, randoms))
+        starts += [grid[order], randoms]
+        start_values += [grid_values[order], random_values]
         budgets.append(budget)
         counts.append(len(order) + len(randoms))
 

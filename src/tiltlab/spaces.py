@@ -611,7 +611,7 @@ class ConeIntersection(FeasibleSet):
             V += table_i * g_i
         V = V.reshape(len(table[0]) // faces, faces, len(X))
         defect = np.maximum.reduce(V[: -self.dimension], axis=0)
-        tol = PROJECTION_TOL * (1.0 + np.maximum.reduce(np.abs(X), axis=1) + c_max)
+        tol = PROJECTION_TOL * (1.0 + fold_rows(np.maximum, np.abs(X)) + c_max)
         best = np.minimum.reduce(defect, axis=0)
         pick = (defect <= np.maximum(tol, best)).argmax(axis=0)
         moves = V[-self.dimension :]

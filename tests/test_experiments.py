@@ -268,6 +268,124 @@ def test_certify_unbounded_objective_reported_vacuous():
         assert report.entries[0].verdict is EntryVerdict.NO_MINIMUM
 
 
+def test_certify_probes_value_every_prescan_in_one_call(monkeypatch):
+    # Probes of two maps and a plant on a cone at p = 2.5: the prescan is
+    # one objective call, the search's set-up two more, and then the
+    # refinement starts; every entry is that of the probe's own step.
+    import tiltlab.optimize as optimize
+
+    calls, entered = [], []
+    probe_rows, search = experiments._probe_rows, optimize.pattern_search
+
+    def counting(probes):
+        rows = probe_rows(probes)
+
+        def counted(X, owners):
+            calls.append(len(X))
+            return rows(X, owners)
+
+        return counted
+
+    def recording(*args, **kwargs):
+        entered.append(len(calls))
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_probe_rows", counting)
+    monkeypatch.setattr(optimize, "pattern_search", recording)
+    for n in (1, 2, 3):
+        rng = np.random.default_rng(20 + n)
+        Fs, _ = _cone_and_maps(n)
+        ys = Fs[0].domain.project_rows(rng.normal(scale=2.0, size=(3, n)))
+        bounds = [effective_growth_bound(instance_growth(F)) for F in Fs]
+        probes = [
+            Probe(Fs[0], ys[0], 0, bounds[0]), Probe(Fs[1], ys[1], 1, bounds[1]),
+            Probe(Fs[0], ys[2], 2, bounds[0]), Probe(Fs[1], ys[0], 3, None,
+                                                     planted_double_well(n, 2.0)),
+        ]
+        cfg = OptimizeConfig(coarse_grid={1: 17, 2: 7, 3: 4}[n], multistart=3, seed=n)
+        calls.clear()
+        entered.clear()
+        entries = _certify_probes(probes, cfg, 1.0, 3.0)
+        assert entered == [3], n
+        assert calls[0] == sum(len(_prescan_points(p, n)) for p in probes)
+        for probe, entry in zip(probes, entries):
+            (alone,) = _certify_probes([probe], cfg, 1.0, 3.0)
+            assert entry == alone
+            _assert_same_bits(entry.result, alone.result)
+
+
+def test_certify_probes_raise_the_prescan_range_violation_of_a_per_probe_call():
+    # Two adjacent probes of a map that leaves the cone: their prescan rows
+    # form one run of the batched call, whose worst row may be the second
+    # probe's.  The step raises what the first probe's own F.pairs call
+    # over its prescan points raises: message, point, value and violation.
+    fused_differs = 0
+    for n in (1, 2, 3, 4):
+        rng = np.random.default_rng(30 + n)
+        Fs, leaving = _cone_and_maps(n)
+        ys = leaving.domain.project_rows(rng.normal(scale=2.0, size=(3, n)))
+        probes = [Probe(Fs[0], ys[0], 0), Probe(leaving, ys[1], 1), Probe(leaving, ys[2], 2)]
+        with pytest.raises(RangeViolation) as stepped:
+            _certify_probes(probes, CFG, 1.0, 3.0)
+        with pytest.raises(RangeViolation) as alone:
+            leaving.pairs(_prescan_points(probes[1], CFG.seed), ys[1][None, :])
+        assert str(stepped.value) == str(alone.value)
+        for name in ("point", "value", "violation"):
+            assert _bits(getattr(stepped.value, name)) == _bits(getattr(alone.value, name))
+        X = [_prescan_points(p, CFG.seed) for p in probes]
+        owners = np.repeat(np.arange(3), [len(x) for x in X])
+        with pytest.raises(RangeViolation) as fused:
+            experiments._probe_rows(probes)(np.vstack(X), owners)
+        fused_differs += _bits(fused.value.point) != _bits(alone.value.point)
+    assert fused_differs >= 1
+
+
+def test_prescan_incumbent_passes_over_nan_values_as_the_scalar_loop():
+    # J is NaN wherever f overflows, at most prescan points of these
+    # probes; the batched prescan keeps the incumbent of the one-point
+    # loop, which passes over NaN values, and J(0, y) = -|y| is finite.
+    F = TiltedFunctional(
+        NormSpec(1, 2.5), FullSpace(1), AffineMap(1, matrix=((1e154,),), offset=(0.0,))
+    )
+    probes = [Probe(F, np.array([s * 1e154]), k) for k, s in enumerate((1.0, -2.0, 3.0))]
+    nan_seen = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = _certify_probes(probes, CFG, 1.0, 3.0)
+        for probe, entry in zip(probes, entries):
+            want = _scalar_prescan_reference(F, probe.y, CFG.seed, probe.index)
+            assert np.float64(entry.incumbent).tobytes() == np.float64(want).tobytes()
+            assert entry.incumbent < 0.0
+            X = _prescan_points(probe, CFG.seed)
+            nan_seen += bool(np.isnan(F.pairs(X, probe.y[None, :])).any())
+    assert nan_seen == len(probes)
+
+
+def test_prescan_of_a_pairs_override_reads_its_own_pairs():
+    # A subclass's J is 7 everywhere: its prescan incumbent is min(0, 7),
+    # from its own pairs, as one call per probe gives it.
+    F = affine_instance(0)
+    J = kernel_functional(lambda X, Y: np.full(max(len(X), len(Y)), 7.0), like=F)
+    probes = [Probe(J, np.array([y]), k) for k, y in enumerate((0.5, -1.0))]
+    for entry in _certify_probes(probes, CFG, 1.0, 2.0):
+        assert np.float64(entry.incumbent).tobytes() == np.float64(0.0).tobytes()
+
+
+def _prescan_points(probe, seed):
+    """A probe's prescan points: for J(., y) the base witness and the
+    seeded window samples that lie in the set, for a plant y and the base
+    witness."""
+    from tiltlab.experiments import _PRESCAN_COUNT, _STREAM_PRESCAN
+    from tiltlab.maps import MEMBERSHIP_TOL
+
+    F, y = probe.F, probe.y
+    if probe.objective is not None:
+        return np.vstack((y, F.domain.ray_base))
+    window = SampleDomain(F.domain, F.norm, max(1.0, 2.0 * norm(y, F.norm)), 3)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_PRESCAN, probe.index]))
+    X = [F.domain.ray_base, *window.random_points(_PRESCAN_COUNT, rng)]
+    return np.array([x for x in X if F.domain.violation(x) <= MEMBERSHIP_TOL])
+
+
 def test_certify_unsatisfied_growth_capped_inconclusive():
     # a pessimistic (unsatisfied) growth estimate on a well-behaved map:
     # the probe finds a clean single cluster but no coercive radius backs
@@ -987,13 +1105,13 @@ def _scalar_prescan_reference(F, y, seed, index):
 
 
 def test_prescan_incumbent_matches_scalar_reference_loop():
-    from tiltlab.experiments import _prescan_incumbent
+    from tiltlab.experiments import _incumbent
 
     below_zero = 0
     for index in range(18):
         F = affine_instance(index)
         for k, y in enumerate(feasible_cloud(F, 6.0, 4, seed=40 + index)):
-            got = _prescan_incumbent(F, y, index, k)
+            got = _incumbent(Probe(F, y, k), index)
             want = _scalar_prescan_reference(F, y, index, k)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
             below_zero += got < 0.0

@@ -28,7 +28,7 @@ from tiltlab import (
     tilted_value,
 )
 from tiltlab.experiments import effective_growth_bound
-from tiltlab.functional import mesh_displacements
+from tiltlab.functional import mesh_displacements, tilted_rows
 from tiltlab.maps import affine_parts
 from tiltlab.spaces import mesh_blocks
 
@@ -354,6 +354,39 @@ def test_pairs_rows_have_the_same_bits_in_any_batch_hypothesis(case):
         one_phi, one_fx = F.row_sup(x)
         assert _bits(one_phi[0]) == _bits(phi[i])
         assert _bits(one_fx[0]) == _bits(FX[i])
+
+
+@st.composite
+def _tilted_rows_cases(draw):
+    """(X, Y, FX, norm): X and FX of k rows, Y of k rows or one, or X and FX
+    of one row against k rows of Y; entries with NaN, +-inf and +-0.0."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.sampled_from((1.0, 1.5, 2.0, 3.0, INF)))
+    weights = draw(st.none() | st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n))
+    entry = st.floats(-1e3, 1e3) | st.sampled_from((np.nan, np.inf, -np.inf, 0.0, -0.0))
+
+    def rows(m):
+        return np.array(draw(st.lists(entry, min_size=m * n, max_size=m * n))).reshape(m, n)
+
+    k = draw(st.integers(1, 9))
+    sides = draw(st.sampled_from(("full", "one_y", "one_x")))
+    x_rows = 1 if sides == "one_x" else k
+    X, FX = rows(x_rows), rows(x_rows)
+    Y = rows(1 if sides == "one_y" else k)
+    return X, Y, FX, NormSpec(n, p, None if weights is None else tuple(weights))
+
+
+@given(_tilted_rows_cases())
+@settings(max_examples=300, deadline=None)
+def test_tilted_rows_one_norm_pass_keeps_the_two_call_bits_hypothesis(case):
+    # The one-pass form norms X - FX and Y - FX in one batch; each value
+    # keeps the bits of the two-call form, NaN payloads and zero signs too.
+    X, Y, FX, spec = case
+    with np.errstate(all="ignore"):
+        want = norms_of_rows(X - FX, spec) - norms_of_rows(Y - FX, spec)
+        got = tilted_rows(X, Y, FX, spec)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @given(_functionals_and_rows())

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,11 @@ from tiltlab import (
     INF,
     AffineMap,
     BoundedPerturbedMap,
+    ConeIntersection,
     ConstantMap,
     FullSpace,
     GrowthMethod,
+    HalfSpace,
     MembershipViolation,
     NormSpec,
     Orthant,
@@ -21,6 +25,7 @@ from tiltlab import (
     growth_coefficient,
     induced_operator_norm,
     norm,
+    norms_of_rows,
 )
 from tiltlab.maps import evaluate_rows
 
@@ -182,6 +187,77 @@ def test_growth_weighted_norm_falls_back_to_sampling():
     # the diagonal map scales each axis by at most 0.3 in any weighted norm
     assert est.kappa_hat <= 0.3 + 1e-3
     assert est.satisfied
+
+
+def _growth_per_shell(map_spec, norm_spec, radii, per_radius, seed, domain):
+    """The sampled growth estimate drawn, projected, measured and mapped one
+    shell at a time: (kappa_hat, offset_bound, shells skipped), the first
+    two None when every shell's samples collapse."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x6702]))
+    shells, skipped = [], 0
+    for radius in radii:
+        dirs = rng.standard_normal((per_radius, map_spec.dimension))
+        lengths = norms_of_rows(dirs, norm_spec)
+        keep = lengths > 0.0
+        pts = domain.project_rows(radius * dirs[keep] / lengths[keep][:, None])
+        sizes = norms_of_rows(pts, norm_spec)
+        live = sizes > 1e-9 * radius
+        if not live.any():
+            skipped += 1
+            continue
+        pts, sizes = pts[live], sizes[live]
+        values = norms_of_rows(map_spec.raw_rows(pts, domain), norm_spec)
+        shells.append((sizes, values))
+    if not shells:
+        return None, None, skipped
+    sizes, values = shells[-1]
+    kappa_hat = float((values / sizes).max())
+    offset_bound = max(float((v - kappa_hat * s).max()) for s, v in shells)
+    return kappa_hat, max(offset_bound, 0.0), skipped
+
+
+def test_sampled_growth_matches_a_per_shell_reference_loop():
+    # All shells in one pass give each estimate the bits of one shell at a
+    # time, on full space, orthants, half-spaces and cones, with shells
+    # whose samples all project onto the apex skipped as before.
+    rng = np.random.default_rng(2718)
+    events = collections.Counter()
+    for case in range(160):
+        n = int(rng.integers(1, 4))
+        spec = NormSpec(n, float(rng.choice([1.25, 1.5, 2.5, 3.0, 5.0])))
+        e0 = (1.0,) + (0.0,) * (n - 1)
+        domain = (
+            FullSpace(n),
+            Orthant(n),
+            HalfSpace(n, normal=tuple(rng.uniform(-1.0, 1.0, n)), offset=0.0),
+            ConeIntersection(n, constraints=(
+                HalfSpace(n, normal=e0, offset=0.0), HalfSpace(n, normal=(1.0,) * n, offset=0.0),
+            ), ray=(1.0,) * n),
+        )[case % 4]
+        matrix = tuple(map(tuple, rng.uniform(-0.5, 0.5, (n, n))))
+        offset = tuple(rng.uniform(-1.0, 1.0, n))
+        mapping = (
+            AffineMap(n, matrix=matrix, offset=offset),
+            BoundedPerturbedMap(n, matrix=matrix, offset=offset, field="tanh", amplitude=2.0),
+            ProjectedMap(n, inner=AffineMap(n, matrix=matrix, offset=offset)),
+        )[int(rng.integers(3))]
+        per_radius = int(rng.choice([1, 1, 2, 16]))
+        radii = tuple(np.cumsum(rng.uniform(100.0, 3000.0, int(rng.integers(1, 4)))))
+        seed = int(rng.integers(2**31))
+        kappa, bound, skipped = _growth_per_shell(mapping, spec, radii, per_radius, seed, domain)
+        if kappa is None:
+            with pytest.raises(ValueError, match="no feasible shell samples"):
+                growth_coefficient(mapping, spec, radii, per_radius, seed, domain)
+            events["raised"] += 1
+            continue
+        est = growth_coefficient(mapping, spec, radii, per_radius, seed, domain)
+        assert est.method is GrowthMethod.SAMPLED
+        assert np.float64(est.kappa_hat).tobytes() == np.float64(kappa).tobytes(), case
+        assert np.float64(est.offset_bound).tobytes() == np.float64(bound).tobytes(), case
+        events["skipped"] += skipped > 0
+        events["one_direction"] += per_radius == 1
+    assert events["skipped"] >= 5 and events["raised"] >= 2, events
+    assert events["one_direction"] >= 20, events
 
 
 def test_growth_validation():

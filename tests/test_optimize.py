@@ -704,6 +704,66 @@ def test_batched_global_minimize_matches_one_call_per_problem_bitwise(monkeypatc
     assert events["budget_exhausted"] >= 4 and events["ok"] >= 4, events
 
 
+def test_batched_set_up_is_two_objective_calls(monkeypatch):
+    # Every problem's grid rows are one objective call and every problem's
+    # random starts one more, before the refinement starts; each result
+    # stays that of the problem searched alone.
+    import tiltlab.optimize as optimize
+
+    calls, entered = [], []
+
+    def recording(*args, **kwargs):
+        entered.append(len(calls))
+        return search(*args, **kwargs)
+
+    search = optimize.pattern_search
+    monkeypatch.setattr(optimize, "pattern_search", recording)
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        domain = random_domain(rng, n)
+        spec = NormSpec(n, (1.5, 2.0, INF)[n - 1])
+        objectives = [random_rows_objective(rng, n) for _ in range(4)]
+        radii = rng.uniform(1.0, 3.0, 4)
+        cfg = OptimizeConfig(coarse_grid={1: 17, 2: 7, 3: 4}[n], multistart=3, seed=n)
+        rows = _owned_rows(objectives)
+
+        def objective(X, owners):
+            calls.append(owners.tolist())
+            return rows(X, owners)
+
+        calls.clear()
+        entered.clear()
+        batch = global_minimize_batch(objective, domain, radii, cfg, spec)
+        assert entered == [2], n
+        assert [sorted(set(owners)) for owners in calls[:2]] == [[0, 1, 2, 3]] * 2
+        for f, r, result in zip(objectives, radii, batch):
+            assert result == global_minimize(f, domain, r, cfg, spec)
+
+
+def test_batched_set_up_raises_what_one_problem_at_a_time_raises():
+    # Problems 1 and 2 raise on every row; the batched grid call raises
+    # problem 2's error, but problem 1's grid comes first one problem at a
+    # time.  A refused radius raises after the problems before it are
+    # valued, grid then random starts.
+    calls = []
+
+    def objective(X, owners):
+        calls.append(sorted(set(owners.tolist())))
+        for p in (2, 1):
+            if p in owners:
+                raise RuntimeError(f"problem {p}")
+        return double_well(X)
+
+    cfg = OptimizeConfig(coarse_grid=9, multistart=2)
+    with pytest.raises(RuntimeError, match="problem 1"):
+        global_minimize_batch(objective, FullSpace(1), [1.0, 2.0, 3.0], cfg)
+    assert calls == [[0, 1, 2], [0], [0], [1]]
+    calls.clear()
+    with pytest.raises(ValueError, match="radius must be positive"):
+        global_minimize_batch(objective, FullSpace(1), [1.0, -1.0, 3.0], cfg)
+    assert calls == [[0], [0]]
+
+
 def test_a_nan_incumbent_moves_to_a_finite_trial():
     # f is NaN left of 0; from -0.05 the trial 0.45 is finite, so the start
     # must move, where comparing against a NaN incumbent kept it in place.
