@@ -225,7 +225,6 @@ class ExperimentConfig:
     map_spec: MapSpec | None
     family: MapFamily | None
     sweep_norms: tuple[float | MaxNorm, ...]
-    sweep_y_grid: int
     planted_cell: int | None
     optimizer: OptimizeConfig
     sampling: SamplingSpec
@@ -415,7 +414,6 @@ def build_experiment(doc: dict[str, str]) -> ExperimentConfig:
     map_spec = None
     family = None
     sweep_norms: tuple = ()
-    sweep_y_grid = 5
     planted_cell = None
     if kind == "search_counterexample":
         family, sweep_norms, sweep_y_grid, planted_cell = _build_family(
@@ -454,7 +452,6 @@ def build_experiment(doc: dict[str, str]) -> ExperimentConfig:
         map_spec=map_spec,
         family=family,
         sweep_norms=sweep_norms,
-        sweep_y_grid=sweep_y_grid,
         planted_cell=planted_cell,
         optimizer=optimizer,
         sampling=sampling,

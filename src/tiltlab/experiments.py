@@ -25,9 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch, FixedPointNotLocated, GrowthConditionNotMet, InfeasibleTruncation,
-)
+from .errors import FixedPointNotLocated, GrowthConditionNotMet, InfeasibleTruncation
 from .functional import (
     TiltedFunctional, coercivity_radius, mesh_displace, mesh_images, mesh_norms, tilted_rows,
 )
@@ -165,23 +163,23 @@ def _probe_rows(probes: Sequence[Probe]):
     """The batched objective over ``probes``, which share one norm and one
     set: row i is J(X[i], y) of probe ``owners[i]``, or its override.
 
-    A call walks the runs of adjacent rows whose probes share a kernel (one
-    map, or one override).  An override's run is one call of it.  A map's
-    run is one range-checked ``evaluate_rows``, so a :class:`RangeViolation`
-    names the worst row of its run.  Then one :func:`tilted_rows` computes
-    J's two norms over every J row of the call.  A row's value does not
-    depend on its batch, so each row has its own probe's ``F.pairs`` bits."""
+    A call walks the runs of adjacent rows whose probes share a kernel: one
+    override, one F whose class has its own ``pairs``, or one map.  An
+    override's run is one call of it, and an own kernel's run one call
+    ``F.pairs(X, Y)`` with each row's own y.  A map's run is one
+    range-checked ``evaluate_rows``, so a :class:`RangeViolation` names the
+    worst row of its run.  Then one :func:`tilted_rows` computes J's two
+    norms over every formula row of the call.  A row's value does not depend on
+    its batch, so each row has its own probe's ``F.pairs`` bits."""
     Y = np.array([p.y for p in probes])
     norm_spec, domain = probes[0].F.norm, probes[0].F.domain
-    overridden = np.array([p.objective is not None for p in probes])
-    mixed = bool(overridden.any())  # else every row is a J row
-    kernels, kinds, seen = [], [], {}
-    for p in probes:
-        kernel = p.F.mapping if p.objective is None else p.objective
-        if id(kernel) not in seen:
-            seen[id(kernel)] = len(kernels)
-            kernels.append(kernel)
-        kinds.append(seen[id(kernel)])
+    formula = np.array([p.objective is None and type(p.F).pairs is TiltedFunctional.pairs
+                        for p in probes])
+    mixed = not formula.all()  # else every row is a formula row
+    kinds, seen = [], {}
+    for p, by_formula in zip(probes, formula):
+        kernel = p.F.mapping if by_formula else p.F if p.objective is None else p.objective
+        kinds.append(seen.setdefault(id(kernel), len(seen)))
     kinds = np.array(kinds)
 
     def rows(X, owners):
@@ -189,11 +187,14 @@ def _probe_rows(probes: Sequence[Probe]):
         edges = [0, *(np.flatnonzero(kind[1:] != kind[:-1]) + 1).tolist(), len(X)]
         out, FX = np.empty(len(X)), np.empty_like(X)
         for a, b in zip(edges, edges[1:]):
-            if overridden[owners[a]]:
-                out[a:b] = kernels[kind[a]](X[a:b])
+            p = probes[owners[a]]
+            if formula[owners[a]]:
+                FX[a:b] = evaluate_rows(p.F.mapping, X[a:b], domain)
+            elif p.objective is not None:
+                out[a:b] = p.objective(X[a:b])
             else:
-                FX[a:b] = evaluate_rows(kernels[kind[a]], X[a:b], domain)
-        J = ~overridden[owners] if mixed else slice(None)
+                out[a:b] = p.F.pairs(X[a:b], Y[owners[a:b]])
+        J = formula[owners] if mixed else slice(None)
         out[J] = tilted_rows(X[J], Y[owners[J]], FX[J], norm_spec)
         return out
 
@@ -224,8 +225,7 @@ def _certify_probes(
     shared = all(p.F.norm == F.norm and p.F.domain == F.domain for p in probes)
     values = [None] * len(probes)  # else valued one probe at a time below
     with contextlib.suppress(Exception):
-        # _probe_rows values J by the formula, not by a subclass's own pairs.
-        if shared and all(type(p.F).pairs is TiltedFunctional.pairs for p in probes):
+        if shared:
             rows = [_prescan_rows(p, config.seed) for p in probes]
             values = _values_by_problem(_probe_rows(probes), rows)
     radii, incumbents = [], []
@@ -433,7 +433,7 @@ def find_fixed_point(
     if len(X) == 0:
         raise ValueError("no probe points at the required separation; enlarge radius")
     # Every x is far, so the strict (and proximity) minimum is over all of X.
-    check = verify_saddle(F, x_star, Y, X, CHECK_TOLERANCE, config.separation, F.norm)
+    check = verify_saddle(F, x_star, Y, X, CHECK_TOLERANCE, config.separation)
 
     # The fixed-point criterion J(f(x), x) - Phi(x) from the minimax route.
     phi, FX = F.row_sup(X)
@@ -487,19 +487,18 @@ def verify_saddle(
     x_grid,
     tol: float,
     separation: float = 1e-3,
-    norm_spec: NormSpec | None = None,
 ) -> SaddleCheck:
     """Check J(x_star, y) <= tol over the y grid and J(x, x_star) > -tol over
-    the x grid, with strict positivity beyond ``separation`` of x_star, in
-    ``norm_spec`` (l2 when None), which must have F's dimension.
+    the x grid, with strict positivity beyond ``separation`` of x_star in
+    F's norm.
 
     Each grid is a (k, n) array of members of F's set, or a
     :class:`SampleDomain` window whose grid points are the probes.  When
     both are one window on F's set, F has a mesh form
     (:attr:`~tiltlab.functional.TiltedFunctional.mesh_form`), and the
-    window's norm and ``norm_spec`` are under p in {1, 2, inf}, no grid is
-    built: the window's ``hull`` blocks (:meth:`SampleDomain.blocks`) of at
-    most ``MESH_BLOCK_FLOATS // n`` points are valued in mesh form.  There
+    window's norm is under p in {1, 2, inf}, no grid is built: the
+    window's ``hull`` blocks (:meth:`SampleDomain.blocks`) of at most
+    ``MESH_BLOCK_FLOATS // n`` points are valued in mesh form.  There
     J(x_star, y) = Phi(x_star) - ||y - f(x_star)|| and ||x - x_star|| are
     folds of per-axis terms, bit for bit the rows' values, and
     J(x, x_star) = ||x - f(x)|| - ||x_star - f(x)|| takes f from
@@ -515,15 +514,11 @@ def verify_saddle(
         raise ValueError(f"separation must be positive and finite, got {separation}")
     x_star = F.domain.require(x_star, "x_star")
     n = F.dimension
-    if norm_spec is None:
-        norm_spec = NormSpec(n, 2.0)
-    if norm_spec.dimension != n:
-        raise DimensionMismatch("set and norm dimensions disagree")
     cap = MESH_BLOCK_FLOATS // n
-    walk = _SaddleWalk(F, x_star, norm_spec, separation)
+    walk = _SaddleWalk(F, x_star, separation)
     window = y_grid if isinstance(y_grid, SampleDomain) and y_grid is x_grid else None
     if (window is not None and F.mesh_form and window.domain == F.domain
-            and window.norm.fold is not None and norm_spec.fold is not None):
+            and window.norm.fold is not None):
         walk.mesh(window.blocks(cap, hull=True), cap)
         if walk.row.best is None:
             _no_probes(0, 0)
@@ -569,10 +564,10 @@ def _no_probes(ys: int, xs: int):
 class _SaddleWalk:
     """verify_saddle's three extremes, fed block by block in grid order:
     J(x_star, y) over the ys, J(x, x_star) over the xs, and the latter over
-    the xs at least ``separation`` from x_star."""
+    the xs at least ``separation`` from x_star in F's norm."""
 
-    def __init__(self, F, x_star, norm_spec, separation):
-        self.F, self.x_star, self.norm_spec, self.separation = F, x_star, norm_spec, separation
+    def __init__(self, F, x_star, separation):
+        self.F, self.x_star, self.separation = F, x_star, separation
         self.row = _FirstExtreme("argmax", -np.inf)
         self.col = _FirstExtreme("argmin", np.inf)
         self.strict = _FirstExtreme("argmin", np.inf)
@@ -583,7 +578,7 @@ class _SaddleWalk:
     def xs(self, X):
         values = self.F.pairs(X, self.x_star[None, :])
         self.col.add(values, None, X.__getitem__)
-        far = norms_of_rows(X - self.x_star[None, :], self.norm_spec) >= self.separation
+        far = norms_of_rows(X - self.x_star[None, :], self.F.norm) >= self.separation
         self.strict.add(values, far, X.__getitem__)
 
     def mesh(self, blocks, cap: int):
@@ -593,7 +588,7 @@ class _SaddleWalk:
         which wait, in order, to be valued together up to ``cap`` at a
         time."""
         F, x_star, n, separation = self.F, self.x_star, self.F.dimension, self.separation
-        fold, near = F.norm.fold, self.norm_spec.fold
+        fold = F.norm.fold
         waiting: list[np.ndarray] = []
 
         def sparse(block):
@@ -636,13 +631,13 @@ class _SaddleWalk:
                 # the separation, every probe's does: the strict minimum is
                 # the column minimum.
                 gaps = [a - v for a, v in zip(axes, x_star)]
-                least = reduce(near.ufunc, [t.min() for t in near.axis_terms(gaps)])
+                least = reduce(fold.ufunc, [t.min() for t in fold.axis_terms(gaps)])
                 entry = self.col.add(xs, inside, at)
-                if entry is not None and near.finished(least) >= separation:
+                if entry is not None and fold.finished(least) >= separation:
                     self.strict.offer(entry)
                     continue
-                far = near.mesh(gaps, out=work[1].reshape(shape))
-                far = near.finished(far, out=far) >= separation
+                far = fold.mesh(gaps, out=work[1].reshape(shape))
+                far = fold.finished(far, out=far) >= separation
                 if inside is not None:
                     far &= inside
                 self.strict.add(xs, far, at)
@@ -740,7 +735,6 @@ def _minimize_row_sup(
     starts: np.ndarray,
     start_values: np.ndarray,
     radius: float,
-    norm_spec: NormSpec,
     config: OptimizeConfig,
     budget: _Budget,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -752,12 +746,12 @@ def _minimize_row_sup(
     step0 = config.initial_step if config.initial_step is not None else radius / 10.0
     dirs = direction_set(F.dimension, config.directions)
     X, _ = pattern_search(
-        lambda X: F.row_sup(X)[0], F.domain, radius, norm_spec, starts, start_values,
+        lambda X: F.row_sup(X)[0], F.domain, radius, F.norm, starts, start_values,
         step0, config.termination_step, config.shrink, dirs, budget,
     )
     budget.take(len(X))
     Y = F.row_sup(X)[1]
-    return list(X), list(Y[in_ball(Y, radius, norm_spec)])
+    return list(X), list(Y[in_ball(Y, radius, F.norm)])
 
 
 def _minimize_columns(
@@ -765,7 +759,6 @@ def _minimize_columns(
     pool: np.ndarray,
     Y: np.ndarray,
     radius: float,
-    norm_spec: NormSpec,
     config: OptimizeConfig,
     budget: _Budget,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -779,7 +772,7 @@ def _minimize_columns(
     k = [first_argmin(column) for column in M.T]
     dirs = direction_set(F.dimension, config.directions)
     return pattern_search(
-        F.pairs, F.domain, radius, norm_spec, pool[k], M[k, np.arange(len(Y))],
+        F.pairs, F.domain, radius, F.norm, pool[k], M[k, np.arange(len(Y))],
         radius / 10.0, config.termination_step, config.shrink, dirs, budget, partners=Y,
     )
 
@@ -791,8 +784,10 @@ def minimax_gap(
     norm_spec: NormSpec | None = None,
     config: OptimizeConfig | None = None,
 ) -> MinimaxGapReport:
-    """Both minimax envelopes of J over X truncated to the ambient ball, in
-    ``norm_spec`` (l2 when None), which must have F's dimension.
+    """Both minimax envelopes of J over X truncated to the ball of F's norm,
+    in which the balls, the boundary flag and the witness distance are
+    measured too.  ``norm_spec``, when given, must be ``F.norm``; any other
+    norm is a ValueError before any evaluation.
 
     One order of the rough grid by J's exact row envelope ``F.row_sup``
     (Phi, NaN last) gives every grid start and candidate.  The upper phase
@@ -807,15 +802,16 @@ def minimax_gap(
     which makes the weak duality direction (lower <= upper) exact by
     construction.
     """
-    n = F.dimension
-    if norm_spec is None:
-        norm_spec = NormSpec(n, 2.0)
+    # Kept only for the benchmark harness (perfbench/workloads.py), which
+    # passes norm_spec=F.norm.
+    if norm_spec is not None and norm_spec != F.norm:
+        raise ValueError(f"minimax_gap measures in F's norm {F.norm}, not {norm_spec}")
     if config is None:
         config = OptimizeConfig(
             coarse_grid=resolution, multistart=4, termination_step=1e-8, seed=0
         )
     budget = _Budget()  # counts evaluations; it has no limit, so searches ladder
-    G = SampleDomain(F.domain, norm_spec, float(radius), resolution).require_grid()
+    G = SampleDomain(F.domain, F.norm, float(radius), resolution).require_grid()
     budget.take(len(G))
     phi = F.row_sup(G)[0]
     best = np.argsort(phi, kind="stable")  # NaN sorts last
@@ -823,7 +819,7 @@ def minimax_gap(
 
     # Upper phase: minimize the row envelope sup_y J(x, .).
     x_ends, y_fins = _minimize_row_sup(
-        F, G[best[:m]], phi[best[:m]], radius, norm_spec, config, budget)
+        F, G[best[:m]], phi[best[:m]], radius, config, budget)
     # Lower phase: at a saddle point (x*, x*) of J, sup_y inf_x J is
     # attained at x*, which the upper witnesses approximate, and so do the
     # grid points of least Phi: one inf_x J(x, y) solve at both stands in
@@ -831,7 +827,7 @@ def minimax_gap(
     # x is never missed on the lower side.
     Y_c = np.vstack([*y_fins, G[best[:m]]])
     x_pool = np.vstack([G, *x_ends])
-    x_fins = list(_minimize_columns(F, x_pool, Y_c, radius, norm_spec, config, budget)[0])
+    x_fins = list(_minimize_columns(F, x_pool, Y_c, radius, config, budget)[0])
 
     # Matrix phase: one shared value matrix over the harvested sets.
     def _dedupe(rows: list[np.ndarray], cap: int) -> np.ndarray:
@@ -854,7 +850,7 @@ def minimax_gap(
     lower = float(col_min[il])
     y_witness = S_y[il]
     x_witness = S_x[iu]
-    boundary = radius - norm(y_witness, norm_spec) <= config.separation
+    boundary = radius - norm(y_witness, F.norm) <= config.separation
     return MinimaxGapReport(
         lower=lower,
         upper=upper,
@@ -862,7 +858,7 @@ def minimax_gap(
         x_witness=tuple(float(v) for v in x_witness),
         y_witness=tuple(float(v) for v in y_witness),
         boundary_max_flag=bool(boundary),
-        witness_distance=norm(x_witness - y_witness, norm_spec),
+        witness_distance=norm(x_witness - y_witness, F.norm),
         evaluations=budget.used,
         radius=float(radius),
         resolution=int(resolution),

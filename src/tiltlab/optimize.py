@@ -417,8 +417,6 @@ def _scan(domain: FeasibleSet, radius: float, config: OptimizeConfig, norm_spec:
     window = SampleDomain(domain, norm_spec, float(radius), config.coarse_grid)
     grid = window.require_grid()
     k = budget.take(len(grid))
-    if k == 0:
-        raise InfeasibleTruncation("budget too small to scan a single grid point")
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_STARTS]))
     randoms = window.random_points(config.multistart, rng)
     return budget, grid[:k], randoms[: budget.take(len(randoms))]

@@ -191,7 +191,6 @@ def _run_minimax(cfg: ExperimentConfig) -> RunOutcome:
         F,
         cfg.sampling.radius,
         cfg.sampling.resolution,
-        norm_spec=cfg.norm,
         config=cfg.optimizer,
     )
     doc = {"report.kind": cfg.kind}
@@ -216,7 +215,6 @@ def _run_verify_saddle(cfg: ExperimentConfig) -> RunOutcome:
         cfg.probe_grid,
         cfg.saddle_tolerance,
         separation=cfg.optimizer.separation,
-        norm_spec=cfg.norm,
     )
     doc = {"report.kind": cfg.kind}
     # The strict keys are left out when no probe lies beyond the separation.

@@ -201,9 +201,11 @@ def fold_rows(ufunc, X) -> np.ndarray:
     """``ufunc.reduce(X, axis=-1)`` as a left-to-right fold over the columns.
 
     numpy's reduce walks a short last axis row by row; the fold makes one
-    ufunc call per column, the first of which allocates the output.  numpy
-    sums fewer than 8 terms left to right too (its pairwise summation starts
-    at 8), so the fold gives the same values: for ``maximum`` and
+    ufunc call per column, each into a new array (an in-place call on one
+    element takes numpy's reduction loop, whose sum of two NaNs is the
+    second's, not the first's as in a longer batch).  numpy sums fewer than
+    8 terms left to right too (its pairwise summation starts at 8), so the
+    fold gives the same values: for ``maximum`` and
     ``minimum`` the same bytes up to width 8 (beyond it numpy's vectorised
     reduce may return the other zero of a +0.0/-0.0 tie), and for ``add``
     up to width 7 the same values under ``np.array_equal``, where a sum of
@@ -216,7 +218,7 @@ def fold_rows(ufunc, X) -> np.ndarray:
         return ufunc.reduce(X, axis=-1)
     out = ufunc(X[..., 0], X[..., 1])
     for j in range(2, X.shape[-1]):
-        ufunc(out, X[..., j], out=out)
+        out = ufunc(out, X[..., j])
     return out
 
 

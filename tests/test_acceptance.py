@@ -113,7 +113,6 @@ def test_criterion_2_saddle_inequality_suite(affine_suite):
             x_set,
             tol=1e-6,
             separation=1e-3,
-            norm_spec=F.norm,
         )
         if not check.row_ok:
             failures.append(f"[{i}] max_y J(x*, y) = {check.row_max:.2e} > 1e-6")
@@ -141,7 +140,7 @@ def test_criterion_3_minimax_equality():
         cfg = OptimizeConfig(
             coarse_grid=resolution, multistart=2, termination_step=1e-8, seed=5
         )
-        mm = minimax_gap(F, radius, resolution, norm_spec=F.norm, config=cfg)
+        mm = minimax_gap(F, radius, resolution, config=cfg)
         if abs(mm.gap) > 1e-4:
             failures.append(f"{name}: |gap| = {abs(mm.gap):.2e}")
         if abs(mm.upper) > 1e-4:
@@ -361,7 +360,7 @@ def test_criterion_6_invariant_suites():
         F = TiltedFunctional(
             NormSpec(1, p), FullSpace(1), AffineMap(1, matrix=((a,),), offset=(b,))
         )
-        mm = minimax_gap(F, 6.0, 5, norm_spec=F.norm, config=cheap)
+        mm = minimax_gap(F, 6.0, 5, config=cheap)
         if mm.lower > mm.upper + 2e-6:
             failures.append(f"weak duality broken: {mm.lower} > {mm.upper}")
         checked += 1

@@ -13,7 +13,6 @@ from tiltlab import (
     AffineMap,
     ConeIntersection,
     ConstantMap,
-    DimensionMismatch,
     EntryVerdict,
     FixedPointNotLocated,
     FullSpace,
@@ -192,30 +191,46 @@ def _cone_and_maps(n):
     return Fs, TiltedFunctional(spec, domain, affine(-1.0, 0.0))
 
 
+def _own_pairs(F, calls=None):
+    """A J on F's norm, set and map whose class has its own ``pairs``, not
+    the tilted formula; each kernel call appends its row count to
+    ``calls``."""
+
+    def pairs(X, Y):
+        if calls is not None:
+            calls.append(max(len(X), len(Y)))
+        return (X * X).sum(axis=1) - (Y * np.cos(X)).sum(axis=1)
+
+    return kernel_functional(pairs, like=F)
+
+
 def test_probe_rows_give_each_row_its_own_probe_bits():
-    # Probes of two maps and a planted override, interleaved in the owners
-    # in runs of varied length: the batched objective evaluates each map once
-    # per run and J's norms once per call, and each row keeps the bits of its
-    # own probe's F.pairs, or of the override.
+    # Probes of two maps, a planted override and a J with its own pairs,
+    # interleaved in the owners in runs of varied length: the batched
+    # objective evaluates each map once per run, the own pairs once per run
+    # with each row's y, and J's norms once per call, and each row keeps the
+    # bits of its own probe's F.pairs, or of the override.
     for n in (1, 2, 3, 4):
         rng = np.random.default_rng(n)
         Fs, _ = _cone_and_maps(n)
         domain = Fs[0].domain
         ys = domain.project_rows(rng.normal(scale=2.0, size=(3, n)))
-        plant = planted_double_well(n, 2.0)
+        plant, calls = planted_double_well(n, 2.0), []
         probes = [
             Probe(Fs[0], ys[0], 0), Probe(Fs[1], ys[1], 1), Probe(Fs[0], ys[2], 2),
-            Probe(Fs[1], ys[0], 3, None, plant),
+            Probe(Fs[1], ys[0], 3, None, plant), Probe(_own_pairs(Fs[0], calls), ys[1], 4),
         ]
         rows = experiments._probe_rows(probes)
-        owners = rng.integers(0, 4, 60)
+        owners = rng.integers(0, 5, 60)
         X = domain.project_rows(rng.normal(scale=3.0, size=(60, n)))
         got = rows(X, owners)
+        own = np.diff(np.flatnonzero(np.diff(np.r_[0, owners == 4, 0])))[::2]
+        assert calls == own.tolist()
         for i, o in enumerate(owners.tolist()):
             p = probes[o]
             want = p.objective or (lambda X, F=p.F, y=p.y: F.pairs(X, y[None, :]))
             assert _bits(got[i]) == _bits(want(X[i : i + 1])[0]), (n, i)
-        J = owners != 3  # a batch with J rows only
+        J = owners < 3  # a batch with map rows only
         assert _bits(rows(X[J], owners[J])) == _bits(got[J])
 
 
@@ -269,9 +284,10 @@ def test_certify_unbounded_objective_reported_vacuous():
 
 
 def test_certify_probes_value_every_prescan_in_one_call(monkeypatch):
-    # Probes of two maps and a plant on a cone at p = 2.5: the prescan is
-    # one objective call, the search's set-up two more, and then the
-    # refinement starts; every entry is that of the probe's own step.
+    # Probes of two maps, a plant and a J with its own pairs on a cone at
+    # p = 2.5: the prescan is one objective call, the search's set-up two
+    # more, and then the refinement starts; every entry is that of the
+    # probe's own step, bit for bit.
     import tiltlab.optimize as optimize
 
     calls, entered = [], []
@@ -301,6 +317,7 @@ def test_certify_probes_value_every_prescan_in_one_call(monkeypatch):
             Probe(Fs[0], ys[0], 0, bounds[0]), Probe(Fs[1], ys[1], 1, bounds[1]),
             Probe(Fs[0], ys[2], 2, bounds[0]), Probe(Fs[1], ys[0], 3, None,
                                                      planted_double_well(n, 2.0)),
+            Probe(_own_pairs(Fs[0]), ys[1], 4),
         ]
         cfg = OptimizeConfig(coarse_grid={1: 17, 2: 7, 3: 4}[n], multistart=3, seed=n)
         calls.clear()
@@ -358,6 +375,15 @@ def test_prescan_incumbent_passes_over_nan_values_as_the_scalar_loop():
             X = _prescan_points(probe, CFG.seed)
             nan_seen += bool(np.isnan(F.pairs(X, probe.y[None, :])).any())
     assert nan_seen == len(probes)
+
+
+def test_certify_uniqueness_searches_a_pairs_override_on_its_own_pairs():
+    # J = 7 everywhere: every value the search reads comes from J's own
+    # pairs, not from the tilted formula on its map, whose least value in
+    # the ball is about -0.629.
+    J = kernel_functional(lambda X, Y: np.full(max(len(X), len(Y)), 7.0), like=affine_instance(0))
+    report = certify_uniqueness(J, [[0.5]], None, OptimizeConfig(), radius_override=2.0)
+    assert report.entries[0].result.global_value == 7.0
 
 
 def test_prescan_of_a_pairs_override_reads_its_own_pairs():
@@ -479,7 +505,7 @@ def test_find_fixed_point_residual_cap():
 def test_verify_saddle_quarter():
     F = quarter()
     grid = np.linspace(-4, 4, 801).reshape(-1, 1)
-    check = verify_saddle(F, [0.0], grid, grid, 1e-9, separation=1e-3, norm_spec=F.norm)
+    check = verify_saddle(F, [0.0], grid, grid, 1e-9, separation=1e-3)
     assert check.row_ok            # J(0, y) = -|y| <= 0
     assert check.column_nonneg_ok  # J(x, 0) = 0.5|x| >= 0
     assert check.column_strict_ok
@@ -527,21 +553,15 @@ def test_verify_saddle_refuses_a_separation_outside_zero_to_inf(separation):
         verify_saddle(kernel_functional(pairs), [0.0], grid, grid, 1e-6, separation)
 
 
-def test_verify_saddle_refuses_a_norm_of_another_dimension_before_evaluating():
-    # A 2-D J with a 3-D norm is refused before its kernels are called, on
-    # grids, and before a window is walked or its grid built.
-    F = TiltedFunctional(NormSpec(2), FullSpace(2), AffineMap(
-        2, matrix=((0.25, 0.0), (0.0, 0.25)), offset=(0.5, -0.5)))
-    calls, grid = [], np.zeros((3, 2))
-    with pytest.raises(DimensionMismatch, match="^set and norm dimensions disagree$"):
-        verify_saddle(_recording(F, calls), [0.0, 0.0], grid, grid, 1e-6, 1e-3, NormSpec(3))
-    assert calls == []
-    window = SampleDomain(F.domain, F.norm, 2.0, 5)
-    with pytest.MonkeyPatch.context() as mp:
-        for name in ("blocks", "grid_points"):
-            mp.setattr(SampleDomain, name, None)
-        with pytest.raises(DimensionMismatch, match="^set and norm dimensions disagree$"):
-            verify_saddle(F, [0.0, 0.0], window, window, 1e-6, 1e-3, NormSpec(3))
+def test_verify_saddle_measures_the_separation_in_fs_norm():
+    # Under the max norm (0.75, 0.75) lies within 1 of x_star = 0, so the
+    # strict minimum is at (2, 0); under l2 it would be far, and least.
+    box = TiltedFunctional(NormSpec(2, INF), FullSpace(2), ConstantMap(2, value=(0.0, 0.0)))
+    J = kernel_functional(lambda X, Y: (X * X).sum(axis=1) - (Y * Y).sum(axis=1), like=box)
+    grid = np.array([[0.75, 0.75], [2.0, 0.0]])
+    check = verify_saddle(J, [0.0, 0.0], grid, grid, 1e-9, separation=1.0)
+    assert (check.column_min, check.column_witness) == (1.125, (0.75, 0.75))
+    assert (check.strict_min, check.strict_witness) == (4.0, (2.0, 0.0))
 
 
 def _bits(values):
@@ -550,7 +570,7 @@ def _bits(values):
 
 def test_minimax_quarter():
     F = quarter()
-    report = minimax_gap(F, 8.0, 17, norm_spec=F.norm)
+    report = minimax_gap(F, 8.0, 17)
     assert abs(report.upper) <= 1e-4
     assert abs(report.gap) <= 1e-4
     assert report.lower <= report.upper
@@ -592,7 +612,7 @@ def test_minimax_weak_duality_is_exact_on_tilted_instances(F, radius):
     from tiltlab import displacement
 
     cfg = OptimizeConfig(coarse_grid=5, multistart=2, termination_step=1e-4, seed=1)
-    report = minimax_gap(F, radius, 5, norm_spec=F.norm, config=cfg)
+    report = minimax_gap(F, radius, 5, config=cfg)
     assert report.lower <= report.upper
     assert report.gap == report.upper - report.lower
     assert _bits(report.upper) == _bits(displacement(F, report.x_witness))
@@ -646,6 +666,19 @@ def test_minimax_refuses_a_bifunctional_that_is_nan_everywhere():
         minimax_gap(J, 1.0, 9)
 
 
+def test_minimax_refuses_a_norm_other_than_fs_before_evaluating():
+    # norm_spec may only restate F's norm; any other is refused before a
+    # kernel call, and F's own is the default.
+    F = affine_instance(4)
+    n, calls = F.dimension, []
+    for other in (NormSpec(n, 1.5), NormSpec(n, F.norm.p, weights=(1.0, 2.0)), NormSpec(n + 1)):
+        with pytest.raises(ValueError, match="^minimax_gap measures in F's norm"):
+            minimax_gap(_recording(F, calls), 4.0, 7, norm_spec=other)
+    assert calls == []
+    cfg = OptimizeConfig(coarse_grid=7, multistart=2, termination_step=1e-6, seed=3)
+    assert minimax_gap(F, 4.0, 7, norm_spec=F.norm, config=cfg) == minimax_gap(F, 4.0, 7, config=cfg)
+
+
 def _recording(F, calls):
     """F behind kernels that append (kind, X, Y, values) to ``calls`` for
     every call of its pair kernel and row envelope; Y is None for an
@@ -668,10 +701,10 @@ def test_minimax_evaluations_are_the_rows_its_kernel_saw():
     F = affine_instance(4)
     calls = []
     cfg = OptimizeConfig(coarse_grid=7, multistart=2, termination_step=1e-6, seed=3)
-    report = minimax_gap(_recording(F, calls), 4.0, 7, norm_spec=F.norm, config=cfg)
+    report = minimax_gap(_recording(F, calls), 4.0, 7, config=cfg)
     assert report.evaluations == sum(len(values) for *_, values in calls) > 0
     assert {kind for kind, *_ in calls} == {"pairs", "row_sup"}
-    assert report == minimax_gap(F, 4.0, 7, norm_spec=F.norm, config=cfg)
+    assert report == minimax_gap(F, 4.0, 7, config=cfg)
 
 
 @pytest.mark.parametrize("index", [2, 3, 4])
@@ -702,7 +735,7 @@ def test_minimax_s_x_holds_the_lower_phase_endpoints_at_its_y_candidates(index):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "_minimize_row_sup", recording_upper)
         mp.setattr(experiments, "_minimize_columns", recording_lower)
-        minimax_gap(J, radius, resolution, norm_spec=F.norm, config=cfg)
+        minimax_gap(J, radius, resolution, config=cfg)
     (x_ends, y_fins), (Y_c, x_fins) = searches
     G = SampleDomain(F.domain, F.norm, radius, resolution).require_grid()
     best = np.argsort(F.row_sup(G)[0], kind="stable")
@@ -729,7 +762,7 @@ def _matrix_phase(F, radius, resolution, cfg):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "_value_matrix", recording_matrix)
-        report = minimax_gap(J, radius, resolution, norm_spec=F.norm, config=cfg)
+        report = minimax_gap(J, radius, resolution, config=cfg)
     last = max(i for i, (kind, *_) in enumerate(calls) if kind == "row_sup")
     _, S_x, _, phi = calls[last]
     start, end, X, S_y, M = [m for m in matrices if m[1] <= last][-1]
@@ -858,9 +891,8 @@ def test_verify_saddle_ties_across_block_edges_keep_the_first_witness():
     J = kernel_functional(pairs)
     y_grid, x_grid = y_t[:, None], x_t[:, None]
     assert len(y_grid) > 2 * B and len(x_grid) > 2 * B
-    spec = NormSpec(1, 2.0)
-    check = verify_saddle(J, x_star, y_grid, x_grid, 1e-6, 1e-3, spec)
-    assert check == _whole_grid_saddle_check(J, x_star, y_grid, x_grid, 1e-6, 1e-3, spec)
+    check = verify_saddle(J, x_star, y_grid, x_grid, 1e-6, 1e-3)
+    assert check == _whole_grid_saddle_check(J, x_star, y_grid, x_grid, 1e-6, 1e-3, J.norm)
     assert (check.row_max, check.row_witness) == (0.75, (y_t[B - 1],))
     assert (check.column_min, check.column_witness) == (-0.5, (x_t[B - 1],))
     assert (check.strict_min, check.strict_witness) == (0.25, (x_t[2 * B - 1],))
@@ -901,8 +933,7 @@ def _rows_path(F: TiltedFunctional) -> TiltedFunctional:
 def _saddle_windows(draw):
     """An affine or constant J on full space or an orthant (its lower bound
     on the grid nodes or off them), under p in {1, 2, inf}, weighted or
-    not; a window on its set and a member x_star; the separation's norm;
-    and a cap of floats per block that gives one block or several."""
+    not; a window on its set and a member x_star; a separation; and a cap of floats per block that gives one block or several."""
     n = draw(st.integers(1, 3))
     p = draw(st.sampled_from((1.0, 2.0, INF)))
     weights = draw(st.none() | st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n))
@@ -922,12 +953,11 @@ def _saddle_windows(draw):
     window = SampleDomain(domain, F.norm, draw(st.floats(1.0, 4.0)),
                           draw(st.integers(2, {1: 60, 2: 24, 3: 13}[n])))
     x_star = lower + np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
-    near = draw(st.sampled_from((F.norm, NormSpec(n, INF), NormSpec(n, 1.0))))
-    return F, window, x_star, near, draw(st.sampled_from((1e-3, 0.5, 50.0))), \
+    return F, window, x_star, draw(st.sampled_from((1e-3, 0.5, 50.0))), \
         draw(st.sampled_from((8, 64, 512, MESH_BLOCK_FLOATS)))
 
 
-def _assert_the_window_matches_the_rows(F, window, x_star, near, separation, cap):
+def _assert_the_window_matches_the_rows(F, window, x_star, separation, cap):
     """The mesh path against verify_saddle on the window's grid rows with F
     behind a wrapper: the row side and the distances are folds of the same
     terms, so the row maximum, its witness and every flag are the rows'
@@ -941,8 +971,8 @@ def _assert_the_window_matches_the_rows(F, window, x_star, near, separation, cap
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "MESH_BLOCK_FLOATS", cap)
         mp.setattr(SampleDomain, "grid_points", None)  # the mesh path builds no grid
-        mesh = verify_saddle(F, x_star, window, window, 1e-9, separation, near)
-        rows = verify_saddle(_rows_path(F), x_star, grid, grid, 1e-9, separation, near)
+        mesh = verify_saddle(F, x_star, window, window, 1e-9, separation)
+        rows = verify_saddle(_rows_path(F), x_star, grid, grid, 1e-9, separation)
     assert _bits(mesh.row_max) == _bits(rows.row_max)
     assert mesh.row_witness == rows.row_witness
     flags = ("row_ok", "column_nonneg_ok", "column_strict_ok")
@@ -976,9 +1006,9 @@ def test_verify_saddle_values_a_kernel_of_its_own_on_a_window_by_rows():
     grid, x_star = window.grid_points(), np.array([0.5, -0.75])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "mesh_images", None)
-        check = verify_saddle(J, x_star, window, window, 1e-9, 0.5, F.norm)
+        check = verify_saddle(J, x_star, window, window, 1e-9, 0.5)
     assert calls == [len(grid)] * 2
-    assert check == verify_saddle(J, x_star, grid, grid, 1e-9, 0.5, F.norm)
+    assert check == verify_saddle(J, x_star, grid, grid, 1e-9, 0.5)
 
 
 @pytest.mark.parametrize("resolution, cap", [(25, MESH_BLOCK_FLOATS), (49, 9000)])
@@ -996,8 +1026,7 @@ def test_verify_saddle_on_a_sparse_window_matches_the_rows(resolution, cap):
     sparse = [3 * np.count_nonzero(b.inside) < b.inside.size for b in blocks]
     assert sparse == ([True] if resolution == 25 else [False] * 5 + [True])
     for separation in (1e-3, 0.5, 50.0):
-        _assert_the_window_matches_the_rows(F, window, np.array([1.0, 2.0, 0.5]), F.norm,
-                                            separation, cap)
+        _assert_the_window_matches_the_rows(F, window, np.array([1.0, 2.0, 0.5]), separation, cap)
     # Only the sparse block's members go through pairs, once per side.
     valued, pairs = [], TiltedFunctional.pairs
     with pytest.MonkeyPatch.context() as mp:
@@ -1018,8 +1047,8 @@ def test_verify_saddle_on_a_window_keeps_the_first_witness_across_a_block_edge(m
     monkeypatch.setattr(experiments, "MESH_BLOCK_FLOATS", 5)
     assert [len(b.axes[0]) for b in window.blocks(5, hull=True)] == [5, 4]
     monkeypatch.setattr(SampleDomain, "grid_points", None)
-    check = verify_saddle(F, [-4.0], window, window, 1e-6, 0.5, F.norm)
-    assert check == verify_saddle(_rows_path(F), [-4.0], grid, grid, 1e-6, 0.5, F.norm)
+    check = verify_saddle(F, [-4.0], window, window, 1e-6, 0.5)
+    assert check == verify_saddle(_rows_path(F), [-4.0], grid, grid, 1e-6, 0.5)
     assert (check.row_max, check.row_witness) == (4.0, (0.0,))
     assert (check.column_min, check.column_witness) == (-4.0, (0.0,))
     assert (check.strict_min, check.strict_witness) == (-4.0, (0.0,))
@@ -1084,8 +1113,8 @@ def test_reports_are_deterministic():
     ra = certify_uniqueness(F, [[1.0], [-2.0]], growth, CFG)
     rb = certify_uniqueness(F, [[1.0], [-2.0]], growth, CFG)
     assert ra == rb
-    ma = minimax_gap(F, 4.0, 9, norm_spec=F.norm)
-    mb = minimax_gap(F, 4.0, 9, norm_spec=F.norm)
+    ma = minimax_gap(F, 4.0, 9)
+    mb = minimax_gap(F, 4.0, 9)
     assert ma == mb
 
 
@@ -1127,7 +1156,7 @@ def test_column_search_never_starts_from_a_nan_pool_value():
     J = kernel_functional(lambda X, Y: np.where(X[:, 0] < -0.5, np.nan, (X[:, 0] - 1.0) ** 2))
     pool = np.linspace(-2.0, 2.0, 9)[:, None]
     (x,), (value,) = _minimize_columns(
-        J, pool, np.zeros((1, 1)), 2.0, NormSpec(1), CFG, _Budget(10**6)
+        J, pool, np.zeros((1, 1)), 2.0, CFG, _Budget(10**6)
     )
     assert x[0] == pytest.approx(1.0, abs=1e-6)
     assert value == pytest.approx(0.0, abs=1e-9)
@@ -1149,7 +1178,7 @@ def test_column_search_rows_match_one_row_searches_bitwise(index):
     cfg = OptimizeConfig(coarse_grid=7, multistart=2, termination_step=1e-7, seed=0)
 
     def search(rows, budget):
-        return _minimize_columns(F, pool, rows, radius, F.norm, cfg, budget)
+        return _minimize_columns(F, pool, rows, radius, cfg, budget)
 
     together = _Budget(10**18)
     X, V = search(Y, together)
@@ -1178,7 +1207,7 @@ def test_row_sup_search_rows_match_one_row_searches_bitwise(index):
     cfg = OptimizeConfig(coarse_grid=7, multistart=2, termination_step=1e-7, seed=0)
 
     def search(rows, budget):
-        return _minimize_row_sup(F, rows, F.row_sup(rows)[0], radius, F.norm, cfg, budget)
+        return _minimize_row_sup(F, rows, F.row_sup(rows)[0], radius, cfg, budget)
 
     together = _Budget(10**18)
     X, _ = search(starts, together)
@@ -1214,7 +1243,7 @@ def test_row_sup_search_answers_from_the_envelope_and_charges_each_row():
     # maximisers f(x) = x/4 + 1.8 leave the ball for x > 0.8.
     cfg = OptimizeConfig(coarse_grid=17, multistart=2, termination_step=0.5, separation=1.0, seed=1)
     budget = _Budget(10**6)
-    X, Y = _minimize_row_sup(J, starts, F.row_sup(starts)[0], 2.0, F.norm, cfg, budget)
+    X, Y = _minimize_row_sup(J, starts, F.row_sup(starts)[0], 2.0, cfg, budget)
     assert {kind for kind, *_ in calls} == {"row_sup"}
     assert budget.used == sum(len(values) for *_, values in calls)
     assert np.array_equal(calls[-1][1], np.array(X))

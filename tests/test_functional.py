@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import affine_instance, feasible_cloud, instance_growth, row_batches
@@ -377,6 +377,8 @@ def _tilted_rows_cases(draw):
 
 
 @given(_tilted_rows_cases())
+@example((np.zeros((1, 4)), np.array([[-np.inf, 0.0, 0.0, np.nan]]),
+          np.array([[-np.inf, 0.0, 0.0, 0.0]]), NormSpec(4, 2.0)))
 @settings(max_examples=300, deadline=None)
 def test_tilted_rows_one_norm_pass_keeps_the_two_call_bits_hypothesis(case):
     # The one-pass form norms X - FX and Y - FX in one batch; each value
