@@ -29,7 +29,7 @@ from .errors import FixedPointNotLocated, GrowthConditionNotMet, InfeasibleTrunc
 from .functional import (
     TiltedFunctional, coercivity_radius, mesh_displace, mesh_images, mesh_norms, tilted_rows,
 )
-from .maps import GrowthEstimate, evaluate_rows
+from .maps import GrowthEstimate, evaluate_rows, range_checked
 from .optimize import (
     MinimizationResult,
     OptimizeConfig,
@@ -52,6 +52,7 @@ from .spaces import (
     in_ball,
     norm,
     norms_of_rows,
+    sample_windows,
     scratch,
 )
 
@@ -134,19 +135,26 @@ class Probe(NamedTuple):
     objective: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-def _prescan_rows(probe: Probe, seed: int) -> np.ndarray:
-    """The points of a probe's cheap incumbent: for J(., y) the set's base
-    witness and a few seeded feasible points, for an override y too."""
-    F, y = probe.F, probe.y
-    if probe.objective is not None:
-        return np.vstack((y, F.domain.ray_base))
-    pilot = max(1.0, 2.0 * norm(y, F.norm))
-    window = SampleDomain(F.domain, F.norm, pilot, 3)
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed, _STREAM_PRESCAN, probe.index])
-    )
-    X = np.vstack((F.domain.ray_base, window.random_points(_PRESCAN_COUNT, rng)))
-    return X[F.domain.violations_of_rows(X) <= MEMBERSHIP_TOL]
+def _prescan_rows(probes: Sequence[Probe], seed: int) -> list[np.ndarray]:
+    """The points of each probe's cheap incumbent: for J(., y) the set's
+    base witness and a few seeded feasible points, for an override y too.
+    The probes share one set and one norm: every J(., y) window is sampled
+    in one :func:`sample_windows` pass, and its points are tested in one
+    ``violations_of_rows`` call."""
+    F = probes[0].F
+    base, drawn = F.domain.ray_base, [p for p in probes if p.objective is None]
+    windows, draws = [], []
+    for p, size in zip(drawn, norms_of_rows([p.y for p in drawn], F.norm) if drawn else []):
+        window = SampleDomain(F.domain, F.norm, max(1.0, 2.0 * float(size)), 3)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_PRESCAN, p.index]))
+        windows.append(window)
+        draws.append((_PRESCAN_COUNT, window.uniform(rng)))
+    samples = iter(sample_windows(windows, draws)[1])
+    rows = [np.vstack((p.y, base)) if p.objective is not None else np.vstack((base, next(samples)))
+            for p in probes]
+    member = F.domain.violations_of_rows(np.concatenate(rows)) <= MEMBERSHIP_TOL
+    members = np.split(member, np.cumsum([len(X) for X in rows[:-1]]))
+    return [X if p.objective is not None else X[m] for p, X, m in zip(probes, rows, members)]
 
 
 def _incumbent(probe: Probe, seed: int, values=None) -> float:
@@ -154,7 +162,7 @@ def _incumbent(probe: Probe, seed: int, values=None) -> float:
     of its own objective when None), and of J(y, y) = 0 for J(., y)."""
     plant = probe.objective
     if values is None:
-        X = _prescan_rows(probe, seed)
+        (X,) = _prescan_rows([probe], seed)
         values = probe.F.pairs(X, probe.y[None, :]) if plant is None else plant(X)
     return float(min([0.0, *values])) if plant is None else float(min(values))
 
@@ -167,15 +175,20 @@ def _probe_rows(probes: Sequence[Probe]):
     override, one F whose class has its own ``pairs``, or one map.  An
     override's run is one call of it, and an own kernel's run one call
     ``F.pairs(X, Y)`` with each row's own y.  A map's run is one
-    range-checked ``evaluate_rows``, so a :class:`RangeViolation` names the
-    worst row of its run.  Then one :func:`tilted_rows` computes J's two
-    norms over every formula row of the call.  A row's value does not depend on
-    its batch, so each row has its own probe's ``F.pairs`` bits."""
+    ``raw_rows`` call, and one ``violations_of_rows`` call range-checks the
+    rows of every run that :func:`range_checked` names; on a failure (a NaN
+    fails) or an exception the runs are walked again in order through
+    ``evaluate_rows``, so that a :class:`RangeViolation` names the worst row
+    of its run.  Then one :func:`tilted_rows` computes J's two norms over
+    every formula row of the call.  A row's value does not depend on its
+    batch, so each row has its own probe's ``F.pairs`` bits."""
     Y = np.array([p.y for p in probes])
     norm_spec, domain = probes[0].F.norm, probes[0].F.domain
     formula = np.array([p.objective is None and type(p.F).pairs is TiltedFunctional.pairs
                         for p in probes])
     mixed = not formula.all()  # else every row is a formula row
+    checked = formula & [range_checked(p.F.mapping, domain) for p in probes]
+    some, every = checked.any(), checked.all()
     kinds, seen = [], {}
     for p, by_formula in zip(probes, formula):
         kernel = p.F.mapping if by_formula else p.F if p.objective is None else p.objective
@@ -186,14 +199,25 @@ def _probe_rows(probes: Sequence[Probe]):
         kind = kinds[owners]
         edges = [0, *(np.flatnonzero(kind[1:] != kind[:-1]) + 1).tolist(), len(X)]
         out, FX = np.empty(len(X)), np.empty_like(X)
-        for a, b in zip(edges, edges[1:]):
-            p = probes[owners[a]]
-            if formula[owners[a]]:
-                FX[a:b] = evaluate_rows(p.F.mapping, X[a:b], domain)
-            elif p.objective is not None:
-                out[a:b] = p.objective(X[a:b])
-            else:
-                out[a:b] = p.F.pairs(X[a:b], Y[owners[a:b]])
+
+        def walk(image):
+            for a, b in zip(edges, edges[1:]):
+                p = probes[owners[a]]
+                if formula[owners[a]]:
+                    FX[a:b] = image(p.F.mapping, X[a:b], domain)
+                elif p.objective is not None:
+                    out[a:b] = p.objective(X[a:b])
+                else:
+                    out[a:b] = p.F.pairs(X[a:b], Y[owners[a:b]])
+
+        try:
+            walk(lambda f, X, domain: f.raw_rows(X, domain))
+            fits = not some or (domain.violations_of_rows(
+                FX if every else FX[checked[owners]]) <= MEMBERSHIP_TOL).all()
+        except Exception:  # the ordered walk raises what its first failing run raises
+            fits = False
+        if not fits:
+            walk(evaluate_rows)
         J = formula[owners] if mixed else slice(None)
         out[J] = tilted_rows(X[J], Y[owners[J]], FX[J], norm_spec)
         return out
@@ -212,12 +236,13 @@ def _certify_probes(
 
     Each probe gets its prescan incumbent and its radius: the coercive one
     its ``bound`` licenses, or ``fixed_radius``.  Every probe's prescan
-    rows are valued in one :func:`_probe_rows` call; when it raises, each
-    probe's are valued alone, in probe order, so that the step raises what
-    such calls raise.  Then one :func:`global_minimize_batch` searches
-    every probe, so one lockstep pattern search refines them all; the
-    probes must share one norm and one set, and each keeps its own radius
-    and budget.
+    window is sampled in one :func:`_prescan_rows` pass and its rows are
+    valued in one :func:`_probe_rows` call; when either raises, each
+    probe's are sampled and valued alone, in probe order, so that the step
+    raises what such calls raise.  Then one :func:`global_minimize_batch`
+    searches every probe, its grids and random starts snapped in one more
+    pass, so one lockstep pattern search refines them all; the probes must
+    share one norm and one set, and each keeps its own radius and budget.
     """
     if not probes:
         return []
@@ -226,8 +251,7 @@ def _certify_probes(
     values = [None] * len(probes)  # else valued one probe at a time below
     with contextlib.suppress(Exception):
         if shared:
-            rows = [_prescan_rows(p, config.seed) for p in probes]
-            values = _values_by_problem(_probe_rows(probes), rows)
+            values = _values_by_problem(_probe_rows(probes), _prescan_rows(probes, config.seed))
     radii, incumbents = [], []
     for p, prescan in zip(probes, values):
         incumbent = _incumbent(p, config.seed, prescan)
@@ -385,14 +409,6 @@ class SaddleReport:
         return self.criterion_gap_max <= 1e-12
 
 
-def _feasible_samples(
-    F: TiltedFunctional, radius: float, count: int, seed: int, stream: int
-) -> np.ndarray:
-    window = SampleDomain(F.domain, F.norm, radius, 3)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
-    return window.random_points(count, rng)
-
-
 def find_fixed_point(
     F: TiltedFunctional,
     kappa_info: GrowthEstimate,
@@ -426,8 +442,11 @@ def find_fixed_point(
     x_star = result.best_point
     residual = result.global_value
 
-    Y = _feasible_samples(F, radius, check_samples, seed, _STREAM_SADDLE_Y)
-    X = _feasible_samples(F, radius, 3 * check_samples, seed, _STREAM_SADDLE_X)
+    window = SampleDomain(F.domain, F.norm, radius, 3)
+    y_rng, x_rng = (np.random.default_rng(np.random.SeedSequence([seed, stream]))
+                    for stream in (_STREAM_SADDLE_Y, _STREAM_SADDLE_X))
+    draws = [(check_samples, window.uniform(y_rng)), (3 * check_samples, window.uniform(x_rng))]
+    Y, X = sample_windows([window, window], draws)[1]
     far = norms_of_rows(X - x_star[None, :], F.norm) >= config.separation
     X = X[far][: check_samples]
     if len(X) == 0:

@@ -197,6 +197,12 @@ def evaluate(map_spec: MapSpec, x, domain: FeasibleSet) -> np.ndarray:
     return evaluate_rows(map_spec, domain.require(x)[None, :], domain)[0]
 
 
+def range_checked(map_spec: MapSpec, domain: FeasibleSet) -> bool:
+    """Whether f's values need a range check on the set: they cannot leave
+    it for a projected map, nor the full space."""
+    return not isinstance(map_spec, ProjectedMap) and not isinstance(domain, FullSpace)
+
+
 def evaluate_rows(map_spec: MapSpec, X: np.ndarray, domain: FeasibleSet) -> np.ndarray:
     """Row-wise f over feasible points; callers guarantee membership.
 
@@ -207,11 +213,7 @@ def evaluate_rows(map_spec: MapSpec, X: np.ndarray, domain: FeasibleSet) -> np.n
     """
     X = np.asarray(X, dtype=float)
     values = map_spec.raw_rows(X, domain)
-    if (
-        len(values)
-        and not isinstance(map_spec, ProjectedMap)
-        and not isinstance(domain, FullSpace)
-    ):
+    if len(values) and range_checked(map_spec, domain):
         violations = domain.violations_of_rows(values)
         # argmax takes the first NaN as the worst row, and a NaN fails.
         worst = int(np.argmax(violations))

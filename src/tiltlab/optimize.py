@@ -31,7 +31,7 @@ from .errors import DimensionMismatch, FieldError, InfeasibleTruncation
 from .functional import TiltedFunctional, mesh_displacements
 from .spaces import (
     MESH_BLOCK_FLOATS, FeasibleSet, NormSpec, SampleDomain, ball_bound, mesh_blocks, norm,
-    norms_of_rows, positive_int,
+    norms_of_rows, positive_int, sample_windows,
 )
 
 _STREAM_STARTS = 0x51A7
@@ -369,16 +369,16 @@ def _cluster(
     if not order:
         raise ValueError("every objective value is NaN; there is no minimum to report")
     best = values[order[0]]
-    reps: list[tuple[np.ndarray, float]] = []
-    held = np.empty((0, norm_spec.dimension))  # the representatives' points
-    for i in order:
-        if values[i] > best + value_tolerance:
-            break
-        x = points[i]
-        # One norm pass per endpoint: a row's norm does not depend on its batch.
-        if not reps or (norms_of_rows(x - held, norm_spec) >= separation).all():
-            reps.append((x, values[i]))
-            held = np.vstack((held, x))
+    near = [i for i in order if not values[i] > best + value_tolerance]
+    P = np.asarray(points, dtype=float)[near]
+    # A representative takes one norm pass over the later endpoints, and a
+    # pair's norm does not depend on its batch.
+    far, reps = np.ones(len(near), dtype=bool), []
+    for j, i in enumerate(near):
+        if far[j]:
+            reps.append((points[i], values[i]))
+            if j + 1 < len(near):
+                far[j + 1:] &= norms_of_rows(P[j + 1:] - P[j], norm_spec) >= separation
     return tuple(
         Cluster(point=tuple(float(v) for v in x), value=float(fv)) for x, fv in reps
     )
@@ -408,18 +408,25 @@ def _values_of_rows(objective_rows, X: np.ndarray) -> np.ndarray:
     return values
 
 
-def _scan(domain: FeasibleSet, radius: float, config: OptimizeConfig, norm_spec: NormSpec):
-    """A problem's budget, grid rows and seeded random starts, each cut to
-    what the budget grants, grid first."""
-    if not radius > 0.0:
-        raise ValueError("radius must be positive")
-    budget = _Budget(config.budget)
-    window = SampleDomain(domain, norm_spec, float(radius), config.coarse_grid)
-    grid = window.require_grid()
-    k = budget.take(len(grid))
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_STARTS]))
-    randoms = window.random_points(config.multistart, rng)
-    return budget, grid[:k], randoms[: budget.take(len(randoms))]
+def _scans(domain: FeasibleSet, radii, config: OptimizeConfig, norm_spec: NormSpec):
+    """Each problem's budget, grid rows and seeded random starts, each cut to
+    what its budget grants, grid first: every problem's window in one
+    :func:`sample_windows` pass."""
+    windows, draws = [], []
+    for radius in radii:
+        if not radius > 0.0:
+            raise ValueError("radius must be positive")
+        window = SampleDomain(domain, norm_spec, float(radius), config.coarse_grid)
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_STARTS]))
+        windows.append(window)
+        draws.append((config.multistart, window.uniform(rng)))
+    scans = []
+    for window, grid, randoms in zip(windows, *sample_windows(windows, draws, grids=True)):
+        if not len(grid):
+            window.require_grid()  # refuses the empty grid
+        budget = _Budget(config.budget)
+        scans.append((budget, grid[: budget.take(len(grid))], randoms[: budget.take(len(randoms))]))
+    return scans
 
 
 def _values_by_problem(objective, blocks, first: int = 0) -> list[np.ndarray]:
@@ -466,26 +473,28 @@ def global_minimize_batch(
     ``objective(X, owners)`` gives row i the value at ``X[i]`` of problem
     ``owners[i]``, an integer array.  Each problem has its own grid scan,
     seeded random starts and budget of ``config.budget`` evaluations,
-    charged grid first, then random starts.  Every problem's grid rows are
-    valued in one objective call and every problem's random starts in one
-    more; when either call raises, each problem is valued alone, grid then
-    random starts, in problem order, so that the search raises what such
-    calls raise.  One lockstep :func:`pattern_search` then refines the
-    starts of every problem, each with its problem's radius, initial step
-    and budget, and each problem's endpoints are clustered on their own.
+    charged grid first, then random starts, in problem order.  Every
+    problem's grid and random starts are snapped into its window in one
+    :func:`sample_windows` pass, every problem's grid rows are valued in one
+    objective call and every problem's random starts in one more; when the
+    pass or either call raises, each problem is scanned and valued alone,
+    grid then random starts, in problem order, so that the search raises
+    what such calls raise.  One lockstep :func:`pattern_search` then refines
+    the starts of every problem, each with its problem's radius, initial
+    step and budget, and each problem's endpoints are clustered on their
+    own, one norm pass per cluster representative.
     A result is bit for bit that of the problem searched alone.
     """
     n = domain.dimension
     if norm_spec is None:
         norm_spec = NormSpec(n, 2.0)
-    scan = lambda radius: _scan(domain, radius, config, norm_spec)
     try:
-        scans = [scan(radius) for radius in radii]
+        scans = _scans(domain, radii, config, norm_spec)
         values = [_values_by_problem(objective, [s[i] for s in scans]) for i in (1, 2)]
     except Exception:
         scans, values = [], [[], []]
         for p, radius in enumerate(radii):
-            scans.append(scan(radius))
+            scans += _scans(domain, [radius], config, norm_spec)
             for i in (1, 2):
                 values[i - 1] += _values_by_problem(objective, [scans[p][i]], p)
     starts, start_values, budgets, counts = [], [], [], []

@@ -16,7 +16,7 @@ import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from typing import Callable, ClassVar, NamedTuple
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -920,7 +920,9 @@ def _hull_blocks(axes, fold, bound, cap):
 @dataclass(frozen=True)
 class SampleDomain:
     """Truncated sampling window X intersected with the active-norm ball
-    of a given radius; every emitted point is feasible and inside the ball."""
+    of a given radius; every emitted point is feasible and inside the ball.
+    Its grid and samples are one-window calls of :func:`sample_windows`,
+    which snaps the points of many windows in one pass."""
 
     domain: FeasibleSet
     norm: NormSpec
@@ -935,14 +937,9 @@ class SampleDomain:
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "resolution", positive_int(self.resolution, "resolution"))
 
-    def _keep_feasible(self, X: np.ndarray) -> np.ndarray:
-        if len(X) == 0:
-            return X
-        X = self.domain.project_rows(X)
-        return X[in_ball(X, self.radius, self.norm)]
-
     def grid_points(self) -> np.ndarray:
-        """Regular box grid snapped into the window.
+        """Regular box grid snapped into the window: the one-window call of
+        :func:`sample_windows`.
 
         Points are projected into X, restricted to the ball, and deduplicated
         keeping the first occurrence in lexicographic grid-index order
@@ -958,17 +955,7 @@ class SampleDomain:
         other p, so that no norm pass spans the whole mesh.  Other sets
         project and dedup the whole mesh.
         """
-        n = self.domain.dimension
-        if self.domain.coordinatewise:
-            parts = [b.rows() for b in mesh_blocks(self._axes, self.radius, self.norm)]
-            return parts[0] if len(parts) == 1 else np.concatenate([np.empty((0, n)), *parts])
-        pts = self.domain.project_rows(mesh_rows(_grid_axes(self.radius, self.resolution, n)))
-        inside = in_ball(pts, self.radius, self.norm)
-        if not inside.all():
-            pts = pts[inside]
-        if len(pts) == 0:
-            return pts
-        return pts[first_rows(pts)]
+        return sample_windows([self], grids=True)[0][0]
 
     @cached_property
     def _axes(self) -> list[np.ndarray]:
@@ -1015,36 +1002,74 @@ class SampleDomain:
             f"no feasible grid point inside the ball of radius {self.radius}"
         )
 
-    def _collect(self, count: int, draw) -> np.ndarray:
-        """Up to ``count`` window points from batches ``draw(k)`` of k box
-        samples each, snapped into the window; at most 50 batches."""
-        collected: list[np.ndarray] = []
-        have = 0
-        for _ in range(50):
-            kept = self._keep_feasible(draw(max(count, 8)))
-            if len(kept):
-                collected.append(kept)
-                have += len(kept)
-            if have >= count:
-                break
-        if not collected:
-            return np.empty((0, self.domain.dimension))
-        return np.vstack(collected)[:count]
+    def uniform(self, rng: np.random.Generator) -> Callable[[int], np.ndarray]:
+        """``draw(k)``: k seeded uniform samples of the window's box, a
+        :func:`sample_windows` draw."""
+        n = self.domain.dimension
+        return lambda k: rng.uniform(-self.radius, self.radius, size=(k, n))
 
     def random_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Seeded uniform box samples snapped into the window (may return
-        fewer than requested if the window is thin)."""
-        n = self.domain.dimension
-        return self._collect(
-            count, lambda k: rng.uniform(-self.radius, self.radius, size=(k, n))
-        )
+        fewer than requested if the window is thin): the one-window call of
+        :func:`sample_windows`."""
+        return sample_windows([self], [(count, self.uniform(rng))])[1][0]
 
     def low_discrepancy_points(self, count: int, seed: int) -> np.ndarray:
         """Seeded scrambled-Halton samples snapped into the window."""
         from scipy.stats import qmc
 
-        n = self.domain.dimension
-        sampler = qmc.Halton(d=n, scramble=True, seed=np.random.default_rng(seed))
-        return self._collect(
-            count, lambda k: (2.0 * sampler.random(k) - 1.0) * self.radius
-        )
+        sampler = qmc.Halton(d=self.domain.dimension, scramble=True,
+                             seed=np.random.default_rng(seed))
+        draw = lambda k: (2.0 * sampler.random(k) - 1.0) * self.radius
+        return sample_windows([self], [(count, draw)])[1][0]
+
+
+def sample_windows(windows: Sequence[SampleDomain], draws=(), grids: bool = False):
+    """The grids (with ``grids``) and samples of windows on one set and one
+    norm, in one pass: ``(grids, samples)``, each a list of one array per
+    window (no grids without ``grids``; one sample array per draw).
+
+    ``draws[i] = (count, draw)`` asks window i for up to ``count`` points,
+    from rounds of ``draw(max(count, 8))`` box samples snapped into the
+    window, at most 50 rounds (fewer points if the window is thin); a
+    window stops drawing once it has ``count``.  Each round stacks the
+    batches of every window still drawing, the first round also the meshes
+    of the grids on a set that is not coordinatewise, and snaps them by one
+    ``project_rows`` and one :func:`in_ball` pass, each row against its own
+    window's radius.  A row's projection and ball test do not depend on its
+    batch, so each window gets bit for bit the rows of its own call.  A
+    grid is then deduplicated as :meth:`SampleDomain.grid_points` says; on
+    full space and orthants it is its window's :func:`mesh_blocks`, joined.
+    """
+    if not windows:
+        return [], []
+    domain, spec, n = windows[0].domain, windows[0].norm, windows[0].domain.dimension
+    meshed = grids and not domain.coordinatewise
+    meshes = [mesh_rows(_grid_axes(w.radius, w.resolution, n)) for w in windows] if meshed else []
+    made, found, live = [], [[] for _ in draws], list(range(len(draws)))
+    for _ in range(50):
+        blocks = meshes + [draws[i][1](max(draws[i][0], 8)) for i in live]
+        if not blocks:
+            break
+        radii = [w.radius for w in windows[:len(meshes)]] + [windows[i].radius for i in live]
+        sizes = [len(X) for X in blocks]
+        X = domain.project_rows(blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
+        radius = radii[0] if len(set(radii)) == 1 else np.repeat(radii, sizes)
+        inside = in_ball(X, radius, spec)
+        if len(blocks) == 1:
+            kept = [X[inside]]
+        else:
+            edges = np.cumsum(sizes[:-1])
+            kept = [x[m] for x, m in zip(np.split(X, edges), np.split(inside, edges))]
+        if meshes:
+            made = [g[first_rows(g)] if len(g) else g for g in kept[:len(meshes)]]
+            kept, meshes = kept[len(meshes):], []
+        for i, rows in zip(live, kept):
+            found[i].append(rows)
+        live = [i for i in live if sum(map(len, found[i])) < draws[i][0]]
+    if grids and not meshed:
+        for w in windows:
+            parts = [b.rows() for b in w.blocks()]
+            made.append(parts[0] if len(parts) == 1 else np.concatenate([np.empty((0, n)), *parts]))
+    samples = [np.vstack(rows)[:count] for rows, (count, _) in zip(found, draws)]
+    return made, samples

@@ -121,3 +121,37 @@ def row_batches(draw, n: int) -> np.ndarray:
     batch = rng.uniform(-1e3, 1e3, (size, n))
     batch[rng.choice(size, k, replace=False)] = X
     return batch
+
+
+def window_grid_reference(window) -> np.ndarray:
+    """A window's grid, built for that window alone: on full space and
+    orthants its mesh blocks joined, else its projected mesh cut to the
+    ball and deduplicated."""
+    from tiltlab.spaces import _grid_axes, first_rows, in_ball, mesh_blocks, mesh_rows
+
+    n = window.domain.dimension
+    if window.domain.coordinatewise:
+        parts = [b.rows() for b in mesh_blocks(window._axes, window.radius, window.norm)]
+        return parts[0] if len(parts) == 1 else np.concatenate([np.empty((0, n)), *parts])
+    pts = window.domain.project_rows(mesh_rows(_grid_axes(window.radius, window.resolution, n)))
+    pts = pts[in_ball(pts, window.radius, window.norm)]
+    return pts[first_rows(pts)] if len(pts) else pts
+
+
+def window_samples_reference(window, count: int, rng) -> tuple[np.ndarray, int]:
+    """Up to ``count`` seeded uniform samples of a window, drawn for that
+    window alone: rounds of max(count, 8) box samples, each round projected
+    and cut to the ball, at most 50.  Returns the points and the rounds."""
+    from tiltlab.spaces import in_ball
+
+    n, r = window.domain.dimension, window.radius
+    collected, have = [], 0
+    for rounds in range(1, 51):
+        X = window.domain.project_rows(rng.uniform(-r, r, size=(max(count, 8), n)))
+        kept = X[in_ball(X, r, window.norm)]
+        if len(kept):
+            collected.append(kept)
+            have += len(kept)
+        if have >= count:
+            break
+    return (np.vstack(collected)[:count] if collected else np.empty((0, n))), rounds

@@ -254,6 +254,94 @@ def test_probe_rows_raise_the_range_violation_of_a_per_map_call():
             assert _bits(getattr(fused.value, name)) == _bits(getattr(alone.value, name))
 
 
+class _NanAt1(AffineMap):
+    """An affine map whose value at the second row of every call is NaN."""
+
+    def raw_rows(self, X, domain):
+        values = super().raw_rows(X, domain).copy()
+        values[1:2] = np.nan
+        return values
+
+
+@pytest.mark.parametrize("failing", ["leaving", "nan"])
+@pytest.mark.parametrize("later", ["map", "raising override"])
+def test_probe_rows_raise_the_range_violation_of_the_second_run(failing, later):
+    # The second run's map leaves the cone, or is NaN at one row; a later
+    # run is a fitting map, or an override that raises.  The one range
+    # check of the call fails, or the raw walk raises, and the call raises
+    # what the second run's own F.pairs call raises.
+    def raising(X):
+        raise RuntimeError("a later run")
+
+    for n in (1, 2, 3):
+        rng = np.random.default_rng(40 + n)
+        Fs, leaving = _cone_and_maps(n)
+        if failing == "nan":
+            leaving = TiltedFunctional(leaving.norm, leaving.domain,
+                                       _NanAt1(n, matrix=Fs[0].mapping.matrix, offset=(0.5,) * n))
+        ys = leaving.domain.project_rows(rng.normal(scale=2.0, size=(3, n)))
+        plant = raising if later == "raising override" else None
+        probes = [Probe(Fs[0], ys[0], 0), Probe(leaving, ys[1], 1), Probe(Fs[1], ys[2], 2, None, plant)]
+        owners = np.array([0, 0, 1, 1, 1, 2, 2, 0])
+        X = leaving.domain.project_rows(rng.normal(scale=3.0, size=(len(owners), n))) + 0.5
+        with pytest.raises(RangeViolation) as fused:
+            experiments._probe_rows(probes)(X, owners)
+        with pytest.raises(RangeViolation) as alone:
+            leaving.pairs(X[2:5], ys[1][None, :])
+        assert str(fused.value) == str(alone.value)
+        for name in ("point", "value", "violation"):
+            assert _bits(getattr(fused.value, name)) == _bits(getattr(alone.value, name))
+
+
+def test_a_sweep_unit_snaps_its_set_up_windows_in_one_pass_per_round(monkeypatch):
+    # A sweep_cone-shaped unit: eight probes of two scaled identities on the
+    # cone x0 >= 0, x0 + x1 >= 0 at p = 2.5.  Before the search starts, the
+    # cone projects once per draw round of the prescan windows and once per
+    # round of the grids and random starts, the first round with the grids'
+    # meshes: as many rounds as the slowest window draws alone.
+    import tiltlab.optimize as optimize
+    from helpers import window_samples_reference
+    from tiltlab.experiments import _PRESCAN_COUNT, _STREAM_PRESCAN
+    from tiltlab.optimize import _STREAM_STARTS
+
+    counts, entered = [0], []
+    project, search = ConeIntersection.project_rows, optimize.pattern_search
+
+    def counting(self, Z):
+        counts[0] += 1
+        return project(self, Z)
+
+    def recording(*args, **kwargs):
+        entered.append(counts[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(ConeIntersection, "project_rows", counting)
+    monkeypatch.setattr(optimize, "pattern_search", recording)
+    domain = ConeIntersection(2, constraints=(
+        HalfSpace(2, normal=(1.0, 0.0), offset=0.0), HalfSpace(2, normal=(1.0, 1.0), offset=0.0),
+    ), ray=(1.0, 0.0))
+    spec = NormSpec(2, 2.5)
+    ys = np.array([[0.0, 0.0], [1.5, -1.5], [0.5, 1.0], [2.0, 0.5]])
+    probes = []
+    for theta in (0.15, 0.4):
+        F = TiltedFunctional(spec, domain, AffineMap(2, matrix=((theta, 0.0), (0.0, theta)),
+                                                     offset=(0.0, 0.0)))
+        bound = effective_growth_bound(instance_growth(F))
+        probes += [Probe(F, y, len(probes), bound) for y in ys]
+    cfg = OptimizeConfig(coarse_grid=9, multistart=2, seed=3)
+    counts[0] = 0  # the growth estimates project too
+    entries = _certify_probes(probes, cfg, 1.0, 3.0)
+    prescan = max(window_samples_reference(
+        SampleDomain(domain, spec, max(1.0, 2.0 * norm(p.y, spec)), 3), _PRESCAN_COUNT,
+        np.random.default_rng(np.random.SeedSequence([cfg.seed, _STREAM_PRESCAN, p.index])))[1]
+        for p in probes)
+    scan = max(window_samples_reference(
+        SampleDomain(domain, spec, e.radius, cfg.coarse_grid), cfg.multistart,
+        np.random.default_rng(np.random.SeedSequence([cfg.seed, _STREAM_STARTS])))[1]
+        for e in entries)
+    assert entered == [prescan + scan] and prescan + scan <= 6, (entered, prescan, scan)
+
+
 def test_certify_uniqueness_refines_every_probe_in_one_search(monkeypatch):
     import tiltlab.optimize as optimize
 

@@ -764,6 +764,51 @@ def test_batched_set_up_raises_what_one_problem_at_a_time_raises():
     assert calls == [[0], [0]]
 
 
+def _first_error_one_problem_at_a_time(objective, domain, radii, cfg):
+    """The exception of the first problem that raises when each is
+    searched alone, in order, with its own owner index."""
+    for p, radius in enumerate(radii):
+        rows = lambda X, owners, p=p: objective(X, owners + p)
+        try:
+            global_minimize_batch(rows, domain, [radius], cfg)
+        except Exception as exc:
+            return exc
+    raise AssertionError("no problem raised")
+
+
+@pytest.mark.parametrize("domain", [HalfSpace(1, normal=(1.0,), offset=2.5),
+                                    Orthant(1, lower=(2.5,))])
+@pytest.mark.parametrize("radii, raising", [
+    ([3.0, 3.5, 2.0, 4.0], ()),  # problem 2's grid is empty
+    ([3.0, 3.5, 2.0, -1.0], ()),  # and problem 3's radius is refused
+    ([3.0, np.inf, 2.0], ()),  # problem 1's radius is refused
+    ([3.0, 2.0], (0,)),  # problem 0's objective raises first
+    ([3.0, 3.5, 2.0], (1,)),  # problem 1's does, before problem 2's grid
+])
+def test_a_batch_raises_what_its_first_failing_problem_raises_alone(domain, radii, raising):
+    # On x >= 2.5 a window of radius 2 has no grid point; the batched
+    # windows pass raises, or refuses the empty grid, and the problems are
+    # then scanned and valued one at a time.
+    calls = []
+
+    def objective(X, owners):
+        calls.append(sorted(set(owners.tolist())))
+        for p in raising:
+            if p in owners:
+                raise RuntimeError(f"problem {p}")
+        return double_well(X)
+
+    cfg = OptimizeConfig(coarse_grid=9, multistart=2)
+    alone = _first_error_one_problem_at_a_time(objective, domain, radii, cfg)
+    calls.clear()
+    with pytest.raises(type(alone)) as batched:
+        global_minimize_batch(objective, domain, radii, cfg)
+    assert str(batched.value) == str(alone)
+    failing = next(p for p in range(len(radii)) if p in raising or not 2.5 <= radii[p] < np.inf)
+    valued = [[p] for p in range(failing) for _ in (0, 1)] + [[failing]] * (failing in raising)
+    assert calls[len(calls) - len(valued):] == valued
+
+
 def test_a_nan_incumbent_moves_to_a_finite_trial():
     # f is NaN left of 0; from -0.05 the trial 0.45 is finite, so the start
     # must move, where comparing against a NaN incumbent kept it in place.
@@ -964,6 +1009,40 @@ def test_config_validation():
 def test_config_rejects_an_infinite_float(field):
     with pytest.raises(ValueError, match=field):
         OptimizeConfig(**{field: np.inf})
+
+
+def _cluster_reference(points, values, value_tolerance, separation, norm_spec):
+    """Clusters by one norm pass per endpoint within tolerance, against the
+    representatives taken so far."""
+    order = sorted((i for i, v in enumerate(values) if not math.isnan(v)),
+                   key=lambda i: (values[i], i))
+    best, reps = values[order[0]], []
+    for i in order:
+        if values[i] > best + value_tolerance:
+            break
+        held = np.array([x for x, _ in reps]).reshape(-1, norm_spec.dimension)
+        if not reps or (norms_of_rows(points[i] - held, norm_spec) >= separation).all():
+            reps.append((points[i], values[i]))
+    return tuple((tuple(float(v) for v in x), float(fv)) for x, fv in reps)
+
+
+@given(st.integers(1, 3), st.sampled_from((1.0, 1.5, 2.0, INF)), st.integers(0, 2**32 - 1),
+       st.sampled_from((0.0, 0.5, 1.0)), st.sampled_from((0.5, 1.0, 2.0)))
+@settings(max_examples=200, deadline=None)
+def test_cluster_equals_the_per_endpoint_loop_hypothesis(n, p, seed, tolerance, separation):
+    # Endpoints on a coarse lattice, so pairs sit exactly at the separation,
+    # with tied values and NaN values.
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 24))
+    points = rng.integers(-2, 3, size=(k, n)) * 0.5
+    values = rng.choice([0.0, 0.25, 0.5, 1.0, np.nan], size=k)
+    if np.isnan(values).all():
+        values[0] = 0.5
+    spec = NormSpec(n, p)
+    got = _cluster(points, values, tolerance, separation, spec)
+    want = _cluster_reference(points, values, tolerance, separation, spec)
+    assert [(c.point, c.value) for c in got] == list(want)
+    assert _cluster(list(points), values.tolist(), tolerance, separation, spec) == got
 
 
 def test_nan_values_never_form_a_cluster():

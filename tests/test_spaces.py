@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from helpers import row_batches
+from helpers import row_batches, window_grid_reference, window_samples_reference
 from tiltlab import (
     INF,
     ConeIntersection,
@@ -34,6 +34,7 @@ from tiltlab.spaces import (
     in_ball,
     mesh_blocks,
     mesh_rows,
+    sample_windows,
     spread_axes,
 )
 
@@ -550,6 +551,70 @@ def _windows(draw) -> SampleDomain:
 @settings(max_examples=200, deadline=None)
 def test_grid_points_equal_the_unique_formula_hypothesis(window):
     assert _bits(window.grid_points()) == _bits(_unique_grid(window))
+
+
+@st.composite
+def _window_batches(draw):
+    """One to four windows on one drawn set and norm, with mixed radii and
+    resolutions, and each window's sample count."""
+    first = draw(_windows())
+    n = first.domain.dimension
+    windows = [first] + [
+        SampleDomain(first.domain, first.norm, draw(st.floats(0.1, 4.0)),
+                     draw(st.integers(1, {1: 41, 2: 21, 3: 11}[n])))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    counts = draw(st.lists(st.sampled_from((0, 1, 5, 16, 40)),
+                           min_size=len(windows), max_size=len(windows)))
+    return windows, counts
+
+
+def _assert_windows_match_their_own_calls(windows, counts, seed, grids=True):
+    """sample_windows gives each window bit for bit its grid and samples
+    built alone, and draws as many rounds from its generator; returns each
+    window's draw rounds alone."""
+    rngs = lambda: [np.random.default_rng([seed, i]) for i in range(len(windows))]
+    batched = rngs()
+    draws = [(c, w.uniform(r)) for w, c, r in zip(windows, counts, batched)]
+    made, samples = sample_windows(windows, draws, grids)
+    assert len(made) == (len(windows) if grids else 0) and len(samples) == len(windows)
+    for w, g in zip(windows, made):
+        want = window_grid_reference(w)
+        assert g.shape == want.shape and _bits(g) == _bits(want)
+    rounds = []
+    for w, c, r, got, used in zip(windows, counts, rngs(), samples, batched):
+        want, k = window_samples_reference(w, c, r)
+        assert got.shape == want.shape and _bits(got) == _bits(want)
+        assert used.bit_generator.state == r.bit_generator.state
+        rounds.append(k)
+    return rounds
+
+
+@given(_window_batches(), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_sample_windows_equal_each_window_built_alone_hypothesis(batch, seed, grids):
+    _assert_windows_match_their_own_calls(*batch, seed, grids)
+
+
+@pytest.mark.parametrize("variant", ["half_space", "cone", "orthant"])
+def test_sample_windows_keep_drawing_for_thin_windows_and_pass_empty_ones(variant):
+    # Sets at x0 >= 1.5 under p = 1.5: the window of radius 1 has no point,
+    # so its grid is empty and it draws all 50 rounds; the one of radius 1.6
+    # is a thin sliver that needs several rounds; the others fill in one or
+    # two.  Each window still gets the grid and samples it gets alone.
+    n = 2
+    floor = HalfSpace(n, normal=(1.0, 0.0), offset=1.5)
+    domain = {
+        "half_space": floor,
+        "cone": ConeIntersection(n, constraints=(
+            floor, HalfSpace(n, normal=(1.0, 1.0), offset=0.0)), ray=(1.0, 0.0)),
+        "orthant": Orthant(n, lower=(1.5, -3.0)),
+    }[variant]
+    spec = NormSpec(n, 1.5)
+    windows = [SampleDomain(domain, spec, r, k) for r, k in ((4.0, 9), (1.0, 7), (1.6, 5), (3.0, 3))]
+    rounds = _assert_windows_match_their_own_calls(windows, [16, 16, 16, 5], seed=7)
+    assert rounds[1] == 50 and rounds[2] > 2 and rounds[0] < rounds[2], rounds
+    assert len(window_grid_reference(windows[1])) == 0
 
 
 def _assert_hull_blocks(blocks, cap: int) -> list[np.ndarray]:
