@@ -717,10 +717,10 @@ class MinimaxGapReport:
     matrix that is NaN everywhere is a ValueError.
     ``boundary_max_flag`` reports a y maximizer on the truncation shell
     (the sup side has no coercivity license, so hitting the boundary is
-    flagged rather than silently accepted).  ``evaluations`` counts every
-    row F's kernels evaluated: the rough grid's envelope rows, every row
-    the two searches evaluated (the unused rows of their step ladders
-    too), the value matrices and the x candidates' envelope rows.
+    flagged rather than silently accepted).  ``evaluations`` counts the
+    rough grid's envelope rows, the rows the two searches charge (those of
+    their lockstep, not the unused rows of their step ladders), the value
+    matrices and the x candidates' envelope rows.
     """
 
     lower: float
@@ -829,7 +829,7 @@ def minimax_gap(
         config = OptimizeConfig(
             coarse_grid=resolution, multistart=4, termination_step=1e-8, seed=0
         )
-    budget = _Budget()  # counts evaluations; it has no limit, so searches ladder
+    budget = _Budget()  # counts evaluations; it has no limit
     G = SampleDomain(F.domain, F.norm, float(radius), resolution).require_grid()
     budget.take(len(G))
     phi = F.row_sup(G)[0]

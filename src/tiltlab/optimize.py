@@ -38,7 +38,7 @@ _STREAM_STARTS = 0x51A7
 # A search's ladders hold at most _LADDER_LEVELS levels per start and
 # _LADDER_ROWS trials per call; see pattern_search.
 _LADDER_LEVELS = 16
-_LADDER_ROWS = 64
+_LADDER_ROWS = 256
 
 
 class SearchStatus(enum.Enum):
@@ -116,7 +116,8 @@ class MinimizationResult:
 
 class _Budget:
     """Evaluations charged against ``limit``; ``_Budget()`` has no limit and
-    only counts, which lets :func:`pattern_search` value step ladders."""
+    only counts.  :func:`pattern_search` charges it the rows of the
+    lockstep, whatever ladders it values."""
 
     __slots__ = ("limit", "used", "exhausted")
 
@@ -196,14 +197,14 @@ def pattern_search(
     ``x0`` holds the starts as an (S, n) array and ``f0`` their (S,)
     values; the endpoints and their values come back in the same shapes.
     ``initial_step`` and ``radius``, the truncation radius, are each one
-    value for every start or an (S,) array of them.  Each iteration steps
-    every active start along every direction, projects all the trials into
-    the set with one ``project_rows`` call, drops the trials that leave
-    their start's ball, charges the rest to the budgets and evaluates them
-    with one ``objective_rows`` call.  Each start then takes its own best
-    trial (first direction on ties; NaN never wins, and a NaN incumbent
-    reads +inf) only on strict improvement; otherwise only its own step
-    shrinks, and it leaves the batch once its step passes
+    value for every start or an (S,) array of them.  Each iteration of the
+    lockstep steps every active start along every direction, projects all
+    the trials into the set with one ``project_rows`` call, drops the
+    trials that leave their start's ball, charges the rest to the budgets
+    and evaluates them with one ``objective_rows`` call.  Each start then
+    takes its own best trial (first direction on ties; NaN never wins, and
+    a NaN incumbent reads +inf) only on strict improvement; otherwise only
+    its own step shrinks, and it leaves the batch once its step passes
     ``termination_step``.  Every kernel gives a row the same value in any
     batch, so each start ends exactly where a search from it alone would.
 
@@ -224,38 +225,38 @@ def pattern_search(
 
     ``budget`` is one :class:`_Budget` for every start or a length-S
     sequence of them; starts that share a budget object form a group, and
-    each iteration charges each group's budget once, with the count of its
-    own in-ball trials.  A group whose budget cannot cover that count ends
-    its own starts at their current points, with ``used == limit``, and
-    the other groups go on, exactly as in searches of their own.
+    each iteration of the lockstep charges each group's budget once, with
+    the count of its own in-ball trials.  A group whose budget cannot cover
+    that count ends its own starts at their current points, with
+    ``used == limit``, and the other groups go on, exactly as in searches
+    of their own.
 
-    A search whose budgets have no limit (``_Budget()``, which only counts)
-    values a ladder for each start in the iteration's one call: the trials
-    at its next K steps s, s * shrink, s * shrink**2, ..., formed by
-    repeated multiplication, so bit for bit the steps it would reach.  K is
-    ``min(_LADDER_LEVELS, _LADDER_ROWS // (S d))`` for S active starts and d
-    directions, at least 1, so that a call stays small enough that its cost
-    is its overhead, not its rows; it is set again when a start ends.  Each
-    start walks its levels up to the first that improves, and a level at or
-    below ``termination_step`` is not evaluated.  So every trial, value,
-    move and endpoint is bitwise that of a search without ladders; the
-    budget counts every row evaluated, the unused levels' rows too.  When a
-    ladder call raises, the search goes on from that iteration with one
-    level per start, the batch of a search without ladders, and so raises
-    or returns as that one does; the rows of the call that raised stay
-    counted.  A budget with a limit never ladders, since charging rows the
-    search never reaches would move where it stops.
+    The search values a ladder for each start in an iteration's one call:
+    the trials at its next K steps s, s * shrink, s * shrink**2, ...,
+    formed by repeated multiplication, so bit for bit the steps it would
+    reach.  K is ``min(_LADDER_LEVELS, _LADDER_ROWS // (S d))`` for S
+    active starts and d directions, at least 1, so that a call stays small
+    enough that its cost is its overhead, not its rows; it is set again
+    when a start ends.  Each start walks its levels up to the first that
+    improves, and ends before a level at or below ``termination_step``.
+    Each budget is charged what the lockstep charges: for each of its
+    starts the in-ball trials of the levels it walked, the improving one
+    included.  So every trial, value, move and endpoint and every budget's
+    ``used`` and ``exhausted`` are bitwise the lockstep's, for any K and
+    any batch; the objective also sees the levels no start walks.  A
+    ladder run whose charge would cross a limit, or whose objective raises,
+    restores every budget to its state on entry and runs the search again
+    as the lockstep, one level per start, which stops, raises or returns
+    as the lockstep does.
     """
-    xs = np.array(x0, dtype=float)
-    fs = [float(v) for v in f0]
-    S = len(fs)
+    S = len(f0)
     init = np.asarray(initial_step, dtype=float)
     if not np.all((0.0 < init) & (init < math.inf)):  # an infinite step never ends
         raise ValueError(f"initial_step must be finite and positive, got {initial_step}")
     d, n = directions.shape
     init = np.broadcast_to(init, (S,)).tolist()
     bounds = ball_bound(radius)
-    live = [i for i, s in enumerate(init) if s > termination_step]
+    starts = [i for i, s in enumerate(init) if s > termination_step]
     group = None  # each start's group, when there is more than one
     if isinstance(budget, _Budget):
         budgets = [budget]
@@ -268,92 +269,115 @@ def pattern_search(
         if len(ids) > 1:
             # A group's starts are adjacent in the batch, so that its trials
             # are one row block; the order of a batch's rows changes no value.
-            live.sort(key=group.__getitem__)
+            starts.sort(key=group.__getitem__)
         else:
             group = None
-    ladders = all(b.limit is None for b in budgets)  # no budget can cut the search
-    steps = [init[i] for i in live]
-    ended = True
-    while live:
-        if ended:  # the per-trial arrays of the active starts
-            K = max(1, min(_LADDER_LEVELS, _LADDER_ROWS // (len(live) * d))) if ladders else 1
-            w = K * d  # the trial rows of one start
-            paired = None if partners is None else partners[live].repeat(w, axis=0)
-            bound = bounds if np.ndim(bounds) == 0 else bounds[live].repeat(w)
-            if K > 1:  # a start's step, then a factor per deeper level
-                factors = np.full((len(live), K), shrink)
-            if group is not None:  # each group's first row and budget
-                cuts = [0, *(np.flatnonzero(np.diff(group[live])) + 1).tolist()]
-                blocks = [(j * w, budgets[live[j]]) for j in cuts]
-                edges = np.array(cuts) * w
-        if K == 1 and len(live) == 1:  # skips the fancy index and the reshape
-            trials = xs[live[0]] + steps[0] * directions
-        else:  # the same bits as xs[i] + s * directions, row block by row block
-            if K > 1:  # each start's next K steps, bit for bit those of K shrinks
-                factors[:, 0] = steps
-                scale = np.multiply.accumulate(factors, axis=1)
-            else:
-                scale = np.array(steps)[:, None]
-            trials = (
-                xs[live][:, None, None, :] + scale[:, :, None, None] * directions
-            ).reshape(len(live) * w, n)
-        trials = domain.project_rows(trials)
-        inside = norms_of_rows(trials, norm_spec) <= bound  # in_ball, the bound cached
-        if K > 1 and scale[:, -1].min() <= termination_step:
-            # A level at or below the termination step is never reached.
-            inside.reshape(len(live), K, d)[scale <= termination_step] = False
-        ended = False
-        if group is None:  # one group: a short grant ends every start
+    entry = [(b, b.used, b.exhausted) for b in budgets]
+
+    def search(ladders: bool):
+        """The endpoints and values, or None when a run that valued a
+        deeper level than the lockstep would have to stop or raise."""
+        xs = np.array(x0, dtype=float)
+        fs = [float(v) for v in f0]
+        live = list(starts)
+        steps = [init[i] for i in live]
+        ended = True
+        while live:
+            if ended:  # the per-trial arrays of the active starts
+                K = max(1, min(_LADDER_LEVELS, _LADDER_ROWS // (len(live) * d))) if ladders else 1
+                w = K * d  # the trial rows of one start
+                paired = None if partners is None else partners[live].repeat(w, axis=0)
+                bound = bounds if np.ndim(bounds) == 0 else bounds[live].repeat(w)
+                if K > 1:  # a start's step, then a factor per deeper level
+                    factors = np.full((len(live), K), shrink)
+                edges, payers = [0], budgets[:1]  # each group's first row and budget
+                if group is not None:
+                    cuts = [0, *(np.flatnonzero(np.diff(group[live])) + 1).tolist()]
+                    edges, payers = [j * w for j in cuts], [budgets[live[j]] for j in cuts]
+            if K == 1 and len(live) == 1:  # skips the fancy index and the reshape
+                trials = xs[live[0]] + steps[0] * directions
+            else:  # the same bits as xs[i] + s * directions, row block by row block
+                if K > 1:  # each start's next K steps, bit for bit those of K shrinks
+                    factors[:, 0] = steps
+                    scale = np.multiply.accumulate(factors, axis=1)
+                else:
+                    scale = np.array(steps)[:, None]
+                trials = (
+                    xs[live][:, None, None, :] + scale[:, :, None, None] * directions
+                ).reshape(len(live) * w, n)
+            trials = domain.project_rows(trials)
+            inside = norms_of_rows(trials, norm_spec) <= bound  # in_ball, the bound cached
             k = int(np.count_nonzero(inside))  # budget.used stays a Python int
-            if budgets[0].take(k) < k:
+            ended = False
+            # K never falls as starts end, so an iteration at K = 1 is the
+            # lockstep's own: it charges before valuing, and stops or raises
+            # as the lockstep does.  A deeper ladder is charged after.
+            if K == 1 and group is not None:  # one take per group; a short grant ends its starts
+                counts = np.add.reduceat(inside, edges, dtype=np.intp).tolist()
+                for row, stop, owner, c in zip(edges, [*edges[1:], len(trials)], payers, counts):
+                    if owner.take(c) < c:  # its trials are not evaluated
+                        inside[row:stop] = False
+                        steps[row // w : stop // w] = [0.0] * ((stop - row) // w)
+                        ended = True
+                k = int(np.count_nonzero(inside))
+            elif K == 1 and budgets[0].take(k) < k:  # one group: a short grant ends every start
                 break
-        else:  # one take per group; a short grant ends that group's starts
-            counts = np.add.reduceat(inside, edges, dtype=np.intp).tolist()
-            for b, ((row, owner), k) in enumerate(zip(blocks, counts)):
-                if owner.take(k) < k:  # its trials are not evaluated
-                    stop = blocks[b + 1][0] if b + 1 < len(blocks) else len(trials)
-                    inside[row:stop] = False
-                    steps[row // w : stop // w] = [0.0] * ((stop - row) // w)
-                    ended = True
-            k = int(np.count_nonzero(inside))
-        args = (trials,) if paired is None else (trials, paired)
-        try:
-            if k == len(trials):
-                values = np.asarray(objective_rows(*args), dtype=float)
-            else:  # an out-of-ball trial reads +inf, which never improves
-                values = np.full(len(trials), np.inf)
-                if k:
-                    values[inside] = objective_rows(*(a[inside] for a in args))
-        except Exception:
-            if K == 1:
-                raise
-            # Again from this iteration without ladders: the exact batch of
-            # a search without them, which raises or not as that one does.
-            ladders, ended = False, True
-            continue
-        picks = values.reshape(len(live) * K, d).argmin(axis=1).tolist()
-        flat = values.tolist()
-        for j, i in enumerate(live):  # each start walks its levels to the first that improves
-            s, level = steps[j], j * K
-            while True:
-                row = level * d + picks[level]
-                v = flat[row]
-                if v != v:  # argmin stops at the first NaN; only then look again
-                    row = level * d + first_argmin(values[level * d:(level + 1) * d])
+            args = (trials,) if paired is None else (trials, paired)
+            try:
+                if k == len(trials):
+                    values = np.asarray(objective_rows(*args), dtype=float)
+                else:  # an out-of-ball trial reads +inf, which never improves
+                    values = np.full(len(trials), np.inf)
+                    if k:
+                        values[inside] = objective_rows(*(a[inside] for a in args))
+            except Exception:
+                if K == 1:
+                    raise
+                return None
+            picks = values.reshape(len(live) * K, d).argmin(axis=1).tolist()
+            flat = values.tolist()
+            walked = []  # the levels each start walks, which the lockstep values
+            for j, i in enumerate(live):  # each start walks its levels to the first that improves
+                s, level = steps[j], j * K
+                while True:
+                    row = level * d + picks[level]
                     v = flat[row]
-                if v < fs[i] or (fs[i] != fs[i] and v < math.inf):
-                    xs[i], fs[i] = trials[row], v
-                    break
-                s *= shrink  # the products np.multiply.accumulate formed
-                level += 1
-                if level % K == 0:  # every level failed
-                    ended = ended or s <= termination_step
-                    break
-            steps[j] = s
-        if ended:
-            keep = [j for j, s in enumerate(steps) if s > termination_step]
-            live, steps = [live[j] for j in keep], [steps[j] for j in keep]
-    return xs, np.array(fs)
+                    if v != v:  # argmin stops at the first NaN; only then look again
+                        row = level * d + first_argmin(values[level * d:(level + 1) * d])
+                        v = flat[row]
+                    level += 1
+                    if v < fs[i] or (fs[i] != fs[i] and v < math.inf):
+                        xs[i], fs[i] = trials[row], v
+                        break
+                    s *= shrink  # the products np.multiply.accumulate formed
+                    if s <= termination_step:  # it ends before a level it never reaches
+                        ended = True
+                        break
+                    if level % K == 0:  # every level failed
+                        break
+                steps[j] = s
+                walked.append(level - j * K)
+            if K > 1:  # each budget pays the lockstep's charge: the in-ball rows walked
+                if group is None and k == len(trials):
+                    charges = [d * sum(walked)]
+                else:
+                    reached = np.arange(K) < np.array(walked)[:, None]
+                    charged = inside.reshape(len(live), K, d) & reached[:, :, None]
+                    charges = np.add.reduceat(charged.reshape(-1), edges, dtype=np.intp).tolist()
+                for owner, c in zip(payers, charges):
+                    if owner.take(c) < c:
+                        return None
+            if ended:
+                keep = [j for j, s in enumerate(steps) if s > termination_step]
+                live, steps = [live[j] for j in keep], [steps[j] for j in keep]
+        return xs, np.array(fs)
+
+    found = search(True)
+    if found is None:  # the lockstep again, from every budget's entry state
+        for b, used, exhausted in entry:
+            b.used, b.exhausted = used, exhausted
+        found = search(False)
+    return found
 
 
 def _cluster(
@@ -481,9 +505,11 @@ def global_minimize_batch(
     grid then random starts, in problem order, so that the search raises
     what such calls raise.  One lockstep :func:`pattern_search` then refines
     the starts of every problem, each with its problem's radius, initial
-    step and budget, and each problem's endpoints are clustered on their
-    own, one norm pass per cluster representative.
-    A result is bit for bit that of the problem searched alone.
+    step and budget, on step ladders whose depth depends on how many starts
+    are active, while each budget is charged only the lockstep's rows; each
+    problem's endpoints are clustered on their own, one norm pass per
+    cluster representative.  A result, ``evaluations`` and status included,
+    is bit for bit that of the problem searched alone.
     """
     n = domain.dimension
     if norm_spec is None:

@@ -342,6 +342,52 @@ def test_a_sweep_unit_snaps_its_set_up_windows_in_one_pass_per_round(monkeypatch
     assert entered == [prescan + scan] and prescan + scan <= 6, (entered, prescan, scan)
 
 
+def test_a_sweep_unit_ladders_its_search_in_about_half_the_projections(monkeypatch):
+    # A sweep_cone-shaped unit: four probes, the apex and one more y, of
+    # two scaled identities on the cone x0 >= 0, x0 + x1 >= 0 at p = 2.5:
+    # 16 starts in 8 directions, which ladder two levels deep.  Its search
+    # converges on the cone's apex, a kink, where most levels fail, so it
+    # projects its trials about half as often as the lockstep, and every
+    # entry keeps its bits, its evaluations too.
+    import tiltlab.optimize as optimize
+
+    counts, searching = [0], [False]
+    project, search = ConeIntersection.project_rows, optimize.pattern_search
+
+    def counting(self, Z):
+        counts[0] += searching[0]
+        return project(self, Z)
+
+    def recording(*args, **kwargs):
+        searching[0] = True
+        try:
+            return search(*args, **kwargs)
+        finally:
+            searching[0] = False
+
+    monkeypatch.setattr(ConeIntersection, "project_rows", counting)
+    monkeypatch.setattr(optimize, "pattern_search", recording)
+    domain = ConeIntersection(2, constraints=(
+        HalfSpace(2, normal=(1.0, 0.0), offset=0.0), HalfSpace(2, normal=(1.0, 1.0), offset=0.0),
+    ), ray=(1.0, 0.0))
+    spec = NormSpec(2, 2.5)
+    probes = []
+    for theta in (0.15, 0.4):
+        F = TiltedFunctional(spec, domain, AffineMap(2, matrix=((theta, 0.0), (0.0, theta)),
+                                                     offset=(0.0, 0.0)))
+        bound = effective_growth_bound(instance_growth(F))
+        probes += [Probe(F, np.array(y), len(probes), bound) for y in ([0.0, 0.0], [2.0, 0.5])]
+    cfg = OptimizeConfig(coarse_grid=9, multistart=2, seed=3)
+    runs = []
+    for levels in (optimize._LADDER_LEVELS, 1):
+        monkeypatch.setattr(optimize, "_LADDER_LEVELS", levels)
+        counts[0] = 0
+        runs.append((repr(_certify_probes(probes, cfg, 1.0, 3.0)), counts[0]))
+    (laddered, ladder_calls), (lockstep, lockstep_calls) = runs
+    assert laddered == lockstep
+    assert ladder_calls <= 0.6 * lockstep_calls, (ladder_calls, lockstep_calls)
+
+
 def test_certify_uniqueness_refines_every_probe_in_one_search(monkeypatch):
     import tiltlab.optimize as optimize
 
@@ -785,12 +831,21 @@ def _recording(F, calls):
     return kernel_functional(pairs, row_sup, like=F)
 
 
-def test_minimax_evaluations_are_the_rows_its_kernel_saw():
+def test_minimax_evaluations_are_the_rows_its_kernel_saw(monkeypatch):
+    # ``evaluations`` counts the rows the kernels see when every search
+    # values one level per start; on ladders they see more, and the report
+    # keeps every bit.
+    import tiltlab.optimize as optimize
+
     F = affine_instance(4)
     calls = []
     cfg = OptimizeConfig(coarse_grid=7, multistart=2, termination_step=1e-6, seed=3)
     report = minimax_gap(_recording(F, calls), 4.0, 7, config=cfg)
+    laddered, calls[:] = sum(len(values) for *_, values in calls), []
+    monkeypatch.setattr(optimize, "_LADDER_LEVELS", 1)
+    assert minimax_gap(_recording(F, calls), 4.0, 7, config=cfg) == report
     assert report.evaluations == sum(len(values) for *_, values in calls) > 0
+    assert laddered > report.evaluations
     assert {kind for kind, *_ in calls} == {"pairs", "row_sup"}
     assert report == minimax_gap(F, 4.0, 7, config=cfg)
 
@@ -1307,12 +1362,17 @@ def test_row_sup_search_rows_match_one_row_searches_bitwise(index):
         assert X[i].tobytes() == x.tobytes(), i
         used += alone.used
     assert together.used == used
-    # minimax_gap's counting budget ladders, and a ladder's depth depends
-    # on how many starts are active, so only the endpoints add up.
-    X, _ = search(starts, _Budget())
+    # The same on minimax_gap's counting budget, whose ladders are deeper
+    # the fewer starts are active.
+    together = _Budget()
+    X, _ = search(starts, together)
+    used = 0
     for i in range(len(starts)):
-        (x,), _ = search(starts[i : i + 1], _Budget())
+        alone = _Budget()
+        (x,), _ = search(starts[i : i + 1], alone)
         assert X[i].tobytes() == x.tobytes(), i
+        used += alone.used
+    assert together.used == used
 
 
 def test_row_sup_search_answers_from_the_envelope_and_charges_each_row():

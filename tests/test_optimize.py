@@ -37,6 +37,7 @@ from tiltlab import (
     norms_of_rows,
     planted_double_well,
 )
+from tiltlab import optimize
 from tiltlab.functional import mesh_displacements
 from tiltlab.optimize import (
     _Budget, _cluster, direction_set, global_minimize_batch, pattern_search,
@@ -551,14 +552,14 @@ def test_grouped_pattern_search_matches_one_search_per_group_bitwise():
 def test_a_search_on_a_counting_budget_ends_where_the_reference_ends_hypothesis(
     n, S, directions, shrink, paired, per_start, seed,
 ):
-    # A budget without a limit lets each start value its next steps in one
-    # call, a ladder; every endpoint and value is still bitwise that of the
-    # one-direction-at-a-time reference, on objectives with ties and a NaN
-    # half-space, also where shrink is no power of two, so that only the
-    # reference's own products give the same steps, and where each start
-    # has its own objective through its partner.  The budget counts every
-    # row the objective saw, the unused ladder rows too, so never fewer
-    # than the reference's; so does each start's own counting budget.
+    # Each start values its next steps in one call, a ladder; every
+    # endpoint and value is still bitwise that of the one-direction-at-a-
+    # time reference, on objectives with ties and a NaN half-space, also
+    # where shrink is no power of two, so that only the reference's own
+    # products give the same steps, and where each start has its own
+    # objective through its partner.  Each budget, one for every start or
+    # one per start, counts what the reference counts, not the unused
+    # ladder rows the objective also saw.
     rng = np.random.default_rng(seed)
     domain = random_domain(rng, n)
     spec = NormSpec(n, (1.0, 2.0, INF)[seed % 3])
@@ -588,29 +589,135 @@ def test_a_search_on_a_counting_budget_ends_where_the_reference_ends_hypothesis(
         )
         assert X[i].tobytes() == x_ref.tobytes(), i
         assert FX[i].tobytes() == np.float64(fx_ref).tobytes(), i
-    assert sum(b.used for b in budgets) == sum(seen)
+    assert sum(seen) >= sum(b.used for b in budgets)
     for budget, ref_budget in zip(budgets, ref_budgets):
-        assert budget.used >= ref_budget.used and not budget.exhausted
+        assert budget.used == ref_budget.used and not budget.exhausted
+
+
+def _lockstep(monkeypatch):
+    """Takes ladders away: every search values one level per start."""
+    monkeypatch.setattr(optimize, "_LADDER_LEVELS", 1)
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.sampled_from(["one", "grouped"]),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_a_budgeted_search_ends_where_the_reference_ends_hypothesis(
+    n, S, grouping, binds, nan, seed,
+):
+    # Budgets with a limit: one for every start, or one per start, each
+    # start's own group.  A limit drawn below what the start's reference
+    # charges binds mid-refinement; one at or above it never binds.  Every
+    # endpoint, value, ``used`` and ``exhausted`` is the one-direction-at-a-
+    # time reference's, in 1-4 D, on objectives with ties and, on some
+    # draws, a NaN half-space.  A limit that binds one budget for several
+    # starts ends them where the lockstep ends them.
+    rng = np.random.default_rng(seed)
+    domain = random_domain(rng, n)
+    spec = NormSpec(n, (1.0, 2.0, INF)[seed % 3])
+    rows = (nan_half_space_objective if nan else random_rows_objective)(rng, n)
+    radius = float(rng.uniform(1.0, 3.0))
+    X0 = _starts_in_ball(rng, domain, spec, radius, S)
+    F0 = rows(X0)
+    dirs = direction_set(n, ("axes", "auto")[seed % 2])
+    step = float(rng.uniform(0.2, 1.0))
+    args = (rows, domain, radius, spec)
+
+    def reference(i, budget):
+        return reference_pattern_search(
+            *args, X0[i], F0[i], step, 1e-6, 0.5, dirs, budget, collections.Counter())
+
+    def limit(charge):  # below the charge on a draw that binds, else at or above it
+        return int(rng.integers(1, charge)) if binds and charge > 1 else charge + int(
+            rng.integers(0, 3))
+
+    if grouping == "grouped":
+        charges = [_Budget() for _ in range(S)]
+        for i in range(S):
+            reference(i, charges[i])
+        mine = [_Budget(limit(b.used)) for b in charges]
+        refs = [_Budget(b.limit) for b in mine]
+        X, FX = pattern_search(*args, X0, F0, step, 1e-6, 0.5, dirs, mine)
+        ends = [reference(i, refs[i]) for i in range(S)]
+    else:
+        charges = [_Budget()]
+        for i in range(S):
+            reference(i, charges[0])
+        mine = [_Budget(limit(charges[0].used))]
+        refs = [_Budget(mine[0].limit)]
+        X, FX = pattern_search(*args, X0, F0, step, 1e-6, 0.5, dirs, mine[0])
+        if S == 1 or refs[0].limit >= charges[0].used:
+            ends = [reference(i, refs[0]) for i in range(S)]
+        else:  # the lockstep's rule, not the reference's one start after another
+            with pytest.MonkeyPatch.context() as mp:
+                _lockstep(mp)
+                ends = list(zip(*pattern_search(
+                    *args, X0, F0, step, 1e-6, 0.5, dirs, refs[0])))
+    for i, (x_ref, fx_ref) in enumerate(ends):
+        assert X[i].tobytes() == np.asarray(x_ref).tobytes(), i
+        assert FX[i].tobytes() == np.float64(fx_ref).tobytes(), i
+    for budget, ref, charge in zip(mine, refs, charges):
+        assert (budget.used, budget.exhausted) == (ref.used, ref.exhausted)
+        assert budget.exhausted == (budget.limit < charge.used)
+
+
+def test_a_ladder_run_that_crosses_a_limit_replays_the_lockstep(monkeypatch):
+    # Two starts in 2-D ladder 16 levels of 8 directions; a limit of one row
+    # less than the lockstep charges is crossed by a ladder call, and the
+    # search runs again as the lockstep, which stops with used == limit at
+    # the lockstep's endpoints.
+    rng = np.random.default_rng(5)
+    rows = random_rows_objective(rng, 2)
+    X0 = _starts_in_ball(rng, FullSpace(2), NormSpec(2, 2.0), 3.0, 2)
+    args = (FullSpace(2), 3.0, NormSpec(2, 2.0), X0, rows(X0), 0.5, 1e-6, 0.5, direction_set(2))
+    seen = []
+
+    def counted(X):
+        seen.append(len(X))
+        return rows(X)
+
+    whole = _Budget()
+    pattern_search(counted, *args, whole)
+    budget = _Budget(whole.used - 1)
+    seen.clear()
+    X, FX = pattern_search(counted, *args, budget)
+    laddered, seen[:] = list(seen), []
+    lockstep = _Budget(whole.used - 1)
+    _lockstep(monkeypatch)
+    X_ref, F_ref = pattern_search(counted, *args, lockstep)
+    assert X.tobytes() == X_ref.tobytes() and FX.tobytes() == F_ref.tobytes()
+    assert budget.used == lockstep.used == budget.limit and budget.exhausted
+    assert max(laddered) > 16 and laddered[-len(seen):] == seen  # ladders, then the lockstep
 
 
 def test_a_ladder_that_raises_goes_on_without_ladders():
-    # Two starts in 2-D with the 8 sign directions ladder 4 levels of 16
+    # Two starts in 2-D with the 8 sign directions ladder 16 levels of 16
     # rows each.  The objective raises on the first row the lockstep never
     # evaluates, a deeper ladder level, once three calls have returned: the
-    # search goes on from that iteration one level at a time, and ends
-    # where the lockstep ends.  The rows of the call that raised stay counted.
+    # search runs again from its start as the lockstep, whose batches it
+    # values one for one, and ends where the lockstep ends, on the budget
+    # the lockstep leaves.
     rng = np.random.default_rng(3)
     rows = random_rows_objective(rng, 2)
     X0 = _starts_in_ball(rng, FullSpace(2), NormSpec(2, 2.0), 3.0, 2)
     args = (FullSpace(2), 3.0, NormSpec(2, 2.0), X0, rows(X0), 0.5, 1e-6, 0.5, direction_set(2))
-    lockstep_rows = []
+    lockstep_rows, lockstep_calls = [], []
 
     def recording(X):
         lockstep_rows.extend(x.tobytes() for x in X)
+        lockstep_calls.append(len(X))
         return rows(X)
 
-    lockstep = _Budget(10**18)  # a limit: one level per iteration
-    X_ref, F_ref = pattern_search(recording, *args, lockstep)
+    lockstep = _Budget()
+    with pytest.MonkeyPatch.context() as mp:
+        _lockstep(mp)
+        X_ref, F_ref = pattern_search(recording, *args, lockstep)
     known, seen, raised = set(lockstep_rows), [], []
 
     def fussy(X):
@@ -625,15 +732,17 @@ def test_a_ladder_that_raises_goes_on_without_ladders():
     X, FX = pattern_search(fussy, *args, budget)
     assert X.tobytes() == X_ref.tobytes() and FX.tobytes() == F_ref.tobytes()
     assert raised == [4] and min(seen[:4]) > 16  # three ladder calls, then the raise
-    assert budget.used == sum(seen) and lockstep.used == len(lockstep_rows)
+    assert seen[4:] == lockstep_calls  # then the lockstep's batches
+    assert budget.used == lockstep.used == len(lockstep_rows)
 
 
 def test_a_ladder_that_raises_at_its_first_level_raises_the_lockstep_error():
     # The objective raises on the first row of its batch in a band.  The
     # lockstep's first batch, 0.5 +- 1 and 3 +- 1, meets it at 4; the
     # ladder's first batch meets it earlier, at 0.5 - 0.25 in the first
-    # start's third level.  Without ladders the search values the lockstep's batch again
-    # and raises its error, with the same point, value and violation.
+    # start's third level.  The search then runs again as the lockstep and
+    # raises its error, with the same point, value and violation, and
+    # leaves the budget as the lockstep does, charged for its first batch.
     raised = []
 
     def banded(X):
@@ -645,17 +754,43 @@ def test_a_ladder_that_raises_at_its_first_level_raises_the_lockstep_error():
 
     args = (banded, FullSpace(1), 10.0, NormSpec(1, 2.0), np.array([[0.5], [3.0]]),
             np.array([2.25, 1.0]), 1.0, 1e-6, 0.5, direction_set(1))
-    errors = []
-    for budget in (_Budget(10**18), _Budget()):
-        with pytest.raises(RangeViolation) as info:
+    errors, budgets = [], [_Budget(), _Budget(10**18), _Budget()]
+    for run, budget in enumerate(budgets):
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(RangeViolation) as info:
+            if run == 0:
+                _lockstep(mp)
             pattern_search(*args, budget)
         errors.append(info.value)
-    assert raised == [4.0, 0.25, 4.0]
-    (lockstep, ladder) = errors
-    assert str(ladder) == str(lockstep)
-    for name in ("point", "value", "violation"):
-        assert np.array(getattr(ladder, name)).tobytes() == np.array(
-            getattr(lockstep, name)).tobytes(), name
+    assert raised == [4.0, 0.25, 4.0, 0.25, 4.0]
+    assert [b.used for b in budgets] == [4, 4, 4]
+    lockstep = errors[0]
+    for ladder in errors[1:]:
+        assert str(ladder) == str(lockstep)
+        for name in ("point", "value", "violation"):
+            assert np.array(getattr(ladder, name)).tobytes() == np.array(
+                getattr(lockstep, name)).tobytes(), name
+
+
+def test_a_multi_start_ladder_raises_the_error_the_lockstep_meets_first():
+    # Two 1-D starts, each on its own objective through its partner: x = 10
+    # on (x - 10)**2, which raises at 10 + 2**-20, and x = 3 on x**2, which
+    # raises at 2**-7.  The lockstep meets the second start's raise first,
+    # at its eleventh iteration; the ladders meet the first start's in their
+    # second call.  Both budgets, with a limit or without, raise the
+    # lockstep's error.
+    def rows(X, owners):
+        for x, owner in zip(X[:, 0], owners):
+            if (owner, x) in ((0, 10.0 + 2.0**-20), (1, 2.0**-7)):
+                raise RangeViolation(f"partner {owner}", point=np.array([x]))
+        return np.where(owners == 0, (X[:, 0] - 10.0) ** 2, X[:, 0] ** 2)
+
+    X0, owners = np.array([[10.0], [3.0]]), np.array([0, 1])
+    for budget in (_Budget(10**18), _Budget()):
+        with pytest.raises(RangeViolation, match="partner 1"):
+            pattern_search(
+                rows, FullSpace(1), 100.0, NormSpec(1, 2.0), X0, rows(X0, owners), 1.0, 1e-9,
+                0.5, direction_set(1), budget, partners=owners,
+            )
 
 
 def test_batched_global_minimize_matches_one_call_per_problem_bitwise(monkeypatch):
@@ -852,7 +987,7 @@ def test_pattern_search_nan_trials_never_win_nor_hide_improvement():
     assert budget.used == 8 * 10  # ten shrinks from 1 to below 1e-3
 
 
-def test_global_minimize_with_rows_makes_no_scalar_calls():
+def test_global_minimize_with_rows_makes_no_scalar_calls(monkeypatch):
     F = TiltedFunctional(
         NormSpec(2, 2.0),
         Orthant(2),
@@ -865,9 +1000,14 @@ def test_global_minimize_with_rows_makes_no_scalar_calls():
         return F.displacements(X)
 
     res = global_minimize(rows, F.domain, 6.0, CFG, norm_spec=F.norm)
-    # Every call is a (k, 2) batch, and every row it holds is charged.
-    assert shapes and all(len(s) == 2 and s[1] == 2 for s in shapes)
+    laddered, shapes[:] = list(shapes), []
+    _lockstep(monkeypatch)
+    assert global_minimize(rows, F.domain, 6.0, CFG, norm_spec=F.norm) == res
+    # Every call is a (k, 2) batch.  Every row of the lockstep's calls is
+    # charged, and so is the same count on ladders, whose calls hold more.
+    assert shapes and all(len(s) == 2 and s[1] == 2 for s in shapes + laddered)
     assert sum(s[0] for s in shapes) == res.evaluations > 0
+    assert sum(s[0] for s in laddered) > res.evaluations
     assert np.allclose(res.best_point, analytic_fixed_point(F.mapping), atol=1e-6)
 
 
